@@ -7,4 +7,4 @@ module qsmpi
 // unitchecker protocol (internal/lint/analysis, internal/lint/driver),
 // so the module graph stays empty. See DESIGN.md §9.
 
-go 1.22
+go 1.24

@@ -504,8 +504,12 @@ func (p *Proc) Finalize() {
 
 // Run executes the simulation to quiescence and reports deadlocks. When a
 // watchdog is attached and has recorded stalls, its diagnostics are
-// appended to the deadlock error.
+// appended to the deadlock error. The cluster created the kernel, so Run
+// closes it on the way out — once the deadlock report has been taken —
+// unwinding whatever is still parked (progress threads, the participants
+// of a deadlock): no goroutine outlives Run, and a cluster runs once.
 func (c *Cluster) Run() error {
+	defer c.K.Close()
 	c.K.Run()
 	c.mergeTraces()
 	if st := c.K.Stalled(); len(st) != 0 {

@@ -1,0 +1,69 @@
+package cluster_test
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"qsmpi/internal/cluster"
+	"qsmpi/internal/datatype"
+	"qsmpi/internal/pml"
+	"qsmpi/internal/ptlelan4"
+)
+
+// TestNoGoroutineOutlivesRun: the cluster owns its kernel and Run closes
+// it, so whatever the run left parked — module progress threads that the
+// application never finalized, the participants of a deadlock — is
+// unwound, and a simulation costs nothing once it has returned.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	twoThreads := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	twoThreads.CQ = ptlelan4.TwoQueue
+	twoThreads.Threads = 2
+	cases := []struct {
+		name     string
+		spec     cluster.Spec
+		procs    int
+		deadlock bool
+	}{
+		{"polling-2", elanSpec(), 2, false},
+		{"two-threads-2", cluster.Spec{Elan: &twoThreads, Progress: pml.Threaded}, 2, false},
+		{"shards2-64", func() cluster.Spec { s := elanSpec(); s.Shards = 2; return s }(), 64, false},
+		{"deadlock-2", cluster.Spec{Elan: &twoThreads, Progress: pml.Threaded}, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			c := cluster.New(tc.spec, tc.procs)
+			dt := datatype.Contiguous(4096)
+			c.Launch(func(p *cluster.Proc) {
+				next, prev := (p.Rank+1)%tc.procs, (p.Rank+tc.procs-1)%tc.procs
+				r := p.Stack.Recv(p.Th, prev, 0, 0, make([]byte, 4096), dt)
+				p.Stack.Send(p.Th, next, 0, 0, make([]byte, 4096), dt).Wait(p.Th)
+				r.Wait(p.Th)
+				if tc.deadlock {
+					// A receive nobody sends to.
+					p.Stack.Recv(p.Th, prev, 99, 0, make([]byte, 4096), dt).Wait(p.Th)
+				}
+				// No Finalize: the progress threads stay parked in their queues.
+			})
+			err := c.Run()
+			switch {
+			case !tc.deadlock && err != nil:
+				t.Fatal(err)
+			case tc.deadlock && (err == nil || !strings.Contains(err.Error(), "rank0") || !strings.Contains(err.Error(), "rank1")):
+				t.Fatalf("deadlocked run reported %v, want both ranks named", err)
+			}
+			n := runtime.NumGoroutine()
+			for i := 0; i < 200 && n > before; i++ {
+				// A sharded epoch's workers are still returning when the
+				// coordinator moves on.
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n != before {
+				t.Errorf("%d goroutines after Run, %d before New", n, before)
+			}
+		})
+	}
+}

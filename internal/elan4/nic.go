@@ -45,8 +45,11 @@ type NIC struct {
 	res  Resolver
 
 	contexts map[int]*Context
-	engineQ  *simtime.Chan[*dmaOp]
 	firmware Firmware
+
+	// eng is the DMA engine: a descriptor FIFO drained by kernel timers
+	// (see "NIC DMA engine" below).
+	eng engine
 
 	// pool recycles QDMA payload copies and RDMA chunk buffers. Chunks
 	// released on a receiving NIC migrate into that NIC's pool, which is
@@ -255,11 +258,10 @@ func NewNIC(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int
 	n := &NIC{
 		k: k, sc: host.Sched(), host: host, net: net, port: port, cfg: cfg, res: res,
 		contexts: make(map[int]*Context),
-		engineQ:  simtime.NewChan[*dmaOp](),
 		pool:     bufpool.New(),
 	}
+	n.eng.next, n.eng.start, n.eng.chunk, n.eng.readReq = n.engNext, n.engStart, n.engChunk, n.engReadReq
 	net.Attach(port, n.handlePacket)
-	n.sc.Spawn(fmt.Sprintf("elan4:engine:%d", port), n.engineLoop)
 	return n
 }
 
@@ -332,17 +334,27 @@ func (c *Context) MMU() *MMU { return c.mmu }
 // and PIO cost; done (optional) is triggered once the message has been
 // deposited remotely. onError (optional) receives delivery failures.
 func (c *Context) IssueQDMA(th *simtime.Thread, dstVPID, queue int, data []byte, done *Event, onError func(error)) {
+	c.checkQDMASize(data)
+	th.Compute(c.nic.cfg.CmdIssue + simtime.BytesAt(len(data), c.nic.cfg.PIOBandwidth))
+	c.enqueueOp(c.qdmaOp(dstVPID, queue, data, done, onError))
+}
+
+func (c *Context) checkQDMASize(data []byte) {
 	if len(data) > c.nic.cfg.QDMAMaxPayload {
 		panic(fmt.Sprintf("elan4: QDMA payload %d exceeds %d", len(data), c.nic.cfg.QDMAMaxPayload))
 	}
-	th.Compute(c.nic.cfg.CmdIssue + simtime.BytesAt(len(data), c.nic.cfg.PIOBandwidth))
+}
+
+// qdmaOp builds a unicast QDMA descriptor, capturing the payload and the
+// staged correlator now.
+func (c *Context) qdmaOp(dstVPID, queue int, data []byte, done *Event, onError func(error)) *dmaOp {
 	cp := c.nic.pool.Get(len(data))
 	copy(cp, data)
-	c.enqueueOp(&dmaOp{
+	return &dmaOp{
 		kind: opQDMA, srcCtx: c, dstVPID: dstVPID, queue: queue,
 		data: cp, dataPooled: true, done: done, onError: onError, pending: 1,
 		cookie: c.takeCookie(),
-	})
+	}
 }
 
 // IssueQDMABcast sends one QDMA to queue `queue` of every process in
@@ -353,9 +365,7 @@ func (c *Context) IssueQDMA(th *simtime.Thread, dstVPID, queue int, data []byte,
 // new global address space is established, which callers must enforce.
 // done fires after every destination has acknowledged its deposit.
 func (c *Context) IssueQDMABcast(th *simtime.Thread, dstVPIDs []int, queue int, data []byte, done *Event, onError func(error)) {
-	if len(data) > c.nic.cfg.QDMAMaxPayload {
-		panic(fmt.Sprintf("elan4: QDMA payload %d exceeds %d", len(data), c.nic.cfg.QDMAMaxPayload))
-	}
+	c.checkQDMASize(data)
 	if len(dstVPIDs) == 0 {
 		panic("elan4: empty broadcast destination set")
 	}
@@ -375,11 +385,15 @@ func (c *Context) IssueQDMABcast(th *simtime.Thread, dstVPIDs []int, queue int, 
 // network-level completion (data placed and acknowledged).
 func (c *Context) IssueRDMAWrite(th *simtime.Thread, dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) {
 	th.Compute(c.nic.cfg.CmdIssue)
-	c.enqueueOp(&dmaOp{
+	c.enqueueOp(c.rdmaWriteOp(dstVPID, src, dst, n, done, onError))
+}
+
+func (c *Context) rdmaWriteOp(dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) *dmaOp {
+	return &dmaOp{
 		kind: opRDMAWrite, srcCtx: c, dstVPID: dstVPID,
 		localAddr: src, remoteAddr: dst, n: n, done: done, onError: onError,
 		pending: 1, cookie: c.takeCookie(),
-	})
+	}
 }
 
 // IssueRDMARead reads n bytes from the remote E4 address src in dstVPID's
@@ -399,27 +413,15 @@ func (c *Context) IssueRDMARead(th *simtime.Thread, dstVPID int, src, dst E4Addr
 // call it from an Event chain closure to fire a QDMA when the event
 // completes. The payload is captured now.
 func (c *Context) QDMAFromNIC(dstVPID, queue int, data []byte, done *Event, onError func(error)) {
-	if len(data) > c.nic.cfg.QDMAMaxPayload {
-		panic(fmt.Sprintf("elan4: QDMA payload %d exceeds %d", len(data), c.nic.cfg.QDMAMaxPayload))
-	}
-	cp := c.nic.pool.Get(len(data))
-	copy(cp, data)
-	c.nic.engineQ.Send(&dmaOp{
-		kind: opQDMA, srcCtx: c, dstVPID: dstVPID, queue: queue,
-		data: cp, dataPooled: true, done: done, onError: onError,
-		cookie: c.takeCookie(),
-	})
+	c.checkQDMASize(data)
+	c.nic.submit(c.qdmaOp(dstVPID, queue, data, done, onError))
 }
 
 // IssueRDMAWriteFromNIC enqueues an RDMA write directly on the DMA engine
 // with no host cost — the chained-event building block for back-to-back
 // RDMA operations (call from an Event chain closure).
 func (c *Context) IssueRDMAWriteFromNIC(dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) {
-	c.nic.engineQ.Send(&dmaOp{
-		kind: opRDMAWrite, srcCtx: c, dstVPID: dstVPID,
-		localAddr: src, remoteAddr: dst, n: n, done: done, onError: onError,
-		pending: 1, cookie: c.takeCookie(),
-	})
+	c.nic.submit(c.rdmaWriteOp(dstVPID, src, dst, n, done, onError))
 }
 
 // ChainQDMA arranges for a QDMA to be issued by the NIC itself when ev
@@ -468,163 +470,226 @@ func (c *Context) SetEvent(th *simtime.Thread, ev *Event) {
 func (c *Context) enqueueOp(op *dmaOp) {
 	n := c.nic
 	n.sc.After(n.cfg.NICDispatch, "elan4:dispatch", func() {
-		n.engineQ.Send(op)
+		n.submit(op)
 	})
 }
 
 // ---- NIC DMA engine ----
+//
+// The engine serves one descriptor at a time: DMAStartup, then the
+// descriptor's own work — for an RDMA, one PCI read per MTU-size chunk,
+// pipelined against the wire, which queues in the fabric's link model. It
+// is a state machine stepped by kernel timers, not a proc: the hardware
+// retires descriptors with no host thread in the loop, and so does the
+// model. Each timer is pushed exactly where the proc-based engine it
+// replaced pushed its wake — after whatever the step itself sent — so the
+// (time, sequence) order of the simulation is that engine's
+// (testdata/engine_golden.txt). Moving a push moves simulated time.
 
-func (n *NIC) engineLoop(p *simtime.Proc) {
-	p.MarkDaemon()
-	for {
-		op := n.engineQ.Recv(p)
-		p.Sleep(n.cfg.DMAStartup)
-		if n.tracer != nil && op.kind != opReadReply {
-			n.traceSeq++
-			op.tid = n.traceSeq
-			var k trace.Kind
-			bytes := op.n
-			switch op.kind {
-			case opQDMA, opQDMABcast:
-				k, bytes = trace.QDMAIssued, len(op.data)
-			case opRDMAWrite:
-				k = trace.RDMAWriteIssued
-			case opRDMARead:
-				k = trace.RDMAReadIssued
-			}
-			n.traceOp(op.srcCtx.vpid, k, op, op.dstVPID, bytes)
-		}
-		switch op.kind {
-		case opQDMA:
-			n.stats.QDMAs++
-			n.stats.BytesSent += int64(len(op.data))
-			port, ctx, ok := n.res.Resolve(op.dstVPID)
-			if !ok {
-				op.fail(n, fmt.Errorf("elan4: QDMA to unknown VPID %d", op.dstVPID))
-				op.retire(n)
-				continue
-			}
-			n.send(port, len(op.data), &qdmaPkt{
-				srcVPID: n.vpidOf(op.srcCtx), dstVPID: op.dstVPID, dstCtx: ctx,
-				queue: op.queue, data: op.data, op: op, srcPort: n.port,
-			})
+// engine is the state of a NIC's DMA engine.
+type engine struct {
+	q    simtime.Queue[*dmaOp]
+	busy bool // from the first submit to an idle engine until q drains
 
-		case opQDMABcast:
-			n.stats.QDMAs++
-			n.stats.BytesSent += int64(len(op.data))
-			// Resolve every destination up front; the multicast tree is
-			// then built from the ports.
-			ports := make([]int, 0, len(op.dsts))
-			ctxOf := make(map[int]int, len(op.dsts))
-			vpidOf := make(map[int]int, len(op.dsts))
-			failed := 0
-			for _, v := range op.dsts {
-				port, ctx, ok := n.res.Resolve(v)
-				if !ok {
-					failed++
-					continue
-				}
-				ports = append(ports, port)
-				ctxOf[port] = ctx
-				vpidOf[port] = v
-			}
-			if failed > 0 {
-				op.fail(n, fmt.Errorf("elan4: broadcast to %d unknown VPIDs", failed))
-				op.pending -= failed
-			}
-			if len(ports) == 0 {
-				continue
-			}
-			src := n.vpidOf(op.srcCtx)
-			n.net.SendMulti(n.port, len(op.data), ports, func(dst int) any {
-				return &qdmaPkt{
-					srcVPID: src, dstVPID: vpidOf[dst], dstCtx: ctxOf[dst],
-					queue: op.queue, data: op.data, op: op, srcPort: n.port,
-				}
-			}, nil)
+	// The descriptor in service and, for a chunked transfer, its cursor.
+	op        *dmaOp
+	src       []byte
+	off       int
+	port, ctx int
 
-		case opRDMAWrite:
-			n.stats.RDMAWrites++
-			port, ctx, ok := n.res.Resolve(op.dstVPID)
-			if !ok {
-				op.fail(n, fmt.Errorf("elan4: RDMA write to unknown VPID %d", op.dstVPID))
-				continue
-			}
-			src, err := op.srcCtx.mmu.Slice(op.localAddr, op.n)
-			if err != nil {
-				op.fail(n, err)
-				continue
-			}
-			n.streamChunks(p, src, op.n, func(off, ln int, last bool) {
-				chunk := n.pool.Get(ln)
-				copy(chunk, src[off:off+ln])
-				n.stats.BytesSent += int64(ln)
-				n.send(port, ln, &rdmaWritePkt{
-					dstCtx: ctx, addr: op.remoteAddr.Add(off), data: chunk,
-					last: last, op: op, srcPort: n.port,
-				})
-			})
+	// The steps, bound once as method values: a timer push per chunk must
+	// not allocate a closure.
+	next, start, chunk, readReq func()
+}
 
-		case opRDMARead:
-			n.stats.RDMAReads++
-			port, ctx, ok := n.res.Resolve(op.dstVPID)
-			if !ok {
-				op.fail(n, fmt.Errorf("elan4: RDMA read from unknown VPID %d", op.dstVPID))
-				continue
-			}
-			// STEN get request: a small packet carrying the descriptor.
-			p.Sleep(n.cfg.RDMAReadRequest)
-			n.send(port, 0, &rdmaReadReqPkt{
-				requesterPort: n.port, targetCtx: ctx,
-				srcAddr: op.remoteAddr, n: op.n, op: op,
-			})
-
-		case opReadReply:
-			// Running on the target NIC: stream the requested data back.
-			tctx := n.contexts[op.srcCtx.id]
-			if tctx == nil || tctx.closed {
-				n.send(op.replyPort, 0, &rdmaReadDataPkt{
-					op: op.replyOp, last: true,
-					err: fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id),
-				})
-				continue
-			}
-			src, err := tctx.mmu.Slice(op.remoteAddr, op.n)
-			if err != nil {
-				n.send(op.replyPort, 0, &rdmaReadDataPkt{op: op.replyOp, last: true, err: err})
-				continue
-			}
-			dst := op.replyOp.localAddr
-			n.streamChunks(p, src, op.n, func(off, ln int, last bool) {
-				chunk := n.pool.Get(ln)
-				copy(chunk, src[off:off+ln])
-				n.stats.BytesSent += int64(ln)
-				n.send(op.replyPort, ln, &rdmaReadDataPkt{
-					addr: dst.Add(off), data: chunk, last: last, op: op.replyOp,
-				})
-			})
-		}
+// submit queues a descriptor; an idle engine picks it up at this instant,
+// after the events already queued for it.
+func (n *NIC) submit(op *dmaOp) {
+	e := &n.eng
+	e.q.Push(op)
+	if !e.busy {
+		e.busy = true
+		n.sc.After(0, "elan4:engine-kick", e.next)
 	}
 }
 
-// streamChunks walks a transfer in MTU-size chunks, charging the engine's
-// PCI read time per chunk (pipelined against the wire, which queues in the
-// fabric's link model). Zero-length transfers emit one empty final chunk
-// so completion still flows.
-func (n *NIC) streamChunks(p *simtime.Proc, src []byte, total int, emit func(off, ln int, last bool)) {
-	if total == 0 {
-		emit(0, 0, true)
+// engNext takes the next descriptor into service, or idles the engine.
+func (n *NIC) engNext() {
+	e := &n.eng
+	e.src = nil
+	if e.op, _ = e.q.Pop(); e.op == nil {
+		e.busy = false
 		return
 	}
-	mtu := n.cfg.MTU
-	for off := 0; off < total; off += mtu {
-		ln := total - off
-		if ln > mtu {
-			ln = mtu
+	n.sc.After(n.cfg.DMAStartup, "elan4:dma-startup", e.start)
+}
+
+// engStart runs once the descriptor's startup cost is paid.
+func (n *NIC) engStart() {
+	e := &n.eng
+	op := e.op
+	if n.tracer != nil && op.kind != opReadReply {
+		n.traceSeq++
+		op.tid = n.traceSeq
+		var k trace.Kind
+		bytes := op.n
+		switch op.kind {
+		case opQDMA, opQDMABcast:
+			k, bytes = trace.QDMAIssued, len(op.data)
+		case opRDMAWrite:
+			k = trace.RDMAWriteIssued
+		case opRDMARead:
+			k = trace.RDMAReadIssued
 		}
-		p.Sleep(simtime.BytesAt(ln, n.cfg.PCIBandwidth))
-		emit(off, ln, off+ln == total)
+		n.traceOp(op.srcCtx.vpid, k, op, op.dstVPID, bytes)
 	}
+	switch op.kind {
+	case opQDMA:
+		n.stats.QDMAs++
+		n.stats.BytesSent += int64(len(op.data))
+		port, ctx, ok := n.res.Resolve(op.dstVPID)
+		if !ok {
+			op.fail(n, fmt.Errorf("elan4: QDMA to unknown VPID %d", op.dstVPID))
+			op.retire(n)
+			break
+		}
+		n.send(port, len(op.data), &qdmaPkt{
+			srcVPID: n.vpidOf(op.srcCtx), dstVPID: op.dstVPID, dstCtx: ctx,
+			queue: op.queue, data: op.data, op: op, srcPort: n.port,
+		})
+
+	case opQDMABcast:
+		n.stats.QDMAs++
+		n.stats.BytesSent += int64(len(op.data))
+		// Resolve every destination up front; the multicast tree is
+		// then built from the ports.
+		ports := make([]int, 0, len(op.dsts))
+		ctxOf := make(map[int]int, len(op.dsts))
+		vpidOf := make(map[int]int, len(op.dsts))
+		failed := 0
+		for _, v := range op.dsts {
+			port, ctx, ok := n.res.Resolve(v)
+			if !ok {
+				failed++
+				continue
+			}
+			ports = append(ports, port)
+			ctxOf[port] = ctx
+			vpidOf[port] = v
+		}
+		if failed > 0 {
+			op.fail(n, fmt.Errorf("elan4: broadcast to %d unknown VPIDs", failed))
+			op.pending -= failed
+		}
+		if len(ports) == 0 {
+			break
+		}
+		src := n.vpidOf(op.srcCtx)
+		n.net.SendMulti(n.port, len(op.data), ports, func(dst int) any {
+			return &qdmaPkt{
+				srcVPID: src, dstVPID: vpidOf[dst], dstCtx: ctxOf[dst],
+				queue: op.queue, data: op.data, op: op, srcPort: n.port,
+			}
+		}, nil)
+
+	case opRDMAWrite:
+		n.stats.RDMAWrites++
+		port, ctx, ok := n.res.Resolve(op.dstVPID)
+		if !ok {
+			op.fail(n, fmt.Errorf("elan4: RDMA write to unknown VPID %d", op.dstVPID))
+			break
+		}
+		src, err := op.srcCtx.mmu.Slice(op.localAddr, op.n)
+		if err != nil {
+			op.fail(n, err)
+			break
+		}
+		e.port, e.ctx = port, ctx
+		n.engStream(src)
+		return
+
+	case opRDMARead:
+		n.stats.RDMAReads++
+		port, ctx, ok := n.res.Resolve(op.dstVPID)
+		if !ok {
+			op.fail(n, fmt.Errorf("elan4: RDMA read from unknown VPID %d", op.dstVPID))
+			break
+		}
+		// STEN get request: a small packet carrying the descriptor.
+		e.port, e.ctx = port, ctx
+		n.sc.After(n.cfg.RDMAReadRequest, "elan4:read-request", e.readReq)
+		return
+
+	case opReadReply:
+		// Running on the target NIC: stream the requested data back.
+		tctx := n.contexts[op.srcCtx.id]
+		if tctx == nil || tctx.closed {
+			n.send(op.replyPort, 0, &rdmaReadDataPkt{
+				op: op.replyOp, last: true,
+				err: fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id),
+			})
+			break
+		}
+		src, err := tctx.mmu.Slice(op.remoteAddr, op.n)
+		if err != nil {
+			n.send(op.replyPort, 0, &rdmaReadDataPkt{op: op.replyOp, last: true, err: err})
+			break
+		}
+		n.engStream(src)
+		return
+	}
+	n.engNext()
+}
+
+// engReadReq puts an RDMA read's request on the wire.
+func (n *NIC) engReadReq() {
+	e := &n.eng
+	n.send(e.port, 0, &rdmaReadReqPkt{
+		requesterPort: n.port, targetCtx: e.ctx,
+		srcAddr: e.op.remoteAddr, n: e.op.n, op: e.op,
+	})
+	n.engNext()
+}
+
+// engStream starts walking src in MTU-size chunks, charging the engine's
+// PCI read time before each. A zero-length transfer emits one empty final
+// chunk at once, so completion still flows.
+func (n *NIC) engStream(src []byte) {
+	e := &n.eng
+	e.src, e.off = src, 0
+	if len(src) == 0 {
+		n.engChunk()
+		return
+	}
+	n.sc.After(simtime.BytesAt(min(len(src), n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
+}
+
+// engChunk emits the chunk whose PCI read just finished and starts the
+// next one, or the next descriptor after the last.
+func (n *NIC) engChunk() {
+	e := &n.eng
+	op, off := e.op, e.off
+	ln := min(len(e.src)-off, n.cfg.MTU)
+	e.off += ln
+	last := e.off == len(e.src)
+	chunk := n.pool.Get(ln)
+	copy(chunk, e.src[off:e.off])
+	n.stats.BytesSent += int64(ln)
+	if op.kind == opRDMAWrite {
+		n.send(e.port, ln, &rdmaWritePkt{
+			dstCtx: e.ctx, addr: op.remoteAddr.Add(off), data: chunk,
+			last: last, op: op, srcPort: n.port,
+		})
+	} else {
+		n.send(op.replyPort, ln, &rdmaReadDataPkt{
+			addr: op.replyOp.localAddr.Add(off), data: chunk, last: last, op: op.replyOp,
+		})
+	}
+	if last {
+		n.engNext()
+		return
+	}
+	n.sc.After(simtime.BytesAt(min(len(e.src)-e.off, n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
 }
 
 func (n *NIC) send(port, size int, payload any) {
@@ -693,7 +758,7 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 			// an error in its own time.
 			ctx = &Context{nic: n, id: m.targetCtx, closed: true, mmu: NewMMU()}
 		}
-		n.engineQ.Send(&dmaOp{
+		n.submit(&dmaOp{
 			kind: opReadReply, srcCtx: ctx, remoteAddr: m.srcAddr, n: m.n,
 			replyPort: m.requesterPort, replyOp: m.op,
 		})

@@ -30,12 +30,8 @@ type bed struct {
 	ctx  []*Context
 }
 
-// newBed builds n nodes, one NIC and one context each, VPID i → node i.
-func newBed(t testing.TB, n int) *bed {
-	t.Helper()
-	cfg := model.Default()
-	k := simtime.NewKernel()
-	net := fabric.New(k, fabric.Params{
+func newBedFabric(k *simtime.Kernel, cfg model.Config, n int) *fabric.Network {
+	return fabric.New(k, fabric.Params{
 		LinkBandwidth:  cfg.LinkBandwidth,
 		WireLatency:    cfg.WireLatency,
 		SwitchLatency:  cfg.SwitchLatency,
@@ -43,10 +39,17 @@ func newBed(t testing.TB, n int) *bed {
 		PacketOverhead: cfg.PacketOverhead,
 		Arity:          cfg.FatTreeRadix,
 	}, n)
-	b := &bed{k: k, cfg: cfg, net: net, res: staticResolver{}}
+}
+
+// newBed builds n nodes, one NIC and one context each, VPID i → node i.
+func newBed(t testing.TB, n int) *bed {
+	t.Helper()
+	cfg := model.Default()
+	k := simtime.NewKernel()
+	b := &bed{k: k, cfg: cfg, net: newBedFabric(k, cfg, n), res: staticResolver{}}
 	for i := 0; i < n; i++ {
 		h := simtime.NewHost(k, fmt.Sprintf("n%d", i), cfg.HostCPUs)
-		nic := NewNIC(k, h, net, i, cfg, b.res)
+		nic := NewNIC(k, h, b.net, i, cfg, b.res)
 		c := nic.OpenContext(0)
 		c.SetVPID(i)
 		b.res[i] = [2]int{i, 0}

@@ -243,6 +243,7 @@ func AblationHWBcast(cfg Config) *Result {
 func hwBcastLatency(nodes, size int) (float64, parsweep.Metrics) {
 	cfg := model.Default()
 	k := simtime.NewKernel()
+	defer k.Close()
 	net := fabric.New(k, fabric.Params{
 		LinkBandwidth: cfg.LinkBandwidth, WireLatency: cfg.WireLatency,
 		SwitchLatency: cfg.SwitchLatency, MTU: cfg.MTU,

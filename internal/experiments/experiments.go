@@ -267,6 +267,7 @@ func qdmaPingPong(size, iters, warmup int) (float64, parsweep.Metrics) {
 		panic("experiments: QDMA size above hardware limit")
 	}
 	k := simtime.NewKernel()
+	defer k.Close()
 	net := fabric.New(k, fabric.Params{
 		LinkBandwidth: cfg.LinkBandwidth, WireLatency: cfg.WireLatency,
 		SwitchLatency: cfg.SwitchLatency, MTU: cfg.MTU,

@@ -149,8 +149,10 @@ func (j *Job) Launch(main func(rank int, th *simtime.Thread, c *Comm)) {
 	}
 }
 
-// Run executes to quiescence, reporting deadlocks.
+// Run executes to quiescence, reporting deadlocks, and closes the job's
+// kernel.
 func (j *Job) Run() error {
+	defer j.K.Close()
 	j.K.Run()
 	if st := j.K.Stalled(); len(st) != 0 {
 		return fmt.Errorf("mpichq: deadlock, stalled: %v", st)

@@ -1,10 +1,10 @@
 package simtime
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // event is a scheduled kernel action: either a timer callback or the
@@ -25,6 +25,15 @@ type event struct {
 	cancelable bool
 }
 
+// run executes the event: it resumes the proc, or calls the callback.
+func (e *event) run() {
+	if e.proc != nil {
+		e.proc.resume()
+		return
+	}
+	e.fn()
+}
+
 // eventHeap is a binary min-heap ordered by (at, seq), stored by value.
 // Storing event records inline in the slice — rather than boxing *event
 // through container/heap's `any` interface — means the slice's backing
@@ -32,12 +41,7 @@ type event struct {
 // reuses, so steady-state scheduling allocates nothing per event.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h eventHeap) less(i, j int) bool { return eventBefore(&h[i], &h[j]) }
 
 // push inserts e, sifting it up to its ordered position.
 func (h *eventHeap) push(e event) {
@@ -91,19 +95,13 @@ type Kernel struct {
 	seq     int64
 	queue   eventHeap
 	procs   map[*Proc]struct{}
-	parked  int
+	spawned atomic.Int64 // procs ever spawned; Proc.id
 	steps   int64
 	rng     *rand.Rand
 	tracer  func(t Time, what string)
 	stopped bool
 	running bool
-
-	// stalledCache is the memoized Stalled() result; it is invalidated
-	// whenever a proc is spawned, parks, wakes, finishes or becomes a
-	// daemon, so assertion loops that call Stalled() after every quiescent
-	// run don't re-scan and re-sort the proc set each time.
-	stalledCache []string
-	stalledDirty bool
+	closed  bool
 
 	// seed is the base for the kernel's derived random streams.
 	seed int64
@@ -157,48 +155,27 @@ func (k *Kernel) SetTracer(fn func(t Time, what string)) {
 // Scheduling in the past is a programming error and panics, since it
 // would silently reorder causality.
 func (k *Kernel) At(t Time, name string, fn func()) {
-	if k.sh != nil {
-		k.schedule(GlobalEntity, t, name, fn, nil, false)
-		return
-	}
-	if t < k.now {
-		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, k.now))
-	}
-	k.seq++
-	k.queue.push(event{at: t, seq: k.seq, name: name, fn: fn})
+	k.schedule(GlobalEntity, t, name, fn, nil, false)
 }
 
 // After schedules fn to run d from now. Negative durations are clamped to
 // zero (run "immediately", after already-queued events at this instant).
 func (k *Kernel) After(d Duration, name string, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	if k.sh != nil {
-		k.SchedFor(GlobalEntity).After(d, name, fn)
-		return
-	}
-	k.At(k.now.Add(d), name, fn)
+	k.SchedFor(GlobalEntity).After(d, name, fn)
 }
 
-// wakeAt schedules the resumption of a parked proc d from now. It is
-// After specialized for wakes: the event carries the proc pointer and the
-// bare reason, so the hot path allocates neither a closure nor a
-// concatenated name.
+// wakeAt schedules the resumption of a parked proc d ≥ 0 from now. The
+// event carries the proc pointer and the bare reason, so the hot path
+// allocates neither a closure nor a concatenated name.
 func (k *Kernel) wakeAt(d Duration, p *Proc, why string) {
-	if d < 0 {
-		d = 0
-	}
+	base := k.now
 	if sh := k.sh; sh != nil {
-		base := sh.curNow
+		base = sh.curNow
 		if sh.inEpoch.Load() && p.shard.executing.Load() {
 			base = p.shard.now
 		}
-		k.schedule(p.ent, base.Add(d), why, nil, p, false)
-		return
 	}
-	k.seq++
-	k.queue.push(event{at: k.now.Add(d), seq: k.seq, name: why, proc: p})
+	k.schedule(p.ent, base.Add(d), why, nil, p, false)
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -216,6 +193,7 @@ func (k *Kernel) Stop() {
 // Run executes events until the queue is empty or Stop is called. It
 // returns the number of events executed by this call.
 func (k *Kernel) Run() int64 {
+	k.mustBeOpen("Run")
 	if k.sh != nil {
 		return k.sh.run(-1)
 	}
@@ -225,6 +203,7 @@ func (k *Kernel) Run() int64 {
 // RunUntil executes events with time ≤ t, then sets the clock to t. It
 // returns the number of events executed by this call.
 func (k *Kernel) RunUntil(t Time) int64 {
+	k.mustBeOpen("Run")
 	if k.sh != nil {
 		return k.sh.run(t)
 	}
@@ -248,7 +227,7 @@ func (k *Kernel) run(until Time) int64 {
 		if until >= 0 && k.queue[0].at > until {
 			break
 		}
-		if k.queue[0].cancelable && k.onlyCancelable() {
+		if k.queue[0].cancelable && k.queue.onlyCancelable() {
 			// Only cancel-on-idle events remain: drop them and drain.
 			k.queue = k.queue[:0]
 			break
@@ -260,30 +239,78 @@ func (k *Kernel) run(until Time) int64 {
 		k.now = e.at
 		k.steps++
 		n++
-		if p := e.proc; p != nil {
-			if k.tracer != nil {
-				k.tracer(k.now, "wake:"+p.name+":"+e.name)
-			}
-			if p.state != procParked {
-				panic(fmt.Sprintf("simtime: wake of %q which is not parked", p.name))
-			}
-			p.wakePending = false
-			p.state = procRunning
-			k.step(p)
-			continue
-		}
 		if k.tracer != nil {
-			k.tracer(k.now, e.name)
+			what := e.name
+			if e.proc != nil {
+				what = "wake:" + e.proc.name + ":" + what
+			}
+			k.tracer(k.now, what)
 		}
-		e.fn()
+		e.run()
 	}
 	return n
 }
 
-// onlyCancelable reports whether every pending event is cancel-on-idle.
-func (k *Kernel) onlyCancelable() bool {
-	for i := range k.queue {
-		if !k.queue[i].cancelable {
+// Close ends the kernel's life. Every proc that has not finished — a
+// daemon parked for good, a participant of a deadlock, one never started —
+// is unwound: its park panics with a private sentinel, so its body's
+// deferred functions run and its coroutine exits. Procs unwind in spawn
+// order, which is reproducible for every proc spawned outside a parallel
+// epoch (inside one, workers draw their spawn numbers concurrently).
+// Pending events never run; clocks and counters stay readable; Spawn and
+// Run panic. Close is idempotent and must not be called from inside Run.
+// If a deferred function panics while its proc unwinds, Close still
+// unwinds the rest and then panics with the first such *ProcPanic.
+//
+// Whoever creates a kernel closes it, after taking what it wants from
+// Stalled: an unclosed kernel leaks a goroutine per unfinished proc, with
+// everything those procs reference.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	if k.running || (k.sh != nil && k.sh.running) {
+		panic("simtime: Close during Run")
+	}
+	k.closed = true
+	var procs []*Proc
+	for _, set := range k.procSets() {
+		for p := range set {
+			procs = append(procs, p)
+		}
+		clear(set)
+	}
+	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
+	var failed any
+	for _, p := range procs {
+		if p.stop == nil { // spawned but never started
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil && failed == nil {
+					failed = r
+				}
+			}()
+			p.stop()
+		}()
+	}
+	if failed != nil {
+		panic(failed)
+	}
+}
+
+// mustBeOpen panics if the kernel has been closed.
+func (k *Kernel) mustBeOpen(what string) {
+	if k.closed {
+		panic("simtime: " + what + " on a closed kernel")
+	}
+}
+
+// onlyCancelable reports whether every event in the heap is cancel-on-idle.
+func (h eventHeap) onlyCancelable() bool {
+	for i := range h {
+		if !h[i].cancelable {
 			return false
 		}
 	}
@@ -300,30 +327,30 @@ func (k *Kernel) Idle() bool {
 	return len(k.queue) == 0
 }
 
-// Stalled returns the names of processes that are parked with no pending
-// event that could wake them, i.e. the participants of a deadlock. It is
-// only meaningful when Idle reports true. The result is a cached snapshot
-// recomputed only after proc activity; callers must not modify it. Under
-// a sharded kernel it aggregates parked procs across every shard.
+// Stalled returns the sorted names of the non-daemon processes that are
+// parked, across every shard: once Idle reports true, the participants of
+// a deadlock.
 func (k *Kernel) Stalled() []string {
-	if k.sh != nil {
-		return k.sh.stalled()
-	}
-	if !k.stalledDirty {
-		return k.stalledCache
-	}
-	out := k.stalledCache[:0]
-	for p := range k.procs {
-		if p.state == procParked && !p.daemon {
-			out = append(out, p.name)
+	var out []string
+	for _, set := range k.procSets() {
+		for p := range set {
+			if p.state == procParked && !p.daemon {
+				out = append(out, p.name)
+			}
 		}
 	}
 	sort.Strings(out)
-	k.stalledCache = out
-	k.stalledDirty = false
 	return out
 }
 
-// invalidateStalled marks the Stalled snapshot stale; called on every proc
-// lifecycle or park-state transition.
-func (k *Kernel) invalidateStalled() { k.stalledDirty = true }
+// procSets returns the live-proc set of the classic kernel or of every
+// shard.
+func (k *Kernel) procSets() []map[*Proc]struct{} {
+	sets := []map[*Proc]struct{}{k.procs}
+	if k.sh != nil {
+		for _, s := range k.sh.shards {
+			sets = append(sets, s.procs)
+		}
+	}
+	return sets
+}

@@ -1,6 +1,10 @@
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 type procState int
 
@@ -8,53 +12,73 @@ const (
 	procNew procState = iota
 	procRunning
 	procParked
-	procReady
 	procDone
 )
 
-// Proc is a simulated process: a goroutine that runs in lockstep with the
-// kernel. A Proc runs until it blocks on a kernel primitive (Sleep, a
-// Signal, a Chan, a Semaphore, ...), at which point control returns to the
-// kernel and another event executes. At most one Proc (or timer callback)
-// is ever executing, so simulated code never needs synchronization of its
-// own.
+// Proc is a simulated process: a coroutine (iter.Pull) that runs in
+// lockstep with the kernel. A Proc runs until it blocks on a kernel
+// primitive (Sleep, a Signal, a Chan, a Semaphore, ...), at which point
+// control switches straight back to the kernel's event loop — no channel,
+// no pass through the Go scheduler — and another event executes. At most
+// one Proc (or timer callback) is ever executing, so simulated code never
+// needs synchronization of its own.
 //
-// Kernel primitives must only be called from the goroutine that the kernel
-// started for this Proc; calling them from foreign goroutines corrupts the
-// lockstep protocol and panics where detectable.
+// Kernel primitives must only be called from inside the proc's own body;
+// calling them from foreign goroutines corrupts the lockstep protocol and
+// panics where detectable.
 type Proc struct {
 	k      *Kernel
 	name   string
 	state  procState
-	resume chan struct{}
-	yield  chan struct{}
 	daemon bool
+	// next switches into the body until it next parks or returns; yield is
+	// the body's way back out and reports false once stop has been called.
+	// All three are nil until the spawn event starts the coroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 	// wake is bookkeeping for Ready: a parked proc may be readied at most
 	// once per park.
 	wakePending bool
+	// id is the proc's spawn sequence, the order Close unwinds in.
+	id int64
 	// ent is the owning entity; shard caches its owner under a sharded
 	// kernel (nil otherwise).
 	ent   Entity
 	shard *shard
 }
 
-// MarkDaemon excludes the proc from Kernel.Stalled deadlock reports.
-// Service loops that legitimately block forever (NIC engines, progress
-// threads) mark themselves so an idle kernel with only daemons parked is
-// not misreported as a deadlock.
-func (p *Proc) MarkDaemon() {
-	p.daemon = true
-	p.invalidateStalled()
+// ProcPanic is the value Kernel.Run panics with when a proc body panics:
+// the original value together with the simulation context it was raised
+// in. The original stays reachable through Value, and through
+// errors.As/Is when it is an error.
+type ProcPanic struct {
+	Proc  string // name of the proc whose body panicked
+	At    Time   // virtual time of the panic
+	Value any    // the value passed to panic
+	Stack []byte // the proc's own stack, which Run's caller no longer sees
 }
 
-// invalidateStalled marks the owning stalled-snapshot stale.
-func (p *Proc) invalidateStalled() {
-	if p.shard != nil {
-		p.shard.stalledDirty = true
-		return
-	}
-	p.k.invalidateStalled()
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("simtime: proc %q panicked at %v: %v\n%s", e.Proc, e.At, e.Value, e.Stack)
 }
+
+// Unwrap returns the original panic value if it is an error.
+func (e *ProcPanic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// unwound is the private panic value park raises in a proc that Close is
+// unwinding: it runs the body's deferred functions and is recovered by the
+// spawn wrapper.
+var unwound = new(int)
+
+// MarkDaemon excludes the proc from Kernel.Stalled deadlock reports.
+// Service loops that legitimately block forever (progress threads) mark
+// themselves so an idle kernel with only daemons parked is not
+// misreported as a deadlock.
+func (p *Proc) MarkDaemon() { p.daemon = true }
 
 // Spawn creates a simulated process named name running fn under the
 // global entity, scheduled to start at the current time (after
@@ -66,43 +90,53 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(ent Entity, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		state:  procNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-		ent:    ent,
-	}
-	var procs map[*Proc]struct{}
+	k.mustBeOpen("Spawn")
+	p := &Proc{k: k, name: name, state: procNew, ent: ent, id: k.spawned.Add(1)}
+	procs := k.procs
 	if k.sh != nil {
 		p.shard = k.sh.shardOf(ent)
 		procs = p.shard.procs
-	} else {
-		procs = k.procs
 	}
 	procs[p] = struct{}{}
-	p.invalidateStalled()
 	k.schedule(ent, k.SchedFor(ent).Now(), "spawn:"+name, func() {
-		go func() {
-			<-p.resume
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer func() {
+				p.state = procDone
+				delete(procs, p)
+				if r := recover(); r != nil && r != unwound {
+					panic(&ProcPanic{Proc: name, At: p.Now(), Value: r, Stack: debug.Stack()})
+				}
+			}()
 			fn(p)
-			p.state = procDone
-			delete(procs, p)
-			p.invalidateStalled()
-			p.yield <- struct{}{}
-		}()
+		})
 		p.state = procRunning
-		k.step(p)
+		p.next()
 	}, nil, false)
 	return p
 }
 
-// step transfers control to p and waits for it to yield back. It is the
-// only place a proc goroutine executes.
-func (k *Kernel) step(p *Proc) {
-	p.resume <- struct{}{}
-	<-p.yield
+// resume runs a woken proc until it parks again or finishes. It and the
+// spawn event are the only places a proc body executes; a panic in the
+// body resurfaces here, on the goroutine that called Kernel.Run.
+func (p *Proc) resume() {
+	if p.state != procParked {
+		panic(fmt.Sprintf("simtime: wake of %q which is not parked", p.name))
+	}
+	p.wakePending = false
+	p.state = procRunning
+	p.next()
+}
+
+// switchOut hands control back to the kernel's event loop and returns when
+// the proc is next resumed. If the kernel is closed meanwhile it does not
+// return: it unwinds the body, running its deferred functions as the proc.
+func (p *Proc) switchOut() {
+	p.state = procParked
+	if !p.yield(struct{}{}) {
+		p.state = procRunning
+		panic(unwound)
+	}
 }
 
 // park blocks the calling proc until a matching Ready. It transfers
@@ -111,12 +145,7 @@ func (p *Proc) park() {
 	if p.state != procRunning {
 		panic(fmt.Sprintf("simtime: park of %q in state %d", p.name, p.state))
 	}
-	p.state = procParked
-	p.invalidateStalled()
-	p.yield <- struct{}{}
-	<-p.resume
-	p.state = procRunning
-	p.invalidateStalled()
+	p.switchOut()
 }
 
 // ready schedules a parked proc to resume at the current time. Readying a
@@ -124,6 +153,9 @@ func (p *Proc) park() {
 // and panics: it always indicates a lost-wakeup or double-wakeup bug in a
 // synchronization primitive.
 func (p *Proc) readyAt(d Duration, why string) {
+	if p.k.closed {
+		return // a deferred function of an unwinding proc: nothing runs again
+	}
 	if p.state == procDone {
 		panic(fmt.Sprintf("simtime: ready of finished proc %q", p.name))
 	}

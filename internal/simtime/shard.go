@@ -166,9 +166,9 @@ type shard struct {
 	// either Stop() or a proc awaiting the sequential phase.
 	stopPhase bool
 	awaiting  *Proc // proc parked in AwaitSequential, woken at phase switch
-
-	stalledCache []string
-	stalledDirty bool
+	// panicked holds a proc panic raised on the worker goroutine until the
+	// coordinator re-raises it on the goroutine that called Run.
+	panicked *ProcPanic
 }
 
 // nextOutSeq returns the next outbox sequence number for merge keying.
@@ -219,7 +219,7 @@ func (k *Kernel) Shard(plan ShardPlan) {
 	}
 	sh := &sharded{k: k, plan: plan, lookahead: plan.Lookahead}
 	for i := 0; i <= plan.Workers; i++ {
-		sh.shards = append(sh.shards, &shard{id: i, procs: make(map[*Proc]struct{}), stalledDirty: true})
+		sh.shards = append(sh.shards, &shard{id: i, procs: make(map[*Proc]struct{})})
 	}
 	k.sh = sh
 }
@@ -293,12 +293,7 @@ func (k *Kernel) AwaitSequential(p *Proc) {
 		panic("simtime: two procs awaiting sequential phase on one shard in one epoch")
 	}
 	s.awaiting = p
-	p.state = procParked
-	s.stalledDirty = true
-	p.yield <- struct{}{}
-	<-p.resume
-	p.state = procRunning
-	s.stalledDirty = true
+	p.switchOut()
 }
 
 // RandFor returns the deterministic random stream of entity e, created on
@@ -383,7 +378,7 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, c
 			panic(fmt.Sprintf("simtime: scheduling %q at %v before shard %d now %v", name, t, dst.id, dst.now))
 		}
 		dst.lseq++
-		seq := dst.seqBase(sh) + dst.lseq*int64(len(sh.shards)) + int64(dst.id)
+		seq := sh.gseq + dst.lseq*int64(len(sh.shards)) + int64(dst.id)
 		dst.queue.push(event{at: t, seq: seq, name: name, fn: fn, proc: p, ent: ent, cancelable: cancelable})
 		return
 	}
@@ -396,9 +391,6 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, c
 	}
 	panic(fmt.Sprintf("simtime: cross-shard schedule of %q onto entity %d from a worker epoch — use Sched.Commit or an owned entity", name, ent))
 }
-
-// seqBase returns the strided sequence base for worker pushes this epoch.
-func (s *shard) seqBase(sh *sharded) int64 { return sh.gseq }
 
 // run is the sharded engine's main loop, alternating coordinator-only
 // sequential execution with conservative parallel epochs.
@@ -481,10 +473,8 @@ func eventBefore(a, b *event) bool {
 // cancel-on-idle — the drain condition.
 func (sh *sharded) onlyCancelable() bool {
 	for _, s := range sh.shards {
-		for i := range s.queue {
-			if !s.queue[i].cancelable {
-				return false
-			}
+		if !s.queue.onlyCancelable() {
+			return false
 		}
 	}
 	return true
@@ -513,16 +503,7 @@ func (sh *sharded) exec(s *shard, e event) {
 		s.steps++
 		sh.k.steps++
 	}
-	if p := e.proc; p != nil {
-		if p.state != procParked {
-			panic(fmt.Sprintf("simtime: wake of %q which is not parked", p.name))
-		}
-		p.wakePending = false
-		p.state = procRunning
-		sh.k.step(p)
-		return
-	}
-	e.fn()
+	e.run()
 }
 
 // switchPhase flips between sequential and parallel execution at a safe
@@ -609,40 +590,17 @@ func (sh *sharded) epoch(until Time) (int64, bool) {
 		sh.wg.Add(1)
 		go func(s *shard) {
 			defer sh.wg.Done()
-			s.executing.Store(true)
-			var m int64
-			for len(s.queue) > 0 && !s.stopPhase {
-				if s.queue[0].at >= bound {
-					break
-				}
-				if sh.stop.Load() {
-					break
-				}
-				e := s.queue.pop()
-				if e.at < s.now {
-					panic("simtime: event time went backwards")
-				}
-				s.now = e.at
-				s.steps++
-				m++
-				if p := e.proc; p != nil {
-					if p.state != procParked {
-						panic(fmt.Sprintf("simtime: wake of %q which is not parked", p.name))
-					}
-					p.wakePending = false
-					p.state = procRunning
-					sh.k.step(p)
-					continue
-				}
-				e.fn()
-			}
-			s.stopPhase = false
-			s.executing.Store(false)
-			ran.Add(m)
+			ran.Add(sh.drain(s, bound))
 		}(s)
 	}
 	sh.wg.Wait()
 	sh.inEpoch.Store(false)
+	for _, s := range sh.shards[1:] {
+		if pp := s.panicked; pp != nil {
+			s.panicked = nil
+			panic(pp)
+		}
+	}
 	n += ran.Load()
 	sh.k.steps += ran.Load()
 	if t := sh.maxNow(); t > sh.globalNow {
@@ -663,6 +621,36 @@ func (sh *sharded) epoch(until Time) (int64, bool) {
 	}
 	sh.gseq += (maxL + 1) * int64(len(sh.shards))
 	return n, false
+}
+
+// drain executes shard s's events before bound on the calling worker
+// goroutine and returns how many ran. A proc panic is parked in s.panicked
+// for the coordinator; any other panic is a simulator bug and keeps
+// crashing where it happened.
+func (sh *sharded) drain(s *shard, bound Time) (n int64) {
+	s.executing.Store(true)
+	defer func() {
+		s.stopPhase = false
+		s.executing.Store(false)
+		if r := recover(); r != nil {
+			pp, ok := r.(*ProcPanic)
+			if !ok {
+				panic(r)
+			}
+			s.panicked = pp
+		}
+	}()
+	for len(s.queue) > 0 && !s.stopPhase && s.queue[0].at < bound && !sh.stop.Load() {
+		e := s.queue.pop()
+		if e.at < s.now {
+			panic("simtime: event time went backwards")
+		}
+		s.now = e.at
+		s.steps++
+		n++
+		e.run()
+	}
+	return n
 }
 
 // workerNext returns the earliest pending worker event time.
@@ -738,18 +726,4 @@ func (sh *sharded) maxNow() Time {
 		}
 	}
 	return t
-}
-
-// stalled merges parked non-daemon procs across shards, sorted.
-func (sh *sharded) stalled() []string {
-	var out []string
-	for _, s := range sh.shards {
-		for p := range s.procs {
-			if p.state == procParked && !p.daemon {
-				out = append(out, p.name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -81,51 +81,68 @@ func (c *Counter) WaitFor(p *Proc, target int64) {
 	p.park()
 }
 
+// Queue is a plain FIFO. Pop zeroes the slot it vacates, so a value that
+// has left the queue is not kept reachable by the backing array, and a
+// queue that drains starts over in place, so one that keeps emptying — a
+// descriptor queue, a mailbox — reuses its array instead of walking off
+// the end of it.
+type Queue[T any] struct{ items []T }
+
+// Len returns the number of queued values.
+func (q *Queue[T]) Len() int { return len(q.items) }
+
+// Push appends v.
+func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
+
+// Pop removes and returns the oldest value, if there is one.
+func (q *Queue[T]) Pop() (v T, ok bool) {
+	if len(q.items) == 0 {
+		return v, false
+	}
+	var zero T
+	v, q.items[0] = q.items[0], zero
+	if len(q.items) == 1 {
+		q.items = q.items[:0]
+	} else {
+		q.items = q.items[1:]
+	}
+	return v, true
+}
+
 // Chan is an unbounded FIFO queue of values with blocking receive. Sends
 // never block; this matches hardware queues whose backpressure we model
 // explicitly elsewhere (e.g. finite QDMA slot rings).
 type Chan[T any] struct {
-	items   []T
-	waiters []*Proc
+	items   Queue[T]
+	waiters Queue[*Proc]
 }
 
 // NewChan returns an empty queue.
 func NewChan[T any]() *Chan[T] { return &Chan[T]{} }
 
 // Len returns the number of queued items.
-func (c *Chan[T]) Len() int { return len(c.items) }
+func (c *Chan[T]) Len() int { return c.items.Len() }
 
 // Send enqueues v and wakes one waiting receiver, FIFO.
 func (c *Chan[T]) Send(v T) {
-	c.items = append(c.items, v)
-	if len(c.waiters) > 0 {
-		p := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	c.items.Push(v)
+	if p, ok := c.waiters.Pop(); ok {
 		p.readyAt(0, "chan")
 	}
 }
 
 // Recv blocks p until an item is available and returns it.
 func (c *Chan[T]) Recv(p *Proc) T {
-	for len(c.items) == 0 {
-		c.waiters = append(c.waiters, p)
+	for c.items.Len() == 0 {
+		c.waiters.Push(p)
 		p.park()
 	}
-	v := c.items[0]
-	c.items = c.items[1:]
+	v, _ := c.items.Pop()
 	return v
 }
 
 // TryRecv dequeues an item if one is available.
-func (c *Chan[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(c.items) == 0 {
-		return zero, false
-	}
-	v := c.items[0]
-	c.items = c.items[1:]
-	return v, true
-}
+func (c *Chan[T]) TryRecv() (T, bool) { return c.items.Pop() }
 
 // Semaphore is a counting semaphore with FIFO acquisition order. It models
 // contended resources: CPUs, DMA engines, bus and link arbiters.

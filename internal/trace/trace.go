@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -292,6 +293,11 @@ func (r *Recorder) Record(e Event) {
 	if r.limit > 0 && len(r.events) >= r.limit {
 		r.dropped++
 		return
+	}
+	if len(r.events) == cap(r.events) {
+		// Double. Left to itself append grows a large slice by a quarter,
+		// and copies a long stream five times over on the way up.
+		r.events = slices.Grow(r.events, max(1024, len(r.events)))
 	}
 	r.events = append(r.events, e)
 }
