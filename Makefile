@@ -4,7 +4,7 @@ GO ?= go
 # by the tool binary's hash, so rebuilds only re-analyze what changed.
 QSMPILINT := bin/qsmpilint
 
-.PHONY: all build test check lint lint-sarif lintbench race bench figures perfbench report-par report-shards coll-shards overlap-smoke waitstate-smoke
+.PHONY: all build test check lint lint-sarif lintbench race loc bench figures perfbench report-par report-shards coll-shards overlap-smoke waitstate-smoke
 
 all: build test
 
@@ -18,7 +18,9 @@ test:
 # kernel and matching-engine suites under the race detector. The kernel's
 # lockstep discipline (exactly one simulated entity runs at a time) is
 # what lets every pool and cache in the stack go lock-free, so these two
-# packages are the ones that must stay race-clean. The experiments and
+# packages are the ones that must stay race-clean. The fabric's committed
+# send path runs in every simulation and the cluster is where it meets
+# worker shards, so both suites run under -race too. The experiments and
 # parsweep suites run under -race too: they are where whole simulations
 # execute concurrently, so any state shared between two kernels shows up
 # there. The obs and trace suites carry the observability invariants:
@@ -28,6 +30,7 @@ test:
 # watchdog's stall detection.
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
+	$(GO) test -race ./internal/fabric ./internal/cluster
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
 
@@ -110,6 +113,14 @@ waitstate-smoke:
 	$(GO) run ./cmd/wssmoke -shards 4 > /tmp/qsmpi-waitstate-s4.txt
 	diff /tmp/qsmpi-waitstate-s1.txt /tmp/qsmpi-waitstate-s4.txt
 	@echo "wait-state smoke identical at -shards 1 and -shards 4"
+
+# loc prints the non-test Go lines of each package of the simulator module
+# and their total: the number ROADMAP aim 2 wants to see go down. bench/ is
+# a module of its own and is left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -36,7 +36,7 @@ func main() {
 	rails := flag.Int("rails", 1, "Quadrics rails")
 	lossRate := flag.Float64("lossrate", 0, "per-packet CRC loss probability")
 	traceOut := flag.String("trace", "", "write a cross-layer Chrome trace-event JSON (Perfetto) to this file")
-	shards := flag.Int("shards", 1, "worker shards for the conservative parallel kernel (≤1 = classic engine)")
+	shards := flag.Int("shards", 1, "worker shards for the conservative parallel kernel (≤1 = none, the whole run is sequential)")
 	metrics := flag.Bool("metrics", false, "print the unified metrics table after the summaries")
 	flag.Parse()
 

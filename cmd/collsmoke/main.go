@@ -21,7 +21,7 @@ import (
 
 func main() {
 	procs := flag.Int("procs", 1024, "cluster size in ranks")
-	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = classic engine)")
+	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = none, the whole run is sequential)")
 	flag.Parse()
 	for _, op := range experiments.CollSmokeOps {
 		lat, events := experiments.CollSmoke(*procs, op, *shards)

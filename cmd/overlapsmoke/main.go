@@ -22,7 +22,7 @@ import (
 
 func main() {
 	size := flag.Int("size", 65536, "message size in bytes")
-	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = classic engine)")
+	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = none, the whole run is sequential)")
 	flag.Parse()
 	for _, side := range []string{"send", "recv"} {
 		for _, mode := range experiments.OverlapModes {

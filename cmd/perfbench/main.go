@@ -525,7 +525,7 @@ func main() {
 	workers := flag.Int("j", 0, "sweep-engine workers for -sweeps (0 = one per core)")
 	sweeps := flag.Bool("sweeps", true, "measure the sequential-vs-parallel sweep speedup")
 	baseline := flag.String("baseline", "", "prior BENCH_wallclock.json: record per-workload instrumentation-off overhead against it")
-	shards := flag.Int("shards", 1, "worker shards for the workload runs (conservative parallel kernel; ≤1 = classic engine)")
+	shards := flag.Int("shards", 1, "worker shards for the workload runs (conservative parallel kernel; ≤1 = none, the whole run is sequential)")
 	shardScale := flag.Bool("shardscale", true, "record the sharded-kernel scaling curve (events/sec at 1/2/4 shards)")
 	collScale := flag.Bool("collscale", true, "record the collective-offload table (barrier/allreduce at 64/256/1024 ranks, host vs NIC tree)")
 	overlap := flag.Bool("overlap", true, "record the compute/communication overlap table (sender overlap and receiver availability per progress mode)")

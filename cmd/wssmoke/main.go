@@ -20,7 +20,7 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = classic engine)")
+	shards := flag.Int("shards", 1, "worker shards (conservative parallel kernel; ≤1 = none, the whole run is sequential)")
 	flag.Parse()
 	fmt.Print(experiments.WaitStateReport(*shards))
 	fmt.Println()

@@ -83,14 +83,15 @@ type Spec struct {
 	Peers func(rank, nprocs int) []int
 
 	// Shards is the worker-shard count of the conservative parallel kernel
-	// (see internal/simtime). 0 or 1 runs the classic sequential engine —
-	// the exact pre-sharding code path. With N > 1, node i (its host, NICs
-	// and every rank placed on it) becomes simulation entity i+1 and the
-	// nodes are partitioned into N contiguous blocks; cross-shard traffic
-	// rides the fabric, whose wire latency is the engine's lookahead.
-	// Output is byte-identical at every shard count. Incompatible with
-	// LinkLossRate > 0 (the lossy retransmit path serializes through
-	// shared link state mid-flight).
+	// (see internal/simtime). 0 or 1 adds no worker: every entity lives on
+	// the coordinator shard and the run never leaves the sequential phase.
+	// Node i (its host, NICs and every rank placed on it) is simulation
+	// entity i+1 either way; with N > 1 the nodes are partitioned into N
+	// contiguous blocks, and cross-shard traffic rides the fabric, whose
+	// wire latency is the engine's lookahead. Output is byte-identical at
+	// every shard count. Incompatible with LinkLossRate > 0: fabric.New
+	// refuses (the lossy retransmit path serializes through shared link
+	// state mid-flight).
 	Shards int
 }
 
@@ -150,9 +151,6 @@ func New(spec Spec, nprocs int) *Cluster {
 	}
 	k := simtime.NewKernel()
 	if spec.Shards > 1 {
-		if cfg.LinkLossRate > 0 {
-			panic("cluster: Shards > 1 is incompatible with LinkLossRate > 0")
-		}
 		look := cfg.WireLatency
 		if spec.TCP != nil && cfg.TCPWireLatency < look {
 			look = cfg.TCPWireLatency
@@ -162,8 +160,6 @@ func New(spec Spec, nprocs int) *Cluster {
 			shards = nodes
 		}
 		// Contiguous block partition: node i → worker floor(i*S/nodes)+1.
-		// The shard plan must be installed before any fabric is built —
-		// fabric.New latches the kernel's sharded mode.
 		k.Shard(simtime.ShardPlan{
 			Workers: shards,
 			Owner: func(e simtime.Entity) int {
@@ -221,8 +217,7 @@ func New(spec Spec, nprocs int) *Cluster {
 			}
 		}
 		// Bind every fabric port to its node's entity so injection and
-		// delivery run on the owning shard (a no-op scheduling-wise on a
-		// classic kernel).
+		// delivery run on the owning shard.
 		for _, net := range c.RailNets {
 			net.BindPort(i, h.Sched(), c.tracerFor(i))
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qsmpi/internal/datatype"
+	"qsmpi/internal/model"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
@@ -16,7 +17,7 @@ import (
 // time, per-NIC hardware counters, fabric totals, per-rank PML and PTL
 // statistics, host busy time — into one string. The sharded determinism
 // gate requires the signature to be byte-identical at every shard count;
-// shards == 0 is the classic sequential engine (the pre-sharding path).
+// shards == 0 adds no worker: the whole run is the sequential phase.
 func shardSignature(t *testing.T, shards, procs, size, iters int, pattern string) string {
 	t.Helper()
 	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
@@ -110,7 +111,7 @@ func runTestPattern(p *Proc, procs int, pattern string, size, iters int) {
 
 // TestShardedClusterIdentity is the tentpole gate: the full stack (PML,
 // PTL/Elan4, NIC, fabric) must produce byte-identical observable output at
-// shard counts 1 (classic engine), 2 and 4, for traffic patterns and
+// shard counts 0 (no worker shards), 2 and 4, for traffic patterns and
 // message sizes spanning the eager and rendezvous protocols. These
 // patterns never have two sources contending for one link at the same
 // instant, so the canonical (time, source, sequence) cross-shard order
@@ -167,6 +168,23 @@ func TestShardedSelfIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardsRefuseLossyLinks: worker shards and link loss are refused
+// once, by the fabric, which owns the reason (shared link state, one
+// global loss stream); New adds no check of its own in front of it.
+func TestShardsRefuseLossyLinks(t *testing.T) {
+	m := model.Default()
+	m.LinkLossRate = 0.05
+	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		New(Spec{Elan: &opts, Model: &m, Progress: pml.Polling, Shards: 2}, 4)
+	}()
+	if want := "fabric: LossRate > 0 is incompatible with a sharded kernel"; got != want {
+		t.Fatalf("New with Shards: 2 on a lossy model panicked with %v, want %q", got, want)
 	}
 }
 

@@ -124,9 +124,9 @@ func engineFail(t *testing.T) func(error) {
 }
 
 // engineRun plays one scenario and renders what the golden pins: the
-// step count, the end time, every DMACompleted time and — on a classic
-// kernel, the only one a kernel tracer may attach to — the timestamp of
-// every executed event, names stripped.
+// step count, the end time, every DMACompleted time and — on a kernel
+// without worker shards, the only one a kernel tracer may attach to — the
+// timestamp of every executed event, names stripped.
 func engineRun(t *testing.T, shards int, run func(*testing.T, *engineBed)) (summary, stream string) {
 	b := newEngineBed(shards)
 	defer b.k.Close()
@@ -156,8 +156,8 @@ func engineRun(t *testing.T, shards int, run func(*testing.T, *engineBed)) (summ
 	return strings.TrimSpace(s.String()), strings.Join(ticks, " ")
 }
 
-// TestEngineMatchesProcEngine replays the script on the classic kernel
-// and on 2 and 4 shards against the recording of the proc-based engine.
+// TestEngineMatchesProcEngine replays the script without worker
+// shards and on 2 and 4 shards against the recording of the proc-based engine.
 func TestEngineMatchesProcEngine(t *testing.T) {
 	raw, err := os.ReadFile("testdata/engine_golden.txt")
 	if err != nil {

@@ -21,8 +21,8 @@ type Config struct {
 	// run under this config.
 	Stats *parsweep.Stats
 	// Shards is the worker-shard count each measurement cluster runs with
-	// (see cluster.Spec.Shards); 0 or 1 keeps the classic sequential
-	// kernel. The report workloads are contention-tie-free, so their
+	// (see cluster.Spec.Shards); 0 or 1 adds no worker and the run stays
+	// sequential. The report workloads are contention-tie-free, so their
 	// output is byte-identical at every shard count.
 	Shards int
 }

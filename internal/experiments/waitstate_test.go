@@ -149,8 +149,8 @@ func TestWaitsReconcileWithLatency(t *testing.T) {
 }
 
 // The wait-state report and the sampler heatmaps must be byte-identical
-// at any shard count (the -shards 1 engine IS the classic kernel, so
-// this is sequential-vs-sharded identity).
+// at any shard count (-shards 1 adds no worker, so this is
+// sequential-vs-sharded identity).
 func TestWaitStateShardIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-shard reruns")

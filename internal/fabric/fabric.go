@@ -10,15 +10,17 @@
 // the receiving port's handler. Packets between the same pair of ports are
 // delivered in send order (deterministic routing, FIFO links).
 //
-// Under a sharded kernel the fabric is the cross-shard boundary. A port's
-// node→switch up-link is exclusive to that port, so its reservation (and
-// the onWire completion the NIC DMA engine waits for) happens inline on
-// the sending entity's shard; the rest of the path crosses links shared
-// with other senders, so it is deferred through Sched.Commit and replayed
-// at the epoch barrier in deterministic (send time, source entity, source
-// sequence) order. Deliveries are scheduled onto the destination port's
-// entity, which is what bounds the engine's lookahead: no packet can
-// affect another shard sooner than one WireLatency after its send.
+// The fabric is the boundary between kernel shards, and every send is made
+// in two halves whatever the shard count. A port's node→switch up-link is
+// exclusive to that port, so its reservation (and the onWire completion
+// the NIC DMA engine waits for) happens inline on the sending entity's
+// shard; the rest of the path crosses links shared with other senders, so
+// it goes through Sched.Commit: run on the spot when the sender is on the
+// coordinator, replayed at the epoch barrier in deterministic (send time,
+// source entity, source sequence) order when it is on a worker. Deliveries
+// are scheduled onto the destination port's entity, which is what bounds
+// the engine's lookahead: no packet can affect another shard sooner than
+// one WireLatency after its send.
 package fabric
 
 import (
@@ -83,6 +85,23 @@ type delivery struct {
 	fn  func()
 }
 
+// flight is the pooled context of a Send's committed half; like a
+// delivery's, its closure is allocated once per pooled entry. Flights pool
+// per source port: Send takes one on the source entity's shard and the
+// commit hands it back — on that shard, or at a barrier, when no shard runs.
+type flight struct {
+	pkt  *Packet
+	wire int
+	// links and switches are the packet's path when Send had to look it
+	// up already (lossy fabrics); links is nil otherwise.
+	links    []*link
+	switches int
+	// head and tail are when the head flit and the tail leave the source
+	// up-link's wire.
+	head, tail simtime.Time
+	fn         func()
+}
+
 // link is a directed link with FIFO serialization.
 type link struct {
 	name     string
@@ -91,6 +110,22 @@ type link struct {
 	// stats
 	packets int64
 	bytes   int64
+}
+
+// reserve books the link for wire bytes whose head flit arrives at head:
+// the packet queues behind whatever holds the link, then holds it for its
+// serialization time. It returns when serialization starts and when it is
+// done.
+func (lk *link) reserve(head simtime.Time, wire int) (start, done simtime.Time) {
+	start = head
+	if lk.nextFree > start {
+		start = lk.nextFree
+	}
+	done = start.Add(simtime.BytesAt(wire, lk.bw))
+	lk.nextFree = done
+	lk.packets++
+	lk.bytes += int64(wire)
+	return start, done
 }
 
 // route is one memoized up-down path through the tree. Deterministic
@@ -118,12 +153,13 @@ type portState struct {
 	sc      simtime.Sched
 	tracer  *trace.Recorder
 	handler Handler
-	// uplink is the port's exclusive node→switch link, resolved at
-	// BindPort so the sharded send path never touches the link maps.
+	// uplink is the port's exclusive node→switch link, resolved on first
+	// use (see Network.uplink).
 	uplink *link
 
-	freePkt []*Packet
-	freeDel []*delivery
+	freePkt    []*Packet
+	freeDel    []*delivery
+	freeFlight []*flight
 
 	sent      int64
 	delivered int64
@@ -149,9 +185,6 @@ type Network struct {
 	arity  int
 	levels int
 	ports  []portState
-	// par is true when the kernel is sharded: sends split into the inline
-	// (entity-local) half and the committed (shared-path) half.
-	par bool
 
 	// up and down hold the directed links, indexed [level][subtree]
 	// (level 0 "switch" indices are port numbers, so level 1 has one slot
@@ -186,9 +219,9 @@ func (n *Network) SetTracer(r *trace.Recorder) {
 }
 
 // BindPort associates port id with an entity scheduling context and a
-// trace recorder for sharded runs. It must be called during setup, before
-// the kernel runs; it also resolves the port's exclusive up-link so the
-// inline send path never touches the shared link maps.
+// trace recorder, so that its injections and deliveries run on the shard
+// owning the entity; an unbound port belongs to the global entity. It must
+// be called during setup, before the kernel runs.
 func (n *Network) BindPort(id int, sc simtime.Sched, r *trace.Recorder) {
 	if id < 0 || id >= n.nports {
 		panic(fmt.Sprintf("fabric: bind of invalid port %d", id))
@@ -196,7 +229,18 @@ func (n *Network) BindPort(id int, sc simtime.Sched, r *trace.Recorder) {
 	ps := &n.ports[id]
 	ps.sc = sc
 	ps.tracer = r
-	ps.uplink = n.linkFor(n.up, 1, id, "up")
+}
+
+// uplink returns port id's exclusive node→switch link. Only the port's own
+// entity and coordinator-context code ask for it, and its slot in the link
+// table belongs to the port alone, so creating it on first use touches no
+// state another shard can reach.
+func (n *Network) uplink(id int) *link {
+	ps := &n.ports[id]
+	if ps.uplink == nil {
+		ps.uplink = n.linkFor(n.up, 1, id, "up")
+	}
+	return ps.uplink
 }
 
 func (n *Network) tracePkt(kind trace.Kind, at simtime.Time, src, dst, size int) {
@@ -234,11 +278,11 @@ func New(k *simtime.Kernel, p Params, nports int) *Network {
 		nports: nports,
 		arity:  p.Arity,
 		ports:  make([]portState, nports),
-		par:    k.Sharded() > 0,
 	}
-	if n.par && p.LossRate > 0 {
+	if p.LossRate > 0 && k.Sharded() > 0 {
 		// Loss draws consume the kernel's global random stream in send
-		// order, which has no shard-independent definition.
+		// order, and a lost pass books shared links from the sender: neither
+		// has a shard-independent definition.
 		panic("fabric: LossRate > 0 is incompatible with a sharded kernel")
 	}
 	for i := range n.ports {
@@ -330,8 +374,7 @@ func (n *Network) linkFor(m [][]*link, l, sw int, dir string) *link {
 // result is memoized per (src, dst) pair in the bounded direct-mapped
 // cache: the first packet (and any packet whose pair was evicted by a
 // collision) pays the tree walk, every other packet is one probe. Only
-// coordinator-context code (legacy sends, commit replay, setup) may call
-// it.
+// coordinator-context code (commits, lossy sends, setup) may call it.
 func (n *Network) pathLinks(src, dst int) (links []*link, switches int) {
 	key := int64(src)<<32 | int64(uint32(dst))
 	// Fibonacci hashing spreads the (src, dst) pairs over the table.
@@ -383,6 +426,10 @@ func (n *Network) computePath(src, dst int) (links []*link, switches int) {
 // behind on the bottleneck link. onWire, if non-nil, runs when the source
 // link has finished serializing the packet (the moment a NIC's DMA engine
 // is free to start the next packet).
+//
+// Send runs on the source entity's shard. The exclusive up-link is booked
+// inline — it fixes the onWire time the sending NIC blocks on, with no
+// shared state touched — and the shared remainder of the path is committed.
 func (n *Network) Send(pkt *Packet, onWire func()) {
 	if pkt.Size < 0 || pkt.Size > n.p.MTU {
 		panic(fmt.Sprintf("fabric: packet size %d outside [0,%d]", pkt.Size, n.p.MTU))
@@ -390,142 +437,97 @@ func (n *Network) Send(pkt *Packet, onWire func()) {
 	if pkt.Src < 0 || pkt.Src >= n.nports || pkt.Dst < 0 || pkt.Dst >= n.nports {
 		panic(fmt.Sprintf("fabric: bad ports %d->%d", pkt.Src, pkt.Dst))
 	}
-	if n.par {
-		n.sendSharded(pkt, onWire)
-		return
-	}
-	ps := &n.ports[pkt.Src]
-	ps.sent++
-	ps.bytesOut += int64(pkt.Size)
-	n.tracePkt(trace.PktSent, n.k.Now(), pkt.Src, pkt.Dst, pkt.Size)
-	wire := pkt.Size + n.p.PacketOverhead
-	now := n.k.Now()
-
-	// Move the packet into a pooled copy: the caller's value never escapes
-	// into the fabric, and the copy is recycled after delivery.
-	q := ps.getPacket()
-	*q = *pkt
-	pkt = q
-
-	if pkt.Src == pkt.Dst {
-		// NIC loopback: no wire crossing, one switch-equivalent latency.
-		n.deliverAt(now.Add(n.p.SwitchLatency), pkt)
-		if onWire != nil {
-			n.k.At(now.Add(n.p.SwitchLatency), "fabric:onwire-loop", onWire)
-		}
-		return
-	}
-
-	links, switches := n.pathLinks(pkt.Src, pkt.Dst)
-	// CRC losses retransmit at the link layer: each lost pass costs a
-	// full serialization plus the retry turnaround, in order.
-	attempts := 1
-	for n.p.LossRate > 0 && n.k.Rand().Float64() < n.p.LossRate && attempts < 100 {
-		attempts++
-	}
-	n.retransmits += int64(attempts - 1)
-	var tail, srcSerialized simtime.Time
-	base := now
-	for a := 0; a < attempts; a++ {
-		head := base
-		tail = 0
-		for i, lk := range links {
-			start := head
-			if lk.nextFree > start {
-				start = lk.nextFree
-			}
-			ser := simtime.BytesAt(wire, lk.bw)
-			lk.nextFree = start.Add(ser)
-			lk.packets++
-			lk.bytes += int64(wire)
-			// Head advances after the link's propagation delay; the tail
-			// of the packet clears this link after serialization.
-			head = start.Add(n.p.WireLatency)
-			if t := start.Add(ser).Add(n.p.WireLatency); t > tail {
-				tail = t
-			}
-			if i == 0 {
-				srcSerialized = start.Add(ser)
-			}
-		}
-		base = tail.Add(n.p.RetryDelay)
-	}
-	arrival := tail.Add(simtime.Duration(switches) * n.p.SwitchLatency)
-	n.deliverAt(arrival, pkt)
-	if onWire != nil {
-		n.k.At(srcSerialized, "fabric:onwire", onWire)
-	}
-}
-
-// sendSharded is Send on a sharded kernel, running on the source entity's
-// shard. The exclusive up-link is reserved inline — it fixes the onWire
-// time the sending NIC blocks on, with no shared state touched — and the
-// shared remainder of the path is committed for barrier replay.
-func (n *Network) sendSharded(pkt *Packet, onWire func()) {
 	ps := &n.ports[pkt.Src]
 	now := ps.sc.Now()
 	ps.sent++
 	ps.bytesOut += int64(pkt.Size)
 	n.tracePkt(trace.PktSent, now, pkt.Src, pkt.Dst, pkt.Size)
+
+	// Move the packet into a pooled copy: the caller's value never escapes
+	// into the fabric, and the copy is recycled after delivery.
 	q := ps.getPacket()
 	*q = *pkt
 
 	if q.Src == q.Dst {
-		// Loopback never leaves the entity: deliver locally.
+		// NIC loopback: no wire crossing, one switch-equivalent latency,
+		// and the packet never leaves the entity.
 		n.deliverAt(now.Add(n.p.SwitchLatency), q)
 		if onWire != nil {
 			ps.sc.At(now.Add(n.p.SwitchLatency), "fabric:onwire-loop", onWire)
 		}
 		return
 	}
-	if ps.uplink == nil {
-		panic(fmt.Sprintf("fabric: sharded send from unbound port %d", q.Src))
+	f := n.getFlight(ps)
+	f.pkt, f.wire = q, q.Size+n.p.PacketOverhead
+	head := now
+	if n.p.LossRate > 0 {
+		// No worker shards (New checked): this is coordinator context.
+		f.links, f.switches = n.pathLinks(q.Src, q.Dst)
+		head = n.lostPasses(f.links, f.wire, now)
 	}
-	wire := q.Size + n.p.PacketOverhead
-	start := now
-	if ps.uplink.nextFree > start {
-		start = ps.uplink.nextFree
-	}
-	ser := simtime.BytesAt(wire, ps.uplink.bw)
-	ps.uplink.nextFree = start.Add(ser)
-	ps.uplink.packets++
-	ps.uplink.bytes += int64(wire)
-	srcSerialized := start.Add(ser)
-	head := start.Add(n.p.WireLatency)
-	tail := srcSerialized.Add(n.p.WireLatency)
+	start, done := n.uplink(q.Src).reserve(head, f.wire)
+	f.head, f.tail = start.Add(n.p.WireLatency), done.Add(n.p.WireLatency)
 	if onWire != nil {
-		ps.sc.At(srcSerialized, "fabric:onwire", onWire)
+		ps.sc.At(done, "fabric:onwire", onWire)
 	}
-	ps.sc.Commit("fabric:route", func() {
-		n.finishSend(q, wire, head, tail)
-	})
+	ps.sc.Commit("fabric:route", f.fn)
 }
 
-// finishSend replays the shared half of a sharded Send at the epoch
-// barrier: reserve every link past the source up-link, then schedule the
-// delivery onto the destination entity. Replay order across senders is
-// the mailbox's (send time, source entity, source sequence) order.
-func (n *Network) finishSend(pkt *Packet, wire int, head, tail simtime.Time) {
-	links, switches := n.pathLinks(pkt.Src, pkt.Dst)
-	if links[0] != n.ports[pkt.Src].uplink {
-		panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", pkt.Src, pkt.Dst))
+// getFlight takes a flight from the source port's free list, or allocates
+// one with its commit closure.
+func (n *Network) getFlight(ps *portState) *flight {
+	if ln := len(ps.freeFlight); ln > 0 {
+		f := ps.freeFlight[ln-1]
+		ps.freeFlight = ps.freeFlight[:ln-1]
+		return f
 	}
-	for _, lk := range links[1:] {
-		start := head
-		if lk.nextFree > start {
-			start = lk.nextFree
-		}
-		ser := simtime.BytesAt(wire, lk.bw)
-		lk.nextFree = start.Add(ser)
-		lk.packets++
-		lk.bytes += int64(wire)
+	f := new(flight)
+	f.fn = func() { n.finishSend(ps, f) }
+	return f
+}
+
+// walk carries wire bytes over links in order, cut-through: the head flit
+// reaches the next link one wire latency after it started on this one, and
+// the tail clears a link one wire latency after its serialization. It
+// returns the later of tail and the latest tail time on links.
+func (n *Network) walk(links []*link, wire int, head, tail simtime.Time) simtime.Time {
+	for _, lk := range links {
+		start, done := lk.reserve(head, wire)
 		head = start.Add(n.p.WireLatency)
-		if t := start.Add(ser).Add(n.p.WireLatency); t > tail {
+		if t := done.Add(n.p.WireLatency); t > tail {
 			tail = t
 		}
 	}
-	arrival := tail.Add(simtime.Duration(switches) * n.p.SwitchLatency)
-	n.deliverAt(arrival, pkt)
+	return tail
+}
+
+// lostPasses draws the packet's CRC losses. The link layer retransmits in
+// order: each lost pass costs a full serialization over the whole path plus
+// the retry turnaround. It returns when the pass that gets through starts.
+func (n *Network) lostPasses(links []*link, wire int, head simtime.Time) simtime.Time {
+	for lost := 0; n.k.Rand().Float64() < n.p.LossRate && lost < 99; lost++ {
+		n.retransmits++
+		head = n.walk(links, wire, head, 0).Add(n.p.RetryDelay)
+	}
+	return head
+}
+
+// finishSend is the committed half of Send: book every link past the
+// source up-link, then schedule the delivery onto the destination entity.
+// Across senders on worker shards the order is the mailbox's (send time,
+// source entity, source sequence) order.
+func (n *Network) finishSend(ps *portState, f *flight) {
+	pkt, links, switches := f.pkt, f.links, f.switches
+	if links == nil {
+		links, switches = n.pathLinks(pkt.Src, pkt.Dst)
+	}
+	if links[0] != ps.uplink {
+		panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", pkt.Src, pkt.Dst))
+	}
+	tail := n.walk(links[1:], f.wire, f.head, f.tail)
+	n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), pkt)
+	f.pkt, f.links = nil, nil
+	ps.freeFlight = append(ps.freeFlight, f)
 }
 
 // SendMulti injects a hardware multicast: the switches replicate the
@@ -533,148 +535,61 @@ func (n *Network) finishSend(pkt *Packet, wire int, head, tail simtime.Time) {
 // exactly once (this is QsNet's hardware broadcast). payload builds the
 // per-destination payload (destinations may need different context
 // routing); size and src are shared. Destinations equal to src get a
-// loopback delivery.
+// loopback delivery, which stays entity-local; one inline booking of the
+// exclusive up-link covers all remote destinations (the hardware
+// replicates past it), and the shared remainder of the union of paths is
+// committed.
 func (n *Network) SendMulti(src, size int, dsts []int, payload func(dst int) any, onWire func()) {
 	if size < 0 || size > n.p.MTU {
 		panic(fmt.Sprintf("fabric: multicast size %d outside [0,%d]", size, n.p.MTU))
 	}
-	if n.par {
-		n.sendMultiSharded(src, size, dsts, payload, onWire)
-		return
-	}
-	wire := size + n.p.PacketOverhead
-	now := n.k.Now()
-	starts := make(map[*link]simtime.Time)
-	var srcSerialized simtime.Time
-	for _, dst := range dsts {
-		ps := &n.ports[src]
-		if dst == src {
-			ps.sent++
-			ps.bytesOut += int64(size)
-			n.tracePkt(trace.PktSent, n.k.Now(), src, dst, size)
-			q := ps.getPacket()
-			*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
-			n.deliverAt(now.Add(n.p.SwitchLatency), q)
-			continue
-		}
-		links, switches := n.pathLinks(src, dst)
-		head := now
-		var tail simtime.Time
-		for i, lk := range links {
-			start, seen := starts[lk]
-			if !seen {
-				start = head
-				if lk.nextFree > start {
-					start = lk.nextFree
-				}
-				lk.nextFree = start.Add(simtime.BytesAt(wire, lk.bw))
-				lk.packets++
-				lk.bytes += int64(wire)
-				starts[lk] = start
-			}
-			head = start.Add(n.p.WireLatency)
-			if t := start.Add(simtime.BytesAt(wire, lk.bw)).Add(n.p.WireLatency); t > tail {
-				tail = t
-			}
-			if i == 0 && srcSerialized == 0 {
-				srcSerialized = start.Add(simtime.BytesAt(wire, lk.bw))
-			}
-		}
-		ps.sent++
-		ps.bytesOut += int64(size)
-		n.tracePkt(trace.PktSent, n.k.Now(), src, dst, size)
-		q := ps.getPacket()
-		*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
-		n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), q)
-	}
-	if onWire != nil {
-		if srcSerialized == 0 {
-			srcSerialized = now
-		}
-		n.k.At(srcSerialized, "fabric:onwire-multi", onWire)
-	}
-}
-
-// sendMultiSharded is SendMulti on a sharded kernel. Loopback copies stay
-// entity-local; one inline reservation of the exclusive up-link covers all
-// remote destinations (the hardware replicates past it), and the shared
-// remainder of the union of paths is committed for barrier replay.
-func (n *Network) sendMultiSharded(src, size int, dsts []int, payload func(dst int) any, onWire func()) {
 	ps := &n.ports[src]
 	now := ps.sc.Now()
-	wire := size + n.p.PacketOverhead
-	var srcSerialized simtime.Time
-	var remote []int
+	var remote []*Packet
 	for _, dst := range dsts {
+		ps.sent++
+		ps.bytesOut += int64(size)
+		n.tracePkt(trace.PktSent, now, src, dst, size)
+		q := ps.getPacket()
+		*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
 		if dst == src {
-			ps.sent++
-			ps.bytesOut += int64(size)
-			n.tracePkt(trace.PktSent, now, src, dst, size)
-			q := ps.getPacket()
-			*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
 			n.deliverAt(now.Add(n.p.SwitchLatency), q)
 			continue
 		}
-		remote = append(remote, dst)
+		remote = append(remote, q)
 	}
+	wired := now
 	if len(remote) > 0 {
-		if ps.uplink == nil {
-			panic(fmt.Sprintf("fabric: sharded multicast from unbound port %d", src))
-		}
-		start := now
-		if ps.uplink.nextFree > start {
-			start = ps.uplink.nextFree
-		}
-		ser := simtime.BytesAt(wire, ps.uplink.bw)
-		ps.uplink.nextFree = start.Add(ser)
-		ps.uplink.packets++
-		ps.uplink.bytes += int64(wire)
-		srcSerialized = start.Add(ser)
-		pkts := make([]*Packet, len(remote))
-		for i, dst := range remote {
-			ps.sent++
-			ps.bytesOut += int64(size)
-			n.tracePkt(trace.PktSent, now, src, dst, size)
-			q := ps.getPacket()
-			*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
-			pkts[i] = q
-		}
+		wire := size + n.p.PacketOverhead
+		start, done := n.uplink(src).reserve(now, wire)
+		wired = done
 		ps.sc.Commit("fabric:mcast", func() {
-			n.finishMulti(src, wire, start, remote, pkts)
+			n.finishMulti(remote, wire, start, done)
 		})
 	}
 	if onWire != nil {
-		t := srcSerialized
-		if t == 0 {
-			t = now
-		}
-		ps.sc.At(t, "fabric:onwire-multi", onWire)
+		ps.sc.At(wired, "fabric:onwire-multi", onWire)
 	}
 }
 
-// finishMulti replays the shared half of a sharded multicast at the epoch
-// barrier. The starts map is pre-seeded with the inline up-link
-// reservation, so the walk is identical to the legacy loop.
-func (n *Network) finishMulti(src, wire int, upStart simtime.Time, remote []int, pkts []*Packet) {
-	ps := &n.ports[src]
-	starts := map[*link]simtime.Time{ps.uplink: upStart}
-	for i, dst := range remote {
-		links, switches := n.pathLinks(src, dst)
-		if links[0] != ps.uplink {
-			panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", src, dst))
+// finishMulti is the committed half of SendMulti. starts holds when each
+// link of the union of paths began serializing the packet, seeded with the
+// inline up-link booking, so a link shared by several destinations is
+// booked once.
+func (n *Network) finishMulti(pkts []*Packet, wire int, upStart, upDone simtime.Time) {
+	up := n.uplink(pkts[0].Src)
+	starts := map[*link]simtime.Time{up: upStart}
+	for _, q := range pkts {
+		links, switches := n.pathLinks(q.Src, q.Dst)
+		if links[0] != up {
+			panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", q.Src, q.Dst))
 		}
 		head := upStart.Add(n.p.WireLatency)
-		tail := upStart.Add(simtime.BytesAt(wire, ps.uplink.bw)).Add(n.p.WireLatency)
+		tail := upDone.Add(n.p.WireLatency)
 		for _, lk := range links[1:] {
 			start, seen := starts[lk]
 			if !seen {
-				start = head
-				if lk.nextFree > start {
-					start = lk.nextFree
-				}
-				lk.nextFree = start.Add(simtime.BytesAt(wire, lk.bw))
-				lk.packets++
-				lk.bytes += int64(wire)
+				start, _ = lk.reserve(head, wire)
 				starts[lk] = start
 			}
 			head = start.Add(n.p.WireLatency)
@@ -682,7 +597,7 @@ func (n *Network) finishMulti(src, wire int, upStart simtime.Time, remote []int,
 				tail = t
 			}
 		}
-		n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), pkts[i])
+		n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), q)
 	}
 }
 
@@ -748,11 +663,7 @@ func (n *Network) PortCounters(id int) PortCounters {
 	if id < 0 || id >= n.nports {
 		panic(fmt.Sprintf("fabric: counters of invalid port %d", id))
 	}
-	ps := &n.ports[id]
-	up := ps.uplink
-	if up == nil {
-		up = n.linkFor(n.up, 1, id, "up")
-	}
+	ps, up := &n.ports[id], n.uplink(id)
 	return PortCounters{
 		Sent: ps.sent, Delivered: ps.delivered,
 		BytesOut: ps.bytesOut, BytesIn: ps.bytesIn,

@@ -62,7 +62,7 @@ func (s *State) PollWord(th *simtime.Thread, w *simtime.Counter, target int64) {
 }
 
 // BlockEvent blocks the thread until the event has fired at least target
-// times, using a NIC interrupt. The arm/recheck loop guards the classic
+// times, using a NIC interrupt. The arm/recheck loop guards the
 // lost-wakeup window: after arming, the word is rechecked before sleeping.
 func (s *State) BlockEvent(th *simtime.Thread, ev *elan4.Event, target int64) {
 	w := ev.HostWord()

@@ -14,8 +14,8 @@
 // deferred fabric commit has replayed — before a coordinator event runs,
 // so the counters the tick reads are exactly the state at that instant
 // regardless of sharding; the 1ps phase offset keeps tick times off the
-// instants protocol events land on, where classic-kernel tie order
-// (insertion sequence) and sharded tie order (coordinator first) could
+// instants protocol events land on, where the sequential phase's tie order
+// (insertion sequence) and an epoch's tie order (coordinator first) could
 // disagree. Trace emission iterates node-major, matching the per-node
 // recorder merge order (time, then node index), so a traced run's
 // GaugeSample stream is byte-identical at -shards 1 and -shards N.
@@ -123,8 +123,8 @@ type linkSeries struct {
 }
 
 // samplerNode groups one node's registrations: tick emission iterates
-// nodes in index order (links, then ranks) so the classic shared-tracer
-// record order equals the sharded per-node merge order.
+// nodes in index order (links, then ranks) so the shared tracer's record
+// order without worker shards equals the per-node merge order with them.
 type samplerNode struct {
 	links []*linkSeries
 	ranks []*rankSeries

@@ -151,10 +151,11 @@ func (w *Watchdog) Register(rank int, p Probe) {
 }
 
 // Note stamps rank's last-progress time, as seen on the caller's clock,
-// and on a classic kernel arms the timer if idle. It is called from the
-// PML's hot paths, so it must stay a couple of field touches; under a
-// sharded kernel it writes only the rank's own slot, which is safe from
-// the rank's shard because the coordinator reads the slots exclusively.
+// and on a kernel without worker shards arms the timer if idle. It is
+// called from the PML's hot paths, so it must stay a couple of field
+// touches; with worker shards it writes only the rank's own slot, which is
+// safe from the rank's shard because the coordinator reads the slots
+// exclusively.
 func (w *Watchdog) Note(rank int, now simtime.Time) {
 	if rank < len(w.last) {
 		w.last[rank] = now

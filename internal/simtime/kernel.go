@@ -18,8 +18,6 @@ type event struct {
 	name string
 	fn   func()
 	proc *Proc
-	// ent is the owning entity under a sharded kernel (zero otherwise).
-	ent Entity
 	// cancelable marks a cancel-on-idle event: dropped, not executed,
 	// when only such events remain pending.
 	cancelable bool
@@ -87,21 +85,36 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Kernel is a deterministic discrete-event simulator. All simulated
-// activity — timer callbacks and process execution — happens inside Run,
-// one action at a time, ordered by (time, schedule sequence).
+// Kernel is a deterministic discrete-event simulator: one conservative
+// engine over a coordinator shard and any number of worker shards. All
+// simulated activity — timer callbacks and process execution — happens
+// inside Run. Without workers, and with them outside parallel epochs, one
+// action executes at a time, ordered by (time, schedule sequence).
 type Kernel struct {
-	now     Time
-	seq     int64
-	queue   eventHeap
-	procs   map[*Proc]struct{}
+	// shards[0] is the coordinator, present from NewKernel on; Shard
+	// appends the workers. Without workers every entity lives on the
+	// coordinator and the run never leaves the sequential phase.
+	shards []*shard
+	plan   ShardPlan
+
+	gseq      int64 // global schedule sequence (sequential phase, barriers)
+	globalNow Time  // high-water clock, what Now reports
+	// curNow is the sequential-phase universal clock: the timestamp of
+	// the event currently executing on the coordinator. Inside a parallel
+	// epoch each shard's own clock is authoritative instead.
+	curNow Time
+
 	spawned atomic.Int64 // procs ever spawned; Proc.id
 	steps   int64
 	rng     *rand.Rand
 	tracer  func(t Time, what string)
-	stopped bool
-	running bool
 	closed  bool
+
+	wantParallel atomic.Bool
+	parallel     bool // current mode, owned by the run loop
+	inEpoch      atomic.Bool
+	stop         atomic.Bool
+	running      bool
 
 	// seed is the base for the kernel's derived random streams.
 	seed int64
@@ -109,29 +122,23 @@ type Kernel struct {
 	// (Entity -> *rand.Rand); a sync.Map because worker shards create
 	// entries concurrently on first draw.
 	entRngs sync.Map
-	// sh is the sharded conservative engine; nil on a classic kernel.
-	sh *sharded
+	owners  sync.Map // Entity -> *shard, memoized Owner calls
+	wg      sync.WaitGroup
 }
 
 // NewKernel returns an empty kernel at time zero with a fixed-seed
 // deterministic random source.
 func NewKernel() *Kernel {
 	return &Kernel{
-		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(1)),
-		seed:  1,
+		shards: []*shard{{procs: make(map[*Proc]struct{})}},
+		rng:    rand.New(rand.NewSource(1)),
+		seed:   1,
 	}
 }
 
-// Now returns the current virtual time. Under a sharded kernel this is
-// the coordinator's view (the high-water clock); entity code should read
-// its own Sched.Now.
-func (k *Kernel) Now() Time {
-	if k.sh != nil {
-		return k.sh.globalNow
-	}
-	return k.now
-}
+// Now returns the current virtual time: the coordinator's view (the
+// high-water clock). Entity code should read its own Sched.Now.
+func (k *Kernel) Now() Time { return k.globalNow }
 
 // Steps returns the number of events executed so far, a cheap progress and
 // determinism fingerprint.
@@ -142,10 +149,10 @@ func (k *Kernel) Steps() int64 { return k.steps }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // SetTracer installs fn to observe every executed event. A nil fn disables
-// tracing. Incompatible with sharded kernels (events execute on several
+// tracing. Incompatible with worker shards (events execute on several
 // goroutines there).
 func (k *Kernel) SetTracer(fn func(t Time, what string)) {
-	if k.sh != nil && fn != nil {
+	if len(k.shards) > 1 && fn != nil {
 		panic("simtime: SetTracer is incompatible with a sharded kernel")
 	}
 	k.tracer = fn
@@ -168,35 +175,23 @@ func (k *Kernel) After(d Duration, name string, fn func()) {
 // event carries the proc pointer and the bare reason, so the hot path
 // allocates neither a closure nor a concatenated name.
 func (k *Kernel) wakeAt(d Duration, p *Proc, why string) {
-	base := k.now
-	if sh := k.sh; sh != nil {
-		base = sh.curNow
-		if sh.inEpoch.Load() && p.shard.executing.Load() {
-			base = p.shard.now
-		}
+	base := k.curNow
+	if k.inEpoch.Load() && p.shard.executing.Load() {
+		base = p.shard.now
 	}
 	k.schedule(p.ent, base.Add(d), why, nil, p, false)
 }
 
 // Stop makes Run return after the current event completes. Pending events
-// remain queued; Run may be called again to continue. On a sharded kernel
-// a mid-epoch Stop lets in-flight shard events finish, completes the
-// barrier merge (so no cross-shard message is lost), then returns.
-func (k *Kernel) Stop() {
-	if k.sh != nil {
-		k.sh.stop.Store(true)
-		return
-	}
-	k.stopped = true
-}
+// remain queued; Run may be called again to continue. A mid-epoch Stop
+// lets in-flight shard events finish, completes the barrier merge (so no
+// commit is lost), then returns.
+func (k *Kernel) Stop() { k.stop.Store(true) }
 
 // Run executes events until the queue is empty or Stop is called. It
 // returns the number of events executed by this call.
 func (k *Kernel) Run() int64 {
 	k.mustBeOpen("Run")
-	if k.sh != nil {
-		return k.sh.run(-1)
-	}
 	return k.run(-1)
 }
 
@@ -204,51 +199,7 @@ func (k *Kernel) Run() int64 {
 // returns the number of events executed by this call.
 func (k *Kernel) RunUntil(t Time) int64 {
 	k.mustBeOpen("Run")
-	if k.sh != nil {
-		return k.sh.run(t)
-	}
-	n := k.run(t)
-	if !k.stopped && k.now < t {
-		k.now = t
-	}
-	return n
-}
-
-func (k *Kernel) run(until Time) int64 {
-	if k.running {
-		panic("simtime: Kernel.Run is not reentrant")
-	}
-	k.running = true
-	k.stopped = false
-	defer func() { k.running = false }()
-
-	var n int64
-	for len(k.queue) > 0 && !k.stopped {
-		if until >= 0 && k.queue[0].at > until {
-			break
-		}
-		if k.queue[0].cancelable && k.queue.onlyCancelable() {
-			// Only cancel-on-idle events remain: drop them and drain.
-			k.queue = k.queue[:0]
-			break
-		}
-		e := k.queue.pop()
-		if e.at < k.now {
-			panic("simtime: event time went backwards")
-		}
-		k.now = e.at
-		k.steps++
-		n++
-		if k.tracer != nil {
-			what := e.name
-			if e.proc != nil {
-				what = "wake:" + e.proc.name + ":" + what
-			}
-			k.tracer(k.now, what)
-		}
-		e.run()
-	}
-	return n
+	return k.run(t)
 }
 
 // Close ends the kernel's life. Every proc that has not finished — a
@@ -269,16 +220,16 @@ func (k *Kernel) Close() {
 	if k.closed {
 		return
 	}
-	if k.running || (k.sh != nil && k.sh.running) {
+	if k.running {
 		panic("simtime: Close during Run")
 	}
 	k.closed = true
 	var procs []*Proc
-	for _, set := range k.procSets() {
-		for p := range set {
+	for _, s := range k.shards {
+		for p := range s.procs {
 			procs = append(procs, p)
 		}
-		clear(set)
+		clear(s.procs)
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
 	var failed any
@@ -320,20 +271,15 @@ func (h eventHeap) onlyCancelable() bool {
 // Idle reports whether no events are pending. If processes are still
 // parked while the kernel is idle, the simulation has deadlocked; Stalled
 // lists them.
-func (k *Kernel) Idle() bool {
-	if k.sh != nil {
-		return !k.sh.anyWork()
-	}
-	return len(k.queue) == 0
-}
+func (k *Kernel) Idle() bool { return !k.anyWork() }
 
 // Stalled returns the sorted names of the non-daemon processes that are
 // parked, across every shard: once Idle reports true, the participants of
 // a deadlock.
 func (k *Kernel) Stalled() []string {
 	var out []string
-	for _, set := range k.procSets() {
-		for p := range set {
+	for _, s := range k.shards {
+		for p := range s.procs {
 			if p.state == procParked && !p.daemon {
 				out = append(out, p.name)
 			}
@@ -341,16 +287,4 @@ func (k *Kernel) Stalled() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// procSets returns the live-proc set of the classic kernel or of every
-// shard.
-func (k *Kernel) procSets() []map[*Proc]struct{} {
-	sets := []map[*Proc]struct{}{k.procs}
-	if k.sh != nil {
-		for _, s := range k.sh.shards {
-			sets = append(sets, s.procs)
-		}
-	}
-	return sets
 }

@@ -107,37 +107,6 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	run := func() (int64, Time, string) {
-		k := NewKernel()
-		var log string
-		sig := NewSignal()
-		ch := NewChan[int]()
-		for i := 0; i < 10; i++ {
-			i := i
-			k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-				p.Sleep(Duration(i) * Microsecond)
-				ch.Send(i)
-				sig.Wait(p)
-				log += fmt.Sprintf("%d;", i)
-			})
-		}
-		k.Spawn("collector", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				ch.Recv(p)
-			}
-			sig.Fire()
-		})
-		k.Run()
-		return k.Steps(), k.Now(), log
-	}
-	s1, t1, l1 := run()
-	s2, t2, l2 := run()
-	if s1 != s2 || t1 != t2 || l1 != l2 {
-		t.Fatalf("nondeterministic: (%d,%v,%q) vs (%d,%v,%q)", s1, t1, l1, s2, t2, l2)
-	}
-}
-
 func TestSignalBroadcastAndLateWait(t *testing.T) {
 	k := NewKernel()
 	sig := NewSignal()
@@ -274,59 +243,6 @@ func TestHostBlockedThreadFreesCPU(t *testing.T) {
 	k.Run()
 	if computeDone != Time(5*Microsecond) {
 		t.Fatalf("worker finished at %v; blocked thread held the CPU", computeDone)
-	}
-}
-
-func TestStalledDetection(t *testing.T) {
-	k := NewKernel()
-	sig := NewSignal()
-	k.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
-	k.Run()
-	if !k.Idle() {
-		t.Fatal("kernel should be idle")
-	}
-	st := k.Stalled()
-	if len(st) != 1 || st[0] != "stuck" {
-		t.Fatalf("stalled = %v", st)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.After(5*Microsecond, "a", func() { fired++ })
-	k.After(15*Microsecond, "b", func() { fired++ })
-	k.RunUntil(Time(10 * Microsecond))
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if k.Now() != Time(10*Microsecond) {
-		t.Fatalf("now = %v, want 10us", k.Now())
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	for i := 0; i < 10; i++ {
-		k.After(Duration(i)*Microsecond, "e", func() {
-			n++
-			if n == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 3 {
-		t.Fatalf("executed %d events before stop, want 3", n)
-	}
-	k.Run()
-	if n != 10 {
-		t.Fatalf("executed %d events total, want 10", n)
 	}
 }
 

@@ -42,8 +42,7 @@ type Proc struct {
 	wakePending bool
 	// id is the proc's spawn sequence, the order Close unwinds in.
 	id int64
-	// ent is the owning entity; shard caches its owner under a sharded
-	// kernel (nil otherwise).
+	// ent is the owning entity; shard caches the shard that owns it.
 	ent   Entity
 	shard *shard
 }
@@ -91,12 +90,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawn(ent Entity, name string, fn func(p *Proc)) *Proc {
 	k.mustBeOpen("Spawn")
-	p := &Proc{k: k, name: name, state: procNew, ent: ent, id: k.spawned.Add(1)}
-	procs := k.procs
-	if k.sh != nil {
-		p.shard = k.sh.shardOf(ent)
-		procs = p.shard.procs
-	}
+	p := &Proc{k: k, name: name, state: procNew, ent: ent, shard: k.shardOf(ent), id: k.spawned.Add(1)}
+	procs := p.shard.procs
 	procs[p] = struct{}{}
 	k.schedule(ent, k.SchedFor(ent).Now(), "spawn:"+name, func() {
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -173,12 +168,7 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time as seen by this proc's shard.
-func (p *Proc) Now() Time {
-	if p.shard != nil {
-		return p.shard.now
-	}
-	return p.k.now
-}
+func (p *Proc) Now() Time { return p.shard.now }
 
 // Entity returns the owning entity.
 func (p *Proc) Entity() Entity { return p.ent }

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
 // Entity identifies an independently schedulable simulation entity: a
 // node with its host, NICs and per-rank stacks, or the coordinator-owned
 // global services (entity 0: the RTE registry, the fabric link state, the
-// watchdog). Under a sharded kernel every event and proc belongs to one
-// entity, and every entity to one shard; an event may only touch state
-// owned by its entity's shard unless it runs on the coordinator.
+// watchdog). Every event and proc belongs to one entity, and every entity
+// to one shard; an event may only touch state owned by its entity's shard
+// unless it runs on the coordinator.
 type Entity int32
 
 // GlobalEntity is the coordinator-owned entity. Its events always execute
@@ -21,10 +20,10 @@ type Entity int32
 // so global services schedule under it.
 const GlobalEntity Entity = 0
 
-// ShardPlan configures the sharded conservative PDES engine.
+// ShardPlan partitions the entities over worker shards.
 type ShardPlan struct {
-	// Workers is the number of worker shards. Values ≤ 1 leave the kernel
-	// in its classic sequential mode.
+	// Workers is the number of worker shards. Values ≤ 1 add none: every
+	// entity stays on the coordinator.
 	Workers int
 	// Owner maps an entity to its worker shard in [1, Workers].
 	// GlobalEntity is always owned by the coordinator (shard 0) and is
@@ -38,9 +37,8 @@ type ShardPlan struct {
 }
 
 // Sched is an entity-bound scheduling context: the handle through which
-// simulated components create events, read the clock and draw randomness
-// under a sharded kernel. On a classic kernel it degenerates to the plain
-// Kernel calls, so layers can hold a Sched unconditionally.
+// simulated components create events, read the clock and draw randomness,
+// at any shard count.
 type Sched struct {
 	k   *Kernel
 	ent Entity
@@ -59,14 +57,10 @@ func (s Sched) Entity() Entity { return s.ent }
 // the owning shard's clock, in coordinator phases the universal clock of
 // the event being executed.
 func (s Sched) Now() Time {
-	sh := s.k.sh
-	if sh == nil {
-		return s.k.now
+	if s.k.inEpoch.Load() {
+		return s.k.shardOf(s.ent).now
 	}
-	if sh.inEpoch.Load() {
-		return sh.shardOf(s.ent).now
-	}
-	return sh.curNow
+	return s.k.curNow
 }
 
 // Rand returns the entity's deterministic random stream. Streams are
@@ -100,26 +94,26 @@ func (s Sched) AfterCancelable(d Duration, name string, fn func()) {
 }
 
 // Commit runs fn with exclusive access to coordinator-owned shared state.
-// On a classic kernel (and on the coordinator of a sharded one) it runs
-// inline, preserving exact sequential semantics. From a worker epoch it is
-// deferred to the next barrier, where the coordinator replays all commits
-// in deterministic (time, source entity, source sequence) order — the
-// cross-shard mailbox through which the fabric's shared link state is
-// reached.
+// On the coordinator it runs inline, preserving exact sequential
+// semantics. From a worker epoch it is deferred to the next barrier, where
+// the coordinator replays all commits in deterministic (time, source
+// entity, source sequence) order — the cross-shard mailbox through which
+// the fabric's shared link state is reached. name labels the commit at the
+// call site; the engine does not keep it.
 func (s Sched) Commit(name string, fn func()) {
-	sh := s.k.sh
-	if sh == nil || !sh.inEpoch.Load() {
+	if !s.k.inEpoch.Load() {
 		fn()
 		return
 	}
-	src := sh.shardOf(s.ent)
+	src := s.k.shardOf(s.ent)
 	if !src.executing.Load() {
 		// Not called from this shard's worker goroutine: coordinator
 		// context between epochs — exclusive access holds.
 		fn()
 		return
 	}
-	src.outbox = append(src.outbox, xmsg{at: src.now, srcEnt: s.ent, srcSeq: src.nextOutSeq(), name: name, fn: fn, commit: true})
+	src.oseq++
+	src.outbox = append(src.outbox, xmsg{at: src.now, srcEnt: s.ent, srcSeq: src.oseq, fn: fn})
 }
 
 // Spawn creates a simulated process owned by this entity.
@@ -132,17 +126,13 @@ func (s Sched) Spawn(name string, fn func(p *Proc)) *Proc {
 const awaitSeqEvent = "simtime:await-seq"
 
 // xmsg is one cross-shard mailbox entry: a commit to replay on the
-// coordinator, or an event/wake to deliver into another shard's heap. The
-// (at, srcEnt, srcSeq) triple is the shard-independent merge key.
+// coordinator. The (at, srcEnt, srcSeq) triple is the shard-independent
+// merge key.
 type xmsg struct {
 	at     Time
 	srcEnt Entity
 	srcSeq int64
-	name   string
 	fn     func()
-	proc   *Proc
-	dstEnt Entity
-	commit bool
 }
 
 // shard is one partition of the simulation: its own event heap, clock,
@@ -171,41 +161,14 @@ type shard struct {
 	panicked *ProcPanic
 }
 
-// nextOutSeq returns the next outbox sequence number for merge keying.
-func (s *shard) nextOutSeq() int64 { s.oseq++; return s.oseq }
-
-// sharded is the kernel's conservative parallel engine state.
-type sharded struct {
-	k         *Kernel
-	plan      ShardPlan
-	shards    []*shard // [0] = coordinator, [1..Workers] = workers
-	lookahead Duration
-
-	gseq      int64 // global sequence counter (coordinator phases)
-	globalNow Time  // high-water clock for Kernel.Now() reporting
-	// curNow is the sequential-phase universal clock: the timestamp of
-	// the event currently executing on the coordinator. Inside a parallel
-	// epoch each shard's own clock is authoritative instead.
-	curNow Time
-
-	wantParallel atomic.Bool
-	parallel     bool // current mode, owned by the run loop
-	inEpoch      atomic.Bool
-	stop         atomic.Bool
-	running      bool
-
-	owners sync.Map // Entity -> *shard, memoized Owner calls
-	wg     sync.WaitGroup
-}
-
-// Shard switches the kernel into sharded mode. It must be called on a
-// fresh kernel, before anything is scheduled or spawned; plans with ≤ 1
-// worker leave the kernel in classic sequential mode.
+// Shard partitions the kernel's entities over plan.Workers worker shards.
+// It must be called on a fresh kernel, before anything is scheduled or
+// spawned; plans with ≤ 1 worker add none.
 func (k *Kernel) Shard(plan ShardPlan) {
 	if plan.Workers <= 1 {
 		return
 	}
-	if len(k.queue) != 0 || len(k.procs) != 0 || k.steps != 0 {
+	if c := k.shards[0]; len(k.shards) > 1 || len(c.queue) != 0 || len(c.procs) != 0 || k.steps != 0 {
 		panic("simtime: Shard must be called on a fresh kernel")
 	}
 	if k.tracer != nil {
@@ -217,77 +180,58 @@ func (k *Kernel) Shard(plan ShardPlan) {
 	if plan.Lookahead <= 0 {
 		panic("simtime: ShardPlan.Lookahead must be positive")
 	}
-	sh := &sharded{k: k, plan: plan, lookahead: plan.Lookahead}
-	for i := 0; i <= plan.Workers; i++ {
-		sh.shards = append(sh.shards, &shard{id: i, procs: make(map[*Proc]struct{})})
+	k.plan = plan
+	for i := 1; i <= plan.Workers; i++ {
+		k.shards = append(k.shards, &shard{id: i, procs: make(map[*Proc]struct{})})
 	}
-	k.sh = sh
 }
 
-// Sharded reports whether the kernel runs the sharded engine, and with
-// how many worker shards.
-func (k *Kernel) Sharded() int {
-	if k.sh == nil {
-		return 0
-	}
-	return k.sh.plan.Workers
-}
+// Sharded returns the number of worker shards: 0 when every entity lives
+// on the coordinator.
+func (k *Kernel) Sharded() int { return len(k.shards) - 1 }
 
 // ShardSteps returns per-shard executed event counts (index 0 is the
-// coordinator), nil on a classic kernel.
+// coordinator).
 func (k *Kernel) ShardSteps() []int64 {
-	if k.sh == nil {
-		return nil
-	}
-	out := make([]int64, len(k.sh.shards))
-	for i, s := range k.sh.shards {
+	out := make([]int64, len(k.shards))
+	for i, s := range k.shards {
 		out[i] = s.steps
 	}
 	return out
 }
 
-// EnableParallel asks the sharded engine to start running worker epochs
-// concurrently. It takes effect at the next scheduling boundary; classic
-// kernels ignore it. Callers must guarantee that, from this point until
-// DisableParallel, every event touches only its own shard's state (or
-// runs under the global entity).
+// EnableParallel asks the engine to start running worker epochs
+// concurrently. It takes effect at the next scheduling boundary; a kernel
+// without workers has no epochs to run and ignores it. Callers must
+// guarantee that, from this point until a proc awaits the sequential
+// phase, every event touches only its own shard's state (or runs under the
+// global entity).
 func (k *Kernel) EnableParallel() {
-	if k.sh != nil {
-		k.sh.wantParallel.Store(true)
-	}
-}
-
-// DisableParallel returns the engine to coordinator-only execution at the
-// next epoch barrier.
-func (k *Kernel) DisableParallel() {
-	if k.sh != nil {
-		k.sh.wantParallel.Store(false)
+	if len(k.shards) > 1 {
+		k.wantParallel.Store(true)
 	}
 }
 
 // InParallel reports whether worker epochs are currently enabled; shared
 // services use it to reject calls that are only legal in the sequential
 // phase.
-func (k *Kernel) InParallel() bool {
-	return k.sh != nil && (k.sh.parallel || k.sh.wantParallel.Load())
-}
+func (k *Kernel) InParallel() bool { return k.parallel || k.wantParallel.Load() }
 
 // AwaitSequential parks p until the kernel is executing sequentially
-// (coordinator-only). It returns immediately on a classic kernel or when
-// worker epochs are off; otherwise it requests the switch, stops the
-// calling shard's epoch at the current instant so no local time passes,
-// and resumes at the same virtual time once the coordinator has taken
-// over. Finalization paths call it before touching global services.
+// (coordinator-only). It returns immediately when worker epochs are off;
+// otherwise it requests the switch, stops the calling shard's epoch at the
+// current instant so no local time passes, and resumes at the same virtual
+// time once the coordinator has taken over. Finalization paths call it
+// before touching global services.
 func (k *Kernel) AwaitSequential(p *Proc) {
-	sh := k.sh
-	if sh == nil || !sh.parallel {
+	if !k.parallel {
 		return
 	}
 	s := p.shard
 	if !s.executing.Load() {
 		return // coordinator context: already exclusive
 	}
-	sh.wantParallel.Store(false)
+	k.wantParallel.Store(false)
 	s.stopPhase = true
 	if s.awaiting != nil {
 		panic("simtime: two procs awaiting sequential phase on one shard in one epoch")
@@ -309,19 +253,8 @@ func (k *Kernel) RandFor(e Entity) *rand.Rand {
 	return v.(*rand.Rand)
 }
 
-// ShardRand returns worker shard i's private random stream, seeded from
-// the kernel seed and the shard id. It exists for shard-internal
-// randomized bookkeeping; simulation entities must use Sched.Rand so
-// their draws are placement-independent.
-func (k *Kernel) ShardRand(i int) *rand.Rand {
-	if k.sh == nil || i < 0 || i >= len(k.sh.shards) {
-		panic(fmt.Sprintf("simtime: no shard %d", i))
-	}
-	return rand.New(rand.NewSource(mix64(k.seed, int64(i)<<32|1)))
-}
-
 // mix64 is splitmix64 over the pair (seed, tweak): a cheap, well-mixed
-// seed derivation so entity and shard streams are independent.
+// seed derivation so entity streams are independent.
 func mix64(seed, tweak int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(tweak+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -330,56 +263,47 @@ func mix64(seed, tweak int64) int64 {
 }
 
 // shardOf resolves an entity's shard, memoizing the plan's Owner calls.
-func (sh *sharded) shardOf(e Entity) *shard {
-	if e == GlobalEntity {
-		return sh.shards[0]
+// Without workers every entity lives on the coordinator.
+func (k *Kernel) shardOf(e Entity) *shard {
+	if e == GlobalEntity || len(k.shards) == 1 {
+		return k.shards[0]
 	}
-	if s, ok := sh.owners.Load(e); ok {
+	if s, ok := k.owners.Load(e); ok {
 		return s.(*shard)
 	}
-	w := sh.plan.Owner(e)
-	if w < 1 || w > sh.plan.Workers {
-		panic(fmt.Sprintf("simtime: ShardPlan.Owner(%d) = %d outside [1,%d]", e, w, sh.plan.Workers))
+	w := k.plan.Owner(e)
+	if w < 1 || w > k.plan.Workers {
+		panic(fmt.Sprintf("simtime: ShardPlan.Owner(%d) = %d outside [1,%d]", e, w, k.plan.Workers))
 	}
-	s := sh.shards[w]
-	sh.owners.Store(e, s)
+	s := k.shards[w]
+	k.owners.Store(e, s)
 	return s
 }
 
-// schedule is the sharded scheduling path shared by Sched.At and the
-// kernel compatibility wrappers. Outside worker epochs the event goes
-// straight into the target shard's heap under the global sequence; inside
-// an epoch, a worker schedules locally with strided sequence numbers, and
-// cross-shard events travel through the outbox.
+// schedule is the one scheduling path, shared by Sched.At, proc wakes and
+// the Kernel wrappers. Outside worker epochs the event goes straight into
+// the owning shard's heap under the global sequence; inside an epoch a
+// worker schedules onto its own shard with strided sequence numbers, and
+// what must reach shared state travels as a commit.
 func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, cancelable bool) {
-	sh := k.sh
-	if sh == nil {
-		if t < k.now {
-			panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, k.now))
-		}
-		k.seq++
-		k.queue.push(event{at: t, seq: k.seq, name: name, fn: fn, proc: p, cancelable: cancelable})
-		return
-	}
-	dst := sh.shardOf(ent)
-	if !sh.inEpoch.Load() {
+	dst := k.shardOf(ent)
+	if !k.inEpoch.Load() {
 		// Coordinator context: exclusive access to every heap.
 		if t < dst.now {
 			panic(fmt.Sprintf("simtime: scheduling %q at %v before shard %d now %v", name, t, dst.id, dst.now))
 		}
-		sh.gseq++
-		dst.queue.push(event{at: t, seq: sh.gseq, name: name, fn: fn, proc: p, ent: ent, cancelable: cancelable})
+		k.gseq++
+		dst.queue.push(event{at: t, seq: k.gseq, name: name, fn: fn, proc: p, cancelable: cancelable})
 		return
 	}
-	// Worker epoch. The caller must be dst's own goroutine for a local
-	// push; cross-shard scheduling goes through the mailbox.
+	// Worker epoch: the caller must be dst's own goroutine.
 	if dst.executing.Load() {
 		if t < dst.now {
 			panic(fmt.Sprintf("simtime: scheduling %q at %v before shard %d now %v", name, t, dst.id, dst.now))
 		}
 		dst.lseq++
-		seq := sh.gseq + dst.lseq*int64(len(sh.shards)) + int64(dst.id)
-		dst.queue.push(event{at: t, seq: seq, name: name, fn: fn, proc: p, ent: ent, cancelable: cancelable})
+		seq := k.gseq + dst.lseq*int64(len(k.shards)) + int64(dst.id)
+		dst.queue.push(event{at: t, seq: seq, name: name, fn: fn, proc: p, cancelable: cancelable})
 		return
 	}
 	// Cross-shard scheduling from inside a worker epoch is an ownership
@@ -392,54 +316,60 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, c
 	panic(fmt.Sprintf("simtime: cross-shard schedule of %q onto entity %d from a worker epoch — use Sched.Commit or an owned entity", name, ent))
 }
 
-// run is the sharded engine's main loop, alternating coordinator-only
-// sequential execution with conservative parallel epochs.
-func (sh *sharded) run(until Time) int64 {
-	if sh.running {
+// run is the engine's main loop: coordinator-only sequential execution,
+// alternating with conservative parallel epochs once workers exist and
+// EnableParallel has been called. until < 0 means no bound.
+func (k *Kernel) run(until Time) int64 {
+	if k.running {
 		panic("simtime: Kernel.Run is not reentrant")
 	}
-	sh.running = true
-	sh.stop.Store(false)
-	defer func() { sh.running = false }()
+	k.running = true
+	k.stop.Store(false)
+	defer func() { k.running = false }()
 
 	var n int64
-	for !sh.stop.Load() {
-		if sh.parallel != sh.wantParallel.Load() {
-			sh.switchPhase()
+	for !k.stop.Load() {
+		if k.parallel != k.wantParallel.Load() {
+			k.switchPhase()
 		}
-		if sh.parallel {
-			ran, done := sh.epoch(until)
+		if k.parallel {
+			ran, done := k.epoch(until)
 			n += ran
 			if done {
 				break
 			}
 			continue
 		}
-		e, s, ok := sh.popMin(until)
-		if !ok {
+		s := k.minShard(until)
+		if s == nil {
 			break
 		}
 		n++
-		sh.exec(s, e)
+		k.exec(s)
 	}
-	if !sh.stop.Load() && until >= 0 {
-		for _, s := range sh.shards {
+	if !k.stop.Load() && until >= 0 {
+		for _, s := range k.shards {
 			if s.now < until {
 				s.now = until
 			}
 		}
+		if k.curNow < until {
+			k.curNow = until
+		}
 	}
-	if t := sh.maxNow(); t > sh.globalNow {
-		sh.globalNow = t
+	if t := k.maxNow(); t > k.globalNow {
+		k.globalNow = t
 	}
 	return n
 }
 
-// popMin removes the globally minimal event across all shards in the
-// sequential phase, honoring the until bound and cancel-on-idle draining.
-func (sh *sharded) popMin(until Time) (event, *shard, bool) {
+// minShard returns the shard holding the globally minimal event of the
+// sequential phase — (time, global schedule sequence) order — or nil when
+// nothing is left to run: no event, none within the until bound, or only
+// cancel-on-idle ones, which it drops.
+func (k *Kernel) minShard(until Time) *shard {
 	var best *shard
-	for _, s := range sh.shards {
+	for _, s := range k.shards {
 		if len(s.queue) == 0 {
 			continue
 		}
@@ -448,17 +378,17 @@ func (sh *sharded) popMin(until Time) (event, *shard, bool) {
 		}
 	}
 	if best == nil {
-		return event{}, nil, false
+		return nil
 	}
 	top := &best.queue[0]
 	if until >= 0 && top.at > until {
-		return event{}, nil, false
+		return nil
 	}
-	if top.cancelable && sh.onlyCancelable() {
-		sh.dropCancelable()
-		return event{}, nil, false
+	if top.cancelable && k.onlyCancelable() {
+		k.dropCancelable()
+		return nil
 	}
-	return best.queue.pop(), best, true
+	return best
 }
 
 // eventBefore reports whether a orders before b under the (time, seq) key.
@@ -471,8 +401,8 @@ func eventBefore(a, b *event) bool {
 
 // onlyCancelable reports whether every pending event anywhere is marked
 // cancel-on-idle — the drain condition.
-func (sh *sharded) onlyCancelable() bool {
-	for _, s := range sh.shards {
+func (k *Kernel) onlyCancelable() bool {
+	for _, s := range k.shards {
 		if !s.queue.onlyCancelable() {
 			return false
 		}
@@ -481,27 +411,36 @@ func (sh *sharded) onlyCancelable() bool {
 }
 
 // dropCancelable discards all pending cancel-on-idle events.
-func (sh *sharded) dropCancelable() {
-	for _, s := range sh.shards {
+func (k *Kernel) dropCancelable() {
+	for _, s := range k.shards {
 		s.queue = s.queue[:0]
 	}
 }
 
-// exec runs one event on the coordinator thread with shard s's clock.
-func (sh *sharded) exec(s *shard, e event) {
+// exec pops shard s's next event and runs it on the coordinator thread
+// with s's clock.
+func (k *Kernel) exec(s *shard) {
+	e := s.queue.pop()
 	if e.at < s.now {
 		panic("simtime: event time went backwards")
 	}
 	s.now = e.at
-	sh.curNow = e.at
-	if e.at > sh.globalNow {
-		sh.globalNow = e.at
+	k.curNow = e.at
+	if e.at > k.globalNow {
+		k.globalNow = e.at
 	}
 	if e.name != awaitSeqEvent {
 		// Phase-switch wakes are engine plumbing with no sequential
 		// counterpart; counting them would make Steps() shard-dependent.
 		s.steps++
-		sh.k.steps++
+		k.steps++
+	}
+	if k.tracer != nil {
+		what := e.name
+		if e.proc != nil {
+			what = "wake:" + e.proc.name + ":" + what
+		}
+		k.tracer(e.at, what)
 	}
 	e.run()
 }
@@ -509,16 +448,16 @@ func (sh *sharded) exec(s *shard, e event) {
 // switchPhase flips between sequential and parallel execution at a safe
 // boundary, waking any procs parked in AwaitSequential at their own park
 // instants.
-func (sh *sharded) switchPhase() {
-	sh.parallel = sh.wantParallel.Load()
-	if sh.parallel {
+func (k *Kernel) switchPhase() {
+	k.parallel = k.wantParallel.Load()
+	if k.parallel {
 		return
 	}
-	for _, s := range sh.shards {
+	for _, s := range k.shards {
 		if p := s.awaiting; p != nil {
 			s.awaiting = nil
-			sh.gseq++
-			s.queue.push(event{at: s.now, seq: sh.gseq, name: awaitSeqEvent, proc: p, ent: p.ent})
+			k.gseq++
+			s.queue.push(event{at: s.now, seq: k.gseq, name: awaitSeqEvent, proc: p})
 			p.wakePending = true
 			p.state = procParked // already parked; wake path re-checks
 		}
@@ -529,18 +468,18 @@ func (sh *sharded) switchPhase() {
 // (exclusive), then every worker shard concurrently up to the LBTS bound,
 // then the barrier merge. It returns the events executed and whether the
 // simulation has drained.
-func (sh *sharded) epoch(until Time) (int64, bool) {
+func (k *Kernel) epoch(until Time) (int64, bool) {
 	var n int64
 	// Coordinator-first: run global events due before any worker work.
+	c := k.shards[0]
 	for {
-		wnext, any := sh.workerNext()
-		c := sh.shards[0]
+		wnext, any := k.workerNext()
 		if len(c.queue) == 0 {
 			if !any {
-				if sh.onlyCancelable() {
-					sh.dropCancelable()
+				if k.onlyCancelable() {
+					k.dropCancelable()
 				}
-				if len(c.queue) == 0 && !sh.anyWork() {
+				if len(c.queue) == 0 && !k.anyWork() {
 					return n, true
 				}
 			}
@@ -556,57 +495,56 @@ func (sh *sharded) epoch(until Time) (int64, bool) {
 		if any && top.at > wnext {
 			break
 		}
-		if top.cancelable && sh.onlyCancelable() {
-			sh.dropCancelable()
+		if top.cancelable && k.onlyCancelable() {
+			k.dropCancelable()
 			return n, true
 		}
-		e := c.queue.pop()
 		n++
-		sh.exec(c, e)
-		if sh.stop.Load() || sh.parallel != sh.wantParallel.Load() {
+		k.exec(c)
+		if k.stop.Load() || k.parallel != k.wantParallel.Load() {
 			return n, false
 		}
 	}
-	wnext, any := sh.workerNext()
+	wnext, any := k.workerNext()
 	if !any {
-		return n, !sh.anyWork()
+		return n, !k.anyWork()
 	}
-	bound := wnext.Add(sh.lookahead)
-	if c := sh.shards[0]; len(c.queue) > 0 && c.queue[0].at < bound {
+	bound := wnext.Add(k.plan.Lookahead)
+	if len(c.queue) > 0 && c.queue[0].at < bound {
 		bound = c.queue[0].at
 	}
 	if until >= 0 && bound > until.Add(1) {
 		bound = until.Add(1)
 	}
 	// Drain worker heaps concurrently inside [*, bound).
-	sh.inEpoch.Store(true)
+	k.inEpoch.Store(true)
 	var ran atomic.Int64
-	for _, s := range sh.shards[1:] {
+	for _, s := range k.shards[1:] {
 		if len(s.queue) == 0 {
 			continue
 		}
 		s.lseq = 0
 		s.oseq = 0
-		sh.wg.Add(1)
+		k.wg.Add(1)
 		go func(s *shard) {
-			defer sh.wg.Done()
-			ran.Add(sh.drain(s, bound))
+			defer k.wg.Done()
+			ran.Add(k.drain(s, bound))
 		}(s)
 	}
-	sh.wg.Wait()
-	sh.inEpoch.Store(false)
-	for _, s := range sh.shards[1:] {
+	k.wg.Wait()
+	k.inEpoch.Store(false)
+	for _, s := range k.shards[1:] {
 		if pp := s.panicked; pp != nil {
 			s.panicked = nil
 			panic(pp)
 		}
 	}
 	n += ran.Load()
-	sh.k.steps += ran.Load()
-	if t := sh.maxNow(); t > sh.globalNow {
-		sh.globalNow = t
+	k.steps += ran.Load()
+	if t := k.maxNow(); t > k.globalNow {
+		k.globalNow = t
 	}
-	merged := sh.mergeOutboxes()
+	merged := k.mergeOutboxes()
 	if n == 0 && merged == 0 {
 		// No event inside the window and nothing exchanged: everything
 		// pending lies beyond the until bound.
@@ -614,12 +552,12 @@ func (sh *sharded) epoch(until Time) (int64, bool) {
 	}
 	// Reserve the strided sequence range the workers consumed.
 	var maxL int64
-	for _, s := range sh.shards[1:] {
+	for _, s := range k.shards[1:] {
 		if s.lseq > maxL {
 			maxL = s.lseq
 		}
 	}
-	sh.gseq += (maxL + 1) * int64(len(sh.shards))
+	k.gseq += (maxL + 1) * int64(len(k.shards))
 	return n, false
 }
 
@@ -627,7 +565,7 @@ func (sh *sharded) epoch(until Time) (int64, bool) {
 // goroutine and returns how many ran. A proc panic is parked in s.panicked
 // for the coordinator; any other panic is a simulator bug and keeps
 // crashing where it happened.
-func (sh *sharded) drain(s *shard, bound Time) (n int64) {
+func (k *Kernel) drain(s *shard, bound Time) (n int64) {
 	s.executing.Store(true)
 	defer func() {
 		s.stopPhase = false
@@ -640,7 +578,7 @@ func (sh *sharded) drain(s *shard, bound Time) (n int64) {
 			s.panicked = pp
 		}
 	}()
-	for len(s.queue) > 0 && !s.stopPhase && s.queue[0].at < bound && !sh.stop.Load() {
+	for len(s.queue) > 0 && !s.stopPhase && s.queue[0].at < bound && !k.stop.Load() {
 		e := s.queue.pop()
 		if e.at < s.now {
 			panic("simtime: event time went backwards")
@@ -654,10 +592,10 @@ func (sh *sharded) drain(s *shard, bound Time) (n int64) {
 }
 
 // workerNext returns the earliest pending worker event time.
-func (sh *sharded) workerNext() (Time, bool) {
+func (k *Kernel) workerNext() (Time, bool) {
 	var t Time
 	any := false
-	for _, s := range sh.shards[1:] {
+	for _, s := range k.shards[1:] {
 		if len(s.queue) == 0 {
 			continue
 		}
@@ -670,8 +608,8 @@ func (sh *sharded) workerNext() (Time, bool) {
 }
 
 // anyWork reports whether any shard has pending events.
-func (sh *sharded) anyWork() bool {
-	for _, s := range sh.shards {
+func (k *Kernel) anyWork() bool {
+	for _, s := range k.shards {
 		if len(s.queue) > 0 {
 			return true
 		}
@@ -679,13 +617,12 @@ func (sh *sharded) anyWork() bool {
 	return false
 }
 
-// mergeOutboxes applies every cross-shard message generated during the
-// epoch in deterministic (time, source entity, source sequence) order:
-// commits replay against coordinator-owned state, wakes and events land in
-// their owners' heaps under fresh global sequence numbers.
-func (sh *sharded) mergeOutboxes() int {
+// mergeOutboxes replays every commit made during the epoch against
+// coordinator-owned state, in deterministic (time, source entity, source
+// sequence) order.
+func (k *Kernel) mergeOutboxes() int {
 	var all []xmsg
-	for _, s := range sh.shards[1:] {
+	for _, s := range k.shards[1:] {
 		all = append(all, s.outbox...)
 		s.outbox = s.outbox[:0]
 	}
@@ -703,24 +640,19 @@ func (sh *sharded) mergeOutboxes() int {
 		return a.srcSeq < b.srcSeq
 	})
 	for i := range all {
-		m := &all[i]
-		if m.commit {
-			// Replay at the commit's own timestamp so Sched.Now and wake
-			// scheduling inside the closure see the source's send time, not
-			// whatever coordinator event last ran.
-			sh.curNow = m.at
-			m.fn()
-			continue
-		}
-		sh.k.schedule(m.dstEnt, m.at, m.name, m.fn, m.proc, false)
+		// Replay at the commit's own timestamp so Sched.Now and wake
+		// scheduling inside the closure see the source's send time, not
+		// whatever coordinator event last ran.
+		k.curNow = all[i].at
+		all[i].fn()
 	}
 	return len(all)
 }
 
 // maxNow returns the latest shard clock.
-func (sh *sharded) maxNow() Time {
+func (k *Kernel) maxNow() Time {
 	var t Time
-	for _, s := range sh.shards {
+	for _, s := range k.shards {
 		if s.now > t {
 			t = s.now
 		}

@@ -82,15 +82,90 @@ func runSynthetic(workers int) synthRes {
 	return synthRes{logs: logs, final: k.Now(), steps: k.Steps()}
 }
 
-// TestShardedDeterminism is the core tentpole gate at the engine level:
-// the synthetic workload's per-entity observable history is identical at
-// 1 (classic kernel), 2, 4 and 8 worker shards.
-func TestShardedDeterminism(t *testing.T) {
-	base := runSynthetic(1)
+// TestSequentialPhaseIsOneEngine pins the reference the identity gates
+// compare against: a kernel left as NewKernel built it, one given a plan
+// that adds no worker, and one with three workers whose parallel epochs
+// are never enabled execute the same (time, name) event stream, the same
+// number of steps and the same per-entity history.
+func TestSequentialPhaseIsOneEngine(t *testing.T) {
+	type result struct {
+		stream []string
+		logs   [][]string
+		steps  int64
+	}
+	var want result
+	for i, workers := range []int{0, 1, 3} {
+		k := NewKernel()
+		if i > 0 {
+			k.Shard(ShardPlan{Workers: workers, Owner: blockOwner(workers), Lookahead: swLook})
+		}
+		var got result
+		// Not SetTracer, which refuses workers: in the sequential phase every
+		// event still passes the coordinator's exec, where the hook sits.
+		k.tracer = func(at Time, what string) {
+			got.stream = append(got.stream, fmt.Sprintf("%d %s", int64(at), what))
+		}
+		got.logs = synthSetup(k, nil)
+		k.Run()
+		got.steps = k.Steps()
+		k.Close()
+		if i == 0 {
+			if want = got; want.steps == 0 || int64(len(want.stream)) != want.steps {
+				t.Fatalf("untouched kernel: %d steps, %d traced events", want.steps, len(want.stream))
+			}
+			continue
+		}
+		if got.steps != want.steps {
+			t.Errorf("workers=%d: %d steps, want %d", workers, got.steps, want.steps)
+		}
+		if !reflect.DeepEqual(got.stream, want.stream) {
+			t.Errorf("workers=%d: event stream diverged from the untouched kernel's", workers)
+		}
+		if !reflect.DeepEqual(got.logs, want.logs) {
+			t.Errorf("workers=%d: entity history diverged from the untouched kernel's", workers)
+		}
+	}
+}
+
+// TestDeterminism is the core gate at the engine level. A workload of
+// global procs over a Chan and a Signal reproduces itself run for run and
+// at every worker count, and the synthetic workload's per-entity
+// observable history is identical with no workers and at 1 (a plan that
+// adds none), 2, 4 and 8 worker shards.
+func TestDeterminism(t *testing.T) {
+	global := func(workers int) (int64, Time, string) {
+		k := newTestKernel(workers)
+		defer k.Close()
+		var log string
+		sig := NewSignal()
+		ch := NewChan[int]()
+		for i := 0; i < 10; i++ {
+			k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				p.Sleep(Duration(i) * Microsecond)
+				ch.Send(i)
+				sig.Wait(p)
+				log += fmt.Sprintf("%d;", i)
+			})
+		}
+		k.Spawn("collector", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				ch.Recv(p)
+			}
+			sig.Fire()
+		})
+		k.EnableParallel()
+		k.Run()
+		return k.Steps(), k.Now(), log
+	}
+	s0, t0, l0 := global(0)
+	base := runSynthetic(0)
 	if base.steps == 0 || base.final == 0 {
 		t.Fatalf("baseline did no work: steps=%d final=%v", base.steps, base.final)
 	}
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{0, 1, 2, 4, 8} {
+		if s, at, l := global(w); s != s0 || at != t0 || l != l0 {
+			t.Fatalf("workers=%d nondeterministic: (%d,%v,%q) vs (%d,%v,%q)", w, s0, t0, l0, s, at, l)
+		}
 		got := runSynthetic(w)
 		for e := 1; e <= swEntities; e++ {
 			if !reflect.DeepEqual(got.logs[e], base.logs[e]) {
@@ -106,9 +181,9 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRandForPlacementIndependent asserts the satellite requirement
-// directly: per-entity random streams depend only on (seed, entity), so a
-// classic kernel and any sharded kernel draw identical sequences.
+// TestRandForPlacementIndependent asserts that per-entity random streams
+// depend only on (seed, entity), so a kernel draws identical sequences at
+// every worker count.
 func TestRandForPlacementIndependent(t *testing.T) {
 	draw := func(workers int) [][]int64 {
 		k := newTestKernel(workers)
@@ -121,10 +196,10 @@ func TestRandForPlacementIndependent(t *testing.T) {
 		}
 		return out
 	}
-	base := draw(1)
+	base := draw(0)
 	for _, w := range []int{2, 4} {
 		if got := draw(w); !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d per-entity rand sequences diverged from classic kernel", w)
+			t.Fatalf("workers=%d per-entity rand sequences diverged from the worker-less kernel's", w)
 		}
 	}
 	// Distinct entities draw distinct streams.
@@ -133,99 +208,143 @@ func TestRandForPlacementIndependent(t *testing.T) {
 	}
 }
 
-// TestShardRandStreams checks the per-shard private streams are
-// deterministic and mutually independent.
-func TestShardRandStreams(t *testing.T) {
-	k := newTestKernel(4)
-	a1 := k.ShardRand(1).Int63()
-	b1 := k.ShardRand(2).Int63()
-	if a1 == b1 {
-		t.Fatal("shard 1 and shard 2 streams coincide")
-	}
-	if again := k.ShardRand(1).Int63(); again != a1 {
-		t.Fatalf("shard 1 stream not reproducible: %d then %d", a1, again)
-	}
-}
-
-// TestShardedRunUntil splits the synthetic run at an arbitrary instant and
-// checks the two halves reproduce the uninterrupted history, and that
-// RunUntil advances all shard clocks to the bound.
-func TestShardedRunUntil(t *testing.T) {
-	base := runSynthetic(4)
-	k := newTestKernel(4)
-	logs := synthSetup(k, nil)
-	k.EnableParallel()
-	cut := Time(0).Add(2 * Microsecond)
-	k.RunUntil(cut)
-	if now := k.Now(); now != cut {
-		t.Fatalf("after RunUntil(%v) Now() = %v", cut, now)
-	}
-	if k.Idle() {
-		t.Fatal("workload finished before the cut; pick an earlier cut")
-	}
-	k.Run()
-	if !reflect.DeepEqual(logs, base.logs) {
-		t.Fatal("RunUntil+Run history diverged from a single Run")
-	}
-	if k.Now() != base.final {
-		t.Fatalf("final time %v, want %v", k.Now(), base.final)
-	}
-}
-
-// TestShardedStop stops the kernel from inside a worker epoch, verifies
-// pending work survives, and resumes to the identical final history.
-func TestShardedStop(t *testing.T) {
-	base := runSynthetic(4)
-	k := newTestKernel(4)
-	var stopped atomic.Bool
-	logs := synthSetup(k, func(p *Proc, iter int) {
-		if p.Entity() == 5 && iter == 3 && !stopped.Swap(true) {
-			k.Stop()
+// TestRunUntil: RunUntil executes what is due and leaves the clock at the
+// bound; splitting the synthetic run at an arbitrary instant reproduces the
+// uninterrupted history, with every shard clock advanced to the bound.
+func TestRunUntil(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		k := newTestKernel(workers)
+		fired := 0
+		k.After(5*Microsecond, "a", func() { fired++ })
+		k.After(15*Microsecond, "b", func() { fired++ })
+		k.EnableParallel()
+		k.RunUntil(Time(10 * Microsecond))
+		if fired != 1 {
+			t.Fatalf("workers=%d: fired = %d, want 1", workers, fired)
 		}
-	})
-	k.EnableParallel()
-	n1 := k.Run()
-	if !stopped.Load() {
-		t.Fatal("stopper never ran")
-	}
-	if k.Idle() {
-		t.Fatal("Stop drained the kernel; expected pending work")
-	}
-	n2 := k.Run()
-	if n1 == 0 || n2 == 0 {
-		t.Fatalf("both run halves must execute events: %d, %d", n1, n2)
-	}
-	if n1+n2 != base.steps {
-		t.Errorf("split run executed %d events, want %d", n1+n2, base.steps)
-	}
-	if !reflect.DeepEqual(logs, base.logs) {
-		t.Fatal("stop+resume history diverged from an uninterrupted run")
+		if k.Now() != Time(10*Microsecond) {
+			t.Fatalf("workers=%d: now = %v, want 10us", workers, k.Now())
+		}
+		k.Run()
+		if fired != 2 {
+			t.Fatalf("workers=%d: fired = %d, want 2", workers, fired)
+		}
+
+		base := runSynthetic(workers)
+		k = newTestKernel(workers)
+		logs := synthSetup(k, nil)
+		k.EnableParallel()
+		cut := Time(0).Add(2 * Microsecond)
+		k.RunUntil(cut)
+		if now := k.Now(); now != cut {
+			t.Fatalf("workers=%d: after RunUntil(%v) Now() = %v", workers, cut, now)
+		}
+		if k.Idle() {
+			t.Fatal("workload finished before the cut; pick an earlier cut")
+		}
+		k.Run()
+		if !reflect.DeepEqual(logs, base.logs) {
+			t.Fatalf("workers=%d: RunUntil+Run history diverged from a single Run", workers)
+		}
+		if k.Now() != base.final {
+			t.Fatalf("workers=%d: final time %v, want %v", workers, k.Now(), base.final)
+		}
 	}
 }
 
-// TestShardedStalled checks deadlock reporting aggregates parked
-// non-daemon procs across all shards, sorted, with daemons excluded.
-func TestShardedStalled(t *testing.T) {
-	k := newTestKernel(4)
-	for i := 1; i <= swEntities; i++ {
-		sc := k.SchedFor(Entity(i))
-		sig := NewSignal()
-		sc.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
-			sig.Wait(p)
+// TestStop: Stop returns from Run after the current event and a second Run
+// continues; stopped from inside a proc (inside a worker epoch, when there
+// are workers) pending work survives and the run resumes to the identical
+// final history.
+func TestStop(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		k := newTestKernel(workers)
+		n := 0
+		for i := 0; i < 10; i++ {
+			k.After(Duration(i)*Microsecond, "e", func() {
+				n++
+				if n == 3 {
+					k.Stop()
+				}
+			})
+		}
+		k.EnableParallel()
+		k.Run()
+		if n != 3 {
+			t.Fatalf("workers=%d: executed %d events before stop, want 3", workers, n)
+		}
+		k.Run()
+		if n != 10 {
+			t.Fatalf("workers=%d: executed %d events total, want 10", workers, n)
+		}
+
+		base := runSynthetic(workers)
+		k = newTestKernel(workers)
+		var stopped atomic.Bool
+		logs := synthSetup(k, func(p *Proc, iter int) {
+			if p.Entity() == 5 && iter == 3 && !stopped.Swap(true) {
+				k.Stop()
+			}
 		})
+		k.EnableParallel()
+		n1 := k.Run()
+		if !stopped.Load() {
+			t.Fatal("stopper never ran")
+		}
+		if k.Idle() {
+			t.Fatal("Stop drained the kernel; expected pending work")
+		}
+		n2 := k.Run()
+		if n1 == 0 || n2 == 0 {
+			t.Fatalf("workers=%d: both run halves must execute events: %d, %d", workers, n1, n2)
+		}
+		if n1+n2 != base.steps {
+			t.Errorf("workers=%d: split run executed %d events, want %d", workers, n1+n2, base.steps)
+		}
+		if !reflect.DeepEqual(logs, base.logs) {
+			t.Fatalf("workers=%d: stop+resume history diverged from an uninterrupted run", workers)
+		}
 	}
-	k.SchedFor(1).Spawn("nicloop", func(p *Proc) {
-		p.MarkDaemon()
-		NewSignal().Wait(p)
-	})
-	k.EnableParallel()
-	k.Run()
-	if !k.Idle() {
-		t.Fatal("kernel not idle after drain")
-	}
-	want := []string{"stuck1", "stuck2", "stuck3", "stuck4", "stuck5", "stuck6", "stuck7", "stuck8"}
-	if got := k.Stalled(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stalled() = %v, want %v", got, want)
+}
+
+// TestStalled checks deadlock reporting: a parked global proc is listed
+// once the kernel is idle, and parked non-daemon procs are aggregated
+// across all shards, sorted, with daemons excluded.
+func TestStalled(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		k := newTestKernel(workers)
+		sig := NewSignal()
+		k.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
+		k.EnableParallel()
+		k.Run()
+		if !k.Idle() {
+			t.Fatalf("workers=%d: kernel should be idle", workers)
+		}
+		if st := k.Stalled(); len(st) != 1 || st[0] != "stuck" {
+			t.Fatalf("workers=%d: stalled = %v", workers, st)
+		}
+
+		k = newTestKernel(workers)
+		for i := 1; i <= swEntities; i++ {
+			sc := k.SchedFor(Entity(i))
+			sig := NewSignal()
+			sc.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+				sig.Wait(p)
+			})
+		}
+		k.SchedFor(1).Spawn("nicloop", func(p *Proc) {
+			p.MarkDaemon()
+			NewSignal().Wait(p)
+		})
+		k.EnableParallel()
+		k.Run()
+		if !k.Idle() {
+			t.Fatalf("workers=%d: kernel not idle after drain", workers)
+		}
+		want := []string{"stuck1", "stuck2", "stuck3", "stuck4", "stuck5", "stuck6", "stuck7", "stuck8"}
+		if got := k.Stalled(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: Stalled() = %v, want %v", workers, got, want)
+		}
 	}
 }
 
@@ -289,9 +408,9 @@ func TestCrossShardScheduleViolation(t *testing.T) {
 
 // TestCancelOnIdleDrains checks watchdog-style self-rearming timers: they
 // fire while real work is pending and are dropped once only they remain,
-// on both the sharded and the classic kernel.
+// with and without worker shards.
 func TestCancelOnIdleDrains(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{0, 2} {
 		k := newTestKernel(workers)
 		ticks := 0
 		g := k.SchedFor(GlobalEntity)
