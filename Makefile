@@ -20,17 +20,20 @@ test:
 # what lets every pool and cache in the stack go lock-free, so these two
 # packages are the ones that must stay race-clean. The fabric's committed
 # send path runs in every simulation and the cluster is where it meets
-# worker shards, so both suites run under -race too. The experiments and
-# parsweep suites run under -race too: they are where whole simulations
-# execute concurrently, so any state shared between two kernels shows up
-# there. The obs and trace suites carry the observability invariants:
-# the golden cross-layer timelines, the proof that an attached tracer
-# (or watchdog) never moves virtual time, the profiler's telescoping
+# worker shards, so both suites run under -race too. So does the NIC's: an
+# RDMA stream descriptor is written by the source NIC's shard and read by
+# the destination's, and the golden replays at 2 and 4 workers under the
+# race detector are the proof that the epoch barrier orders the hand-off.
+# The experiments and parsweep suites run under -race too: they are where
+# whole simulations execute concurrently, so any state shared between two
+# kernels shows up there. The obs and trace suites carry the observability
+# invariants: the golden cross-layer timelines, the proof that an attached
+# tracer (or watchdog) never moves virtual time, the profiler's telescoping
 # guarantee (phase durations sum exactly to end-to-end latency) and the
 # watchdog's stall detection.
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
-	$(GO) test -race ./internal/fabric ./internal/cluster
+	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/cluster
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"qsmpi/internal/model"
 	"qsmpi/internal/simtime"
 )
 
@@ -172,40 +173,35 @@ func TestChainedRDMAAfterRDMA(t *testing.T) {
 
 func TestBidirectionalRDMAStorm(t *testing.T) {
 	// Both nodes issue interleaved RDMA reads and writes against each
-	// other simultaneously; every transfer must land intact and every
-	// completion event must fire exactly once.
+	// other simultaneously, so every NIC is sending a stream, serving a
+	// read and placing both kinds at once; every byte of every buffer must
+	// be what it should be and every completion event must fire exactly
+	// once, at each length around a packet boundary.
+	for _, sz := range append(streamSizes(model.Default().MTU), 3000) {
+		stormAt(t, sz)
+	}
+}
+
+func stormAt(t *testing.T, sz int) {
 	b := newBed(t, 2)
+	defer b.k.Close()
 	const ops = 16
-	const sz = 3000
 	type side struct {
-		src, dst   []byte
-		srcA, dstA E4Addr
+		src, dst, pull   []byte // pushed from, pushed into (at the peer), pulled into
+		srcA, dstA, pulA E4Addr
 	}
 	mk := func(owner, peer int, seed byte) side {
-		s := side{src: make([]byte, ops*sz), dst: make([]byte, ops*sz)}
+		s := side{src: make([]byte, ops*sz), dst: make([]byte, ops*sz), pull: make([]byte, ops*sz)}
 		for i := range s.src {
 			s.src[i] = byte(i)*seed + seed
 		}
-		s.srcA = b.ctx[owner].Register(s.src)
-		s.dstA = b.ctx[peer].Register(s.dst)
+		s.srcA, s.dstA, s.pulA = b.ctx[owner].Register(s.src), b.ctx[peer].Register(s.dst), b.ctx[owner].Register(s.pull)
 		return s
 	}
-	s0 := mk(0, 1, 3) // node 0 pushes into node 1
-	s1 := mk(1, 0, 5) // node 1 pushes into node 0
-	// Each node also pulls the peer's outgoing region into a scratch area.
-	pull0 := make([]byte, ops*sz)
-	pull1 := make([]byte, ops*sz)
-	pull0A := b.ctx[0].Register(pull0)
-	pull1A := b.ctx[1].Register(pull1)
+	sides := [2]side{mk(0, 1, 3), mk(1, 0, 5)}
 	fired := [2]int{}
 	for node := 0; node < 2; node++ {
-		node := node
-		s, peerS := s0, s1
-		pullA := pull0A
-		if node == 1 {
-			s, peerS = s1, s0
-			pullA = pull1A
-		}
+		s, peer := sides[node], sides[1-node]
 		b.host[node].Spawn("storm", func(th *simtime.Thread) {
 			word := simtime.NewCounter()
 			for i := 0; i < ops; i++ {
@@ -215,7 +211,7 @@ func TestBidirectionalRDMAStorm(t *testing.T) {
 				if i%2 == 0 {
 					b.ctx[node].IssueRDMAWrite(th, 1-node, s.srcA.Add(off), s.dstA.Add(off), sz, ev, nil)
 				} else {
-					b.ctx[node].IssueRDMARead(th, 1-node, peerS.srcA.Add(off), pullA.Add(off), sz, ev, nil)
+					b.ctx[node].IssueRDMARead(th, 1-node, peer.srcA.Add(off), s.pulA.Add(off), sz, ev, nil)
 				}
 			}
 			word.WaitFor(th.Proc(), ops)
@@ -223,22 +219,27 @@ func TestBidirectionalRDMAStorm(t *testing.T) {
 		})
 	}
 	b.k.Run()
-	for i := 0; i < ops; i += 2 {
-		off := i * sz
-		if !bytes.Equal(s0.dst[off:off+sz], s0.src[off:off+sz]) ||
-			!bytes.Equal(s1.dst[off:off+sz], s1.src[off:off+sz]) {
-			t.Fatalf("write op %d corrupted", i)
+	for node, s := range sides {
+		// Even slots were written into the peer, odd slots pulled from it;
+		// the other half of each buffer must still be zero.
+		wantDst, wantPull := make([]byte, ops*sz), make([]byte, ops*sz)
+		for i := 0; i < ops; i++ {
+			off := i * sz
+			if i%2 == 0 {
+				copy(wantDst[off:off+sz], s.src[off:off+sz])
+			} else {
+				copy(wantPull[off:off+sz], sides[1-node].src[off:off+sz])
+			}
 		}
-	}
-	for i := 1; i < ops; i += 2 {
-		off := i * sz
-		if !bytes.Equal(pull0[off:off+sz], s1.src[off:off+sz]) ||
-			!bytes.Equal(pull1[off:off+sz], s0.src[off:off+sz]) {
-			t.Fatalf("read op %d corrupted", i)
+		if !bytes.Equal(s.dst, wantDst) {
+			t.Fatalf("size %d: writes of node %d corrupted", sz, node)
+		}
+		if !bytes.Equal(s.pull, wantPull) {
+			t.Fatalf("size %d: reads of node %d corrupted", sz, node)
 		}
 	}
 	if fired[0] != ops || fired[1] != ops {
-		t.Fatalf("completions %v, want %d each", fired, ops)
+		t.Fatalf("size %d: completions %v, want %d each", sz, fired, ops)
 	}
 }
 

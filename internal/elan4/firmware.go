@@ -38,7 +38,7 @@ func (n *NIC) FirmwareDelay(d simtime.Duration, name string, fn func()) {
 // FirmwareRxPCI schedules fn once nbytes have moved to host memory through
 // the inbound PCI path (FIFO with all other inbound traffic).
 func (n *NIC) FirmwareRxPCI(nbytes int, extra simtime.Duration, name string, fn func()) {
-	n.afterRxPCI(nbytes, extra, name, fn)
+	n.sc.At(n.rxPCI(nbytes, extra), name, fn)
 }
 
 // FirmwareTxPCI schedules fn after reading nbytes from host memory (the

@@ -15,7 +15,12 @@
 //
 // Timing comes from the calibrated model.Config; data movement is real:
 // QDMA and RDMA copy actual bytes between registered regions, so protocol
-// bugs corrupt data in tests rather than going unnoticed.
+// bugs corrupt data in tests rather than going unnoticed. A QDMA captures
+// its payload at issue. An RDMA stages nothing: each packet's bytes are
+// read from the registered source when the receiving NIC places the packet,
+// at most one path latency after the PCI read the timing model charged for
+// them, so a source buffer rewritten under an in-flight RDMA delivers the
+// new bytes — the program error qsmpilint's reqlife analyzer flags.
 package elan4
 
 import (

@@ -51,9 +51,8 @@ type NIC struct {
 	// (see "NIC DMA engine" below).
 	eng engine
 
-	// pool recycles QDMA payload copies and RDMA chunk buffers. Chunks
-	// released on a receiving NIC migrate into that NIC's pool, which is
-	// fine — a pool is just recycled storage.
+	// pool recycles QDMA payload copies: taken at issue, returned when the
+	// descriptor retires. RDMA data is never staged (see stream).
 	pool *bufpool.Pool
 
 	// rxPCIFree serializes inbound host-memory placement: the receive side
@@ -84,16 +83,17 @@ func (n *NIC) traceOp(rank int, kind trace.Kind, op *dmaOp, peer, bytes int) {
 	})
 }
 
-// afterRxPCI schedules fn once nbytes have been written to host memory
-// through the (FIFO) inbound PCI path, plus a fixed extra delay.
-func (n *NIC) afterRxPCI(nbytes int, extra simtime.Duration, name string, fn func()) {
+// rxPCI books the (FIFO) inbound PCI path for nbytes arriving now and
+// returns when they will have been written to host memory, plus a fixed
+// extra delay.
+func (n *NIC) rxPCI(nbytes int, extra simtime.Duration) simtime.Time {
 	start := n.sc.Now()
 	if n.rxPCIFree > start {
 		start = n.rxPCIFree
 	}
 	done := start.Add(simtime.BytesAt(nbytes, n.cfg.PCIBandwidth)).Add(extra)
 	n.rxPCIFree = done
-	n.sc.At(done, name, fn)
+	return done
 }
 
 // Context is a process's attachment to a NIC: its MMU and receive queues.
@@ -212,13 +212,26 @@ type qdmaPkt struct {
 	srcPort          int
 }
 
-type rdmaWritePkt struct {
-	dstCtx  int
-	addr    E4Addr
-	data    []byte
-	last    bool
-	op      *dmaOp
-	srcPort int
+// stream is one chunked transfer — an RDMA write, or the reply to an RDMA
+// read — as both ends see it. The sending engine allocates one per
+// descriptor and every packet of the transfer carries that pointer as its
+// payload; no data is staged. The fabric delivers a (source, destination)
+// pair in send order, loss included, so the receiving NIC recovers each
+// packet's offset by advancing a cursor by the packet's size, and copies
+// source to destination once, when it places the packet. The bytes placed
+// are therefore the source's at placement, at most one path latency after
+// the PCI read that fetched them; a buffer rewritten under an in-flight RDMA
+// is a program error (qsmpilint's reqlife flags it).
+//
+// The sending NIC's shard writes every field but off before the first
+// packet leaves and nothing after; off belongs to the receiving NIC.
+type stream struct {
+	op   *dmaOp // the issuer's descriptor: an opRDMAWrite or an opRDMARead
+	src  []byte // the registered source, all of it
+	base E4Addr // where src[0] lands
+	ctx  int    // write: the destination context
+	port int    // write: the source port, for the ack
+	off  int    // receive cursor
 }
 
 type rdmaReadReqPkt struct {
@@ -227,14 +240,6 @@ type rdmaReadReqPkt struct {
 	srcAddr       E4Addr
 	n             int
 	op            *dmaOp // requester's descriptor
-}
-
-type rdmaReadDataPkt struct {
-	addr E4Addr
-	data []byte
-	last bool
-	op   *dmaOp // requester's descriptor
-	err  error
 }
 
 type ackPkt struct {
@@ -491,11 +496,12 @@ type engine struct {
 	q    simtime.Queue[*dmaOp]
 	busy bool // from the first submit to an idle engine until q drains
 
-	// The descriptor in service and, for a chunked transfer, its cursor.
+	// The descriptor in service, where it is going and, for a chunked
+	// transfer, the stream and the send cursor into its source.
 	op        *dmaOp
-	src       []byte
-	off       int
 	port, ctx int
+	st        *stream
+	off       int
 
 	// The steps, bound once as method values: a timer push per chunk must
 	// not allocate a closure.
@@ -516,7 +522,7 @@ func (n *NIC) submit(op *dmaOp) {
 // engNext takes the next descriptor into service, or idles the engine.
 func (n *NIC) engNext() {
 	e := &n.eng
-	e.src = nil
+	e.st = nil
 	if e.op, _ = e.q.Pop(); e.op == nil {
 		e.busy = false
 		return
@@ -604,8 +610,8 @@ func (n *NIC) engStart() {
 			op.fail(n, err)
 			break
 		}
-		e.port, e.ctx = port, ctx
-		n.engStream(src)
+		e.port = port
+		n.engStream(&stream{op: op, src: src, base: op.remoteAddr, ctx: ctx, port: n.port})
 		return
 
 	case opRDMARead:
@@ -621,21 +627,20 @@ func (n *NIC) engStart() {
 		return
 
 	case opReadReply:
-		// Running on the target NIC: stream the requested data back.
+		// Running on the target NIC: stream the requested data back, or
+		// fail the requester's descriptor.
 		tctx := n.contexts[op.srcCtx.id]
 		if tctx == nil || tctx.closed {
-			n.send(op.replyPort, 0, &rdmaReadDataPkt{
-				op: op.replyOp, last: true,
-				err: fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id),
-			})
+			n.reply(op.replyPort, &ackPkt{op: op.replyOp, err: fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id)})
 			break
 		}
 		src, err := tctx.mmu.Slice(op.remoteAddr, op.n)
 		if err != nil {
-			n.send(op.replyPort, 0, &rdmaReadDataPkt{op: op.replyOp, last: true, err: err})
+			n.reply(op.replyPort, &ackPkt{op: op.replyOp, err: err})
 			break
 		}
-		n.engStream(src)
+		e.port = op.replyPort
+		n.engStream(&stream{op: op.replyOp, src: src, base: op.replyOp.localAddr})
 		return
 	}
 	n.engNext()
@@ -651,45 +656,34 @@ func (n *NIC) engReadReq() {
 	n.engNext()
 }
 
-// engStream starts walking src in MTU-size chunks, charging the engine's
-// PCI read time before each. A zero-length transfer emits one empty final
-// chunk at once, so completion still flows.
-func (n *NIC) engStream(src []byte) {
+// engStream starts walking st's source in MTU-size chunks towards e.port,
+// charging the engine's PCI read time before each. A zero-length transfer
+// emits one empty final chunk at once, so completion still flows.
+func (n *NIC) engStream(st *stream) {
 	e := &n.eng
-	e.src, e.off = src, 0
-	if len(src) == 0 {
+	e.st, e.off = st, 0
+	if len(st.src) == 0 {
 		n.engChunk()
 		return
 	}
-	n.sc.After(simtime.BytesAt(min(len(src), n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
+	n.sc.After(simtime.BytesAt(min(len(st.src), n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
 }
 
-// engChunk emits the chunk whose PCI read just finished and starts the
-// next one, or the next descriptor after the last.
+// engChunk emits the chunk whose PCI read just finished — a packet of that
+// size carrying the stream, nothing copied — and starts the next one, or
+// the next descriptor after the last.
 func (n *NIC) engChunk() {
 	e := &n.eng
-	op, off := e.op, e.off
-	ln := min(len(e.src)-off, n.cfg.MTU)
+	left := len(e.st.src) - e.off
+	ln := min(left, n.cfg.MTU)
 	e.off += ln
-	last := e.off == len(e.src)
-	chunk := n.pool.Get(ln)
-	copy(chunk, e.src[off:e.off])
 	n.stats.BytesSent += int64(ln)
-	if op.kind == opRDMAWrite {
-		n.send(e.port, ln, &rdmaWritePkt{
-			dstCtx: e.ctx, addr: op.remoteAddr.Add(off), data: chunk,
-			last: last, op: op, srcPort: n.port,
-		})
-	} else {
-		n.send(op.replyPort, ln, &rdmaReadDataPkt{
-			addr: op.replyOp.localAddr.Add(off), data: chunk, last: last, op: op.replyOp,
-		})
-	}
-	if last {
+	n.send(e.port, ln, e.st)
+	if left -= ln; left == 0 {
 		n.engNext()
 		return
 	}
-	n.sc.After(simtime.BytesAt(min(len(e.src)-e.off, n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
+	n.sc.After(simtime.BytesAt(min(left, n.cfg.MTU), n.cfg.PCIBandwidth), "elan4:dma-chunk", e.chunk)
 }
 
 func (n *NIC) send(port, size int, payload any) {
@@ -711,7 +705,7 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 	}
 	switch m := pkt.Payload.(type) {
 	case *qdmaPkt:
-		n.afterRxPCI(len(m.data), n.cfg.QDMADeliver, "elan4:qdma-deposit", func() {
+		n.sc.At(n.rxPCI(len(m.data), n.cfg.QDMADeliver), "elan4:qdma-deposit", func() {
 			ctx := n.contexts[m.dstCtx]
 			if ctx == nil || ctx.closed {
 				n.reply(m.srcPort, &ackPkt{op: m.op, err: fmt.Errorf("elan4: QDMA to closed context %d", m.dstCtx)})
@@ -730,26 +724,8 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 			n.reply(m.srcPort, &ackPkt{op: m.op})
 		})
 
-	case *rdmaWritePkt:
-		n.afterRxPCI(len(m.data), 0, "elan4:rdma-write", func() {
-			// Chunk buffers are recycled into the receiving NIC's pool once
-			// placed (or dropped on error).
-			defer n.pool.Put(m.data)
-			ctx := n.contexts[m.dstCtx]
-			if ctx == nil || ctx.closed {
-				n.reply(m.srcPort, &ackPkt{op: m.op, err: fmt.Errorf("elan4: RDMA write to closed context %d", m.dstCtx)})
-				return
-			}
-			dst, err := ctx.mmu.Slice(m.addr, len(m.data))
-			if err != nil {
-				n.reply(m.srcPort, &ackPkt{op: m.op, err: err})
-				return
-			}
-			copy(dst, m.data)
-			if m.last {
-				n.reply(m.srcPort, &ackPkt{op: m.op})
-			}
-		})
+	case *stream:
+		n.rxChunk(m, pkt.Size)
 
 	case *rdmaReadReqPkt:
 		ctx := n.contexts[m.targetCtx]
@@ -761,24 +737,6 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 		n.submit(&dmaOp{
 			kind: opReadReply, srcCtx: ctx, remoteAddr: m.srcAddr, n: m.n,
 			replyPort: m.requesterPort, replyOp: m.op,
-		})
-
-	case *rdmaReadDataPkt:
-		if m.err != nil {
-			m.op.fail(n, m.err)
-			return
-		}
-		n.afterRxPCI(len(m.data), 0, "elan4:read-data", func() {
-			defer n.pool.Put(m.data)
-			dst, err := m.op.srcCtx.mmu.Slice(m.addr, len(m.data))
-			if err != nil {
-				m.op.fail(n, err)
-				return
-			}
-			copy(dst, m.data)
-			if m.last {
-				m.op.complete(n)
-			}
 		})
 
 	case *ackPkt:
@@ -823,6 +781,61 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 	default:
 		panic(fmt.Sprintf("elan4: unknown packet payload %T", pkt.Payload))
 	}
+}
+
+// rxChunk receives the next ln bytes of st. The receive PCI path is booked
+// for them either way; what differs is when the NIC acts. A non-final
+// chunk is placed here, inside its delivery event: the timer that used to
+// place it at the end of its PCI write scheduled nothing, sent nothing and
+// touched no timing state, so under the kernel's (time, sequence) order
+// running its copy early and dropping it reorders no two surviving events
+// (DESIGN §7). The final chunk acknowledges or completes at that instant,
+// and a chunk that cannot be placed reports an error at it, so those keep
+// the timer and are judged when it fires.
+func (n *NIC) rxChunk(st *stream, ln int) {
+	off := st.off
+	st.off += ln
+	last := st.off == len(st.src)
+	done := n.rxPCI(ln, 0)
+	if !last && n.place(st, off, ln) == nil {
+		return
+	}
+	write := st.op.kind == opRDMAWrite
+	name := "elan4:read-data"
+	if write {
+		name = "elan4:rdma-write"
+	}
+	n.sc.At(done, name, func() {
+		err := n.place(st, off, ln)
+		switch {
+		case write && (err != nil || last):
+			n.reply(st.port, &ackPkt{op: st.op, err: err})
+		case err != nil:
+			st.op.fail(n, err)
+		case last:
+			st.op.complete(n)
+		}
+	})
+}
+
+// place copies st.src[off:off+ln] to where it belongs in the destination
+// process's memory: a write names a context of this NIC, a read reply
+// lands in the requesting context's own address space.
+func (n *NIC) place(st *stream, off, ln int) error {
+	mmu := st.op.srcCtx.mmu
+	if st.op.kind == opRDMAWrite {
+		ctx := n.contexts[st.ctx]
+		if ctx == nil || ctx.closed {
+			return fmt.Errorf("elan4: RDMA write to closed context %d", st.ctx)
+		}
+		mmu = ctx.mmu
+	}
+	dst, err := mmu.Slice(st.base.Add(off), ln)
+	if err != nil {
+		return err
+	}
+	copy(dst, st.src[off:off+ln])
+	return nil
 }
 
 // reply sends a small control packet back to a source NIC. Acks ride the

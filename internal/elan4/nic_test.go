@@ -534,42 +534,68 @@ func TestQDMAInOrderPerPair(t *testing.T) {
 	}
 }
 
-// Property: any batch of RDMA writes at random non-overlapping offsets
-// lands exactly; untouched bytes stay zero.
-func TestRDMAWriteProperty(t *testing.T) {
-	f := func(seeds []uint16) bool {
-		if len(seeds) == 0 {
-			return true
-		}
-		if len(seeds) > 16 {
-			seeds = seeds[:16]
-		}
-		const region = 1 << 16
-		b := newBed(t, 2)
-		src := make([]byte, region)
-		dst := make([]byte, region)
-		want := make([]byte, region)
-		for i := range src {
-			src[i] = byte(i*31 + 7)
-		}
-		srcAddr := b.ctx[0].Register(src)
-		dstAddr := b.ctx[1].Register(dst)
-		// Partition the region into equal chunks, one per write.
-		chunk := region / len(seeds)
-		b.host[0].Spawn("writer", func(th *simtime.Thread) {
-			for i, s := range seeds {
-				off := i * chunk
-				ln := int(s) % (chunk + 1)
-				copy(want[off:off+ln], src[off:off+ln])
-				b.ctx[0].IssueRDMAWrite(th, 1, srcAddr.Add(off), dstAddr.Add(off), ln, nil,
-					func(err error) { t.Error(err) })
-			}
-		})
-		b.k.Run()
-		return bytes.Equal(dst, want)
+// rdmaBatchLands runs one RDMA per entry of lens — writes by node 0, or
+// reads by node 1 of the same bytes — each inside its own slot-byte slice
+// of a shared region, and reports whether every byte of the destination is
+// what it should be: the source's where a transfer covers it, zero elsewhere.
+func rdmaBatchLands(t *testing.T, lens []int, slot int, read bool) bool {
+	region := slot * len(lens)
+	b := newBed(t, 2)
+	defer b.k.Close()
+	src := make([]byte, region)
+	dst := make([]byte, region)
+	want := make([]byte, region)
+	for i := range src {
+		src[i] = byte(i*31 + 7)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	srcAddr := b.ctx[0].Register(src)
+	dstAddr := b.ctx[1].Register(dst)
+	issuer := 0
+	if read {
+		issuer = 1
+	}
+	b.host[issuer].Spawn("issuer", func(th *simtime.Thread) {
+		for i, ln := range lens {
+			off := i * slot
+			copy(want[off:off+ln], src[off:off+ln])
+			if read {
+				b.ctx[1].IssueRDMARead(th, 0, srcAddr.Add(off), dstAddr.Add(off), ln, nil, func(err error) { t.Error(err) })
+			} else {
+				b.ctx[0].IssueRDMAWrite(th, 1, srcAddr.Add(off), dstAddr.Add(off), ln, nil, func(err error) { t.Error(err) })
+			}
+		}
+	})
+	b.k.Run()
+	return bytes.Equal(dst, want)
+}
+
+// Property: any batch of RDMA transfers at non-overlapping offsets lands
+// exactly and untouched bytes stay zero, in both schemes — first for the
+// lengths around a packet boundary, then for random ones.
+func TestRDMAWriteProperty(t *testing.T) {
+	sizes := streamSizes(model.Default().MTU)
+	for _, read := range []bool{false, true} {
+		if !rdmaBatchLands(t, sizes, sizes[len(sizes)-1]+3, read) {
+			t.Fatalf("read=%v: boundary sizes %v did not land exactly", read, sizes)
+		}
+		f := func(seeds []uint16) bool {
+			if len(seeds) == 0 {
+				return true
+			}
+			if len(seeds) > 16 {
+				seeds = seeds[:16]
+			}
+			// Partition a 64 KB region into equal slots, one per transfer.
+			slot := 1 << 16 / len(seeds)
+			lens := make([]int, len(seeds))
+			for i, s := range seeds {
+				lens[i] = int(s) % (slot + 1)
+			}
+			return rdmaBatchLands(t, lens, slot, read)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("read=%v: %v", read, err)
+		}
 	}
 }
 

@@ -67,20 +67,23 @@ type Packet struct {
 }
 
 // Handler receives packets delivered to a port. The packet is only valid
-// for the duration of the call: the fabric recycles it afterwards, so a
-// handler must take what it needs (typically the Payload) rather than
-// retain the pointer.
+// for the duration of the call: it lives in a delivery slot the fabric
+// reuses afterwards, so a handler must take what it needs (typically the
+// Payload) rather than retain the pointer.
 type Handler func(pkt *Packet)
 
 // delivery is a pooled delivery-event context. Its closure is allocated
 // once per pooled entry and reused for every packet it delivers, so the
 // per-packet delivery schedule costs no allocation. Deliveries pool per
 // destination port: the handler runs (and recycles) on the destination
-// entity's shard.
+// entity's shard. The packet rides in the delivery by value, as it rode in
+// the source port's flight before: each pool is filled and drained on one
+// side only, so a one-way stream stops allocating once the flights and
+// deliveries it keeps in the air exist.
 type delivery struct {
 	n   *Network
 	ps  *portState
-	pkt *Packet
+	pkt Packet
 	at  simtime.Time
 	fn  func()
 }
@@ -90,7 +93,7 @@ type delivery struct {
 // per source port: Send takes one on the source entity's shard and the
 // commit hands it back — on that shard, or at a barrier, when no shard runs.
 type flight struct {
-	pkt  *Packet
+	pkt  Packet
 	wire int
 	// links and switches are the packet's path when Send had to look it
 	// up already (lossy fabrics); links is nil otherwise.
@@ -157,7 +160,6 @@ type portState struct {
 	// use (see Network.uplink).
 	uplink *link
 
-	freePkt    []*Packet
 	freeDel    []*delivery
 	freeFlight []*flight
 
@@ -165,16 +167,6 @@ type portState struct {
 	delivered int64
 	bytesOut  int64
 	bytesIn   int64
-}
-
-// getPacket takes a packet from the port's free list, or allocates one.
-func (ps *portState) getPacket() *Packet {
-	if ln := len(ps.freePkt); ln > 0 {
-		p := ps.freePkt[ln-1]
-		ps.freePkt = ps.freePkt[:ln-1]
-		return p
-	}
-	return new(Packet)
 }
 
 // Network is a fat-tree fabric connecting a fixed number of ports.
@@ -443,29 +435,26 @@ func (n *Network) Send(pkt *Packet, onWire func()) {
 	ps.bytesOut += int64(pkt.Size)
 	n.tracePkt(trace.PktSent, now, pkt.Src, pkt.Dst, pkt.Size)
 
-	// Move the packet into a pooled copy: the caller's value never escapes
-	// into the fabric, and the copy is recycled after delivery.
-	q := ps.getPacket()
-	*q = *pkt
-
-	if q.Src == q.Dst {
+	if pkt.Src == pkt.Dst {
 		// NIC loopback: no wire crossing, one switch-equivalent latency,
 		// and the packet never leaves the entity.
-		n.deliverAt(now.Add(n.p.SwitchLatency), q)
+		n.deliverAt(now.Add(n.p.SwitchLatency), *pkt)
 		if onWire != nil {
 			ps.sc.At(now.Add(n.p.SwitchLatency), "fabric:onwire-loop", onWire)
 		}
 		return
 	}
+	// The packet is copied into the flight: the caller's value never
+	// escapes into the fabric.
 	f := n.getFlight(ps)
-	f.pkt, f.wire = q, q.Size+n.p.PacketOverhead
+	f.pkt, f.wire = *pkt, pkt.Size+n.p.PacketOverhead
 	head := now
 	if n.p.LossRate > 0 {
 		// No worker shards (New checked): this is coordinator context.
-		f.links, f.switches = n.pathLinks(q.Src, q.Dst)
+		f.links, f.switches = n.pathLinks(pkt.Src, pkt.Dst)
 		head = n.lostPasses(f.links, f.wire, now)
 	}
-	start, done := n.uplink(q.Src).reserve(head, f.wire)
+	start, done := n.uplink(pkt.Src).reserve(head, f.wire)
 	f.head, f.tail = start.Add(n.p.WireLatency), done.Add(n.p.WireLatency)
 	if onWire != nil {
 		ps.sc.At(done, "fabric:onwire", onWire)
@@ -526,7 +515,7 @@ func (n *Network) finishSend(ps *portState, f *flight) {
 	}
 	tail := n.walk(links[1:], f.wire, f.head, f.tail)
 	n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), pkt)
-	f.pkt, f.links = nil, nil
+	f.pkt, f.links = Packet{}, nil
 	ps.freeFlight = append(ps.freeFlight, f)
 }
 
@@ -545,13 +534,12 @@ func (n *Network) SendMulti(src, size int, dsts []int, payload func(dst int) any
 	}
 	ps := &n.ports[src]
 	now := ps.sc.Now()
-	var remote []*Packet
+	var remote []Packet
 	for _, dst := range dsts {
 		ps.sent++
 		ps.bytesOut += int64(size)
 		n.tracePkt(trace.PktSent, now, src, dst, size)
-		q := ps.getPacket()
-		*q = Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
+		q := Packet{Src: src, Dst: dst, Size: size, Payload: payload(dst)}
 		if dst == src {
 			n.deliverAt(now.Add(n.p.SwitchLatency), q)
 			continue
@@ -576,7 +564,7 @@ func (n *Network) SendMulti(src, size int, dsts []int, payload func(dst int) any
 // link of the union of paths began serializing the packet, seeded with the
 // inline up-link booking, so a link shared by several destinations is
 // booked once.
-func (n *Network) finishMulti(pkts []*Packet, wire int, upStart, upDone simtime.Time) {
+func (n *Network) finishMulti(pkts []Packet, wire int, upStart, upDone simtime.Time) {
 	up := n.uplink(pkts[0].Src)
 	starts := map[*link]simtime.Time{up: upStart}
 	for _, q := range pkts {
@@ -601,7 +589,7 @@ func (n *Network) finishMulti(pkts []*Packet, wire int, upStart, upDone simtime.
 	}
 }
 
-func (n *Network) deliverAt(t simtime.Time, pkt *Packet) {
+func (n *Network) deliverAt(t simtime.Time, pkt Packet) {
 	ps := &n.ports[pkt.Dst]
 	var d *delivery
 	if ln := len(ps.freeDel); ln > 0 {
@@ -610,21 +598,18 @@ func (n *Network) deliverAt(t simtime.Time, pkt *Packet) {
 	} else {
 		d = &delivery{n: n, ps: ps}
 		d.fn = func() {
-			p := d.pkt
-			d.pkt = nil
-			nn := d.n
+			p := &d.pkt
 			d.ps.delivered++
 			d.ps.bytesIn += int64(p.Size)
-			nn.tracePkt(trace.PktDelivered, d.at, p.Src, p.Dst, p.Size)
+			d.n.tracePkt(trace.PktDelivered, d.at, p.Src, p.Dst, p.Size)
 			h := d.ps.handler
 			if h == nil {
 				panic(fmt.Sprintf("fabric: no handler attached to port %d", p.Dst))
 			}
 			h(p)
 			// Per the Handler contract the packet is dead once the handler
-			// returns; recycle it and this delivery slot.
+			// returns; recycle the slot that held it.
 			*p = Packet{}
-			d.ps.freePkt = append(d.ps.freePkt, p)
 			d.ps.freeDel = append(d.ps.freeDel, d)
 		}
 	}

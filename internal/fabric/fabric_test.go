@@ -293,6 +293,53 @@ func TestStreamingBandwidth(t *testing.T) {
 	}
 }
 
+// A one-way stream — a source pacing packets at the link rate, nothing
+// coming back — must cost no allocation per packet once warm, and hold no
+// more recycled state than it keeps in the air: flights pool where they are
+// taken and returned, at the source, and deliveries at the destination.
+func TestOneWayStreamAllocatesNothing(t *testing.T) {
+	const size, inFlight = 512, 8 // ≈3 packets fit in the 1.3 µs path
+	k := simtime.NewKernel()
+	defer k.Close()
+	net := New(k, testParams(), 16)
+	delivered := 0
+	net.Attach(15, func(*Packet) { delivered++ })
+	left := 0
+	var tick func()
+	tick = func() {
+		net.Send(&Packet{Src: 0, Dst: 15, Size: size}, nil)
+		if left--; left > 0 {
+			k.After(simtime.BytesAt(size, testParams().LinkBandwidth), "tick", tick)
+		}
+	}
+	stream := func(n int) {
+		left = n
+		tick()
+		k.Run()
+	}
+	stream(100) // warm the pools and the event heap
+	if allocs := testing.AllocsPerRun(1, func() { stream(10000) }); allocs != 0 {
+		t.Errorf("%v allocations for 10000 packets, want none", allocs)
+	}
+	if delivered != 100+2*10000 {
+		t.Fatalf("delivered %d packets", delivered)
+	}
+	for id := range net.ports {
+		ps := &net.ports[id]
+		wantDel, wantFlight := 0, 0
+		switch id {
+		case 0:
+			wantFlight = inFlight
+		case 15:
+			wantDel = inFlight
+		}
+		if len(ps.freeDel) > wantDel || len(ps.freeFlight) > wantFlight {
+			t.Errorf("port %d holds %d recycled deliveries and %d flights, want at most %d and %d",
+				id, len(ps.freeDel), len(ps.freeFlight), wantDel, wantFlight)
+		}
+	}
+}
+
 func TestZeroByteLatencyMatchesSend(t *testing.T) {
 	for _, n := range []int{4, 16, 64} {
 		k := simtime.NewKernel()

@@ -96,6 +96,8 @@ type Stack struct {
 	peers    map[int]*ptl.Peer
 	peerMods map[int][]ptl.Module
 
+	// sendReqs and sendDesc hold the sends in flight: a request leaves both
+	// when it completes, as a receive leaves recvReqs.
 	sendReqs map[uint64]*SendReq
 	sendDesc map[uint64]*ptl.SendDesc
 	recvReqs map[uint64]*RecvReq
@@ -495,6 +497,7 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 	s.traceCorr(trace.SendProgressed, req.id, req.dst, req.tag, bytes, s.msgCorr(s.rank, req.id))
 	if req.progressed == req.n && !req.done.Fired() {
 		delete(s.sendDesc, req.id)
+		delete(s.sendReqs, req.id)
 		if !req.dtype.Contig() && req.packed != nil {
 			// The packed scratch was fully transmitted; recycle it.
 			s.pool.Put(req.packed)
@@ -918,20 +921,10 @@ func (s *Stack) WaitActive(th *simtime.Thread, sig *simtime.Signal) {
 }
 
 // PendingSends returns in-flight send requests (used by finalization).
-func (s *Stack) PendingSends() int { return countUndone(s.sendReqs) }
+func (s *Stack) PendingSends() int { return len(s.sendReqs) }
 
 // PendingRecvs returns incomplete receive requests.
 func (s *Stack) PendingRecvs() int { return len(s.recvReqs) }
-
-func countUndone(m map[uint64]*SendReq) int {
-	n := 0
-	for _, r := range m {
-		if !r.done.Fired() {
-			n++
-		}
-	}
-	return n
-}
 
 // Finalize drains pending sends, then finalizes every module (stage four
 // of the lifecycle: "an existing connection can go through its
