@@ -30,12 +30,15 @@ test:
 # invariants: the golden cross-layer timelines, the proof that an attached
 # tracer (or watchdog) never moves virtual time, the profiler's telescoping
 # guarantee (phase durations sum exactly to end-to-end latency) and the
-# watchdog's stall detection.
+# watchdog's stall detection. Last, the benchmark: bench/ is a module of its
+# own that compiles against obs, trace and cluster, so its short suite runs
+# here too and cannot rot unseen between two runs of ci.yml.
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
 	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/cluster
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
+	$(GO) test -C bench -short ./...
 
 # lint runs go vet with the repo's own analyzer suite loaded on top of
 # the standard checks: detclock, maporder, kernelown, pooluse, tracecorr,

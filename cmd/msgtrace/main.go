@@ -15,7 +15,6 @@
 //	msgtrace -size 100000 -breakdown -flows  # phase decomposition + flow table
 //	msgtrace -size 100000 -heatmap           # sampler heatmaps (rank×time, link×time)
 //	msgtrace -size 512 -unexpected -waitstates  # wait-state attribution
-
 //	msgtrace -layer pml,ptl -kind matched    # filter the timeline
 package main
 
@@ -90,7 +89,8 @@ func main() {
 	}
 	fmt.Printf("message of %d bytes, scheme %s, inline=%v, unexpected=%v:\n\n",
 		*size, *scheme, *inline, *unexpected)
-	evs, err := trace.Filter(rec.Events(), *layers, *kinds, *rank)
+	events := rec.Events() // one copy serves the filter and both analyzers: none of them writes to it
+	evs, err := trace.Filter(events, *layers, *kinds, *rank)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 		fmt.Print(reg.Snapshot().Render())
 	}
 	if *breakdown || *flows {
-		prof := obs.Analyze(rec.Events())
+		prof := obs.Analyze(events)
 		if *breakdown {
 			fmt.Printf("\n")
 			fmt.Print(prof.RenderBreakdown())
@@ -114,7 +114,7 @@ func main() {
 	}
 	if *waitstates {
 		fmt.Printf("\n")
-		fmt.Print(obs.AnalyzeWaits(rec.Events()).Render())
+		fmt.Print(obs.AnalyzeWaits(events).Render())
 	}
 	if smp != nil {
 		fmt.Printf("\nsampler: period %s, %d ticks\n", smp.Period(), smp.Ticks())

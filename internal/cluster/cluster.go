@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"iter"
 
 	"qsmpi/internal/elan4"
 	"qsmpi/internal/fabric"
@@ -274,32 +275,64 @@ func (c *Cluster) tracerFor(node int) *trace.Recorder {
 // sharded run. Within a node the record order is the node's deterministic
 // execution order; across nodes events merge by (time, node, node-local
 // order), which is independent of the shard count.
+//
+// It is a k-way merge: a min-heap of the nodes' next events keyed (time,
+// node index), each recorder read in place through one pull cursor, the
+// destination grown once to the total.
 func (c *Cluster) mergeTraces() {
 	if c.nodeRecs == nil {
 		return
 	}
 	type cursor struct {
-		events []trace.Event
-		i      int
+		head trace.Event
+		node int
+		next func() (trace.Event, bool)
 	}
-	cur := make([]cursor, len(c.nodeRecs))
-	total := 0
-	for i, r := range c.nodeRecs {
-		cur[i].events = r.Events()
-		total += len(cur[i].events)
+	before := func(a, b *cursor) bool {
+		return a.head.At < b.head.At || a.head.At == b.head.At && a.node < b.node
 	}
-	for n := 0; n < total; n++ {
-		best := -1
-		for i := range cur {
-			if cur[i].i >= len(cur[i].events) {
-				continue
+	var heap []*cursor
+	// down restores the heap below slot i after its key grew.
+	down := func(i int) {
+		for {
+			least := i
+			for kid := 2*i + 1; kid <= 2*i+2 && kid < len(heap); kid++ {
+				if before(heap[kid], heap[least]) {
+					least = kid
+				}
 			}
-			if best < 0 || cur[i].events[cur[i].i].At < cur[best].events[cur[best].i].At {
-				best = i
+			if least == i {
+				return
 			}
+			heap[i], heap[least] = heap[least], heap[i]
+			i = least
 		}
-		c.spec.Tracer.Record(cur[best].events[cur[best].i])
-		cur[best].i++
+	}
+	total := 0
+	for node, r := range c.nodeRecs {
+		if r.Len() == 0 {
+			continue
+		}
+		total += r.Len()
+		next, stop := iter.Pull(r.All())
+		defer stop()
+		cur := &cursor{node: node, next: next}
+		cur.head, _ = next()
+		heap = append(heap, cur)
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	c.spec.Tracer.Grow(total)
+	for len(heap) > 0 {
+		top := heap[0]
+		c.spec.Tracer.Record(top.head)
+		var ok bool
+		if top.head, ok = top.next(); !ok {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
 	}
 	c.nodeRecs = nil
 }

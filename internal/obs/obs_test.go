@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -174,6 +175,37 @@ func TestRenderFormatsRanksAndValues(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "1.500") {
 		t.Errorf("float not rendered with decimals: %q", lines[2])
+	}
+}
+
+// The encoder's string and number rules are encoding/json's, including
+// the ones no name or instant the simulator produces today can reach:
+// escapes (whatever a String method may come to yield) and the exponent
+// form below 1e-6 and from 1e21 up.
+func TestJSONAppendersMatchEncodingJSON(t *testing.T) {
+	for _, s := range []string{
+		"", "send-posted", "Kind(200)", `quote " and \ backslash`, "tab\tnewline\nreturn\rbell\aback\bfeed\fnul\x00esc\x1b",
+		"<script>&amp;</script>", "del\x7f", "caf\u00e9 \u2028 \u2029 \U0001f680", "bad \xff\xfe utf8 \xc3", "\xe2\x80",
+	} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, s); string(got) != string(want) {
+			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
+	}
+	for _, f := range []float64{
+		0, 1, -1, 0.000001, 0.0000009, 1e-7, 1e-9, 1e-10, -2.5e-300, 5e-324, 123.456, 8871.557274,
+		9223372036854.775807, 1e20, 1e21, -1e21, 1.5e300, math.MaxFloat64, float64(math.MaxInt64) / 1e6,
+	} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, f); string(got) != string(want) {
+			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
+		}
 	}
 }
 

@@ -23,52 +23,46 @@
 //
 // Virtual time is deterministic, so the exported JSON is byte-identical
 // across runs of the same scenario.
+//
+// The encoder streams: one walk over the time-ordered events, each record
+// appended to a fixed buffer that is written out as it fills. The bytes
+// are those encoding/json produced from a slice of structs with map args
+// (field order, sorted arg keys, its float and string rules, "null" for
+// no records); perfetto_test.go keeps that encoder as the reference.
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"iter"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
+	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
 
-// perfEvent is one Chrome trace-event object. Dur and Args are omitted
-// where meaningless so instants stay compact.
-type perfEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type perfFile struct {
-	TraceEvents     []perfEvent `json:"traceEvents"`
-	DisplayTimeUnit string      `json:"displayTimeUnit"`
-}
-
-// spanPairs maps a span-opening kind to its closing kind. Events of these
-// kinds become "X" complete slices; everything else is an instant.
-var spanPairs = map[trace.Kind]trace.Kind{
-	trace.SendPosted:      trace.SendCompleted,
-	trace.RecvPosted:      trace.RecvCompleted,
-	trace.QDMAIssued:      trace.DMACompleted,
-	trace.RDMAWriteIssued: trace.DMACompleted,
-	trace.RDMAReadIssued:  trace.DMACompleted,
-	trace.NBCPosted:       trace.NBCCompleted,
-}
-
-var spanNames = map[trace.Kind]string{
-	trace.SendPosted:      "send",
-	trace.RecvPosted:      "recv",
-	trace.QDMAIssued:      "qdma",
-	trace.RDMAWriteIssued: "rdma-write",
-	trace.RDMAReadIssued:  "rdma-read",
-	trace.NBCPosted:       "nbc",
+// spanOf maps a span-opening kind to its closing kind and the name of the
+// "X" complete slice the pair becomes; name is "" for every other kind,
+// which stays an instant.
+func spanOf(k trace.Kind) (closing trace.Kind, name string) {
+	switch k {
+	case trace.SendPosted:
+		return trace.SendCompleted, "send"
+	case trace.RecvPosted:
+		return trace.RecvCompleted, "recv"
+	case trace.QDMAIssued:
+		return trace.DMACompleted, "qdma"
+	case trace.RDMAWriteIssued:
+		return trace.DMACompleted, "rdma-write"
+	case trace.RDMAReadIssued:
+		return trace.DMACompleted, "rdma-read"
+	case trace.NBCPosted:
+		return trace.NBCCompleted, "nbc"
+	}
+	return 0, ""
 }
 
 func isSpanClose(k trace.Kind) bool {
@@ -89,23 +83,30 @@ func inflightDelta(k trace.Kind) (int, bool) {
 }
 
 // WritePerfettoFrom writes a recorder's events as Chrome trace-event
-// JSON. Unlike WritePerfetto it also preserves the recorder's
-// dropped-event count (events discarded once the recorder's limit was
-// hit): when non-zero, a "dropped_events" metadata record is emitted so
-// the truncation is visible in the exported file, not silently lost.
+// JSON, read in place. Unlike WritePerfetto it also preserves the
+// recorder's dropped-event count (events discarded once the recorder's
+// limit was hit): when non-zero, a "dropped_events" metadata record is
+// emitted so the truncation is visible in the exported file, not silently
+// lost.
 func WritePerfettoFrom(w io.Writer, rec *trace.Recorder) error {
-	return writePerfetto(w, rec.Events(), rec.Dropped())
+	prev := simtime.Time(math.MinInt64)
+	for e := range rec.All() {
+		if e.At < prev {
+			// Recorded out of order: the walk needs the sorted copy.
+			return writePerfetto(w, slices.Values(trace.Ordered(rec.Events())), rec.Dropped())
+		}
+		prev = e.At
+	}
+	return writePerfetto(w, rec.All(), rec.Dropped())
 }
 
 // WritePerfetto writes the recorded events as Chrome trace-event JSON.
 func WritePerfetto(w io.Writer, events []trace.Event) error {
-	return writePerfetto(w, events, 0)
+	return writePerfetto(w, slices.Values(trace.Ordered(events)), 0)
 }
 
-func writePerfetto(w io.Writer, events []trace.Event, dropped int64) error {
-	evs := append([]trace.Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-
+// writePerfetto walks events, which must be in time order, once.
+func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) error {
 	type spanKey struct {
 		rank  int
 		layer trace.Layer
@@ -114,80 +115,78 @@ func writePerfetto(w io.Writer, events []trace.Event, dropped int64) error {
 	}
 	open := make(map[spanKey]trace.Event)
 
-	var out []perfEvent
+	p := perfWriter{w: w, buf: make([]byte, 0, perfBuf)}
 	seenTrack := make(map[[2]int]bool)
-	seenProc := make(map[int]bool)
-	track := func(rank int, layer trace.Layer) {
-		if !seenProc[rank] {
-			seenProc[rank] = true
-			out = append(out, perfEvent{
-				Name: "process_name", Ph: "M", PID: rank, TID: 0,
-				Args: map[string]any{"name": fmt.Sprintf("rank %d", rank)},
-			})
-		}
-		tk := [2]int{rank, int(layer)}
-		if !seenTrack[tk] {
-			seenTrack[tk] = true
-			out = append(out, perfEvent{
-				Name: "thread_name", Ph: "M", PID: rank, TID: int(layer),
-				Args: map[string]any{"name": layer.String()},
-			})
-		}
-	}
-
-	args := func(e trace.Event) map[string]any {
-		a := map[string]any{"req": e.ReqID, "peer": e.Peer}
-		if e.Tag != 0 {
-			a["tag"] = e.Tag
-		}
-		if e.Bytes != 0 {
-			a["bytes"] = e.Bytes
-		}
-		return a
-	}
-
 	// Link counter tracks live on synthetic processes far above any rank
 	// pid so port numbers never collide with rank numbers.
 	const linkPIDBase = 1 << 20
-	linkProc := make(map[int]bool)
+	seenProc, linkProc := make(map[int]bool), make(map[int]bool)
+	process := func(seen map[int]bool, pid int, prefix string, n int) {
+		if !seen[pid] {
+			seen[pid] = true
+			p.begin("process_name", 'M', 0, 0, pid, 0)
+			p.buf = append(p.buf, `"name":"`...)
+			p.buf = strconv.AppendInt(append(p.buf, prefix...), int64(n), 10)
+			p.buf = append(p.buf, '"')
+			p.end()
+		}
+	}
+	track := func(rank int, layer trace.Layer) {
+		tk := [2]int{rank, int(layer)}
+		if seenTrack[tk] {
+			return
+		}
+		seenTrack[tk] = true
+		process(seenProc, rank, "rank ", rank)
+		p.begin("thread_name", 'M', 0, 0, rank, int(layer))
+		p.buf = appendJSONString(append(p.buf, `"name":`...), layer.String())
+		p.end()
+	}
+	counter := func(name string, at simtime.Time, pid, tid int, key string, v int) {
+		p.begin(name, 'C', at, 0, pid, tid)
+		p.arg(key, int64(v))
+		p.end()
+	}
+	// instant writes e with its own args; a span writes its opening event's
+	// with the closing event's byte count over them when that is set.
+	eventArgs := func(e trace.Event, bytes int) {
+		if bytes != 0 {
+			p.arg("bytes", int64(bytes))
+		}
+		p.arg("peer", int64(e.Peer))
+		p.buf = strconv.AppendUint(append(p.buf, `,"req":`...), e.ReqID, 10)
+		if e.Tag != 0 {
+			p.arg("tag", int64(e.Tag))
+		}
+		p.end()
+	}
+	instant := func(e trace.Event) {
+		p.begin(e.Kind.String(), 'i', e.At, 0, e.Rank, int(e.Layer))
+		eventArgs(e, e.Bytes)
+	}
 
 	inflight := make(map[int]int)
-	for _, e := range evs {
+	for e := range events {
+		if p.err != nil {
+			return p.err
+		}
 		// Sampler gauge snapshots become counter tracks: one per gauge on
 		// the rank's process, one per link gauge on the port's process.
 		if e.Kind == trace.GaugeSample {
 			if e.Layer == trace.LayerFabric {
 				pid := linkPIDBase + e.Rank
-				if !linkProc[pid] {
-					linkProc[pid] = true
-					out = append(out, perfEvent{
-						Name: "process_name", Ph: "M", PID: pid, TID: 0,
-						Args: map[string]any{"name": fmt.Sprintf("link port %d", e.Rank)},
-					})
-				}
-				out = append(out, perfEvent{
-					Name: LinkGauge(e.Tag).String(), Ph: "C",
-					TS: e.At.Micros(), PID: pid, TID: e.Peer,
-					Args: map[string]any{"value": e.Bytes},
-				})
+				process(linkProc, pid, "link port ", e.Rank)
+				counter(LinkGauge(e.Tag).String(), e.At, pid, e.Peer, "value", e.Bytes)
 			} else {
 				track(e.Rank, e.Layer)
-				out = append(out, perfEvent{
-					Name: Gauge(e.Tag).String(), Ph: "C",
-					TS: e.At.Micros(), PID: e.Rank, TID: 0,
-					Args: map[string]any{"value": e.Bytes},
-				})
+				counter(Gauge(e.Tag).String(), e.At, e.Rank, 0, "value", e.Bytes)
 			}
 			continue
 		}
 		track(e.Rank, e.Layer)
 		// Duty-cycle samples become points on a per-rank counter track.
 		if e.Kind == trace.ProgressDuty {
-			out = append(out, perfEvent{
-				Name: "progress-duty", Ph: "C",
-				TS: e.At.Micros(), PID: e.Rank, TID: 0,
-				Args: map[string]any{"permille": e.Bytes},
-			})
+			counter("progress-duty", e.At, e.Rank, 0, "permille", e.Bytes)
 			continue
 		}
 		// Request posts/completions step the queue-depth counter track
@@ -195,22 +194,14 @@ func writePerfetto(w io.Writer, events []trace.Event, dropped int64) error {
 		// occupancy, so only the PML layer feeds the counter).
 		if d, ok := inflightDelta(e.Kind); ok && e.Layer == trace.LayerPML {
 			inflight[e.Rank] += d
-			out = append(out, perfEvent{
-				Name: "pml-inflight", Ph: "C",
-				TS: e.At.Micros(), PID: e.Rank, TID: 0,
-				Args: map[string]any{"inflight": inflight[e.Rank]},
-			})
+			counter("pml-inflight", e.At, e.Rank, 0, "inflight", inflight[e.Rank])
 		}
-		if close, ok := spanPairs[e.Kind]; ok {
+		if closing, name := spanOf(e.Kind); name != "" {
 			// Span open: remember it; if an earlier open with the same key
 			// never closed, flush it as an instant so nothing is lost.
-			k := spanKey{e.Rank, e.Layer, close, e.ReqID}
+			k := spanKey{e.Rank, e.Layer, closing, e.ReqID}
 			if prev, dup := open[k]; dup {
-				out = append(out, perfEvent{
-					Name: prev.Kind.String(), Ph: "i",
-					TS: prev.At.Micros(), PID: prev.Rank, TID: int(prev.Layer),
-					Args: args(prev),
-				})
+				instant(prev)
 			}
 			open[k] = e
 			continue
@@ -219,64 +210,170 @@ func writePerfetto(w io.Writer, events []trace.Event, dropped int64) error {
 			k := spanKey{e.Rank, e.Layer, e.Kind, e.ReqID}
 			if start, ok := open[k]; ok {
 				delete(open, k)
-				dur := e.At.Sub(start.At).Micros()
-				a := args(start)
+				_, name := spanOf(start.Kind)
+				p.begin(name, 'X', start.At, e.At.Sub(start.At), e.Rank, int(e.Layer))
+				bytes := start.Bytes
 				if e.Bytes != 0 {
-					a["bytes"] = e.Bytes
+					bytes = e.Bytes
 				}
-				out = append(out, perfEvent{
-					Name: spanNames[start.Kind], Ph: "X",
-					TS: start.At.Micros(), Dur: &dur,
-					PID: e.Rank, TID: int(e.Layer), Args: a,
-				})
+				eventArgs(start, bytes)
 				continue
 			}
 			// Close with no open: fall through to an instant.
 		}
-		out = append(out, perfEvent{
-			Name: e.Kind.String(), Ph: "i",
-			TS: e.At.Micros(), PID: e.Rank, TID: int(e.Layer),
-			Args: args(e),
-		})
+		instant(e)
 	}
 
 	// Unclosed spans (e.g. recorder limit hit mid-run) become instants.
-	var dangling []trace.Event
+	dangling := make([]trace.Event, 0, len(open))
 	for _, s := range open {
 		dangling = append(dangling, s)
 	}
 	// The comparator must be total: dangling is collected from a map, so
 	// any tie left unbroken would surface map iteration order in the file.
-	sort.SliceStable(dangling, func(i, j int) bool {
-		if dangling[i].At != dangling[j].At {
-			return dangling[i].At < dangling[j].At
-		}
-		if dangling[i].Rank != dangling[j].Rank {
-			return dangling[i].Rank < dangling[j].Rank
-		}
-		if dangling[i].ReqID != dangling[j].ReqID {
-			return dangling[i].ReqID < dangling[j].ReqID
-		}
-		if dangling[i].Layer != dangling[j].Layer {
-			return dangling[i].Layer < dangling[j].Layer
-		}
-		return dangling[i].Kind < dangling[j].Kind
+	slices.SortFunc(dangling, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.ReqID, b.ReqID),
+			cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Kind, b.Kind))
 	})
 	for _, s := range dangling {
-		out = append(out, perfEvent{
-			Name: s.Kind.String(), Ph: "i",
-			TS: s.At.Micros(), PID: s.Rank, TID: int(s.Layer),
-			Args: args(s),
-		})
+		instant(s)
 	}
 
 	if dropped > 0 {
-		out = append(out, perfEvent{
-			Name: "dropped_events", Ph: "M", PID: 0, TID: 0,
-			Args: map[string]any{"dropped": dropped},
-		})
+		p.begin("dropped_events", 'M', 0, 0, 0, 0)
+		p.arg("dropped", dropped)
+		p.end()
 	}
+	return p.finish()
+}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfFile{TraceEvents: out, DisplayTimeUnit: "ns"})
+// The encoder's buffer: records are appended to it and it is written out
+// once fewer than perfSlack bytes — more than the longest record takes —
+// are free, so no Write is larger than perfBuf and no more of the file
+// than that is ever held.
+const (
+	perfBuf   = 64 << 10
+	perfSlack = 1 << 10
+)
+
+// perfWriter appends trace-event records to buf and writes it to w as it
+// fills. A record is begin, its args, end.
+type perfWriter struct {
+	w   io.Writer
+	buf []byte
+	n   int   // records begun
+	err error // first Write error; the walk stops on it
+}
+
+// begin appends a record up to the opening brace of its args. dur is
+// written for an "X" slice, the one phase that carries it, and no other.
+func (p *perfWriter) begin(name string, ph byte, at simtime.Time, dur simtime.Duration, pid, tid int) {
+	if p.n++; p.n == 1 {
+		p.buf = append(p.buf, `{"traceEvents":[`...)
+	} else {
+		p.buf = append(p.buf, ',')
+	}
+	b := appendJSONString(append(p.buf, `{"name":`...), name)
+	b = append(append(b, `,"ph":"`...), ph)
+	b = appendJSONFloat(append(b, `","ts":`...), at.Micros())
+	if ph == 'X' {
+		b = appendJSONFloat(append(b, `,"dur":`...), dur.Micros())
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	p.buf = append(b, `,"args":{`...)
+}
+
+// arg appends one integer arg; callers append args in key order.
+func (p *perfWriter) arg(key string, v int64) {
+	if p.buf[len(p.buf)-1] != '{' {
+		p.buf = append(p.buf, ',')
+	}
+	p.buf = append(p.buf, '"')
+	p.buf = append(p.buf, key...)
+	p.buf = strconv.AppendInt(append(p.buf, `":`...), v, 10)
+}
+
+// end closes the record and writes the buffer out when it is nearly full.
+func (p *perfWriter) end() {
+	p.buf = append(p.buf, '}', '}')
+	if len(p.buf) > perfBuf-perfSlack {
+		p.flush()
+	}
+}
+
+func (p *perfWriter) flush() {
+	if p.err == nil {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+// finish closes the document: "null" stands for no records at all.
+func (p *perfWriter) finish() error {
+	if p.n == 0 {
+		p.buf = append(p.buf, `{"traceEvents":null`...)
+	} else {
+		p.buf = append(p.buf, ']')
+	}
+	p.buf = append(p.buf, `,"displayTimeUnit":"ns"}`+"\n"...)
+	p.flush()
+	return p.err
+}
+
+// appendJSONFloat appends f as encoding/json does: shortest decimal that
+// round-trips, exponent form only below 1e-6 or from 1e21 up (neither of
+// which a picosecond count over 1e6 reaches), "e-09" written "e-9".
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s quoted as encoding/json does with HTML
+// escaping on: control characters, quote, backslash, <, >, & and the
+// U+2028/U+2029 separators escaped, invalid UTF-8 replaced by U+FFFD.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b', '\t', '\n', '\f', '\r':
+				b = append(b, '\\', "btn-fr"[c-'\b']) // 8 9 10 (11) 12 13
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(b, s[start:]...), '"')
 }

@@ -12,10 +12,10 @@
 // durations of one message therefore sum to its end-to-end latency by
 // construction, whatever subset of anchors was recorded.
 //
-// Everything here runs after the simulation, on a copy of the event
-// stream; attaching a profiler cannot perturb a run. Virtual time is
-// deterministic, so all rendered tables are byte-identical across runs of
-// the same scenario.
+// Everything here runs after the simulation and only reads the event
+// stream, through the trace index (index.go); attaching a profiler cannot
+// perturb a run. Virtual time is deterministic, so all rendered tables are
+// byte-identical across runs of the same scenario.
 package obs
 
 import (
@@ -172,24 +172,15 @@ var phaseOrder = []string{
 // aggregates flows, per-path breakdowns and the critical path. Events with
 // Corr zero (uncorrelated: collectives, RTE, raw NIC traffic) are ignored.
 func Analyze(events []trace.Event) Profile {
-	evs := append([]trace.Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return newIndex(events).profile()
+}
 
-	byCorr := make(map[uint64][]trace.Event)
-	var corrs []uint64
-	for _, e := range evs {
-		if e.Corr == 0 {
-			continue
-		}
-		if _, ok := byCorr[e.Corr]; !ok {
-			corrs = append(corrs, e.Corr)
-		}
-		byCorr[e.Corr] = append(byCorr[e.Corr], e)
-	}
-
+// profile is Analyze over an index already built.
+func (ix *index) profile() Profile {
 	var p Profile
-	for _, corr := range corrs {
-		if m, ok := reconstruct(corr, byCorr[corr]); ok {
+	p.Messages = make([]Message, 0, len(ix.corrs))
+	for g := range ix.corrs {
+		if m, ok := ix.reconstruct(int32(g)); ok {
 			p.Messages = append(p.Messages, m)
 		}
 	}
@@ -206,15 +197,17 @@ func Analyze(events []trace.Event) Profile {
 	return p
 }
 
-// reconstruct classifies one message's events and walks its anchor chain.
-// evs is time-sorted.
-func reconstruct(corr uint64, evs []trace.Event) (Message, bool) {
+// reconstruct classifies the events of message group g and walks its
+// anchor chain.
+func (ix *index) reconstruct(g int32) (Message, bool) {
+	corr, at := ix.corrs[g], ix.events(g)
 	src, _ := trace.SplitMsgID(corr)
 	m := Message{Corr: corr, Src: src, Dst: -1, Tag: -1}
 
 	var hasKind [64]bool
 	tport := false
-	for _, e := range evs {
+	for _, p := range at {
+		e := &ix.evs[p]
 		if int(e.Kind) < len(hasKind) {
 			hasKind[e.Kind] = true
 		}
@@ -265,16 +258,16 @@ func reconstruct(corr uint64, evs []trace.Event) (Message, bool) {
 	}
 
 	// Walk the chain: each anchor consumes the first not-yet-consumed
-	// event of its kind. Scanning forward through the time-sorted slice
-	// keeps the anchors monotone, so every phase duration is ≥ 0 and the
-	// durations telescope to End−Start exactly.
+	// event of its kind. Scanning forward through the time-ordered
+	// positions keeps the anchors monotone, so every phase duration is ≥ 0
+	// and the durations telescope to End−Start exactly.
 	idx := 0
 	started := false
 	var prev simtime.Time
 	for _, a := range chain {
 		j := -1
-		for i := idx; i < len(evs); i++ {
-			if evs[i].Kind == a.kind {
+		for i := idx; i < len(at); i++ {
+			if ix.evs[at[i]].Kind == a.kind {
 				j = i
 				break
 			}
@@ -282,10 +275,13 @@ func reconstruct(corr uint64, evs []trace.Event) (Message, bool) {
 		if j < 0 {
 			continue // missing anchor: fold into the next present phase
 		}
-		t := evs[j].At
+		t := ix.evs[at[j]].At
 		if !started {
 			m.Start, prev, started = t, t, true
 		} else {
+			if m.Phases == nil { // one allocation: a chain ends no more phases than this
+				m.Phases = make([]Phase, 0, len(chain)-1)
+			}
 			m.Phases = append(m.Phases, Phase{Name: a.phase, Dur: t.Sub(prev)})
 			prev = t
 		}

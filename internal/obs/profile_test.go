@@ -4,7 +4,11 @@
 package obs_test
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/experiments"
@@ -221,4 +225,77 @@ func TestAnalyzeIgnoresUncorrelatedEvents(t *testing.T) {
 // experiment helpers.
 func clusterSpec(o ptlelan4.Options) cluster.Spec {
 	return cluster.Spec{Elan: &o, Progress: pml.Polling}
+}
+
+// renderAll is everything the two analyzers print for a stream.
+func renderAll(events []trace.Event) string {
+	p := obs.Analyze(events)
+	return p.RenderBreakdown() + p.RenderFlows() + p.RenderCritical() + obs.AnalyzeWaits(events).Render()
+}
+
+// TestAnalyzersSortWhatIsNotInOrder: the analyzers read a time-ordered
+// stream in place and sort a copy of any other. A stably shuffled stream —
+// its same-instant runs kept whole and in order, the runs themselves in
+// random order — must therefore render exactly as the ordered one, and
+// must come back untouched.
+func TestAnalyzersSortWhatIsNotInOrder(t *testing.T) {
+	streams := map[string][]trace.Event{}
+	_, rec := experiments.SampledRun(8, 6, 1, 0)
+	streams["sampled-8"] = rec.Events()
+	for _, sc := range experiments.WaitScenarios(1) {
+		streams[sc.Name] = sc.Events
+	}
+	for name, events := range streams {
+		var runs [][]trace.Event
+		for i := 0; i < len(events); {
+			j := i
+			for j < len(events) && events[j].At == events[i].At {
+				j++
+			}
+			runs = append(runs, events[i:j])
+			i = j
+		}
+		rng := rand.New(rand.NewSource(18))
+		rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+		var shuffled []trace.Event
+		for _, run := range runs {
+			shuffled = append(shuffled, run...)
+		}
+		if len(runs) < 10 || slices.Equal(shuffled, events) {
+			t.Fatalf("%s: shuffle of %d runs left the stream in order", name, len(runs))
+		}
+		input := slices.Clone(shuffled)
+		if got, want := renderAll(shuffled), renderAll(events); got != want {
+			t.Errorf("%s: analyzers render a shuffled stream differently from the ordered one:\n--- shuffled\n%s--- ordered\n%s", name, got, want)
+		}
+		if !slices.Equal(shuffled, input) {
+			t.Errorf("%s: analyzers wrote to their input", name)
+		}
+	}
+}
+
+// TestAnalyzersCopyNoOrderedStream is the analyzers' allocation gate: on a
+// stream already in time order neither allocates anything the size of the
+// stream — no clone to sort, no per-message slices of events — so each
+// stays under half of the stream's own bytes, index and results included.
+func TestAnalyzersCopyNoOrderedStream(t *testing.T) {
+	_, rec := experiments.SampledRun(8, 100, 1, 0)
+	events := rec.Events()
+	if len(events) < 100_000 {
+		t.Fatalf("stream of %d events is too short to tell a copy from the index", len(events))
+	}
+	half := uint64(len(events)) * uint64(unsafe.Sizeof(trace.Event{})) / 2
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if n := allocated(func() { obs.Analyze(events) }); n > half {
+		t.Errorf("Analyze allocated %d bytes on an ordered stream of %d events; a copy is %d", n, len(events), 2*half)
+	}
+	if n := allocated(func() { obs.AnalyzeWaits(events) }); n > half {
+		t.Errorf("AnalyzeWaits allocated %d bytes on an ordered stream of %d events; a copy is %d", n, len(events), 2*half)
+	}
 }

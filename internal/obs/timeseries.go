@@ -105,7 +105,8 @@ type RankProbeFn func(now simtime.Time) [NumRankGauges]int64
 // LinkProbeFn reads one link's cumulative counter vector.
 type LinkProbeFn func() [NumLinkGauges]int64
 
-// rankSeries is one rank's registration plus its sample ring.
+// rankSeries is one rank's registration plus its sample ring (see
+// Sampler.head for the ring discipline).
 type rankSeries struct {
 	rank  int
 	probe RankProbeFn
@@ -138,10 +139,15 @@ type Sampler struct {
 	period simtime.Duration
 	limit  int // ticks retained per ring (0 = unbounded)
 
-	k       *simtime.Kernel
-	nodes   []*samplerNode
-	times   []simtime.Time // tick stamps, ring-aligned with every series
-	tick    uint64         // ticks taken, including evicted ones
+	k     *simtime.Kernel
+	nodes []*samplerNode
+	times []simtime.Time // tick stamps, ring-aligned with every series
+	// head is the slot of the oldest retained tick. Every ring (times and
+	// each series) has the same length and fills in step, so one index
+	// serves them all: it stays 0 until a bounded ring is full, and from
+	// then on a tick overwrites slot head and advances it — nothing moves.
+	head    int
+	tick    uint64 // ticks taken, including evicted ones
 	evicted uint64
 }
 
@@ -234,18 +240,25 @@ func (s *Sampler) RegisterLink(port, rail int, rec *trace.Recorder, probe LinkPr
 func (s *Sampler) takeSample() {
 	now := s.k.Now()
 	s.tick++
-	if s.limit > 0 && len(s.times) >= s.limit {
-		s.times = append(s.times[:0], s.times[1:]...)
+	// slot is where this tick's column goes in every ring: appended while
+	// the rings grow, over the oldest column once they are full.
+	slot := len(s.times)
+	if s.limit > 0 && slot >= s.limit {
+		slot = s.head
+		s.head = (s.head + 1) % s.limit
 		s.evicted++
+		s.times[slot] = now
+	} else {
+		s.times = append(s.times, now)
 	}
-	s.times = append(s.times, now)
 	for _, nd := range s.nodes {
 		for _, ls := range nd.links {
 			v := ls.probe()
-			if s.limit > 0 && len(ls.ring) >= s.limit {
-				ls.ring = append(ls.ring[:0], ls.ring[1:]...)
+			if slot < len(ls.ring) {
+				ls.ring[slot] = v
+			} else {
+				ls.ring = append(ls.ring, v)
 			}
-			ls.ring = append(ls.ring, v)
 			if ls.rec != nil {
 				for g := LinkGauge(0); g < NumLinkGauges; g++ {
 					ls.rec.Record(trace.Event{
@@ -259,10 +272,11 @@ func (s *Sampler) takeSample() {
 		}
 		for _, rs := range nd.ranks {
 			v := rs.probe(now)
-			if s.limit > 0 && len(rs.ring) >= s.limit {
-				rs.ring = append(rs.ring[:0], rs.ring[1:]...)
+			if slot < len(rs.ring) {
+				rs.ring[slot] = v
+			} else {
+				rs.ring = append(rs.ring, v)
 			}
-			rs.ring = append(rs.ring, v)
 			if rs.rec != nil {
 				for g := Gauge(0); g < NumRankGauges; g++ {
 					rs.rec.Record(trace.Event{
@@ -294,9 +308,15 @@ type Matrix struct {
 	Evicted uint64
 }
 
+// stamps returns the retained tick stamps oldest first: the ring from
+// head on, then the part before it.
+func (s *Sampler) stamps() []simtime.Time {
+	return append(append([]simtime.Time(nil), s.times[s.head:]...), s.times[:s.head]...)
+}
+
 // RankMatrix assembles gauge g's rank×time matrix, rows sorted by rank.
 func (s *Sampler) RankMatrix(g Gauge) Matrix {
-	m := Matrix{Gauge: g.String(), Times: append([]simtime.Time(nil), s.times...), Evicted: s.evicted}
+	m := Matrix{Gauge: g.String(), Times: s.stamps(), Evicted: s.evicted}
 	var all []*rankSeries
 	for _, nd := range s.nodes {
 		all = append(all, nd.ranks...)
@@ -304,8 +324,8 @@ func (s *Sampler) RankMatrix(g Gauge) Matrix {
 	sort.Slice(all, func(i, j int) bool { return all[i].rank < all[j].rank })
 	for _, rs := range all {
 		vals := make([]int64, len(rs.ring))
-		for i, v := range rs.ring {
-			vals[i] = v[g]
+		for i := range vals {
+			vals[i] = rs.ring[(s.head+i)%len(vals)][g]
 		}
 		m.Rows = append(m.Rows, Series{Label: fmt.Sprintf("rank %3d", rs.rank), Vals: vals})
 	}
@@ -315,7 +335,7 @@ func (s *Sampler) RankMatrix(g Gauge) Matrix {
 // LinkMatrix assembles gauge g's link×time matrix, rows sorted by
 // (port, rail).
 func (s *Sampler) LinkMatrix(g LinkGauge) Matrix {
-	m := Matrix{Gauge: g.String(), Times: append([]simtime.Time(nil), s.times...), Evicted: s.evicted}
+	m := Matrix{Gauge: g.String(), Times: s.stamps(), Evicted: s.evicted}
 	var all []*linkSeries
 	for _, nd := range s.nodes {
 		all = append(all, nd.links...)
@@ -328,8 +348,8 @@ func (s *Sampler) LinkMatrix(g LinkGauge) Matrix {
 	})
 	for _, ls := range all {
 		vals := make([]int64, len(ls.ring))
-		for i, v := range ls.ring {
-			vals[i] = v[g]
+		for i := range vals {
+			vals[i] = ls.ring[(s.head+i)%len(vals)][g]
 		}
 		label := fmt.Sprintf("port %3d", ls.port)
 		if ls.rail > 0 {

@@ -77,6 +77,72 @@ func TestSamplerRingEviction(t *testing.T) {
 	}
 }
 
+// TestSamplerFullRingTickIsConstantWork: once a bounded ring is full a
+// tick overwrites the oldest column and moves nothing else — exactly one
+// physical slot of each ring changes, whether the ring holds 4 ticks or
+// 4096 — and the matrices still unroll oldest-first, a series registered
+// on a wrapped ring included.
+func TestSamplerFullRingTickIsConstantWork(t *testing.T) {
+	for _, limit := range []int{4, 4096} {
+		s := NewSampler(10*simtime.Microsecond, limit)
+		n := int64(0)
+		s.RegisterRank(0, 0, nil, func(simtime.Time) [NumRankGauges]int64 { n++; return [NumRankGauges]int64{n} })
+		s.RegisterLink(0, 0, nil, func() [NumLinkGauges]int64 { return [NumLinkGauges]int64{n * 10} })
+		// Fill the ring and wrap it three columns past full.
+		driveSampler(t, s, simtime.Duration(limit+3)*10*simtime.Microsecond+5*simtime.Microsecond)
+		if got := int(s.Ticks()); got != limit+3 {
+			t.Fatalf("limit %d: %d ticks, want %d", limit, got, limit+3)
+		}
+		rs, ls := s.nodes[0].ranks[0], s.nodes[0].links[0]
+		times := append([]simtime.Time(nil), s.times...)
+		rank := append([][NumRankGauges]int64(nil), rs.ring...)
+		link := append([][NumLinkGauges]int64(nil), ls.ring...)
+
+		s.RegisterRank(1, 0, nil, func(simtime.Time) [NumRankGauges]int64 { return [NumRankGauges]int64{-1} })
+		s.takeSample()
+
+		changed := 0
+		for i := range times {
+			if s.times[i] != times[i] {
+				changed++
+			}
+			if rs.ring[i] != rank[i] {
+				changed++
+			}
+			if ls.ring[i] != link[i] {
+				changed++
+			}
+		}
+		if len(s.times) != limit || len(rs.ring) != limit || len(ls.ring) != limit || changed != 3 {
+			t.Fatalf("limit %d: a tick on a full ring changed %d slots across 3 rings of %d/%d/%d, want one each of %d",
+				limit, changed, len(s.times), len(rs.ring), len(ls.ring), limit)
+		}
+
+		m, lm := s.RankMatrix(Gauge(0)), s.LinkMatrix(LinkGauge(0))
+		if m.Evicted != 4 || len(m.Times) != limit || len(lm.Times) != limit {
+			t.Fatalf("limit %d: evicted %d, %d columns; want 4 evicted, %d columns", limit, m.Evicted, len(m.Times), limit)
+		}
+		for i := 1; i < limit; i++ {
+			if m.Times[i] <= m.Times[i-1] {
+				t.Fatalf("limit %d: unrolled stamps not increasing at column %d: %v then %v", limit, i, m.Times[i-1], m.Times[i])
+			}
+		}
+		for i := 0; i < limit; i++ {
+			tick := int64(i + 5) // ticks 1..4 were evicted
+			late := int64(0)     // rank 1 joined before the last tick only
+			if i == limit-1 {
+				late = -1
+			}
+			// A tick reads a node's links before its ranks: the link probe
+			// sees the count the previous tick left.
+			if m.Rows[0].Vals[i] != tick || lm.Rows[0].Vals[i] != (tick-1)*10 || m.Rows[1].Vals[i] != late {
+				t.Fatalf("limit %d column %d: rank 0 = %d, link = %d, late rank = %d; want %d, %d, %d",
+					limit, i, m.Rows[0].Vals[i], lm.Rows[0].Vals[i], m.Rows[1].Vals[i], tick, (tick-1)*10, late)
+			}
+		}
+	}
+}
+
 func TestSamplerLateRegistrationPadding(t *testing.T) {
 	s := NewSampler(10*simtime.Microsecond, 0)
 	s.RegisterRank(0, 0, nil, func(now simtime.Time) [NumRankGauges]int64 {

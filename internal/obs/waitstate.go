@@ -10,12 +10,12 @@
 //
 // Reconciliation with the PR-4 phase breakdowns holds by construction:
 // a late-receiver wait is exactly the message's "match" phase
-// (Matched − FirstArrived, gated on an Unexpected event), a NIC
-//-contention wait lies inside its wire phase, so their sum never
+// (Matched − FirstArrived, gated on an Unexpected event), a
+// NIC-contention wait lies inside its wire phase, so their sum never
 // exceeds the message's end-to-end latency; a late-sender wait
 // (SendPosted − RecvPosted) precedes the message's lifetime and is
 // bounded by the receiver's post-to-match window. Like every analyzer
-// here this runs after the simulation on a copy of the stream.
+// here this runs after the simulation and only reads the stream.
 package obs
 
 import (
@@ -123,40 +123,21 @@ type WaitProfile struct {
 }
 
 // AnalyzeWaits classifies every wait in the event stream. It reuses the
-// critical-path reconstruction (Analyze) for message identity, then
-// joins receive-post times through (rank, request id) — RecvPosted
-// events are uncorrelated; the Matched event names the request — and
-// collective epochs through CollEnter/CollExit.
+// critical-path reconstruction (Analyze, over the same index) for message
+// identity, then joins receive-post times through (rank, request id) —
+// RecvPosted events are uncorrelated; the Matched event names the
+// request — and collective epochs through CollEnter/CollExit.
 func AnalyzeWaits(events []trace.Event) WaitProfile {
-	evs := append([]trace.Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-
-	type rr struct {
-		rank int
-		req  uint64
-	}
-	recvPost := make(map[rr]simtime.Time)
-	byCorr := make(map[uint64][]trace.Event)
-	for _, e := range evs {
-		if e.Kind == trace.RecvPosted {
-			k := rr{e.Rank, e.ReqID}
-			if _, ok := recvPost[k]; !ok {
-				recvPost[k] = e.At
-			}
-		}
-		if e.Corr != 0 {
-			byCorr[e.Corr] = append(byCorr[e.Corr], e)
-		}
-	}
-
-	prof := Analyze(evs)
+	ix := newIndex(events)
+	prof := ix.profile()
 	var p WaitProfile
 	p.Messages = len(prof.Messages)
 	for _, m := range prof.Messages {
 		var sendPostAt, firstArrAt, matchedAt, retryAt, depositAt simtime.Time
 		var matchedReq uint64
 		var haveSend, haveFirst, haveMatch, haveRetry, haveDeposit, unexpected bool
-		for _, e := range byCorr[m.Corr] {
+		for _, pos := range ix.events(ix.group[m.Corr]) {
+			e := &ix.evs[pos]
 			switch e.Kind {
 			case trace.SendPosted:
 				if !haveSend && e.Rank == m.Src {
@@ -183,7 +164,7 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 			}
 		}
 		if haveSend && haveMatch {
-			if post, ok := recvPost[rr{m.Dst, matchedReq}]; ok && sendPostAt > post {
+			if post, ok := ix.recvPost[rankReq{m.Dst, matchedReq}]; ok && sendPostAt > post {
 				p.Waits = append(p.Waits, Wait{
 					Kind: WaitLateSender, Rank: m.Dst, Peer: m.Src, Corr: m.Corr,
 					At: post, Dur: sendPostAt.Sub(post),
@@ -204,7 +185,7 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 		}
 	}
 
-	p.Epochs = collectEpochs(evs)
+	p.Epochs = ix.collectEpochs()
 	for _, ep := range p.Epochs {
 		for i, rank := range ep.Ranks {
 			if ep.Skews[i] <= 0 {
@@ -236,7 +217,7 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 // collectEpochs groups CollEnter/CollExit by (epoch id, op) and derives
 // per-rank arrival skew. Epochs with a single recorded member carry no
 // wait information and are dropped.
-func collectEpochs(evs []trace.Event) []CollEpoch {
+func (ix *index) collectEpochs() []CollEpoch {
 	type key struct {
 		id uint64
 		op int
@@ -248,10 +229,8 @@ func collectEpochs(evs []trace.Event) []CollEpoch {
 	}
 	accs := make(map[key]*acc)
 	var order []key
-	for _, e := range evs {
-		if e.Kind != trace.CollEnter && e.Kind != trace.CollExit {
-			continue
-		}
+	for _, pos := range ix.colls {
+		e := &ix.evs[pos]
 		k := key{e.ReqID, e.Tag}
 		a := accs[k]
 		if a == nil {

@@ -90,7 +90,7 @@ type Watchdog struct {
 	par bool
 
 	probes   map[int]Probe
-	ranks    []int // registration order, kept sorted for determinism
+	ranks    []int          // registration order, kept sorted for determinism
 	last     []simtime.Time // per-rank last-progress stamps
 	reported map[int]bool
 	armed    bool
@@ -206,8 +206,8 @@ func (w *Watchdog) tick() {
 	w.k.After(w.window, "obs:watchdog", w.tick)
 }
 
-// lastEvents scans the attached recorder for rank's final event per
-// layer, newest first.
+// lastEvents scans the attached recorder, in place, for rank's final
+// event per layer, newest first.
 func (w *Watchdog) lastEvents(rank int) []LayerLast {
 	if w.rec == nil {
 		return nil
@@ -217,7 +217,7 @@ func (w *Watchdog) lastEvents(rank int) []LayerLast {
 		set bool
 	}
 	byLayer := make(map[trace.Layer]lastEv)
-	for _, e := range w.rec.Events() {
+	for e := range w.rec.All() {
 		if e.Rank != rank {
 			continue
 		}

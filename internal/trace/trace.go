@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strings"
@@ -128,86 +129,57 @@ const (
 	GaugeSample
 
 	// kindSentinel marks the end of the Kind enum. Every kind above must
-	// also appear in Kind.String; the exhaustive round-trip test in
+	// also appear in kindNames; the exhaustive round-trip test in
 	// trace_test.go walks [SendPosted, kindSentinel) so a kind added
 	// without a name (the PR-8 HWColl range bug) fails loudly.
 	kindSentinel
 )
 
+// kindNames is every kind's rendered name; Kind.String reads it, and a
+// kind left without one renders as Kind(n), which the round-trip test
+// refuses.
+var kindNames = [kindSentinel]string{
+	SendPosted:      "send-posted",
+	RecvPosted:      "recv-posted",
+	FirstArrived:    "first-arrived",
+	Matched:         "matched",
+	Unexpected:      "unexpected",
+	AckArrived:      "ack-arrived",
+	SendProgressed:  "send-progressed",
+	RecvProgressed:  "recv-progressed",
+	SendCompleted:   "send-completed",
+	RecvCompleted:   "recv-completed",
+	PTLEagerTx:      "eager-tx",
+	PTLRndvTx:       "rndv-tx",
+	PTLAckTx:        "ack-tx",
+	PTLPutIssued:    "put-issued",
+	PTLGetIssued:    "get-issued",
+	PTLFinRx:        "fin-rx",
+	PTLFinAckRx:     "fin-ack-rx",
+	PTLCQRecord:     "cq-record",
+	QDMAIssued:      "qdma-issued",
+	RDMAWriteIssued: "rdma-write-issued",
+	RDMAReadIssued:  "rdma-read-issued",
+	DMACompleted:    "dma-completed",
+	QDMADeposited:   "qdma-deposited",
+	QDMARetried:     "qdma-retried",
+	ChainFired:      "chain-fired",
+	PktSent:         "pkt-sent",
+	PktDelivered:    "pkt-delivered",
+	HWCollUp:        "hwcoll-up",
+	HWCollDone:      "hwcoll-done",
+	NBCPosted:       "nbc-posted",
+	NBCPhase:        "nbc-phase",
+	NBCCompleted:    "nbc-completed",
+	ProgressDuty:    "progress-duty",
+	CollEnter:       "coll-enter",
+	CollExit:        "coll-exit",
+	GaugeSample:     "gauge-sample",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case SendPosted:
-		return "send-posted"
-	case RecvPosted:
-		return "recv-posted"
-	case FirstArrived:
-		return "first-arrived"
-	case Matched:
-		return "matched"
-	case Unexpected:
-		return "unexpected"
-	case AckArrived:
-		return "ack-arrived"
-	case SendProgressed:
-		return "send-progressed"
-	case RecvProgressed:
-		return "recv-progressed"
-	case SendCompleted:
-		return "send-completed"
-	case RecvCompleted:
-		return "recv-completed"
-	case PTLEagerTx:
-		return "eager-tx"
-	case PTLRndvTx:
-		return "rndv-tx"
-	case PTLAckTx:
-		return "ack-tx"
-	case PTLPutIssued:
-		return "put-issued"
-	case PTLGetIssued:
-		return "get-issued"
-	case PTLFinRx:
-		return "fin-rx"
-	case PTLFinAckRx:
-		return "fin-ack-rx"
-	case PTLCQRecord:
-		return "cq-record"
-	case QDMAIssued:
-		return "qdma-issued"
-	case RDMAWriteIssued:
-		return "rdma-write-issued"
-	case RDMAReadIssued:
-		return "rdma-read-issued"
-	case DMACompleted:
-		return "dma-completed"
-	case QDMADeposited:
-		return "qdma-deposited"
-	case QDMARetried:
-		return "qdma-retried"
-	case ChainFired:
-		return "chain-fired"
-	case PktSent:
-		return "pkt-sent"
-	case PktDelivered:
-		return "pkt-delivered"
-	case HWCollUp:
-		return "hwcoll-up"
-	case HWCollDone:
-		return "hwcoll-done"
-	case NBCPosted:
-		return "nbc-posted"
-	case NBCPhase:
-		return "nbc-phase"
-	case NBCCompleted:
-		return "nbc-completed"
-	case ProgressDuty:
-		return "progress-duty"
-	case CollEnter:
-		return "coll-enter"
-	case CollExit:
-		return "coll-exit"
-	case GaugeSample:
-		return "gauge-sample"
+	if k < kindSentinel && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -302,12 +274,25 @@ func (r *Recorder) Record(e Event) {
 	r.events = append(r.events, e)
 }
 
+// Grow makes room for n more events in one allocation, for a writer that
+// knows its total (the cluster's merge of per-node recorders); a bounded
+// recorder already holds its whole slab.
+func (r *Recorder) Grow(n int) {
+	if r.limit == 0 && cap(r.events)-len(r.events) < n {
+		r.events = append(make([]Event, 0, len(r.events)+n), r.events...)
+	}
+}
+
 // Events returns a copy of the recorded events in record order. The copy
-// is defensive: renderers and analyzers may sort or mutate the returned
-// slice without corrupting the recorder's stream.
+// is defensive: callers may sort or mutate the returned slice without
+// corrupting the recorder's stream. Readers that only look use All.
 func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
+
+// All walks the recorded events in record order, in place: the read path
+// that copies nothing. Nothing may be recorded while a walk is under way.
+func (r *Recorder) All() iter.Seq[Event] { return slices.Values(r.events) }
 
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
@@ -318,7 +303,7 @@ func (r *Recorder) Dropped() int64 { return r.dropped }
 // ByKind counts events of each kind.
 func (r *Recorder) ByKind() map[Kind]int {
 	out := make(map[Kind]int)
-	for _, e := range r.events {
+	for e := range r.All() {
 		out[e.Kind]++
 	}
 	return out
@@ -327,7 +312,7 @@ func (r *Recorder) ByKind() map[Kind]int {
 // ByLayer counts events of each layer.
 func (r *Recorder) ByLayer() map[Layer]int {
 	out := make(map[Layer]int)
-	for _, e := range r.events {
+	for e := range r.All() {
 		out[e.Layer]++
 	}
 	return out
@@ -337,18 +322,34 @@ func (r *Recorder) ByLayer() map[Layer]int {
 // with per-line deltas. A trailing "(+N dropped)" line reports events lost
 // to the recorder limit rather than truncating silently.
 func (r *Recorder) Render() string {
-	return RenderEvents(r.Events(), r.dropped)
+	return RenderEvents(r.events, r.dropped)
+}
+
+// Ordered returns events as the time-ordered view every renderer,
+// exporter and analyzer walks: At non-decreasing, events of one instant in
+// their input order. Whether that takes a sort is a property of the input,
+// found by one linear pass. A stream already in order — whatever a
+// simulation recorded at its kernel's clock — is returned as it is,
+// uncopied, and callers only read it; anything else comes back as one
+// stably sorted copy.
+func Ordered(events []Event) []Event {
+	for i := 1; i < len(events); i++ {
+		if events[i].At < events[i-1].At {
+			evs := slices.Clone(events)
+			sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+			return evs
+		}
+	}
+	return events
 }
 
 // RenderEvents formats an event slice the way Recorder.Render does,
 // letting callers render a filtered view of the stream. dropped > 0
 // appends the "(+N dropped)" trailer.
 func RenderEvents(events []Event, dropped int64) string {
-	evs := append([]Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	var b strings.Builder
 	var prev simtime.Time
-	for _, e := range evs {
+	for _, e := range Ordered(events) {
 		fmt.Fprintf(&b, "%12.3fus (+%8.3f) rank %d %-6s %-17s req=%-4d peer=%-3d tag=%-6d bytes=%d\n",
 			e.At.Micros(), e.At.Sub(prev).Micros(), e.Rank, e.Layer, e.Kind, e.ReqID, e.Peer, e.Tag, e.Bytes)
 		prev = e.At

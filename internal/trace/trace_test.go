@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
+	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
 
@@ -172,6 +174,78 @@ func TestEventsReturnsDefensiveCopy(t *testing.T) {
 	evs[0].Rank = 99
 	if again := rec.Events(); again[0].Kind != trace.SendPosted || again[0].Rank != 0 {
 		t.Fatalf("mutating the returned slice corrupted the recorder: %+v", again[0])
+	}
+}
+
+// TestAllWalksInPlace: All yields what Events returns, in record order,
+// without the copy — a walk over a long stream allocates nothing that
+// grows with it — and stops when the loop body breaks.
+func TestAllWalksInPlace(t *testing.T) {
+	rec := trace.NewRecorder(0)
+	for i := 0; i < 10_000; i++ {
+		rec.Record(trace.Event{At: simtime.Time(10_000 - i), Rank: i, Kind: trace.PktSent})
+	}
+	if got := slices.Collect(rec.All()); !slices.Equal(got, rec.Events()) {
+		t.Fatal("All and Events disagree")
+	}
+	seen := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		seen = 0
+		for e := range rec.All() {
+			if seen++; e.Rank == 4999 {
+				break
+			}
+		}
+	})
+	if seen != 5000 || allocs > 2 {
+		t.Fatalf("walk visited %d events before its break with %.0f allocations; want 5000 and no copy", seen, allocs)
+	}
+}
+
+// TestGrowReservesOnce: after Grow(n) the next n events land in the slab
+// already there; a bounded recorder keeps its limit.
+func TestGrowReservesOnce(t *testing.T) {
+	rec := trace.NewRecorder(0)
+	rec.Record(trace.Event{Rank: 7})
+	rec.Grow(5000)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 2500; i++ { // AllocsPerRun calls twice
+			rec.Record(trace.Event{Rank: i})
+		}
+	}); allocs != 0 {
+		t.Fatalf("recording into grown room allocated %.0f times", allocs)
+	}
+	if rec.Len() != 5001 || rec.Events()[0].Rank != 7 {
+		t.Fatalf("Grow lost events: len %d, first %+v", rec.Len(), rec.Events()[0])
+	}
+	bounded := trace.NewRecorder(2)
+	bounded.Grow(100)
+	for i := 0; i < 5; i++ {
+		bounded.Record(trace.Event{Rank: i})
+	}
+	if bounded.Len() != 2 || bounded.Dropped() != 3 {
+		t.Fatalf("bounded recorder after Grow: kept %d, dropped %d; want 2 and 3", bounded.Len(), bounded.Dropped())
+	}
+}
+
+// TestOrderedCopiesOnlyWhatNeedsSorting: a stream in time order comes back
+// as the very same slice; any other as a stably sorted copy, the input
+// left as it was.
+func TestOrderedCopiesOnlyWhatNeedsSorting(t *testing.T) {
+	inOrder := []trace.Event{{At: 1, Rank: 0}, {At: 1, Rank: 1}, {At: 5, Rank: 2}, {At: 5, Rank: 3}}
+	if got := trace.Ordered(inOrder); &got[0] != &inOrder[0] || len(got) != len(inOrder) {
+		t.Fatal("an ordered stream was copied")
+	}
+	if got := trace.Ordered(nil); got != nil {
+		t.Fatalf("Ordered(nil) = %v", got)
+	}
+	shuffled := []trace.Event{{At: 5, Rank: 2}, {At: 1, Rank: 0}, {At: 5, Rank: 3}, {At: 1, Rank: 1}}
+	input := slices.Clone(shuffled)
+	if got := trace.Ordered(shuffled); !slices.Equal(got, inOrder) {
+		t.Fatalf("Ordered = %+v, want %+v (stable)", got, inOrder)
+	}
+	if !slices.Equal(shuffled, input) {
+		t.Fatal("Ordered sorted its input in place")
 	}
 }
 
