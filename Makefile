@@ -24,6 +24,9 @@ test:
 # RDMA stream descriptor is written by the source NIC's shard and read by
 # the destination's, and the golden replays at 2 and 4 workers under the
 # race detector are the proof that the epoch barrier orders the hand-off.
+# A Tport pull stream is the same shape one layer up — written by the
+# sender's firmware, walked by the receiver's — so the baseline's suites run
+# beside the NIC's.
 # The experiments and parsweep suites run under -race too: they are where
 # whole simulations execute concurrently, so any state shared between two
 # kernels shows up there. The obs and trace suites carry the observability
@@ -35,7 +38,7 @@ test:
 # here too and cannot rot unseen between two runs of ci.yml.
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
-	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/cluster
+	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/tport ./internal/mpichq ./internal/cluster
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
 	$(GO) test -C bench -short ./...

@@ -67,3 +67,46 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestRegistrationsReturned: the PML transforms a buffer to E4 format for
+// every send and every matched rendezvous receive, and hands the mapping
+// back when the request completes — after the last RDMA that can name it,
+// under either scheme — so a context's MMU holds the messages in flight, not
+// one entry per message of the run.
+func TestRegistrationsReturned(t *testing.T) {
+	for _, scheme := range []ptlelan4.Scheme{ptlelan4.RDMARead, ptlelan4.RDMAWrite} {
+		for _, inline := range []bool{false, true} {
+			o := ptlelan4.BestOptions(scheme)
+			o.InlineRndv = inline
+			c := cluster.New(cluster.Spec{Elan: &o}, 2)
+			var before, after [2]int
+			c.Launch(func(p *cluster.Proc) {
+				mmu := p.State.Ctx.MMU()
+				before[p.Rank] = mmu.Regions()
+				pingpong := func(n, size int) {
+					dt := datatype.Contiguous(size)
+					out, in := make([]byte, size), make([]byte, size)
+					for i := 0; i < n; i++ {
+						if p.Rank == 0 {
+							p.Stack.Send(p.Th, 1, i, 0, out, dt).Wait(p.Th)
+						}
+						p.Stack.Recv(p.Th, 1-p.Rank, i, 0, in, dt).Wait(p.Th)
+						if p.Rank == 1 {
+							p.Stack.Send(p.Th, 0, i, 0, out, dt).Wait(p.Th)
+						}
+					}
+				}
+				pingpong(1000, 256)
+				pingpong(100, 64<<10)
+				after[p.Rank] = mmu.Regions()
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if after != before {
+				t.Errorf("scheme %v, inline %v: live regions per rank went from %v to %v over 1100 round trips",
+					scheme, inline, before, after)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package elan4
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"qsmpi/internal/simtime"
@@ -89,5 +90,80 @@ func TestEngineChunkStepAllocatesNothing(t *testing.T) {
 		if perChunk > 0.05 {
 			t.Errorf("read=%v: %.2f allocations per chunk, want none", read, perChunk)
 		}
+	}
+}
+
+// depositCycle returns a function that deposits and polls one message of n
+// bytes per slot of q, once round the ring.
+func depositCycle(tb testing.TB, q *RecvQueue, n int) func() {
+	msg := make([]byte, n)
+	return func() {
+		for i := 0; i < q.Slots(); i++ {
+			if !q.deposit(0, msg) {
+				tb.Fatal("deposit into a drained ring was rejected")
+			}
+			q.Poll()
+		}
+	}
+}
+
+// BenchmarkDepositWrap is one deposit and poll per op on a ring that has
+// wrapped: the QDMA receive path of every header, ack and completion record.
+func BenchmarkDepositWrap(b *testing.B) {
+	bd := newBed(b, 1)
+	defer bd.k.Close()
+	q := bd.ctx[0].CreateQueue(1, 64)
+	cycle := depositCycle(b, q, 64)
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += q.Slots() {
+		cycle()
+	}
+}
+
+// TestDepositBacksSlotsByNeed: a slot is backed at the power-of-two class of
+// the largest deposit its queue has seen, so a ring allocates once per slot
+// on its first lap and nothing after; a larger message regrows the one slot
+// it lands in, once, and the slots it has not reached yet when they meet it.
+func TestDepositBacksSlotsByNeed(t *testing.T) {
+	b := newBed(t, 1)
+	defer b.k.Close()
+	q := b.ctx[0].CreateQueue(1, 8)
+	small, large := depositCycle(t, q, 40), depositCycle(t, q, 1000)
+	lap := func(cycle func()) float64 { return testing.AllocsPerRun(1, cycle) }
+	slotCaps := func() (caps []int) {
+		for _, buf := range q.slotBufs {
+			caps = append(caps, cap(buf))
+		}
+		return caps
+	}
+
+	small() // first lap: one backing per slot
+	if got := slotCaps(); !slices.Equal(got, slices.Repeat([]int{64}, 8)) {
+		t.Fatalf("slots are backed by %v bytes after a lap of 40-byte messages, want 64 each", got)
+	}
+	if n := lap(small); n != 0 {
+		t.Errorf("a lap of a wrapped ring allocated %.0f times, want 0", n)
+	}
+
+	q.deposit(0, make([]byte, 1000)) // lands in slot 0 and regrows it
+	q.Poll()
+	if got := slotCaps(); !slices.Equal(got, []int{1024, 64, 64, 64, 64, 64, 64, 64}) {
+		t.Fatalf("slots are backed by %v bytes after one 1000-byte message, want 1024 then 64s", got)
+	}
+	if n := lap(small); n != 0 {
+		t.Errorf("laps of small messages after a regrowth allocated %.0f times, want 0", n)
+	}
+	if got := slotCaps(); got[0] != 1024 || got[1] != 64 {
+		t.Fatalf("small messages changed the backing: %v", got)
+	}
+
+	large() // every slot meets a large message once
+	if got := slotCaps(); !slices.Equal(got, slices.Repeat([]int{1024}, 8)) {
+		t.Fatalf("slots are backed by %v bytes after a lap of 1000-byte messages, want 1024 each", got)
+	}
+	if n := lap(large) + lap(small); n != 0 {
+		t.Errorf("laps after every slot was regrown allocated %.0f times, want 0", n)
 	}
 }

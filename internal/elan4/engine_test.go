@@ -2,14 +2,12 @@ package elan4
 
 import (
 	"fmt"
-	"os"
-	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"qsmpi/internal/model"
 	"qsmpi/internal/simtime"
+	"qsmpi/internal/simtime/rectest"
 	"qsmpi/internal/trace"
 )
 
@@ -134,25 +132,13 @@ func engineFail(t *testing.T) func(error) {
 	return func(err error) { t.Errorf("descriptor failed: %v", err) }
 }
 
-// engineTrace is what a replay or a recording pins: the executed-event
-// count, the end time, every DMACompleted and onError time ("<ps>@nic<i>")
-// and — on a kernel without worker shards, the only one a kernel tracer may
-// attach to — the timestamp of every executed event, names stripped.
-type engineTrace struct {
-	steps, end        int64
-	completed, errors []string
-	stream            []string
-}
-
 // engineRun plays one scenario and renders what the goldens pin.
-func engineRun(t *testing.T, shards int, run func(*testing.T, *engineBed)) engineTrace {
+func engineRun(t *testing.T, shards int, run func(*testing.T, *engineBed)) rectest.Trace {
 	b := newEngineBed(shards)
 	defer b.k.Close()
-	var tr engineTrace
+	var tr rectest.Trace
 	if shards <= 1 {
-		b.k.SetTracer(func(at simtime.Time, what string) {
-			tr.stream = append(tr.stream, fmt.Sprint(int64(at)))
-		})
+		tr.Watch(b.k)
 	}
 	run(t, b)
 	b.k.EnableParallel()
@@ -167,100 +153,15 @@ func engineRun(t *testing.T, shards int, run func(*testing.T, *engineBed)) engin
 	}
 	sort.SliceStable(done, func(i, j int) bool { return done[i].At < done[j].At })
 	for _, e := range done {
-		tr.completed = append(tr.completed, fmt.Sprintf("%d@nic%d", int64(e.At), e.Rank))
+		tr.Completed = append(tr.Completed, fmt.Sprintf("%d@nic%d", int64(e.At), e.Rank))
 	}
 	for node, at := range b.errAt {
 		for _, ps := range at {
-			tr.errors = append(tr.errors, fmt.Sprintf("%d@nic%d", ps, node))
+			tr.Errors = append(tr.Errors, fmt.Sprintf("%d@nic%d", ps, node))
 		}
 	}
-	tr.steps, tr.end = b.k.Steps(), int64(b.k.Now())
+	tr.Steps, tr.End = b.k.Steps(), int64(b.k.Now())
 	return tr
-}
-
-// readGolden parses a recording: per scenario a "summary" line
-// (steps=, end=, completed= and errors= lists), a "stream" line and, where
-// the recording names them, the "placed" instants a later event diet
-// deleted (see compareToRecording).
-func readGolden(t *testing.T, path string) map[string]map[string][]string {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]map[string][]string{}
-	for _, line := range strings.Split(string(raw), "\n") {
-		key, val, ok := strings.Cut(line, ": ")
-		if !ok || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, kind, _ := strings.Cut(key, " ")
-		if golden[name] == nil {
-			golden[name] = map[string][]string{}
-		}
-		if kind != "summary" {
-			golden[name][kind] = strings.Fields(val)
-			continue
-		}
-		list := ""
-		for _, f := range strings.Fields(val) {
-			if k, v, ok := strings.Cut(f, "="); ok {
-				list, f = k, v
-			}
-			if f != "" {
-				golden[name][list] = append(golden[name][list], f)
-			}
-		}
-	}
-	return golden
-}
-
-// compareToRecording requires of a replay every time the recording pins —
-// end, completions, errors — and the recording's executed events with
-// exactly the instants in gone deleted: each must be in the recording, and
-// nothing else may be missing, added or moved. That is what an event diet
-// may do (DESIGN §7, "what may be removed under (time, seq)"), and checking
-// it this way means the next one edits a list, not a golden.
-func compareToRecording(t *testing.T, got engineTrace, rec map[string][]string, gone []string) {
-	t.Helper()
-	if rec == nil {
-		t.Fatal("scenario is not in the recording")
-	}
-	if want := rec["end"]; len(want) != 1 || fmt.Sprint(got.end) != want[0] {
-		t.Errorf("end=%d, recorded %v", got.end, want)
-	}
-	if !slices.Equal(got.completed, rec["completed"]) {
-		t.Errorf("completions diverge from the recording:\n got %v\nwant %v", got.completed, rec["completed"])
-	}
-	if !slices.Equal(got.errors, rec["errors"]) {
-		t.Errorf("errors diverge from the recording:\n got %v\nwant %v", got.errors, rec["errors"])
-	}
-	if want := rec["steps"]; len(want) != 1 || fmt.Sprint(got.steps+int64(len(gone))) != want[0] {
-		t.Errorf("steps=%d, want the recorded %v less the %d deleted events", got.steps, want, len(gone))
-	}
-	if got.stream == nil {
-		return // worker shards: no kernel tracer
-	}
-	var want []string
-	left := gone
-	for _, at := range rec["stream"] {
-		if len(left) > 0 && at == left[0] {
-			left = left[1:]
-			continue
-		}
-		want = append(want, at)
-	}
-	if len(left) > 0 {
-		t.Fatalf("instant %s is to be deleted but the recording has no event left there", left[0])
-	}
-	if !slices.Equal(got.stream, want) {
-		i := 0
-		for i < len(got.stream) && i < len(want) && got.stream[i] == want[i] {
-			i++
-		}
-		t.Errorf("event stream is not the recording less %v: first difference at event %d\n got %v\nwant %v",
-			gone, i, got.stream[i:], want[i:])
-	}
 }
 
 // TestEngineMatchesProcEngine replays the script without worker shards and
@@ -270,11 +171,11 @@ func compareToRecording(t *testing.T, got engineTrace, rec map[string][]string, 
 // since the stream rework): gone lists them per scenario, chunks−1 per
 // stream.
 func TestEngineMatchesProcEngine(t *testing.T) {
-	golden := readGolden(t, "testdata/engine_golden.txt")
+	golden := rectest.Read(t, "testdata/engine_golden.txt")
 	for _, sc := range engineScenarios {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", sc.name, shards), func(t *testing.T) {
-				compareToRecording(t, engineRun(t, shards, sc.run), golden[sc.name], sc.gone)
+				rectest.Compare(t, engineRun(t, shards, sc.run), golden[sc.name], sc.gone)
 			})
 		}
 	}

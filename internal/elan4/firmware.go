@@ -41,6 +41,12 @@ func (n *NIC) FirmwareRxPCI(nbytes int, extra simtime.Duration, name string, fn 
 	n.sc.At(n.rxPCI(nbytes, extra), name, fn)
 }
 
+// FirmwareRxPCIBook books the inbound PCI path for nbytes arriving now, as
+// FirmwareRxPCI does, and schedules nothing: for firmware that places a
+// packet inside its delivery because nothing happens when its PCI write ends
+// (a non-final chunk of a stream, see rxChunk).
+func (n *NIC) FirmwareRxPCIBook(nbytes int) { n.rxPCI(nbytes, 0) }
+
 // FirmwareTxPCI schedules fn after reading nbytes from host memory (the
 // outbound DMA cost firmware pays before putting data on the wire).
 func (n *NIC) FirmwareTxPCI(nbytes int, extra simtime.Duration, name string, fn func()) {

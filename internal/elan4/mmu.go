@@ -59,7 +59,12 @@ func (a E4Addr) String() string {
 var ErrMMUFault = errors.New("elan4: MMU translation fault")
 
 // MMU is one context's address-translation table: E4 address regions
-// backed by host memory.
+// backed by host memory. A mapping lives from Register to Unregister and
+// pins its buffer meanwhile: the PML makes one per request and a one-sided
+// Put or Get one per operation, dropped at completion, and an RMA window
+// keeps its own for as long as it is exposed, so the table holds what is in
+// flight, not the run's history. Region handles are never reused; a stale
+// address faults.
 type MMU struct {
 	regions map[uint32][]byte
 	next    uint32

@@ -1,6 +1,8 @@
 package elan4
 
 import (
+	"math/bits"
+
 	"qsmpi/internal/simtime"
 )
 
@@ -16,14 +18,18 @@ type QueuedMsg struct {
 // slots with Poll and must Free them to make room. The paper builds both
 // its incoming-message path and its shared completion queue out of these.
 type RecvQueue struct {
-	ctx      *Context
-	id       int
-	slotSize int
-	slots    []QueuedMsg
-	// slotBufs are the per-slot backing arrays, allocated once (lazily)
-	// and reused for every deposit into that slot — the hardware reality
-	// of a QSLOT ring, and the reason deposits allocate nothing.
+	ctx   *Context
+	id    int
+	slots []QueuedMsg
+	// slotBufs are the per-slot backing arrays, reused for every deposit
+	// into that slot — the hardware reality of a QSLOT ring, and the reason
+	// deposits allocate nothing. A hardware slot is QDMAMaxPayload bytes; the
+	// model backs one by need: slotSize is the power of two (at least 64)
+	// that holds the largest deposit this queue has seen, and a slot is
+	// allocated at it on first touch and again only for a message that does
+	// not fit, so a ring of 64-byte headers pins 64 bytes a slot, not 2 KB.
 	slotBufs [][]byte
+	slotSize int
 	head     int // next slot to poll
 	count    int // occupied slots
 
@@ -47,9 +53,10 @@ type RecvQueue struct {
 	highWater int // deepest occupancy ever seen
 }
 
-// CreateQueue allocates receive queue id with nslots slots of the
-// hardware slot size (QDMAMaxPayload). Creating an id twice panics: queue
-// ids are protocol constants chosen by each transport layer.
+// CreateQueue allocates receive queue id with nslots slots, each able to
+// take a message of the hardware slot size (QDMAMaxPayload) and backed by
+// what actually lands in it (see slotBufs). Creating an id twice panics:
+// queue ids are protocol constants chosen by each transport layer.
 func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	if _, dup := c.queues[id]; dup {
 		panic("elan4: duplicate queue id")
@@ -57,7 +64,6 @@ func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	q := &RecvQueue{
 		ctx:      c,
 		id:       id,
-		slotSize: c.nic.cfg.QDMAMaxPayload,
 		slots:    make([]QueuedMsg, nslots),
 		slotBufs: make([][]byte, nslots),
 		hostWord: simtime.NewCounter(),
@@ -140,13 +146,12 @@ func (q *RecvQueue) deposit(src int, data []byte) bool {
 		return false
 	}
 	idx := (q.head + q.count) % len(q.slots)
+	if len(data) > q.slotSize {
+		q.slotSize = max(64, 1<<bits.Len(uint(len(data)-1)))
+	}
 	buf := q.slotBufs[idx]
 	if cap(buf) < len(data) {
-		size := q.slotSize
-		if size < len(data) {
-			size = len(data)
-		}
-		buf = make([]byte, size)
+		buf = make([]byte, q.slotSize)
 		q.slotBufs[idx] = buf
 	}
 	cp := buf[:len(data)]

@@ -9,6 +9,7 @@ import (
 
 	"qsmpi/internal/model"
 	"qsmpi/internal/simtime"
+	"qsmpi/internal/simtime/rectest"
 )
 
 // An RDMA used to cost three kernel events, two copies through a pooled
@@ -143,7 +144,7 @@ func streamScenarios() []streamScenario {
 }
 
 // streamRun replays one scenario and checks its data.
-func streamRun(t *testing.T, shards int, sc streamScenario) engineTrace {
+func streamRun(t *testing.T, shards int, sc streamScenario) rectest.Trace {
 	var xfers []streamXfer
 	tr := engineRun(t, shards, func(t *testing.T, b *engineBed) { xfers = sc.run(b) })
 	for _, x := range xfers {
@@ -157,7 +158,7 @@ func streamRun(t *testing.T, shards int, sc streamScenario) engineTrace {
 // TestStreamMatchesPerPacketRDMA replays the script without worker shards
 // and on 2 and 4 against the recording of the per-packet code.
 func TestStreamMatchesPerPacketRDMA(t *testing.T) {
-	golden := readGolden(t, "testdata/stream_golden.txt")
+	golden := rectest.Read(t, "testdata/stream_golden.txt")
 	for _, sc := range streamScenarios() {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", sc.name, shards), func(t *testing.T) {
@@ -170,7 +171,7 @@ func TestStreamMatchesPerPacketRDMA(t *testing.T) {
 					rec = withoutFirstError(t, rec, inpci[len(inpci)-1])
 					gone = slices.Concat(gone, inpci)
 				}
-				compareToRecording(t, streamRun(t, shards, sc), rec, gone)
+				rectest.Compare(t, streamRun(t, shards, sc), rec, gone)
 			})
 		}
 	}

@@ -162,6 +162,13 @@ func (c Config) openMPILayered(spec cluster.Spec, size int) (total, pmlCost floa
 
 func openMPITraced(spec cluster.Spec, size, iters, warmup int, trace bool) (float64, float64, parsweep.Metrics) {
 	c := cluster.New(spec, 2)
+	lat, pmlCost := pingPongOn(c, size, iters, warmup, trace)
+	return lat, pmlCost, clusterMetrics(c)
+}
+
+// pingPongOn runs the ping-pong harness to completion on the fresh two-rank
+// cluster c, which the caller keeps for whatever it reads off it afterwards.
+func pingPongOn(c *cluster.Cluster, size, iters, warmup int, trace bool) (lat, pmlCost float64) {
 	var total simtime.Duration
 	var traces []*pml.LayerTrace
 	c.Launch(func(p *cluster.Proc) {
@@ -191,22 +198,18 @@ func openMPITraced(spec cluster.Spec, size, iters, warmup int, trace bool) (floa
 	if err := c.Run(); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	lat := total.Micros() / float64(iters) / 2
-	if !trace {
-		return lat, 0, clusterMetrics(c)
-	}
-	var pmlSum float64
+	lat = total.Micros() / float64(iters) / 2
 	var n int
 	for _, tr := range traces {
 		if tr.Count > 0 {
-			pmlSum += tr.Mean()
+			pmlCost += tr.Mean()
 			n++
 		}
 	}
 	if n > 0 {
-		pmlSum /= float64(n)
+		pmlCost /= float64(n)
 	}
-	return lat, pmlSum, clusterMetrics(c)
+	return lat, pmlCost
 }
 
 // TportPingPong measures mean half-round-trip latency (µs) of the

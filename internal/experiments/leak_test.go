@@ -3,6 +3,10 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"qsmpi/internal/cluster"
+	"qsmpi/internal/pml"
+	"qsmpi/internal/ptlelan4"
 )
 
 // TestRepeatedSweepsHoldNothing: every kernel the figure sweeps create is
@@ -33,5 +37,23 @@ func TestRepeatedSweepsHoldNothing(t *testing.T) {
 	}
 	if h > h0+h0/4+(1<<20) {
 		t.Errorf("heap in use grew from %d KB to %d KB over %d passes", h0>>10, h>>10, passes)
+	}
+}
+
+// TestFig10HarnessReturnsRegistrations: when a run of the Fig. 10 ping-pong
+// has returned, under either scheme and either protocol, neither rank's MMU
+// maps anything — every request handed its registration back as it
+// completed (the table used to gain an entry per message and keep it).
+func TestFig10HarnessReturnsRegistrations(t *testing.T) {
+	for _, scheme := range []ptlelan4.Scheme{ptlelan4.RDMARead, ptlelan4.RDMAWrite} {
+		for _, size := range []int{1024, 64 << 10} {
+			c := cluster.New(elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling), 2)
+			pingPongOn(c, size, 50, Warmup, false)
+			for _, p := range c.Procs() {
+				if n := p.State.Ctx.MMU().Regions(); n != 0 {
+					t.Errorf("%v, %d bytes: rank %d is left with %d registered regions", scheme, size, p.Rank, n)
+				}
+			}
+		}
 	}
 }

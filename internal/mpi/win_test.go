@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"qsmpi/internal/cluster"
 	"qsmpi/internal/mpi"
+	"qsmpi/internal/ptlelan4"
 )
 
 func TestWinPutFence(t *testing.T) {
@@ -117,4 +119,32 @@ func TestWinBoundsPanic(t *testing.T) {
 		}()
 		win.Put(1, 10, make([]byte, 10))
 	})
+}
+
+// TestWinOpsReturnRegistrations: a window keeps its own mapping for as long
+// as it is exposed; the local buffer of each Put and Get is mapped for that
+// one operation and unmapped when it completes.
+func TestWinOpsReturnRegistrations(t *testing.T) {
+	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	c := cluster.New(cluster.Spec{Elan: &opts}, 2)
+	uni := mpi.NewUniverse()
+	c.Launch(func(p *cluster.Proc) {
+		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, 2)
+		mmu := p.State.Ctx.MMU()
+		before := mmu.Regions()
+		win := w.Comm().WinCreate(make([]byte, 8192))
+		buf := make([]byte, 4096)
+		for i := 0; i < 10; i++ {
+			win.Put(1-p.Rank, 0, buf)
+			win.Get(1-p.Rank, 4096, buf)
+			win.Fence()
+		}
+		if got := mmu.Regions(); got != before+1 {
+			t.Errorf("rank %d: %d regions mapped after 20 one-sided operations, want the %d from before the window plus the window", p.Rank, got, before)
+		}
+		win.Free()
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -123,6 +123,8 @@ func (m *fakeModule) RegisterMem(buf []byte) elan4.E4Addr {
 	return m.net.register(m.rank, buf)
 }
 
+func (m *fakeModule) UnregisterMem(a elan4.E4Addr) { delete(m.net.mem[m.rank], a) }
+
 func (m *fakeModule) AddProc(th *simtime.Thread, p *ptl.Peer) error {
 	m.peers[p.Rank] = p
 	return nil

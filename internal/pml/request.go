@@ -44,6 +44,7 @@ type SendReq struct {
 	user   []byte // caller's buffer (typed layout)
 	packed []byte // contiguous representation (== user when contiguous)
 	mem    ptl.MemDesc
+	memMod ptl.Module // registered mem; takes it back at completion
 
 	n          int // total message bytes
 	progressed int
@@ -84,6 +85,7 @@ type RecvReq struct {
 	matched   bool
 	staging   []byte // contiguous landing area (== user when contiguous)
 	mem       ptl.MemDesc
+	memMod    ptl.Module // registered mem (rendezvous only); takes it back at completion
 	msgLen    int
 	got       int
 	status    Status

@@ -338,6 +338,7 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 	th.Compute(s.cfg.PMLScheduleCost)
 	mod := mods[0]
 	req.mem = ptl.MemDesc{Buf: req.packed, E4: mod.RegisterMem(req.packed)}
+	req.memMod = mod
 
 	cs := s.comm(comm)
 	seq := cs.seqOut[dst]
@@ -498,6 +499,10 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 	if req.progressed == req.n && !req.done.Fired() {
 		delete(s.sendDesc, req.id)
 		delete(s.sendReqs, req.id)
+		if req.memMod != nil {
+			// Every byte is delivered: no RDMA can name the buffer again.
+			req.memMod.UnregisterMem(req.mem.E4)
+		}
 		if !req.dtype.Contig() && req.packed != nil {
 			// The packed scratch was fully transmitted; recycle it.
 			s.pool.Put(req.packed)
@@ -670,6 +675,7 @@ func (s *Stack) consumeMatch(th *simtime.Thread, req *RecvReq, ff *firstFrag) {
 		req.staging = s.pool.Get(req.msgLen)
 	}
 	req.mem = ptl.MemDesc{Buf: req.staging, E4: ff.mod.RegisterMem(req.staging)}
+	req.memMod = ff.mod
 	inline := int(ff.hdr.FragLen)
 	if inline > 0 {
 		// The copy the "no-inline" optimization avoids: inlined
@@ -720,6 +726,9 @@ func (s *Stack) RecvProgress(th *simtime.Thread, recvReq uint64, bytes int) {
 func (s *Stack) finishRecv(th *simtime.Thread, req *RecvReq) {
 	if req.done.Fired() {
 		return
+	}
+	if req.memMod != nil {
+		req.memMod.UnregisterMem(req.mem.E4)
 	}
 	if req.staging != nil && !req.dtype.Contig() {
 		// Scatter the packed staging buffer into the typed user layout,

@@ -114,8 +114,11 @@ type Module interface {
 
 	// RegisterMem transforms a host buffer into the module's network
 	// addressing (E4Addr on Quadrics; zero for TCP). The PML stores it in
-	// the expanded memory descriptor.
+	// the expanded memory descriptor and hands it back with UnregisterMem
+	// when the request completes, so the translation table holds the
+	// messages in flight, not every message ever sent.
 	RegisterMem(buf []byte) elan4.E4Addr
+	UnregisterMem(a elan4.E4Addr)
 
 	// AddProc establishes reachability to a peer (connection setup via
 	// the RTE modex); DelProc tears it down after pending traffic drains.

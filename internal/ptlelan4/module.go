@@ -393,6 +393,9 @@ func (m *Module) RegisterMem(buf []byte) elan4.E4Addr {
 	return m.st.Ctx.Register(buf)
 }
 
+// UnregisterMem implements ptl.Module.
+func (m *Module) UnregisterMem(a elan4.E4Addr) { m.st.Ctx.Unregister(a) }
+
 // AddProc implements ptl.Module: resolve the peer's VPID through the RTE
 // modex (connection setup — static tables would preclude dynamic joins).
 func (m *Module) AddProc(th *simtime.Thread, p *ptl.Peer) error {
@@ -491,32 +494,36 @@ func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote p
 }
 
 // RawPut implements ptl.RMACapable: a one-sided RDMA write into a remote
-// window, used by the MPI-2 RMA layer. The source buffer is transformed
-// to an E4 address on the fly (Quadrics needs no pre-registration) and
-// onDone fires from the completion event's chain once the write is
+// window, used by the MPI-2 RMA layer; onDone fires once the write is
 // network-acknowledged.
 func (m *Module) RawPut(th *simtime.Thread, p *ptl.Peer, src []byte, remote elan4.E4Addr, off int, onDone func()) {
 	m.lc.RequireActive("RawPut")
-	vpid := m.peerVPID(p)
-	srcE4 := m.st.Ctx.Register(src)
-	ev := m.st.Ctx.NewEvent(1)
-	ev.SetHostWord(simtime.NewCounter())
-	ev.AddNotify(m.act)
-	ev.Chain(onDone)
-	m.st.RDMAWrite(th, vpid, srcE4, remote.Add(off), len(src), ev, m.onSendError)
+	srcE4, ev := m.rmaOp(src, onDone)
+	m.st.RDMAWrite(th, m.peerVPID(p), srcE4, remote.Add(off), len(src), ev, m.onSendError)
 }
 
 // RawGet implements ptl.RMACapable: a one-sided RDMA read from a remote
 // window.
 func (m *Module) RawGet(th *simtime.Thread, p *ptl.Peer, remote elan4.E4Addr, off int, dst []byte, onDone func()) {
 	m.lc.RequireActive("RawGet")
-	vpid := m.peerVPID(p)
-	dstE4 := m.st.Ctx.Register(dst)
+	dstE4, ev := m.rmaOp(dst, onDone)
+	m.st.RDMARead(th, m.peerVPID(p), remote.Add(off), dstE4, len(dst), ev, m.onRecvError)
+}
+
+// rmaOp transforms the local buffer of a one-sided operation to an E4
+// address on the fly (Quadrics needs no pre-registration) and returns it
+// with the operation's completion event, whose chain drops the mapping
+// again and fires onDone.
+func (m *Module) rmaOp(buf []byte, onDone func()) (elan4.E4Addr, *elan4.Event) {
+	a := m.st.Ctx.Register(buf)
 	ev := m.st.Ctx.NewEvent(1)
 	ev.SetHostWord(simtime.NewCounter())
 	ev.AddNotify(m.act)
-	ev.Chain(onDone)
-	m.st.RDMARead(th, vpid, remote.Add(off), dstE4, len(dst), ev, m.onRecvError)
+	ev.Chain(func() {
+		m.st.Ctx.Unregister(a)
+		onDone()
+	})
+	return a, ev
 }
 
 // Matched implements ptl.Module (the paper's ptl_matched): execute the

@@ -191,6 +191,9 @@ func (m *Module) Weight() float64 { return m.opts.Weight }
 // addressing.
 func (m *Module) RegisterMem(buf []byte) elan4.E4Addr { return elan4.NilAddr }
 
+// UnregisterMem implements ptl.Module.
+func (m *Module) UnregisterMem(elan4.E4Addr) {}
+
 // AddProc implements ptl.Module.
 func (m *Module) AddProc(th *simtime.Thread, p *ptl.Peer) error {
 	m.lc.RequireActive("AddProc")

@@ -59,13 +59,25 @@ type pullPkt struct {
 	chunk   int
 }
 
-type dataPkt struct {
-	recvID  uint64
-	off     int
-	data    []byte
-	last    bool
-	sendID  uint64
-	srcPort int
+// pullStream is one rendezvous transfer as both NICs see it: the sender's
+// firmware allocates one when the pull request arrives and every packet of
+// the transfer carries that pointer as its payload; no data is staged. The
+// fabric delivers a (source, destination) pair in send order, so the
+// receiver recovers each packet's offset from a cursor and copies the
+// sender's buffer to its own once, when it places the packet — the sender's
+// bytes at placement, which a send that completes after the last placement
+// cannot tell from a snapshot at the PCI read. It mirrors elan4's stream and
+// does not share its walker: the DMA engine serves one descriptor at a time
+// and keeps the send cursor itself; the thread processor interleaves pulls,
+// so each carries its own. The sender's entity writes every field but rcvd
+// before the first packet leaves and only sent after; rcvd is the receiver's.
+type pullStream struct {
+	data             []byte // the sender's buffer, all of it: a view
+	chunk            int
+	sendID, recvID   uint64
+	srcPort, dstPort int
+	sent, rcvd       int    // send and receive cursors
+	step             func() // a chunk's PCI read ended; bound once, not per chunk
 }
 
 type sendDonePkt struct {
@@ -100,9 +112,7 @@ type RecvHandle struct {
 	Source  int
 	TagSeen int
 
-	// NIC-side transfer state
 	recvID uint64
-	got    int
 	// corr is the matched message's cross-rank correlator (trace.MsgID of
 	// the sender's id); zero until matched or when untraced.
 	corr uint64
@@ -228,8 +238,6 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 	h := &SendHandle{ep: e, done: simtime.NewCounter(), n: len(data)}
 	id := e.nextSend
 	e.nextSend++
-	st := &sendState{h: h, data: data, dst: dst}
-	e.sends[id] = st
 	e.trace(trace.SendPosted, id, dst, tag, len(data), e.msgCorr(e.rank, id))
 
 	if len(data) <= e.eagerLimit {
@@ -246,7 +254,9 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 		e.trace(trace.SendCompleted, id, dst, tag, len(data), e.msgCorr(e.rank, id))
 		return h
 	}
-	// Rendezvous: descriptor only; the NIC handles everything after.
+	// Rendezvous: descriptor only; the NIC handles everything after, and
+	// needs the buffer until the receiver's pull is done.
+	e.sends[id] = &sendState{h: h, data: data, dst: dst}
 	th.Compute(e.cfg.TportHostCost + e.cfg.CmdIssue)
 	pkt := &rndvPkt{srcRank: e.rank, dstRank: dst, tag: tag, n: len(data), sendID: id, srcPort: e.nic.Port()}
 	e.nicSendAfterDispatch(dst, headerBytes, pkt)
@@ -347,19 +357,8 @@ func (e *Endpoint) HandlePacket(payload any) bool {
 	case *pullPkt:
 		e.streamChunks(p)
 		return true
-	case *dataPkt:
-		e.nic.FirmwareRxPCI(len(p.data), 0, "tport:data", func() {
-			h := e.recvs[p.recvID]
-			if h == nil {
-				panic("tport: data for unknown receive")
-			}
-			copy(h.buf[p.off:p.off+len(p.data)], p.data)
-			h.got += len(p.data)
-			if p.last {
-				e.nic.FirmwareSend(p.srcPort, 0, &sendDonePkt{sendID: p.sendID})
-				e.complete(h, h.got, -2, -2) // src/tag recorded at startPull
-			}
-		})
+	case *pullStream:
+		e.placeChunk(p)
 		return true
 	case *sendDonePkt:
 		st := e.sends[p.sendID]
@@ -399,20 +398,18 @@ func (e *Endpoint) deliverEager(h *RecvHandle, p *eagerPkt) {
 	if len(p.data) > len(h.buf) {
 		panic(fmt.Sprintf("tport: message of %d truncates buffer of %d", len(p.data), len(h.buf)))
 	}
+	h.Source, h.TagSeen = p.srcRank, p.tag
 	h.corr = e.msgCorr(p.srcRank, p.sendID)
 	e.trace(trace.Matched, h.recvID, p.srcRank, p.tag, len(p.data), h.corr)
 	e.nic.FirmwareRxPCI(len(p.data), 0, "tport:eager-deliver", func() {
 		copy(h.buf, p.data)
-		e.complete(h, len(p.data), p.srcRank, p.tag)
+		e.complete(h, len(p.data))
 	})
 }
 
-func (e *Endpoint) complete(h *RecvHandle, n, src, tag int) {
+// complete finishes a matched receive of n bytes.
+func (e *Endpoint) complete(h *RecvHandle, n int) {
 	h.N = n
-	if src != -2 {
-		h.Source = src
-		h.TagSeen = tag
-	}
 	delete(e.recvs, h.recvID)
 	h.done.Add(1)
 	e.trace(trace.RecvCompleted, h.recvID, h.Source, h.TagSeen, n, h.corr)
@@ -424,8 +421,7 @@ func (e *Endpoint) startPull(h *RecvHandle, p *rndvPkt) {
 	if p.n > len(h.buf) {
 		panic(fmt.Sprintf("tport: message of %d truncates buffer of %d", p.n, len(h.buf)))
 	}
-	h.Source = p.srcRank
-	h.TagSeen = p.tag
+	h.Source, h.TagSeen = p.srcRank, p.tag
 	h.corr = e.msgCorr(p.srcRank, p.sendID)
 	e.trace(trace.Matched, h.recvID, p.srcRank, p.tag, p.n, h.corr)
 	e.nic.FirmwareSend(p.srcPort, 0, &pullPkt{
@@ -434,31 +430,56 @@ func (e *Endpoint) startPull(h *RecvHandle, p *rndvPkt) {
 }
 
 // streamChunks runs at the sender NIC: pipeline the message onto the wire
-// in MTU chunks, reading host memory as it goes.
+// in MTU chunks, reading host memory as it goes. Every timer is pushed where
+// the per-chunk code this replaced pushed it (testdata/pull_golden.txt):
+// moving a push moves simulated time.
 func (e *Endpoint) streamChunks(p *pullPkt) {
 	st := e.sends[p.sendID]
 	if st == nil {
 		panic("tport: pull for unknown send")
 	}
-	data := st.data
-	var emit func(off int)
-	emit = func(off int) {
-		ln := len(data) - off
-		if ln > p.chunk {
-			ln = p.chunk
-		}
-		cp := make([]byte, ln)
-		copy(cp, data[off:off+ln])
-		e.stats.PullChunks++
-		e.nic.FirmwareTxPCI(ln, 0, "tport:chunk", func() {
-			e.nic.FirmwareSend(p.dstPort, headerBytes+ln, &dataPkt{
-				recvID: p.recvID, off: off, data: cp,
-				last: off+ln == len(data), sendID: p.sendID, srcPort: e.nic.Port(),
-			})
-			if off+ln < len(data) {
-				emit(off + ln)
-			}
-		})
+	ps := &pullStream{
+		data: st.data, chunk: p.chunk, sendID: p.sendID, recvID: p.recvID,
+		srcPort: e.nic.Port(), dstPort: p.dstPort,
 	}
-	e.nic.FirmwareDelay(e.cfg.DMAStartup, "tport:pull-start", func() { emit(0) })
+	ps.step = func() {
+		ln := min(ps.chunk, len(ps.data)-ps.sent)
+		ps.sent += ln
+		e.nic.FirmwareSend(ps.dstPort, headerBytes+ln, ps)
+		if ps.sent < len(ps.data) {
+			e.readChunk(ps)
+		}
+	}
+	e.nic.FirmwareDelay(e.cfg.DMAStartup, "tport:pull-start", func() { e.readChunk(ps) })
+}
+
+// readChunk starts the PCI read of the chunk at ps's send cursor.
+func (e *Endpoint) readChunk(ps *pullStream) {
+	e.stats.PullChunks++
+	e.nic.FirmwareTxPCI(min(ps.chunk, len(ps.data)-ps.sent), 0, "tport:chunk", ps.step)
+}
+
+// placeChunk runs at the receiver NIC on every packet of a pull and books
+// the receive PCI path for it. A non-final chunk is placed at once, inside
+// its delivery event: a timer at the end of its PCI write would schedule
+// nothing, send nothing and touch no timing state (a leaf, DESIGN §7). The
+// final chunk completes both handles at that instant and keeps the timer.
+func (e *Endpoint) placeChunk(ps *pullStream) {
+	h := e.recvs[ps.recvID]
+	if h == nil {
+		panic("tport: data for unknown receive")
+	}
+	off := ps.rcvd
+	ln := min(ps.chunk, len(ps.data)-off)
+	ps.rcvd += ln
+	if ps.rcvd < len(ps.data) {
+		e.nic.FirmwareRxPCIBook(ln)
+		copy(h.buf[off:], ps.data[off:off+ln])
+		return
+	}
+	e.nic.FirmwareRxPCI(ln, 0, "tport:data", func() {
+		copy(h.buf[off:], ps.data[off:])
+		e.nic.FirmwareSend(ps.srcPort, 0, &sendDonePkt{sendID: ps.sendID})
+		e.complete(h, len(ps.data))
+	})
 }
