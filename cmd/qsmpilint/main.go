@@ -1,16 +1,14 @@
 // Command qsmpilint runs the repo's invariant analyzers (internal/lint):
 // detclock, maporder, kernelown, pooluse, tracecorr, reqlife and
-// collorder, plus the //lint:allow suppression audit. It speaks two
-// dialects:
+// collorder, plus the //lint:allow suppression audit.
 //
-//	go vet -vettool=$(command -v qsmpilint) ./...   # unitchecker protocol
-//	qsmpilint [-sarif|-json] [-o file] [-par N] ./... # standalone, via go list
+//	qsmpilint [-sarif|-json] [-o file] [-par N] ./...
 //
-// `make lint` (folded into `make check`) uses the vet form so findings
-// participate in go vet's caching; the standalone form needs no vet
-// plumbing, shards packages across GOMAXPROCS workers, and is what the
-// fixture meta-test and the nightly SARIF upload drive. Interprocedural
-// facts (collorder's CallsCollective) flow through both dialects.
+// Packages are loaded through `go list -export` and sharded across
+// GOMAXPROCS workers in dependency order, so interprocedural facts
+// (collorder's CallsCollective) reach every dependent; `make lint` (folded
+// into `make check`), the repo-is-clean meta-test and the nightly SARIF
+// upload all drive this one form. _test.go files are not analyzed.
 package main
 
 import (
@@ -26,17 +24,6 @@ import (
 
 func main() {
 	args := os.Args[1:]
-
-	// Vet protocol invocations are distinguishable by shape: a single
-	// -V=..., -flags, or *.cfg argument.
-	if len(args) == 1 {
-		a := args[0]
-		if strings.HasPrefix(a, "-V=") || a == "-flags" || strings.HasSuffix(a, ".cfg") {
-			driver.VetMain(lint.Analyzers())
-			return // unreachable; VetMain exits
-		}
-	}
-
 	var (
 		sarif   bool
 		jsonOut bool
@@ -124,7 +111,7 @@ func main() {
 		// SARIF mode is for CI report upload: the report itself is the
 		// product, so producing one is success even when it has results —
 		// the annotation surface decides what blocks. Text and -json modes
-		// gate, like vet.
+		// gate.
 		if sarif && outPath != "" {
 			return
 		}

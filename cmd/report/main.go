@@ -30,7 +30,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "append per-figure cross-layer metrics tables (representative instrumented reruns)")
 	breakdown := flag.Bool("breakdown", false, "append per-figure phase-decomposition tables (representative instrumented reruns)")
 	waitstates := flag.Bool("waitstates", false, "append wait-state attribution tables and arrival-skew histograms (seeded scenarios rerun sequentially)")
-	shards := flag.Int("shards", 1, "worker shards per measurement cluster (conservative parallel kernel; the report body is byte-identical at any value)")
+	shards := flag.Int("shards", 1, "worker shards per measurement cluster (conservative parallel kernel; every value ≥ 2 prints the same report, which differs from -shards 1 in one digit of the 4096-rank host barrier — DESIGN.md §7.2)")
 	flag.Parse()
 	var st parsweep.Stats
 	cfg := experiments.DefaultConfig().WithIters(*iters)

@@ -117,7 +117,10 @@ func runTestPattern(p *Proc, procs int, pattern string, size, iters int) {
 // instant, so the canonical (time, source, sequence) cross-shard order
 // coincides with the sequential engine's history order — the condition
 // under which shards-vs-sequential identity is guaranteed (see
-// DESIGN.md §7.2; the report and golden workloads are all in this class).
+// DESIGN.md §7.2: the golden workloads and the report's two-rank points
+// are in this class; the report's host-tree barrier from 1024 ranks up
+// and its NIC barrier at 4096 are not, and fall under
+// TestShardedSelfIdentity's contract instead).
 func TestShardedClusterIdentity(t *testing.T) {
 	cases := []struct {
 		pattern     string

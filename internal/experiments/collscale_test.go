@@ -6,16 +6,15 @@ import "testing"
 // NIC combine tree beats the host software trees for both barrier and
 // allreduce, and does it with fewer kernel events.
 func TestCollectiveOffloadWins(t *testing.T) {
-	for _, allreduce := range []bool{false, true} {
-		host, hostEv := CollectiveEvents(64, false, allreduce, 1)
-		nic, nicEv := CollectiveEvents(64, true, allreduce, 1)
+	for _, op := range []string{"barrier", "allreduce"} {
+		host, hostM := Config{}.collLatency(64, false, op)
+		nic, nicM := Config{}.collLatency(64, true, op)
 		if nic >= host {
-			t.Errorf("allreduce=%v: NIC tree %.2fus not faster than host %.2fus",
-				allreduce, nic, host)
+			t.Errorf("%s: NIC tree %.2fus not faster than host %.2fus", op, nic, host)
 		}
-		if nicEv >= hostEv {
-			t.Errorf("allreduce=%v: NIC tree %d events not fewer than host %d",
-				allreduce, nicEv, hostEv)
+		if nicM.SimEvents >= hostM.SimEvents {
+			t.Errorf("%s: NIC tree %d events not fewer than host %d",
+				op, nicM.SimEvents, hostM.SimEvents)
 		}
 	}
 }
@@ -23,27 +22,11 @@ func TestCollectiveOffloadWins(t *testing.T) {
 // TestCollective4096Barrier is the scale acceptance gate: a 4096-rank
 // NIC-tree barrier run must build and complete within test timeouts.
 func TestCollective4096Barrier(t *testing.T) {
-	lat, ev := CollectiveEvents(4096, true, false, 1)
-	if lat <= 0 || ev <= 0 {
-		t.Fatalf("4096-rank barrier: lat=%.2f events=%d", lat, ev)
+	lat, m := Config{}.collLatency(4096, true, "barrier")
+	if lat <= 0 || m.SimEvents <= 0 {
+		t.Fatalf("4096-rank barrier: lat=%.2f events=%d", lat, m.SimEvents)
 	}
-	t.Logf("4096-rank NIC barrier: %.2fus, %d events", lat, ev)
-}
-
-// TestCollectiveShardIdentity: the collective measurements must be
-// byte-identical whether the simulation runs sequentially or across 4
-// PDES shards, for both algorithms.
-func TestCollectiveShardIdentity(t *testing.T) {
-	for _, nic := range []bool{false, true} {
-		for _, allreduce := range []bool{false, true} {
-			l1, e1 := CollectiveEvents(64, nic, allreduce, 1)
-			l4, e4 := CollectiveEvents(64, nic, allreduce, 4)
-			if l1 != l4 || e1 != e4 {
-				t.Errorf("nic=%v allreduce=%v: shards 1 (%.6f, %d) != shards 4 (%.6f, %d)",
-					nic, allreduce, l1, e1, l4, e4)
-			}
-		}
-	}
+	t.Logf("4096-rank NIC barrier: %.2fus, %d events", lat, m.SimEvents)
 }
 
 // TestCollPeersSymmetric: the restricted bringup topology must be

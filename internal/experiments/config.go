@@ -22,8 +22,11 @@ type Config struct {
 	Stats *parsweep.Stats
 	// Shards is the worker-shard count each measurement cluster runs with
 	// (see cluster.Spec.Shards); 0 or 1 adds no worker and the run stays
-	// sequential. The report workloads are contention-tie-free, so their
-	// output is byte-identical at every shard count.
+	// sequential. Every value ≥ 2 gives the same output. It equals the
+	// sequential output where no two sources claim a link at one instant:
+	// every two-rank point, the overlap family and the collectives to 256
+	// ranks, but not the host-tree barrier from 1024 ranks up nor the NIC
+	// barrier at 4096 (DESIGN.md §7.2 has the measured pairs).
 	Shards int
 }
 

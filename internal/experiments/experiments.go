@@ -131,14 +131,6 @@ func OpenMPIPingPong(spec cluster.Spec, size, iters int) float64 {
 	return lat
 }
 
-// OpenMPIPingPongEvents is OpenMPIPingPong plus the number of kernel
-// events the run executed, for wall-clock throughput (events/sec)
-// measurement by the benchmark harness.
-func OpenMPIPingPongEvents(spec cluster.Spec, size, iters int) (latUS float64, events int64) {
-	lat, _, m := openMPITraced(spec, size, iters, Warmup, false)
-	return lat, m.SimEvents
-}
-
 // OpenMPILayered measures both the half-round-trip latency and the mean
 // PML-layer cost (§6.3) for one size.
 func OpenMPILayered(spec cluster.Spec, size, iters int) (total, pmlCost float64) {
@@ -212,20 +204,17 @@ func pingPongOn(c *cluster.Cluster, size, iters, warmup int, trace bool) (lat, p
 	return lat, pmlCost
 }
 
-// TportPingPong measures mean half-round-trip latency (µs) of the
-// MPICH-QsNetII baseline.
-func TportPingPong(size, iters int) float64 {
-	lat, _ := tportPingPong(size, iters, Warmup)
-	return lat
-}
-
-// tportPingPong is the Config-aware MPICH-QsNetII harness.
+// tportPingPong is the Config-aware MPICH-QsNetII baseline harness: mean
+// half-round-trip latency (µs) plus engine metrics.
 func (c Config) tportPingPong(size, iters int) (float64, parsweep.Metrics) {
-	return tportPingPong(size, iters, c.Warmup)
+	j := mpichq.NewJob(2, nil)
+	lat := tportPingPongOn(j, size, iters, c.Warmup)
+	return lat, parsweep.Metrics{SimEvents: j.K.Steps()}
 }
 
-func tportPingPong(size, iters, warmup int) (float64, parsweep.Metrics) {
-	j := mpichq.NewJob(2, nil)
+// tportPingPongOn runs the baseline's ping-pong to completion on the fresh
+// two-rank job j, which the caller keeps for whatever it attached to it.
+func tportPingPongOn(j *mpichq.Job, size, iters, warmup int) float64 {
 	var total simtime.Duration
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		buf := make([]byte, size)
@@ -249,7 +238,7 @@ func tportPingPong(size, iters, warmup int) (float64, parsweep.Metrics) {
 	if err := j.Run(); err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	return total.Micros() / float64(iters) / 2, parsweep.Metrics{SimEvents: j.K.Steps()}
+	return total.Micros() / float64(iters) / 2
 }
 
 // QDMAPingPong measures native Quadrics QDMA half-round-trip latency (µs):

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-
 	"qsmpi/internal/cluster"
-	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpichq"
 	"qsmpi/internal/obs"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
-	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
 
@@ -36,36 +32,8 @@ func ObservedPingPong(spec cluster.Spec, size, iters, warmup, limit int) Observe
 	reg := obs.New()
 	spec.Tracer = rec
 	spec.Metrics = reg
-	c := cluster.New(spec, 2)
-	var total simtime.Duration
-	c.Launch(func(p *cluster.Proc) {
-		dt := datatype.Contiguous(size)
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if p.Rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := p.Th.Now()
-				p.Stack.Send(p.Th, 1, 1, 0, buf, dt).Wait(p.Th)
-				p.Stack.Recv(p.Th, 1, 2, 0, scratch, dt).Wait(p.Th)
-				if i >= warmup {
-					total += p.Th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				p.Stack.Recv(p.Th, 0, 1, 0, scratch, dt).Wait(p.Th)
-				p.Stack.Send(p.Th, 0, 2, 0, buf, dt).Wait(p.Th)
-			}
-		}
-	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters) / 2,
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
+	lat, _ := pingPongOn(cluster.New(spec, 2), size, iters, warmup, false)
+	return Observed{LatencyUS: lat, Recorder: rec, Metrics: reg.Snapshot()}
 }
 
 // ObservedBestRead is ObservedPingPong over the paper's best RDMA-read
@@ -87,34 +55,8 @@ func observedTport(size, iters, warmup, limit int) Observed {
 	j.SetTracer(rec)
 	reg := obs.New()
 	j.RegisterMetrics(reg)
-	var total simtime.Duration
-	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
-		buf := make([]byte, size)
-		scratch := make([]byte, size)
-		if rank == 0 {
-			for i := 0; i < warmup+iters; i++ {
-				start := th.Now()
-				c.Send(th, 1, 1, buf)
-				c.Recv(th, 1, 2, scratch)
-				if i >= warmup {
-					total += th.Now().Sub(start)
-				}
-			}
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				c.Recv(th, 0, 1, scratch)
-				c.Send(th, 0, 2, buf)
-			}
-		}
-	})
-	if err := j.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters) / 2,
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
+	lat := tportPingPongOn(j, size, iters, warmup)
+	return Observed{LatencyUS: lat, Recorder: rec, Metrics: reg.Snapshot()}
 }
 
 // FigureMetric is the metrics table of one representative instrumented
@@ -132,39 +74,60 @@ type FigureMetric struct {
 // counts), which a handful of iterations already exhibits.
 const figureMetricIters = 4
 
+// figurePoint is one representative point of a figure: run reruns it fully
+// instrumented with a recorder bounded to limit events (0 = unbounded).
+type figurePoint struct {
+	id, note string
+	run      func(limit int) Observed
+	// metricsOnly marks a point whose stream is not a ping-pong the phase
+	// profiler decomposes; FigureBreakdowns leaves it out.
+	metricsOnly bool
+}
+
+// figurePoints lists the representative points in paper order; FigureMetrics
+// and FigureBreakdowns both walk it.
+func figurePoints() []figurePoint {
+	iters, warmup := figureMetricIters, 2
+	pp := func(o ptlelan4.Options, progress pml.ProgressMode, size int) func(int) Observed {
+		return func(limit int) Observed {
+			return ObservedPingPong(elanSpec(o, false, progress), size, iters, warmup, limit)
+		}
+	}
+	best := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	noChain := best
+	noChain.ChainFin = false
+	oneThread := best
+	oneThread.CQ = ptlelan4.OneQueue
+	oneThread.Threads = 1
+	return []figurePoint{
+		{id: "fig7a", note: "RDMA-Read, 256 B (eager path)",
+			run: pp(base(ptlelan4.RDMARead), pml.Polling, 256)},
+		{id: "fig7b", note: "RDMA-Write, 4 KiB (rendezvous)",
+			run: pp(base(ptlelan4.RDMAWrite), pml.Polling, 4096)},
+		{id: "fig8", note: "Read-NoChain, 4 KiB",
+			run: pp(noChain, pml.Polling, 4096)},
+		{id: "fig9", note: "RDMA-Read best options, 1984 B (eager limit)",
+			run: pp(best, pml.Polling, 1984)},
+		{id: "table1", note: "One progress thread, 4 KiB",
+			run: pp(oneThread, pml.Threaded, 4096)},
+		{id: "fig10", note: "MPICH-QsNetII baseline, 4 KiB",
+			run: func(limit int) Observed { return observedTport(4096, iters, warmup, limit) }},
+		{id: "fig10", note: "PTL/Elan4-RDMA-Read, 64 KiB",
+			run: pp(best, pml.Polling, 65536)},
+		{id: "overlap", note: "Two progress threads, NBC workload, 16 KiB", metricsOnly: true,
+			run: func(limit int) Observed { return ObservedOverlap("two-threads", 16384, iters, warmup, limit) }},
+	}
+}
+
 // FigureMetrics reruns one representative point per figure with a metrics
 // registry attached and returns the snapshots in paper order. Sequential
 // by design — see ObservedPingPong.
 func FigureMetrics(cfg Config) []FigureMetric {
-	iters, warmup := figureMetricIters, 2
-	pp := func(spec cluster.Spec, size int) obs.Snapshot {
-		return ObservedPingPong(spec, size, iters, warmup, 1).Metrics
+	var out []FigureMetric
+	for _, pt := range figurePoints() {
+		out = append(out, FigureMetric{pt.id, pt.note, pt.run(1).Metrics})
 	}
-	read := base(ptlelan4.RDMARead)
-	write := base(ptlelan4.RDMAWrite)
-	noChain := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	noChain.ChainFin = false
-	oneThread := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	oneThread.CQ = ptlelan4.OneQueue
-	oneThread.Threads = 1
-	return []FigureMetric{
-		{"fig7a", "RDMA-Read, 256 B (eager path)",
-			pp(elanSpec(read, false, pml.Polling), 256)},
-		{"fig7b", "RDMA-Write, 4 KiB (rendezvous)",
-			pp(elanSpec(write, false, pml.Polling), 4096)},
-		{"fig8", "Read-NoChain, 4 KiB",
-			pp(elanSpec(noChain, false, pml.Polling), 4096)},
-		{"fig9", "RDMA-Read best options, 1984 B (eager limit)",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 1984)},
-		{"table1", "One progress thread, 4 KiB",
-			pp(elanSpec(oneThread, false, pml.Threaded), 4096)},
-		{"fig10", "MPICH-QsNetII baseline, 4 KiB",
-			observedTport(4096, iters, warmup, 1).Metrics},
-		{"fig10", "PTL/Elan4-RDMA-Read, 64 KiB",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 65536)},
-		{"overlap", "Two progress threads, NBC workload, 16 KiB",
-			ObservedOverlap("two-threads", 16384, iters, warmup, 1).Metrics},
-	}
+	return out
 }
 
 // FigureBreakdown is the critical-path phase decomposition of one
@@ -182,31 +145,12 @@ type FigureBreakdown struct {
 // design and fully deterministic — the rendered tables are byte-identical
 // across runs.
 func FigureBreakdowns(cfg Config) []FigureBreakdown {
-	iters, warmup := figureMetricIters, 2
-	pp := func(spec cluster.Spec, size int) obs.Profile {
-		return obs.Analyze(ObservedPingPong(spec, size, iters, warmup, 0).Recorder.Events())
+	var out []FigureBreakdown
+	for _, pt := range figurePoints() {
+		if pt.metricsOnly {
+			continue
+		}
+		out = append(out, FigureBreakdown{pt.id, pt.note, obs.Analyze(pt.run(0).Recorder.Events())})
 	}
-	read := base(ptlelan4.RDMARead)
-	write := base(ptlelan4.RDMAWrite)
-	noChain := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	noChain.ChainFin = false
-	oneThread := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	oneThread.CQ = ptlelan4.OneQueue
-	oneThread.Threads = 1
-	return []FigureBreakdown{
-		{"fig7a", "RDMA-Read, 256 B (eager path)",
-			pp(elanSpec(read, false, pml.Polling), 256)},
-		{"fig7b", "RDMA-Write, 4 KiB (rendezvous)",
-			pp(elanSpec(write, false, pml.Polling), 4096)},
-		{"fig8", "Read-NoChain, 4 KiB",
-			pp(elanSpec(noChain, false, pml.Polling), 4096)},
-		{"fig9", "RDMA-Read best options, 1984 B (eager limit)",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 1984)},
-		{"table1", "One progress thread, 4 KiB",
-			pp(elanSpec(oneThread, false, pml.Threaded), 4096)},
-		{"fig10", "MPICH-QsNetII baseline, 4 KiB",
-			obs.Analyze(observedTport(4096, iters, warmup, 0).Recorder.Events())},
-		{"fig10", "PTL/Elan4-RDMA-Read, 64 KiB",
-			pp(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), 65536)},
-	}
+	return out
 }

@@ -161,16 +161,6 @@ func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (f
 	return ratio, clusterMetrics(cl)
 }
 
-// OverlapPoint measures one overlap configuration and also reports the
-// kernel event count — the perfbench overlap section and the CI
-// shard-identity smoke (cmd/overlapsmoke, `make overlap-smoke`) consume
-// it. side is "send" or "recv".
-func OverlapPoint(mode, side string, size, shards int) (ratio float64, events int64) {
-	cfg := Config{Iters: 10, Warmup: 2, Shards: shards}
-	r, m := cfg.overlapRatio(mode, 0, side == "recv", size)
-	return r, m.SimEvents
-}
-
 // OverlapFigures produces the overlap figure family: sender-side
 // overlap and receiver-side progress availability across the four
 // progress modes, plus the eager-vs-rendezvous threshold ablation.

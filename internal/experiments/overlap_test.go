@@ -11,15 +11,6 @@ func overlapTestConfig() Config {
 	return Config{Iters: 4, Warmup: 1}
 }
 
-func renderFigs(figs []Result) string {
-	var b strings.Builder
-	for _, f := range figs {
-		b.WriteString(f.Render())
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // TestOverlapRatioBounds is the golden bound: the overlap ratio is a
 // fraction on every path — every mode, both sides, eager and forced
 // rendezvous.
@@ -60,27 +51,6 @@ func TestOverlapAvailabilityThreads(t *testing.T) {
 	// only progresses inside Wait, so it should be visibly worse.
 	if twoT < 0.5 {
 		t.Errorf("two-threads availability %v implausibly low", twoT)
-	}
-}
-
-// TestOverlapShardAndWorkerIdentity is the determinism gate the nightly
-// overlap-smoke byte-diff relies on: the rendered figure family is
-// byte-identical whether the measurement clusters run on the sequential
-// kernel or sharded, and whether the sweep engine uses 1 worker or many.
-func TestOverlapShardAndWorkerIdentity(t *testing.T) {
-	cfg := overlapTestConfig()
-	cfg.Workers = 1
-	want := renderFigs(OverlapFigures(cfg))
-	for _, alt := range []Config{
-		{Iters: 4, Warmup: 1, Workers: 4},
-		{Iters: 4, Warmup: 1, Workers: 1, Shards: 2},
-		{Iters: 4, Warmup: 1, Workers: 4, Shards: 4},
-	} {
-		got := renderFigs(OverlapFigures(alt))
-		if got != want {
-			t.Errorf("figures differ at workers=%d shards=%d",
-				alt.Workers, alt.Shards)
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,60 +8,6 @@ import (
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 )
-
-// renderAll renders every figure and table under a worker count, with
-// full-precision values appended so comparisons are bit-exact, not
-// rounded-display-exact.
-func renderAll(t *testing.T, workers int) string {
-	t.Helper()
-	cfg := DefaultConfig().WithIters(5)
-	cfg.Workers = workers
-	var sb strings.Builder
-	for _, r := range All(cfg) {
-		sb.WriteString(r.Render())
-		sb.WriteString(r.CSV())
-		for _, s := range r.Series {
-			for _, p := range s.Points {
-				fmt.Fprintf(&sb, "%s/%s %d %x\n", r.ID, s.Name, p.Size, p.Value)
-			}
-		}
-	}
-	return sb.String()
-}
-
-// TestAllByteIdenticalAcrossWorkers pins the sweep engine's determinism
-// invariant: the full figure set renders byte-identically at -j 1, -j 2
-// and -j GOMAXPROCS. Sharding independent simulations across workers may
-// change wall-clock only, never a simulated microsecond.
-func TestAllByteIdenticalAcrossWorkers(t *testing.T) {
-	seq := renderAll(t, 1)
-	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-		if par := renderAll(t, w); par != seq {
-			t.Errorf("workers=%d output diverged from sequential:\n--- j=1 ---\n%s\n--- j=%d ---\n%s",
-				w, seq, w, par)
-		}
-	}
-}
-
-// TestClaimsByteIdenticalAcrossWorkers does the same for the replication
-// report's claim rows (cmd/report's output body).
-func TestClaimsByteIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		cfg := DefaultConfig().WithIters(10)
-		cfg.Workers = workers
-		var sb strings.Builder
-		for _, c := range Claims(cfg) {
-			fmt.Fprintf(&sb, "%s|%s|%s|%v\n", c.ID, c.Paper, c.Measured, c.Pass)
-		}
-		return sb.String()
-	}
-	seq := render(1)
-	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-		if par := render(w); par != seq {
-			t.Errorf("claims diverged at workers=%d:\n%s\nvs sequential:\n%s", w, par, seq)
-		}
-	}
-}
 
 // TestConcurrentSimulationsShareNothing runs two complete simulations on
 // bare goroutines (no engine in between) and checks they reproduce the

@@ -21,8 +21,8 @@ import (
 // be exercised end-to-end — a deliberately late sender, a deliberately
 // late receiver (unexpected arrival), and staggered-compute barriers on
 // the host software tree vs. the NIC combine tree. Everything here is
-// deterministic at any shard count: the reports are byte-diffed across
-// -shards settings by the nightly smoke.
+// deterministic at any shard count: the reports are rows of the identity
+// matrix (identity_test.go).
 
 // WaitScenario is one seeded run's name and recorded event stream.
 type WaitScenario struct {
@@ -169,13 +169,9 @@ func SampledRun(n, iters, shards, limit int) (*obs.Sampler, *trace.Recorder) {
 	return sampledRun(n, iters, shards, limit, true)
 }
 
-// UnsampledRun is the identical workload with no sampler attached —
-// the baseline for perturbation checks and overhead benchmarks.
-func UnsampledRun(n, iters, shards int) *trace.Recorder {
-	_, rec := sampledRun(n, iters, shards, 0, false)
-	return rec
-}
-
+// sampledRun is SampledRun with the sampler optional: sample false is
+// the identical workload with nothing attached, the baseline the
+// zero-perturbation test compares against.
 func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.Recorder) {
 	rec := trace.NewRecorder(0)
 	var smp *obs.Sampler

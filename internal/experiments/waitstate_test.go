@@ -148,27 +148,12 @@ func TestWaitsReconcileWithLatency(t *testing.T) {
 	}
 }
 
-// The wait-state report and the sampler heatmaps must be byte-identical
-// at any shard count (-shards 1 adds no worker, so this is
-// sequential-vs-sharded identity).
-func TestWaitStateShardIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-shard reruns")
-	}
-	base := WaitStateReport(1)
-	for _, sh := range []int{2, 4} {
-		if got := WaitStateReport(sh); got != base {
-			t.Errorf("WaitStateReport differs at -shards %d", sh)
-		}
-	}
+// The heatmap report carries the gauges its readers look for (its identity
+// across shard counts is a row of TestIdentityMatrix).
+func TestHeatmapReportGauges(t *testing.T) {
 	heat := HeatmapReport(8, 4, 1, 64)
 	if !strings.Contains(heat, "duty-permille") || !strings.Contains(heat, "uplink-bytes") {
 		t.Fatalf("heatmap report missing expected gauges:\n%s", heat)
-	}
-	for _, sh := range []int{2, 4} {
-		if got := HeatmapReport(8, 4, sh, 64); got != heat {
-			t.Errorf("HeatmapReport differs at -shards %d", sh)
-		}
 	}
 }
 
@@ -181,7 +166,7 @@ func TestSamplerZeroPerturbation(t *testing.T) {
 	if smpOn.Ticks() == 0 {
 		t.Fatal("sampler never ticked")
 	}
-	recOff := UnsampledRun(4, 4, 1)
+	_, recOff := sampledRun(4, 4, 1, 0, false)
 	var on []trace.Event
 	for _, e := range recOn.Events() {
 		if e.Kind != trace.GaugeSample {

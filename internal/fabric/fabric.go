@@ -494,6 +494,7 @@ func (n *Network) walk(links []*link, wire int, head, tail simtime.Time) simtime
 // order: each lost pass costs a full serialization over the whole path plus
 // the retry turnaround. It returns when the pass that gets through starts.
 func (n *Network) lostPasses(links []*link, wire int, head simtime.Time) simtime.Time {
+	//lint:allow kernelown one global loss stream drawn in send order; New refuses LossRate > 0 on a kernel with workers (ROADMAP 1b)
 	for lost := 0; n.k.Rand().Float64() < n.p.LossRate && lost < 99; lost++ {
 		n.retransmits++
 		head = n.walk(links, wire, head, 0).Add(n.p.RetryDelay)

@@ -4,8 +4,8 @@
 // diagnostics. The repo's module carries no third-party requirements (the
 // simulator must build hermetically offline), so rather than importing
 // x/tools this package mirrors the subset of its API the qsmpilint suite
-// needs; cmd/qsmpilint implements the `go vet -vettool` unitchecker
-// protocol on top of it (internal/lint/driver).
+// needs; cmd/qsmpilint drives it over `go list -export` output
+// (internal/lint/driver).
 //
 // Suppression: every analyzer honors the directive
 //
@@ -32,10 +32,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by `qsmpilint help`.
 	Doc string
-	// FactTypes lists prototypes of every Fact type the analyzer exports
-	// or imports, for gob registration (see facts.go). Nil for purely
-	// intraprocedural analyzers.
-	FactTypes []Fact
 	// Run inspects the package and reports diagnostics via pass.Report.
 	Run func(*Pass) error
 }
@@ -87,22 +83,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return p.Imports.ImportObject(obj, fact)
 }
 
-// ExportPackageFact records a whole-package fact for this package.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Exports != nil {
-		p.Exports.ExportPackage(p.Pkg.Path(), fact)
-	}
-}
-
-// ImportPackageFact copies the package-level fact recorded for pkgPath
-// into fact, reporting whether one existed.
-func (p *Pass) ImportPackageFact(pkgPath string, fact Fact) bool {
-	if p.Exports != nil && p.Exports.ImportPackage(pkgPath, fact) {
-		return true
-	}
-	return p.Imports.ImportPackage(pkgPath, fact)
-}
-
 // IsTestFile reports whether the file containing pos is a _test.go file.
 // The suite audits simulation code, not tests: tests legitimately read the
 // wall clock, build partial trace.Event fixtures and iterate maps.
@@ -120,9 +100,8 @@ const SuppressionName = "suppression"
 // A Unit is one loaded, type-checked package flowing through the suite:
 // the shared inputs every analyzer sees, the fact sets crossing the
 // package boundary, and the record of which //lint:allow directives
-// earned their keep. Drivers (vet mode, standalone mode, linttest) all
-// funnel through here so directive and fact semantics cannot drift
-// between them.
+// earned their keep. The driver and linttest both funnel through here so
+// directive and fact semantics cannot drift between them.
 type Unit struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -313,19 +292,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (methods do not match).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if FuncSig(fn).Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // FuncSig returns fn's *types.Signature. (The go1.23 accessor

@@ -1,13 +1,9 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"sync"
 )
 
 // A Fact is a unit of modular analysis: a claim an analyzer proves about
@@ -18,13 +14,11 @@ import (
 // collective, so a rank-guarded call to a helper three packages away is
 // still caught.
 //
-// Fact types must be pointers to gob-encodable structs and must be listed
-// in their analyzer's FactTypes so the drivers can register them: facts
-// cross process boundaries in vet mode (each `go vet` compilation unit is
-// a separate invocation, facts ride the .vetx files) and cross goroutine
-// boundaries in the standalone driver (each package's exported facts are
-// gob-encoded once and decoded by its dependents), so both driver modes
-// exercise the same serialized form.
+// Fact types must be pointers to structs. Facts never leave the process:
+// a driver worker publishes the *Facts of a finished package and the
+// workers analyzing its dependents Merge from it. A published set is
+// never written again and ImportObject copies the stored value out, so
+// the hand-off needs no lock.
 type Fact interface {
 	// AFact is a marker method: it does nothing, but restricting the
 	// interface to intentional implementations keeps arbitrary values out
@@ -32,7 +26,8 @@ type Fact interface {
 	AFact()
 }
 
-// ObjectKey names a package-level object stably across processes: plain
+// ObjectKey names a package-level object the same way whether the package
+// was type-checked from source or imported from export data: plain
 // "Name" for package-scope functions, variables, types and constants,
 // "Recv.Name" for methods of a named receiver type. Objects that are not
 // package-level (locals, parameters, struct fields) are not exportable —
@@ -61,9 +56,9 @@ func ObjectKey(obj types.Object) (string, bool) {
 	return obj.Name(), true
 }
 
-// factKey identifies one fact: the package, the object within it ("" for
-// a package-level fact), and the concrete fact type (one analyzer may
-// attach several kinds of fact to the same object).
+// factKey identifies one fact: the package, the object within it, and the
+// concrete fact type (one analyzer may attach several kinds of fact to the
+// same object).
 type factKey struct {
 	pkg string
 	obj string
@@ -110,29 +105,11 @@ func (f *Facts) ImportObject(obj types.Object, fact Fact) bool {
 	if !ok {
 		return false
 	}
-	return f.get(factKey{pkg: obj.Pkg().Path(), obj: key, typ: reflect.TypeOf(fact)}, fact)
-}
-
-// ExportPackage records a whole-package fact for pkgPath.
-func (f *Facts) ExportPackage(pkgPath string, fact Fact) {
-	f.m[factKey{pkg: pkgPath, typ: reflect.TypeOf(fact)}] = fact
-}
-
-// ImportPackage copies the stored package-level fact for pkgPath of
-// fact's concrete type into fact, reporting whether one existed.
-func (f *Facts) ImportPackage(pkgPath string, fact Fact) bool {
-	if f == nil {
-		return false
-	}
-	return f.get(factKey{pkg: pkgPath, typ: reflect.TypeOf(fact)}, fact)
-}
-
-func (f *Facts) get(key factKey, out Fact) bool {
-	stored, ok := f.m[key]
+	stored, ok := f.m[factKey{pkg: obj.Pkg().Path(), obj: key, typ: reflect.TypeOf(fact)}]
 	if !ok {
 		return false
 	}
-	reflect.ValueOf(out).Elem().Set(reflect.ValueOf(stored).Elem())
+	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
 }
 
@@ -144,81 +121,5 @@ func (f *Facts) Merge(other *Facts) {
 	}
 	for k, v := range other.m {
 		f.m[k] = v
-	}
-}
-
-// factRecord is the serialized form of one fact. The Fact field is a gob
-// interface value, so every concrete fact type must be registered
-// (RegisterFactTypes) before encoding or decoding.
-type factRecord struct {
-	Pkg  string
-	Obj  string
-	Fact Fact
-}
-
-// Encode serializes the set deterministically: records sorted by
-// (package, object, fact type name) so the same facts always produce the
-// same bytes, keeping vetx outputs and the standalone driver's
-// package-to-package handoff byte-stable at any parallelism.
-func (f *Facts) Encode() ([]byte, error) {
-	recs := make([]factRecord, 0, len(f.m))
-	for k, v := range f.m {
-		recs = append(recs, factRecord{Pkg: k.pkg, Obj: k.obj, Fact: v})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return reflect.TypeOf(a.Fact).String() < reflect.TypeOf(b.Fact).String()
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("encoding facts: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFacts rebuilds a fact set from Encode's output. Empty input
-// decodes to an empty set: the vet driver writes zero-byte vetx files for
-// dependency units that can carry no facts (all of std).
-func DecodeFacts(data []byte) (*Facts, error) {
-	f := NewFacts()
-	if len(data) == 0 {
-		return f, nil
-	}
-	var recs []factRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("decoding facts: %v", err)
-	}
-	for _, r := range recs {
-		f.m[factKey{pkg: r.Pkg, obj: r.Obj, typ: reflect.TypeOf(r.Fact)}] = r.Fact
-	}
-	return f, nil
-}
-
-var (
-	registerMu sync.Mutex
-	registered = map[reflect.Type]bool{}
-)
-
-// RegisterFactTypes registers every analyzer's fact prototypes with gob.
-// Both drivers call it before any encode or decode; re-registering a type
-// is a no-op, so every entry point may call it defensively.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	registerMu.Lock()
-	defer registerMu.Unlock()
-	for _, a := range analyzers {
-		for _, fact := range a.FactTypes {
-			t := reflect.TypeOf(fact)
-			if registered[t] {
-				continue
-			}
-			registered[t] = true
-			gob.Register(fact)
-		}
 	}
 }

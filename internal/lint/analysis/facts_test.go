@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"go/token"
 	"go/types"
 	"testing"
@@ -11,20 +10,7 @@ type tFact struct{ N int }
 
 func (*tFact) AFact() {}
 
-type tPkgFact struct{ Tag string }
-
-func (*tPkgFact) AFact() {}
-
-func testAnalyzers() []*Analyzer {
-	return []*Analyzer{{
-		Name:      "tfacts",
-		Doc:       "test",
-		FactTypes: []Fact{(*tFact)(nil), (*tPkgFact)(nil)},
-		Run:       func(*Pass) error { return nil },
-	}}
-}
-
-func newTestPkg(t *testing.T) (*types.Package, *types.Func, *types.Func) {
+func newTestPkg(t *testing.T) (*types.Func, *types.Func) {
 	t.Helper()
 	pkg := types.NewPackage("example.com/facts", "facts")
 	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
@@ -36,12 +22,12 @@ func newTestPkg(t *testing.T) (*types.Package, *types.Func, *types.Func) {
 	recv := types.NewVar(token.NoPos, pkg, "t", types.NewPointer(named))
 	msig := types.NewSignatureType(recv, nil, nil, nil, nil, false)
 	method := types.NewFunc(token.NoPos, pkg, "Do", msig)
-	return pkg, free, method
+	return free, method
 }
 
 // TestObjectKey pins the stable naming scheme facts are keyed by.
 func TestObjectKey(t *testing.T) {
-	_, free, method := newTestPkg(t)
+	free, method := newTestPkg(t)
 	if k, ok := ObjectKey(free); !ok || k != "Helper" {
 		t.Errorf("free function key = %q, %v; want Helper, true", k, ok)
 	}
@@ -54,27 +40,20 @@ func TestObjectKey(t *testing.T) {
 	}
 }
 
-// TestFactsRoundTrip drives the full wire path both drivers share:
-// export, gob-encode, decode in a "fresh process", import.
+// TestFactsRoundTrip drives the path the driver takes between two
+// packages: export into one set, Merge into a dependent's import set,
+// import there.
 func TestFactsRoundTrip(t *testing.T) {
-	RegisterFactTypes(testAnalyzers())
-	pkg, free, method := newTestPkg(t)
+	free, method := newTestPkg(t)
 
 	out := NewFacts()
 	out.ExportObject(free, &tFact{N: 7})
 	out.ExportObject(method, &tFact{N: 11})
-	out.ExportPackage(pkg.Path(), &tPkgFact{Tag: "whole-package"})
 
-	raw, err := out.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := DecodeFacts(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Len() != 3 {
-		t.Fatalf("decoded %d facts; want 3", in.Len())
+	in := NewFacts()
+	in.Merge(out)
+	if in.Len() != 2 {
+		t.Fatalf("merged %d facts; want 2", in.Len())
 	}
 
 	var f tFact
@@ -84,78 +63,39 @@ func TestFactsRoundTrip(t *testing.T) {
 	if !in.ImportObject(method, &f) || f.N != 11 {
 		t.Errorf("T.Do fact = %+v, want N=11", f)
 	}
-	var pf tPkgFact
-	if !in.ImportPackage(pkg.Path(), &pf) || pf.Tag != "whole-package" {
-		t.Errorf("package fact = %+v, want Tag=whole-package", pf)
-	}
-	if in.ImportPackage("example.com/other", &pf) {
+	otherPkg := types.NewPackage("example.com/other", "other")
+	other := types.NewFunc(token.NoPos, otherPkg, "Helper", types.NewSignatureType(nil, nil, nil, nil, nil, false))
+	otherPkg.Scope().Insert(other)
+	if in.ImportObject(other, &f) {
 		t.Error("fact imported for a package that exported none")
 	}
-}
-
-// TestFactsEncodeDeterministic asserts insertion order never reaches the
-// wire: the encoded bytes are what vet caches and the parallel driver
-// hands between workers, so they must be canonical.
-func TestFactsEncodeDeterministic(t *testing.T) {
-	RegisterFactTypes(testAnalyzers())
-	pkg, free, method := newTestPkg(t)
-
-	a := NewFacts()
-	a.ExportObject(free, &tFact{N: 1})
-	a.ExportObject(method, &tFact{N: 2})
-	a.ExportPackage(pkg.Path(), &tPkgFact{Tag: "x"})
-
-	b := NewFacts()
-	b.ExportPackage(pkg.Path(), &tPkgFact{Tag: "x"})
-	b.ExportObject(method, &tFact{N: 2})
-	b.ExportObject(free, &tFact{N: 1})
-
-	ea, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ea, eb) {
-		t.Error("same facts, different insertion order: encodings differ")
-	}
-}
-
-// TestDecodeEmpty covers the zero-byte vetx files written for std units.
-func TestDecodeEmpty(t *testing.T) {
-	f, err := DecodeFacts(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 0 {
-		t.Errorf("empty input decoded %d facts", f.Len())
+	// ImportObject copies out: writing to the copy must not reach the set
+	// other workers read.
+	f.N = 99
+	var again tFact
+	if !out.ImportObject(method, &again) || again.N != 11 {
+		t.Errorf("stored fact changed through an imported copy: %+v", again)
 	}
 }
 
 // TestMergeTransitive mirrors the re-export step: a dependent sees its
 // transitive closure through direct imports alone.
 func TestMergeTransitive(t *testing.T) {
-	RegisterFactTypes(testAnalyzers())
-	_, free, _ := newTestPkg(t)
+	free, method := newTestPkg(t)
 
 	base := NewFacts()
 	base.ExportObject(free, &tFact{N: 3})
 	mid := NewFacts()
 	mid.Merge(base)
-	mid.ExportPackage("example.com/mid", &tPkgFact{Tag: "mid"})
+	mid.ExportObject(method, &tFact{N: 5})
 
-	raw, err := mid.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := DecodeFacts(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	top := NewFacts()
+	top.Merge(mid)
 	var f tFact
 	if !top.ImportObject(free, &f) || f.N != 3 {
 		t.Error("fact from the transitive dep lost in the merge/re-export hop")
+	}
+	if base.Len() != 1 {
+		t.Errorf("merging out of a published set wrote to it: %d facts, want 1", base.Len())
 	}
 }

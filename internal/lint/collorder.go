@@ -30,8 +30,7 @@ var CollOrder = &analysis.Analyzer{
 	Name: "collorder",
 	Doc: "flag collective operations reachable only under rank-dependent " +
 		"branches, where ranks would enter collectives in divergent order",
-	FactTypes: []analysis.Fact{(*CallsCollective)(nil)},
-	Run:       runCollOrder,
+	Run: runCollOrder,
 }
 
 // CallsCollective marks a function that directly or transitively enters

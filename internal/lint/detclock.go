@@ -11,8 +11,9 @@ import (
 // pure function of their inputs — the report diffs byte-identical at
 // -j 1 and -j N, golden timelines pin every event's virtual timestamp —
 // and one time.Now or global rand.Intn on a simulation path breaks that
-// silently. Wall-clock harnesses (parsweep's worker stats, perfbench)
-// annotate their sites with //lint:allow detclock <reason>.
+// silently. Wall-clock harnesses (parsweep's worker stats, the benchmark's
+// one clock read in bench/main.go) annotate their sites with
+// //lint:allow detclock <reason>.
 var DetClock = &analysis.Analyzer{
 	Name: "detclock",
 	Doc: "forbid time.Now/time.Since and global math/rand in simulation code; " +

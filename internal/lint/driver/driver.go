@@ -3,12 +3,10 @@
 // requirements), so package loading rides on `go list -export -deps -json`
 // — the toolchain compiles export data into the build cache and tells us
 // where it landed — and type-checking uses the stock go/types checker with
-// a gc-export-data importer. Two entry points share this machinery:
-//
-//   - Check (this file): the standalone `qsmpilint ./...` mode and the
-//     linttest fixture runner;
-//   - VetMain (vet.go): the `go vet -vettool=qsmpilint` unitchecker
-//     protocol, where vet hands us one pre-planned package at a time.
+// a gc-export-data importer. Load is the one way in: `qsmpilint ./...` and
+// the repo-is-clean meta-test (through Check) and the linttest fixture
+// runner all go through it. `go list` is not given -test, so _test.go
+// files are not analyzed (DESIGN.md §9).
 package driver
 
 import (
@@ -153,39 +151,26 @@ func (l *Loader) ParseFiles(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// TypeCheck checks a package's parsed files under the given import path,
-// resolving imports through the loader's export-data index.
-func (l *Loader) TypeCheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := NewInfo()
-	conf := types.Config{Importer: l.imp}
-	pkg, err := conf.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, info, nil
-}
-
 // checkJob is one package dispatched to a CheckAll worker, with the
-// already-encoded fact sets of its (transitively analyzed) dependencies.
+// published fact sets of its direct module dependencies (each already
+// holds its own transitive closure).
 type checkJob struct {
 	p        *Package
-	depFacts [][]byte
+	depFacts []*analysis.Facts
 }
 
 // checkResult is what a worker hands back: findings (empty for DepOnly
 // packages — their facts matter, their diagnostics are not ours to
-// report) and the package's merged fact set, gob-encoded.
+// report) and the package's merged fact set, which nobody writes again
+// once it is published here.
 type checkResult struct {
 	p        *Package
 	findings []Finding
-	facts    []byte
+	facts    *analysis.Facts
 	err      error
 }
 
-// checkOne analyzes a single package with the given importer, decoding
-// dependency facts from their serialized form — the standalone driver
-// round-trips facts through gob exactly as vet mode does, so both modes
-// exercise the same wire format.
+// checkOne analyzes a single package with the given importer.
 func (l *Loader) checkOne(job checkJob, imp types.Importer, analyzers []*analysis.Analyzer) checkResult {
 	p := job.p
 	files, err := l.ParseFiles(p.Dir, p.GoFiles)
@@ -199,11 +184,7 @@ func (l *Loader) checkOne(job checkJob, imp types.Importer, analyzers []*analysi
 		return checkResult{p: p, err: fmt.Errorf("%s: %v", p.ImportPath, err)}
 	}
 	imports := analysis.NewFacts()
-	for _, raw := range job.depFacts {
-		deps, err := analysis.DecodeFacts(raw)
-		if err != nil {
-			return checkResult{p: p, err: fmt.Errorf("%s: %v", p.ImportPath, err)}
-		}
+	for _, deps := range job.depFacts {
 		imports.Merge(deps)
 	}
 	u := analysis.NewUnit(l.Fset, files, pkg, info, imports)
@@ -224,11 +205,7 @@ func (l *Loader) checkOne(job checkJob, imp types.Importer, analyzers []*analysi
 	// Re-export the dependency closure's facts alongside our own so a
 	// dependent sees the transitive set from its direct imports alone.
 	imports.Merge(u.Exports)
-	enc, err := imports.Encode()
-	if err != nil {
-		return checkResult{p: p, err: fmt.Errorf("%s: %v", p.ImportPath, err)}
-	}
-	return checkResult{p: p, findings: findings, facts: enc}
+	return checkResult{p: p, findings: findings, facts: imports}
 }
 
 // CheckAll runs the suite over every loaded non-standard package, sharded
@@ -238,7 +215,6 @@ func (l *Loader) checkOne(job checkJob, imp types.Importer, analyzers []*analysi
 // parallelism. Each worker owns its importer (gc export-data importers
 // are not concurrency-safe); the FileSet is shared and safe.
 func (l *Loader) CheckAll(analyzers []*analysis.Analyzer, par int) ([]Finding, error) {
-	analysis.RegisterFactTypes(analyzers)
 	if par < 1 {
 		par = 1
 	}
@@ -284,9 +260,9 @@ func (l *Loader) CheckAll(analyzers []*analysis.Analyzer, par int) ([]Finding, e
 	}
 	defer close(jobs)
 
-	factsOf := map[string][]byte{}
+	factsOf := map[string]*analysis.Facts{}
 	dispatch := func(p *Package) {
-		var deps [][]byte
+		var deps []*analysis.Facts
 		for _, d := range moduleDeps[p.ImportPath] {
 			deps = append(deps, factsOf[d])
 		}
@@ -355,7 +331,7 @@ func (l *Loader) CheckAll(analyzers []*analysis.Analyzer, par int) ([]Finding, e
 	return findings, nil
 }
 
-// Check is the standalone entry point: load the patterns from dir and run
+// Check is the entry point: load the patterns from dir and run
 // the suite over every package, sharded across GOMAXPROCS workers.
 func Check(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Finding, error) {
 	return CheckParallel(dir, analyzers, runtime.GOMAXPROCS(0), patterns...)

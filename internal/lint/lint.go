@@ -4,13 +4,13 @@
 // DESIGN.md §7.1, lock-free pool discipline, the profiler's correlator
 // contract, and the MPI protocol contracts (request lifecycle, uniform
 // collective order) — into rules that fail `make check`. The analyzers
-// run over the real tree via `go vet -vettool=$(qsmpilint)` (make lint)
-// or `qsmpilint ./...`, and over seeded-violation fixtures under
-// testdata/src via the analysistest-style runner in linttest. reqlife
-// and collorder are protocol-aware; collorder is interprocedural,
-// seeing through helpers via CallsCollective facts that both driver
-// modes serialize between packages. Unused //lint:allow directives are
-// themselves diagnostics (the suppression audit in analysis.RunSuite).
+// run over the real tree via `qsmpilint ./...` (make lint), and over
+// seeded-violation fixtures under testdata/src via the analysistest-style
+// runner in linttest. reqlife and collorder are protocol-aware; collorder
+// is interprocedural, seeing through helpers via CallsCollective facts
+// that the driver hands from a package to its dependents. Unused
+// //lint:allow directives are themselves diagnostics (the suppression
+// audit in analysis.RunSuite).
 package lint
 
 import (
@@ -75,17 +75,15 @@ func isSimStatePkg(path string) bool {
 // the sharded conservative kernel (kernelown rule 3): every event they
 // create must go through an entity-bound simtime.Sched so it lands in the
 // owning shard's heap, and every random draw through Sched.Rand so the
-// stream is placement-independent. The fabric is exempt — its send path
-// forks on Network.par, keeping the sequential engine's legacy body
-// byte-exact — as are the global services (rte, obs), which run on the
-// coordinator by construction.
+// stream is placement-independent. The global services (rte, obs) are
+// exempt: they run on the coordinator by construction.
 func isShardResidentPkg(path string) bool {
 	rest, ok := strings.CutPrefix(path, module+"/internal/")
 	if !ok {
 		return false
 	}
 	switch rest {
-	case "elan4", "pml", "ptlelan4", "ptltcp", "tport", "libelan":
+	case "fabric", "elan4", "pml", "ptlelan4", "ptltcp", "tport", "libelan":
 		return true
 	}
 	return false

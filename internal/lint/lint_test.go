@@ -83,8 +83,7 @@ func TestCollOrder(t *testing.T) {
 
 func TestCollOrderFacts(t *testing.T) {
 	// The collective hides one package away: only the CallsCollective
-	// fact exported by the dep fixture — and gob-round-tripped by the
-	// runner, as both real drivers do — can reveal it.
+	// fact exported by the dep fixture can reveal it.
 	linttest.RunDeps(t, lint.CollOrder, "qsmpi/collorderfacts", "qsmpi/collhelperdep")
 }
 
@@ -94,7 +93,7 @@ func TestSuppressionAudit(t *testing.T) {
 	linttest.RunSuite(t, lint.Analyzers(), "qsmpi/suppressfix")
 }
 
-// TestCheckParallelDeterminism asserts the standalone driver's sharded
+// TestCheckParallelDeterminism asserts the driver's sharded
 // mode is byte-identical to serial: scheduling order must never leak into
 // the report.
 func TestCheckParallelDeterminism(t *testing.T) {
@@ -119,25 +118,20 @@ func TestCheckParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestVetModeFacts drives the real `go vet -vettool` protocol end to end
-// from an external module: the helper package's CallsCollective fact must
-// cross the compilation-unit boundary through the vetx files for the
-// rank-guarded call in the app package to be flagged.
-func TestVetModeFacts(t *testing.T) {
+// TestDriverFactsCrossPackages drives the real driver end to end over an
+// external module: the helper package's CallsCollective fact must reach
+// the worker analyzing the app package for the rank-guarded call there to
+// be flagged. TestCollOrderFacts goes through linttest's own loop and
+// TestRepoIsClean expects no finding, so this is the one test a broken
+// hand-off in CheckAll fails.
+func TestDriverFactsCrossPackages(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds qsmpilint and runs go vet over a scratch module")
+		t.Skip("runs go list -export over a scratch module")
 	}
 	root := linttest.ModuleRoot(t)
 	tmp := t.TempDir()
 
-	tool := filepath.Join(tmp, "qsmpilint")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/qsmpilint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building qsmpilint: %v\n%s", err, out)
-	}
-
-	mod := filepath.Join(tmp, "vetapp")
+	mod := filepath.Join(tmp, "factsapp")
 	write := func(rel, content string) {
 		t.Helper()
 		path := filepath.Join(mod, rel)
@@ -148,7 +142,7 @@ func TestVetModeFacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", fmt.Sprintf("module example.com/vetapp\n\ngo 1.22\n\nrequire qsmpi v0.0.0\n\nreplace qsmpi => %s\n", root))
+	write("go.mod", fmt.Sprintf("module example.com/factsapp\n\ngo 1.22\n\nrequire qsmpi v0.0.0\n\nreplace qsmpi => %s\n", root))
 	write("helper/helper.go", `package helper
 
 import "qsmpi"
@@ -161,7 +155,7 @@ func Sync(c *qsmpi.Comm) {
 	write("app/app.go", `package app
 
 import (
-	"example.com/vetapp/helper"
+	"example.com/factsapp/helper"
 	"qsmpi"
 )
 
@@ -180,14 +174,16 @@ func Divergent(c *qsmpi.Comm) {
 		t.Fatalf("go mod tidy: %v\n%s", err, out)
 	}
 
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = mod
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed; want a collorder finding\n%s", out)
-	}
-	if !strings.Contains(string(out), "enters collective Barrier") {
-		t.Fatalf("go vet failed without the expected collorder finding:\n%s", out)
+	for _, par := range []int{1, 4} {
+		findings, err := driver.CheckParallel(mod, lint.Analyzers(), par, "./...")
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if len(findings) != 1 || findings[0].Analyzer != "collorder" ||
+			!strings.Contains(findings[0].Message, "enters collective Barrier") ||
+			filepath.Base(findings[0].Pos.Filename) != "app.go" {
+			t.Errorf("par=%d: want exactly the collorder finding in app.go, got %v", par, findings)
+		}
 	}
 }
 

@@ -95,8 +95,8 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPath string) {
 
 // RunDeps is Run with fixture dependencies: each dep (an import path
 // under testdata/src) is type-checked and analyzed first, its exported
-// facts gob-round-tripped — the same wire format both real drivers use —
-// into the import set of what follows. The final package's diagnostics
+// facts merged into the import set of what follows, as the driver does
+// between packages. The final package's diagnostics
 // are checked against its wants; this is how the helper-indirection
 // fixtures prove facts actually see through package boundaries.
 func RunDeps(t *testing.T, a *analysis.Analyzer, pkgPath string, deps ...string) {
@@ -105,7 +105,7 @@ func RunDeps(t *testing.T, a *analysis.Analyzer, pkgPath string, deps ...string)
 }
 
 // RunSuite runs a full analyzer suite plus the suppression audit over the
-// fixture — what the real drivers do — so fixtures can assert audit
+// fixture — what the real driver does — so fixtures can assert audit
 // diagnostics and cross-analyzer suppression behavior.
 func RunSuite(t *testing.T, analyzers []*analysis.Analyzer, pkgPath string, deps ...string) {
 	t.Helper()
@@ -154,7 +154,6 @@ func loadFixture(t *testing.T, pkgPath string) (dir string, names []string, file
 func runFixture(t *testing.T, analyzers []*analysis.Analyzer, pkgPath string, deps []string, audit bool) {
 	t.Helper()
 	l := Loader(t)
-	analysis.RegisterFactTypes(analyzers)
 	fi := &fixtureImporter{base: l.Importer(), pkgs: map[string]*types.Package{}}
 	imports := analysis.NewFacts()
 
@@ -173,16 +172,7 @@ func runFixture(t *testing.T, analyzers []*analysis.Analyzer, pkgPath string, de
 			}
 		}
 		fi.pkgs[dep] = pkg
-		// Round-trip the accumulated facts through the gob wire format, so
-		// fixture tests fail if serialization loses what the drivers carry.
 		imports.Merge(u.Exports)
-		raw, err := imports.Encode()
-		if err != nil {
-			t.Fatalf("encoding facts of %s: %v", dep, err)
-		}
-		if imports, err = analysis.DecodeFacts(raw); err != nil {
-			t.Fatalf("decoding facts of %s: %v", dep, err)
-		}
 	}
 
 	dir, names, files := loadFixture(t, pkgPath)
