@@ -30,7 +30,10 @@ test:
 # The experiments and parsweep suites run under -race too: they are where
 # whole simulations execute concurrently, so any state shared between two
 # kernels shows up there — and experiments holds TestIdentityMatrix, the one
-# gate for "-j and -shards change wall-clock only". The obs and trace suites
+# gate for "-j and -shards change wall-clock only" and, through
+# internal/experiments/testdata/report_golden.txt (recorded from the harnesses
+# PR 21 replaced, never regenerated), the gate for "the figures did not move":
+# every figure, claim, family and report of the tools to the float bit. The obs and trace suites
 # carry the observability invariants: the golden cross-layer timelines, the proof that an attached
 # tracer (or watchdog) never moves virtual time, the profiler's telescoping
 # guarantee (phase durations sum exactly to end-to-end latency) and the

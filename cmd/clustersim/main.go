@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"text/tabwriter"
 
 	"qsmpi/internal/cluster"
@@ -25,6 +26,8 @@ import (
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/trace"
 )
+
+var schemes = map[string]ptlelan4.Scheme{"read": ptlelan4.RDMARead, "write": ptlelan4.RDMAWrite}
 
 func main() {
 	procs := flag.Int("procs", 4, "number of MPI processes")
@@ -40,28 +43,23 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the unified metrics table after the summaries")
 	flag.Parse()
 
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	if *scheme == "write" {
-		opts = ptlelan4.BestOptions(ptlelan4.RDMAWrite)
-	}
-	progress := pml.Polling
-	switch *threads {
-	case 1:
-		opts.CQ = ptlelan4.OneQueue
-		opts.Threads = 1
-		progress = pml.Threaded
-	case 2:
-		opts.CQ = ptlelan4.TwoQueue
-		opts.Threads = 2
-		progress = pml.Threaded
-	}
-
 	m := model.Default()
 	m.LinkLossRate = *lossRate
 	if *shards > 1 && *lossRate > 0 {
 		log.Fatal("clustersim: -shards > 1 is incompatible with -lossrate > 0 (lossy retransmits serialize through shared link state)")
 	}
-	spec := cluster.Spec{Elan: &opts, Progress: progress, ElanRails: *rails, Model: &m, Shards: *shards}
+	// -scheme and -threads are lookups; a value that names nothing stops
+	// the tool before anything is simulated.
+	sch, ok := schemes[*scheme]
+	opts := ptlelan4.BestOptions(sch)
+	spec, err := cluster.Spec{Elan: &opts, ElanRails: *rails, Model: &m, Shards: *shards}.WithProgressRow(strconv.Itoa(*threads))
+	if !ok {
+		err = fmt.Errorf("-scheme %s names nothing (valid: read, write)", *scheme)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clustersim:", err)
+		os.Exit(2)
+	}
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.NewRecorder(0)

@@ -20,73 +20,18 @@ import (
 
 	"qsmpi/internal/experiments"
 	"qsmpi/internal/obs"
-	"qsmpi/internal/parsweep"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (7, 8 or 9; 0 = all)")
-	table := flag.Int("table", 0, "table to regenerate (1; 0 = per -fig)")
-	ablate := flag.Bool("ablate", false, "run the ablation sweeps instead of the paper figures")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	iters := flag.Int("iters", 100, "timing iterations per point")
-	workers := flag.Int("j", 0, "parallel sweep workers (0 = one per core)")
-	stats := flag.Bool("stats", false, "print sweep-engine worker stats to stderr")
+	flag.Int("fig", 0, "figure to regenerate (7, 8 or 9; 0 = all)")
+	flag.Int("table", 0, "table to regenerate (1; 0 = per -fig)")
+	flag.Bool("ablate", false, "run the ablation sweeps instead of the paper figures")
 	traceOut := flag.String("trace", "", "also write a Perfetto trace of one representative exchange to this file")
 	metrics := flag.Bool("metrics", false, "also print cross-layer metrics of one representative exchange")
 	breakdown := flag.Bool("breakdown", false, "also print the phase decomposition and critical path of one representative exchange")
 	traceSize := flag.Int("tracesize", 4096, "message size for the -trace/-metrics/-breakdown representative exchange")
-	flag.Parse()
-	var st parsweep.Stats
-	cfg := experiments.DefaultConfig().WithIters(*iters)
-	cfg.Workers = *workers
-	cfg.Stats = &st
-	emit := func(r *experiments.Result) {
-		if *csv {
-			fmt.Printf("# %s: %s\n%s\n", r.ID, r.Title, r.CSV())
-			return
-		}
-		fmt.Println(r.Render())
-	}
-	defer func() {
-		if *stats {
-			fmt.Fprint(os.Stderr, st.String())
-		}
-	}()
-
-	if *ablate {
-		for _, r := range experiments.Ablations(cfg) {
-			emit(r)
-		}
-		observe(*traceOut, *metrics, *breakdown, *traceSize)
-		return
-	}
-
-	var results []*experiments.Result
-	switch {
-	case *table == 1:
-		results = append(results, experiments.Table1(cfg))
-	case *fig == 7:
-		results = append(results,
-			experiments.Fig7(cfg, experiments.Fig7SmallSizes, "a"),
-			experiments.Fig7(cfg, experiments.Fig7LargeSizes, "b"))
-	case *fig == 8:
-		results = append(results, experiments.Fig8(cfg, experiments.Fig8Sizes))
-	case *fig == 9:
-		results = append(results, experiments.Fig9(cfg, experiments.Fig9Sizes))
-	case *fig == 0 && *table == 0:
-		results = append(results,
-			experiments.Fig7(cfg, experiments.Fig7SmallSizes, "a"),
-			experiments.Fig7(cfg, experiments.Fig7LargeSizes, "b"),
-			experiments.Fig8(cfg, experiments.Fig8Sizes),
-			experiments.Fig9(cfg, experiments.Fig9Sizes),
-			experiments.Table1(cfg))
-	default:
-		fmt.Fprintf(os.Stderr, "elan4bench: unknown figure %d / table %d\n", *fig, *table)
-		os.Exit(2)
-	}
-	for _, r := range results {
-		emit(r)
-	}
+	// -fig, -table and -ablate are looked up in the experiments registry.
+	experiments.Tool("fig", "table")
 	observe(*traceOut, *metrics, *breakdown, *traceSize)
 }
 
@@ -112,15 +57,13 @@ func observe(traceOut string, metrics, breakdown bool, size int) {
 	}
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
+		if err == nil {
+			err = obs.WritePerfettoFrom(f, ob.Recorder)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := obs.WritePerfettoFrom(f, ob.Recorder); err != nil {
-			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
 			os.Exit(1)
 		}

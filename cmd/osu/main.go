@@ -21,28 +21,23 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 
 	"qsmpi"
+	"qsmpi/internal/cluster"
 	"qsmpi/internal/parsweep"
 )
 
 var sizes = []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
 	4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576}
 
-func config(scheme string, threads int) qsmpi.Config {
-	cfg := qsmpi.Config{Procs: 2}
-	if scheme == "write" {
-		cfg.Scheme = qsmpi.RDMAWrite
-	}
-	switch threads {
-	case 1:
-		cfg.CQ = qsmpi.OneQueue
-		cfg.ProgressThreads = 1
-	case 2:
-		cfg.CQ = qsmpi.TwoQueue
-		cfg.ProgressThreads = 2
-	}
-	return cfg
+var schemes = map[string]qsmpi.Scheme{"read": qsmpi.RDMARead, "write": qsmpi.RDMAWrite}
+
+// usage reports a flag value that names nothing and exits before anything
+// is simulated.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "osu: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func main() {
@@ -57,7 +52,15 @@ func main() {
 	metrics := flag.Bool("metrics", false, "also print cross-layer metrics of one instrumented exchange (at -size bytes)")
 	breakdown := flag.Bool("breakdown", false, "also print the phase decomposition and critical path of one instrumented exchange (at -size bytes)")
 	flag.Parse()
-	cfg := config(*scheme, *threads)
+	sch, ok := schemes[*scheme]
+	if !ok {
+		usage("-scheme %s names nothing (valid: read, write)", *scheme)
+	}
+	// Checked against the table qsmpi.Run will fill the completion queue from.
+	if _, err := (cluster.Spec{}).WithProgressRow(strconv.Itoa(*threads)); err != nil {
+		usage("-threads: %v", err)
+	}
+	cfg := qsmpi.Config{Procs: 2, Scheme: sch, ProgressThreads: *threads}
 
 	// sweep measures every size as an independent job across the worker
 	// pool and prints the rows in size order.
@@ -82,24 +85,14 @@ func main() {
 		rate := messageRate(cfg, *mrSize, *iters*10)
 		fmt.Printf("# OSU-style message rate: %.0f msgs/s at %d bytes\n", rate, *mrSize)
 	default:
-		fmt.Fprintf(os.Stderr, "osu: unknown bench %q\n", *bench)
-		os.Exit(2)
+		usage("-bench %s names nothing (valid: latency, bw, bibw, mr)", *bench)
 	}
 
 	if *traceOut != "" || *metrics || *breakdown {
 		// One additional sequential exchange with full-stack observability;
 		// the benchmark numbers above are measured without any tracer.
 		ob, err := qsmpi.RunObserved(cfg, 0, func(w *qsmpi.World) {
-			c := w.Comm()
-			buf := make([]byte, *mrSize)
-			dt := qsmpi.Contiguous(*mrSize)
-			if w.Rank() == 0 {
-				c.Send(1, 0, buf, dt)
-				c.Recv(1, 1, buf, dt)
-			} else {
-				c.Recv(0, 0, buf, dt)
-				c.Send(0, 1, buf, dt)
-			}
+			pingPong(w, make([]byte, *mrSize), qsmpi.Contiguous(*mrSize))
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -130,35 +123,40 @@ func pickIters(base, size int) int {
 	return base
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// run executes body on both ranks and dies on a simulation error.
+func run(cfg qsmpi.Config, body func(w *qsmpi.World, c *qsmpi.Comm)) {
+	if err := qsmpi.Run(cfg, func(w *qsmpi.World) { body(w, w.Comm()) }); err != nil {
+		log.Fatal(err)
 	}
-	return b
+}
+
+// pingPong is one round trip: rank 0 sends on tag 0 and waits for tag 1,
+// rank 1 answers.
+func pingPong(w *qsmpi.World, buf []byte, dt *qsmpi.Datatype) {
+	c := w.Comm()
+	if w.Rank() == 0 {
+		c.Send(1, 0, buf, dt)
+		c.Recv(1, 1, buf, dt)
+	} else {
+		c.Recv(0, 0, buf, dt)
+		c.Send(0, 1, buf, dt)
+	}
 }
 
 // latency measures the mean half round trip in microseconds.
 func latency(cfg qsmpi.Config, n, iters int) float64 {
 	var total float64
-	err := qsmpi.Run(cfg, func(w *qsmpi.World) {
-		c := w.Comm()
+	run(cfg, func(w *qsmpi.World, _ *qsmpi.Comm) {
 		buf := make([]byte, n)
 		dt := qsmpi.Contiguous(n)
 		for i := 0; i < iters; i++ {
+			start := w.NowMicros()
+			pingPong(w, buf, dt)
 			if w.Rank() == 0 {
-				start := w.NowMicros()
-				c.Send(1, 0, buf, dt)
-				c.Recv(1, 1, buf, dt)
 				total += w.NowMicros() - start
-			} else {
-				c.Recv(0, 0, buf, dt)
-				c.Send(0, 1, buf, dt)
 			}
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	return total / float64(iters) / 2
 }
 
@@ -166,24 +164,21 @@ func latency(cfg qsmpi.Config, n, iters int) float64 {
 // runs the window both ways simultaneously.
 func bandwidth(cfg qsmpi.Config, n, window, iters int, bidir bool) float64 {
 	var elapsed float64
-	var bytesMoved float64
-	err := qsmpi.Run(cfg, func(w *qsmpi.World) {
-		c := w.Comm()
+	run(cfg, func(w *qsmpi.World, c *qsmpi.Comm) {
 		dt := qsmpi.Contiguous(n)
 		buf := make([]byte, n)
+		peer := 1 - w.Rank()
 		start := w.NowMicros()
 		for it := 0; it < iters; it++ {
 			var reqs []*qsmpi.Request
 			if w.Rank() == 0 || bidir {
-				dst := 1 - w.Rank()
 				for k := 0; k < window; k++ {
-					reqs = append(reqs, c.Isend(dst, k, buf, dt))
+					reqs = append(reqs, c.Isend(peer, k, buf, dt))
 				}
 			}
 			if w.Rank() == 1 || bidir {
-				src := 1 - w.Rank()
 				for k := 0; k < window; k++ {
-					reqs = append(reqs, c.Irecv(src, k, make([]byte, n), dt))
+					reqs = append(reqs, c.Irecv(peer, k, make([]byte, n), dt))
 				}
 			}
 			for _, r := range reqs {
@@ -198,14 +193,11 @@ func bandwidth(cfg qsmpi.Config, n, window, iters int, bidir bool) float64 {
 		}
 		if w.Rank() == 0 {
 			elapsed = w.NowMicros() - start
-			bytesMoved = float64(n) * float64(window) * float64(iters)
-			if bidir {
-				bytesMoved *= 2
-			}
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
+	bytesMoved := float64(n) * float64(window) * float64(iters)
+	if bidir {
+		bytesMoved *= 2
 	}
 	return bytesMoved / elapsed // bytes/us == MB/s
 }
@@ -213,34 +205,27 @@ func bandwidth(cfg qsmpi.Config, n, window, iters int, bidir bool) float64 {
 // messageRate measures small-message throughput in messages/second.
 func messageRate(cfg qsmpi.Config, n, count int) float64 {
 	var elapsed float64
-	err := qsmpi.Run(cfg, func(w *qsmpi.World) {
-		c := w.Comm()
+	run(cfg, func(w *qsmpi.World, c *qsmpi.Comm) {
 		dt := qsmpi.Contiguous(n)
 		buf := make([]byte, n)
 		start := w.NowMicros()
-		if w.Rank() == 0 {
-			var reqs []*qsmpi.Request
-			for i := 0; i < count; i++ {
+		var reqs []*qsmpi.Request
+		for i := 0; i < count; i++ {
+			if w.Rank() == 0 {
 				reqs = append(reqs, c.Isend(1, 0, buf, dt))
+			} else {
+				reqs = append(reqs, c.Irecv(0, 0, make([]byte, n), dt))
 			}
-			for _, r := range reqs {
-				r.Wait()
-			}
+		}
+		for _, r := range reqs {
+			r.Wait()
+		}
+		if w.Rank() == 0 {
 			c.RecvBytes(1, 1, make([]byte, 1))
 			elapsed = w.NowMicros() - start
 		} else {
-			var reqs []*qsmpi.Request
-			for i := 0; i < count; i++ {
-				reqs = append(reqs, c.Irecv(0, 0, make([]byte, n), dt))
-			}
-			for _, r := range reqs {
-				r.Wait()
-			}
 			c.SendBytes(0, 1, []byte{1})
 		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	return float64(count) / (elapsed / 1e6)
 }

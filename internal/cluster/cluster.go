@@ -96,6 +96,42 @@ type Spec struct {
 	Shards int
 }
 
+// progressRows is the paper's Table 1: the PTL completion queue, the PTL
+// progress threads and the PML progress mode each row fixes. The three rows
+// that differ in thread count alone also answer to that count, the spelling
+// of the tools' -threads flag and of qsmpi.Config.ProgressThreads.
+var progressRows = []struct {
+	name, count string
+	cq          ptlelan4.CQMode
+	threads     int
+	progress    pml.ProgressMode
+}{
+	{"basic", "0", ptlelan4.NoCQ, 0, pml.Polling},
+	{"interrupt", "", ptlelan4.OneQueue, 0, pml.InterruptWait},
+	{"one-thread", "1", ptlelan4.OneQueue, 1, pml.Threaded},
+	{"two-threads", "2", ptlelan4.TwoQueue, 2, pml.Threaded},
+}
+
+// WithProgressRow returns s with the progress mode of one Table 1 row,
+// named ("basic", "interrupt", "one-thread", "two-threads") or given as a
+// progress-thread count ("0", "1", "2"). The Elan options are copied, not
+// written through.
+func (s Spec) WithProgressRow(row string) (Spec, error) {
+	for _, r := range progressRows {
+		if row == "" || row != r.name && row != r.count {
+			continue
+		}
+		s.Progress = r.progress
+		if s.Elan != nil {
+			o := *s.Elan
+			o.CQ, o.Threads = r.cq, r.threads
+			s.Elan = &o
+		}
+		return s, nil
+	}
+	return s, fmt.Errorf("cluster: no progress mode %q (valid: basic, interrupt, one-thread, two-threads, or 0, 1, 2 progress threads)", row)
+}
+
 // Proc is one launched MPI process with its full stack.
 type Proc struct {
 	Rank  int
@@ -178,16 +214,7 @@ func New(spec Spec, nprocs int) *Cluster {
 		rails = 1
 	}
 	for r := 0; r < rails; r++ {
-		c.RailNets = append(c.RailNets, fabric.New(k, fabric.Params{
-			LinkBandwidth:  cfg.LinkBandwidth,
-			WireLatency:    cfg.WireLatency,
-			SwitchLatency:  cfg.SwitchLatency,
-			MTU:            cfg.MTU,
-			PacketOverhead: cfg.PacketOverhead,
-			Arity:          cfg.FatTreeRadix,
-			LossRate:       cfg.LinkLossRate,
-			RetryDelay:     cfg.LinkRetryDelay,
-		}, nodes))
+		c.RailNets = append(c.RailNets, fabric.New(k, cfg.QuadricsFabric(), nodes))
 	}
 	c.Net = c.RailNets[0]
 	if spec.TCP != nil {

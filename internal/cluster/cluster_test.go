@@ -356,3 +356,38 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("nondeterministic cluster: (%d, %.3f) vs (%d, %.3f)", s1, t1, s2, t2)
 	}
 }
+
+// TestProgressRows: every row of the Table 1 mode table, by name and by
+// thread count, builds its PTL modules (ptlelan4.New panics on a completion
+// queue the threads cannot use) and carries a 4 KB rendezvous; a row the
+// table does not have is an error, not Basic.
+func TestProgressRows(t *testing.T) {
+	for _, row := range []string{"basic", "interrupt", "one-thread", "two-threads", "0", "1", "2"} {
+		spec, err := elanSpec().WithProgressRow(row)
+		if err != nil {
+			t.Fatalf("%s: %v", row, err)
+		}
+		c := cluster.New(spec, 2)
+		c.Launch(func(p *cluster.Proc) {
+			dt := datatype.Contiguous(4096)
+			if p.Rank == 0 {
+				p.Stack.Send(p.Th, 1, 1, 0, make([]byte, 4096), dt).Wait(p.Th)
+			} else {
+				p.Stack.Recv(p.Th, 0, 1, 0, make([]byte, 4096), dt).Wait(p.Th)
+			}
+		})
+		if err := c.Run(); err != nil {
+			t.Errorf("%s: %v", row, err)
+		}
+	}
+	base := elanSpec()
+	for _, row := range []string{"", "3", "-1", "Basic", "three-threads"} {
+		if spec, err := base.WithProgressRow(row); err == nil {
+			t.Errorf("row %q: no error, progress mode %v", row, spec.Progress)
+		}
+	}
+	one, _ := base.WithProgressRow("1")
+	if base.Elan.Threads != 0 || one.Elan.Threads != 1 || one.Elan.CQ != ptlelan4.OneQueue || one.Progress != pml.Threaded {
+		t.Errorf("row 1 gave %+v / %v and left the receiver's options at %+v", *one.Elan, one.Progress, *base.Elan)
+	}
+}

@@ -9,9 +9,7 @@ import (
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/parsweep"
-	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
-	"qsmpi/internal/simtime"
 )
 
 // Collective scaling (ROADMAP item 1): barrier and allreduce latency from
@@ -69,30 +67,15 @@ func CollPeers(rank, n int) []int {
 // CollPeers topology the hardware broadcast uniformly refuses (it needs
 // the full group connected) and bcast exercises the software binomial
 // tree; barrier and allreduce ride the NIC combine tree at any n.
-func (c Config) collLatency(n int, nic bool, op string) (float64, parsweep.Metrics) {
+func (c Config) collLatency(n int, nic bool, op string) (lat float64, m parsweep.Metrics) {
 	iters, warmup := collIters(n)
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   c.Shards,
-		HWColl:   nic,
-		Peers:    CollPeers,
-	}
-	cl := cluster.New(spec, n)
-	uni := mpi.NewUniverse()
-	var total simtime.Duration
-	cl.Launch(func(p *cluster.Proc) {
-		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, n)
-		if nic {
-			w.SetHWColl(p.Elan)
-		}
-		comm := w.Comm()
+	spec := bestRead()
+	spec.Shards, spec.HWColl, spec.Peers = c.Shards, nic, CollPeers
+	m = runMPI(spec, n, func(p *cluster.Proc, comm *mpi.Comm) {
 		buf := make([]byte, 8)
 		out := make([]byte, 8)
 		dt := datatype.Contiguous(8)
-		for i := 0; i < warmup+iters; i++ {
-			start := p.Th.Now()
+		d := timed(p.Th, warmup, iters, func(i int) {
 			switch op {
 			case "allreduce":
 				binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(p.Rank+i)))
@@ -105,15 +88,12 @@ func (c Config) collLatency(n int, nic bool, op string) (float64, parsweep.Metri
 			default:
 				comm.Barrier()
 			}
-			if p.Rank == 0 && i >= warmup {
-				total += p.Th.Now().Sub(start)
-			}
+		})
+		if p.Rank == 0 {
+			lat = d
 		}
 	})
-	if err := cl.Run(); err != nil {
-		panic(err)
-	}
-	return total.Micros() / float64(iters), clusterMetrics(cl)
+	return lat, m
 }
 
 // CollScaleFigures produces the collective-scaling figure family:
@@ -122,20 +102,11 @@ func (c Config) collLatency(n int, nic bool, op string) (float64, parsweep.Metri
 func CollScaleFigures(cfg Config) []Result {
 	fig := func(id, title, op string) Result {
 		measure := func(nic bool) pointFn {
-			return func(n int) (float64, parsweep.Metrics) {
-				return cfg.collLatency(n, nic, op)
-			}
+			return func(n int) (float64, parsweep.Metrics) { return cfg.collLatency(n, nic, op) }
 		}
-		return Result{
-			ID:     id,
-			Title:  title,
-			XLabel: "ranks",
-			YLabel: "latency us",
-			Series: cfg.sweep([]seriesSpec{
-				{name: "host tree", sizes: collRanks, measure: measure(false)},
-				{name: "NIC tree", sizes: collRanks, measure: measure(true)},
-			}),
-		}
+		return *cfg.figure(id, title, "ranks", "latency us",
+			seriesSpec{"host tree", collRanks, measure(false)},
+			seriesSpec{"NIC tree", collRanks, measure(true)})
 	}
 	return []Result{
 		fig("coll-barrier", "Barrier latency vs ranks, host vs NIC tree", "barrier"),

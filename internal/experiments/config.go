@@ -55,9 +55,25 @@ func (c Config) itersFor(size int) int {
 	}
 }
 
-// pointFn measures one (size) sample and reports the simulation's
-// engine metrics alongside the value.
-type pointFn func(size int) (float64, parsweep.Metrics)
+// fanOut runs n independent measurements through the parallel engine and
+// returns their values in job order, whatever a measurement's value is: one
+// number, or the two curves one simulation yields. Each job reports its
+// simulation's engine metrics; the run's counters land in c.Stats.
+func fanOut[T any](c Config, n int, job func(i int) (T, parsweep.Metrics)) []T {
+	vals, st := parsweep.Run(c.Workers, n, func(ctx *parsweep.Ctx, i int) T {
+		v, m := job(i)
+		ctx.Report(m)
+		return v
+	})
+	if c.Stats != nil {
+		c.Stats.Merge(st)
+	}
+	return vals
+}
+
+// pointFn measures one sample at x — a message size, a node count — and
+// reports the simulation's engine metrics alongside the value.
+type pointFn func(x int) (float64, parsweep.Metrics)
 
 // seriesSpec declares one curve of a figure: its label, x values, and
 // the measurement closure each point runs as an independent job.
@@ -69,74 +85,33 @@ type seriesSpec struct {
 
 // sweep runs every (series, size) point of the specs through the
 // parallel engine and assembles the curves. The points are flattened
-// into a job list in (series, size) order and each job writes only its
+// into one job list in (series, size) order and each job writes only its
 // own slot, so the assembled output is byte-identical to sequential
 // nested loops at any worker count.
-func (c Config) sweep(specs []seriesSpec) []Series {
-	type job struct {
-		size    int
-		measure pointFn
-	}
-	var flat []job
-	for _, sp := range specs {
-		for _, n := range sp.sizes {
-			flat = append(flat, job{size: n, measure: sp.measure})
-		}
-	}
-	vals, st := parsweep.Run(c.Workers, len(flat), func(ctx *parsweep.Ctx, j int) float64 {
-		v, m := flat[j].measure(flat[j].size)
-		ctx.Report(m)
-		return v
-	})
-	if c.Stats != nil {
-		c.Stats.Merge(st)
-	}
+func (c Config) sweep(specs ...seriesSpec) []Series {
+	var of, xs []int // per flattened point: its series, its x
 	out := make([]Series, len(specs))
-	j := 0
 	for si, sp := range specs {
 		out[si].Name = sp.name
-		for _, n := range sp.sizes {
-			out[si].Points = append(out[si].Points, Point{Size: n, Value: vals[j]})
-			j++
+		for _, x := range sp.sizes {
+			of, xs = append(of, si), append(xs, x)
 		}
+	}
+	vals := fanOut(c, len(xs), func(j int) (float64, parsweep.Metrics) { return specs[of[j]].measure(xs[j]) })
+	for j, v := range vals {
+		out[of[j]].Points = append(out[of[j]].Points, Point{Size: xs[j], Value: v})
 	}
 	return out
 }
 
-// measurer batches independent scalar measurements so they fan out over
-// the worker pool together: add() registers a closure and returns a
-// slot pointer that run() fills. Claims uses it to keep its verdict
-// assembly sequential and readable while the expensive simulations
-// underneath run in parallel.
-type measurer struct {
-	cfg   Config
-	jobs  []func() (float64, parsweep.Metrics)
-	slots []*float64
-}
-
-func newMeasurer(cfg Config) *measurer { return &measurer{cfg: cfg} }
-
-// add registers one measurement and returns the slot that will hold its
-// value after run().
-func (m *measurer) add(fn func() (float64, parsweep.Metrics)) *float64 {
-	v := new(float64)
-	m.jobs = append(m.jobs, fn)
-	m.slots = append(m.slots, v)
-	return v
-}
-
-// run executes every registered measurement through the engine.
-func (m *measurer) run() {
-	jobs := m.jobs
-	vals, st := parsweep.Run(m.cfg.Workers, len(jobs), func(ctx *parsweep.Ctx, i int) float64 {
-		v, met := jobs[i]()
-		ctx.Report(met)
-		return v
-	})
-	for i, v := range vals {
-		*m.slots[i] = v
+// pair splits the two-valued rows one simulation per x yields into two
+// curves.
+func pair(xs []int, rows [][2]float64, first, second string) []Series {
+	out := []Series{{Name: first}, {Name: second}}
+	for i, x := range xs {
+		for k := range out {
+			out[k].Points = append(out[k].Points, Point{Size: x, Value: rows[i][k]})
+		}
 	}
-	if m.cfg.Stats != nil {
-		m.cfg.Stats.Merge(st)
-	}
+	return out
 }

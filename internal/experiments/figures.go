@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"qsmpi/internal/cluster"
+	"qsmpi/internal/mpichq"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
@@ -23,42 +25,40 @@ var (
 	Fig10LargeSizes = []int{2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576}
 )
 
+// figure sweeps the series of one figure or table panel.
+func (c Config) figure(id, title, xlabel, ylabel string, specs ...seriesSpec) *Result {
+	return &Result{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, Series: c.sweep(specs...)}
+}
+
+// ping is the point every latency curve is made of: the Open MPI ping-pong
+// under spec at cfg.Iters.
+func (c Config) ping(spec cluster.Spec) pointFn {
+	return func(n int) (float64, parsweep.Metrics) { return c.openMPIPingPong(spec, n, c.Iters) }
+}
+
 // Fig7 reproduces "Performance Analysis of Basic RDMA Read and Write":
 // the six series over the two panels' size ranges.
 func Fig7(cfg Config, sizes []int, panel string) *Result {
-	mk := func(opts ptlelan4.Options, dtp bool) pointFn {
-		return func(n int) (float64, parsweep.Metrics) {
-			return cfg.openMPIPingPong(elanSpec(opts, dtp, pml.Polling), n, cfg.Iters)
-		}
-	}
+	mk := func(opts ptlelan4.Options, dtp bool) pointFn { return cfg.ping(elanSpec(opts, dtp, pml.Polling)) }
 	read := base(ptlelan4.RDMARead)
 	readNoInline := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	write := base(ptlelan4.RDMAWrite)
 	writeNoInline := ptlelan4.BestOptions(ptlelan4.RDMAWrite)
-	return &Result{
-		ID:     "fig7" + panel,
-		Title:  "Performance Analysis of Basic RDMA Read and Write (" + panel + ")",
-		XLabel: "bytes",
-		YLabel: "latency us",
-		Series: cfg.sweep([]seriesSpec{
-			{"RDMA-Read", sizes, mk(read, false)},
-			{"Read-NoInline", sizes, mk(readNoInline, false)},
-			{"Read-DTP", sizes, mk(read, true)},
-			{"RDMA-Write", sizes, mk(write, false)},
-			{"Write-NoInline", sizes, mk(writeNoInline, false)},
-			{"Write-DTP", sizes, mk(write, true)},
-		}),
-	}
+	return cfg.figure("fig7"+panel, "Performance Analysis of Basic RDMA Read and Write ("+panel+")", "bytes", "latency us",
+		seriesSpec{"RDMA-Read", sizes, mk(read, false)},
+		seriesSpec{"Read-NoInline", sizes, mk(readNoInline, false)},
+		seriesSpec{"Read-DTP", sizes, mk(read, true)},
+		seriesSpec{"RDMA-Write", sizes, mk(write, false)},
+		seriesSpec{"Write-NoInline", sizes, mk(writeNoInline, false)},
+		seriesSpec{"Write-DTP", sizes, mk(write, true)})
 }
 
 // Fig8 reproduces "Performance Analysis with Chained DMA and Shared
-// Completion Queue" (RDMA read based, per §6.2).
+// Completion Queue" (RDMA read based, per §6.2). One-Queue and Two-Queue
+// are the completion queues polled, without the progress threads Table 1
+// pairs them with.
 func Fig8(cfg Config, sizes []int) *Result {
-	mk := func(opts ptlelan4.Options) pointFn {
-		return func(n int) (float64, parsweep.Metrics) {
-			return cfg.openMPIPingPong(elanSpec(opts, false, pml.Polling), n, cfg.Iters)
-		}
-	}
+	mk := func(opts ptlelan4.Options) pointFn { return cfg.ping(elanSpec(opts, false, pml.Polling)) }
 	chained := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	noChain := chained
 	noChain.ChainFin = false
@@ -66,18 +66,11 @@ func Fig8(cfg Config, sizes []int) *Result {
 	oneQ.CQ = ptlelan4.OneQueue
 	twoQ := chained
 	twoQ.CQ = ptlelan4.TwoQueue
-	return &Result{
-		ID:     "fig8",
-		Title:  "Chained DMA and Shared Completion Queue",
-		XLabel: "bytes",
-		YLabel: "latency us",
-		Series: cfg.sweep([]seriesSpec{
-			{"RDMA-Read", sizes, mk(chained)},
-			{"Read-NoChain", sizes, mk(noChain)},
-			{"One-Queue", sizes, mk(oneQ)},
-			{"Two-Queue", sizes, mk(twoQ)},
-		}),
-	}
+	return cfg.figure("fig8", "Chained DMA and Shared Completion Queue", "bytes", "latency us",
+		seriesSpec{"RDMA-Read", sizes, mk(chained)},
+		seriesSpec{"Read-NoChain", sizes, mk(noChain)},
+		seriesSpec{"One-Queue", sizes, mk(oneQ)},
+		seriesSpec{"Two-Queue", sizes, mk(twoQ)})
 }
 
 // Fig9 reproduces "Analysis of Communication Overhead in Different
@@ -85,73 +78,28 @@ func Fig8(cfg Config, sizes []int) *Result {
 // cost, all per half round trip. The layered measurements produce two
 // curves from one simulation, so each size is one job returning both.
 func Fig9(cfg Config, sizes []int) *Result {
-	spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling)
-	qdma := cfg.sweep([]seriesSpec{
-		{"QDMA latency", sizes, func(n int) (float64, parsweep.Metrics) {
-			return cfg.qdmaPingPong(n, cfg.Iters)
-		}},
-	})[0]
-	layered, st := parsweep.Run(cfg.Workers, len(sizes), func(ctx *parsweep.Ctx, i int) [2]float64 {
-		total, pmlc, m := cfg.openMPILayered(spec, sizes[i])
-		ctx.Report(m)
-		return [2]float64{total, pmlc}
+	r := cfg.figure("fig9", "Communication Overhead in Different Layers", "bytes", "latency us",
+		seriesSpec{"QDMA latency", sizes, func(n int) (float64, parsweep.Metrics) {
+			return qdmaPingPong(n, cfg.Iters, cfg.Warmup)
+		}})
+	layered := fanOut(cfg, len(sizes), func(i int) ([2]float64, parsweep.Metrics) {
+		total, pmlc, m := cfg.openMPILayered(bestRead(), sizes[i])
+		return [2]float64{total - pmlc, pmlc}, m
 	})
-	if cfg.Stats != nil {
-		cfg.Stats.Merge(st)
-	}
-	ptlLat := Series{Name: "PTL Latency"}
-	pmlCost := Series{Name: "PML Layer Cost"}
-	for i, n := range sizes {
-		total, pmlc := layered[i][0], layered[i][1]
-		ptlLat.Points = append(ptlLat.Points, Point{Size: n, Value: total - pmlc})
-		pmlCost.Points = append(pmlCost.Points, Point{Size: n, Value: pmlc})
-	}
-	return &Result{
-		ID:     "fig9",
-		Title:  "Communication Overhead in Different Layers",
-		XLabel: "bytes",
-		YLabel: "latency us",
-		Series: []Series{qdma, ptlLat, pmlCost},
-	}
+	r.Series = append(r.Series, pair(sizes, layered, "PTL Latency", "PML Layer Cost")...)
+	return r
 }
 
 // Table1 reproduces "Performance Analysis of Thread-Based Asynchronous
 // Progress": Basic / Interrupt / One Thread / Two Threads at 4 B and
 // 4 KB over the RDMA-read scheme.
 func Table1(cfg Config) *Result {
-	basic := func(n int) (float64, parsweep.Metrics) {
-		return cfg.openMPIPingPong(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling), n, cfg.Iters)
-	}
-	interrupt := func(n int) (float64, parsweep.Metrics) {
-		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-		o.CQ = ptlelan4.OneQueue
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.InterruptWait), n, cfg.Iters)
-	}
-	oneThread := func(n int) (float64, parsweep.Metrics) {
-		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-		o.CQ = ptlelan4.OneQueue
-		o.Threads = 1
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
-	}
-	twoThreads := func(n int) (float64, parsweep.Metrics) {
-		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-		o.CQ = ptlelan4.TwoQueue
-		o.Threads = 2
-		return cfg.openMPIPingPong(elanSpec(o, false, pml.Threaded), n, cfg.Iters)
-	}
 	sizes := []int{4, 4096}
-	return &Result{
-		ID:     "table1",
-		Title:  "Thread-Based Asynchronous Progress (RDMA-Read)",
-		XLabel: "bytes",
-		YLabel: "latency us",
-		Series: cfg.sweep([]seriesSpec{
-			{"Basic", sizes, basic},
-			{"Interrupt", sizes, interrupt},
-			{"One Thread", sizes, oneThread},
-			{"Two Threads", sizes, twoThreads},
-		}),
-	}
+	return cfg.figure("table1", "Thread-Based Asynchronous Progress (RDMA-Read)", "bytes", "latency us",
+		seriesSpec{"Basic", sizes, cfg.ping(modeSpec("basic"))},
+		seriesSpec{"Interrupt", sizes, cfg.ping(modeSpec("interrupt"))},
+		seriesSpec{"One Thread", sizes, cfg.ping(modeSpec("one-thread"))},
+		seriesSpec{"Two Threads", sizes, cfg.ping(modeSpec("two-threads"))})
 }
 
 // Fig10 reproduces "Overall Performance of Open MPI over Quadrics/Elan4":
@@ -159,37 +107,26 @@ func Table1(cfg Config) *Result {
 // best PTL options of §6.5 are used: chained completion, polling without a
 // shared completion queue, rendezvous without inlined data.
 func Fig10(cfg Config, sizes []int, panel string, bandwidth bool) *Result {
+	metric := "latency us"
+	unit := func(n int, halfRTus float64) float64 { return halfRTus }
+	if bandwidth {
+		metric, unit = "MB/s", toBW
+	}
 	mpich := func(n int) (float64, parsweep.Metrics) {
-		l, m := cfg.tportPingPong(n, cfg.itersFor(n))
-		if bandwidth {
-			return toBW(n, l), m
-		}
-		return l, m
+		l, m := tportPingPong(mpichq.NewJob(2, nil), n, cfg.itersFor(n), cfg.Warmup)
+		return unit(n, l), m
 	}
 	openmpi := func(scheme ptlelan4.Scheme) pointFn {
+		spec := elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling)
 		return func(n int) (float64, parsweep.Metrics) {
-			l, m := cfg.openMPIPingPong(elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling), n, cfg.itersFor(n))
-			if bandwidth {
-				return toBW(n, l), m
-			}
-			return l, m
+			l, m := cfg.openMPIPingPong(spec, n, cfg.itersFor(n))
+			return unit(n, l), m
 		}
 	}
-	metric := "latency us"
-	if bandwidth {
-		metric = "MB/s"
-	}
-	return &Result{
-		ID:     "fig10" + panel,
-		Title:  "Open MPI over Quadrics/Elan4 vs MPICH-QsNetII (" + panel + ")",
-		XLabel: "bytes",
-		YLabel: metric,
-		Series: cfg.sweep([]seriesSpec{
-			{"MPICH-QsNetII", sizes, mpich},
-			{"PTL/Elan4-RDMA-Read", sizes, openmpi(ptlelan4.RDMARead)},
-			{"PTL/Elan4-RDMA-Write", sizes, openmpi(ptlelan4.RDMAWrite)},
-		}),
-	}
+	return cfg.figure("fig10"+panel, "Open MPI over Quadrics/Elan4 vs MPICH-QsNetII ("+panel+")", "bytes", metric,
+		seriesSpec{"MPICH-QsNetII", sizes, mpich},
+		seriesSpec{"PTL/Elan4-RDMA-Read", sizes, openmpi(ptlelan4.RDMARead)},
+		seriesSpec{"PTL/Elan4-RDMA-Write", sizes, openmpi(ptlelan4.RDMAWrite)})
 }
 
 // toBW converts a half-round-trip latency (µs) into MB/s.
@@ -198,19 +135,4 @@ func toBW(n int, halfRTus float64) float64 {
 		return 0
 	}
 	return float64(n) / halfRTus // bytes/µs == MB/s
-}
-
-// All regenerates every figure and table in paper order.
-func All(cfg Config) []*Result {
-	return []*Result{
-		Fig7(cfg, Fig7SmallSizes, "a"),
-		Fig7(cfg, Fig7LargeSizes, "b"),
-		Fig8(cfg, Fig8Sizes),
-		Fig9(cfg, Fig9Sizes),
-		Table1(cfg),
-		Fig10(cfg, Fig10SmallSizes, "a-latency", false),
-		Fig10(cfg, Fig10LargeSizes, "b-latency", false),
-		Fig10(cfg, Fig10SmallSizes, "c-bandwidth", true),
-		Fig10(cfg, Fig10LargeSizes, "d-bandwidth", true),
-	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +16,12 @@ import (
 // axis. Cells are compared as strings that carry every float's bit pattern
 // and every kernel event count — a two-decimal rendering hides most of what
 // a tie-break can move (DESIGN.md §7.2).
+//
+// It is also the gate for "the figures did not move": the sequential
+// one-worker cell of every row is compared with testdata/report_golden.txt,
+// which was printed by the harnesses as they stood before the shared testbed
+// layer replaced them (PR 21). The golden is never regenerated; a PR that
+// means to move a number says which rows in CHANGES.md and edits those cells.
 
 // contract names which cells of a row must agree.
 type contract int
@@ -92,6 +99,12 @@ func identityRows() []identityRow {
 		{name: "heatmap-report", sharded: true, run: func(_, shards int) string {
 			return HeatmapReport(8, 6, shards, 72)
 		}},
+		{name: "ablations", sweep: true, run: func(workers, _ int) string {
+			return renderResults(Ablations(sweepCfg(5, workers, 0)))
+		}},
+		{name: "figure-breakdowns", run: func(workers, _ int) string {
+			return breakdownFingerprint(workers)
+		}},
 	}
 	// The 64 KB rendezvous point of the overlap harness, per progress mode
 	// and side: progress sweeps interleaved with module threads and compute
@@ -153,7 +166,23 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("lengths %d and %d lines", len(al), len(bl))
 }
 
+// goldenCells reads testdata/report_golden.txt: a "@@ <row>" line, then the
+// row's sequential one-worker cell, newline-terminated.
+func goldenCells(t *testing.T) map[string]string {
+	data, err := os.ReadFile("testdata/report_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]string{}
+	for _, chunk := range strings.Split("\n"+string(data), "\n@@ ")[1:] {
+		name, cell, _ := strings.Cut(chunk, "\n")
+		cells[name] = cell
+	}
+	return cells
+}
+
 func TestIdentityMatrix(t *testing.T) {
+	golden := goldenCells(t)
 	for _, row := range identityRows() {
 		t.Run(row.name, func(t *testing.T) {
 			if row.big && testing.Short() {
@@ -183,6 +212,11 @@ func TestIdentityMatrix(t *testing.T) {
 						t.Errorf("workers=%d shards=%d differs, %s", workers, shards, firstDiff(*ref, got))
 					}
 				}
+			}
+			if want, ok := golden[row.name]; !ok {
+				t.Errorf("no cell in testdata/report_golden.txt")
+			} else if got := strings.TrimSuffix(seq, "\n"); got != strings.TrimSuffix(want, "\n") {
+				t.Errorf("the sequential cell moved away from testdata/report_golden.txt, %s", firstDiff(want, got))
 			}
 			if row.contract == shardedCells && first == seq {
 				t.Errorf("the sequential cell agrees with the sharded ones (%s): the row is tie-free now, relabel it everyCell", seq)

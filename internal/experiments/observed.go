@@ -9,54 +9,33 @@ import (
 	"qsmpi/internal/trace"
 )
 
-// Observed is one fully instrumented run: the half-round-trip latency,
-// the cross-layer event stream and the metrics snapshot at quiescence.
-type Observed struct {
-	LatencyUS float64
-	Recorder  *trace.Recorder
-	Metrics   obs.Snapshot
-}
-
 // ObservedPingPong runs one instrumented sequential ping-pong of the Open
 // MPI stack: a cluster-wide tracer and a metrics registry are attached via
 // the Spec, so every layer (PML, PTL, libelan/elan4, fabric) records.
-//
-// A recorder must never be shared across parsweep workers, so this harness
-// is strictly sequential: figure sweeps run untraced, and callers wanting
-// observability for a figure rerun one representative point through here.
 func ObservedPingPong(spec cluster.Spec, size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
-	rec := trace.NewRecorder(limit)
-	reg := obs.New()
-	spec.Tracer = rec
-	spec.Metrics = reg
-	lat, _ := pingPongOn(cluster.New(spec, 2), size, iters, warmup, false)
-	return Observed{LatencyUS: lat, Recorder: rec, Metrics: reg.Snapshot()}
+	return observe(iters, limit, func(iters int, rec *trace.Recorder, reg *obs.Registry) float64 {
+		spec.Tracer, spec.Metrics = rec, reg
+		lat, _, _ := pingPongOn(cluster.New(spec, 2), 1, size, iters, warmup, false)
+		return lat
+	})
 }
 
 // ObservedBestRead is ObservedPingPong over the paper's best RDMA-read
 // configuration — the representative run the benchmark tools instrument
 // when asked for a trace or a metrics table alongside their sweeps.
 func ObservedBestRead(size, iters, warmup, limit int) Observed {
-	return ObservedPingPong(
-		elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), false, pml.Polling),
-		size, iters, warmup, limit)
+	return ObservedPingPong(bestRead(), size, iters, warmup, limit)
 }
 
 // observedTport is ObservedPingPong for the MPICH-QsNetII baseline stack.
 func observedTport(size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
-	j := mpichq.NewJob(2, nil)
-	rec := trace.NewRecorder(limit)
-	j.SetTracer(rec)
-	reg := obs.New()
-	j.RegisterMetrics(reg)
-	lat := tportPingPongOn(j, size, iters, warmup)
-	return Observed{LatencyUS: lat, Recorder: rec, Metrics: reg.Snapshot()}
+	return observe(iters, limit, func(iters int, rec *trace.Recorder, reg *obs.Registry) float64 {
+		j := mpichq.NewJob(2, nil)
+		j.SetTracer(rec)
+		j.RegisterMetrics(reg)
+		lat, _ := tportPingPong(j, size, iters, warmup)
+		return lat
+	})
 }
 
 // FigureMetric is the metrics table of one representative instrumented
@@ -88,32 +67,22 @@ type figurePoint struct {
 // and FigureBreakdowns both walk it.
 func figurePoints() []figurePoint {
 	iters, warmup := figureMetricIters, 2
-	pp := func(o ptlelan4.Options, progress pml.ProgressMode, size int) func(int) Observed {
-		return func(limit int) Observed {
-			return ObservedPingPong(elanSpec(o, false, progress), size, iters, warmup, limit)
-		}
+	pp := func(spec cluster.Spec, size int) func(int) Observed {
+		return func(limit int) Observed { return ObservedPingPong(spec, size, iters, warmup, limit) }
 	}
-	best := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	noChain := best
-	noChain.ChainFin = false
-	oneThread := best
-	oneThread.CQ = ptlelan4.OneQueue
-	oneThread.Threads = 1
+	noChain := bestRead()
+	noChain.Elan.ChainFin = false
 	return []figurePoint{
 		{id: "fig7a", note: "RDMA-Read, 256 B (eager path)",
-			run: pp(base(ptlelan4.RDMARead), pml.Polling, 256)},
+			run: pp(elanSpec(base(ptlelan4.RDMARead), false, pml.Polling), 256)},
 		{id: "fig7b", note: "RDMA-Write, 4 KiB (rendezvous)",
-			run: pp(base(ptlelan4.RDMAWrite), pml.Polling, 4096)},
-		{id: "fig8", note: "Read-NoChain, 4 KiB",
-			run: pp(noChain, pml.Polling, 4096)},
-		{id: "fig9", note: "RDMA-Read best options, 1984 B (eager limit)",
-			run: pp(best, pml.Polling, 1984)},
-		{id: "table1", note: "One progress thread, 4 KiB",
-			run: pp(oneThread, pml.Threaded, 4096)},
+			run: pp(elanSpec(base(ptlelan4.RDMAWrite), false, pml.Polling), 4096)},
+		{id: "fig8", note: "Read-NoChain, 4 KiB", run: pp(noChain, 4096)},
+		{id: "fig9", note: "RDMA-Read best options, 1984 B (eager limit)", run: pp(bestRead(), 1984)},
+		{id: "table1", note: "One progress thread, 4 KiB", run: pp(modeSpec("one-thread"), 4096)},
 		{id: "fig10", note: "MPICH-QsNetII baseline, 4 KiB",
 			run: func(limit int) Observed { return observedTport(4096, iters, warmup, limit) }},
-		{id: "fig10", note: "PTL/Elan4-RDMA-Read, 64 KiB",
-			run: pp(best, pml.Polling, 65536)},
+		{id: "fig10", note: "PTL/Elan4-RDMA-Read, 64 KiB", run: pp(bestRead(), 65536)},
 		{id: "overlap", note: "Two progress threads, NBC workload, 16 KiB", metricsOnly: true,
 			run: func(limit int) Observed { return ObservedOverlap("two-threads", 16384, iters, warmup, limit) }},
 	}

@@ -10,8 +10,6 @@ import (
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/obs"
 	"qsmpi/internal/parsweep"
-	"qsmpi/internal/pml"
-	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
@@ -54,23 +52,9 @@ const overlapRndvEager = 64
 // overlapSpec builds the 2-rank cluster spec for one progress mode.
 // eager = 0 keeps the module's default eager limit.
 func overlapSpec(mode string, eager, shards int) cluster.Spec {
-	o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	progress := pml.Polling
-	switch mode {
-	case "interrupt":
-		o.CQ = ptlelan4.OneQueue
-		progress = pml.InterruptWait
-	case "one-thread":
-		o.CQ = ptlelan4.OneQueue
-		o.Threads = 1
-		progress = pml.Threaded
-	case "two-threads":
-		o.CQ = ptlelan4.TwoQueue
-		o.Threads = 2
-		progress = pml.Threaded
-	}
-	o.EagerLimit = eager
-	return cluster.Spec{Elan: &o, Progress: progress, Shards: shards}
+	spec := modeSpec(mode)
+	spec.Elan.EagerLimit, spec.Shards = eager, shards
+	return spec
 }
 
 // overlapRatio measures one overlap point: rank 0 first times the
@@ -83,13 +67,8 @@ func overlapSpec(mode string, eager, shards int) cluster.Spec {
 func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (float64, parsweep.Metrics) {
 	iters := c.itersFor(size)
 	warmup := c.Warmup
-	spec := overlapSpec(mode, eager, c.Shards)
-	cl := cluster.New(spec, 2)
-	uni := mpi.NewUniverse()
 	var base, over simtime.Duration
-	cl.Launch(func(p *cluster.Proc) {
-		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, 2)
-		comm := w.Comm()
+	m := runMPI(overlapSpec(mode, eager, c.Shards), 2, func(p *cluster.Proc, comm *mpi.Comm) {
 		buf := make([]byte, size)
 		dt := datatype.Contiguous(size)
 		empty := datatype.Contiguous(0)
@@ -143,67 +122,40 @@ func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (f
 			}
 		}
 	})
-	if err := cl.Run(); err != nil {
-		panic(err)
-	}
 	cc := base.Micros() / float64(iters)
 	o := over.Micros() / float64(iters)
 	ratio := 1.0
 	if cc > 0 {
 		// w = c, so (c + w − o)/c = (2c − o)/c.
-		ratio = (2*cc - o) / cc
-		if ratio < 0 {
-			ratio = 0
-		} else if ratio > 1 {
-			ratio = 1
-		}
+		ratio = max(0, min(1, (2*cc-o)/cc))
 	}
-	return ratio, clusterMetrics(cl)
+	return ratio, m
 }
 
 // OverlapFigures produces the overlap figure family: sender-side
 // overlap and receiver-side progress availability across the four
 // progress modes, plus the eager-vs-rendezvous threshold ablation.
 func OverlapFigures(cfg Config) []Result {
-	modeFig := func(id, title string, recvSide bool) Result {
-		measure := func(mode string) pointFn {
-			return func(size int) (float64, parsweep.Metrics) {
-				return cfg.overlapRatio(mode, 0, recvSide, size)
-			}
-		}
-		return Result{
-			ID:     id,
-			Title:  title,
-			XLabel: "message size bytes",
-			YLabel: "overlap ratio",
-			Series: cfg.sweep([]seriesSpec{
-				{name: "Basic", sizes: overlapSizes, measure: measure("basic")},
-				{name: "Interrupt", sizes: overlapSizes, measure: measure("interrupt")},
-				{name: "One Thread", sizes: overlapSizes, measure: measure("one-thread")},
-				{name: "Two Threads", sizes: overlapSizes, measure: measure("two-threads")},
-			}),
-		}
+	curve := func(name, mode string, eager int, recvSide bool, sizes []int) seriesSpec {
+		return seriesSpec{name, sizes, func(size int) (float64, parsweep.Metrics) {
+			return cfg.overlapRatio(mode, eager, recvSide, size)
+		}}
 	}
-	thresh := func(mode string, eager int) pointFn {
-		return func(size int) (float64, parsweep.Metrics) {
-			return cfg.overlapRatio(mode, eager, false, size)
-		}
+	modeFig := func(id, title string, recvSide bool) Result {
+		return *cfg.figure(id, title, "message size bytes", "overlap ratio",
+			curve("Basic", "basic", 0, recvSide, overlapSizes),
+			curve("Interrupt", "interrupt", 0, recvSide, overlapSizes),
+			curve("One Thread", "one-thread", 0, recvSide, overlapSizes),
+			curve("Two Threads", "two-threads", 0, recvSide, overlapSizes))
 	}
 	return []Result{
 		modeFig("overlap-send", "Sender-side compute/communication overlap vs message size", false),
 		modeFig("overlap-recv", "Receiver-side progress availability vs message size", true),
-		{
-			ID:     "overlap-threshold",
-			Title:  "Sender overlap, default eager limit vs forced rendezvous",
-			XLabel: "message size bytes",
-			YLabel: "overlap ratio",
-			Series: cfg.sweep([]seriesSpec{
-				{name: "Basic eager", sizes: thresholdSizes, measure: thresh("basic", 0)},
-				{name: "Basic rndv", sizes: thresholdSizes, measure: thresh("basic", overlapRndvEager)},
-				{name: "Two Threads eager", sizes: thresholdSizes, measure: thresh("two-threads", 0)},
-				{name: "Two Threads rndv", sizes: thresholdSizes, measure: thresh("two-threads", overlapRndvEager)},
-			}),
-		},
+		*cfg.figure("overlap-threshold", "Sender overlap, default eager limit vs forced rendezvous", "message size bytes", "overlap ratio",
+			curve("Basic eager", "basic", 0, false, thresholdSizes),
+			curve("Basic rndv", "basic", overlapRndvEager, false, thresholdSizes),
+			curve("Two Threads eager", "two-threads", 0, false, thresholdSizes),
+			curve("Two Threads rndv", "two-threads", overlapRndvEager, false, thresholdSizes)),
 	}
 }
 
@@ -214,55 +166,39 @@ func OverlapFigures(cfg Config) []Result {
 // and ProgressDuty counter samples) all appear in one representative
 // run. Strictly sequential, like ObservedPingPong.
 func ObservedOverlap(mode string, size, iters, warmup, limit int) Observed {
-	if iters < 1 {
-		iters = 1
-	}
-	rec := trace.NewRecorder(limit)
-	reg := obs.New()
-	spec := overlapSpec(mode, 0, 0)
-	spec.Tracer = rec
-	spec.Metrics = reg
-	cl := cluster.New(spec, 2)
-	uni := mpi.NewUniverse()
-	var total simtime.Duration
-	cl.Launch(func(p *cluster.Proc) {
-		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, 2)
-		comm := w.Comm()
-		buf := make([]byte, 8)
-		out := make([]byte, 8)
-		dt := datatype.Contiguous(size)
-		data := make([]byte, size)
-		for i := 0; i < warmup+iters; i++ {
-			start := p.Th.Now()
-			var sq, rq *mpi.Request
+	return observe(iters, limit, func(iters int, rec *trace.Recorder, reg *obs.Registry) float64 {
+		spec := overlapSpec(mode, 0, 0)
+		spec.Tracer, spec.Metrics = rec, reg
+		var lat float64
+		runMPI(spec, 2, func(p *cluster.Proc, comm *mpi.Comm) {
+			buf := make([]byte, 8)
+			out := make([]byte, 8)
+			dt := datatype.Contiguous(size)
+			data := make([]byte, size)
+			d := timed(p.Th, warmup, iters, func(i int) {
+				var sq, rq *mpi.Request
+				if p.Rank == 0 {
+					sq = comm.Isend(1, 3, data, dt)
+				} else {
+					rq = comm.Irecv(0, 3, data, dt)
+				}
+				binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(p.Rank+i)))
+				ar := comm.Iallreduce(buf, out, mpi.OpSumF64)
+				p.Th.Compute(5 * simtime.Microsecond)
+				ar.Wait()
+				if p.Rank == 0 {
+					sq.Wait()
+				} else {
+					rq.Wait()
+				}
+				comm.Ibarrier().Wait()
+			})
 			if p.Rank == 0 {
-				sq = comm.Isend(1, 3, data, dt)
-			} else {
-				rq = comm.Irecv(0, 3, data, dt)
+				lat = d
 			}
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(p.Rank+i)))
-			ar := comm.Iallreduce(buf, out, mpi.OpSumF64)
-			p.Th.Compute(5 * simtime.Microsecond)
-			ar.Wait()
-			if p.Rank == 0 {
-				sq.Wait()
-			} else {
-				rq.Wait()
-			}
-			comm.Ibarrier().Wait()
-			if p.Rank == 0 && i >= warmup {
-				total += p.Th.Now().Sub(start)
-			}
-		}
+		})
+		return lat
 	})
-	if err := cl.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return Observed{
-		LatencyUS: total.Micros() / float64(iters),
-		Recorder:  rec,
-		Metrics:   reg.Snapshot(),
-	}
 }
 
 // OverlapClaims derives the asynchronous-progress verdicts from

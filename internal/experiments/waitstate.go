@@ -10,8 +10,6 @@ import (
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/obs"
-	"qsmpi/internal/pml"
-	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
@@ -34,25 +32,28 @@ type WaitScenario struct {
 // touching the network in the seeded point-to-point scenarios.
 const lateSenderSkew = 40 * simtime.Microsecond
 
-// waitSpec is the instrumented two-rank spec the point-to-point
-// scenarios share.
-func waitSpec(shards int, rec *trace.Recorder) cluster.Spec {
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	return cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		Tracer:   rec,
-	}
+// tracedSpec is bestRead with an unbounded recorder attached, the spec every
+// seeded scenario runs under.
+func tracedSpec(shards int) (cluster.Spec, *trace.Recorder) {
+	rec := trace.NewRecorder(0)
+	spec := bestRead()
+	spec.Shards, spec.Tracer = shards, rec
+	return spec, rec
+}
+
+// traced runs body on the two ranks of a fresh cluster under tracedSpec and
+// returns the event stream.
+func traced(shards int, body func(p *cluster.Proc)) []trace.Event {
+	spec, rec := tracedSpec(shards)
+	run(cluster.New(spec, 2), body)
+	return rec.Events()
 }
 
 // LateSenderEvents seeds the late-sender case: rank 1 posts its receive
 // immediately, rank 0 computes for lateSenderSkew first. The analyzer
 // must charge rank 1 with a late-sender wait of at least the skew.
 func LateSenderEvents(shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	c := cluster.New(waitSpec(shards, rec), 2)
-	c.Launch(func(p *cluster.Proc) {
+	return traced(shards, func(p *cluster.Proc) {
 		dt := datatype.Contiguous(256)
 		buf := make([]byte, 256)
 		if p.Rank == 0 {
@@ -62,10 +63,6 @@ func LateSenderEvents(shards int) []trace.Event {
 			p.Stack.Recv(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return rec.Events()
 }
 
 // LateReceiverEvents seeds the late-receiver case: rank 0 sends an
@@ -76,9 +73,7 @@ func LateSenderEvents(shards int) []trace.Event {
 // receive is finally posted. The analyzer must charge rank 0 with a
 // late-receiver wait on the tag-1 message.
 func LateReceiverEvents(shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	c := cluster.New(waitSpec(shards, rec), 2)
-	c.Launch(func(p *cluster.Proc) {
+	return traced(shards, func(p *cluster.Proc) {
 		dt := datatype.Contiguous(256)
 		buf := make([]byte, 256)
 		buf2 := make([]byte, 256)
@@ -91,10 +86,6 @@ func LateReceiverEvents(shards int) []trace.Event {
 			p.Stack.Recv(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return rec.Events()
 }
 
 // BarrierSkewEvents seeds the wait-at-barrier case at n ranks: each
@@ -103,31 +94,14 @@ func LateReceiverEvents(shards int) []trace.Event {
 // known by construction. nic selects the NIC combine tree (full
 // connectivity, SetHWColl) against the host dissemination barrier.
 func BarrierSkewEvents(n, iters int, nic bool, shards int) []trace.Event {
-	rec := trace.NewRecorder(0)
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		HWColl:   nic,
-		Tracer:   rec,
-	}
-	c := cluster.New(spec, n)
-	uni := mpi.NewUniverse()
-	c.Launch(func(p *cluster.Proc) {
-		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, n)
-		if nic {
-			w.SetHWColl(p.Elan)
-		}
-		comm := w.Comm()
+	spec, rec := tracedSpec(shards)
+	spec.HWColl = nic
+	runMPI(spec, n, func(p *cluster.Proc, comm *mpi.Comm) {
 		for i := 0; i < iters; i++ {
 			p.Th.Compute(simtime.Duration(p.Rank) * 10 * simtime.Microsecond)
 			comm.Barrier()
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
 	return rec.Events()
 }
 
@@ -173,24 +147,13 @@ func SampledRun(n, iters, shards, limit int) (*obs.Sampler, *trace.Recorder) {
 // the identical workload with nothing attached, the baseline the
 // zero-perturbation test compares against.
 func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.Recorder) {
-	rec := trace.NewRecorder(0)
+	spec, rec := tracedSpec(shards)
 	var smp *obs.Sampler
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := cluster.Spec{
-		Elan:     &opts,
-		Progress: pml.Polling,
-		Shards:   shards,
-		Tracer:   rec,
-	}
 	if sample {
 		smp = obs.NewSampler(samplerPeriod, limit)
 		spec.Sampler = smp
 	}
-	c := cluster.New(spec, n)
-	uni := mpi.NewUniverse()
-	c.Launch(func(p *cluster.Proc) {
-		w := mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, n)
-		comm := w.Comm()
+	runMPI(spec, n, func(p *cluster.Proc, comm *mpi.Comm) {
 		dt := datatype.Contiguous(4096)
 		buf := make([]byte, 4096)
 		acc := make([]byte, 8)
@@ -210,9 +173,6 @@ func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.
 			comm.Allreduce(acc, out, mpi.OpSumF64)
 		}
 	})
-	if err := c.Run(); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
 	return smp, rec
 }
 

@@ -10,7 +10,10 @@
 // factor, where curves cross), which is the claim this reproduction makes.
 package model
 
-import "qsmpi/internal/simtime"
+import (
+	"qsmpi/internal/fabric"
+	"qsmpi/internal/simtime"
+)
 
 // Config is the full hardware/software cost model. A zero Config is not
 // usable; start from Default() and override.
@@ -214,5 +217,21 @@ func Default() Config {
 		TCPMTU:           1500,
 
 		OOBLatency: simtime.Micros(50.0),
+	}
+}
+
+// QuadricsFabric returns the parameters of one QsNetII rail under this
+// model: the fat tree every testbed — the cluster, the MPICH-QsNetII job,
+// the bare NICs under the QDMA harnesses — builds its fabric from.
+func (c Config) QuadricsFabric() fabric.Params {
+	return fabric.Params{
+		LinkBandwidth:  c.LinkBandwidth,
+		WireLatency:    c.WireLatency,
+		SwitchLatency:  c.SwitchLatency,
+		MTU:            c.MTU,
+		PacketOverhead: c.PacketOverhead,
+		Arity:          c.FatTreeRadix,
+		LossRate:       c.LinkLossRate,
+		RetryDelay:     c.LinkRetryDelay,
 	}
 }

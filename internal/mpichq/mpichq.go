@@ -46,14 +46,7 @@ func NewJob(nprocs int, override *model.Config) *Job {
 	}
 	k := simtime.NewKernel()
 	j := &Job{K: k, Cfg: cfg, nprocs: nprocs}
-	j.Net = fabric.New(k, fabric.Params{
-		LinkBandwidth:  cfg.LinkBandwidth,
-		WireLatency:    cfg.WireLatency,
-		SwitchLatency:  cfg.SwitchLatency,
-		MTU:            cfg.MTU,
-		PacketOverhead: cfg.PacketOverhead,
-		Arity:          cfg.FatTreeRadix,
-	}, nprocs)
+	j.Net = fabric.New(k, cfg.QuadricsFabric(), nprocs)
 	ports := make([]int, nprocs)
 	for i := range ports {
 		ports[i] = i

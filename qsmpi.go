@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strconv"
 
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
@@ -101,8 +102,10 @@ type Config struct {
 	CQ CQMode
 	// Progress selects the progress mode.
 	Progress ProgressMode
-	// ProgressThreads spawns asynchronous progress threads (1 requires
-	// OneQueue, 2 requires TwoQueue; implies Progress Threaded).
+	// ProgressThreads spawns asynchronous progress threads, 1 or 2 (the
+	// rows of the paper's Table 1); implies Progress Threaded and, with CQ
+	// unset, the completion queue the threads need (OneQueue for 1,
+	// TwoQueue for 2). Any other count is an error from Run.
 	ProgressThreads int
 	// DatatypeEngine enables the general datatype copy engine; off uses
 	// the generic-memcpy substitution of §6.1.
@@ -129,7 +132,11 @@ type Config struct {
 	Model *model.Config
 }
 
-func (cfg Config) spec() cluster.Spec {
+// spec translates the public Config into the cluster's. ProgressThreads
+// picks its row of the paper's Table 1 (cluster.Spec.WithProgressRow), which
+// brings the completion queue the threads need; a CQ set explicitly is kept,
+// and ptlelan4 refuses one the threads cannot use.
+func (cfg Config) spec() (cluster.Spec, error) {
 	spec := cluster.Spec{
 		Model:    cfg.Model,
 		Nodes:    cfg.Nodes,
@@ -143,24 +150,28 @@ func (cfg Config) spec() cluster.Spec {
 	case Threaded:
 		spec.Progress = pml.Threaded
 	}
-	if cfg.ProgressThreads > 0 {
-		spec.Progress = pml.Threaded
-	}
 	if !cfg.DisableElan {
-		opts := ptlelan4.Options{
+		spec.Elan = &ptlelan4.Options{
 			Scheme:     ptlelan4.Scheme(cfg.Scheme),
 			InlineRndv: cfg.InlineRndv,
 			ChainFin:   !cfg.NoChainFin,
 			CQ:         ptlelan4.CQMode(cfg.CQ),
-			Threads:    cfg.ProgressThreads,
 			EagerLimit: cfg.EagerLimit,
 		}
-		spec.Elan = &opts
+	}
+	if cfg.ProgressThreads != 0 {
+		var err error
+		if spec, err = spec.WithProgressRow(strconv.Itoa(cfg.ProgressThreads)); err != nil {
+			return spec, fmt.Errorf("qsmpi: Config.ProgressThreads: %w", err)
+		}
+		if spec.Elan != nil && cfg.CQ != NoCQ {
+			spec.Elan.CQ = ptlelan4.CQMode(cfg.CQ)
+		}
 	}
 	if cfg.EnableTCP || cfg.DisableElan {
 		spec.TCP = &ptltcp.Options{Weight: cfg.TCPWeight}
 	}
-	return spec
+	return spec, nil
 }
 
 // Re-exported communication types: the full MPI-ish surface lives on Comm.
@@ -410,7 +421,10 @@ func run(cfg Config, main func(w *World), rec *trace.Recorder, reg *obs.Registry
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("qsmpi: Config.Procs must be ≥ 1")
 	}
-	spec := cfg.spec()
+	spec, err := cfg.spec()
+	if err != nil {
+		return nil, err
+	}
 	if reg != nil {
 		spec.Tracer = rec
 		spec.Metrics = reg

@@ -306,3 +306,45 @@ func TestPublicRMAWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProgressThreadsPickTheirQueue: ProgressThreads alone is a complete
+// configuration (the completion queue follows from the thread count and
+// gives the same run as naming it), a thread count Table 1 does not have is
+// an error from Run, and a completion queue the threads cannot use is still
+// refused.
+func TestProgressThreadsPickTheirQueue(t *testing.T) {
+	pingPong := func(cfg qsmpi.Config) (lat float64, err error) {
+		err = qsmpi.Run(cfg, func(w *qsmpi.World) {
+			c := w.Comm()
+			buf := make([]byte, 4096)
+			if w.Rank() == 0 {
+				c.SendBytes(1, 0, buf)
+				c.RecvBytes(1, 1, buf)
+				lat = w.NowMicros()
+			} else {
+				c.RecvBytes(0, 0, buf)
+				c.SendBytes(0, 1, buf)
+			}
+		})
+		return lat, err
+	}
+	for threads, cq := range map[int]qsmpi.CQMode{1: qsmpi.OneQueue, 2: qsmpi.TwoQueue} {
+		implied, err := pingPong(qsmpi.Config{Procs: 2, ProgressThreads: threads})
+		if err != nil {
+			t.Fatalf("ProgressThreads %d: %v", threads, err)
+		}
+		named, err := pingPong(qsmpi.Config{Procs: 2, ProgressThreads: threads, CQ: cq})
+		if err != nil || implied != named {
+			t.Errorf("ProgressThreads %d: %.2fus with the queue implied, %.2fus with it named (%v)", threads, implied, named, err)
+		}
+	}
+	if _, err := pingPong(qsmpi.Config{Procs: 2, ProgressThreads: 3}); err == nil {
+		t.Error("ProgressThreads 3: no error")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("one progress thread on the two-queue completion queue: no panic")
+		}
+	}()
+	pingPong(qsmpi.Config{Procs: 2, ProgressThreads: 1, CQ: qsmpi.TwoQueue})
+}
