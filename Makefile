@@ -26,7 +26,9 @@ test:
 # race detector are the proof that the epoch barrier orders the hand-off.
 # A Tport pull stream is the same shape one layer up — written by the
 # sender's firmware, walked by the receiver's — so the baseline's suites run
-# beside the NIC's.
+# beside the NIC's. mpi and ptlelan4 hold the progress hooks (an NBC schedule
+# advanced from whichever thread sweeps) and the progress threads that
+# complete its sub-requests, so their suites run there too.
 # The experiments and parsweep suites run under -race too: they are where
 # whole simulations execute concurrently, so any state shared between two
 # kernels shows up there — and experiments holds TestIdentityMatrix, the one
@@ -43,6 +45,7 @@ test:
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
 	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/tport ./internal/mpichq ./internal/cluster
+	$(GO) test -race ./internal/mpi ./internal/ptlelan4
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
 	$(GO) test -C bench -short ./...

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -43,166 +44,85 @@ func (c *Comm) collEvent(kind trace.Kind, op, epoch int, nic bool, bytes int) {
 	})
 }
 
+// epoch brackets one Barrier/Bcast/Allreduce with its CollEnter/CollExit
+// events and picks its path: nic over the NIC-resident trees when the
+// caller allows it (may), a provider is installed and the group is
+// eligible, otherwise — or when the provider declines — host over the
+// software schedules.
+func (c *Comm) epoch(op, bytes int, may bool, nic func(HWColl) bool, host func()) {
+	seq := c.seq.collSeq + 1
+	hw := may && c.id == 0 && c.w.hw.coll != nil && c.w.hw.eligible
+	c.collEvent(trace.CollEnter, op, seq, hw, bytes)
+	if hw {
+		c.seq.collSeq++ // keep collective sequencing aligned with fallback
+		hw = nic(c.w.hw.coll)
+	}
+	if !hw {
+		host()
+	}
+	c.collEvent(trace.CollExit, op, seq, hw, bytes)
+}
+
 // Barrier blocks until every member has entered it: over the NIC-resident
 // combine tree when a provider is installed and the group is eligible,
 // otherwise the dissemination algorithm (ceil(log2 n) rounds of zero-byte
 // exchanges).
 func (c *Comm) Barrier() {
-	n := c.Size()
-	if n == 1 {
+	if c.Size() == 1 {
 		return
 	}
-	epoch := c.seq.collSeq + 1
-	hw := c.id == 0 && c.w.hw.coll != nil && c.w.hw.eligible
-	c.collEvent(trace.CollEnter, trace.CollOpBarrier, epoch, hw, 0)
-	if hw {
-		c.seq.collSeq++ // keep collective sequencing aligned with fallback
-		if c.w.hw.coll.HWBarrier(c.w.th, c.ranks, c.w.rank) {
-			c.collEvent(trace.CollExit, trace.CollOpBarrier, epoch, true, 0)
-			return
-		}
-	}
-	tag := c.collTag()
-	empty := datatype.Contiguous(0)
-	for dist := 1; dist < n; dist *= 2 {
-		to := (c.myIdx + dist) % n
-		from := (c.myIdx - dist + n) % n
-		c.Sendrecv(to, tag, nil, empty, from, tag, nil, empty)
-	}
-	c.collEvent(trace.CollExit, trace.CollOpBarrier, epoch, false, 0)
+	c.epoch(trace.CollOpBarrier, 0, true,
+		func(h HWColl) bool { return h.HWBarrier(c.w.th, c.ranks, c.w.rank) },
+		func() { c.run(c.barrierStage()) })
 }
 
 // Bcast broadcasts root's buf to every member: over the QsNet hardware
 // broadcast when a provider is installed and the group is eligible
 // (static world, contiguous data), otherwise a binomial software tree.
 func (c *Comm) Bcast(root int, buf []byte, dt *datatype.Datatype) {
-	n := c.Size()
-	if n == 1 {
+	if c.Size() == 1 {
 		return
 	}
-	epoch := c.seq.collSeq + 1
-	hw := c.id == 0 && c.w.hw.coll != nil && c.w.hw.eligible && dt.Contig()
-	c.collEvent(trace.CollEnter, trace.CollOpBcast, epoch, hw, dt.Size())
-	if hw {
-		c.seq.collSeq++ // keep collective sequencing aligned with fallback
-		if c.w.hw.coll.HWBcast(c.w.th, c.worldOf(root), c.ranks, c.w.rank, buf[:dt.Size()]) {
-			c.collEvent(trace.CollExit, trace.CollOpBcast, epoch, true, dt.Size())
-			return
-		}
-	}
-	tag := c.collTag()
-	rel := (c.myIdx - root + n) % n
-	// Receive from parent.
-	if rel != 0 {
-		mask := 1
-		for mask < n {
-			if rel&mask != 0 {
-				parent := (c.myIdx - mask + n) % n
-				c.Recv(parent, tag, buf, dt)
-				break
-			}
-			mask *= 2
-		}
-	}
-	// Forward to children.
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			break
-		}
-		mask *= 2
-	}
-	for m := mask / 2; m >= 1; m /= 2 {
-		if rel+m < n {
-			child := (c.myIdx + m) % n
-			c.Send(child, tag, buf, dt)
-		}
-	}
-	c.collEvent(trace.CollExit, trace.CollOpBcast, epoch, false, dt.Size())
+	c.epoch(trace.CollOpBcast, dt.Size(), dt.Contig(),
+		func(h HWColl) bool { return h.HWBcast(c.w.th, c.member(root), c.ranks, c.w.rank, buf[:dt.Size()]) },
+		func() { c.run(c.bcastStage(root, buf, dt)) })
 }
 
 // Op combines src into dst elementwise; both are the packed representation
 // of the reduction datatype.
 type Op func(dst, src []byte)
 
-// OpSumF64 adds little-endian float64 vectors.
-var OpSumF64 Op = func(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := f64(dst[i:])
-		b := f64(src[i:])
-		putF64(dst[i:], a+b)
-	}
-}
-
-// OpMaxF64 takes the elementwise max of float64 vectors.
-var OpMaxF64 Op = func(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		if b := f64(src[i:]); b > f64(dst[i:]) {
-			putF64(dst[i:], b)
+// fold64 is the Op applying f to each pair of little-endian 64-bit words.
+func fold64(f func(dst, src uint64) uint64) Op {
+	le := binary.LittleEndian
+	return func(dst, src []byte) {
+		for i := 0; i+8 <= len(dst); i += 8 {
+			le.PutUint64(dst[i:], f(le.Uint64(dst[i:]), le.Uint64(src[i:])))
 		}
 	}
 }
 
+// OpSumF64 adds little-endian float64 vectors.
+var OpSumF64 = fold64(func(dst, src uint64) uint64 {
+	return math.Float64bits(math.Float64frombits(dst) + math.Float64frombits(src))
+})
+
+// OpMaxF64 takes the elementwise max of float64 vectors.
+var OpMaxF64 = fold64(func(dst, src uint64) uint64 {
+	if math.Float64frombits(src) > math.Float64frombits(dst) {
+		return src
+	}
+	return dst
+})
+
 // OpSumI64 adds little-endian int64 vectors.
-var OpSumI64 Op = func(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		putI64(dst[i:], i64(dst[i:])+i64(src[i:]))
-	}
-}
-
-func f64(b []byte) float64 {
-	return float64frombits(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-}
-
-func putF64(b []byte, v float64) {
-	u := float64bits(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-}
-
-func i64(b []byte) int64 {
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return int64(u)
-}
-
-func putI64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(uint64(v) >> (8 * i))
-	}
-}
+var OpSumI64 = fold64(func(dst, src uint64) uint64 { return dst + src })
 
 // Reduce combines every member's contribution into root's recv buffer
 // (binomial tree). buf is each member's contribution; on root, recv gets
 // the result (may alias buf on non-roots, unused there).
 func (c *Comm) Reduce(root int, buf, recv []byte, op Op) {
-	n := c.Size()
-	tag := c.collTag()
-	acc := append([]byte(nil), buf...)
-	rel := (c.myIdx - root + n) % n
-	dt := datatype.Contiguous(len(buf))
-	tmp := make([]byte, len(buf))
-	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			parent := (c.myIdx - mask + n) % n
-			c.Send(parent, tag, acc, dt)
-			break
-		}
-		peer := rel + mask
-		if peer < n {
-			c.Recv((peer+root)%n, tag, tmp, dt)
-			op(acc, tmp)
-		}
-		mask *= 2
-	}
-	if c.myIdx == root {
-		copy(recv, acc)
-	}
+	c.run(c.reduceStage(root, buf, recv, op))
 }
 
 // Allreduce reduces every member's buf with op and leaves the result in
@@ -210,20 +130,22 @@ func (c *Comm) Reduce(root int, buf, recv []byte, op Op) {
 // is installed and the group is eligible, otherwise Reduce to rank 0
 // followed by Bcast.
 func (c *Comm) Allreduce(buf, recv []byte, op Op) {
-	epoch := c.seq.collSeq + 1
-	hw := c.id == 0 && c.w.hw.coll != nil && c.w.hw.eligible && c.Size() > 1
-	c.collEvent(trace.CollEnter, trace.CollOpAllreduce, epoch, hw, len(buf))
-	if hw {
-		c.seq.collSeq++ // keep collective sequencing aligned with fallback
-		copy(recv, buf)
-		if c.w.hw.coll.HWAllreduce(c.w.th, c.ranks, c.w.rank, recv[:len(buf)], op) {
-			c.collEvent(trace.CollExit, trace.CollOpAllreduce, epoch, true, len(buf))
-			return
-		}
-	}
-	c.Reduce(0, buf, recv, op)
-	c.Bcast(0, recv, datatype.Contiguous(len(recv)))
-	c.collEvent(trace.CollExit, trace.CollOpAllreduce, epoch, false, len(buf))
+	c.epoch(trace.CollOpAllreduce, len(buf), c.Size() > 1,
+		func(h HWColl) bool {
+			copy(recv, buf)
+			return h.HWAllreduce(c.w.th, c.ranks, c.w.rank, recv[:len(buf)], op)
+		},
+		func() {
+			c.Reduce(0, buf, recv, op)
+			c.Bcast(0, recv, datatype.Contiguous(len(recv)))
+		})
+}
+
+// amRoot reports whether the caller is root, refusing a root outside the
+// communicator (the wildcard included: nobody would be root).
+func (c *Comm) amRoot(root int) bool {
+	c.member(root)
+	return c.myIdx == root
 }
 
 // Gather concentrates equal-size contributions at root; recv must hold
@@ -232,7 +154,7 @@ func (c *Comm) Gather(root int, buf, recv []byte) {
 	n := c.Size()
 	tag := c.collTag()
 	dt := datatype.Contiguous(len(buf))
-	if c.myIdx != root {
+	if !c.amRoot(root) {
 		c.Send(root, tag, buf, dt)
 		return
 	}
@@ -268,7 +190,7 @@ func (c *Comm) Scatter(root int, send, recv []byte) {
 	n := c.Size()
 	tag := c.collTag()
 	dt := datatype.Contiguous(len(recv))
-	if c.myIdx == root {
+	if c.amRoot(root) {
 		if len(send) < n*len(recv) {
 			panic(fmt.Sprintf("mpi: scatter buffer %d short of %d", len(send), n*len(recv)))
 		}
@@ -295,8 +217,8 @@ func (c *Comm) Alltoall(send, recv []byte) {
 	tag := c.collTag()
 	dt := datatype.Contiguous(blk)
 	copy(recv[c.myIdx*blk:(c.myIdx+1)*blk], send[c.myIdx*blk:(c.myIdx+1)*blk])
-	// Pairwise exchange: in round k, exchange with rank^k when the size
-	// is a power of two, otherwise a simple shifted schedule.
+	// Every receive is posted before any send; the sends go out in ring
+	// order, member i's first to i+1, so no destination is hit by all.
 	var reqs []*Request
 	for r := 0; r < n; r++ {
 		if r == c.myIdx {
@@ -318,7 +240,7 @@ func (c *Comm) Alltoall(send, recv []byte) {
 func (c *Comm) Gatherv(root int, buf []byte, recv []byte, counts, displs []int) {
 	n := c.Size()
 	tag := c.collTag()
-	if c.myIdx != root {
+	if !c.amRoot(root) {
 		c.Send(root, tag, buf, datatype.Contiguous(len(buf)))
 		return
 	}
@@ -340,7 +262,7 @@ func (c *Comm) Gatherv(root int, buf []byte, recv []byte, counts, displs []int) 
 func (c *Comm) Scatterv(root int, send []byte, counts, displs []int, recv []byte) {
 	n := c.Size()
 	tag := c.collTag()
-	if c.myIdx == root {
+	if c.amRoot(root) {
 		if len(counts) != n || len(displs) != n {
 			panic("mpi: scatterv needs one count and displacement per member")
 		}
@@ -428,6 +350,3 @@ func (c *Comm) Scan(send, recv []byte, op Op) {
 	}
 	copy(recv, acc)
 }
-
-func float64bits(f float64) uint64     { return math.Float64bits(f) }
-func float64frombits(u uint64) float64 { return math.Float64frombits(u) }

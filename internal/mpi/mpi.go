@@ -8,6 +8,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"qsmpi/internal/datatype"
@@ -208,6 +209,12 @@ func (c *Comm) worldOf(r int) int {
 	if r == AnySource {
 		return AnySource
 	}
+	return c.member(r)
+}
+
+// member is worldOf for a rank that must name a member: a root, which the
+// wildcard is not.
+func (c *Comm) member(r int) int {
 	if r < 0 || r >= len(c.ranks) {
 		panic(fmt.Sprintf("mpi: rank %d outside communicator of %d", r, len(c.ranks)))
 	}
@@ -564,22 +571,14 @@ func (c *Comm) Split(color, key int) *Comm {
 
 func encodeCK(e struct{ color, key, rank int }) []byte {
 	b := make([]byte, 12)
-	put32 := func(off, v int) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	put32(0, e.color)
-	put32(4, e.key)
-	put32(8, e.rank)
+	binary.LittleEndian.PutUint32(b[0:], uint32(e.color))
+	binary.LittleEndian.PutUint32(b[4:], uint32(e.key))
+	binary.LittleEndian.PutUint32(b[8:], uint32(e.rank))
 	return b
 }
 
 func decodeCK(b []byte) (e struct{ color, key, rank int }) {
-	get32 := func(off int) int {
-		return int(int32(uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24))
-	}
+	get32 := func(off int) int { return int(int32(binary.LittleEndian.Uint32(b[off:]))) }
 	e.color, e.key, e.rank = get32(0), get32(4), get32(8)
 	return
 }

@@ -7,17 +7,15 @@ import (
 	"qsmpi/internal/trace"
 )
 
-// Nonblocking collectives (MPI_Ibarrier/Ibcast/Iallreduce) as
-// schedule-based state machines advanced from the PML progress path.
-// Each operation captures the *exact* loop structure of its blocking
-// counterpart — the dissemination barrier, the binomial broadcast tree,
-// Reduce-to-0 + Bcast-from-0 — as a resumable advance() function, and
-// registers it as a pml.ProgressHook. Every progress sweep (a blocking
-// wait's polling loop, Request.Test, an explicit Progress) retires the
-// phases whose point-to-point sub-requests have completed and posts the
-// next phase's, so results are bit-for-bit identical to the blocking
-// calls and the communicator's collective tag sequence advances exactly
-// as it would have.
+// Nonblocking collectives (MPI_Ibarrier/Ibcast/Iallreduce) are the
+// schedules of their blocking counterparts (schedule.go) advanced from the
+// PML progress path instead of run to completion: an nbcOp is the stages
+// the blocking call would run, and one pml.ProgressHook. Every progress
+// sweep (a blocking wait's polling loop, Request.Test, an explicit
+// Progress) retires the round whose point-to-point sub-requests have
+// completed and posts the next, so partners, tags and results are those of
+// the blocking calls and the communicator's collective tag sequence
+// advances exactly as it would have.
 //
 // Progress guarantee: like any software NBC without a dedicated
 // collective progress thread, the schedule advances only inside MPI
@@ -25,31 +23,66 @@ import (
 // drives pml.Stack.WaitActive — a poll-between-activity-bumps loop in
 // every progress mode, Threaded included, because module progress
 // threads complete the point-to-point sub-requests but only a progress
-// sweep moves the schedule to its next phase.
+// sweep moves the schedule to its next round.
 
 // nbcCorrBit tags nonblocking-collective correlators inside the 40-bit
 // request space of trace.MsgID, so schedule spans never collide with a
 // genuine send request's lifecycle in the critical-path profiler.
 const nbcCorrBit = uint64(1) << 39
 
-// nbcOp is one outstanding nonblocking collective schedule.
+// nbcOp is one outstanding nonblocking collective.
 type nbcOp struct {
 	c   *Comm
 	seq uint64 // per-process NBC sequence: trace identity
 
-	phase int // retired phases (trace only)
+	phase int // retired rounds (trace only)
 	done  simtime.Signal
 
-	// advance retires every phase whose sub-requests have completed and
-	// posts the next phase's; it returns true once the whole schedule
-	// has run. All sub-operations use the sweeping thread th, which is
-	// always a thread of the owning process.
-	advance func(th *simtime.Thread) bool
+	stages []stage      // run in order; stages[0] is the one under way
+	rq     *pml.RecvReq // the round in flight, either half may be nil
+	sq     *pml.SendReq
 }
 
-func (c *Comm) newNBC() *nbcOp {
+// newNBC numbers a schedule of stages.
+func (c *Comm) newNBC(stages ...stage) *nbcOp {
 	*c.w.nbcSeq++
-	return &nbcOp{c: c, seq: *c.w.nbcSeq}
+	return &nbcOp{c: c, seq: *c.w.nbcSeq, stages: stages}
+}
+
+// advance is the nonblocking executor: retire the round in flight once
+// both its halves have completed (fold, one NBCPhase), then post the next
+// round's receive and send, until no stage has a round left. All
+// sub-operations use the sweeping thread th, which is always a thread of
+// the owning process.
+func (op *nbcOp) advance(th *simtime.Thread) bool {
+	c := op.c
+	for len(op.stages) > 0 {
+		st := &op.stages[0]
+		if op.rq != nil || op.sq != nil {
+			if op.rq != nil && !op.rq.Done() || op.sq != nil && !op.sq.Done() {
+				return false
+			}
+			if op.rq != nil && st.fold != nil {
+				st.fold(st.sbuf, st.rbuf)
+			}
+			op.rq, op.sq = nil, nil
+			op.phase++
+			op.trace(th, trace.NBCPhase, op.phase, 0)
+		}
+		r, ok := st.sched.next()
+		if !ok {
+			copy(st.deliver, st.sbuf)
+			op.stages = op.stages[1:]
+			continue
+		}
+		if r.from != noPeer {
+			op.rq = c.w.stack.Recv(th, c.worldOf(r.from), st.tag, c.id, st.rbuf, st.dt)
+		}
+		if r.to != noPeer {
+			op.sq = c.w.stack.Send(th, c.worldOf(r.to), st.tag, c.id, st.sbuf, st.dt)
+		}
+	}
+	return true
 }
 
 // start runs the first advance at post time (phase 0 begins
@@ -78,11 +111,6 @@ func (op *nbcOp) complete(th *simtime.Thread) {
 	op.dutySample(th)
 	op.done.Fire()
 	op.c.w.stack.Activity().Add(1)
-}
-
-func (op *nbcOp) phaseDone(th *simtime.Thread) {
-	op.phase++
-	op.trace(th, trace.NBCPhase, op.phase, 0)
 }
 
 // trace records a collective-phase event carrying the schedule's
@@ -116,236 +144,33 @@ func (op *nbcOp) dutySample(th *simtime.Thread) {
 	})
 }
 
-// Ibarrier starts a nonblocking barrier: Barrier's dissemination
-// algorithm as a schedule, one zero-byte exchange round per phase.
+// Ibarrier starts a nonblocking barrier: Barrier's dissemination rounds.
 func (c *Comm) Ibarrier() *Request {
-	op := c.newNBC()
-	n := c.Size()
-	if n == 1 {
-		op.trace(c.w.th, trace.NBCPosted, 0, 0)
-		op.complete(c.w.th)
-		return &Request{c: c, n: op, completed: true}
+	if c.Size() == 1 {
+		return c.newNBC().start(c.w.th, 0)
 	}
-	tag := c.collTag()
-	empty := datatype.Contiguous(0)
-	dist := 1
-	var rq *pml.RecvReq
-	var sq *pml.SendReq
-	op.advance = func(th *simtime.Thread) bool {
-		for {
-			if rq != nil {
-				if !rq.Done() || !sq.Done() {
-					return false
-				}
-				rq, sq = nil, nil
-				dist *= 2
-				op.phaseDone(th)
-			}
-			if dist >= n {
-				return true
-			}
-			to := (c.myIdx + dist) % n
-			from := (c.myIdx - dist + n) % n
-			// Sendrecv posts the receive before the send; mirror it.
-			rq = c.w.stack.Recv(th, c.worldOf(from), tag, c.id, nil, empty)
-			sq = c.w.stack.Send(th, c.worldOf(to), tag, c.id, nil, empty)
-		}
-	}
-	return op.start(c.w.th, 0)
+	return c.newNBC(c.barrierStage()).start(c.w.th, 0)
 }
 
 // Ibcast starts a nonblocking broadcast over Bcast's binomial software
 // tree. The hardware broadcast path is not used for schedules; every
 // member makes the same choice, so collective sequencing stays aligned.
 func (c *Comm) Ibcast(root int, buf []byte, dt *datatype.Datatype) *Request {
-	op := c.newNBC()
-	n := c.Size()
-	if n == 1 {
-		op.trace(c.w.th, trace.NBCPosted, 0, dt.Size())
-		op.complete(c.w.th)
-		return &Request{c: c, n: op, completed: true}
+	if c.Size() == 1 {
+		return c.newNBC().start(c.w.th, dt.Size())
 	}
-	tag := c.collTag()
-	rel := (c.myIdx - root + n) % n
-	started := false
-	m := 0
-	var rq *pml.RecvReq
-	var sq *pml.SendReq
-	op.advance = func(th *simtime.Thread) bool {
-		if !started {
-			started = true
-			// Non-roots receive from their binomial parent first.
-			if rel != 0 {
-				mask := 1
-				for mask < n {
-					if rel&mask != 0 {
-						parent := (c.myIdx - mask + n) % n
-						rq = c.w.stack.Recv(th, c.worldOf(parent), tag, c.id, buf, dt)
-						break
-					}
-					mask *= 2
-				}
-			}
-			mask := 1
-			for mask < n {
-				if rel&mask != 0 {
-					break
-				}
-				mask *= 2
-			}
-			m = mask / 2
-		}
-		if rq != nil {
-			if !rq.Done() {
-				return false
-			}
-			rq = nil
-			op.phaseDone(th)
-		}
-		// Forward to children sequentially, largest sub-tree first —
-		// the same send order as the blocking tree.
-		for {
-			if sq != nil {
-				if !sq.Done() {
-					return false
-				}
-				sq = nil
-				m /= 2
-				op.phaseDone(th)
-			}
-			for m >= 1 && rel+m >= n {
-				m /= 2
-			}
-			if m < 1 {
-				return true
-			}
-			child := (c.myIdx + m) % n
-			sq = c.w.stack.Send(th, c.worldOf(child), tag, c.id, buf, dt)
-		}
-	}
-	return op.start(c.w.th, dt.Size())
+	return c.newNBC(c.bcastStage(root, buf, dt)).start(c.w.th, dt.Size())
 }
 
 // Iallreduce starts a nonblocking allreduce: the software Reduce-to-0 +
-// Bcast-from-0 composition of Allreduce as one schedule. Both collective
-// tags are claimed up front, so the communicator's sequence advances
-// exactly as the blocking call's would; the combine runs in increasing
-// mask order, identical to Reduce, making the result bit-for-bit equal.
+// Bcast-from-0 composition of Allreduce as two stages. Both collective
+// tags are claimed up front (Bcast's only where Bcast would claim one),
+// so the communicator's sequence advances exactly as the blocking call's
+// would.
 func (c *Comm) Iallreduce(buf, recv []byte, opFn Op) *Request {
-	op := c.newNBC()
-	n := c.Size()
-	tagR := c.collTag() // Reduce's tag, claimed even at n == 1
-	if n == 1 {
-		copy(recv, buf)
-		op.trace(c.w.th, trace.NBCPosted, 0, len(buf))
-		op.complete(c.w.th)
-		return &Request{c: c, n: op, completed: true}
+	stages := []stage{c.reduceStage(0, buf, recv, opFn)}
+	if c.Size() > 1 {
+		stages = append(stages, c.bcastStage(0, recv, datatype.Contiguous(len(recv))))
 	}
-	tagB := c.collTag() // Bcast's tag
-	dtR := datatype.Contiguous(len(buf))
-	dtB := datatype.Contiguous(len(recv))
-	acc := append([]byte(nil), buf...)
-	tmp := make([]byte, len(buf))
-	rel := c.myIdx // both stages are rooted at comm rank 0
-	const (
-		stReduce = iota
-		stBcastRecv
-		stBcastSend
-	)
-	stage := stReduce
-	mask := 1
-	bm := 0
-	bstarted := false
-	var rq *pml.RecvReq
-	var sq *pml.SendReq
-	op.advance = func(th *simtime.Thread) bool {
-		for stage == stReduce {
-			if rq != nil {
-				if !rq.Done() {
-					return false
-				}
-				rq = nil
-				opFn(acc, tmp)
-				mask *= 2
-				op.phaseDone(th)
-			}
-			if sq != nil {
-				if !sq.Done() {
-					return false
-				}
-				sq = nil
-				op.phaseDone(th)
-				stage = stBcastRecv
-				break
-			}
-			if mask >= n {
-				stage = stBcastRecv
-				break
-			}
-			if rel&mask != 0 {
-				parent := (c.myIdx - mask + n) % n
-				sq = c.w.stack.Send(th, c.worldOf(parent), tagR, c.id, acc, dtR)
-				continue
-			}
-			if peer := rel + mask; peer < n {
-				rq = c.w.stack.Recv(th, c.worldOf(peer), tagR, c.id, tmp, dtR)
-				continue
-			}
-			mask *= 2
-		}
-		if stage == stBcastRecv {
-			if !bstarted {
-				bstarted = true
-				if c.myIdx == 0 {
-					copy(recv, acc) // Reduce's root delivery
-				}
-				if rel != 0 {
-					bmask := 1
-					for bmask < n {
-						if rel&bmask != 0 {
-							parent := (c.myIdx - bmask + n) % n
-							rq = c.w.stack.Recv(th, c.worldOf(parent), tagB, c.id, recv, dtB)
-							break
-						}
-						bmask *= 2
-					}
-				}
-				bmask := 1
-				for bmask < n {
-					if rel&bmask != 0 {
-						break
-					}
-					bmask *= 2
-				}
-				bm = bmask / 2
-			}
-			if rq != nil {
-				if !rq.Done() {
-					return false
-				}
-				rq = nil
-				op.phaseDone(th)
-			}
-			stage = stBcastSend
-		}
-		for {
-			if sq != nil {
-				if !sq.Done() {
-					return false
-				}
-				sq = nil
-				bm /= 2
-				op.phaseDone(th)
-			}
-			for bm >= 1 && rel+bm >= n {
-				bm /= 2
-			}
-			if bm < 1 {
-				return true
-			}
-			child := (c.myIdx + bm) % n
-			sq = c.w.stack.Send(th, c.worldOf(child), tagB, c.id, recv, dtB)
-		}
-	}
-	return op.start(c.w.th, len(buf))
+	return c.newNBC(stages...).start(c.w.th, len(buf))
 }

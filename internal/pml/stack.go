@@ -324,7 +324,7 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 	s.stats.Sends++
 	req.postedAt = s.sc.Now()
 	s.noteProgress()
-	s.traceCorr(trace.SendPosted, req.id, dst, tag, n, s.msgCorr(s.rank, req.id))
+	s.traceCorr(trace.SendPosted, req.id, dst, tag, n, s.Tracer.MsgID(s.rank, req.id))
 
 	// Contiguous data is used in place (zero copy); non-contiguous data
 	// is packed once into pooled scratch, recycled on completion.
@@ -420,7 +420,7 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	}
 	req.acked = true
 	s.noteProgress()
-	s.traceCorr(trace.AckArrived, req.id, req.dst, req.tag, req.n, s.msgCorr(s.rank, req.id))
+	s.traceCorr(trace.AckArrived, req.id, req.dst, req.tag, req.n, s.Tracer.MsgID(s.rank, req.id))
 	sd := s.sendDesc[req.id]
 	sd.Hdr.RecvReq = hdr.RecvReq
 
@@ -495,7 +495,7 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 		panic(fmt.Sprintf("pml: send %d progressed %d of %d bytes", sendReq, req.progressed, req.n))
 	}
 	s.noteProgress()
-	s.traceCorr(trace.SendProgressed, req.id, req.dst, req.tag, bytes, s.msgCorr(s.rank, req.id))
+	s.traceCorr(trace.SendProgressed, req.id, req.dst, req.tag, bytes, s.Tracer.MsgID(s.rank, req.id))
 	if req.progressed == req.n && !req.done.Fired() {
 		delete(s.sendDesc, req.id)
 		delete(s.sendReqs, req.id)
@@ -508,7 +508,7 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 			s.pool.Put(req.packed)
 			req.packed = nil
 		}
-		s.traceCorr(trace.SendCompleted, req.id, req.dst, req.tag, req.n, s.msgCorr(s.rank, req.id))
+		s.traceCorr(trace.SendCompleted, req.id, req.dst, req.tag, req.n, s.Tracer.MsgID(s.rank, req.id))
 		if s.SendLatency != nil {
 			s.SendLatency.Observe(s.sc.Now().Sub(req.postedAt))
 		}
@@ -559,7 +559,7 @@ func (s *Stack) ReceiveFirst(th *simtime.Thread, mod ptl.Module, src *ptl.Peer, 
 	}
 	s.noteProgress()
 	s.traceCorr(trace.FirstArrived, hdr.SendReq, src.Rank, int(hdr.Tag), int(hdr.MsgLen),
-		s.msgCorr(src.Rank, hdr.SendReq))
+		s.Tracer.MsgID(src.Rank, hdr.SendReq))
 	cs := s.comm(hdr.CommID)
 	exp, ok := cs.expected[src.Rank]
 	if !ok {
@@ -619,7 +619,7 @@ func (s *Stack) admitFirst(th *simtime.Thread, ff *firstFrag) {
 	}
 	s.stats.UnexpectedMsgs++
 	s.traceCorr(trace.Unexpected, ff.hdr.SendReq, ff.peer.Rank, int(ff.hdr.Tag), int(ff.hdr.MsgLen),
-		s.msgCorr(ff.peer.Rank, ff.hdr.SendReq))
+		s.Tracer.MsgID(ff.peer.Rank, ff.hdr.SendReq))
 	if !ff.owned {
 		// Reorder-buffer frags already own a copy; transient data from the
 		// wire must be copied before the transport reclaims it.
@@ -639,7 +639,7 @@ func (s *Stack) consumeMatch(th *simtime.Thread, req *RecvReq, ff *firstFrag) {
 	req.matched = true
 	// The fragment names the sender's request, so the match is the moment
 	// the receive request binds to its global message identity.
-	req.corr = s.msgCorr(ff.peer.Rank, ff.hdr.SendReq)
+	req.corr = s.Tracer.MsgID(ff.peer.Rank, ff.hdr.SendReq)
 	s.traceCorr(trace.Matched, req.id, ff.peer.Rank, int(ff.hdr.Tag), int(ff.hdr.MsgLen), req.corr)
 	req.msgLen = int(ff.hdr.MsgLen)
 	req.status = Status{Source: int(ff.hdr.SrcRank), Tag: int(ff.hdr.Tag), Len: req.msgLen}
@@ -762,15 +762,6 @@ func (s *Stack) traceCorr(kind trace.Kind, reqID uint64, peer, tag, bytes int, c
 	})
 }
 
-// msgCorr builds the correlator for a message sent by srcRank under send
-// request id sendReq; zero (uncorrelated) when no tracer is attached.
-func (s *Stack) msgCorr(srcRank int, sendReq uint64) uint64 {
-	if s.Tracer == nil {
-		return 0
-	}
-	return trace.MsgID(srcRank, sendReq)
-}
-
 // noteProgress tells the watchdog this rank's event stream advanced.
 func (s *Stack) noteProgress() {
 	if s.Watchdog != nil {
@@ -864,51 +855,45 @@ func (s *Stack) runHooks(th *simtime.Thread) {
 	s.inHooks = false
 }
 
-// waitOn blocks until sig fires, driving progress according to the mode.
+// waitOn blocks until a request's sig fires. Under Threaded progress the
+// progress threads inside the modules complete requests: the application
+// thread sleeps and pays the handoff on wake. In every other mode the
+// waiting thread drives progress itself.
 func (s *Stack) waitOn(th *simtime.Thread, sig *simtime.Signal) {
-	t0, p0 := s.sc.Now(), s.progressTime
-	defer func() {
-		s.idleTime += s.sc.Now().Sub(t0) - (s.progressTime - p0)
-	}()
-	switch s.mode {
-	case Threaded:
-		// Progress threads inside the modules complete requests; the
-		// application thread sleeps and pays the handoff on wake.
-		if !sig.Fired() {
-			th.BlockOn(sig, s.cfg.ThreadHandoff)
-		}
-	default:
-		for !sig.Fired() {
-			s.Progress(th)
-			if sig.Fired() {
-				return
-			}
-			v := s.activity.Value()
-			if sig.Fired() {
-				return
-			}
-			if s.mode == InterruptWait && s.blocker != nil {
-				s.blocker.BlockActivity(th)
-			} else {
-				s.activity.WaitFor(th.Proc(), v+1)
-			}
-		}
+	if s.mode != Threaded {
+		s.WaitActive(th, sig)
+		return
+	}
+	defer s.bookIdle(s.sc.Now(), s.progressTime)
+	if !sig.Fired() {
+		th.BlockOn(sig, s.cfg.ThreadHandoff)
 	}
 }
 
+// bookIdle, deferred on entry to a wait with the clock and the progress
+// time as they stood, books what the wait did not spend inside progress
+// sweeps as idle.
+func (s *Stack) bookIdle(t0 simtime.Time, p0 simtime.Duration) {
+	s.idleTime += s.sc.Now().Sub(t0) - (s.progressTime - p0)
+}
+
 // WaitActive blocks until sig fires, polling Progress between activity
-// bumps in every progress mode. Request waits under Threaded progress
-// park until a module progress thread completes the request (waitOn);
-// a caller waiting on a *schedule* needs the blocked thread itself to
-// keep sweeping, because module threads only complete point-to-point
-// sub-requests — advancing the schedule to its next phase happens in the
-// hook pass of Progress. Under Threaded mode each wake pays the same
-// thread handoff a request wake pays (§3).
+// bumps in every progress mode: the one sweep/recheck/block loop of the
+// stack. Request waits under Threaded progress park until a module
+// progress thread completes the request (waitOn); a caller waiting on a
+// *schedule* needs the blocked thread itself to keep sweeping, because
+// module threads only complete point-to-point sub-requests — advancing
+// the schedule to its next round happens in the hook pass of Progress.
+// Under Threaded mode each wake pays the same thread handoff a request
+// wake pays (§3).
+//
+// Probe, Finalize and mpi.Waitany do not come through here: they block on
+// the bare activity word even under InterruptWait, and so never pay the
+// interrupt latency a request wait pays there. That is a difference in
+// what is modelled, known and left alone, not an oversight: routing them
+// through the blocker would move simulated time.
 func (s *Stack) WaitActive(th *simtime.Thread, sig *simtime.Signal) {
-	t0, p0 := s.sc.Now(), s.progressTime
-	defer func() {
-		s.idleTime += s.sc.Now().Sub(t0) - (s.progressTime - p0)
-	}()
+	defer s.bookIdle(s.sc.Now(), s.progressTime)
 	for !sig.Fired() {
 		s.Progress(th)
 		if sig.Fired() {

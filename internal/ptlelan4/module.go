@@ -246,16 +246,6 @@ func (m *Module) traceCorr(kind trace.Kind, reqID uint64, peer, tag, bytes int, 
 	})
 }
 
-// msgID computes the message correlator stamped on trace events and DMA
-// descriptors: srcRank is the message's *sending* rank (this rank for
-// outbound requests, the peer for matched inbound ones).
-func (m *Module) msgID(srcRank int, sendReq uint64) uint64 {
-	if m.tracer == nil {
-		return 0
-	}
-	return trace.MsgID(srcRank, sendReq)
-}
-
 // New creates (and opens) a PTL/Elan4 module bound to a libelan state, an
 // RTE handle for connection bootstrap, and the PML upcall interface.
 // activity is the PML's shared progress word.
@@ -449,7 +439,7 @@ func (m *Module) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
 	// Copy into the 2KB send buffer (the preallocation of §5).
 	buf := m.acquireSendBuf(th)
 	th.Compute(m.st.Cfg.MemcpyStartup + simtime.BytesAt(len(payload), m.st.Cfg.MemcpyBandwidth))
-	corr := m.msgID(m.rank(), sd.Hdr.SendReq)
+	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	m.st.Ctx.SetCookie(corr)
 	m.st.QDMA(th, m.peerVPID(p), qidRecv, payload, buf, m.onSendError)
 	m.pool.Put(payload)
@@ -476,7 +466,7 @@ func (m *Module) SendFrag(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, off
 func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote ptl.RemoteMem, off, ln int, fin bool) {
 	m.lc.RequireActive("Put")
 	m.stats.PutOps++
-	corr := m.msgID(m.rank(), sd.Hdr.SendReq)
+	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	m.traceCorr(trace.PTLPutIssued, sd.Hdr.SendReq, p.Rank, int(sd.Hdr.Tag), ln, corr)
 	vpid := m.peerVPID(p)
 
@@ -534,7 +524,7 @@ func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
 	inline := int(rd.Hdr.FragLen)
 	rest := int(rd.Hdr.MsgLen) - inline
 
-	corr := m.msgID(p.Rank, rd.Hdr.SendReq)
+	corr := m.tracer.MsgID(p.Rank, rd.Hdr.SendReq)
 	if m.opts.Scheme == RDMAWrite {
 		// Fig. 3: ACK with our memory descriptor; the sender will Put.
 		h := rd.Hdr
@@ -629,12 +619,6 @@ func (m *Module) newLocalOp(kind byte, reqID uint64, bytes, peerVPID int, finHdr
 		m.outstanding = append(m.outstanding, op)
 	}
 	return op
-}
-
-func encodeE4(a elan4.E4Addr) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(a))
-	return b
 }
 
 func decodeE4(b []byte) elan4.E4Addr {

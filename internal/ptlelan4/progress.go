@@ -65,13 +65,13 @@ func (m *Module) handleMsg(th *simtime.Thread, qm elan4.QueuedMsg) {
 		// A FIN travels sender→receiver, so its message's source is the
 		// wire-header's SrcRank.
 		m.traceCorr(trace.PTLFinRx, hdr.RecvReq, int(hdr.SrcRank), int(hdr.Tag), int(hdr.FragLen),
-			m.msgID(int(hdr.SrcRank), hdr.SendReq))
+			m.tracer.MsgID(int(hdr.SrcRank), hdr.SendReq))
 		m.pml.RecvProgress(th, hdr.RecvReq, int(hdr.FragLen))
 	case ptl.TypeFinAck:
 		// Fig. 4: one control message acknowledges the rendezvous and
 		// completes the whole send — we are the message's sender.
 		m.traceCorr(trace.PTLFinAckRx, hdr.SendReq, int(hdr.SrcRank), int(hdr.Tag), int(hdr.MsgLen),
-			m.msgID(m.rank(), hdr.SendReq))
+			m.tracer.MsgID(m.rank(), hdr.SendReq))
 		m.pml.SendProgress(th, hdr.SendReq, int(hdr.MsgLen))
 	default:
 		panic(fmt.Sprintf("ptlelan4: unexpected %v in receive queue", hdr.Type))

@@ -112,16 +112,6 @@ func (m *Module) traceCorr(kind trace.Kind, reqID uint64, peer, tag, bytes int, 
 	})
 }
 
-// msgID computes the message correlator stamped on trace events: srcRank
-// is the message's *sending* rank (this rank for outbound requests, the
-// peer for matched inbound ones).
-func (m *Module) msgID(srcRank int, sendReq uint64) uint64 {
-	if m.tracer == nil {
-		return 0
-	}
-	return trace.MsgID(srcRank, sendReq)
-}
-
 // New creates a TCP PTL on the node's Ethernet port. One TCP module per
 // node: the port's receive handler is exclusive.
 func New(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int, rteH *rte.Handle, p ptl.PML, activity *simtime.Counter, cfg model.Config, opts Options) *Module {
@@ -221,7 +211,7 @@ func (m *Module) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
 	copy(payload[ptl.HeaderSize:], sd.Mem.Buf[:inline])
 	m.write(th, p, payload)
 	m.pool.Put(payload)
-	corr := m.msgID(m.rank(), sd.Hdr.SendReq)
+	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	if sd.Hdr.Type == ptl.TypeMatch {
 		m.traceCorr(trace.PTLEagerTx, sd.Hdr.SendReq, p.Rank, int(sd.Hdr.Tag), inline, corr)
 		// Buffered by the kernel: locally complete.
@@ -263,7 +253,7 @@ func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
 	m.write(th, p, payload)
 	m.pool.Put(payload)
 	m.traceCorr(trace.PTLAckTx, rd.ReqID, p.Rank, int(rd.Hdr.Tag), int(rd.Hdr.MsgLen),
-		m.msgID(p.Rank, rd.Hdr.SendReq))
+		m.tracer.MsgID(p.Rank, rd.Hdr.SendReq))
 }
 
 // write models a sendmsg(2): one syscall, per-segment stack processing and

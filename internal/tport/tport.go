@@ -222,15 +222,6 @@ func (e *Endpoint) trace(kind trace.Kind, reqID uint64, peer, tag, bytes int, co
 	})
 }
 
-// msgCorr is the correlator of a message sent by srcRank under sendID;
-// zero when untraced.
-func (e *Endpoint) msgCorr(srcRank int, sendID uint64) uint64 {
-	if e.tracer == nil {
-		return 0
-	}
-	return trace.MsgID(srcRank, sendID)
-}
-
 // Isend starts a send of data to dst with tag. Small messages are
 // buffered and complete locally; large ones complete when the receiver's
 // pull finishes.
@@ -238,7 +229,7 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 	h := &SendHandle{ep: e, done: simtime.NewCounter(), n: len(data)}
 	id := e.nextSend
 	e.nextSend++
-	e.trace(trace.SendPosted, id, dst, tag, len(data), e.msgCorr(e.rank, id))
+	e.trace(trace.SendPosted, id, dst, tag, len(data), e.tracer.MsgID(e.rank, id))
 
 	if len(data) <= e.eagerLimit {
 		// Host: thin per-message cost + descriptor + payload PIO.
@@ -251,7 +242,7 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 		e.stats.EagerTx++
 		// Buffered: locally complete.
 		h.done.Add(1)
-		e.trace(trace.SendCompleted, id, dst, tag, len(data), e.msgCorr(e.rank, id))
+		e.trace(trace.SendCompleted, id, dst, tag, len(data), e.tracer.MsgID(e.rank, id))
 		return h
 	}
 	// Rendezvous: descriptor only; the NIC handles everything after, and
@@ -329,7 +320,7 @@ func (e *Endpoint) portOf(rank int) int {
 func (e *Endpoint) HandlePacket(payload any) bool {
 	switch p := payload.(type) {
 	case *eagerPkt:
-		e.trace(trace.FirstArrived, p.sendID, p.srcRank, p.tag, len(p.data), e.msgCorr(p.srcRank, p.sendID))
+		e.trace(trace.FirstArrived, p.sendID, p.srcRank, p.tag, len(p.data), e.tracer.MsgID(p.srcRank, p.sendID))
 		e.nic.FirmwareDelay(e.cfg.TportNICMatch, "tport:match", func() {
 			e.stats.NICMatches++
 			if h := e.takePosted(p.srcRank, p.tag); h != nil {
@@ -337,12 +328,12 @@ func (e *Endpoint) HandlePacket(payload any) bool {
 				return
 			}
 			e.stats.Unexpected++
-			e.trace(trace.Unexpected, p.sendID, p.srcRank, p.tag, len(p.data), e.msgCorr(p.srcRank, p.sendID))
+			e.trace(trace.Unexpected, p.sendID, p.srcRank, p.tag, len(p.data), e.tracer.MsgID(p.srcRank, p.sendID))
 			e.unexpected = append(e.unexpected, &pendingMsg{eager: p})
 		})
 		return true
 	case *rndvPkt:
-		e.trace(trace.FirstArrived, p.sendID, p.srcRank, p.tag, p.n, e.msgCorr(p.srcRank, p.sendID))
+		e.trace(trace.FirstArrived, p.sendID, p.srcRank, p.tag, p.n, e.tracer.MsgID(p.srcRank, p.sendID))
 		e.nic.FirmwareDelay(e.cfg.TportNICMatch, "tport:match", func() {
 			e.stats.NICMatches++
 			if h := e.takePosted(p.srcRank, p.tag); h != nil {
@@ -350,7 +341,7 @@ func (e *Endpoint) HandlePacket(payload any) bool {
 				return
 			}
 			e.stats.Unexpected++
-			e.trace(trace.Unexpected, p.sendID, p.srcRank, p.tag, p.n, e.msgCorr(p.srcRank, p.sendID))
+			e.trace(trace.Unexpected, p.sendID, p.srcRank, p.tag, p.n, e.tracer.MsgID(p.srcRank, p.sendID))
 			e.unexpected = append(e.unexpected, &pendingMsg{rndv: p})
 		})
 		return true
@@ -367,7 +358,7 @@ func (e *Endpoint) HandlePacket(payload any) bool {
 		}
 		delete(e.sends, p.sendID)
 		st.h.done.Add(1)
-		e.trace(trace.SendCompleted, p.sendID, st.dst, -1, len(st.data), e.msgCorr(e.rank, p.sendID))
+		e.trace(trace.SendCompleted, p.sendID, st.dst, -1, len(st.data), e.tracer.MsgID(e.rank, p.sendID))
 		return true
 	}
 	return false
@@ -399,7 +390,7 @@ func (e *Endpoint) deliverEager(h *RecvHandle, p *eagerPkt) {
 		panic(fmt.Sprintf("tport: message of %d truncates buffer of %d", len(p.data), len(h.buf)))
 	}
 	h.Source, h.TagSeen = p.srcRank, p.tag
-	h.corr = e.msgCorr(p.srcRank, p.sendID)
+	h.corr = e.tracer.MsgID(p.srcRank, p.sendID)
 	e.trace(trace.Matched, h.recvID, p.srcRank, p.tag, len(p.data), h.corr)
 	e.nic.FirmwareRxPCI(len(p.data), 0, "tport:eager-deliver", func() {
 		copy(h.buf, p.data)
@@ -422,7 +413,7 @@ func (e *Endpoint) startPull(h *RecvHandle, p *rndvPkt) {
 		panic(fmt.Sprintf("tport: message of %d truncates buffer of %d", p.n, len(h.buf)))
 	}
 	h.Source, h.TagSeen = p.srcRank, p.tag
-	h.corr = e.msgCorr(p.srcRank, p.sendID)
+	h.corr = e.tracer.MsgID(p.srcRank, p.sendID)
 	e.trace(trace.Matched, h.recvID, p.srcRank, p.tag, p.n, h.corr)
 	e.nic.FirmwareSend(p.srcPort, 0, &pullPkt{
 		sendID: p.sendID, recvID: h.recvID, dstPort: e.nic.Port(), chunk: e.chunk,

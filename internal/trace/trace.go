@@ -233,6 +233,16 @@ func MsgID(srcRank int, sendReq uint64) uint64 {
 	return uint64(srcRank+1)<<40 | (sendReq & (1<<40 - 1))
 }
 
+// MsgID is the correlator a layer stamps on the events and descriptors of
+// the message srcRank sent under sendReq: zero (uncorrelated, nothing to
+// compute) when no recorder is attached, so it is safe on a nil receiver.
+func (r *Recorder) MsgID(srcRank int, sendReq uint64) uint64 {
+	if r == nil {
+		return 0
+	}
+	return MsgID(srcRank, sendReq)
+}
+
 // SplitMsgID undoes MsgID.
 func SplitMsgID(id uint64) (srcRank int, sendReq uint64) {
 	return int(id>>40) - 1, id & (1<<40 - 1)
