@@ -24,6 +24,13 @@ test:
 # RDMA stream descriptor is written by the source NIC's shard and read by
 # the destination's, and the golden replays at 2 and 4 workers under the
 # race detector are the proof that the epoch barrier orders the hand-off.
+# Since descriptors are recycled the hand-off is every QDMA's too: the packet
+# and the ack inside a descriptor are written by the source NIC's shard, read
+# and answered by the destination's, and rewritten by the source for its next
+# operation once the ack is home, so a retire that comes too early is a race
+# the detector sees (TestDescriptorsReturnedSharded recycles one descriptor
+# across shards forty times; nightly repeats the goldens and the
+# TestDescriptorsReturned family at GOMAXPROCS=4).
 # A Tport pull stream is the same shape one layer up — written by the
 # sender's firmware, walked by the receiver's — so the baseline's suites run
 # beside the NIC's. mpi and ptlelan4 hold the progress hooks (an NBC schedule

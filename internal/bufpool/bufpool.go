@@ -96,3 +96,46 @@ func (p *Pool) Put(b []byte) {
 	p.stats.Puts++
 	p.free[c] = append(p.free[c], b[:0])
 }
+
+// ListStats counts a FreeList's traffic: objects taken (recycled, or found
+// missing and allocated by the caller) and returned. Gets == Puts at
+// quiescence means every one went back.
+type ListStats struct{ Gets, Puts int64 }
+
+// FreeList recycles the objects a component makes per message or packet:
+// descriptors, events, delivery contexts. Like Pool it takes no locks and
+// belongs to one simulated component; nothing is preallocated. The zero
+// value is an empty list.
+type FreeList[T any] struct {
+	free  []*T
+	stats ListStats
+}
+
+// Get returns a recycled object, or nil when the list is empty: the caller
+// then allocates one and binds the closures it caches, once for its life.
+// Either way the object counts as taken.
+func (l *FreeList[T]) Get() *T {
+	l.stats.Gets++
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	p := l.free[n-1]
+	l.free = l.free[:n-1]
+	return p
+}
+
+// Put overwrites *p with reset — the zero value but for what the object
+// caches — and recycles it: a stale pointer then finds nil fields, not the
+// next message's. The caller must not touch p afterwards.
+func (l *FreeList[T]) Put(p *T, reset T) {
+	*p = reset
+	l.stats.Puts++
+	l.free = append(l.free, p)
+}
+
+// Len returns how many recycled objects the list holds.
+func (l *FreeList[T]) Len() int { return len(l.free) }
+
+// Stats returns a copy of the counters.
+func (l *FreeList[T]) Stats() ListStats { return l.stats }

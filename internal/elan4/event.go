@@ -96,8 +96,10 @@ func (e *Event) setCount(n int64) { e.count = n }
 // no completion can be lost in the window that makes the host-side reset
 // (ResetEventCountRacy) unsound. NIC-resident state machines — the
 // collective combine trees — use it to make an event reusable across
-// operations. Calling it outside a chain closure recreates the Fig. 5
-// race and must not be done.
+// operations. The only other sound caller is the owner of an event that
+// no outstanding operation targets (a recycled descriptor's): there is no
+// decrement to lose. Anywhere else it recreates the Fig. 5 race and must
+// not be done.
 func (e *Event) Rearm(count int64) { e.count = count }
 
 // trigger is called by the NIC when an operation targeting this event

@@ -30,6 +30,8 @@ type Stats struct {
 	Errors       int64
 	DMACompleted int64
 	ChainFires   int64
+	// Descriptors counts the descriptor free list: Gets == Puts at quiescence.
+	Descriptors bufpool.ListStats
 }
 
 // NIC is one Elan4 adapter attached to a fabric port. Multiple process
@@ -54,6 +56,8 @@ type NIC struct {
 	// pool recycles QDMA payload copies: taken at issue, returned when the
 	// descriptor retires. RDMA data is never staged (see stream).
 	pool *bufpool.Pool
+	// ops recycles the descriptors themselves (see dmaOp).
+	ops bufpool.FreeList[dmaOp]
 
 	// rxPCIFree serializes inbound host-memory placement: the receive side
 	// of the PCI bus is one resource, so a small trailing chunk cannot be
@@ -134,23 +138,27 @@ const (
 	opReadReply
 )
 
-// dmaOp is one descriptor processed by a NIC's DMA engine.
+// dmaOp is one descriptor processed by a NIC's DMA engine, with everything
+// it puts on the wire. getOp takes one from the NIC's free list; retire, the
+// one terminal point every kind reaches exactly once, hands it back. The
+// issuing NIC's shard writes it until its first packet leaves; from then
+// until the terminal acknowledgement (for a read, the last chunk) comes
+// home, the peer NIC's shard reads it and writes the receiver's fields.
 type dmaOp struct {
 	kind    opKind
 	srcCtx  *Context
 	dstVPID int
 
-	// QDMA
+	// QDMA. data is a copy in the issuing NIC's buffer pool: retries re-send
+	// it, retire releases it.
 	queue int
 	data  []byte
-	// dataPooled marks data as owned by the issuing NIC's buffer pool;
-	// retire releases it once the op reaches a terminal state.
-	dataPooled bool
 
 	// RDMA
 	localAddr  E4Addr
 	remoteAddr E4Addr
 	n          int
+	dstCtx     int // read: the target's context, resolved as the request leaves
 
 	// Read reply (runs on the target NIC)
 	replyPort int
@@ -159,6 +167,8 @@ type dmaOp struct {
 	done    *Event
 	onError func(error)
 	attempt int
+	// failed is set once anything failed the descriptor: done will not fire.
+	failed bool
 
 	// tid identifies this descriptor in the trace stream; assigned only
 	// when a tracer is attached. cookie is the issuer's staged cross-rank
@@ -170,39 +180,76 @@ type dmaOp struct {
 	// unicast).
 	pending int
 	dsts    []int // broadcast destination VPIDs
+
+	// pkt is a unicast QDMA's packet, st an RDMA's stream (the target NIC's
+	// engine fills in a read's), dispatch the n.submit(op) a host issue
+	// schedules: their closures are bound once and survive retire.
+	pkt      qdmaPkt
+	st       stream
+	dispatch func()
+}
+
+// getOp takes a descriptor from n's free list, zero but for its closures.
+func (n *NIC) getOp() *dmaOp {
+	op := n.ops.Get()
+	if op == nil {
+		op = new(dmaOp)
+		op.dispatch = func() { n.submit(op) }
+		op.pkt.bind()
+		op.st.final = func() { op.st.rx.judge(&op.st, op.st.off, len(op.st.src)-op.st.off, true) }
+	}
+	return op
+}
+
+// newOp starts a descriptor issued through c, taking the staged correlator.
+func (c *Context) newOp(kind opKind, dstVPID int, done *Event, onError func(error)) *dmaOp {
+	op := c.nic.getOp()
+	op.kind, op.srcCtx, op.dstVPID, op.done, op.onError = kind, c, dstVPID, done, onError
+	op.pending, op.cookie = 1, c.takeCookie()
+	return op
 }
 
 func (op *dmaOp) fail(n *NIC, err error) {
+	op.failed = true
 	n.stats.Errors++
 	if op.onError != nil {
 		op.onError(err)
 	}
 }
 
-// complete retires the descriptor's completion side on NIC n (the NIC the
-// terminal ack or final data chunk arrived at — the issuing side's NIC).
-func (op *dmaOp) complete(n *NIC) {
-	n.stats.DMACompleted++
-	if op.srcCtx != nil {
+// settle books one destination's last word on the issuing NIC n: the ack of
+// its deposit or of a write's final chunk, a read's last chunk, or the error
+// that ends the attempt (resolve failure, retry exhaustion). The last one
+// completes the descriptor — done fires only if nothing failed it — and
+// retires it.
+func (op *dmaOp) settle(n *NIC, err error) {
+	if err != nil {
+		op.fail(n, err)
+	}
+	if op.pending--; op.pending > 0 {
+		return
+	}
+	if !op.failed {
+		n.stats.DMACompleted++
 		n.traceOp(op.srcCtx.vpid, trace.DMACompleted, op, op.dstVPID, op.n)
+		if op.done != nil {
+			op.done.trigger()
+		}
 	}
-	if op.done != nil {
-		op.done.trigger()
-	}
+	op.retire(n)
 }
 
-// retire releases the op's pooled payload, if any. Call exactly once, at
-// a terminal state (final ack, retry exhaustion, or resolve failure) —
-// retries re-send op.data, so it must stay live until then.
+// retire returns the descriptor and its payload copy to NIC n, which took
+// them: exactly once, when nothing in flight names it any more.
 func (op *dmaOp) retire(n *NIC) {
-	if op.dataPooled {
-		op.dataPooled = false
-		n.pool.Put(op.data)
-		op.data = nil
-	}
+	n.pool.Put(op.data)
+	n.ops.Put(op, dmaOp{dispatch: op.dispatch, pkt: qdmaPkt{deposit: op.pkt.deposit}, st: stream{final: op.st.final}})
 }
 
-// Wire payload types.
+// qdmaPkt is a QDMA on the wire: a unicast's lives in its descriptor, a
+// broadcast has one per destination. The source NIC's shard writes it before
+// it leaves (or is retried); the destination's sets rx, schedules deposit
+// and answers with ack or a nackPkt, after which it is the source's again.
 type qdmaPkt struct {
 	srcVPID, dstVPID int
 	dstCtx           int
@@ -210,13 +257,26 @@ type qdmaPkt struct {
 	data             []byte
 	op               *dmaOp
 	srcPort          int
+
+	ack     ackPkt
+	rx      *NIC   // the NIC depositing it
+	deposit func() // rx.deposit(this packet), bound once
+}
+
+func (m *qdmaPkt) bind() { m.deposit = func() { m.rx.deposit(m) } }
+
+// fill addresses the packet for op's payload, on the source NIC.
+func (m *qdmaPkt) fill(op *dmaOp, srcVPID, dstVPID, dstCtx int) *qdmaPkt {
+	m.srcVPID, m.dstVPID, m.dstCtx, m.queue = srcVPID, dstVPID, dstCtx, op.queue
+	m.data, m.op, m.srcPort, m.ack.op = op.data, op, op.srcCtx.nic.port, op
+	return m
 }
 
 // stream is one chunked transfer — an RDMA write, or the reply to an RDMA
-// read — as both ends see it. The sending engine allocates one per
-// descriptor and every packet of the transfer carries that pointer as its
-// payload; no data is staged. The fabric delivers a (source, destination)
-// pair in send order, loss included, so the receiving NIC recovers each
+// read — as both ends see it. It lives in the issuer's descriptor (op.st):
+// the sending engine fills it in and every packet of the transfer carries
+// its address as payload; no data is staged. The fabric delivers a (source,
+// destination) pair in send order, loss included, so the receiving NIC recovers each
 // packet's offset by advancing a cursor by the packet's size, and copies
 // source to destination once, when it places the packet. The bytes placed
 // are therefore the source's at placement, at most one path latency after
@@ -231,20 +291,21 @@ type stream struct {
 	base E4Addr // where src[0] lands
 	ctx  int    // write: the destination context
 	port int    // write: the source port, for the ack
-	off  int    // receive cursor
+	off  int    // receive cursor: stops at the final chunk
+
+	// The receiving NIC judges the final chunk, the one at off, in a timer
+	// bound once: final. ack is a write's terminal acknowledgement.
+	rx    *NIC
+	final func()
+	ack   ackPkt
 }
 
-type rdmaReadReqPkt struct {
-	requesterPort int
-	targetCtx     int
-	srcAddr       E4Addr
-	n             int
-	op            *dmaOp // requester's descriptor
-}
-
+// ackPkt answers a QDMA or an RDMA write, or refuses a read. more marks the
+// error of a write's non-final chunk: the final chunk will answer too.
 type ackPkt struct {
-	op  *dmaOp
-	err error
+	op   *dmaOp
+	err  error
+	more bool
 }
 
 type nackPkt struct {
@@ -277,7 +338,11 @@ func (n *NIC) Port() int { return n.port }
 func (n *NIC) Host() *simtime.Host { return n.host }
 
 // Stats returns a copy of the activity counters.
-func (n *NIC) Stats() Stats { return n.stats }
+func (n *NIC) Stats() Stats {
+	s := n.stats
+	s.Descriptors = n.ops.Stats()
+	return s
+}
 
 // PoolStats returns a copy of the payload buffer-pool counters.
 func (n *NIC) PoolStats() bufpool.Stats { return n.pool.Stats() }
@@ -341,7 +406,7 @@ func (c *Context) MMU() *MMU { return c.mmu }
 func (c *Context) IssueQDMA(th *simtime.Thread, dstVPID, queue int, data []byte, done *Event, onError func(error)) {
 	c.checkQDMASize(data)
 	th.Compute(c.nic.cfg.CmdIssue + simtime.BytesAt(len(data), c.nic.cfg.PIOBandwidth))
-	c.enqueueOp(c.qdmaOp(dstVPID, queue, data, done, onError))
+	c.enqueueOp(c.qdmaOp(opQDMA, dstVPID, queue, data, done, onError))
 }
 
 func (c *Context) checkQDMASize(data []byte) {
@@ -350,16 +415,13 @@ func (c *Context) checkQDMASize(data []byte) {
 	}
 }
 
-// qdmaOp builds a unicast QDMA descriptor, capturing the payload and the
-// staged correlator now.
-func (c *Context) qdmaOp(dstVPID, queue int, data []byte, done *Event, onError func(error)) *dmaOp {
-	cp := c.nic.pool.Get(len(data))
-	copy(cp, data)
-	return &dmaOp{
-		kind: opQDMA, srcCtx: c, dstVPID: dstVPID, queue: queue,
-		data: cp, dataPooled: true, done: done, onError: onError, pending: 1,
-		cookie: c.takeCookie(),
-	}
+// qdmaOp builds a QDMA descriptor, capturing the payload and the staged
+// correlator now.
+func (c *Context) qdmaOp(kind opKind, dstVPID, queue int, data []byte, done *Event, onError func(error)) *dmaOp {
+	op := c.newOp(kind, dstVPID, done, onError)
+	op.queue, op.data = queue, c.nic.pool.Get(len(data))
+	copy(op.data, data)
+	return op
 }
 
 // IssueQDMABcast sends one QDMA to queue `queue` of every process in
@@ -375,14 +437,9 @@ func (c *Context) IssueQDMABcast(th *simtime.Thread, dstVPIDs []int, queue int, 
 		panic("elan4: empty broadcast destination set")
 	}
 	th.Compute(c.nic.cfg.CmdIssue + simtime.BytesAt(len(data), c.nic.cfg.PIOBandwidth))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.enqueueOp(&dmaOp{
-		kind: opQDMABcast, srcCtx: c, queue: queue,
-		data: cp, done: done, onError: onError,
-		pending: len(dstVPIDs), dsts: append([]int(nil), dstVPIDs...),
-		cookie: c.takeCookie(),
-	})
+	op := c.qdmaOp(opQDMABcast, 0, queue, data, done, onError)
+	op.pending, op.dsts = len(dstVPIDs), append([]int(nil), dstVPIDs...)
+	c.enqueueOp(op)
 }
 
 // IssueRDMAWrite writes n bytes from the local E4 address src to the
@@ -394,11 +451,9 @@ func (c *Context) IssueRDMAWrite(th *simtime.Thread, dstVPID int, src, dst E4Add
 }
 
 func (c *Context) rdmaWriteOp(dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) *dmaOp {
-	return &dmaOp{
-		kind: opRDMAWrite, srcCtx: c, dstVPID: dstVPID,
-		localAddr: src, remoteAddr: dst, n: n, done: done, onError: onError,
-		pending: 1, cookie: c.takeCookie(),
-	}
+	op := c.newOp(opRDMAWrite, dstVPID, done, onError)
+	op.localAddr, op.remoteAddr, op.n = src, dst, n
+	return op
 }
 
 // IssueRDMARead reads n bytes from the remote E4 address src in dstVPID's
@@ -406,11 +461,9 @@ func (c *Context) rdmaWriteOp(dstVPID int, src, dst E4Addr, n int, done *Event, 
 // data has arrived locally.
 func (c *Context) IssueRDMARead(th *simtime.Thread, dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) {
 	th.Compute(c.nic.cfg.CmdIssue)
-	c.enqueueOp(&dmaOp{
-		kind: opRDMARead, srcCtx: c, dstVPID: dstVPID,
-		remoteAddr: src, localAddr: dst, n: n, done: done, onError: onError,
-		pending: 1, cookie: c.takeCookie(),
-	})
+	op := c.newOp(opRDMARead, dstVPID, done, onError)
+	op.remoteAddr, op.localAddr, op.n = src, dst, n
+	c.enqueueOp(op)
 }
 
 // QDMAFromNIC enqueues a QDMA directly on the NIC's DMA engine with no
@@ -419,7 +472,7 @@ func (c *Context) IssueRDMARead(th *simtime.Thread, dstVPID int, src, dst E4Addr
 // completes. The payload is captured now.
 func (c *Context) QDMAFromNIC(dstVPID, queue int, data []byte, done *Event, onError func(error)) {
 	c.checkQDMASize(data)
-	c.nic.submit(c.qdmaOp(dstVPID, queue, data, done, onError))
+	c.nic.submit(c.qdmaOp(opQDMA, dstVPID, queue, data, done, onError))
 }
 
 // IssueRDMAWriteFromNIC enqueues an RDMA write directly on the DMA engine
@@ -429,20 +482,18 @@ func (c *Context) IssueRDMAWriteFromNIC(dstVPID int, src, dst E4Addr, n int, don
 	c.nic.submit(c.rdmaWriteOp(dstVPID, src, dst, n, done, onError))
 }
 
-// ChainQDMA arranges for a QDMA to be issued by the NIC itself when ev
-// fires — the chained-event mechanism. No host cost is charged at fire
-// time; the descriptor is prepared now. Chaining replaces an existing
-// chain; to fire several commands, pass a composite closure to ev.Chain
-// using QDMAFromNIC.
+// ChainQDMA arranges for a QDMA to be issued by the NIC itself the next
+// time ev fires — the chained-event mechanism. No host cost is charged at
+// fire time; the descriptor is prepared now and submitted once, so the
+// chain is spent when it fires. Chaining replaces an existing chain; to
+// fire several commands, or on every fire, pass a composite closure to
+// ev.Chain using QDMAFromNIC.
 func (c *Context) ChainQDMA(ev *Event, dstVPID, queue int, data []byte, done *Event, onError func(error)) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	// The correlator is captured now, with the descriptor, so whatever is
-	// staged when the chain fires belongs to the firing context instead.
-	cookie := c.takeCookie()
+	c.checkQDMASize(data)
+	op := c.qdmaOp(opQDMA, dstVPID, queue, data, done, onError)
 	ev.Chain(func() {
-		c.SetCookie(cookie)
-		c.QDMAFromNIC(dstVPID, queue, cp, done, onError)
+		ev.Chain(nil)
+		c.nic.submit(op)
 	})
 }
 
@@ -473,10 +524,7 @@ func (c *Context) SetEvent(th *simtime.Thread, ev *Event) {
 }
 
 func (c *Context) enqueueOp(op *dmaOp) {
-	n := c.nic
-	n.sc.After(n.cfg.NICDispatch, "elan4:dispatch", func() {
-		n.submit(op)
-	})
+	c.nic.sc.After(c.nic.cfg.NICDispatch, "elan4:dispatch", op.dispatch)
 }
 
 // ---- NIC DMA engine ----
@@ -498,10 +546,10 @@ type engine struct {
 
 	// The descriptor in service, where it is going and, for a chunked
 	// transfer, the stream and the send cursor into its source.
-	op        *dmaOp
-	port, ctx int
-	st        *stream
-	off       int
+	op   *dmaOp
+	port int
+	st   *stream
+	off  int
 
 	// The steps, bound once as method values: a timer push per chunk must
 	// not allocate a closure.
@@ -555,14 +603,10 @@ func (n *NIC) engStart() {
 		n.stats.BytesSent += int64(len(op.data))
 		port, ctx, ok := n.res.Resolve(op.dstVPID)
 		if !ok {
-			op.fail(n, fmt.Errorf("elan4: QDMA to unknown VPID %d", op.dstVPID))
-			op.retire(n)
+			op.settle(n, fmt.Errorf("elan4: QDMA to unknown VPID %d", op.dstVPID))
 			break
 		}
-		n.send(port, len(op.data), &qdmaPkt{
-			srcVPID: n.vpidOf(op.srcCtx), dstVPID: op.dstVPID, dstCtx: ctx,
-			queue: op.queue, data: op.data, op: op, srcPort: n.port,
-		})
+		n.send(port, len(op.data), op.pkt.fill(op, op.srcCtx.vpid, op.dstVPID, ctx))
 
 	case opQDMABcast:
 		n.stats.QDMAs++
@@ -588,71 +632,76 @@ func (n *NIC) engStart() {
 			op.pending -= failed
 		}
 		if len(ports) == 0 {
+			op.retire(n)
 			break
 		}
-		src := n.vpidOf(op.srcCtx)
+		src := op.srcCtx.vpid
 		n.net.SendMulti(n.port, len(op.data), ports, func(dst int) any {
-			return &qdmaPkt{
-				srcVPID: src, dstVPID: vpidOf[dst], dstCtx: ctxOf[dst],
-				queue: op.queue, data: op.data, op: op, srcPort: n.port,
-			}
+			m := new(qdmaPkt)
+			m.bind()
+			return m.fill(op, src, vpidOf[dst], ctxOf[dst])
 		}, nil)
 
 	case opRDMAWrite:
 		n.stats.RDMAWrites++
 		port, ctx, ok := n.res.Resolve(op.dstVPID)
 		if !ok {
-			op.fail(n, fmt.Errorf("elan4: RDMA write to unknown VPID %d", op.dstVPID))
+			op.settle(n, fmt.Errorf("elan4: RDMA write to unknown VPID %d", op.dstVPID))
 			break
 		}
 		src, err := op.srcCtx.mmu.Slice(op.localAddr, op.n)
 		if err != nil {
-			op.fail(n, err)
+			op.settle(n, err)
 			break
 		}
 		e.port = port
-		n.engStream(&stream{op: op, src: src, base: op.remoteAddr, ctx: ctx, port: n.port})
+		st := &op.st
+		st.op, st.src, st.base, st.ctx, st.port = op, src, op.remoteAddr, ctx, n.port
+		n.engStream(st)
 		return
 
 	case opRDMARead:
 		n.stats.RDMAReads++
 		port, ctx, ok := n.res.Resolve(op.dstVPID)
 		if !ok {
-			op.fail(n, fmt.Errorf("elan4: RDMA read from unknown VPID %d", op.dstVPID))
+			op.settle(n, fmt.Errorf("elan4: RDMA read from unknown VPID %d", op.dstVPID))
 			break
 		}
 		// STEN get request: a small packet carrying the descriptor.
-		e.port, e.ctx = port, ctx
+		e.port, op.dstCtx = port, ctx
 		n.sc.After(n.cfg.RDMAReadRequest, "elan4:read-request", e.readReq)
 		return
 
 	case opReadReply:
-		// Running on the target NIC: stream the requested data back, or
-		// fail the requester's descriptor.
-		tctx := n.contexts[op.srcCtx.id]
-		if tctx == nil || tctx.closed {
-			n.reply(op.replyPort, &ackPkt{op: op.replyOp, err: fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id)})
-			break
+		// Running on the target NIC: stream the requested data back through
+		// the requester's descriptor, or fail it; this one is done with.
+		var src []byte
+		var err error
+		if tctx := n.contexts[op.srcCtx.id]; tctx == nil || tctx.closed {
+			err = fmt.Errorf("elan4: read from closed context %d", op.srcCtx.id)
+		} else {
+			src, err = tctx.mmu.Slice(op.remoteAddr, op.n)
 		}
-		src, err := tctx.mmu.Slice(op.remoteAddr, op.n)
-		if err != nil {
-			n.reply(op.replyPort, &ackPkt{op: op.replyOp, err: err})
-			break
-		}
+		rop := op.replyOp
 		e.port = op.replyPort
-		n.engStream(&stream{op: op.replyOp, src: src, base: op.replyOp.localAddr})
+		op.retire(n)
+		if err != nil {
+			n.reply(e.port, &ackPkt{op: rop, err: err})
+			break
+		}
+		st := &rop.st
+		st.op, st.src, st.base = rop, src, rop.localAddr
+		n.engStream(st)
 		return
 	}
 	n.engNext()
 }
 
-// engReadReq puts an RDMA read's request on the wire.
+// engReadReq puts an RDMA read's request on the wire: the descriptor
+// itself, which names what to read and where the reply goes.
 func (n *NIC) engReadReq() {
 	e := &n.eng
-	n.send(e.port, 0, &rdmaReadReqPkt{
-		requesterPort: n.port, targetCtx: e.ctx,
-		srcAddr: e.op.remoteAddr, n: e.op.n, op: e.op,
-	})
+	n.send(e.port, 0, e.op)
 	n.engNext()
 }
 
@@ -690,13 +739,6 @@ func (n *NIC) send(port, size int, payload any) {
 	n.net.Send(&fabric.Packet{Src: n.port, Dst: port, Size: size, Payload: payload}, nil)
 }
 
-// vpidOf reports the VPID a local context is currently known by, for
-// stamping message sources. Linear scan via the resolver would invert the
-// mapping; instead contexts learn their VPID at RTE attach time.
-func (n *NIC) vpidOf(c *Context) int {
-	return c.vpid
-}
-
 // ---- NIC receive path ----
 
 func (n *NIC) handlePacket(pkt *fabric.Packet) {
@@ -705,57 +747,36 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 	}
 	switch m := pkt.Payload.(type) {
 	case *qdmaPkt:
-		n.sc.At(n.rxPCI(len(m.data), n.cfg.QDMADeliver), "elan4:qdma-deposit", func() {
-			ctx := n.contexts[m.dstCtx]
-			if ctx == nil || ctx.closed {
-				n.reply(m.srcPort, &ackPkt{op: m.op, err: fmt.Errorf("elan4: QDMA to closed context %d", m.dstCtx)})
-				return
-			}
-			q := ctx.queues[m.queue]
-			if q == nil {
-				n.reply(m.srcPort, &ackPkt{op: m.op, err: fmt.Errorf("elan4: QDMA to missing queue %d", m.queue)})
-				return
-			}
-			if !q.deposit(m.srcVPID, m.data) {
-				n.reply(m.srcPort, &nackPkt{orig: m})
-				return
-			}
-			n.traceOp(m.dstVPID, trace.QDMADeposited, m.op, m.srcVPID, len(m.data))
-			n.reply(m.srcPort, &ackPkt{op: m.op})
-		})
+		m.rx = n
+		n.sc.At(n.rxPCI(len(m.data), n.cfg.QDMADeliver), "elan4:qdma-deposit", m.deposit)
 
 	case *stream:
 		n.rxChunk(m, pkt.Size)
 
-	case *rdmaReadReqPkt:
-		ctx := n.contexts[m.targetCtx]
+	case *dmaOp:
+		// An RDMA read's request: the requester's descriptor.
+		ctx := n.contexts[m.dstCtx]
 		if ctx == nil {
 			// Fabricate a closed context handle so the engine replies with
 			// an error in its own time.
-			ctx = &Context{nic: n, id: m.targetCtx, closed: true, mmu: NewMMU()}
+			ctx = &Context{nic: n, id: m.dstCtx, closed: true, mmu: NewMMU()}
 		}
-		n.submit(&dmaOp{
-			kind: opReadReply, srcCtx: ctx, remoteAddr: m.srcAddr, n: m.n,
-			replyPort: m.requesterPort, replyOp: m.op,
-		})
+		op := n.getOp()
+		op.kind, op.srcCtx, op.remoteAddr, op.n = opReadReply, ctx, m.remoteAddr, m.n
+		op.replyPort, op.replyOp = pkt.Src, m
+		n.submit(op)
 
 	case *ackPkt:
-		if m.err != nil {
+		if m.more {
 			m.op.fail(n, m.err)
-			m.op.retire(n)
 			return
 		}
-		m.op.pending--
-		if m.op.pending <= 0 {
-			m.op.complete(n)
-			m.op.retire(n)
-		}
+		m.op.settle(n, m.err)
 
 	case *nackPkt:
 		m.orig.op.attempt++
 		if m.orig.op.attempt > qdmaMaxRetries {
-			m.orig.op.fail(n, fmt.Errorf("elan4: QDMA retries exhausted to VPID %d", m.orig.dstVPID))
-			m.orig.op.retire(n)
+			m.orig.op.settle(n, fmt.Errorf("elan4: QDMA retries exhausted to VPID %d", m.orig.dstVPID))
 			return
 		}
 		n.stats.Retries++
@@ -770,8 +791,7 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 			// Re-resolve: the destination may have moved or reappeared.
 			port, ctx, ok := n.res.Resolve(m.orig.dstVPID)
 			if !ok {
-				m.orig.op.fail(n, fmt.Errorf("elan4: QDMA retry to unknown VPID %d", m.orig.dstVPID))
-				m.orig.op.retire(n)
+				m.orig.op.settle(n, fmt.Errorf("elan4: QDMA retry to unknown VPID %d", m.orig.dstVPID))
 				return
 			}
 			m.orig.dstCtx = ctx
@@ -794,28 +814,59 @@ func (n *NIC) handlePacket(pkt *fabric.Packet) {
 // the timer and are judged when it fires.
 func (n *NIC) rxChunk(st *stream, ln int) {
 	off := st.off
-	st.off += ln
-	last := st.off == len(st.src)
+	last := off+ln == len(st.src)
 	done := n.rxPCI(ln, 0)
-	if !last && n.place(st, off, ln) == nil {
-		return
-	}
-	write := st.op.kind == opRDMAWrite
 	name := "elan4:read-data"
-	if write {
+	if st.op.kind == opRDMAWrite {
 		name = "elan4:rdma-write"
 	}
-	n.sc.At(done, name, func() {
-		err := n.place(st, off, ln)
-		switch {
-		case write && (err != nil || last):
-			n.reply(st.port, &ackPkt{op: st.op, err: err})
-		case err != nil:
-			st.op.fail(n, err)
-		case last:
-			st.op.complete(n)
+	if last {
+		st.rx = n
+		n.sc.At(done, name, st.final)
+		return
+	}
+	st.off += ln
+	if n.place(st, off, ln) != nil {
+		n.sc.At(done, name, func() { n.judge(st, off, ln, false) })
+	}
+}
+
+// judge places a chunk at the end of its PCI write. A write answers the
+// source: an error at once, the final chunk with the ack that settles the
+// descriptor. A read's chunks land on the requester's own NIC.
+func (n *NIC) judge(st *stream, off, ln int, last bool) {
+	err := n.place(st, off, ln)
+	op := st.op
+	switch {
+	case op.kind == opRDMAWrite && last:
+		st.ack = ackPkt{op: op, err: err}
+		n.reply(st.port, &st.ack)
+	case op.kind == opRDMAWrite:
+		if err != nil {
+			n.reply(st.port, &ackPkt{op: op, err: err, more: true})
 		}
-	})
+	case last:
+		op.settle(n, err)
+	case err != nil:
+		op.fail(n, err)
+	}
+}
+
+// deposit runs at the end of a QDMA's PCI write on the destination NIC:
+// into the queue and acknowledged, refused, or NACKed when the ring is full.
+func (n *NIC) deposit(m *qdmaPkt) {
+	m.ack.err = nil
+	if ctx := n.contexts[m.dstCtx]; ctx == nil || ctx.closed {
+		m.ack.err = fmt.Errorf("elan4: QDMA to closed context %d", m.dstCtx)
+	} else if q := ctx.queues[m.queue]; q == nil {
+		m.ack.err = fmt.Errorf("elan4: QDMA to missing queue %d", m.queue)
+	} else if !q.deposit(m.srcVPID, m.data) {
+		n.reply(m.srcPort, &nackPkt{orig: m})
+		return
+	} else {
+		n.traceOp(m.dstVPID, trace.QDMADeposited, m.op, m.srcVPID, len(m.data))
+	}
+	n.reply(m.srcPort, &m.ack)
 }
 
 // place copies st.src[off:off+ln] to where it belongs in the destination

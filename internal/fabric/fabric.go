@@ -26,6 +26,7 @@ package fabric
 import (
 	"fmt"
 
+	"qsmpi/internal/bufpool"
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
@@ -81,8 +82,6 @@ type Handler func(pkt *Packet)
 // side only, so a one-way stream stops allocating once the flights and
 // deliveries it keeps in the air exist.
 type delivery struct {
-	n   *Network
-	ps  *portState
 	pkt Packet
 	at  simtime.Time
 	fn  func()
@@ -160,8 +159,8 @@ type portState struct {
 	// use (see Network.uplink).
 	uplink *link
 
-	freeDel    []*delivery
-	freeFlight []*flight
+	deliveries bufpool.FreeList[delivery]
+	flights    bufpool.FreeList[flight]
 
 	sent      int64
 	delivered int64
@@ -465,13 +464,11 @@ func (n *Network) Send(pkt *Packet, onWire func()) {
 // getFlight takes a flight from the source port's free list, or allocates
 // one with its commit closure.
 func (n *Network) getFlight(ps *portState) *flight {
-	if ln := len(ps.freeFlight); ln > 0 {
-		f := ps.freeFlight[ln-1]
-		ps.freeFlight = ps.freeFlight[:ln-1]
-		return f
+	f := ps.flights.Get()
+	if f == nil {
+		f = new(flight)
+		f.fn = func() { n.finishSend(ps, f) }
 	}
-	f := new(flight)
-	f.fn = func() { n.finishSend(ps, f) }
 	return f
 }
 
@@ -516,8 +513,7 @@ func (n *Network) finishSend(ps *portState, f *flight) {
 	}
 	tail := n.walk(links[1:], f.wire, f.head, f.tail)
 	n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), pkt)
-	f.pkt, f.links = Packet{}, nil
-	ps.freeFlight = append(ps.freeFlight, f)
+	ps.flights.Put(f, flight{fn: f.fn})
 }
 
 // SendMulti injects a hardware multicast: the switches replicate the
@@ -592,26 +588,22 @@ func (n *Network) finishMulti(pkts []Packet, wire int, upStart, upDone simtime.T
 
 func (n *Network) deliverAt(t simtime.Time, pkt Packet) {
 	ps := &n.ports[pkt.Dst]
-	var d *delivery
-	if ln := len(ps.freeDel); ln > 0 {
-		d = ps.freeDel[ln-1]
-		ps.freeDel = ps.freeDel[:ln-1]
-	} else {
-		d = &delivery{n: n, ps: ps}
+	d := ps.deliveries.Get()
+	if d == nil {
+		d = new(delivery)
 		d.fn = func() {
 			p := &d.pkt
-			d.ps.delivered++
-			d.ps.bytesIn += int64(p.Size)
-			d.n.tracePkt(trace.PktDelivered, d.at, p.Src, p.Dst, p.Size)
-			h := d.ps.handler
+			ps.delivered++
+			ps.bytesIn += int64(p.Size)
+			n.tracePkt(trace.PktDelivered, d.at, p.Src, p.Dst, p.Size)
+			h := ps.handler
 			if h == nil {
 				panic(fmt.Sprintf("fabric: no handler attached to port %d", p.Dst))
 			}
 			h(p)
 			// Per the Handler contract the packet is dead once the handler
 			// returns; recycle the slot that held it.
-			*p = Packet{}
-			d.ps.freeDel = append(d.ps.freeDel, d)
+			ps.deliveries.Put(d, delivery{fn: d.fn})
 		}
 	}
 	d.pkt = pkt

@@ -333,9 +333,9 @@ func TestOneWayStreamAllocatesNothing(t *testing.T) {
 		case 15:
 			wantDel = inFlight
 		}
-		if len(ps.freeDel) > wantDel || len(ps.freeFlight) > wantFlight {
+		if ps.deliveries.Len() > wantDel || ps.flights.Len() > wantFlight {
 			t.Errorf("port %d holds %d recycled deliveries and %d flights, want at most %d and %d",
-				id, len(ps.freeDel), len(ps.freeFlight), wantDel, wantFlight)
+				id, ps.deliveries.Len(), ps.flights.Len(), wantDel, wantFlight)
 		}
 	}
 }

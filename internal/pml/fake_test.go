@@ -189,7 +189,7 @@ func (m *fakeModule) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remo
 	})
 }
 
-func (m *fakeModule) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
+func (m *fakeModule) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 	if m.put {
 		// Write scheme (Fig. 3): ACK back to the sender with our memory.
 		hdr := rd.Hdr

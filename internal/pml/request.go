@@ -40,16 +40,18 @@ type SendReq struct {
 	dst    int
 	tag    int
 	comm   uint16
+	acked  bool
 	dtype  *datatype.Datatype
 	user   []byte // caller's buffer (typed layout)
 	packed []byte // contiguous representation (== user when contiguous)
-	mem    ptl.MemDesc
-	memMod ptl.Module // registered mem; takes it back at completion
+	// sd is the descriptor the modules are handed, first fragment to last
+	// Put: the match header and the registered memory, stored here once.
+	sd     ptl.SendDesc
+	memMod ptl.Module // registered sd.Mem; takes it back at completion
 
 	n          int // total message bytes
 	progressed int
-	inlineLen  int // bytes inlined with the first fragment
-	acked      bool
+	inlineLen  int          // bytes inlined with the first fragment
 	postedAt   simtime.Time // for completion-latency histograms
 	done       simtime.Signal
 }
@@ -71,27 +73,26 @@ type RecvReq struct {
 	id    uint64
 	stack *Stack
 
-	src   int // AnySource allowed
-	tag   int // AnyTag allowed
-	comm  uint16
-	dtype *datatype.Datatype
-	user  []byte
+	src     int // AnySource allowed
+	tag     int // AnyTag allowed
+	comm    uint16
+	matched bool
+	dtype   *datatype.Datatype
+	user    []byte
 
 	// pseq is the posting order within the communicator; matching merges
 	// the specific bucket and the wildcard list by it, so the
 	// first-posted-wins (non-overtaking) rule survives bucketing.
 	pseq uint64
 
-	matched   bool
-	staging   []byte // contiguous landing area (== user when contiguous)
-	mem       ptl.MemDesc
-	memMod    ptl.Module // registered mem (rendezvous only); takes it back at completion
-	msgLen    int
-	got       int
-	status    Status
-	postedAt  simtime.Time // for completion-latency histograms
-	done      simtime.Signal
-	cancelled bool
+	staging  []byte // contiguous landing area (== user when contiguous)
+	mem      ptl.MemDesc
+	memMod   ptl.Module // registered mem (rendezvous only); takes it back at completion
+	msgLen   int
+	got      int
+	status   Status
+	postedAt simtime.Time // for completion-latency histograms
+	done     simtime.Signal
 	// corr is the matched message's cross-rank correlator (trace.MsgID of
 	// the sender's request); zero until matched or when untraced.
 	corr uint64
@@ -116,18 +117,19 @@ func (r *RecvReq) Wait(th *simtime.Thread) {
 // matchKey identifies a matching context (one per communicator).
 type matchKey = uint16
 
-// firstFrag is a MATCH/RNDV fragment awaiting a posted receive (the
-// unexpected queue) or its turn in sequence (the reorder buffer).
+// firstFrag is a MATCH/RNDV fragment being matched. One that finds its
+// receive posted lives on ReceiveFirst's stack, data still the transport's;
+// one that must wait — for a receive (the unexpected queue) or its turn in
+// sequence (the reorder buffer) — is copied, data and all, into one from
+// Stack.frags (queued) and goes back once matched (releaseFrag).
 type firstFrag struct {
 	mod  ptl.Module
 	peer *ptl.Peer
 	hdr  ptl.Header
-	data []byte // copied; owned by the PML when owned is set
+	data []byte
 	// aseq is the arrival order within the communicator; wildcard receives
 	// pick the minimum across buckets, recovering global FIFO order.
 	aseq uint64
-	// owned marks data as a pool-owned copy to recycle after the match.
-	owned bool
 }
 
 // stKey packs a concrete (source rank, tag) pair into one bucket key.
@@ -149,6 +151,9 @@ type commState struct {
 	posted     map[uint64][]*RecvReq // specific receives by (src,tag), FIFO
 	postedWild []*RecvReq            // AnySource/AnyTag receives, FIFO
 	nextPost   uint64
+	// spare keeps the arrays of buckets that emptied for the next bucket to
+	// open, so a receive posted ahead of its message allocates no cell.
+	spare [][]*RecvReq
 
 	unexpected map[uint64][]*firstFrag // unmatched arrivals by (src,tag), FIFO
 	unexpCount int
@@ -189,7 +194,11 @@ func (cs *commState) postRecv(r *RecvReq) {
 		return
 	}
 	k := stKey(int32(r.src), int32(r.tag))
-	cs.posted[k] = append(cs.posted[k], r)
+	b, open := cs.posted[k]
+	if n := len(cs.spare); !open && n > 0 {
+		b, cs.spare = cs.spare[n-1], cs.spare[:n-1]
+	}
+	cs.posted[k] = append(b, r)
 }
 
 // takePosted removes and returns the posted receive the fragment matches
@@ -213,6 +222,7 @@ func (cs *commState) takePosted(hdr *ptl.Header) (req *RecvReq, wild bool) {
 		bucket[0] = nil
 		if len(bucket) == 1 {
 			delete(cs.posted, k)
+			cs.spare = append(cs.spare, bucket[:0])
 		} else {
 			cs.posted[k] = bucket[1:]
 		}

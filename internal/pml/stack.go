@@ -79,6 +79,10 @@ type Stats struct {
 	// traffic) and progress sweeps driven through this stack.
 	Tests         int64
 	ProgressPolls int64
+
+	// Frags counts the free list of queued first fragments: Gets == Puts
+	// once none is unexpected or parked out of sequence.
+	Frags bufpool.ListStats
 }
 
 // Stack is one process's PML: the device-neutral message management layer
@@ -96,10 +100,9 @@ type Stack struct {
 	peers    map[int]*ptl.Peer
 	peerMods map[int][]ptl.Module
 
-	// sendReqs and sendDesc hold the sends in flight: a request leaves both
-	// when it completes, as a receive leaves recvReqs.
+	// sendReqs holds the sends in flight: a request leaves when it
+	// completes, as a receive leaves recvReqs.
 	sendReqs map[uint64]*SendReq
-	sendDesc map[uint64]*ptl.SendDesc
 	recvReqs map[uint64]*RecvReq
 	nextID   uint64
 
@@ -124,8 +127,10 @@ type Stack struct {
 	SendLatency *obs.Histogram
 	RecvLatency *obs.Histogram
 
-	// pool recycles pack/unpack staging and unexpected-message copies.
-	pool *bufpool.Pool
+	// pool recycles pack/unpack staging and unexpected-message copies;
+	// frags recycles the fragments that queue with them.
+	pool  *bufpool.Pool
+	frags bufpool.FreeList[firstFrag]
 
 	selfPeer *ptl.Peer
 
@@ -162,7 +167,6 @@ func NewStack(k *simtime.Kernel, host *simtime.Host, cfg model.Config, rank int,
 		peers:    make(map[int]*ptl.Peer),
 		peerMods: make(map[int][]ptl.Module),
 		sendReqs: make(map[uint64]*SendReq),
-		sendDesc: make(map[uint64]*ptl.SendDesc),
 		recvReqs: make(map[uint64]*RecvReq),
 		comms:    make(map[matchKey]*commState),
 		activity: simtime.NewCounter(),
@@ -188,7 +192,11 @@ func (s *Stack) Mode() ProgressMode { return s.mode }
 func (s *Stack) SetBlocker(b Blocker) { s.blocker = b }
 
 // Stats returns a copy of the PML counters.
-func (s *Stack) Stats() Stats { return s.stats }
+func (s *Stack) Stats() Stats {
+	st := s.stats
+	st.Frags = s.frags.Stats()
+	return st
+}
 
 // NoteTest counts one MPI_Test-style completion probe against this stack.
 func (s *Stack) NoteTest() { s.stats.Tests++ }
@@ -337,7 +345,7 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 
 	th.Compute(s.cfg.PMLScheduleCost)
 	mod := mods[0]
-	req.mem = ptl.MemDesc{Buf: req.packed, E4: mod.RegisterMem(req.packed)}
+	req.sd.Mem = ptl.MemDesc{Buf: req.packed, E4: mod.RegisterMem(req.packed)}
 	req.memMod = mod
 
 	cs := s.comm(comm)
@@ -347,7 +355,7 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 	hdr := ptl.Header{
 		CommID: comm, SrcRank: int32(s.rank), DstRank: int32(dst),
 		Tag: int32(tag), SeqNum: seq, MsgLen: uint64(n),
-		SendReq: req.id, SrcAddr: uint64(req.mem.E4),
+		SendReq: req.id, SrcAddr: uint64(req.sd.Mem.E4),
 	}
 	if n <= mod.EagerLimit() && !sync {
 		hdr.Type = ptl.TypeMatch
@@ -367,14 +375,13 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 		req.inlineLen = inline
 		s.stats.RndvSends++
 	}
-	sd := &ptl.SendDesc{Hdr: hdr, Mem: req.mem}
-	s.sendDesc[req.id] = sd
+	req.sd.Hdr = hdr
 	if s.Trace != nil && s.Trace.armed {
 		s.Trace.PMLTime += s.sc.Now().Sub(s.Trace.deliverAt)
 		s.Trace.Count++
 		s.Trace.armed = false
 	}
-	mod.SendFirst(th, s.peers[dst], sd)
+	mod.SendFirst(th, s.peers[dst], &req.sd)
 	return req
 }
 
@@ -421,7 +428,7 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	req.acked = true
 	s.noteProgress()
 	s.traceCorr(trace.AckArrived, req.id, req.dst, req.tag, req.n, s.Tracer.MsgID(s.rank, req.id))
-	sd := s.sendDesc[req.id]
+	sd := &req.sd
 	sd.Hdr.RecvReq = hdr.RecvReq
 
 	if req.inlineLen > 0 {
@@ -438,22 +445,26 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	th.Compute(s.cfg.PMLScheduleCost)
 	peer := s.peers[req.dst]
 	mods := s.peerMods[req.dst]
-	var usable []ptl.Module
+	usable := func(m ptl.Module) bool { return m.SupportsPut() || m.MaxFragSize() > 0 }
+	lastUsable := -1
 	var wsum float64
-	for _, m := range mods {
-		if m.SupportsPut() || m.MaxFragSize() > 0 {
-			usable = append(usable, m)
+	for i, m := range mods {
+		if usable(m) {
+			lastUsable = i
 			wsum += m.Weight()
 		}
 	}
-	if len(usable) == 0 {
+	if lastUsable < 0 {
 		panic("pml: no module can carry the message remainder")
 	}
 	off := req.inlineLen
 	remaining := rest
-	for i, m := range usable {
+	for i, m := range mods[:lastUsable+1] {
+		if !usable(m) {
+			continue
+		}
 		var ln int
-		if i == len(usable)-1 {
+		if i == lastUsable {
 			ln = remaining
 		} else {
 			ln = int(float64(rest) * m.Weight() / wsum)
@@ -497,11 +508,10 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 	s.noteProgress()
 	s.traceCorr(trace.SendProgressed, req.id, req.dst, req.tag, bytes, s.Tracer.MsgID(s.rank, req.id))
 	if req.progressed == req.n && !req.done.Fired() {
-		delete(s.sendDesc, req.id)
 		delete(s.sendReqs, req.id)
 		if req.memMod != nil {
 			// Every byte is delivered: no RDMA can name the buffer again.
-			req.memMod.UnregisterMem(req.mem.E4)
+			req.memMod.UnregisterMem(req.sd.Mem.E4)
 		}
 		if !req.dtype.Contig() && req.packed != nil {
 			// The packed scratch was fully transmitted; recycle it.
@@ -543,6 +553,7 @@ func (s *Stack) Recv(th *simtime.Thread, src, tag int, comm uint16, buf []byte, 
 			s.stats.BucketHits++
 		}
 		s.consumeMatch(th, req, ff)
+		s.releaseFrag(ff)
 		return req
 	}
 	cs.postRecv(req)
@@ -569,12 +580,13 @@ func (s *Stack) ReceiveFirst(th *simtime.Thread, mod ptl.Module, src *ptl.Peer, 
 		// Out of sequence (e.g. a NACKed-and-retried QDMA overtaken by a
 		// later message): park until its turn, preserving MPI ordering.
 		s.stats.ReorderedMsgs++
-		cs.reorder[src.Rank] = append(cs.reorder[src.Rank], &firstFrag{
-			mod: mod, peer: src, hdr: hdr, data: s.cloneBytes(data), owned: true,
-		})
+		cs.reorder[src.Rank] = append(cs.reorder[src.Rank],
+			s.queued(firstFrag{mod: mod, peer: src, hdr: hdr, data: data}))
 		return
 	}
-	s.admitFirst(th, &firstFrag{mod: mod, peer: src, hdr: hdr, data: data})
+	// The fragment is matched from this frame: only one that finds no
+	// receive posted is copied to the heap.
+	s.admitFirst(th, cs, &firstFrag{mod: mod, peer: src, hdr: hdr, data: data}, nil)
 	// Drain any parked successors that are now in sequence.
 	for {
 		next := -1
@@ -588,23 +600,38 @@ func (s *Stack) ReceiveFirst(th *simtime.Thread, mod ptl.Module, src *ptl.Peer, 
 		if next < 0 {
 			return
 		}
-		ff := cs.reorder[src.Rank][next]
+		q := cs.reorder[src.Rank][next]
 		cs.reorder[src.Rank] = append(cs.reorder[src.Rank][:next], cs.reorder[src.Rank][next+1:]...)
-		s.admitFirst(th, ff)
+		s.admitFirst(th, cs, q, q)
 	}
 }
 
-// cloneBytes copies transient fragment data into a pool-owned buffer.
-func (s *Stack) cloneBytes(b []byte) []byte {
-	cp := s.pool.Get(len(b))
-	copy(cp, b)
-	return cp
+// queued returns ff as a fragment that can wait: a firstFrag from the free
+// list, the transient wire data copied into a pool-owned buffer before the
+// transport reclaims it.
+func (s *Stack) queued(ff firstFrag) *firstFrag {
+	q := s.frags.Get()
+	if q == nil {
+		q = new(firstFrag)
+	}
+	*q = ff
+	q.data = s.pool.Get(len(ff.data))
+	copy(q.data, ff.data)
+	return q
+}
+
+// releaseFrag recycles a queued fragment and its data once the match has
+// consumed them.
+func (s *Stack) releaseFrag(q *firstFrag) {
+	s.pool.Put(q.data)
+	s.frags.Put(q, firstFrag{})
 }
 
 // admitFirst matches an in-sequence first fragment against the posted
-// receives, or stores it as unexpected.
-func (s *Stack) admitFirst(th *simtime.Thread, ff *firstFrag) {
-	cs := s.comm(ff.hdr.CommID)
+// receives, or stores it as unexpected. q is ff where ff is a queued
+// fragment (one from the reorder buffer) and nil where it is the caller's
+// local: ff itself is never kept, so a local one stays on the stack.
+func (s *Stack) admitFirst(th *simtime.Thread, cs *commState, ff, q *firstFrag) {
 	cs.expected[ff.peer.Rank]++
 	th.Compute(s.cfg.PMLMatchCost)
 	s.stats.MatchAttempts++
@@ -615,18 +642,18 @@ func (s *Stack) admitFirst(th *simtime.Thread, ff *firstFrag) {
 			s.stats.BucketHits++
 		}
 		s.consumeMatch(th, req, ff)
+		if q != nil {
+			s.releaseFrag(q)
+		}
 		return
 	}
 	s.stats.UnexpectedMsgs++
 	s.traceCorr(trace.Unexpected, ff.hdr.SendReq, ff.peer.Rank, int(ff.hdr.Tag), int(ff.hdr.MsgLen),
 		s.Tracer.MsgID(ff.peer.Rank, ff.hdr.SendReq))
-	if !ff.owned {
-		// Reorder-buffer frags already own a copy; transient data from the
-		// wire must be copied before the transport reclaims it.
-		ff.data = s.cloneBytes(ff.data)
-		ff.owned = true
+	if q == nil {
+		q = s.queued(*ff)
 	}
-	cs.addUnexpected(ff)
+	cs.addUnexpected(q)
 	if int64(cs.unexpCount) > s.stats.UnexpectedHighWater {
 		s.stats.UnexpectedHighWater = int64(cs.unexpCount)
 	}
@@ -646,15 +673,6 @@ func (s *Stack) consumeMatch(th *simtime.Thread, req *RecvReq, ff *firstFrag) {
 	if req.msgLen > req.dtype.Size() {
 		panic(fmt.Sprintf("pml: message of %d bytes truncates receive of %d", req.msgLen, req.dtype.Size()))
 	}
-	// Once the match consumes the fragment's data below, a pool-owned copy
-	// can be recycled.
-	defer func() {
-		if ff.owned {
-			ff.owned = false
-			s.pool.Put(ff.data)
-			ff.data = nil
-		}
-	}()
 
 	if ff.hdr.Type == ptl.TypeMatch {
 		// Whole message inline: unpack straight to the user buffer.
@@ -684,8 +702,7 @@ func (s *Stack) consumeMatch(th *simtime.Thread, req *RecvReq, ff *firstFrag) {
 		th.Compute(s.eng.CopyCost(inline, 1))
 		copy(req.staging[:inline], ff.data[:inline])
 	}
-	rd := &ptl.RecvDesc{Hdr: ff.hdr, Mem: req.mem, ReqID: req.id}
-	ff.mod.Matched(th, ff.peer, rd)
+	ff.mod.Matched(th, ff.peer, ptl.RecvDesc{Hdr: ff.hdr, Mem: req.mem, ReqID: req.id})
 	if inline > 0 {
 		s.RecvProgress(th, req.id, inline)
 	}

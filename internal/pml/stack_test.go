@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/model"
@@ -537,5 +538,18 @@ func TestDelPeerStopsReachability(t *testing.T) {
 	})
 	if !panicked {
 		t.Fatal("send to removed peer did not panic")
+	}
+}
+
+// TestRequestSizes holds the two objects the stack cannot recycle — the
+// caller keeps the handle — to their allocation size classes: a RecvReq in
+// 240 bytes, a SendReq with the send descriptor the modules see inside it
+// (it was an object of its own) in 288.
+func TestRequestSizes(t *testing.T) {
+	if got := unsafe.Sizeof(RecvReq{}); got > 240 {
+		t.Errorf("RecvReq is %d bytes, want at most 240", got)
+	}
+	if got := unsafe.Sizeof(SendReq{}); got > 288 {
+		t.Errorf("SendReq is %d bytes, want at most 288", got)
 	}
 }

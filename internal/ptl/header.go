@@ -77,16 +77,8 @@ type Header struct {
 	SrcAddr uint64 // sender's E4 address of the message body (rendezvous)
 }
 
-// Encode writes the fixed 64-byte wire form.
-func (h *Header) Encode() []byte {
-	b := make([]byte, HeaderSize)
-	h.EncodeTo(b)
-	return b
-}
-
-// EncodeTo writes the wire form into b, which must hold HeaderSize bytes.
-// It is the allocation-free form of Encode for callers staging into
-// pooled buffers.
+// EncodeTo writes the fixed 64-byte wire form into b, which must hold
+// HeaderSize bytes: callers stage into pooled or embedded buffers.
 func (h *Header) EncodeTo(b []byte) {
 	_ = b[HeaderSize-1]
 	b[0] = byte(h.Type)

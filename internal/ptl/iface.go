@@ -137,7 +137,7 @@ type Module interface {
 	// Matched executes the module's rendezvous scheme for a match made by
 	// the PML: reply with an ACK (write scheme) or start RDMA reads and
 	// finish with FIN_ACK (read scheme).
-	Matched(th *simtime.Thread, p *Peer, rd *RecvDesc)
+	Matched(th *simtime.Thread, p *Peer, rd RecvDesc)
 
 	// Progress polls the module once: drain arrived fragments and
 	// completions. Called from the PML progress loop.

@@ -130,21 +130,34 @@ type peerInfo struct {
 }
 
 // localOp is one outstanding RDMA descriptor awaiting local completion
-// (NoCQ mode polls these; CQ modes get records instead).
+// (NoCQ mode polls these; CQ modes get records instead), with what its
+// completion event's chain issues on the NIC. Module.ops recycles them:
+// under NoCQ pollOutstanding returns one as it reaps it, under a CQ mode the
+// chain does, the last thing to look at it. ev, its host word and the chain
+// closure are made once and survive.
 type localOp struct {
 	ev    *elan4.Event
+	word  simtime.Counter // ev's host word
+	chain func()
 	kind  byte // recPutDone / recGetDone
 	reqID uint64
 	bytes int
-	seen  bool
 	fin   *finWork // host-issued FIN when ChainFin is off
+
+	// The chained commands: finHdr to peerVPID when chainFin, rec to our own
+	// completion queue under a CQ mode, corr stamped on both.
+	peerVPID int
+	corr     uint64
+	chainFin bool
+	finHdr   [ptl.HeaderSize]byte
+	rec      [recSize]byte
 }
 
 // finWork is a FIN/FIN_ACK the host must issue after observing completion.
 // corr carries the message correlator onto the host-issued QDMA.
 type finWork struct {
 	dstVPID int
-	payload []byte
+	payload [ptl.HeaderSize]byte
 	corr    uint64
 }
 
@@ -166,6 +179,9 @@ type Stats struct {
 	// SendBufStalls counts sends that had to wait for a buffer.
 	SendBufHighWater int64
 	SendBufStalls    int64
+	// SlotEvents and LocalOps count the two free lists: Gets == Puts once
+	// no send buffer is held and no RDMA is outstanding.
+	SlotEvents, LocalOps bufpool.ListStats
 }
 
 // Module is one PTL/Elan4 endpoint (one per NIC context).
@@ -189,9 +205,9 @@ type Module struct {
 	// remote deposit is acknowledged; senders stall when the pool drains,
 	// which is the natural backpressure of the design.
 	sendBufs *simtime.Semaphore
-	// releaseSendBuf is sendBufs.Release bound once, so chaining it onto
-	// each send-completion event does not allocate a method value per send.
-	releaseSendBuf func()
+	// slots holds the completion events of the send buffers not in use:
+	// each re-arms itself and comes back from its own chain (acquireSendBuf).
+	slots bufpool.FreeList[elan4.Event]
 	// collPending parks hardware-collective chunks that arrived from a
 	// different root than the one currently being received (consecutive
 	// collectives overlapping in the network).
@@ -208,11 +224,16 @@ type Module struct {
 
 	peers       map[int]*peerInfo // by rank
 	outstanding []*localOp
+	ops         bufpool.FreeList[localOp]
 	pendingFins map[finKey]*finWork
 	stopping    bool
 	threadsUp   int
 
 	stats Stats
+
+	// onSendError and onRecvError are what the descriptors this module
+	// issues fail into, bound once: a method value per send would allocate.
+	onSendError, onRecvError func(error)
 
 	// tracer, when attached, receives PTL-layer protocol events; nil-check
 	// cheap when detached and adds no virtual-time cost.
@@ -275,6 +296,8 @@ func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Han
 		peers:       make(map[int]*peerInfo),
 		pendingFins: make(map[finKey]*finWork),
 	}
+	m.onSendError = func(err error) { panic(fmt.Sprintf("ptlelan4: transmit failure: %v", err)) }
+	m.onRecvError = func(err error) { panic(fmt.Sprintf("ptlelan4: RDMA read failure: %v", err)) }
 	m.lc.Open()
 	return m
 }
@@ -286,7 +309,6 @@ func (m *Module) Init(th *simtime.Thread) {
 	m.recvQ.Raw().AddNotify(m.act)
 	m.collQ = m.st.NewQueue(qidColl, m.opts.QueueSlots)
 	m.sendBufs = simtime.NewSemaphore(m.opts.QueueSlots)
-	m.releaseSendBuf = m.sendBufs.Release
 	if m.opts.CQ == TwoQueue {
 		m.compQ = m.st.NewQueue(qidComp, m.opts.QueueSlots)
 		m.compQ.Raw().AddNotify(m.act)
@@ -310,7 +332,11 @@ func (m *Module) Init(th *simtime.Thread) {
 }
 
 // Stats returns a copy of the activity counters.
-func (m *Module) Stats() Stats { return m.stats }
+func (m *Module) Stats() Stats {
+	s := m.stats
+	s.SlotEvents, s.LocalOps = m.slots.Stats(), m.ops.Stats()
+	return s
+}
 
 // OutstandingDMA reports how many local RDMA descriptors await completion
 // plus FINs the host still owes — the watchdog's stall-diagnostic probe.
@@ -423,8 +449,17 @@ func (m *Module) acquireSendBuf(th *simtime.Thread) *elan4.Event {
 	if inFlight > m.stats.SendBufHighWater {
 		m.stats.SendBufHighWater = inFlight
 	}
-	ev := m.st.Ctx.NewEvent(1)
-	ev.Chain(m.releaseSendBuf)
+	ev := m.slots.Get()
+	if ev == nil {
+		ev = m.st.Ctx.NewEvent(1)
+		ev.Chain(func() {
+			// On the NIC as the count reached zero, where a re-arm is
+			// sound. The event goes back as it is, chain and all.
+			ev.Rearm(1)
+			m.slots.Put(ev, *ev)
+			m.sendBufs.Release()
+		})
+	}
 	return ev
 }
 
@@ -518,7 +553,7 @@ func (m *Module) rmaOp(buf []byte, onDone func()) (elan4.E4Addr, *elan4.Event) {
 
 // Matched implements ptl.Module (the paper's ptl_matched): execute the
 // configured rendezvous scheme for a freshly matched message.
-func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
+func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 	m.lc.RequireActive("Matched")
 	vpid := m.peerVPID(p)
 	inline := int(rd.Hdr.FragLen)
@@ -554,18 +589,24 @@ func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
 	m.st.RDMARead(th, vpid, rd.Hdr.E4SrcAddr().Add(inline), rd.Mem.E4.Add(inline), rest, op.ev, m.onRecvError)
 }
 
-// newLocalOp allocates the completion event for one RDMA descriptor and
-// wires the configured notification strategy: chained FIN, completion
+// newLocalOp takes the descriptor, with its completion event, for one RDMA
+// and wires the configured notification strategy: chained FIN, completion
 // queue record, or pollable event. corr is the message correlator stamped
 // on every descriptor issued on the message's behalf.
 func (m *Module) newLocalOp(kind byte, reqID uint64, bytes, peerVPID int, finHdr *ptl.Header, corr uint64) *localOp {
-	ev := m.st.Ctx.NewEvent(1)
-	op := &localOp{ev: ev, kind: kind, reqID: reqID, bytes: bytes}
+	op := m.ops.Get()
+	if op == nil {
+		op = &localOp{ev: m.st.Ctx.NewEvent(1)}
+		op.ev.SetHostWord(&op.word)
+		op.ev.AddNotify(m.act)
+		op.chain = func() { m.chained(op) }
+	}
+	op.kind, op.reqID, op.bytes, op.peerVPID, op.corr = kind, reqID, bytes, peerVPID, corr
 
-	var finPayload []byte
 	if finHdr != nil {
-		finPayload = finHdr.Encode()
 		if m.opts.ChainFin {
+			finHdr.EncodeTo(op.finHdr[:])
+			op.chainFin = true
 			if finHdr.Type == ptl.TypeFin {
 				m.stats.FinTx++
 			} else {
@@ -574,7 +615,8 @@ func (m *Module) newLocalOp(kind byte, reqID uint64, bytes, peerVPID int, finHdr
 		} else {
 			// Host must notice completion and issue the FIN itself — the
 			// Fig. 8 "NoChain" ablation.
-			fw := &finWork{dstVPID: peerVPID, payload: finPayload, corr: corr}
+			fw := &finWork{dstVPID: peerVPID, corr: corr}
+			finHdr.EncodeTo(fw.payload[:])
 			if m.opts.CQ == NoCQ {
 				op.fin = fw
 			} else {
@@ -583,68 +625,61 @@ func (m *Module) newLocalOp(kind byte, reqID uint64, bytes, peerVPID int, finHdr
 		}
 	}
 
-	cqQueue := -1
-	switch m.opts.CQ {
-	case OneQueue:
-		cqQueue = qidRecv
-	case TwoQueue:
-		cqQueue = qidComp
-	}
-	var rec []byte
-	if cqQueue >= 0 {
-		rec = encodeRecord(kind, reqID, bytes)
-		m.stats.CQRecords++
-	}
-
-	chainFin := m.opts.ChainFin && finHdr != nil
-	self := m.st.Ctx.VPID()
-	if chainFin || cqQueue >= 0 {
-		// Back-to-back chained commands issued on the NIC at completion:
-		// FIN to the peer, then the completion record to our own queue.
-		ev.Chain(func() {
-			if chainFin {
-				m.st.Ctx.SetCookie(corr)
-				m.st.Ctx.QDMAFromNIC(peerVPID, qidRecv, finPayload, nil, m.onSendError)
-			}
-			if cqQueue >= 0 {
-				m.st.Ctx.SetCookie(corr)
-				m.st.Ctx.QDMAFromNIC(self, cqQueue, rec, nil, m.onSendError)
-			}
-		})
-	}
-
-	ev.SetHostWord(simtime.NewCounter())
-	ev.AddNotify(m.act)
 	if m.opts.CQ == NoCQ {
 		m.outstanding = append(m.outstanding, op)
+	} else {
+		encodeRecord(op.rec[:], kind, reqID, bytes)
+		m.stats.CQRecords++
+	}
+	if op.chainFin || m.opts.CQ != NoCQ {
+		op.ev.Chain(op.chain)
 	}
 	return op
+}
+
+// chained is a localOp's chain: back-to-back commands issued on the NIC at
+// completion, FIN to the peer, then the completion record to our own queue.
+// Issuing captures the payloads, so under a CQ mode, where the record is
+// all the host will see, the descriptor is then recycled.
+func (m *Module) chained(op *localOp) {
+	if op.chainFin {
+		m.st.Ctx.SetCookie(op.corr)
+		m.st.Ctx.QDMAFromNIC(op.peerVPID, qidRecv, op.finHdr[:], nil, m.onSendError)
+	}
+	if m.opts.CQ != NoCQ {
+		q := qidRecv
+		if m.opts.CQ == TwoQueue {
+			q = qidComp
+		}
+		m.st.Ctx.SetCookie(op.corr)
+		m.st.Ctx.QDMAFromNIC(m.st.Ctx.VPID(), q, op.rec[:], nil, m.onSendError)
+		m.releaseOp(op)
+	}
+}
+
+func (m *Module) releaseOp(op *localOp) {
+	op.ev.Chain(nil)
+	op.ev.Rearm(1) // it has fired and nothing in flight names it: no decrement to lose
+	m.ops.Put(op, localOp{ev: op.ev, chain: op.chain})
 }
 
 func decodeE4(b []byte) elan4.E4Addr {
 	return elan4.E4Addr(binary.LittleEndian.Uint64(b))
 }
 
-func encodeRecord(kind byte, reqID uint64, bytes int) []byte {
-	b := make([]byte, 14)
+// recSize is the length of a completion record.
+const recSize = 14
+
+func encodeRecord(b []byte, kind byte, reqID uint64, bytes int) {
 	b[0] = recMagic
 	b[1] = kind
 	binary.LittleEndian.PutUint64(b[2:], reqID)
 	binary.LittleEndian.PutUint32(b[10:], uint32(bytes))
-	return b
 }
 
 func decodeRecord(b []byte) (kind byte, reqID uint64, bytes int, ok bool) {
-	if len(b) != 14 || b[0] != recMagic {
+	if len(b) != recSize || b[0] != recMagic {
 		return 0, 0, 0, false
 	}
 	return b[1], binary.LittleEndian.Uint64(b[2:]), int(binary.LittleEndian.Uint32(b[10:])), true
-}
-
-func (m *Module) onSendError(err error) {
-	panic(fmt.Sprintf("ptlelan4: transmit failure: %v", err))
-}
-
-func (m *Module) onRecvError(err error) {
-	panic(fmt.Sprintf("ptlelan4: RDMA read failure: %v", err))
 }

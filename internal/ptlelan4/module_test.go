@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"qsmpi/internal/bufpool"
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/pml"
@@ -502,5 +503,105 @@ func TestRandomizedTrafficProperty(t *testing.T) {
 				t.Fatalf("trial %d: message %d (size %d) corrupted", trial, i, n)
 			}
 		}
+	}
+}
+
+// TestDescriptorsReturned: below the request handle every per-message object
+// is taken from a free list and handed back at the terminal point it already
+// had — a NIC's descriptors, a module's send-buffer events and RDMA
+// descriptors, the PML's queued first fragments — so when a run is over each
+// list has had exactly as many puts as gets, under every scheme, completion
+// strategy and progress mode, with the receive queues overrun (NACK and
+// retry, fragments parked out of sequence and unexpected) and with Finalize
+// called while sends are still draining.
+func TestDescriptorsReturned(t *testing.T) {
+	type variant struct {
+		name string
+		spec cluster.Spec
+	}
+	var variants []variant
+	for _, scheme := range []ptlelan4.Scheme{ptlelan4.RDMARead, ptlelan4.RDMAWrite} {
+		for _, cq := range []ptlelan4.CQMode{ptlelan4.NoCQ, ptlelan4.OneQueue, ptlelan4.TwoQueue} {
+			for _, chain := range []bool{true, false} {
+				o := ptlelan4.BestOptions(scheme)
+				o.CQ, o.ChainFin, o.InlineRndv, o.QueueSlots = cq, chain, !chain, 4
+				fin := "/host-fin"
+				if chain {
+					fin = "/chained"
+				}
+				variants = append(variants, variant{scheme.String() + "/" + cq.String() + fin, elanSpec(o)})
+			}
+		}
+	}
+	variants = append(variants, variant{"one-thread", threadedSpec(1)}, variant{"two-threads", threadedSpec(2)})
+
+	const ranks, burst = 3, 12
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			c := cluster.New(v.spec, ranks)
+			var retries, parked int64
+			c.Launch(func(p *cluster.Proc) {
+				small, big := datatype.Contiguous(256), datatype.Contiguous(40000)
+				var sends []*pml.SendReq
+				if p.Rank > 0 {
+					// Two senders overrun rank 0's four-slot ring while it
+					// computes, then follow with one rendezvous each.
+					for i := 0; i < burst; i++ {
+						sends = append(sends, p.Stack.Send(p.Th, 0, i, 0, pattern(256, byte(i)), small))
+					}
+					sends = append(sends, p.Stack.Send(p.Th, 0, burst, 0, pattern(40000, 9), big))
+				} else {
+					p.Th.Compute(200 * simtime.Microsecond)
+					for src := 1; src < ranks; src++ {
+						// Last first: everything before it is unexpected.
+						p.Stack.Recv(p.Th, src, burst, 0, make([]byte, 40000), big).Wait(p.Th)
+						for i := burst - 1; i >= 0; i-- {
+							p.Stack.Recv(p.Th, src, i, 0, make([]byte, 256), small).Wait(p.Th)
+						}
+					}
+					// Sends nobody has waited for when Finalize is called.
+					for dst := 1; dst < ranks; dst++ {
+						sends = append(sends, p.Stack.Send(p.Th, dst, 99, 0, pattern(40000, 3), big))
+					}
+				}
+				if p.Rank > 0 {
+					p.Stack.Recv(p.Th, 0, 99, 0, make([]byte, 40000), big).Wait(p.Th)
+				}
+				p.Finalize()
+				for _, r := range sends {
+					if !r.Done() {
+						t.Errorf("rank %d: a send outlived Finalize", p.Rank)
+					}
+				}
+				parked += p.Stack.Stats().ReorderedMsgs
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			balanced := func(what string, rank int, s bufpool.ListStats) {
+				if s.Gets != s.Puts {
+					t.Errorf("rank %d: %s taken %d times, returned %d times", rank, what, s.Gets, s.Puts)
+				}
+			}
+			for i, nic := range c.NICs[:ranks] {
+				balanced("NIC descriptors", i, nic.Stats().Descriptors)
+				retries += nic.Stats().Retries
+			}
+			for _, p := range c.Procs() {
+				ms, ps := p.Elan.Stats(), p.Stack.Stats()
+				balanced("send-buffer events", p.Rank, ms.SlotEvents)
+				balanced("RDMA descriptors", p.Rank, ms.LocalOps)
+				balanced("queued fragments", p.Rank, ps.Frags)
+				// Rank 0 receives a rendezvous and sends one, so it issues RDMA
+				// under either scheme.
+				if p.Rank == 0 && (ms.SlotEvents.Gets == 0 || ms.LocalOps.Gets == 0 || ps.Frags.Gets == 0) {
+					t.Errorf("rank 0 left a list untouched: %+v %+v %+v", ms.SlotEvents, ms.LocalOps, ps.Frags)
+				}
+			}
+			if v.spec.Progress != pml.Threaded && retries == 0 {
+				t.Error("the receive queue was never overrun: no QDMA was retried")
+			}
+			t.Logf("%d QDMA retries, %d fragments parked out of sequence", retries, parked)
+		})
 	}
 }

@@ -111,7 +111,7 @@ func (m *Module) pollOutstanding(th *simtime.Thread) {
 	rest := m.outstanding[:0]
 	for _, op := range m.outstanding {
 		th.Compute(m.cfg.HostEventPoll)
-		if op.ev.HostWord().Value() > 0 {
+		if op.word.Value() > 0 {
 			m.completeOp(th, op)
 		} else {
 			rest = append(rest, op)
@@ -131,6 +131,7 @@ func (m *Module) completeOp(th *simtime.Thread, op *localOp) {
 	case recGetDone:
 		m.pml.RecvProgress(th, op.reqID, op.bytes)
 	}
+	m.releaseOp(op)
 }
 
 // issuePendingFin sends a host-issued FIN if this op was created with
@@ -150,7 +151,7 @@ func (m *Module) hostIssueFin(th *simtime.Thread, fw *finWork) {
 	buf := m.acquireSendBuf(th)
 	th.Compute(m.cfg.MemcpyStartup + simtime.BytesAt(len(fw.payload), m.cfg.MemcpyBandwidth))
 	m.st.Ctx.SetCookie(fw.corr)
-	m.st.QDMA(th, fw.dstVPID, qidRecv, fw.payload, buf, m.onSendError)
+	m.st.QDMA(th, fw.dstVPID, qidRecv, fw.payload[:], buf, m.onSendError)
 }
 
 // ---- Asynchronous progress threads (§4.3, Table 1) ----
@@ -191,11 +192,13 @@ func (m *Module) BlockActivity(th *simtime.Thread) {
 // connections finalize only after pending messages complete.
 func (m *Module) Finalize(th *simtime.Thread) {
 	m.stopping = true
+	var stop [recSize]byte
+	encodeRecord(stop[:], recStop, 0, 0)
 	if m.opts.Threads >= 1 {
-		m.st.QDMA(th, m.st.Ctx.VPID(), qidRecv, encodeRecord(recStop, 0, 0), nil, nil)
+		m.st.QDMA(th, m.st.Ctx.VPID(), qidRecv, stop[:], nil, nil)
 	}
 	if m.opts.Threads == 2 {
-		m.st.QDMA(th, m.st.Ctx.VPID(), qidComp, encodeRecord(recStop, 0, 0), nil, nil)
+		m.st.QDMA(th, m.st.Ctx.VPID(), qidComp, stop[:], nil, nil)
 	}
 	m.lc.Finalize()
 }

@@ -243,7 +243,7 @@ func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote p
 
 // Matched implements ptl.Module: reply with an ACK; the PML will schedule
 // the remainder as in-band fragments.
-func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd *ptl.RecvDesc) {
+func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 	m.lc.RequireActive("Matched")
 	h := rd.Hdr
 	h.Type = ptl.TypeAck

@@ -131,7 +131,6 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	return &Kernel{
 		shards: []*shard{{procs: make(map[*Proc]struct{})}},
-		rng:    rand.New(rand.NewSource(1)),
 		seed:   1,
 	}
 }
@@ -144,9 +143,15 @@ func (k *Kernel) Now() Time { return k.globalNow }
 // determinism fingerprint.
 func (k *Kernel) Steps() int64 { return k.steps }
 
-// Rand returns the kernel's deterministic random source. Simulated code
-// must use this instead of the global rand so runs stay reproducible.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
+// Rand returns the kernel's deterministic random source, seeded on first use
+// (a third of a two-rank bring-up, and only a lossy fabric draws from it).
+// Simulated code must use this, not the global rand: runs stay reproducible.
+func (k *Kernel) Rand() *rand.Rand {
+	if k.rng == nil {
+		k.rng = rand.New(rand.NewSource(k.seed))
+	}
+	return k.rng
+}
 
 // SetTracer installs fn to observe every executed event. A nil fn disables
 // tracing. Incompatible with worker shards (events execute on several
