@@ -120,7 +120,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := obs.WritePerfetto(f, rec.Events()); err != nil {
+		if err := obs.WritePerfettoFrom(f, rec); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -304,8 +304,7 @@ func (c *Cluster) tracerFor(node int) *trace.Recorder {
 // order), which is independent of the shard count.
 //
 // It is a k-way merge: a min-heap of the nodes' next events keyed (time,
-// node index), each recorder read in place through one pull cursor, the
-// destination grown once to the total.
+// node index), each recorder read in place through one pull cursor.
 func (c *Cluster) mergeTraces() {
 	if c.nodeRecs == nil {
 		return
@@ -335,12 +334,10 @@ func (c *Cluster) mergeTraces() {
 			i = least
 		}
 	}
-	total := 0
 	for node, r := range c.nodeRecs {
 		if r.Len() == 0 {
 			continue
 		}
-		total += r.Len()
 		next, stop := iter.Pull(r.All())
 		defer stop()
 		cur := &cursor{node: node, next: next}
@@ -350,7 +347,6 @@ func (c *Cluster) mergeTraces() {
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	c.spec.Tracer.Grow(total)
 	for len(heap) > 0 {
 		top := heap[0]
 		c.spec.Tracer.Record(top.head)

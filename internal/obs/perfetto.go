@@ -89,15 +89,7 @@ func inflightDelta(k trace.Kind) (int, bool) {
 // emitted so the truncation is visible in the exported file, not silently
 // lost.
 func WritePerfettoFrom(w io.Writer, rec *trace.Recorder) error {
-	prev := simtime.Time(math.MinInt64)
-	for e := range rec.All() {
-		if e.At < prev {
-			// Recorded out of order: the walk needs the sorted copy.
-			return writePerfetto(w, slices.Values(trace.Ordered(rec.Events())), rec.Dropped())
-		}
-		prev = e.At
-	}
-	return writePerfetto(w, rec.All(), rec.Dropped())
+	return writePerfetto(w, rec.Ordered(), rec.Dropped())
 }
 
 // WritePerfetto writes the recorded events as Chrome trace-event JSON.

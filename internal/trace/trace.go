@@ -13,6 +13,7 @@ package trace
 import (
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -251,61 +252,93 @@ func SplitMsgID(id uint64) (srcRank int, sendReq uint64) {
 // Recorder accumulates events. One Recorder may serve all layers of all
 // ranks of a simulation (the simulation is cooperative, so appends never
 // race).
+//
+// The stream lives in fixed blocks, each written once and never copied,
+// resized or moved: recording costs the 64 bytes of the event and, once a
+// block, one allocation (DESIGN.md §8.6).
 type Recorder struct {
-	events  []Event
+	blocks  [][]Event // in record order; all but the last are full
+	n       int       // events in blocks
 	limit   int
 	dropped int64
 }
 
+// Block capacities double from firstBlock to maxBlock and stay there. The
+// first is small because a sharded run holds one recorder per node, a
+// thousand of them at 1024 ranks; the cap bounds what the last block
+// leaves unused (256 KB).
+const (
+	firstBlock = 64
+	maxBlock   = 4096
+)
+
 // NewRecorder returns a recorder keeping at most limit events
-// (0 = unlimited). Events past the limit are counted, not kept. A bounded
-// recorder preallocates its whole event slab up front so the recording
-// path never reallocates mid-run.
-func NewRecorder(limit int) *Recorder {
-	r := &Recorder{limit: limit}
-	if limit > 0 {
-		r.events = make([]Event, 0, limit)
-	}
-	return r
-}
+// (0 = unlimited). Events past the limit are counted, not kept. Nothing is
+// allocated until events arrive, so a generous limit costs nothing.
+func NewRecorder(limit int) *Recorder { return &Recorder{limit: limit} }
 
 // Record appends an event unless the limit is reached, in which case the
 // event is counted as dropped.
 func (r *Recorder) Record(e Event) {
-	if r.limit > 0 && len(r.events) >= r.limit {
-		r.dropped++
-		return
+	last := len(r.blocks) - 1
+	if last < 0 || len(r.blocks[last]) == cap(r.blocks[last]) {
+		if r.limit > 0 && r.n >= r.limit {
+			r.dropped++
+			return
+		}
+		size := firstBlock
+		if last >= 0 {
+			size = min(2*cap(r.blocks[last]), maxBlock)
+		}
+		if r.limit > 0 {
+			// The last block ends at the limit, so only a full block has
+			// to ask whether the limit is reached.
+			size = min(size, r.limit-r.n)
+		}
+		r.blocks = append(r.blocks, make([]Event, 0, size))
+		last++
 	}
-	if len(r.events) == cap(r.events) {
-		// Double. Left to itself append grows a large slice by a quarter,
-		// and copies a long stream five times over on the way up.
-		r.events = slices.Grow(r.events, max(1024, len(r.events)))
-	}
-	r.events = append(r.events, e)
+	r.blocks[last] = append(r.blocks[last], e)
+	r.n++
 }
 
-// Grow makes room for n more events in one allocation, for a writer that
-// knows its total (the cluster's merge of per-node recorders); a bounded
-// recorder already holds its whole slab.
-func (r *Recorder) Grow(n int) {
-	if r.limit == 0 && cap(r.events)-len(r.events) < n {
-		r.events = append(make([]Event, 0, len(r.events)+n), r.events...)
-	}
-}
-
-// Events returns a copy of the recorded events in record order. The copy
-// is defensive: callers may sort or mutate the returned slice without
-// corrupting the recorder's stream. Readers that only look use All.
-func (r *Recorder) Events() []Event {
-	return append([]Event(nil), r.events...)
-}
+// Events returns a copy of the recorded events in record order, as one
+// slice allocated at their number. The copy is defensive: callers may sort
+// or mutate the returned slice without corrupting the recorder's stream.
+// Readers that only look use All or Ordered.
+func (r *Recorder) Events() []Event { return slices.Concat(r.blocks...) }
 
 // All walks the recorded events in record order, in place: the read path
 // that copies nothing. Nothing may be recorded while a walk is under way.
-func (r *Recorder) All() iter.Seq[Event] { return slices.Values(r.events) }
+func (r *Recorder) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for _, b := range r.blocks {
+			for _, e := range b {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Ordered walks the recorded events as the time-ordered view (see the
+// function Ordered): in place when the stream was recorded in time order,
+// which one linear pass finds out, and over one stably sorted copy
+// otherwise.
+func (r *Recorder) Ordered() iter.Seq[Event] {
+	prev := simtime.Time(math.MinInt64)
+	for e := range r.All() {
+		if e.At < prev {
+			return slices.Values(sortByTime(r.Events()))
+		}
+		prev = e.At
+	}
+	return r.All()
+}
 
 // Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
+func (r *Recorder) Len() int { return r.n }
 
 // Dropped returns how many events were discarded after the limit filled.
 func (r *Recorder) Dropped() int64 { return r.dropped }
@@ -331,9 +364,7 @@ func (r *Recorder) ByLayer() map[Layer]int {
 // Render formats the timeline sorted by virtual time, one line per event,
 // with per-line deltas. A trailing "(+N dropped)" line reports events lost
 // to the recorder limit rather than truncating silently.
-func (r *Recorder) Render() string {
-	return RenderEvents(r.events, r.dropped)
-}
+func (r *Recorder) Render() string { return render(r.Ordered(), r.dropped) }
 
 // Ordered returns events as the time-ordered view every renderer,
 // exporter and analyzer walks: At non-decreasing, events of one instant in
@@ -345,21 +376,31 @@ func (r *Recorder) Render() string {
 func Ordered(events []Event) []Event {
 	for i := 1; i < len(events); i++ {
 		if events[i].At < events[i-1].At {
-			evs := slices.Clone(events)
-			sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-			return evs
+			return sortByTime(slices.Clone(events))
 		}
 	}
 	return events
+}
+
+// sortByTime sorts evs by At in place, events of one instant keeping their
+// order, and returns it.
+func sortByTime(evs []Event) []Event {
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return evs
 }
 
 // RenderEvents formats an event slice the way Recorder.Render does,
 // letting callers render a filtered view of the stream. dropped > 0
 // appends the "(+N dropped)" trailer.
 func RenderEvents(events []Event, dropped int64) string {
+	return render(slices.Values(Ordered(events)), dropped)
+}
+
+// render formats events, which must be in time order.
+func render(events iter.Seq[Event], dropped int64) string {
 	var b strings.Builder
 	var prev simtime.Time
-	for _, e := range Ordered(events) {
+	for e := range events {
 		fmt.Fprintf(&b, "%12.3fus (+%8.3f) rank %d %-6s %-17s req=%-4d peer=%-3d tag=%-6d bytes=%d\n",
 			e.At.Micros(), e.At.Sub(prev).Micros(), e.Rank, e.Layer, e.Kind, e.ReqID, e.Peer, e.Tag, e.Bytes)
 		prev = e.At

@@ -202,32 +202,6 @@ func TestAllWalksInPlace(t *testing.T) {
 	}
 }
 
-// TestGrowReservesOnce: after Grow(n) the next n events land in the slab
-// already there; a bounded recorder keeps its limit.
-func TestGrowReservesOnce(t *testing.T) {
-	rec := trace.NewRecorder(0)
-	rec.Record(trace.Event{Rank: 7})
-	rec.Grow(5000)
-	if allocs := testing.AllocsPerRun(1, func() {
-		for i := 0; i < 2500; i++ { // AllocsPerRun calls twice
-			rec.Record(trace.Event{Rank: i})
-		}
-	}); allocs != 0 {
-		t.Fatalf("recording into grown room allocated %.0f times", allocs)
-	}
-	if rec.Len() != 5001 || rec.Events()[0].Rank != 7 {
-		t.Fatalf("Grow lost events: len %d, first %+v", rec.Len(), rec.Events()[0])
-	}
-	bounded := trace.NewRecorder(2)
-	bounded.Grow(100)
-	for i := 0; i < 5; i++ {
-		bounded.Record(trace.Event{Rank: i})
-	}
-	if bounded.Len() != 2 || bounded.Dropped() != 3 {
-		t.Fatalf("bounded recorder after Grow: kept %d, dropped %d; want 2 and 3", bounded.Len(), bounded.Dropped())
-	}
-}
-
 // TestOrderedCopiesOnlyWhatNeedsSorting: a stream in time order comes back
 // as the very same slice; any other as a stably sorted copy, the input
 // left as it was.

@@ -402,6 +402,8 @@ func RunObserved(cfg Config, limit int, main func(w *World)) (Observation, error
 	if werr := obs.WritePerfettoFrom(&buf, rec); werr != nil && err == nil {
 		err = werr
 	}
+	// The export above and the timeline below walk the recorder in place;
+	// the analyzers index events by position, which takes the one copy.
 	prof := obs.Analyze(rec.Events())
 	return Observation{
 		Timeline:  rec.Render(),
