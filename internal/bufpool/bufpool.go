@@ -125,6 +125,14 @@ func (l *FreeList[T]) Get() *T {
 	return p
 }
 
+// Take is Get for objects that cache nothing: a recycled one or a new one.
+func (l *FreeList[T]) Take() *T {
+	if p := l.Get(); p != nil {
+		return p
+	}
+	return new(T)
+}
+
 // Put overwrites *p with reset — the zero value but for what the object
 // caches — and recycles it: a stale pointer then finds nil fields, not the
 // next message's. The caller must not touch p afterwards.

@@ -133,8 +133,8 @@ func TestDepositBacksSlotsByNeed(t *testing.T) {
 	small, large := depositCycle(t, q, 40), depositCycle(t, q, 1000)
 	lap := func(cycle func()) float64 { return testing.AllocsPerRun(1, cycle) }
 	slotCaps := func() (caps []int) {
-		for _, buf := range q.slotBufs {
-			caps = append(caps, cap(buf))
+		for _, m := range q.slots {
+			caps = append(caps, cap(m.Data))
 		}
 		return caps
 	}

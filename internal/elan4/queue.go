@@ -18,17 +18,16 @@ type QueuedMsg struct {
 // slots with Poll and must Free them to make room. The paper builds both
 // its incoming-message path and its shared completion queue out of these.
 type RecvQueue struct {
-	ctx   *Context
-	id    int
-	slots []QueuedMsg
-	// slotBufs are the per-slot backing arrays, reused for every deposit
-	// into that slot — the hardware reality of a QSLOT ring, and the reason
-	// deposits allocate nothing. A hardware slot is QDMAMaxPayload bytes; the
-	// model backs one by need: slotSize is the power of two (at least 64)
-	// that holds the largest deposit this queue has seen, and a slot is
-	// allocated at it on first touch and again only for a message that does
-	// not fit, so a ring of 64-byte headers pins 64 bytes a slot, not 2 KB.
-	slotBufs [][]byte
+	ctx *Context
+	id  int
+	// slots is the ring, made at the first deposit. A slot's Data keeps its
+	// backing array across Poll for the next deposit into it — a QSLOT ring
+	// allocates nothing per message. A hardware slot is QDMAMaxPayload
+	// bytes; the model backs one at slotSize, the power of two (at least 64)
+	// holding the largest deposit seen, reallocating only for a message that
+	// does not fit: a ring of 64-byte headers pins 64 bytes a slot, not 2 KB.
+	slots    []QueuedMsg
+	nslots   int
 	slotSize int
 	head     int // next slot to poll
 	count    int // occupied slots
@@ -55,7 +54,7 @@ type RecvQueue struct {
 
 // CreateQueue allocates receive queue id with nslots slots, each able to
 // take a message of the hardware slot size (QDMAMaxPayload) and backed by
-// what actually lands in it (see slotBufs). Creating an id twice panics:
+// what actually lands in it (see slots). Creating an id twice panics:
 // queue ids are protocol constants chosen by each transport layer.
 func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	if _, dup := c.queues[id]; dup {
@@ -64,8 +63,7 @@ func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	q := &RecvQueue{
 		ctx:      c,
 		id:       id,
-		slots:    make([]QueuedMsg, nslots),
-		slotBufs: make([][]byte, nslots),
+		nslots:   nslots,
 		hostWord: simtime.NewCounter(),
 	}
 	c.queues[id] = q
@@ -95,7 +93,7 @@ func (q *RecvQueue) AddNotify(c *simtime.Counter) { q.notify = append(q.notify, 
 func (q *RecvQueue) SetEvent(ev *Event) { q.event = ev }
 
 // Slots returns the ring capacity.
-func (q *RecvQueue) Slots() int { return len(q.slots) }
+func (q *RecvQueue) Slots() int { return q.nslots }
 
 // Pending returns the number of occupied slots.
 func (q *RecvQueue) Pending() int { return q.count }
@@ -119,8 +117,8 @@ func (q *RecvQueue) Poll() (QueuedMsg, bool) {
 		return QueuedMsg{}, false
 	}
 	m := q.slots[q.head]
-	q.slots[q.head] = QueuedMsg{}
-	q.head = (q.head + 1) % len(q.slots)
+	q.slots[q.head].Data = m.Data[:0]
+	q.head = (q.head + 1) % q.nslots
 	q.count--
 	return m, true
 }
@@ -141,18 +139,20 @@ func (q *RecvQueue) DisarmInterrupt() {
 // deposit is called by the NIC at delivery time. It returns false when the
 // ring is full, which NACKs the QDMA back to the sender.
 func (q *RecvQueue) deposit(src int, data []byte) bool {
-	if q.count == len(q.slots) {
+	if q.count == q.nslots {
 		q.rejects++
 		return false
 	}
-	idx := (q.head + q.count) % len(q.slots)
+	if q.slots == nil {
+		q.slots = make([]QueuedMsg, q.nslots)
+	}
+	idx := (q.head + q.count) % q.nslots
 	if len(data) > q.slotSize {
 		q.slotSize = max(64, 1<<bits.Len(uint(len(data)-1)))
 	}
-	buf := q.slotBufs[idx]
+	buf := q.slots[idx].Data
 	if cap(buf) < len(data) {
 		buf = make([]byte, q.slotSize)
-		q.slotBufs[idx] = buf
 	}
 	cp := buf[:len(data)]
 	copy(cp, data)

@@ -72,6 +72,9 @@ func Claims(cfg Config) []Claim {
 	twoQ := best
 	twoQ.CQ = ptlelan4.TwoQueue
 
+	// First, so the two 1 MB ping-pongs (4 MB live each) never run together.
+	mHuge := tport(1<<20, cfg.itersFor(1<<20))
+
 	// §6.1 / Fig. 7 measurements.
 	dtp := ping(read, true, 4, cfg.Iters)
 	base4 := poll(read, 4)
@@ -100,7 +103,6 @@ func Claims(cfg Config) []Claim {
 	p0 := poll(best, 0)
 	m16k := tport(16384, cfg.Iters)
 	o16k := poll(best, 16384)
-	mHuge := tport(1<<20, cfg.itersFor(1<<20))
 	oHuge := ping(best, false, 1<<20, cfg.itersFor(1<<20))
 
 	v := fanOut(cfg, len(jobs), func(i int) (float64, parsweep.Metrics) { return jobs[i]() })

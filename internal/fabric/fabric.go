@@ -295,8 +295,8 @@ func New(k *simtime.Kernel, p Params, nports int) *Network {
 		n.down[l] = make([]*link, count)
 		span *= n.arity
 	}
-	// Route cache: ~16 slots per port, clamped to [2^8, 2^16] entries.
-	slots := 256
+	// Route cache: ~16 slots per port, clamped to [2^5, 2^16] entries.
+	slots := 32
 	for slots < nports*16 && slots < 1<<16 {
 		slots *= 2
 	}

@@ -307,9 +307,10 @@ func (c *Comm) Irecv(src, tag int, buf []byte, dt *datatype.Datatype) *Request {
 	return &Request{c: c, r: c.w.stack.Recv(c.w.th, c.worldOf(src), tag, c.id, buf, dt)}
 }
 
-// Send is a blocking typed send.
+// Send is a blocking typed send; like every blocking call, it makes no Request.
 func (c *Comm) Send(dst, tag int, buf []byte, dt *datatype.Datatype) {
-	c.Isend(dst, tag, buf, dt).Wait()
+	checkTag(tag)
+	c.w.stack.Send(c.w.th, c.worldOf(dst), tag, c.id, buf, dt).Wait(c.w.th)
 }
 
 // Issend starts a nonblocking synchronous send (MPI_Issend): completion
@@ -321,7 +322,8 @@ func (c *Comm) Issend(dst, tag int, buf []byte, dt *datatype.Datatype) *Request 
 
 // Ssend is the blocking synchronous send (MPI_Ssend).
 func (c *Comm) Ssend(dst, tag int, buf []byte, dt *datatype.Datatype) {
-	c.Issend(dst, tag, buf, dt).Wait()
+	checkTag(tag)
+	c.w.stack.SendSync(c.w.th, c.worldOf(dst), tag, c.id, buf, dt).Wait(c.w.th)
 }
 
 // PersistentSend is an MPI persistent request (MPI_Send_init/Start):
@@ -390,7 +392,10 @@ func (p *PersistentRecv) Wait() Status {
 
 // Recv is a blocking typed receive.
 func (c *Comm) Recv(src, tag int, buf []byte, dt *datatype.Datatype) Status {
-	return c.Irecv(src, tag, buf, dt).Wait()
+	checkTag(tag)
+	rq := c.w.stack.Recv(c.w.th, c.worldOf(src), tag, c.id, buf, dt)
+	rq.Wait(c.w.th)
+	return c.commStatus(rq.Status())
 }
 
 // SendBytes / RecvBytes are contiguous-buffer conveniences.
@@ -407,11 +412,13 @@ func (c *Comm) RecvBytes(src, tag int, buf []byte) Status {
 // deadlocking.
 func (c *Comm) Sendrecv(dst, stag int, sbuf []byte, sdt *datatype.Datatype,
 	src, rtag int, rbuf []byte, rdt *datatype.Datatype) Status {
-	rq := c.Irecv(src, rtag, rbuf, rdt)
-	sq := c.Isend(dst, stag, sbuf, sdt)
-	st := rq.Wait()
-	sq.Wait()
-	return st
+	checkTag(rtag)
+	rq := c.w.stack.Recv(c.w.th, c.worldOf(src), rtag, c.id, rbuf, rdt)
+	checkTag(stag)
+	sq := c.w.stack.Send(c.w.th, c.worldOf(dst), stag, c.id, sbuf, sdt)
+	rq.Wait(c.w.th)
+	sq.Wait(c.w.th)
+	return c.commStatus(rq.Status())
 }
 
 // Probe blocks until a matching message is available.

@@ -132,19 +132,19 @@ func (c *Comm) reduceStage(root int, buf, recv []byte, op Op) stage {
 	return st
 }
 
-// run is the blocking executor: each round's receive, then its send, then
-// both waited — Sendrecv, Recv and Send unrolled.
+// run is the blocking executor: each round is a Sendrecv, Recv or Send,
+// which post the receive first and wait on the pml handles.
 func (c *Comm) run(st stage) {
 	for r, ok := st.sched.next(); ok; r, ok = st.sched.next() {
-		var rq, sq *Request
-		if r.from != noPeer {
-			rq = c.Irecv(r.from, st.tag, st.rbuf, st.dt)
+		switch {
+		case r.from != noPeer && r.to != noPeer:
+			c.Sendrecv(r.to, st.tag, st.sbuf, st.dt, r.from, st.tag, st.rbuf, st.dt)
+		case r.from != noPeer:
+			c.Recv(r.from, st.tag, st.rbuf, st.dt)
+		case r.to != noPeer:
+			c.Send(r.to, st.tag, st.sbuf, st.dt)
 		}
-		if r.to != noPeer {
-			sq = c.Isend(r.to, st.tag, st.sbuf, st.dt)
-		}
-		Waitall(rq, sq)
-		if rq != nil && st.fold != nil {
+		if r.from != noPeer && st.fold != nil {
 			st.fold(st.sbuf, st.rbuf)
 		}
 	}

@@ -93,7 +93,6 @@ type fakeModule struct {
 	weight     float64
 
 	inbox []fakeMsg
-	sds   map[uint64]*ptl.SendDesc
 
 	// stats for scheduling tests
 	PutBytes  int
@@ -105,7 +104,6 @@ func newFakeModule(net *fakeNet, rail string, rank int, stack *Stack) *fakeModul
 	m := &fakeModule{
 		rail: rail, net: net, rank: rank, stack: stack,
 		peers:      make(map[int]*ptl.Peer),
-		sds:        make(map[uint64]*ptl.SendDesc),
 		eagerLimit: 1984, inline: true, put: true, weight: 1,
 	}
 	net.mods[rank] = append(net.mods[rank], m)
@@ -135,7 +133,6 @@ func (m *fakeModule) DelProc(th *simtime.Thread, p *ptl.Peer) {
 }
 
 func (m *fakeModule) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
-	m.sds[sd.Hdr.SendReq] = sd
 	inline := int(sd.Hdr.FragLen)
 	msg := fakeMsg{kind: fkFirst, hdr: sd.Hdr, data: append([]byte(nil), sd.Mem.Buf[:inline]...), from: m.rank}
 	m.net.deliver(p.Rank, m.rail, msg)

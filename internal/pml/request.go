@@ -31,9 +31,9 @@ type Status struct {
 	Len    int
 }
 
-// SendReq is one in-flight send. It is created by Stack.Send and completed
-// when every byte has been delivered or safely buffered.
-type SendReq struct {
+// sendState is one in-flight send: what sendReqs, the modules (through sd)
+// and the completion path hold. It lives on Stack.sendStates.
+type sendState struct {
 	id    uint64
 	stack *Stack
 
@@ -56,20 +56,36 @@ type SendReq struct {
 	done       simtime.Signal
 }
 
+// SendReq is the caller's handle on one send and its state's only owner:
+// the first Wait or Done that sees completion gives the state back.
+type SendReq struct {
+	st *sendState
+	id uint64
+}
+
 // ID returns the request handle stamped into headers.
 func (r *SendReq) ID() uint64 { return r.id }
 
 // Done reports completion.
-func (r *SendReq) Done() bool { return r.done.Fired() }
+func (r *SendReq) Done() bool {
+	if st := r.st; st != nil && st.done.Fired() {
+		r.st = nil
+		st.stack.sendStates.Put(st, sendState{})
+	}
+	return r.st == nil
+}
 
 // Wait blocks until the send completes, driving progress per the stack's
 // progress mode.
 func (r *SendReq) Wait(th *simtime.Thread) {
-	r.stack.waitOn(th, &r.done)
+	for !r.Done() {
+		r.st.stack.waitOn(th, &r.st.done)
+	}
 }
 
-// RecvReq is one posted receive.
-type RecvReq struct {
+// recvState is one posted receive: what the match structures, recvReqs and
+// the completion path hold. It lives on Stack.recvStates.
+type recvState struct {
 	id    uint64
 	stack *Stack
 
@@ -98,20 +114,39 @@ type RecvReq struct {
 	corr uint64
 }
 
+// RecvReq is the caller's handle on one posted receive, released as a
+// SendReq is, with the status copied out first.
+type RecvReq struct {
+	st     *recvState
+	id     uint64
+	status Status
+}
+
 // ID returns the request handle stamped into headers.
 func (r *RecvReq) ID() uint64 { return r.id }
 
 // Done reports completion.
-func (r *RecvReq) Done() bool { return r.done.Fired() }
+func (r *RecvReq) Done() bool {
+	if st := r.st; st != nil && st.done.Fired() {
+		r.st, r.status = nil, st.status
+		st.stack.recvStates.Put(st, recvState{})
+	}
+	return r.st == nil
+}
 
 // Status returns the source/tag/length of the matched message. Only valid
 // after completion.
-func (r *RecvReq) Status() Status { return r.status }
+func (r *RecvReq) Status() Status {
+	r.Done()
+	return r.status
+}
 
 // Wait blocks until the receive completes, driving progress per the
 // stack's progress mode.
 func (r *RecvReq) Wait(th *simtime.Thread) {
-	r.stack.waitOn(th, &r.done)
+	for !r.Done() {
+		r.st.stack.waitOn(th, &r.st.done)
+	}
 }
 
 // matchKey identifies a matching context (one per communicator).
@@ -148,12 +183,12 @@ func stKey(src, tag int32) uint64 {
 // wins — exactly the entry a front-to-back scan of the old single FIFO
 // would have found first.
 type commState struct {
-	posted     map[uint64][]*RecvReq // specific receives by (src,tag), FIFO
-	postedWild []*RecvReq            // AnySource/AnyTag receives, FIFO
+	posted     map[uint64][]*recvState // specific receives by (src,tag), FIFO
+	postedWild []*recvState            // AnySource/AnyTag receives, FIFO
 	nextPost   uint64
 	// spare keeps the arrays of buckets that emptied for the next bucket to
 	// open, so a receive posted ahead of its message allocates no cell.
-	spare [][]*RecvReq
+	spare [][]*recvState
 
 	unexpected map[uint64][]*firstFrag // unmatched arrivals by (src,tag), FIFO
 	unexpCount int
@@ -166,7 +201,7 @@ type commState struct {
 
 func newCommState() *commState {
 	return &commState{
-		posted:     make(map[uint64][]*RecvReq),
+		posted:     make(map[uint64][]*recvState),
 		unexpected: make(map[uint64][]*firstFrag),
 		expected:   make(map[int]uint32),
 		reorder:    make(map[int][]*firstFrag),
@@ -174,19 +209,19 @@ func newCommState() *commState {
 	}
 }
 
-// matches reports whether a posted receive accepts a fragment header.
-func matches(r *RecvReq, hdr *ptl.Header) bool {
-	if r.src != AnySource && int32(r.src) != hdr.SrcRank {
+// matches reports whether a receive for (src, tag) accepts a fragment.
+func matches(src, tag int, hdr *ptl.Header) bool {
+	if src != AnySource && int32(src) != hdr.SrcRank {
 		return false
 	}
-	if r.tag != AnyTag && int32(r.tag) != hdr.Tag {
+	if tag != AnyTag && int32(tag) != hdr.Tag {
 		return false
 	}
 	return true
 }
 
 // postRecv appends a receive to its matching structure in posting order.
-func (cs *commState) postRecv(r *RecvReq) {
+func (cs *commState) postRecv(r *recvState) {
 	r.pseq = cs.nextPost
 	cs.nextPost++
 	if r.src == AnySource || r.tag == AnyTag {
@@ -204,12 +239,12 @@ func (cs *commState) postRecv(r *RecvReq) {
 // takePosted removes and returns the posted receive the fragment matches
 // — the earliest-posted across the specific bucket and the wildcard list —
 // or nil. wild reports which path produced the match.
-func (cs *commState) takePosted(hdr *ptl.Header) (req *RecvReq, wild bool) {
+func (cs *commState) takePosted(hdr *ptl.Header) (req *recvState, wild bool) {
 	k := stKey(hdr.SrcRank, hdr.Tag)
 	bucket := cs.posted[k]
 	wi := -1
 	for i, r := range cs.postedWild {
-		if matches(r, hdr) {
+		if matches(r.src, r.tag, hdr) {
 			wi = i
 			break
 		}
@@ -243,14 +278,14 @@ func (cs *commState) addUnexpected(ff *firstFrag) {
 	cs.unexpCount++
 }
 
-// peekUnexpected returns the earliest-arrived unexpected fragment the
-// receive matches, without removing it, plus its bucket key. A specific
-// receive reads one bucket head; a wildcard receive takes the minimum
-// arrival sequence across matching bucket heads (unique stamps make the
-// map iteration deterministic).
-func (cs *commState) peekUnexpected(r *RecvReq) (*firstFrag, uint64) {
-	if r.src != AnySource && r.tag != AnyTag {
-		k := stKey(int32(r.src), int32(r.tag))
+// peekUnexpected returns the earliest-arrived unexpected fragment a
+// receive (or probe) for src and tag matches, without removing it, plus its
+// bucket key. A specific receive reads one bucket head; a wildcard receive
+// takes the minimum arrival sequence across matching bucket heads (unique
+// stamps make the map iteration deterministic).
+func (cs *commState) peekUnexpected(src, tag int) (*firstFrag, uint64) {
+	if src != AnySource && tag != AnyTag {
+		k := stKey(int32(src), int32(tag))
 		if q := cs.unexpected[k]; len(q) > 0 {
 			return q[0], k
 		}
@@ -260,7 +295,7 @@ func (cs *commState) peekUnexpected(r *RecvReq) (*firstFrag, uint64) {
 	var bestKey uint64
 	for k, q := range cs.unexpected {
 		ff := q[0]
-		if !matches(r, &ff.hdr) {
+		if !matches(src, tag, &ff.hdr) {
 			continue
 		}
 		if best == nil || ff.aseq < best.aseq {
@@ -271,8 +306,8 @@ func (cs *commState) peekUnexpected(r *RecvReq) (*firstFrag, uint64) {
 }
 
 // takeUnexpected is peekUnexpected plus removal.
-func (cs *commState) takeUnexpected(r *RecvReq) *firstFrag {
-	ff, k := cs.peekUnexpected(r)
+func (cs *commState) takeUnexpected(src, tag int) *firstFrag {
+	ff, k := cs.peekUnexpected(src, tag)
 	if ff == nil {
 		return nil
 	}

@@ -83,6 +83,9 @@ type Stats struct {
 	// Frags counts the free list of queued first fragments: Gets == Puts
 	// once none is unexpected or parked out of sequence.
 	Frags bufpool.ListStats
+	// SendStates/RecvStates: Gets − Puts is the requests nobody waited on.
+	SendStates bufpool.ListStats
+	RecvStates bufpool.ListStats
 }
 
 // Stack is one process's PML: the device-neutral message management layer
@@ -102,8 +105,8 @@ type Stack struct {
 
 	// sendReqs holds the sends in flight: a request leaves when it
 	// completes, as a receive leaves recvReqs.
-	sendReqs map[uint64]*SendReq
-	recvReqs map[uint64]*RecvReq
+	sendReqs map[uint64]*sendState
+	recvReqs map[uint64]*recvState
 	nextID   uint64
 
 	comms map[matchKey]*commState
@@ -128,9 +131,11 @@ type Stack struct {
 	RecvLatency *obs.Histogram
 
 	// pool recycles pack/unpack staging and unexpected-message copies;
-	// frags recycles the fragments that queue with them.
-	pool  *bufpool.Pool
-	frags bufpool.FreeList[firstFrag]
+	// frags, sendStates and recvStates recycle fragments and request state.
+	pool       *bufpool.Pool
+	frags      bufpool.FreeList[firstFrag]
+	sendStates bufpool.FreeList[sendState]
+	recvStates bufpool.FreeList[recvState]
 
 	selfPeer *ptl.Peer
 
@@ -166,8 +171,8 @@ func NewStack(k *simtime.Kernel, host *simtime.Host, cfg model.Config, rank int,
 		eng:      datatype.NewEngine(cfg, dtp),
 		peers:    make(map[int]*ptl.Peer),
 		peerMods: make(map[int][]ptl.Module),
-		sendReqs: make(map[uint64]*SendReq),
-		recvReqs: make(map[uint64]*RecvReq),
+		sendReqs: make(map[uint64]*sendState),
+		recvReqs: make(map[uint64]*recvState),
 		comms:    make(map[matchKey]*commState),
 		activity: simtime.NewCounter(),
 		mode:     mode,
@@ -195,6 +200,8 @@ func (s *Stack) SetBlocker(b Blocker) { s.blocker = b }
 func (s *Stack) Stats() Stats {
 	st := s.stats
 	st.Frags = s.frags.Stats()
+	st.SendStates = s.sendStates.Stats()
+	st.RecvStates = s.recvStates.Stats()
 	return st
 }
 
@@ -302,7 +309,9 @@ func (s *Stack) comm(id matchKey) *commState {
 // (the role of Open MPI's "self" component): the message is matched
 // locally and copied, never touching a network.
 func (s *Stack) Send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, dt *datatype.Datatype) *SendReq {
-	return s.send(th, dst, tag, comm, buf, dt, false)
+	h := &SendReq{}
+	s.send(th, h, dst, tag, comm, buf, dt, false)
+	return h
 }
 
 // SendSync is the MPI_Ssend flavour: the request completes only after the
@@ -310,27 +319,33 @@ func (s *Stack) Send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 // protocol regardless of size, so completion requires the ACK/FIN_ACK
 // that only a match can produce.
 func (s *Stack) SendSync(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, dt *datatype.Datatype) *SendReq {
-	return s.send(th, dst, tag, comm, buf, dt, true)
+	h := &SendReq{}
+	s.send(th, h, dst, tag, comm, buf, dt, true)
+	return h
 }
 
-func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, dt *datatype.Datatype, sync bool) *SendReq {
+// send and recv never keep h: Send, SendSync and Recv inline, so a caller
+// that only waits on the handle keeps it in its own frame.
+func (s *Stack) send(th *simtime.Thread, h *SendReq, dst, tag int, comm uint16, buf []byte, dt *datatype.Datatype, sync bool) {
 	th.Compute(s.cfg.PMLRequestCost + s.eng.SetupCost())
-	if dst == s.rank {
-		return s.sendSelf(th, tag, comm, buf, dt)
-	}
 	mods := s.peerMods[dst]
-	if len(mods) == 0 {
+	if len(mods) == 0 && dst != s.rank {
 		panic(fmt.Sprintf("pml: rank %d unreachable from %d", dst, s.rank))
 	}
-	n := dt.Size()
-	req := &SendReq{
+	req := s.sendStates.Take()
+	*req = sendState{
 		id: s.nextID, stack: s, dst: dst, tag: tag, comm: comm,
-		dtype: dt, user: buf, n: n,
+		dtype: dt, user: buf, n: dt.Size(), postedAt: s.sc.Now(),
 	}
 	s.nextID++
 	s.sendReqs[req.id] = req
 	s.stats.Sends++
-	req.postedAt = s.sc.Now()
+	h.st, h.id = req, req.id
+	if dst == s.rank {
+		s.sendSelf(th, req)
+		return
+	}
+	n := req.n
 	s.noteProgress()
 	s.traceCorr(trace.SendPosted, req.id, dst, tag, n, s.Tracer.MsgID(s.rank, req.id))
 
@@ -382,32 +397,23 @@ func (s *Stack) send(th *simtime.Thread, dst, tag int, comm uint16, buf []byte, 
 		s.Trace.armed = false
 	}
 	mod.SendFirst(th, s.peers[dst], &req.sd)
-	return req
 }
 
 // sendSelf is the loopback path: match locally, copy once.
-func (s *Stack) sendSelf(th *simtime.Thread, tag int, comm uint16, buf []byte, dt *datatype.Datatype) *SendReq {
-	n := dt.Size()
-	req := &SendReq{
-		id: s.nextID, stack: s, dst: s.rank, tag: tag, comm: comm,
-		dtype: dt, user: buf, n: n,
-	}
-	s.nextID++
-	s.sendReqs[req.id] = req
-	s.stats.Sends++
-	req.postedAt = s.sc.Now()
+func (s *Stack) sendSelf(th *simtime.Thread, req *sendState) {
+	n, dt, buf := req.n, req.dtype, req.user
 	if dt.Contig() {
 		req.packed = buf[:n]
 	} else {
 		req.packed = s.pool.Get(n)
 		s.eng.Pack(th, dt, req.packed, buf, 0, n)
 	}
-	cs := s.comm(comm)
+	cs := s.comm(req.comm)
 	seq := cs.seqOut[s.rank]
 	cs.seqOut[s.rank] = seq + 1
 	hdr := ptl.Header{
-		Type: ptl.TypeMatch, CommID: comm,
-		SrcRank: int32(s.rank), DstRank: int32(s.rank), Tag: int32(tag),
+		Type: ptl.TypeMatch, CommID: req.comm,
+		SrcRank: int32(s.rank), DstRank: int32(s.rank), Tag: int32(req.tag),
 		SeqNum: seq, FragLen: uint32(n), MsgLen: uint64(n), SendReq: req.id,
 	}
 	if s.selfPeer == nil {
@@ -415,7 +421,6 @@ func (s *Stack) sendSelf(th *simtime.Thread, tag int, comm uint16, buf []byte, d
 	}
 	s.ReceiveFirst(th, nil, s.selfPeer, hdr, req.packed)
 	s.SendProgress(th, req.id, n)
-	return req
 }
 
 // AckArrived implements ptl.PML: a rendezvous ACK reached the sender.
@@ -531,33 +536,39 @@ func (s *Stack) SendProgress(th *simtime.Thread, sendReq uint64, bytes int) {
 // Recv posts a nonblocking typed receive. src may be AnySource, tag may
 // be AnyTag.
 func (s *Stack) Recv(th *simtime.Thread, src, tag int, comm uint16, buf []byte, dt *datatype.Datatype) *RecvReq {
+	h := &RecvReq{}
+	s.recv(th, h, src, tag, comm, buf, dt)
+	return h
+}
+
+func (s *Stack) recv(th *simtime.Thread, h *RecvReq, src, tag int, comm uint16, buf []byte, dt *datatype.Datatype) {
 	th.Compute(s.cfg.PMLRequestCost + s.eng.SetupCost())
-	req := &RecvReq{
+	req := s.recvStates.Take()
+	*req = recvState{
 		id: s.nextID, stack: s, src: src, tag: tag, comm: comm,
-		dtype: dt, user: buf,
+		dtype: dt, user: buf, postedAt: s.sc.Now(),
 	}
 	s.nextID++
 	s.recvReqs[req.id] = req
 	s.stats.Recvs++
-	req.postedAt = s.sc.Now()
+	h.st, h.id = req, req.id
 	s.noteProgress()
 	s.trace(trace.RecvPosted, req.id, src, tag, dt.Size())
 
 	cs := s.comm(comm)
 	th.Compute(s.cfg.PMLMatchCost)
 	s.stats.MatchAttempts++
-	if ff := cs.takeUnexpected(req); ff != nil {
-		if req.src == AnySource || req.tag == AnyTag {
+	if ff := cs.takeUnexpected(src, tag); ff != nil {
+		if src == AnySource || tag == AnyTag {
 			s.stats.WildcardHits++
 		} else {
 			s.stats.BucketHits++
 		}
 		s.consumeMatch(th, req, ff)
 		s.releaseFrag(ff)
-		return req
+		return
 	}
 	cs.postRecv(req)
-	return req
 }
 
 // ReceiveFirst implements ptl.PML: a MATCH/RNDV fragment arrived and needs
@@ -610,10 +621,7 @@ func (s *Stack) ReceiveFirst(th *simtime.Thread, mod ptl.Module, src *ptl.Peer, 
 // list, the transient wire data copied into a pool-owned buffer before the
 // transport reclaims it.
 func (s *Stack) queued(ff firstFrag) *firstFrag {
-	q := s.frags.Get()
-	if q == nil {
-		q = new(firstFrag)
-	}
+	q := s.frags.Take()
 	*q = ff
 	q.data = s.pool.Get(len(ff.data))
 	copy(q.data, ff.data)
@@ -662,7 +670,7 @@ func (s *Stack) admitFirst(th *simtime.Thread, cs *commState, ff, q *firstFrag) 
 // consumeMatch binds a matched (request, fragment) pair: eager data is
 // copied out; rendezvous messages are handed to the module's scheme
 // (ptl_matched in the paper's flow).
-func (s *Stack) consumeMatch(th *simtime.Thread, req *RecvReq, ff *firstFrag) {
+func (s *Stack) consumeMatch(th *simtime.Thread, req *recvState, ff *firstFrag) {
 	req.matched = true
 	// The fragment names the sender's request, so the match is the moment
 	// the receive request binds to its global message identity.
@@ -740,7 +748,7 @@ func (s *Stack) RecvProgress(th *simtime.Thread, recvReq uint64, bytes int) {
 	}
 }
 
-func (s *Stack) finishRecv(th *simtime.Thread, req *RecvReq) {
+func (s *Stack) finishRecv(th *simtime.Thread, req *recvState) {
 	if req.done.Fired() {
 		return
 	}
@@ -802,8 +810,7 @@ func (s *Stack) UnexpectedDepth() int {
 func (s *Stack) Iprobe(th *simtime.Thread, src, tag int, comm uint16) (Status, bool) {
 	s.Progress(th)
 	th.Compute(s.cfg.PMLMatchCost)
-	probe := &RecvReq{src: src, tag: tag}
-	if ff, _ := s.comm(comm).peekUnexpected(probe); ff != nil {
+	if ff, _ := s.comm(comm).peekUnexpected(src, tag); ff != nil {
 		return Status{Source: int(ff.hdr.SrcRank), Tag: int(ff.hdr.Tag), Len: int(ff.hdr.MsgLen)}, true
 	}
 	return Status{}, false

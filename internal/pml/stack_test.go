@@ -541,15 +541,22 @@ func TestDelPeerStopsReachability(t *testing.T) {
 	}
 }
 
-// TestRequestSizes holds the two objects the stack cannot recycle — the
-// caller keeps the handle — to their allocation size classes: a RecvReq in
-// 240 bytes, a SendReq with the send descriptor the modules see inside it
-// (it was an object of its own) in 288.
+// TestRequestSizes holds the caller's handles to what they carry — state
+// pointer, ID, done flag, and a receive's Status — and the recycled state
+// behind them to their allocation size classes: a recvState in 240 bytes, a
+// sendState with the send descriptor the modules see inside it in 288.
 func TestRequestSizes(t *testing.T) {
-	if got := unsafe.Sizeof(RecvReq{}); got > 240 {
-		t.Errorf("RecvReq is %d bytes, want at most 240", got)
-	}
-	if got := unsafe.Sizeof(SendReq{}); got > 288 {
-		t.Errorf("SendReq is %d bytes, want at most 288", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"SendReq", unsafe.Sizeof(SendReq{}), 24},
+		{"RecvReq", unsafe.Sizeof(RecvReq{}), 48},
+		{"sendState", unsafe.Sizeof(sendState{}), 288},
+		{"recvState", unsafe.Sizeof(recvState{}), 240},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.got, c.want)
+		}
 	}
 }
