@@ -512,15 +512,8 @@ func (c *Cluster) bringup(th *simtime.Thread, rank, node int, name string) *Proc
 // ConnectPeer wires one peer (by rank and registry name) into a process's
 // stack through every enabled module — the dynamic-join entry point.
 func (c *Cluster) ConnectPeer(p *Proc, rank int, name string) {
-	var mods []ptl.Module
-	for _, m := range p.Elans {
-		mods = append(mods, m)
-	}
-	if p.TCP != nil {
-		mods = append(mods, p.TCP)
-	}
 	peer := &ptl.Peer{Rank: rank, Name: name}
-	if err := p.Stack.AddPeer(p.Th, peer, mods); err != nil {
+	if err := p.Stack.AddPeer(p.Th, peer); err != nil {
 		panic(err)
 	}
 }
@@ -605,13 +598,10 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry) {
 		}
 		for _, net := range nets {
 			sent, delivered := net.Stats()
-			hits, misses := net.RouteCacheStats()
 			emit("fabric", "pkts_sent", -1, float64(sent))
 			emit("fabric", "pkts_delivered", -1, float64(delivered))
 			emit("fabric", "payload_bytes", -1, float64(net.BytesSent()))
 			emit("fabric", "retransmits", -1, float64(net.Retransmits()))
-			emit("fabric", "route_cache_hits", -1, float64(hits))
-			emit("fabric", "route_cache_misses", -1, float64(misses))
 		}
 		// Per-process stacks and PTL modules.
 		for _, p := range c.procs {

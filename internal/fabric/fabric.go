@@ -94,10 +94,6 @@ type delivery struct {
 type flight struct {
 	pkt  Packet
 	wire int
-	// links and switches are the packet's path when Send had to look it
-	// up already (lossy fabrics); links is nil otherwise.
-	links    []*link
-	switches int
 	// head and tail are when the head flit and the tail leave the source
 	// up-link's wire.
 	head, tail simtime.Time
@@ -106,7 +102,6 @@ type flight struct {
 
 // link is a directed link with FIFO serialization.
 type link struct {
-	name     string
 	bw       float64 // bytes/sec
 	nextFree simtime.Time
 	// stats
@@ -128,23 +123,6 @@ func (lk *link) reserve(head simtime.Time, wire int) (start, done simtime.Time) 
 	lk.packets++
 	lk.bytes += int64(wire)
 	return start, done
-}
-
-// route is one memoized up-down path through the tree. Deterministic
-// routing means the path per (src, dst) pair never changes, so it is
-// computed once and reused for every subsequent packet.
-type route struct {
-	links    []*link
-	switches int
-}
-
-// routeSlot is one entry of the bounded, direct-mapped route cache. A nil
-// route marks the slot empty; on a key collision the old route is simply
-// replaced (recomputing a path is cheap and deterministic, so eviction
-// affects only the hit/miss counters, never timing).
-type routeSlot struct {
-	key int64
-	r   *route
 }
 
 // portState is the per-port slice of fabric state: everything a sending
@@ -186,18 +164,11 @@ type Network struct {
 	// of maps grown to every link ever touched.
 	up   [][]*link
 	down [][]*link
-
-	// routes caches the up-down path per (src, dst) pair so routing cost
-	// is paid once per pair, not once per packet. It is a fixed-size
-	// direct-mapped cache rather than a map: at 4096 ports the full
-	// (src, dst) cross product is 16M routes, which an unbounded memo
-	// would happily hold. Bounding it keeps fabric memory O(nports).
-	routes     []routeSlot
-	routeShift uint
+	// span[l] is arity^l, the number of ports under one level-l switch.
+	// Routes are computed from it and the two port numbers (see hop).
+	span []int
 
 	retransmits int64
-	routeHits   int64
-	routeMisses int64
 }
 
 // SetTracer attaches a cross-layer event recorder to every port (nil
@@ -229,7 +200,7 @@ func (n *Network) BindPort(id int, sc simtime.Sched, r *trace.Recorder) {
 func (n *Network) uplink(id int) *link {
 	ps := &n.ports[id]
 	if ps.uplink == nil {
-		ps.uplink = n.linkFor(n.up, 1, id, "up")
+		ps.uplink = n.linkFor(n.up, 1, id)
 	}
 	return ps.uplink
 }
@@ -288,24 +259,14 @@ func New(k *simtime.Kernel, p Params, nports int) *Network {
 	// Link tables: level l has one slot per level-(l-1) subtree.
 	n.up = make([][]*link, n.levels+1)
 	n.down = make([][]*link, n.levels+1)
-	span := 1
+	n.span = make([]int, n.levels+1)
+	n.span[0] = 1
 	for l := 1; l <= n.levels; l++ {
-		count := (nports + span - 1) / span
+		count := (nports + n.span[l-1] - 1) / n.span[l-1]
 		n.up[l] = make([]*link, count)
 		n.down[l] = make([]*link, count)
-		span *= n.arity
+		n.span[l] = n.span[l-1] * n.arity
 	}
-	// Route cache: ~16 slots per port, clamped to [2^5, 2^16] entries.
-	slots := 32
-	for slots < nports*16 && slots < 1<<16 {
-		slots *= 2
-	}
-	n.routes = make([]routeSlot, slots)
-	bits := uint(0)
-	for 1<<bits < slots {
-		bits++
-	}
-	n.routeShift = 64 - bits
 	return n
 }
 
@@ -333,20 +294,10 @@ func (n *Network) Attach(id int, h Handler) {
 	n.ports[id].handler = h
 }
 
-// switchOf returns the index of the level-l switch above port id.
-// Level 1 switches are leaves; each covers arity^l ports.
-func (n *Network) switchOf(id, l int) int {
-	span := 1
-	for i := 0; i < l; i++ {
-		span *= n.arity
-	}
-	return id / span
-}
-
-// linkFor returns (creating on demand) the directed link between level l-1
-// and level l above subtree sw, in the given direction. Level 0 "switch"
-// indices are port numbers (the node-NIC link).
-func (n *Network) linkFor(m [][]*link, l, sw int, dir string) *link {
+// linkFor returns (creating on demand) the directed link of table m between
+// level l-1 and level l above subtree sw. Level 0 "switch" indices are port
+// numbers (the node-NIC link).
+func (n *Network) linkFor(m [][]*link, l, sw int) *link {
 	lk := m[l][sw]
 	if lk == nil {
 		bw := n.p.LinkBandwidth
@@ -354,61 +305,34 @@ func (n *Network) linkFor(m [][]*link, l, sw int, dir string) *link {
 		for i := 1; i < l; i++ {
 			bw *= float64(n.arity)
 		}
-		lk = &link{name: fmt.Sprintf("%s:l%d:s%d", dir, l, sw), bw: bw}
+		lk = &link{bw: bw}
 		m[l][sw] = lk
 	}
 	return lk
 }
 
-// pathLinks returns the ordered links a packet traverses from src to dst,
-// and the number of switches crossed. Routes are deterministic, so the
-// result is memoized per (src, dst) pair in the bounded direct-mapped
-// cache: the first packet (and any packet whose pair was evicted by a
-// collision) pays the tree walk, every other packet is one probe. Only
-// coordinator-context code (commits, lossy sends, setup) may call it.
-func (n *Network) pathLinks(src, dst int) (links []*link, switches int) {
-	key := int64(src)<<32 | int64(uint32(dst))
-	// Fibonacci hashing spreads the (src, dst) pairs over the table.
-	slot := &n.routes[uint64(key)*0x9E3779B97F4A7C15>>n.routeShift]
-	if slot.r != nil && slot.key == key {
-		n.routeHits++
-		return slot.r.links, slot.r.switches
+// lca returns the level of the lowest switch above both of two distinct
+// ports. The up-down route between them climbs to it and back down:
+// 2·lca links and 2·lca−1 switches.
+func (n *Network) lca(src, dst int) int {
+	l := 1
+	for src/n.span[l] != dst/n.span[l] {
+		l++
 	}
-	n.routeMisses++
-	links, switches = n.computePath(src, dst)
-	slot.key = key
-	slot.r = &route{links: links, switches: switches}
-	return links, switches
+	return l
 }
 
-// computePath walks the fat tree to build the up-down path.
-func (n *Network) computePath(src, dst int) (links []*link, switches int) {
-	if src == dst {
-		return nil, 0
+// hop returns link i of the route from src to dst through level lca: the
+// up-link above src's level-i subtree while climbing (i < lca), then the
+// down-link at level l = 2·lca − i into dst's level-(l−1) subtree. Routes
+// are deterministic, so one is computed from the port numbers on every use
+// and never stored. Only coordinator-context code may ask past hop 0.
+func (n *Network) hop(src, dst, lca, i int) *link {
+	if i < lca {
+		return n.linkFor(n.up, i+1, src/n.span[i])
 	}
-	// Find lowest common ancestor level: smallest l with same level-l switch.
-	lca := 1
-	for n.switchOf(src, lca) != n.switchOf(dst, lca) {
-		lca++
-	}
-	// Up from src: node→leaf, then leaf→parent... up to level lca.
-	sw := src
-	for l := 1; l <= lca; l++ {
-		links = append(links, n.linkFor(n.up, l, sw, "up"))
-		sw = n.switchOf(src, l)
-	}
-	// Down to dst: from level lca down to the node link.
-	for l := lca; l >= 1; l-- {
-		var sub int
-		if l == 1 {
-			sub = dst
-		} else {
-			sub = n.switchOf(dst, l-1)
-		}
-		links = append(links, n.linkFor(n.down, l, sub, "down"))
-	}
-	switches = 2*lca - 1
-	return links, switches
+	l := 2*lca - i
+	return n.linkFor(n.down, l, dst/n.span[l-1])
 }
 
 // Send injects a packet at its source port. Delivery is scheduled at the
@@ -450,8 +374,7 @@ func (n *Network) Send(pkt *Packet, onWire func()) {
 	head := now
 	if n.p.LossRate > 0 {
 		// No worker shards (New checked): this is coordinator context.
-		f.links, f.switches = n.pathLinks(pkt.Src, pkt.Dst)
-		head = n.lostPasses(f.links, f.wire, now)
+		head = n.lostPasses(pkt.Src, pkt.Dst, f.wire, now)
 	}
 	start, done := n.uplink(pkt.Src).reserve(head, f.wire)
 	f.head, f.tail = start.Add(n.p.WireLatency), done.Add(n.p.WireLatency)
@@ -472,13 +395,14 @@ func (n *Network) getFlight(ps *portState) *flight {
 	return f
 }
 
-// walk carries wire bytes over links in order, cut-through: the head flit
-// reaches the next link one wire latency after it started on this one, and
-// the tail clears a link one wire latency after its serialization. It
-// returns the later of tail and the latest tail time on links.
-func (n *Network) walk(links []*link, wire int, head, tail simtime.Time) simtime.Time {
-	for _, lk := range links {
-		start, done := lk.reserve(head, wire)
+// walk carries wire bytes over hops from, from+1, … of the route from src
+// to dst through level lca, cut-through: the head flit reaches the next
+// link one wire latency after it started on this one, and the tail clears
+// a link one wire latency after its serialization. It returns the later of
+// tail and the latest tail time on those links.
+func (n *Network) walk(src, dst, lca, from, wire int, head, tail simtime.Time) simtime.Time {
+	for i := from; i < 2*lca; i++ {
+		start, done := n.hop(src, dst, lca, i).reserve(head, wire)
 		head = start.Add(n.p.WireLatency)
 		if t := done.Add(n.p.WireLatency); t > tail {
 			tail = t
@@ -490,11 +414,12 @@ func (n *Network) walk(links []*link, wire int, head, tail simtime.Time) simtime
 // lostPasses draws the packet's CRC losses. The link layer retransmits in
 // order: each lost pass costs a full serialization over the whole path plus
 // the retry turnaround. It returns when the pass that gets through starts.
-func (n *Network) lostPasses(links []*link, wire int, head simtime.Time) simtime.Time {
+func (n *Network) lostPasses(src, dst, wire int, head simtime.Time) simtime.Time {
+	lca := n.lca(src, dst)
 	//lint:allow kernelown one global loss stream drawn in send order; New refuses LossRate > 0 on a kernel with workers (ROADMAP 1b)
 	for lost := 0; n.k.Rand().Float64() < n.p.LossRate && lost < 99; lost++ {
 		n.retransmits++
-		head = n.walk(links, wire, head, 0).Add(n.p.RetryDelay)
+		head = n.walk(src, dst, lca, 0, wire, head, 0).Add(n.p.RetryDelay)
 	}
 	return head
 }
@@ -504,15 +429,10 @@ func (n *Network) lostPasses(links []*link, wire int, head simtime.Time) simtime
 // Across senders on worker shards the order is the mailbox's (send time,
 // source entity, source sequence) order.
 func (n *Network) finishSend(ps *portState, f *flight) {
-	pkt, links, switches := f.pkt, f.links, f.switches
-	if links == nil {
-		links, switches = n.pathLinks(pkt.Src, pkt.Dst)
-	}
-	if links[0] != ps.uplink {
-		panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", pkt.Src, pkt.Dst))
-	}
-	tail := n.walk(links[1:], f.wire, f.head, f.tail)
-	n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), pkt)
+	pkt := f.pkt
+	lca := n.lca(pkt.Src, pkt.Dst)
+	tail := n.walk(pkt.Src, pkt.Dst, lca, 1, f.wire, f.head, f.tail)
+	n.deliverAt(tail.Add(simtime.Duration(2*lca-1)*n.p.SwitchLatency), pkt)
 	ps.flights.Put(f, flight{fn: f.fn})
 }
 
@@ -558,20 +478,17 @@ func (n *Network) SendMulti(src, size int, dsts []int, payload func(dst int) any
 }
 
 // finishMulti is the committed half of SendMulti. starts holds when each
-// link of the union of paths began serializing the packet, seeded with the
-// inline up-link booking, so a link shared by several destinations is
+// link of the union of paths past the inline up-link booking began
+// serializing the packet, so a link shared by several destinations is
 // booked once.
 func (n *Network) finishMulti(pkts []Packet, wire int, upStart, upDone simtime.Time) {
-	up := n.uplink(pkts[0].Src)
-	starts := map[*link]simtime.Time{up: upStart}
+	starts := make(map[*link]simtime.Time)
 	for _, q := range pkts {
-		links, switches := n.pathLinks(q.Src, q.Dst)
-		if links[0] != up {
-			panic(fmt.Sprintf("fabric: path %d->%d does not start at the source up-link", q.Src, q.Dst))
-		}
+		lca := n.lca(q.Src, q.Dst)
 		head := upStart.Add(n.p.WireLatency)
 		tail := upDone.Add(n.p.WireLatency)
-		for _, lk := range links[1:] {
+		for i := 1; i < 2*lca; i++ {
+			lk := n.hop(q.Src, q.Dst, lca, i)
 			start, seen := starts[lk]
 			if !seen {
 				start, _ = lk.reserve(head, wire)
@@ -582,7 +499,7 @@ func (n *Network) finishMulti(pkts []Packet, wire int, upStart, upDone simtime.T
 				tail = t
 			}
 		}
-		n.deliverAt(tail.Add(simtime.Duration(switches)*n.p.SwitchLatency), q)
+		n.deliverAt(tail.Add(simtime.Duration(2*lca-1)*n.p.SwitchLatency), q)
 	}
 }
 
@@ -661,26 +578,21 @@ func (n *Network) BytesSent() int64 {
 	return b
 }
 
-// RouteCacheStats reports memoized-route lookups: hits reused a cached
-// up-down path, misses paid the tree walk.
+// RouteCacheStats is kept for tools that report route-cache counters.
+// Routes are computed from the port numbers and never cached, so every
+// route counts as a hit — hits is the packets sent — and misses is always 0.
 func (n *Network) RouteCacheStats() (hits, misses int64) {
-	return n.routeHits, n.routeMisses
+	sent, _ := n.Stats()
+	return sent, 0
 }
 
 // ZeroByteLatency returns the modelled latency of a minimal packet between
 // two distinct ports under no contention: per-hop wire latency plus switch
 // crossings plus header serialization. Useful for calibration tests.
 func (n *Network) ZeroByteLatency(src, dst int) simtime.Duration {
-	links, switches := n.pathLinks(src, dst)
-	d := simtime.Duration(switches) * n.p.SwitchLatency
-	d += simtime.Duration(len(links)) * n.p.WireLatency
-	// Header bytes serialize on the bottleneck (slowest) link once.
-	var minBW float64
-	for i, lk := range links {
-		if i == 0 || lk.bw < minBW {
-			minBW = lk.bw
-		}
-	}
-	d += simtime.BytesAt(n.p.PacketOverhead, minBW)
-	return d
+	lca := n.lca(src, dst)
+	d := simtime.Duration(2*lca-1) * n.p.SwitchLatency
+	d += simtime.Duration(2*lca) * n.p.WireLatency
+	// Header bytes serialize once, on the slowest link: a node link.
+	return d + simtime.BytesAt(n.p.PacketOverhead, n.p.LinkBandwidth)
 }

@@ -99,9 +99,10 @@ type Stack struct {
 	eng  *datatype.Engine
 	rank int
 
-	mods     []ptl.Module
-	peers    map[int]*ptl.Peer
-	peerMods map[int][]ptl.Module
+	// mods reach every peer in peers: a peer is reachable through every
+	// module of the stack or not at all.
+	mods  []ptl.Module
+	peers map[int]*ptl.Peer
 
 	// sendReqs holds the sends in flight: a request leaves when it
 	// completes, as a receive leaves recvReqs.
@@ -170,7 +171,6 @@ func NewStack(k *simtime.Kernel, host *simtime.Host, cfg model.Config, rank int,
 		k: k, sc: host.Sched(), host: host, cfg: cfg, rank: rank,
 		eng:      datatype.NewEngine(cfg, dtp),
 		peers:    make(map[int]*ptl.Peer),
-		peerMods: make(map[int][]ptl.Module),
 		sendReqs: make(map[uint64]*sendState),
 		recvReqs: make(map[uint64]*recvState),
 		comms:    make(map[matchKey]*commState),
@@ -253,21 +253,19 @@ func (s *Stack) Peer(rank int) (*ptl.Peer, bool) {
 	return p, ok
 }
 
-// AddPeer makes a peer reachable through the given modules (which must
-// already be in the stack). Modules perform their connection setup in
-// AddProc; this is the dynamic-join entry point as well as the MPI_Init
-// path.
-func (s *Stack) AddPeer(th *simtime.Thread, peer *ptl.Peer, mods []ptl.Module) error {
-	if len(mods) == 0 {
+// AddPeer makes a peer reachable through every module of the stack.
+// Modules perform their connection setup in AddProc; this is the
+// dynamic-join entry point as well as the MPI_Init path.
+func (s *Stack) AddPeer(th *simtime.Thread, peer *ptl.Peer) error {
+	if len(s.mods) == 0 {
 		return fmt.Errorf("pml: peer %d added with no modules", peer.Rank)
 	}
-	for _, m := range mods {
+	for _, m := range s.mods {
 		if err := m.AddProc(th, peer); err != nil {
 			return fmt.Errorf("pml: add peer %d via %s: %w", peer.Rank, m.Name(), err)
 		}
 	}
 	s.peers[peer.Rank] = peer
-	s.peerMods[peer.Rank] = append([]ptl.Module(nil), mods...)
 	return nil
 }
 
@@ -278,11 +276,10 @@ func (s *Stack) DelPeer(th *simtime.Thread, rank int) {
 	if peer == nil {
 		return
 	}
-	for _, m := range s.peerMods[rank] {
+	for _, m := range s.mods {
 		m.DelProc(th, peer)
 	}
 	delete(s.peers, rank)
-	delete(s.peerMods, rank)
 	// Reset per-connection ordering state: a future process under the
 	// same rank (restart/respawn) starts a fresh sequence space, and
 	// stale reorder entries would otherwise park its traffic forever.
@@ -328,8 +325,7 @@ func (s *Stack) SendSync(th *simtime.Thread, dst, tag int, comm uint16, buf []by
 // that only waits on the handle keeps it in its own frame.
 func (s *Stack) send(th *simtime.Thread, h *SendReq, dst, tag int, comm uint16, buf []byte, dt *datatype.Datatype, sync bool) {
 	th.Compute(s.cfg.PMLRequestCost + s.eng.SetupCost())
-	mods := s.peerMods[dst]
-	if len(mods) == 0 && dst != s.rank {
+	if s.peers[dst] == nil && dst != s.rank {
 		panic(fmt.Sprintf("pml: rank %d unreachable from %d", dst, s.rank))
 	}
 	req := s.sendStates.Take()
@@ -359,7 +355,7 @@ func (s *Stack) send(th *simtime.Thread, h *SendReq, dst, tag int, comm uint16, 
 	}
 
 	th.Compute(s.cfg.PMLScheduleCost)
-	mod := mods[0]
+	mod := s.mods[0]
 	req.sd.Mem = ptl.MemDesc{Buf: req.packed, E4: mod.RegisterMem(req.packed)}
 	req.memMod = mod
 
@@ -449,11 +445,10 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	// weighted by bandwidth (the second scheduling heuristic of §2.2).
 	th.Compute(s.cfg.PMLScheduleCost)
 	peer := s.peers[req.dst]
-	mods := s.peerMods[req.dst]
 	usable := func(m ptl.Module) bool { return m.SupportsPut() || m.MaxFragSize() > 0 }
 	lastUsable := -1
 	var wsum float64
-	for i, m := range mods {
+	for i, m := range s.mods {
 		if usable(m) {
 			lastUsable = i
 			wsum += m.Weight()
@@ -464,7 +459,7 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	}
 	off := req.inlineLen
 	remaining := rest
-	for i, m := range mods[:lastUsable+1] {
+	for i, m := range s.mods[:lastUsable+1] {
 		if !usable(m) {
 			continue
 		}

@@ -58,12 +58,8 @@ func (r *rig) connect(th *simtime.Thread, rank int) {
 		if other == rank {
 			continue
 		}
-		mods := make([]ptl.Module, len(r.mods[rank]))
-		for i, m := range r.mods[rank] {
-			mods[i] = m
-		}
 		peer := &ptl.Peer{Rank: other, Name: fmt.Sprintf("r%d", other)}
-		if err := r.stack[rank].AddPeer(th, peer, mods); err != nil {
+		if err := r.stack[rank].AddPeer(th, peer); err != nil {
 			panic(err)
 		}
 	}
