@@ -191,6 +191,27 @@ func TestShardsRefuseLossyLinks(t *testing.T) {
 	}
 }
 
+// TestWakesInPlace: on a 2-rank ping-pong some host compute charges are the
+// kernel's next event and run without a switch; with worker shards none
+// does. TestShardedClusterIdentity holds such runs to one signature at
+// every shard count.
+func TestWakesInPlace(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+		c := New(Spec{Elan: &opts, Progress: pml.Polling, Shards: shards}, 2)
+		c.Launch(func(p *Proc) {
+			runTestPattern(p, 2, "pingpong", 64, 8)
+			p.Finalize()
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if n := c.K.WakesInPlace(); (shards == 0) != (n > 0) {
+			t.Errorf("shards=%d: %d of %d events were wakes run in place", shards, n, c.K.Steps())
+		}
+	}
+}
+
 // TestShardedUsesWorkers guards against the engine silently staying
 // sequential: with 4 shards on an 8-node all-to-all, worker shards must
 // execute a substantial share of the events.

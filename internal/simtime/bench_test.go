@@ -6,8 +6,9 @@ import (
 )
 
 // BenchmarkHandoff is one Sleep per op: one kernel event and one switch
-// into the proc and back. At 1024 procs the event heap is deep and no
-// proc's stack is warm.
+// into the proc and back. Every proc sleeps the same d, so another proc's
+// wake is always due by the sleeper's and no wake runs in place. At 1024
+// procs the event heap is deep and no proc's stack is warm.
 func BenchmarkHandoff(b *testing.B) {
 	for _, procs := range []int{2, 1024} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
@@ -15,17 +16,37 @@ func BenchmarkHandoff(b *testing.B) {
 			defer k.Close()
 			each := b.N/procs + 1
 			for i := 0; i < procs; i++ {
-				d := Duration(1 + i%7)
 				k.Spawn("sleeper", func(p *Proc) {
 					for j := 0; j < each; j++ {
-						p.Sleep(d)
+						p.Sleep(1)
 					}
 				})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			k.Run()
+			if n := k.WakesInPlace(); n != 0 {
+				b.Fatalf("%d wakes ran in place", n)
+			}
 		})
+	}
+}
+
+// BenchmarkSleepInPlace is one Sleep per op by a proc alone in the kernel:
+// its wake is always the next event, so it runs in place with no switch.
+func BenchmarkSleepInPlace(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("alone", func(p *Proc) {
+		for j := 0; j < b.N; j++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+	if n := k.WakesInPlace(); n != int64(b.N) {
+		b.Fatalf("%d of %d wakes ran in place", n, b.N)
 	}
 }
 

@@ -80,7 +80,8 @@ func (t *Thread) Now() Time { return t.proc.Now() }
 // Compute occupies one CPU for d of virtual time, queuing FIFO behind
 // other computing threads when the host is saturated. It models
 // instruction execution: PIO writes, matching logic, memcpy, protocol
-// bookkeeping.
+// bookkeeping. Like Proc.Sleep, it yields only if other work is due by
+// then.
 func (t *Thread) Compute(d Duration) {
 	if d <= 0 {
 		return

@@ -109,12 +109,15 @@ type Kernel struct {
 	rng     *rand.Rand
 	tracer  func(t Time, what string)
 	closed  bool
+	// inPlace counts the sleep wakes Proc.Sleep ran without parking.
+	inPlace int64
 
 	wantParallel atomic.Bool
 	parallel     bool // current mode, owned by the run loop
 	inEpoch      atomic.Bool
 	stop         atomic.Bool
 	running      bool
+	until        Time // the running call's RunUntil bound; < 0 means none
 
 	// seed is the base for the kernel's derived random streams.
 	seed int64
@@ -142,6 +145,10 @@ func (k *Kernel) Now() Time { return k.globalNow }
 // Steps returns the number of events executed so far, a cheap progress and
 // determinism fingerprint.
 func (k *Kernel) Steps() int64 { return k.steps }
+
+// WakesInPlace returns how many of the Steps were sleep wakes that ran
+// without a switch (Proc.Sleep).
+func (k *Kernel) WakesInPlace() int64 { return k.inPlace }
 
 // Rand returns the kernel's deterministic random source, seeded on first use
 // (a third of a two-rank bring-up, and only a lossy fabric draws from it).

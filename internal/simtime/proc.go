@@ -17,11 +17,11 @@ const (
 
 // Proc is a simulated process: a coroutine (iter.Pull) that runs in
 // lockstep with the kernel. A Proc runs until it blocks on a kernel
-// primitive (Sleep, a Signal, a Chan, a Semaphore, ...), at which point
-// control switches straight back to the kernel's event loop — no channel,
-// no pass through the Go scheduler — and another event executes. At most
-// one Proc (or timer callback) is ever executing, so simulated code never
-// needs synchronization of its own.
+// primitive (a Sleep with other work due by its end, a Signal, a Chan, a
+// Semaphore, ...), at which point control switches straight back to the
+// kernel's event loop — no channel, no pass through the Go scheduler — and
+// another event executes. At most one Proc (or timer callback) is ever
+// executing, so simulated code never needs synchronization of its own.
 //
 // Kernel primitives must only be called from inside the proc's own body;
 // calling them from foreign goroutines corrupts the lockstep protocol and
@@ -176,16 +176,21 @@ func (p *Proc) Entity() Entity { return p.ent }
 // Sched returns the scheduling context of the proc's entity.
 func (p *Proc) Sched() Sched { return p.k.SchedFor(p.ent) }
 
-// Sleep blocks the proc for d of virtual time. Negative durations are
+// Sleep blocks the proc for d of virtual time. It yields only if other
+// work is due by then: when its own wake would be the kernel's next event,
+// the clock advances in place and the proc runs on. Negative durations are
 // treated as zero, which still yields to other ready work at this instant.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
+	if p.k.wakeInPlace(p, d) {
+		return
+	}
 	p.readyAt(d, "sleep")
 	p.park()
 }
 
-// Yield cedes control so that other work scheduled at this instant can
-// run, then continues. Equivalent to Sleep(0).
+// Yield lets other work scheduled at this instant run, then continues; it
+// yields only if other work is due now. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }

@@ -324,10 +324,12 @@ func (k *Kernel) run(until Time) int64 {
 		panic("simtime: Kernel.Run is not reentrant")
 	}
 	k.running = true
+	k.until = until
 	k.stop.Store(false)
 	defer func() { k.running = false }()
 
 	var n int64
+	inPlace := k.inPlace // wakes run in place count as the events they stand for
 	for !k.stop.Load() {
 		if k.parallel != k.wantParallel.Load() {
 			k.switchPhase()
@@ -360,7 +362,7 @@ func (k *Kernel) run(until Time) int64 {
 	if t := k.maxNow(); t > k.globalNow {
 		k.globalNow = t
 	}
-	return n
+	return n + k.inPlace - inPlace
 }
 
 // minShard returns the shard holding the globally minimal event of the
@@ -443,6 +445,36 @@ func (k *Kernel) exec(s *shard) {
 		k.tracer(e.at, what)
 	}
 	e.run()
+}
+
+// wakeInPlace runs the wake of p's Sleep(d) without parking p, if that wake
+// would be the next event the run loop executes: no worker shards, inside
+// Run (so not closed: Close refuses to run inside Run) and not stopping,
+// within the RunUntil bound, p running with no wake pending, and nothing
+// queued at or before now+d (an event queued at that instant has the
+// smaller seq and runs first). It does what push, pop and exec would have
+// done for the wake — take its seq, advance the clocks, count the step,
+// trace it — so nothing observable moves but the switch.
+func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
+	s := k.shards[0]
+	t := k.curNow.Add(d)
+	if len(k.shards) > 1 || !k.running || k.stop.Load() ||
+		(k.until >= 0 && t > k.until) || p.state != procRunning || p.wakePending ||
+		(len(s.queue) > 0 && s.queue[0].at <= t) {
+		return false
+	}
+	k.gseq++
+	s.now, k.curNow = t, t
+	if t > k.globalNow {
+		k.globalNow = t
+	}
+	s.steps++
+	k.steps++
+	k.inPlace++
+	if k.tracer != nil {
+		k.tracer(t, "wake:"+p.name+":sleep")
+	}
+	return true
 }
 
 // switchPhase flips between sequential and parallel execution at a safe
