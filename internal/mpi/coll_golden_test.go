@@ -204,6 +204,13 @@ func (c collCell) render(t testing.TB) string {
 			fmt.Fprintf(&b, " fnv:%016x/%d", h.Sum64(), len(r))
 		}
 	}
+	fmt.Fprintf(&b, "\ntrace %s\n", traceFNV(rec))
+	return b.String()
+}
+
+// traceFNV is an FNV-64a of every field of every recorded event, and the
+// event count.
+func traceFNV(rec *trace.Recorder) string {
 	h := fnv.New64a()
 	var word [8]byte
 	for e := range rec.All() {
@@ -213,8 +220,7 @@ func (c collCell) render(t testing.TB) string {
 			h.Write(word[:])
 		}
 	}
-	fmt.Fprintf(&b, "\ntrace %016x/%d\n", h.Sum64(), rec.Len())
-	return b.String()
+	return fmt.Sprintf("%016x/%d", h.Sum64(), rec.Len())
 }
 
 // replay is render with a panic inside the simulation (two members
