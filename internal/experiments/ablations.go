@@ -108,14 +108,7 @@ func incastRetries(slots int) ([2]float64, parsweep.Metrics) {
 		for i := 0; i < perSender; i++ {
 			p.Stack.Send(p.Th, 0, i, 0, make([]byte, 512), dt)
 		}
-		for p.Stack.PendingSends() > 0 {
-			p.Stack.Progress(p.Th)
-			v := p.Stack.Activity().Value()
-			if p.Stack.PendingSends() == 0 {
-				break
-			}
-			p.Stack.Activity().WaitFor(p.Th.Proc(), v+1)
-		}
+		p.Stack.Block(p.Th, func() bool { return p.Stack.PendingSends() == 0 }, true)
 	})
 	var retries int64
 	for _, nic := range c.NICs {

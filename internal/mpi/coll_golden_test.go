@@ -239,7 +239,14 @@ func (c collCell) replay(t testing.TB) (got string) {
 // collectives and holds each to the bytes recorded from the code they
 // replaced.
 func TestCollGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/coll_golden.txt")
+	replayGolden(t, "testdata/coll_golden.txt", collCells(), func(c collCell) string { return c.replay(t) })
+}
+
+// replayGolden holds the output of every cell to the golden file at path,
+// whose cells are "@@ " headers (the cell's String) each followed by the
+// bytes the cell printed when the file was recorded.
+func replayGolden[C fmt.Stringer](t *testing.T, path string, cells []C, replay func(C) string) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,6 @@ func TestCollGolden(t *testing.T) {
 		head, body, _ := strings.Cut(cell, "\n")
 		golden["@@ "+head] = body
 	}
-	cells := collCells()
 	if len(golden) != len(cells) {
 		t.Fatalf("golden holds %d cells, the table %d", len(golden), len(cells))
 	}
@@ -258,7 +264,7 @@ func TestCollGolden(t *testing.T) {
 			t.Errorf("%v: not in the golden", c)
 			continue
 		}
-		if got := c.replay(t); got != want {
+		if got := replay(c); got != want {
 			t.Errorf("%v:\n got: %s\nwant: %s", c,
 				strings.ReplaceAll(got, "\n", "\n      "), strings.ReplaceAll(want, "\n", "\n      "))
 		}

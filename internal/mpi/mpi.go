@@ -271,7 +271,7 @@ func (q *Request) Wait() Status {
 	default:
 		// A collective schedule needs the waiting thread itself to keep
 		// sweeping (hooks advance in the progress pass), in every mode.
-		q.c.w.stack.WaitActive(q.c.w.th, &q.n.done)
+		q.c.w.stack.Block(q.c.w.th, q.n.done.Fired, false)
 		q.completed = true
 		return Status{}
 	}
@@ -443,34 +443,40 @@ func Waitall(reqs ...*Request) {
 	}
 }
 
-// Waitany blocks until at least one request completes and returns its
-// index and status. Completed requests passed again return immediately.
-// All requests must belong to the same process.
+// Waitany blocks until at least one request completes and returns the
+// lowest index among the completed ones and its status; that request
+// counts as completed, as after Wait. Completed requests passed again
+// return immediately. Nil entries are skipped; Waitany of nothing (or
+// all-nil) returns (-1, Status{}) at once. All requests must belong to the
+// same process.
 func Waitany(reqs ...*Request) (int, Status) {
-	if len(reqs) == 0 {
-		panic("mpi: Waitany of nothing")
+	w := worldOf(reqs)
+	if w == nil {
+		return -1, Status{}
 	}
-	w := reqs[0].c.w
-	for {
-		for i, q := range reqs {
+	i := -1
+	w.stack.Block(w.th, func() bool {
+		for j, q := range reqs {
 			if q != nil && q.done() {
-				return i, q.status()
+				i = j
+				return true
 			}
 		}
-		w.stack.Progress(w.th)
-		completed := -1
-		for i, q := range reqs {
-			if q != nil && q.done() {
-				completed = i
-				break
-			}
+		return false
+	}, true)
+	reqs[i].completed = true
+	return i, reqs[i].status()
+}
+
+// worldOf is the process of the first non-nil request, nil if there is
+// none.
+func worldOf(reqs []*Request) *World {
+	for _, q := range reqs {
+		if q != nil {
+			return q.c.w
 		}
-		if completed >= 0 {
-			continue
-		}
-		v := w.stack.Activity().Value()
-		w.stack.Activity().WaitFor(w.th.Proc(), v+1)
 	}
+	return nil
 }
 
 // Testany checks a set of requests without blocking: already-completed
@@ -480,13 +486,7 @@ func Waitany(reqs ...*Request) (int, Status) {
 // skipped; Testany of nothing (or all-nil) reports (-1, Status{}, false).
 // All requests must belong to the same process.
 func Testany(reqs ...*Request) (int, Status, bool) {
-	var w *World
-	for _, q := range reqs {
-		if q != nil {
-			w = q.c.w
-			break
-		}
-	}
+	w := worldOf(reqs)
 	if w == nil {
 		return -1, Status{}, false
 	}

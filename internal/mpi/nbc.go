@@ -20,10 +20,11 @@ import (
 // Progress guarantee: like any software NBC without a dedicated
 // collective progress thread, the schedule advances only inside MPI
 // calls of the owning process. Request.Wait on a collective therefore
-// drives pml.Stack.WaitActive — a poll-between-activity-bumps loop in
-// every progress mode, Threaded included, because module progress
-// threads complete the point-to-point sub-requests but only a progress
-// sweep moves the schedule to its next round.
+// calls pml.Stack.Block, not bare — the stack's one sweep-and-wait loop,
+// in which the waiting thread sweeps between activity bumps in every
+// progress mode, Threaded included, because module progress threads
+// complete the point-to-point sub-requests but only a progress sweep
+// moves the schedule to its next round.
 
 // nbcCorrBit tags nonblocking-collective correlators inside the 40-bit
 // request space of trace.MsgID, so schedule spans never collide with a

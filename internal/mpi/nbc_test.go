@@ -217,6 +217,53 @@ func TestTestany(t *testing.T) {
 	})
 }
 
+// TestWaitanyLeadingNil: the process is the first non-nil request's, so a
+// nil first entry is skipped, not dereferenced.
+func TestWaitanyLeadingNil(t *testing.T) {
+	launch(t, 2, func(w *mpi.World) {
+		dt := datatype.Contiguous(4)
+		if w.Rank() == 1 {
+			w.Comm().Send(0, 3, []byte("abcd"), dt)
+			return
+		}
+		rq := w.Comm().Irecv(1, 3, make([]byte, 4), dt)
+		if i, st := mpi.Waitany(nil, rq); i != 1 || st.Source != 1 || st.Tag != 3 {
+			t.Errorf("Waitany(nil, rq) = %d, %+v; want index 1 from rank 1 tag 3", i, st)
+		}
+	})
+}
+
+// TestWaitanyNothing: with no request to wait on, Waitany returns
+// (-1, Status{}) at once, as Testany reports it.
+func TestWaitanyNothing(t *testing.T) {
+	for _, reqs := range [][]*mpi.Request{nil, {nil, nil}} {
+		if i, st := mpi.Waitany(reqs...); i != -1 || st != (mpi.Status{}) {
+			t.Errorf("Waitany of %d nil requests = %d, %+v; want -1, Status{}", len(reqs), i, st)
+		}
+	}
+}
+
+// TestWaitanyMarksCompleted: the request Waitany returns has completed, so
+// a later Test on it runs no progress sweep, as after Wait or Testany.
+func TestWaitanyMarksCompleted(t *testing.T) {
+	launch(t, 2, func(w *mpi.World) {
+		dt := datatype.Contiguous(1)
+		if w.Rank() == 1 {
+			w.Comm().Send(0, 4, []byte{7}, dt)
+			return
+		}
+		rq := w.Comm().Irecv(1, 4, make([]byte, 1), dt)
+		mpi.Waitany(rq)
+		polls := w.Stack().Stats().ProgressPolls
+		if !rq.Test() {
+			t.Fatal("Test false after Waitany returned the request")
+		}
+		if d := w.Stack().Stats().ProgressPolls - polls; d != 0 {
+			t.Errorf("Test after Waitany ran %d progress sweeps, want 0", d)
+		}
+	})
+}
+
 // TestNBCInterruptMode runs the whole NBC family under interrupt-driven
 // waits: completion must not deadlock when the waiting thread parks on
 // the event queue between sweeps.

@@ -3,7 +3,6 @@ package mpi_test
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strings"
 	"testing"
 
@@ -183,28 +182,5 @@ func (c waitCell) render(t testing.TB) string {
 // TestWaitGolden replays every cell of the golden through today's blocking
 // calls and holds each to the bytes recorded from the loops they replaced.
 func TestWaitGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/wait_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := make(map[string]string)
-	for _, cell := range strings.Split(string(raw), "@@ ")[1:] {
-		head, body, _ := strings.Cut(cell, "\n")
-		golden["@@ "+head] = body
-	}
-	cells := waitCells()
-	if len(golden) != len(cells) {
-		t.Fatalf("golden holds %d cells, the table %d", len(golden), len(cells))
-	}
-	for _, c := range cells {
-		want, ok := golden[c.String()]
-		if !ok {
-			t.Errorf("%v: not in the golden", c)
-			continue
-		}
-		if got := c.render(t); got != want {
-			t.Errorf("%v:\n got: %s\nwant: %s", c,
-				strings.ReplaceAll(got, "\n", "\n      "), strings.ReplaceAll(want, "\n", "\n      "))
-		}
-	}
+	replayGolden(t, "testdata/wait_golden.txt", waitCells(), func(c waitCell) string { return c.render(t) })
 }

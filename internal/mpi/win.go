@@ -123,19 +123,7 @@ func (w *Win) Get(src, off int, buf []byte) {
 // observes all pre-fence operations (MPI_Win_fence semantics).
 func (w *Win) Fence() {
 	w.fences++
-	th := w.c.w.th
-	st := w.c.w.stack
-	for w.completions < w.outstanding {
-		st.Progress(th)
-		if w.completions >= w.outstanding {
-			break
-		}
-		v := st.Activity().Value()
-		if w.completions >= w.outstanding {
-			break
-		}
-		st.Activity().WaitFor(th.Proc(), v+1)
-	}
+	w.c.w.stack.Block(w.c.w.th, func() bool { return w.completions >= w.outstanding }, true)
 	w.c.Barrier()
 	w.epochOpen = true
 }

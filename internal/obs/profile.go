@@ -172,29 +172,32 @@ var phaseOrder = []string{
 // aggregates flows, per-path breakdowns and the critical path. Events with
 // Corr zero (uncorrelated: collectives, RTE, raw NIC traffic) are ignored.
 func Analyze(events []trace.Event) Profile {
-	return newIndex(events).profile()
+	ms := newIndex(events).messages()
+	return Profile{
+		Messages: ms,
+		Paths:    aggregatePaths(ms),
+		Flows:    aggregateFlows(ms),
+		Critical: criticalPath(ms),
+	}
 }
 
-// profile is Analyze over an index already built.
-func (ix *index) profile() Profile {
-	var p Profile
-	p.Messages = make([]Message, 0, len(ix.corrs))
+// messages reconstructs every message group of the index, in order of
+// start time, then correlator.
+func (ix *index) messages() []Message {
+	ms := make([]Message, 0, len(ix.corrs))
 	for g := range ix.corrs {
 		if m, ok := ix.reconstruct(int32(g)); ok {
-			p.Messages = append(p.Messages, m)
+			ms = append(ms, m)
 		}
 	}
-	sort.SliceStable(p.Messages, func(i, j int) bool {
-		a, b := p.Messages[i], p.Messages[j]
+	sort.SliceStable(ms, func(i, j int) bool {
+		a, b := ms[i], ms[j]
 		if a.Start != b.Start {
 			return a.Start < b.Start
 		}
 		return a.Corr < b.Corr
 	})
-	p.Paths = aggregatePaths(p.Messages)
-	p.Flows = aggregateFlows(p.Messages)
-	p.Critical = criticalPath(p.Messages)
-	return p
+	return ms
 }
 
 // reconstruct classifies the events of message group g and walks its

@@ -129,10 +129,10 @@ type WaitProfile struct {
 // request — and collective epochs through CollEnter/CollExit.
 func AnalyzeWaits(events []trace.Event) WaitProfile {
 	ix := newIndex(events)
-	prof := ix.profile()
+	ms := ix.messages()
 	var p WaitProfile
-	p.Messages = len(prof.Messages)
-	for _, m := range prof.Messages {
+	p.Messages = len(ms)
+	for _, m := range ms {
 		var sendPostAt, firstArrAt, matchedAt, retryAt, depositAt simtime.Time
 		var matchedReq uint64
 		var haveSend, haveFirst, haveMatch, haveRetry, haveDeposit, unexpected bool

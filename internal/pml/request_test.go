@@ -16,28 +16,24 @@ type handle interface {
 	Wait(th *simtime.Thread)
 }
 
-// pollDone is the nbcOp.advance pattern: no Wait, only Done between
-// progress sweeps, until every handle reports completion.
+// pollDone is the nbcOp.advance pattern: no Wait, only Done around the
+// waiting thread's own progress sweeps, until every handle reports
+// completion.
 func pollDone(th *simtime.Thread, s *Stack, hs ...handle) {
-	for {
+	s.Block(th, func() bool {
 		all := true
 		for _, h := range hs {
 			all = h.Done() && all
 		}
-		if all {
-			return
-		}
-		v := s.Activity().Value()
-		s.Progress(th)
-		if s.Activity().Value() == v {
-			s.Activity().WaitFor(th.Proc(), v+1)
-		}
-	}
+		return all
+	}, true)
 }
 
 // withProgressThreads gives every rank of a Threaded rig the progress
 // thread a real module would run: the fake modules have none, and a
-// Threaded wait only sleeps on its request.
+// Threaded wait only sleeps on its request. Block reads the activity word
+// after its sweep, which loses no bump here: these rigs have one rail,
+// and its sweep drains the inbox until it finds it empty.
 func withProgressThreads(t *testing.T, r *rig, mode ProgressMode) {
 	if mode != Threaded {
 		return
@@ -46,11 +42,7 @@ func withProgressThreads(t *testing.T, r *rig, mode ProgressMode) {
 	for i, s := range r.stack {
 		r.hosts[i].Spawn("progress", func(th *simtime.Thread) {
 			th.Proc().MarkDaemon()
-			for {
-				v := s.Activity().Value()
-				s.Progress(th)
-				s.Activity().WaitFor(th.Proc(), v+1)
-			}
+			s.Block(th, func() bool { return false }, true)
 		})
 	}
 }

@@ -804,6 +804,11 @@ func (s *Stack) UnexpectedDepth() int {
 // Iprobe checks for a matchable unexpected message without receiving it.
 func (s *Stack) Iprobe(th *simtime.Thread, src, tag int, comm uint16) (Status, bool) {
 	s.Progress(th)
+	return s.peek(th, src, tag, comm)
+}
+
+// peek pays one match against the unexpected queue.
+func (s *Stack) peek(th *simtime.Thread, src, tag int, comm uint16) (Status, bool) {
 	th.Compute(s.cfg.PMLMatchCost)
 	if ff, _ := s.comm(comm).peekUnexpected(src, tag); ff != nil {
 		return Status{Source: int(ff.hdr.SrcRank), Tag: int(ff.hdr.Tag), Len: int(ff.hdr.MsgLen)}, true
@@ -811,15 +816,22 @@ func (s *Stack) Iprobe(th *simtime.Thread, src, tag int, comm uint16) (Status, b
 	return Status{}, false
 }
 
-// Probe blocks until a matchable message is available.
+// Probe blocks until a matchable message is available. A message reaches
+// the unexpected queue only in a sweep and a peek costs a match, so Block's
+// ask before each sweep answers false without looking; the ask after it
+// peeks.
 func (s *Stack) Probe(th *simtime.Thread, src, tag int, comm uint16) Status {
-	for {
-		if st, ok := s.Iprobe(th, src, tag, comm); ok {
-			return st
+	var st Status
+	swept := false
+	s.Block(th, func() bool {
+		if swept = !swept; swept {
+			return false
 		}
-		v := s.activity.Value()
-		s.activity.WaitFor(th.Proc(), v+1)
-	}
+		var ok bool
+		st, ok = s.peek(th, src, tag, comm)
+		return ok
+	}, true)
+	return st
 }
 
 // ---- Progress engine ----
@@ -880,7 +892,7 @@ func (s *Stack) runHooks(th *simtime.Thread) {
 // waiting thread drives progress itself.
 func (s *Stack) waitOn(th *simtime.Thread, sig *simtime.Signal) {
 	if s.mode != Threaded {
-		s.WaitActive(th, sig)
+		s.Block(th, sig.Fired, false)
 		return
 	}
 	defer s.bookIdle(s.sc.Now(), s.progressTime)
@@ -896,38 +908,43 @@ func (s *Stack) bookIdle(t0 simtime.Time, p0 simtime.Duration) {
 	s.idleTime += s.sc.Now().Sub(t0) - (s.progressTime - p0)
 }
 
-// WaitActive blocks until sig fires, polling Progress between activity
-// bumps in every progress mode: the one sweep/recheck/block loop of the
-// stack. Request waits under Threaded progress park until a module
-// progress thread completes the request (waitOn); a caller waiting on a
-// *schedule* needs the blocked thread itself to keep sweeping, because
-// module threads only complete point-to-point sub-requests — advancing
-// the schedule to its next round happens in the hook pass of Progress.
-// Under Threaded mode each wake pays the same thread handoff a request
-// wake pays (§3).
+// Block is the stack's one wait loop: it returns once done reports true,
+// asking it before and after each progress sweep and otherwise waiting for
+// the activity word to move. The waiting thread sweeps in every progress
+// mode; a caller waiting on a *schedule* needs that even under Threaded
+// progress, because module threads only complete point-to-point
+// sub-requests and the schedule advances in the hook pass of Progress.
 //
-// Probe, Finalize and mpi.Waitany do not come through here: they block on
-// the bare activity word even under InterruptWait, and so never pay the
-// interrupt latency a request wait pays there. That is a difference in
-// what is modelled, known and left alone, not an oversight: routing them
-// through the blocker would move simulated time.
-func (s *Stack) WaitActive(th *simtime.Thread, sig *simtime.Signal) {
-	defer s.bookIdle(s.sc.Now(), s.progressTime)
-	for !sig.Fired() {
+// A wait that is not bare books its time as idle, blocks through the
+// Blocker under InterruptWait and pays the thread handoff on each wake
+// under Threaded progress (§3), as a request wait does. A bare wait does
+// none of the three: Probe, Finalize, mpi.Waitany and mpi.Win.Fence block
+// on the bare activity word even under InterruptWait, and so never pay
+// the interrupt latency a request wait pays there. That is a difference in
+// what is modelled, known and left alone: making them not bare would move
+// simulated time.
+//
+// done may charge CPU (Probe's does). The word is read after the second
+// ask, so a bump that lands during the sweep or that ask is waited past:
+// the lost wakeup that two rails, or two schedules in flight, can turn
+// into a deadlock. Reading it before the sweep closes it, and moves
+// simulated time.
+func (s *Stack) Block(th *simtime.Thread, done func() bool, bare bool) {
+	if !bare {
+		defer s.bookIdle(s.sc.Now(), s.progressTime)
+	}
+	for !done() {
 		s.Progress(th)
-		if sig.Fired() {
+		if done() {
 			return
 		}
 		v := s.activity.Value()
-		if sig.Fired() {
-			return
-		}
-		if s.mode == InterruptWait && s.blocker != nil {
+		if !bare && s.mode == InterruptWait && s.blocker != nil {
 			s.blocker.BlockActivity(th)
 			continue
 		}
 		s.activity.WaitFor(th.Proc(), v+1)
-		if s.mode == Threaded {
+		if !bare && s.mode == Threaded {
 			th.Compute(s.cfg.ThreadHandoff)
 		}
 	}
@@ -944,14 +961,7 @@ func (s *Stack) PendingRecvs() int { return len(s.recvReqs) }
 // finalization stage only when the involving processes have completed all
 // the pending messages").
 func (s *Stack) Finalize(th *simtime.Thread) {
-	for s.PendingSends() > 0 {
-		s.Progress(th)
-		if s.PendingSends() == 0 {
-			break
-		}
-		v := s.activity.Value()
-		s.activity.WaitFor(th.Proc(), v+1)
-	}
+	s.Block(th, func() bool { return s.PendingSends() == 0 }, true)
 	for _, m := range s.mods {
 		m.Finalize(th)
 	}

@@ -220,7 +220,9 @@ var (
 func Waitall(reqs ...*Request) { mpi.Waitall(reqs...) }
 
 // Waitany blocks until one request completes, returning its index and
-// status.
+// status; the request then counts as completed, as after Wait. Nil
+// entries are skipped, and with no non-nil request Waitany returns
+// (-1, Status{}) at once.
 func Waitany(reqs ...*Request) (int, Status) { return mpi.Waitany(reqs...) }
 
 // jobState is shared across a Run's processes.
