@@ -368,6 +368,15 @@ func ProcName(rank int) string { return fmt.Sprintf("job0.rank%d", rank) }
 // bringup (RTE join, PTL open/init, connection setup to every peer, a
 // job-wide rendezvous) and then the user main.
 func (c *Cluster) Launch(main func(p *Proc)) {
+	// Every rank builds its node of the NIC tree over the whole job, from
+	// one table that nobody writes.
+	var members []int
+	if c.spec.HWColl {
+		members = make([]int, c.nprocs)
+		for i := range members {
+			members[i] = i
+		}
+	}
 	for r := 0; r < c.nprocs; r++ {
 		r := r
 		node := r % len(c.Hosts)
@@ -393,10 +402,6 @@ func (c *Cluster) Launch(main func(p *Proc)) {
 			if c.spec.HWColl {
 				if p.Elan == nil {
 					panic("cluster: HWColl requires the Elan transport")
-				}
-				members := make([]int, c.nprocs)
-				for i := range members {
-					members[i] = i
 				}
 				// Before the rendezvous: every rank's rings must exist
 				// before any member starts collective traffic (a QDMA to

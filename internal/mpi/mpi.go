@@ -10,6 +10,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/pml"
@@ -33,14 +34,34 @@ type Status = pml.Status
 // communicator-id allocator. (In a real MPI this agreement comes from the
 // collective itself; in the simulator all processes share an address
 // space, so a memoized allocator gives every member the same answer.)
+// It also holds the world rank table every world communicator of the job
+// shares.
 type Universe struct {
 	nextComm uint16
 	splits   map[string]uint16
+
+	// world is the identity table 0, 1, … that world communicators read
+	// as their comm rank → world rank map, read-only and never shrunk.
+	// Rank bodies build their worlds inside parallel epochs on worker
+	// shards, so it grows under worldMu.
+	worldMu sync.Mutex
+	world   []int
 }
 
 // NewUniverse returns a fresh id space with comm 0 reserved for the world.
 func NewUniverse() *Universe {
 	return &Universe{nextComm: 1, splits: make(map[string]uint16)}
+}
+
+// worldRanks returns the first size entries of the shared world table,
+// capped so that an append to them cannot write into it.
+func (u *Universe) worldRanks(size int) []int {
+	u.worldMu.Lock()
+	defer u.worldMu.Unlock()
+	for n := len(u.world); n < size; n++ {
+		u.world = append(u.world, n)
+	}
+	return u.world[:size:size]
 }
 
 // commFor memoizes (parent, seq, color) → communicator id.
@@ -108,11 +129,7 @@ func (w *World) SetHWColl(h HWColl) {
 // the given world size.
 func NewWorld(th *simtime.Thread, stack *pml.Stack, uni *Universe, rank, size int) *World {
 	w := &World{th: th, stack: stack, uni: uni, rank: rank, size: size, hw: &hwState{}, nbcSeq: new(uint64)}
-	ranks := make([]int, size)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	w.world = &Comm{w: w, id: 0, ranks: ranks, myIdx: rank, seq: &commSeq{}}
+	w.world = &Comm{w: w, id: 0, ranks: uni.worldRanks(size), myIdx: rank, seq: &commSeq{}}
 	return w
 }
 
@@ -135,11 +152,10 @@ func (w *World) Thread() *simtime.Thread { return w.th }
 func (w *World) CloneForThread(th *simtime.Thread) *World {
 	cp := *w
 	cp.th = th
-	ranks := make([]int, len(w.world.ranks))
-	copy(ranks, w.world.ranks)
-	// The clone shares the original communicator's sequencing state, so
-	// collectives issued from either thread stay globally ordered.
-	cp.world = &Comm{w: &cp, id: 0, ranks: ranks, myIdx: w.world.myIdx, seq: w.world.seq}
+	// The clone shares the original communicator's rank table, which
+	// nobody writes, and its sequencing state, so collectives issued from
+	// either thread stay globally ordered.
+	cp.world = &Comm{w: &cp, id: 0, ranks: w.world.ranks, myIdx: w.world.myIdx, seq: w.world.seq}
 	return &cp
 }
 
@@ -156,11 +172,7 @@ func (w *World) GrowWorld(newSize int) {
 	// Dynamic joiners preclude the hardware broadcast path.
 	w.hw.eligible = false
 	w.size = newSize
-	ranks := make([]int, newSize)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	w.world.ranks = ranks
+	w.world.ranks = w.uni.worldRanks(newSize)
 	if w.world.myIdx < 0 {
 		w.world.myIdx = w.rank
 	}
@@ -229,8 +241,13 @@ func checkTag(tag int) {
 	}
 }
 
-// commStatus converts world-rank source to comm rank in a status.
+// commStatus converts world-rank source to comm rank in a status. A
+// communicator's members are distinct, so a source that is its own comm
+// rank — every source, on the world — needs no search.
 func (c *Comm) commStatus(st Status) Status {
+	if s := st.Source; s >= 0 && s < len(c.ranks) && c.ranks[s] == s {
+		return st
+	}
 	for i, wr := range c.ranks {
 		if wr == st.Source {
 			st.Source = i

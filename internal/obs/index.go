@@ -8,15 +8,8 @@ package obs
 import (
 	"slices"
 
-	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
 )
-
-// rankReq names one request of one rank.
-type rankReq struct {
-	rank int
-	req  uint64
-}
 
 type index struct {
 	// evs is the time-ordered view (trace.Ordered): the caller's slice
@@ -28,39 +21,36 @@ type index struct {
 	corrs []uint64
 	start []int32
 	pos   []int32
-	group map[uint64]int32
-	// recvPost is the time of each request's first RecvPosted: those
+	group reqTable[uint64]
+	// recvPost is the position of each request's first RecvPosted: those
 	// events are uncorrelated, the Matched event names the request.
-	recvPost map[rankReq]simtime.Time
+	recvPost reqTable[rankReq]
 	// colls is the positions of the CollEnter/CollExit events.
 	colls []int32
 }
 
 func newIndex(events []trace.Event) *index {
-	ix := &index{
-		evs:      trace.Ordered(events),
-		group:    make(map[uint64]int32),
-		recvPost: make(map[rankReq]simtime.Time),
-	}
+	ix := &index{evs: trace.Ordered(events)}
+	// A simulation records several events per request, so the request
+	// ids of its ranks fit in two slots an event even when they are
+	// sparse; whatever does not goes to the maps.
+	ix.group.limit = 2*len(ix.evs) + 1024
+	ix.recvPost.limit = ix.group.limit
 	// Pass 1: name the groups and size them.
 	for i := range ix.evs {
 		e := &ix.evs[i]
 		switch e.Kind {
 		case trace.RecvPosted:
-			k := rankReq{e.Rank, e.ReqID}
-			if _, ok := ix.recvPost[k]; !ok {
-				ix.recvPost[k] = e.At
-			}
+			ix.recvPost.add(e.Rank, e.ReqID, rankReq{e.Rank, e.ReqID}, int32(i))
 		case trace.CollEnter, trace.CollExit:
 			ix.colls = append(ix.colls, int32(i))
 		}
 		if e.Corr == 0 {
 			continue
 		}
-		g, ok := ix.group[e.Corr]
-		if !ok {
-			g = int32(len(ix.corrs))
-			ix.group[e.Corr] = g
+		src, req := trace.SplitMsgID(e.Corr)
+		g, fresh := ix.group.add(src, req, e.Corr, int32(len(ix.corrs)))
+		if fresh {
 			ix.corrs = append(ix.corrs, e.Corr)
 			ix.start = append(ix.start, 0)
 		}
@@ -77,7 +67,8 @@ func newIndex(events []trace.Event) *index {
 	fill := slices.Clone(ix.start)
 	for i := range ix.evs {
 		if corr := ix.evs[i].Corr; corr != 0 {
-			g := ix.group[corr]
+			src, req := trace.SplitMsgID(corr)
+			g, _ := ix.group.get(src, req, corr)
 			ix.pos[fill[g]] = int32(i)
 			fill[g]++
 		}
@@ -88,4 +79,94 @@ func newIndex(events []trace.Event) *index {
 // events returns the positions of group g's events, in time order.
 func (ix *index) events(g int32) []int32 {
 	return ix.pos[ix.start[g]:ix.start[g+1]]
+}
+
+// maxDenseRank bounds the per-rank slices of reqTable and pidTable: a
+// rank at or above it, or below zero, is looked up in a map, so no such
+// rank costs a table its own size.
+const maxDenseRank = 1 << 14
+
+// reqTable maps (rank, request id), which the caller also spells as a map
+// key K, to an int32 without hashing for the keys a simulation produces —
+// request ids are numbered from 1 per PML stack, so byRank[rank][req] is a
+// short dense slice — and through a map for any other key: a negative or
+// huge rank, a correlator that trace.MsgID did not mint, or a request id
+// that would take the slices past their limit. Which side holds a key is
+// fixed the first time add sees it: a request id at or above the limit is
+// never in range, and a rank's slice stops growing the first time it
+// would take the slices past it, so a key the map took never comes into
+// a slice's range later.
+type reqTable[K comparable] struct {
+	byRank []reqSlots
+	other  map[K]int32
+	// limit is how many slots all slices may hold together; used counts
+	// those they do.
+	limit, used int
+}
+
+// reqSlots is one rank's values, plus one, by request id: 0 is none.
+type reqSlots struct {
+	at   []int32
+	full bool // would have gone over the limit once: never grows again
+}
+
+// rankReq names one request of one rank.
+type rankReq struct {
+	rank int
+	req  uint64
+}
+
+// add stores v (≥ 0) under (rank, req) unless a value is there already,
+// and returns the value stored and whether it is v.
+func (t *reqTable[K]) add(rank int, req uint64, k K, v int32) (int32, bool) {
+	if s := t.slot(rank, req); s != nil {
+		if *s == 0 {
+			*s = v + 1
+			return v, true
+		}
+		return *s - 1, false
+	}
+	if old, ok := t.other[k]; ok {
+		return old, false
+	}
+	if t.other == nil {
+		t.other = make(map[K]int32)
+	}
+	t.other[k] = v
+	return v, true
+}
+
+// get returns the value stored under (rank, req), if any.
+func (t *reqTable[K]) get(rank int, req uint64, k K) (int32, bool) {
+	if uint(rank) < uint(len(t.byRank)) {
+		if at := t.byRank[rank].at; req < uint64(len(at)) {
+			return at[req] - 1, at[req] != 0
+		}
+	}
+	v, ok := t.other[k]
+	return v, ok
+}
+
+// slot returns the slice slot of (rank, req), doubling the rank's slice
+// to reach it within the limit, or nil when the key belongs to the map.
+func (t *reqTable[K]) slot(rank int, req uint64) *int32 {
+	if uint(rank) >= maxDenseRank || req >= uint64(t.limit) {
+		return nil
+	}
+	if rank >= len(t.byRank) {
+		t.byRank = append(t.byRank, make([]reqSlots, rank+1-len(t.byRank))...)
+	}
+	s := &t.byRank[rank]
+	if have := uint64(len(s.at)); req >= have {
+		room := uint64(t.limit - t.used)
+		if s.full || req+1-have > room {
+			s.full = true
+			return nil
+		}
+		at := make([]int32, min(max(req+1, 2*have), have+room))
+		copy(at, s.at)
+		t.used += len(at) - len(s.at)
+		s.at = at
+	}
+	return &s.at[req]
 }

@@ -4,7 +4,8 @@
 //
 //   - pid  = MPI rank (one Perfetto "process" per rank)
 //   - tid  = layer (one track per rank×layer: pml, ptl, elan4, fabric…)
-//   - ts   = virtual microseconds since time zero (float, ps precision)
+//   - ts   = virtual microseconds since time zero, written from the integer
+//     picosecond count (appendJSONMicros)
 //   - "X" complete events for paired lifetimes — send-posted→send-completed
 //     and recv-posted→recv-completed on the PML track, DMA issued→completed
 //     on the elan4 track — paired by (rank, layer, ReqID)
@@ -44,25 +45,40 @@ import (
 	"qsmpi/internal/trace"
 )
 
-// spanOf maps a span-opening kind to its closing kind and the name of the
-// "X" complete slice the pair becomes; name is "" for every other kind,
-// which stays an instant.
+// spanOf maps a span-opening kind to its closing kind and the quoted
+// name of the "X" complete slice the pair becomes; name is "" for every
+// other kind, which stays an instant.
 func spanOf(k trace.Kind) (closing trace.Kind, name string) {
 	switch k {
 	case trace.SendPosted:
-		return trace.SendCompleted, "send"
+		return trace.SendCompleted, `"send"`
 	case trace.RecvPosted:
-		return trace.RecvCompleted, "recv"
+		return trace.RecvCompleted, `"recv"`
 	case trace.QDMAIssued:
-		return trace.DMACompleted, "qdma"
+		return trace.DMACompleted, `"qdma"`
 	case trace.RDMAWriteIssued:
-		return trace.DMACompleted, "rdma-write"
+		return trace.DMACompleted, `"rdma-write"`
 	case trace.RDMAReadIssued:
-		return trace.DMACompleted, "rdma-read"
+		return trace.DMACompleted, `"rdma-read"`
 	case trace.NBCPosted:
-		return trace.NBCCompleted, "nbc"
+		return trace.NBCCompleted, `"nbc"`
 	}
 	return 0, ""
+}
+
+// The quoted JSON names of every value of the byte enums a record or a
+// track is named by — unnamed ones such as Kind(250) included — so no
+// record quotes its name again. Written only here.
+var kindJSON, layerJSON, gaugeJSON, linkGaugeJSON [256]string
+
+func init() {
+	quote := func(s string) string { return string(appendJSONString(nil, s)) }
+	for i := range 256 {
+		kindJSON[i] = quote(trace.Kind(i).String())
+		layerJSON[i] = quote(trace.Layer(i).String())
+		gaugeJSON[i] = quote(Gauge(i).String())
+		linkGaugeJSON[i] = quote(LinkGauge(i).String())
+	}
 }
 
 func isSpanClose(k trace.Kind) bool {
@@ -108,30 +124,29 @@ func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) err
 	open := make(map[spanKey]trace.Event)
 
 	p := perfWriter{w: w, buf: make([]byte, 0, perfBuf)}
-	seenTrack := make(map[[2]int]bool)
+	var pids pidTable
 	// Link counter tracks live on synthetic processes far above any rank
 	// pid so port numbers never collide with rank numbers.
 	const linkPIDBase = 1 << 20
-	seenProc, linkProc := make(map[int]bool), make(map[int]bool)
-	process := func(seen map[int]bool, pid int, prefix string, n int) {
-		if !seen[pid] {
-			seen[pid] = true
-			p.begin("process_name", 'M', 0, 0, pid, 0)
+	process := func(named *bool, pid int, prefix string, n int) {
+		if !*named {
+			*named = true
+			p.begin(`"process_name"`, 'M', 0, 0, pid, 0)
 			p.buf = append(p.buf, `"name":"`...)
 			p.buf = strconv.AppendInt(append(p.buf, prefix...), int64(n), 10)
 			p.buf = append(p.buf, '"')
 			p.end()
 		}
 	}
-	track := func(rank int, layer trace.Layer) {
-		tk := [2]int{rank, int(layer)}
-		if seenTrack[tk] {
+	track := func(s *pidState, rank int, layer trace.Layer) {
+		word, bit := layer>>6, uint64(1)<<(layer&63)
+		if s.threads[word]&bit != 0 {
 			return
 		}
-		seenTrack[tk] = true
-		process(seenProc, rank, "rank ", rank)
-		p.begin("thread_name", 'M', 0, 0, rank, int(layer))
-		p.buf = appendJSONString(append(p.buf, `"name":`...), layer.String())
+		s.threads[word] |= bit
+		process(&s.rank, rank, "rank ", rank)
+		p.begin(`"thread_name"`, 'M', 0, 0, rank, int(layer))
+		p.buf = append(append(p.buf, `"name":`...), layerJSON[layer]...)
 		p.end()
 	}
 	counter := func(name string, at simtime.Time, pid, tid int, key string, v int) {
@@ -153,40 +168,40 @@ func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) err
 		p.end()
 	}
 	instant := func(e trace.Event) {
-		p.begin(e.Kind.String(), 'i', e.At, 0, e.Rank, int(e.Layer))
+		p.begin(kindJSON[e.Kind], 'i', e.At, 0, e.Rank, int(e.Layer))
 		eventArgs(e, e.Bytes)
 	}
 
-	inflight := make(map[int]int)
 	for e := range events {
 		if p.err != nil {
 			return p.err
 		}
+		s := pids.at(e.Rank)
 		// Sampler gauge snapshots become counter tracks: one per gauge on
 		// the rank's process, one per link gauge on the port's process.
 		if e.Kind == trace.GaugeSample {
 			if e.Layer == trace.LayerFabric {
 				pid := linkPIDBase + e.Rank
-				process(linkProc, pid, "link port ", e.Rank)
-				counter(LinkGauge(e.Tag).String(), e.At, pid, e.Peer, "value", e.Bytes)
+				process(&s.link, pid, "link port ", e.Rank)
+				counter(linkGaugeJSON[uint8(e.Tag)], e.At, pid, e.Peer, "value", e.Bytes)
 			} else {
-				track(e.Rank, e.Layer)
-				counter(Gauge(e.Tag).String(), e.At, e.Rank, 0, "value", e.Bytes)
+				track(s, e.Rank, e.Layer)
+				counter(gaugeJSON[uint8(e.Tag)], e.At, e.Rank, 0, "value", e.Bytes)
 			}
 			continue
 		}
-		track(e.Rank, e.Layer)
+		track(s, e.Rank, e.Layer)
 		// Duty-cycle samples become points on a per-rank counter track.
 		if e.Kind == trace.ProgressDuty {
-			counter("progress-duty", e.At, e.Rank, 0, "permille", e.Bytes)
+			counter(`"progress-duty"`, e.At, e.Rank, 0, "permille", e.Bytes)
 			continue
 		}
 		// Request posts/completions step the queue-depth counter track
 		// (tport-layer lifecycle events are the NIC's view, not queue
 		// occupancy, so only the PML layer feeds the counter).
 		if d, ok := inflightDelta(e.Kind); ok && e.Layer == trace.LayerPML {
-			inflight[e.Rank] += d
-			counter("pml-inflight", e.At, e.Rank, 0, "inflight", inflight[e.Rank])
+			s.inflight += d
+			counter(`"pml-inflight"`, e.At, e.Rank, 0, "inflight", s.inflight)
 		}
 		if closing, name := spanOf(e.Kind); name != "" {
 			// Span open: remember it; if an earlier open with the same key
@@ -232,11 +247,46 @@ func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) err
 	}
 
 	if dropped > 0 {
-		p.begin("dropped_events", 'M', 0, 0, 0, 0)
+		p.begin(`"dropped_events"`, 'M', 0, 0, 0, 0)
 		p.arg("dropped", dropped)
 		p.end()
 	}
 	return p.finish()
+}
+
+// pidTable is the writer's bookkeeping per rank and per link port, keyed
+// by the event's Rank: a slice for the numbers a simulation has, a map for
+// the negative or absurdly large ones a hand-built stream can carry, so
+// such a number costs one entry, not a table its size.
+type pidTable struct {
+	dense  []pidState
+	sparse map[int]*pidState
+}
+
+// pidState is what the writer has emitted for one rank or port number.
+type pidState struct {
+	threads  [4]uint64 // bit l: the thread_name of layer l is written
+	rank     bool      // the rank's process_name is written
+	link     bool      // the link port's process_name is written
+	inflight int       // the rank's outstanding PML requests
+}
+
+func (t *pidTable) at(n int) *pidState {
+	if uint(n) < maxDenseRank {
+		if n >= len(t.dense) {
+			t.dense = append(t.dense, make([]pidState, n+1-len(t.dense))...)
+		}
+		return &t.dense[n]
+	}
+	s := t.sparse[n]
+	if s == nil {
+		if t.sparse == nil {
+			t.sparse = make(map[int]*pidState)
+		}
+		s = new(pidState)
+		t.sparse[n] = s
+	}
+	return s
 }
 
 // The encoder's buffer: records are appended to it and it is written out
@@ -257,19 +307,20 @@ type perfWriter struct {
 	err error // first Write error; the walk stops on it
 }
 
-// begin appends a record up to the opening brace of its args. dur is
-// written for an "X" slice, the one phase that carries it, and no other.
+// begin appends a record up to the opening brace of its args; name is
+// quoted already. dur is written for an "X" slice, the one phase that
+// carries it, and no other.
 func (p *perfWriter) begin(name string, ph byte, at simtime.Time, dur simtime.Duration, pid, tid int) {
 	if p.n++; p.n == 1 {
 		p.buf = append(p.buf, `{"traceEvents":[`...)
 	} else {
 		p.buf = append(p.buf, ',')
 	}
-	b := appendJSONString(append(p.buf, `{"name":`...), name)
+	b := append(append(p.buf, `{"name":`...), name...)
 	b = append(append(b, `,"ph":"`...), ph)
-	b = appendJSONFloat(append(b, `","ts":`...), at.Micros())
+	b = appendJSONMicros(append(b, `","ts":`...), int64(at))
 	if ph == 'X' {
-		b = appendJSONFloat(append(b, `,"dur":`...), dur.Micros())
+		b = appendJSONMicros(append(b, `,"dur":`...), int64(dur))
 	}
 	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
 	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
@@ -311,6 +362,39 @@ func (p *perfWriter) finish() error {
 	p.buf = append(p.buf, `,"displayTimeUnit":"ns"}`+"\n"...)
 	p.flush()
 	return p.err
+}
+
+// appendJSONMicros appends ps picoseconds in microseconds, byte for byte
+// as appendJSONFloat(float64(ps)/1e6) would, but from the integer: its
+// integer part, then up to six fractional digits with trailing zeros
+// trimmed. Below 10^15 ps in magnitude that exact decimal has at most 15
+// significant digits, and two such decimals are more than one ulp of a
+// float64 apart, so it is the one shortest string that round-trips — what
+// strconv writes. From 10^15 ps (1 000 s) up, MinInt64 included, the
+// float path writes it.
+func appendJSONMicros(b []byte, ps int64) []byte {
+	const perUS, exact = int64(simtime.Microsecond), 1_000_000_000_000_000
+	if ps <= -exact || ps >= exact {
+		return appendJSONFloat(b, float64(ps)/float64(perUS))
+	}
+	if ps < 0 {
+		b, ps = append(b, '-'), -ps
+	}
+	b = strconv.AppendInt(b, ps/perUS, 10)
+	frac := ps % perUS
+	if frac == 0 {
+		return b
+	}
+	digits := [7]byte{'.'}
+	for i := 6; i > 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	n := len(digits)
+	for digits[n-1] == '0' {
+		n--
+	}
+	return append(b, digits[:n]...)
 }
 
 // appendJSONFloat appends f as encoding/json does: shortest decimal that

@@ -509,3 +509,25 @@ func TestWritePerfettoStreams(t *testing.T) {
 		t.Errorf("largest single Write is %d bytes, want a nearly full 64 KB buffer", largest)
 	}
 }
+
+// The post-processing costs on a long steady stream, beside the encoder
+// and the index they time:
+//
+//	go test -run '^$' -bench 'WritePerfetto|AnalyzeWaits' -benchtime 5x ./internal/obs
+func BenchmarkWritePerfetto(b *testing.B) {
+	evs := longStream(500_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := obs.WritePerfetto(io.Discard, evs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAnalyzeWaits(b *testing.B) {
+	evs := longStream(500_000)
+	b.ReportAllocs()
+	for b.Loop() {
+		obs.AnalyzeWaits(evs)
+	}
+}

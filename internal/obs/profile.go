@@ -47,6 +47,8 @@ type Message struct {
 	End     simtime.Time
 	Phases  []Phase
 	Retries int // QDMA retry events attributed to this message
+
+	group int32 // the message's index group, for analyzers that reread its events
 }
 
 // Latency is the message's end-to-end virtual time; the phase durations
@@ -205,7 +207,7 @@ func (ix *index) messages() []Message {
 func (ix *index) reconstruct(g int32) (Message, bool) {
 	corr, at := ix.corrs[g], ix.events(g)
 	src, _ := trace.SplitMsgID(corr)
-	m := Message{Corr: corr, Src: src, Dst: -1, Tag: -1}
+	m := Message{Corr: corr, Src: src, Dst: -1, Tag: -1, group: g}
 
 	var hasKind [64]bool
 	tport := false

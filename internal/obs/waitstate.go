@@ -136,7 +136,7 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 		var sendPostAt, firstArrAt, matchedAt, retryAt, depositAt simtime.Time
 		var matchedReq uint64
 		var haveSend, haveFirst, haveMatch, haveRetry, haveDeposit, unexpected bool
-		for _, pos := range ix.events(ix.group[m.Corr]) {
+		for _, pos := range ix.events(m.group) {
 			e := &ix.evs[pos]
 			switch e.Kind {
 			case trace.SendPosted:
@@ -164,7 +164,8 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 			}
 		}
 		if haveSend && haveMatch {
-			if post, ok := ix.recvPost[rankReq{m.Dst, matchedReq}]; ok && sendPostAt > post {
+			if pos, ok := ix.recvPost.get(m.Dst, matchedReq, rankReq{m.Dst, matchedReq}); ok && sendPostAt > ix.evs[pos].At {
+				post := ix.evs[pos].At
 				p.Waits = append(p.Waits, Wait{
 					Kind: WaitLateSender, Rank: m.Dst, Peer: m.Src, Corr: m.Corr,
 					At: post, Dur: sendPostAt.Sub(post),
