@@ -33,6 +33,15 @@ import (
 	"qsmpi/internal/trace"
 )
 
+var schemes = map[string]ptlelan4.Scheme{"read": ptlelan4.RDMARead, "write": ptlelan4.RDMAWrite}
+
+// usage reports a flag value that names nothing and exits before anything
+// is simulated.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "msgtrace: "+format+"\n", args...)
+	os.Exit(2)
+}
+
 func main() {
 	size := flag.Int("size", 100000, "message size in bytes")
 	scheme := flag.String("scheme", "read", "rendezvous scheme: read | write")
@@ -49,10 +58,19 @@ func main() {
 	rank := flag.Int("rank", -1, "only show events of this rank (-1 = all)")
 	flag.Parse()
 
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	if *scheme == "write" {
-		opts = ptlelan4.BestOptions(ptlelan4.RDMAWrite)
+	sch, ok := schemes[*scheme]
+	if !ok {
+		usage("-scheme %s names nothing (valid: read, write)", *scheme)
 	}
+	if *size < 0 {
+		usage("-size %d is negative (valid: 0 or more bytes)", *size)
+	}
+	// The filter's names are checked on no events, so a bad -layer or
+	// -kind stops the tool before the simulation, not after it.
+	if _, err := trace.Filter(nil, *layers, *kinds, *rank); err != nil {
+		usage("%v", err)
+	}
+	opts := ptlelan4.BestOptions(sch)
 	opts.InlineRndv = *inline
 
 	rec := trace.NewRecorder(0)
@@ -90,10 +108,8 @@ func main() {
 	fmt.Printf("message of %d bytes, scheme %s, inline=%v, unexpected=%v:\n\n",
 		*size, *scheme, *inline, *unexpected)
 	events := rec.Events() // one copy serves the filter and both analyzers: none of them writes to it
-	evs, err := trace.Filter(events, *layers, *kinds, *rank)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The filter's names were checked before the run: it cannot fail here.
+	evs, _ := trace.Filter(events, *layers, *kinds, *rank)
 	fmt.Print(trace.RenderEvents(evs, rec.Dropped()))
 	if *metrics {
 		fmt.Printf("\n")

@@ -15,16 +15,16 @@ type index struct {
 	// evs is the time-ordered view (trace.Ordered): the caller's slice
 	// when it is in order already. Read-only.
 	evs []trace.Event
-	// Corr groups in first-seen order, as CSR arrays: group g is message
-	// corrs[g] and its events, in time order, are evs[p] for p in
+	// Message groups in first-seen order, as CSR arrays: group g is
+	// message corrs[g] and its events, in time order, are evs[p] for p in
 	// pos[start[g]:start[g+1]]. group maps a correlator back to g.
 	corrs []uint64
 	start []int32
 	pos   []int32
-	group reqTable[uint64]
+	group reqTable
 	// recvPost is the position of each request's first RecvPosted: those
 	// events are uncorrelated, the Matched event names the request.
-	recvPost reqTable[rankReq]
+	recvPost reqTable
 	// colls is the positions of the CollEnter/CollExit events.
 	colls []int32
 }
@@ -41,15 +41,15 @@ func newIndex(events []trace.Event) *index {
 		e := &ix.evs[i]
 		switch e.Kind {
 		case trace.RecvPosted:
-			ix.recvPost.add(e.Rank, e.ReqID, rankReq{e.Rank, e.ReqID}, int32(i))
+			ix.recvPost.add(e.Rank, e.ReqID, int32(i))
 		case trace.CollEnter, trace.CollExit:
 			ix.colls = append(ix.colls, int32(i))
 		}
-		if e.Corr == 0 {
+		if !inMessage(e) {
 			continue
 		}
 		src, req := trace.SplitMsgID(e.Corr)
-		g, fresh := ix.group.add(src, req, e.Corr, int32(len(ix.corrs)))
+		g, fresh := ix.group.add(src, req, int32(len(ix.corrs)))
 		if fresh {
 			ix.corrs = append(ix.corrs, e.Corr)
 			ix.start = append(ix.start, 0)
@@ -66,14 +66,25 @@ func newIndex(events []trace.Event) *index {
 	ix.pos = make([]int32, sum)
 	fill := slices.Clone(ix.start)
 	for i := range ix.evs {
-		if corr := ix.evs[i].Corr; corr != 0 {
-			src, req := trace.SplitMsgID(corr)
-			g, _ := ix.group.get(src, req, corr)
+		if e := &ix.evs[i]; inMessage(e) {
+			src, req := trace.SplitMsgID(e.Corr)
+			g, _ := ix.group.get(src, req)
 			ix.pos[fill[g]] = int32(i)
 			fill[g]++
 		}
 	}
 	return ix
+}
+
+// inMessage reports whether e belongs to a message's group: it is
+// correlated, and not a collective epoch's or an NBC schedule's marker,
+// whose correlators name no message.
+func inMessage(e *trace.Event) bool {
+	switch e.Kind {
+	case trace.CollEnter, trace.CollExit, trace.NBCPosted, trace.NBCPhase, trace.NBCCompleted:
+		return false
+	}
+	return e.Corr != 0
 }
 
 // events returns the positions of group g's events, in time order.
@@ -86,19 +97,19 @@ func (ix *index) events(g int32) []int32 {
 // rank costs a table its own size.
 const maxDenseRank = 1 << 14
 
-// reqTable maps (rank, request id), which the caller also spells as a map
-// key K, to an int32 without hashing for the keys a simulation produces —
-// request ids are numbered from 1 per PML stack, so byRank[rank][req] is a
-// short dense slice — and through a map for any other key: a negative or
-// huge rank, a correlator that trace.MsgID did not mint, or a request id
-// that would take the slices past their limit. Which side holds a key is
+// reqTable maps (rank, request id) to an int32 without hashing for the
+// keys a simulation produces — request ids are numbered from 1 per PML
+// stack, so byRank[rank][req] is a short dense slice — and through a map
+// for any other key: a negative or huge rank (a correlator trace.MsgID did
+// not mint splits into one) or a request id that would take the slices
+// past their limit. Which side holds a key is
 // fixed the first time add sees it: a request id at or above the limit is
 // never in range, and a rank's slice stops growing the first time it
 // would take the slices past it, so a key the map took never comes into
 // a slice's range later.
-type reqTable[K comparable] struct {
+type reqTable struct {
 	byRank []reqSlots
-	other  map[K]int32
+	other  map[rankReq]int32
 	// limit is how many slots all slices may hold together; used counts
 	// those they do.
 	limit, used int
@@ -118,7 +129,7 @@ type rankReq struct {
 
 // add stores v (≥ 0) under (rank, req) unless a value is there already,
 // and returns the value stored and whether it is v.
-func (t *reqTable[K]) add(rank int, req uint64, k K, v int32) (int32, bool) {
+func (t *reqTable) add(rank int, req uint64, v int32) (int32, bool) {
 	if s := t.slot(rank, req); s != nil {
 		if *s == 0 {
 			*s = v + 1
@@ -126,30 +137,31 @@ func (t *reqTable[K]) add(rank int, req uint64, k K, v int32) (int32, bool) {
 		}
 		return *s - 1, false
 	}
+	k := rankReq{rank, req}
 	if old, ok := t.other[k]; ok {
 		return old, false
 	}
 	if t.other == nil {
-		t.other = make(map[K]int32)
+		t.other = make(map[rankReq]int32)
 	}
 	t.other[k] = v
 	return v, true
 }
 
 // get returns the value stored under (rank, req), if any.
-func (t *reqTable[K]) get(rank int, req uint64, k K) (int32, bool) {
+func (t *reqTable) get(rank int, req uint64) (int32, bool) {
 	if uint(rank) < uint(len(t.byRank)) {
 		if at := t.byRank[rank].at; req < uint64(len(at)) {
 			return at[req] - 1, at[req] != 0
 		}
 	}
-	v, ok := t.other[k]
+	v, ok := t.other[rankReq{rank, req}]
 	return v, ok
 }
 
 // slot returns the slice slot of (rank, req), doubling the rank's slice
 // to reach it within the limit, or nil when the key belongs to the map.
-func (t *reqTable[K]) slot(rank int, req uint64) *int32 {
+func (t *reqTable) slot(rank int, req uint64) *int32 {
 	if uint(rank) >= maxDenseRank || req >= uint64(t.limit) {
 		return nil
 	}

@@ -14,8 +14,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"qsmpi/internal/simtime"
@@ -30,28 +31,10 @@ type Sample struct {
 	Value float64
 }
 
-// sampleKey identifies a sample for map lookup and ordering. A plain
-// comparable struct: building one is free, unlike the formatted string key
-// it replaced, which dominated Snapshot cost on wide clusters.
-type sampleKey struct {
-	layer, name string
-	rank        int
-}
-
-func (s Sample) key() sampleKey {
-	return sampleKey{layer: s.Layer, name: s.Name, rank: s.Rank}
-}
-
-// less orders keys by (layer, name, rank); rank -1 (cluster-global)
-// sorts before every real rank.
-func (a sampleKey) less(b sampleKey) bool {
-	if a.layer != b.layer {
-		return a.layer < b.layer
-	}
-	if a.name != b.name {
-		return a.name < b.name
-	}
-	return a.rank < b.rank
+// compareSamples orders samples by (layer, name, rank); rank -1
+// (cluster-global) sorts before every real rank.
+func compareSamples(a, b Sample) int {
+	return cmp.Or(strings.Compare(a.Layer, b.Layer), strings.Compare(a.Name, b.Name), cmp.Compare(a.Rank, b.Rank))
 }
 
 // EmitFn receives samples from a Collector.
@@ -83,16 +66,17 @@ type Snapshot struct {
 
 // Snapshot captures the current value of every registered metric.
 func (r *Registry) Snapshot() Snapshot {
-	acc := make(map[sampleKey]Sample)
+	// A sample with a zero value is its key.
+	acc := make(map[Sample]float64)
+	var keys []Sample
 	emit := func(layer, name string, rank int, value float64) {
-		s := Sample{Layer: layer, Name: name, Rank: rank, Value: value}
-		k := s.key()
-		if prev, ok := acc[k]; ok {
-			prev.Value += value
-			acc[k] = prev
+		k := Sample{Layer: layer, Name: name, Rank: rank}
+		if v, ok := acc[k]; ok {
+			acc[k] = v + value
 			return
 		}
-		acc[k] = s
+		acc[k] = value
+		keys = append(keys, k)
 	}
 	for _, c := range r.collectors {
 		c(emit)
@@ -100,24 +84,18 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, h := range r.hists {
 		h.emit(emit)
 	}
-	out := Snapshot{Samples: make([]Sample, 0, len(acc))}
-	for _, s := range acc {
-		out.Samples = append(out.Samples, s)
+	slices.SortFunc(keys, compareSamples)
+	for i, k := range keys {
+		keys[i].Value = acc[k]
 	}
-	sort.Slice(out.Samples, func(i, j int) bool {
-		return out.Samples[i].key().less(out.Samples[j].key())
-	})
-	return out
+	return Snapshot{Samples: keys}
 }
 
 // Get returns the value of one metric, or 0 if absent. Samples are sorted
 // by (layer, name, rank), so this is a binary search.
 func (s Snapshot) Get(layer, name string, rank int) float64 {
-	want := sampleKey{layer: layer, name: name, rank: rank}
-	i := sort.Search(len(s.Samples), func(i int) bool {
-		return !s.Samples[i].key().less(want)
-	})
-	if i < len(s.Samples) && s.Samples[i].key() == want {
+	i, ok := slices.BinarySearchFunc(s.Samples, Sample{Layer: layer, Name: name, Rank: rank}, compareSamples)
+	if ok {
 		return s.Samples[i].Value
 	}
 	return 0
@@ -132,42 +110,6 @@ func (s Snapshot) Total(layer, name string) float64 {
 		}
 	}
 	return v
-}
-
-// Diff returns s minus prev, sample by sample (keys missing from either
-// side count as zero there, so a metric present only in prev yields a
-// negative delta rather than vanishing). Samples whose delta is zero are
-// omitted, which makes Diff the natural "what did this phase do" view
-// between two snapshots of the same registry.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	old := make(map[sampleKey]float64, len(prev.Samples))
-	for _, x := range prev.Samples {
-		old[x.key()] = x.Value
-	}
-	var out Snapshot
-	for _, x := range s.Samples {
-		k := x.key()
-		d := x.Value - old[k]
-		delete(old, k)
-		if d == 0 {
-			continue
-		}
-		x.Value = d
-		out.Samples = append(out.Samples, x)
-	}
-	// Whatever is left in old appeared only in prev: emit the negative.
-	for _, x := range prev.Samples {
-		v, only := old[x.key()]
-		if !only || v == 0 {
-			continue
-		}
-		x.Value = -v
-		out.Samples = append(out.Samples, x)
-	}
-	sort.Slice(out.Samples, func(i, j int) bool {
-		return out.Samples[i].key().less(out.Samples[j].key())
-	})
-	return out
 }
 
 // Render formats the snapshot as an aligned table grouped by layer.

@@ -45,55 +45,6 @@ func TestRegistrySnapshotSortsAndSumsDuplicates(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiffOmitsZeroDeltas(t *testing.T) {
-	var v float64 = 1
-	r := New()
-	r.Collect(func(emit EmitFn) {
-		emit("pml", "sends", 0, v)
-		emit("pml", "recvs", 0, 4)
-	})
-	before := r.Snapshot()
-	v = 6
-	d := r.Snapshot().Diff(before)
-	if len(d.Samples) != 1 {
-		t.Fatalf("diff = %+v, want only the changed sample", d.Samples)
-	}
-	if d.Samples[0].Name != "sends" || d.Samples[0].Value != 5 {
-		t.Fatalf("diff sample = %+v", d.Samples[0])
-	}
-}
-
-func TestSnapshotDiffEmitsNegativeDeltaForVanishedKeys(t *testing.T) {
-	// Regression: a key present in prev but absent from the new snapshot
-	// must appear as a negative delta, not silently vanish — e.g. a
-	// histogram bucket that emptied because the component was replaced.
-	emitGone := true
-	r := New()
-	r.Collect(func(emit EmitFn) {
-		emit("pml", "sends", 0, 3)
-		if emitGone {
-			emit("ptl", "fin_tx", 1, 8)
-		}
-	})
-	before := r.Snapshot()
-	emitGone = false
-	d := r.Snapshot().Diff(before)
-	if len(d.Samples) != 1 {
-		t.Fatalf("diff = %+v, want one negative sample", d.Samples)
-	}
-	got := d.Samples[0]
-	if got.Layer != "ptl" || got.Name != "fin_tx" || got.Rank != 1 || got.Value != -8 {
-		t.Fatalf("vanished key diff = %+v, want ptl/fin_tx/1 = -8", got)
-	}
-	// And the output stays sorted when both directions contribute.
-	emitGone = true
-	after := r.Snapshot()
-	d = before.Diff(after) // same content: empty diff
-	if len(d.Samples) != 0 {
-		t.Fatalf("self-diff = %+v", d.Samples)
-	}
-}
-
 func TestSnapshotGetFindsEverySample(t *testing.T) {
 	r := New()
 	r.Collect(func(emit EmitFn) {

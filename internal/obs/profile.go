@@ -19,8 +19,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"qsmpi/internal/simtime"
@@ -47,8 +48,6 @@ type Message struct {
 	End     simtime.Time
 	Phases  []Phase
 	Retries int // QDMA retry events attributed to this message
-
-	group int32 // the message's index group, for analyzers that reread its events
 }
 
 // Latency is the message's end-to-end virtual time; the phase durations
@@ -162,17 +161,19 @@ var chains = map[string][]anchor{
 }
 
 // pathOrder is the canonical rendering order of protocol paths.
-var pathOrder = []string{"eager", "rdma-write", "rdma-read", "tport", "self", "unknown"}
+var pathOrder = [...]string{"eager", "rdma-write", "rdma-read", "tport", "self", "unknown"}
 
-// phaseOrder is the canonical rendering order of phase names.
-var phaseOrder = []string{
+// phaseOrder is the canonical rendering order of phase names: a phase's
+// number is its place here.
+var phaseOrder = [...]string{
 	"sched", "dma-queue", "wire", "drain", "match",
 	"handshake", "body-dma", "pull", "deliver", "fin-lag",
 }
 
 // Analyze reconstructs every correlated message in the event stream and
 // aggregates flows, per-path breakdowns and the critical path. Events with
-// Corr zero (uncorrelated: collectives, RTE, raw NIC traffic) are ignored.
+// Corr zero (uncorrelated: RTE, raw NIC traffic) and the markers of
+// collective epochs and NBC schedules are ignored.
 func Analyze(events []trace.Event) Profile {
 	ms := newIndex(events).messages()
 	return Profile{
@@ -188,26 +189,40 @@ func Analyze(events []trace.Event) Profile {
 func (ix *index) messages() []Message {
 	ms := make([]Message, 0, len(ix.corrs))
 	for g := range ix.corrs {
-		if m, ok := ix.reconstruct(int32(g)); ok {
+		if m, ok := ix.reconstruct(int32(g), nil); ok {
 			ms = append(ms, m)
 		}
 	}
-	sort.SliceStable(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Corr < b.Corr
-	})
+	slices.SortFunc(ms, byStart)
 	return ms
 }
 
+// byStart orders messages by start time, then correlator: a correlator
+// names one group, so the order is total.
+func byStart(a, b Message) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Corr, b.Corr))
+}
+
+// instants are the events of one message that the wait analyzer charges
+// waits from — the source's first SendPosted, the first FirstArrived and
+// Matched, the first QDMA retry and the first deposit after it — and
+// whether the message went through the unexpected queue.
+type instants struct {
+	send, arrive, match, retry, deposit *trace.Event
+	unexpected                          bool
+}
+
 // reconstruct classifies the events of message group g and walks its
-// anchor chain.
-func (ix *index) reconstruct(g int32) (Message, bool) {
+// anchor chain, in one pass over the group. With w it records the
+// message's wait instants in *w and builds no phases.
+func (ix *index) reconstruct(g int32, w *instants) (Message, bool) {
 	corr, at := ix.corrs[g], ix.events(g)
 	src, _ := trace.SplitMsgID(corr)
-	m := Message{Corr: corr, Src: src, Dst: -1, Tag: -1, group: g}
+	m := Message{Corr: corr, Src: src, Dst: -1, Tag: -1}
+	phases := w == nil
+	if phases {
+		w = new(instants)
+	}
 
 	var hasKind [64]bool
 	tport := false
@@ -219,21 +234,34 @@ func (ix *index) reconstruct(g int32) (Message, bool) {
 		if e.Layer == trace.LayerTport {
 			tport = true
 		}
-		if e.Kind == trace.QDMARetried {
-			m.Retries++
-		}
+		// cmp.Or keeps the first event an instant is given. A group's events
+		// are in time order, so the first deposit seen after the first
+		// retry is the first at or after it.
 		switch e.Kind {
 		case trace.SendPosted:
 			if e.Rank == src {
 				m.Dst = e.Peer
+				w.send = cmp.Or(w.send, e)
 			}
-		case trace.FirstArrived, trace.Matched, trace.RecvCompleted:
-			if m.Dst < 0 {
-				m.Dst = e.Rank
+		case trace.FirstArrived:
+			w.arrive = cmp.Or(w.arrive, e)
+		case trace.Matched:
+			w.match = cmp.Or(w.match, e)
+		case trace.Unexpected:
+			w.unexpected = true
+		case trace.QDMARetried:
+			m.Retries++
+			w.retry = cmp.Or(w.retry, e)
+		case trace.QDMADeposited:
+			if w.retry != nil {
+				w.deposit = cmp.Or(w.deposit, e)
 			}
 		}
 		switch e.Kind {
 		case trace.SendPosted, trace.Matched, trace.RecvCompleted, trace.FirstArrived:
+			if e.Kind != trace.SendPosted && m.Dst < 0 {
+				m.Dst = e.Rank
+			}
 			if (e.Layer == trace.LayerPML || e.Layer == trace.LayerTport) && e.Bytes > m.Bytes {
 				m.Bytes = e.Bytes
 			}
@@ -281,16 +309,16 @@ func (ix *index) reconstruct(g int32) (Message, bool) {
 			continue // missing anchor: fold into the next present phase
 		}
 		t := ix.evs[at[j]].At
-		if !started {
-			m.Start, prev, started = t, t, true
-		} else {
+		switch {
+		case !started:
+			m.Start, started = t, true
+		case phases:
 			if m.Phases == nil { // one allocation: a chain ends no more phases than this
 				m.Phases = make([]Phase, 0, len(chain)-1)
 			}
 			m.Phases = append(m.Phases, Phase{Name: a.phase, Dur: t.Sub(prev)})
-			prev = t
 		}
-		idx = j + 1
+		prev, idx = t, j+1
 	}
 	if !started {
 		return Message{}, false
@@ -299,118 +327,92 @@ func (ix *index) reconstruct(g int32) (Message, bool) {
 	return m, true
 }
 
-// statsInto folds a message's phases (and latency) into a name-keyed
-// accumulator map.
-func statsInto(acc map[string]*PhaseStat, m Message) {
-	for _, ph := range m.Phases {
-		s := acc[ph.Name]
-		if s == nil {
-			s = &PhaseStat{Name: ph.Name}
-			acc[ph.Name] = s
-		}
-		us := ph.Dur.Micros()
-		s.Count++
-		s.sumUS += us
-		if us > s.MaxUS {
-			s.MaxUS = us
-		}
+// add folds one observation into s.
+func (s *PhaseStat) add(us float64) {
+	s.Count++
+	s.sumUS += us
+	if us > s.MaxUS {
+		s.MaxUS = us
 	}
 }
 
-// finishStats orders an accumulator canonically and computes means.
-func finishStats(acc map[string]*PhaseStat) []PhaseStat {
+// finish names s and computes its mean.
+func (s *PhaseStat) finish(name string) PhaseStat {
+	s.Name, s.MeanUS = name, s.sumUS/float64(s.Count)
+	return *s
+}
+
+// phaseAcc accumulates the phases of a set of messages by phase number.
+type phaseAcc [len(phaseOrder)]PhaseStat
+
+func (acc *phaseAcc) add(m Message) {
+	for _, ph := range m.Phases {
+		acc[slices.Index(phaseOrder[:], ph.Name)].add(ph.Dur.Micros())
+	}
+}
+
+// stats returns the phases seen, in canonical order.
+func (acc *phaseAcc) stats() []PhaseStat {
 	var out []PhaseStat
-	seen := make(map[string]bool)
-	emit := func(name string) {
-		s := acc[name]
-		if s == nil || seen[name] {
-			return
+	for i := range acc {
+		if acc[i].Count > 0 {
+			out = append(out, acc[i].finish(phaseOrder[i]))
 		}
-		seen[name] = true
-		s.MeanUS = s.sumUS / float64(s.Count)
-		out = append(out, *s)
-	}
-	for _, name := range phaseOrder {
-		emit(name)
-	}
-	// Any name outside the canonical list (future phases) sorts last.
-	var rest []string
-	for name := range acc {
-		if !seen[name] {
-			rest = append(rest, name)
-		}
-	}
-	sort.Strings(rest)
-	for _, name := range rest {
-		emit(name)
 	}
 	return out
 }
 
 func aggregatePaths(msgs []Message) []PathStat {
-	accs := make(map[string]*PathStat)
-	phases := make(map[string]map[string]*PhaseStat)
+	var accs [len(pathOrder)]struct {
+		PathStat
+		phases phaseAcc
+	}
 	for _, m := range msgs {
-		ps := accs[m.Path]
-		if ps == nil {
-			ps = &PathStat{Path: m.Path, Latency: PhaseStat{Name: "total"}}
-			accs[m.Path] = ps
-			phases[m.Path] = make(map[string]*PhaseStat)
-		}
-		ps.Messages++
-		ps.Bytes += m.Bytes
-		ps.Retries += m.Retries
-		us := m.Latency().Micros()
-		ps.Latency.Count++
-		ps.Latency.sumUS += us
-		if us > ps.Latency.MaxUS {
-			ps.Latency.MaxUS = us
-		}
-		statsInto(phases[m.Path], m)
+		a := &accs[slices.Index(pathOrder[:], m.Path)]
+		a.Messages++
+		a.Bytes += m.Bytes
+		a.Retries += m.Retries
+		a.Latency.add(m.Latency().Micros())
+		a.phases.add(m)
 	}
 	var out []PathStat
-	for _, path := range pathOrder {
-		ps := accs[path]
-		if ps == nil {
+	for i := range accs {
+		a := &accs[i]
+		if a.Messages == 0 {
 			continue
 		}
-		ps.Latency.MeanUS = ps.Latency.sumUS / float64(ps.Latency.Count)
-		ps.Phases = finishStats(phases[path])
-		out = append(out, *ps)
+		a.Path, a.Latency, a.Phases = pathOrder[i], a.Latency.finish("total"), a.phases.stats()
+		out = append(out, a.PathStat)
 	}
 	return out
 }
 
 func aggregateFlows(msgs []Message) []Flow {
-	type key struct{ src, dst int }
-	accs := make(map[key]*Flow)
-	phases := make(map[key]map[string]*PhaseStat)
-	var keys []key
+	type flowAcc struct {
+		Flow
+		phases phaseAcc
+	}
+	accs := make(map[[2]int]*flowAcc)
+	var keys [][2]int
 	for _, m := range msgs {
-		k := key{m.Src, m.Dst}
+		k := [2]int{m.Src, m.Dst}
 		f := accs[k]
 		if f == nil {
-			f = &Flow{Src: m.Src, Dst: m.Dst}
+			f = &flowAcc{Flow: Flow{Src: m.Src, Dst: m.Dst}}
 			accs[k] = f
-			phases[k] = make(map[string]*PhaseStat)
 			keys = append(keys, k)
 		}
 		f.Messages++
 		f.Bytes += m.Bytes
 		f.Retries += m.Retries
-		statsInto(phases[k], m)
+		f.phases.add(m)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].src != keys[j].src {
-			return keys[i].src < keys[j].src
-		}
-		return keys[i].dst < keys[j].dst
-	})
+	slices.SortFunc(keys, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	var out []Flow
 	for _, k := range keys {
 		f := accs[k]
-		f.Phases = finishStats(phases[k])
-		out = append(out, *f)
+		f.Phases = f.phases.stats()
+		out = append(out, f.Flow)
 	}
 	return out
 }

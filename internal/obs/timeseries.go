@@ -53,25 +53,12 @@ const (
 	NumRankGauges
 )
 
-func (g Gauge) String() string {
-	switch g {
-	case GaugeRecvQDepth:
-		return "recvq-depth"
-	case GaugeCQDepth:
-		return "cq-depth"
-	case GaugeDuty:
-		return "duty-permille"
-	case GaugePendingSends:
-		return "pending-sends"
-	case GaugePendingRecvs:
-		return "pending-recvs"
-	case GaugeUnexpected:
-		return "unexpected-depth"
-	case GaugeSendBufs:
-		return "sendbufs-inflight"
-	}
-	return fmt.Sprintf("Gauge(%d)", uint8(g))
+var gaugeNames = [NumRankGauges]string{
+	"recvq-depth", "cq-depth", "duty-permille", "pending-sends",
+	"pending-recvs", "unexpected-depth", "sendbufs-inflight",
 }
+
+func (g Gauge) String() string { return enumName(gaugeNames[:], g, "Gauge") }
 
 // LinkGauge identifies one per-link sampled quantity — the Tag of
 // LayerFabric GaugeSample events. All three are cumulative counters;
@@ -87,16 +74,16 @@ const (
 	NumLinkGauges
 )
 
-func (g LinkGauge) String() string {
-	switch g {
-	case LinkGaugePackets:
-		return "uplink-pkts"
-	case LinkGaugeBytes:
-		return "uplink-bytes"
-	case LinkGaugeBytesIn:
-		return "port-bytes-in"
+var linkGaugeNames = [NumLinkGauges]string{"uplink-pkts", "uplink-bytes", "port-bytes-in"}
+
+func (g LinkGauge) String() string { return enumName(linkGaugeNames[:], g, "LinkGauge") }
+
+// enumName returns the name of v, or typ(v) when v has none.
+func enumName[T ~uint8](names []string, v T, typ string) string {
+	if int(v) < len(names) {
+		return names[v]
 	}
-	return fmt.Sprintf("LinkGauge(%d)", uint8(g))
+	return fmt.Sprintf("%s(%d)", typ, uint8(v))
 }
 
 // RankProbeFn reads one rank's gauge vector at a tick instant.
@@ -105,30 +92,26 @@ type RankProbeFn func(now simtime.Time) [NumRankGauges]int64
 // LinkProbeFn reads one link's cumulative counter vector.
 type LinkProbeFn func() [NumLinkGauges]int64
 
-// rankSeries is one rank's registration plus its sample ring (see
-// Sampler.head for the ring discipline).
-type rankSeries struct {
-	rank  int
-	probe RankProbeFn
-	rec   *trace.Recorder
-	ring  [][NumRankGauges]int64
+// series is one registration — a rank's gauges or a link's counters —
+// plus its sample rings, one per gauge (see Sampler.head for the ring
+// discipline). A link's probe fills the first NumLinkGauges slots of the
+// vector.
+type series struct {
+	link     bool // a link's counters, else a rank's gauges
+	id, rail int  // the rank (rail 0), or the link's port and rail
+	probe    RankProbeFn
+	rec      *trace.Recorder
+	ring     [][]int64 // by gauge
 }
 
-// linkSeries is one link's registration plus its sample ring. rail
-// disambiguates multi-rail fabrics sharing the same port number.
-type linkSeries struct {
-	port, rail int
-	probe      LinkProbeFn
-	rec        *trace.Recorder
-	ring       [][NumLinkGauges]int64
-}
-
-// samplerNode groups one node's registrations: tick emission iterates
-// nodes in index order (links, then ranks) so the shared tracer's record
-// order without worker shards equals the per-node merge order with them.
-type samplerNode struct {
-	links []*linkSeries
-	ranks []*rankSeries
+// before orders series: links before ranks, then by (id, rail). A node's
+// series tick in this order, so the shared tracer's record order without
+// worker shards equals the per-node merge order with them.
+func (a *series) before(b *series) bool {
+	if a.link != b.link {
+		return a.link
+	}
+	return a.id < b.id || a.id == b.id && a.rail < b.rail
 }
 
 // Sampler is the virtual-time telemetry sampler. Create one with
@@ -140,7 +123,7 @@ type Sampler struct {
 	limit  int // ticks retained per ring (0 = unbounded)
 
 	k     *simtime.Kernel
-	nodes []*samplerNode
+	nodes [][]*series    // each node's series, in before order
 	times []simtime.Time // tick stamps, ring-aligned with every series
 	// head is the slot of the oldest retained tick. Every ring (times and
 	// each series) has the same length and fills in step, so one index
@@ -177,24 +160,23 @@ func (s *Sampler) Bind(k *simtime.Kernel) {
 		return
 	}
 	s.k = k
+	// Phase offset: first tick at period + 1ps, then every period.
+	every(k, s.period+simtime.Picosecond, s.period, "obs:sampler", s.takeSample)
+}
+
+// every runs fn on the coordinator entity after first and then every
+// period, through cancel-on-idle timers, so the chain never keeps a
+// finished run alive.
+func every(k *simtime.Kernel, first, period simtime.Duration, name string, fn func()) {
 	g := k.SchedFor(simtime.GlobalEntity)
 	var arm func(d simtime.Duration)
 	arm = func(d simtime.Duration) {
-		g.AfterCancelable(d, "obs:sampler", func() {
-			s.takeSample()
-			arm(s.period)
+		g.AfterCancelable(d, name, func() {
+			fn()
+			arm(period)
 		})
 	}
-	// Phase offset: first tick at period + 1ps, then every period.
-	arm(s.period + simtime.Picosecond)
-}
-
-// node returns (growing on demand) the registration group for one node.
-func (s *Sampler) node(n int) *samplerNode {
-	for len(s.nodes) <= n {
-		s.nodes = append(s.nodes, &samplerNode{})
-	}
-	return s.nodes[n]
+	arm(first)
 }
 
 // RegisterRank installs one rank's gauge probe. node is the rank's
@@ -204,34 +186,41 @@ func (s *Sampler) node(n int) *samplerNode {
 // stays column-aligned with every other series. Re-registering a rank
 // replaces its probe and resets its ring.
 func (s *Sampler) RegisterRank(rank, node int, rec *trace.Recorder, probe RankProbeFn) {
-	nd := s.node(node)
-	fresh := &rankSeries{rank: rank, probe: probe, rec: rec,
-		ring: make([][NumRankGauges]int64, len(s.times))}
-	for i, rs := range nd.ranks {
-		if rs.rank == rank {
-			nd.ranks[i] = fresh
-			return
-		}
-	}
-	nd.ranks = append(nd.ranks, fresh)
-	sort.Slice(nd.ranks, func(i, j int) bool { return nd.ranks[i].rank < nd.ranks[j].rank })
+	s.register(node, int(NumRankGauges), &series{id: rank, probe: probe, rec: rec})
 }
 
 // RegisterLink installs one link's counter probe: port is the node's
 // fabric port, rail the Quadrics rail index (0 on single-rail specs).
 // Like RegisterRank, late registrations are zero-padded for alignment.
 func (s *Sampler) RegisterLink(port, rail int, rec *trace.Recorder, probe LinkProbeFn) {
-	nd := s.node(port)
-	fresh := &linkSeries{port: port, rail: rail, probe: probe, rec: rec,
-		ring: make([][NumLinkGauges]int64, len(s.times))}
-	for i, ls := range nd.links {
-		if ls.port == port && ls.rail == rail {
-			nd.links[i] = fresh
+	s.register(port, int(NumLinkGauges), &series{link: true, id: port, rail: rail, rec: rec,
+		probe: func(simtime.Time) (v [NumRankGauges]int64) {
+			c := probe()
+			copy(v[:], c[:])
+			return v
+		}})
+}
+
+// register installs se with its rings of gauges on node n, replacing the
+// series of the same identity there.
+func (s *Sampler) register(n, gauges int, se *series) {
+	se.ring = make([][]int64, gauges)
+	for g := range se.ring {
+		se.ring[g] = make([]int64, len(s.times))
+	}
+	for len(s.nodes) <= n {
+		s.nodes = append(s.nodes, nil)
+	}
+	nd := s.nodes[n]
+	for i, old := range nd {
+		if old.link == se.link && old.id == se.id && old.rail == se.rail {
+			nd[i] = se
 			return
 		}
 	}
-	nd.links = append(nd.links, fresh)
-	sort.Slice(nd.links, func(i, j int) bool { return nd.links[i].rail < nd.links[j].rail })
+	nd = append(nd, se)
+	sort.Slice(nd, func(i, j int) bool { return nd[i].before(nd[j]) })
+	s.nodes[n] = nd
 }
 
 // takeSample is one coordinator tick: read every probe, append to the
@@ -252,40 +241,29 @@ func (s *Sampler) takeSample() {
 		s.times = append(s.times, now)
 	}
 	for _, nd := range s.nodes {
-		for _, ls := range nd.links {
-			v := ls.probe()
-			if slot < len(ls.ring) {
-				ls.ring[slot] = v
-			} else {
-				ls.ring = append(ls.ring, v)
-			}
-			if ls.rec != nil {
-				for g := LinkGauge(0); g < NumLinkGauges; g++ {
-					ls.rec.Record(trace.Event{
-						At: now, Rank: ls.port, Layer: trace.LayerFabric,
-						Kind: trace.GaugeSample, ReqID: s.tick,
-						Peer: ls.rail, Tag: int(g), Bytes: int(v[g]),
-						Corr: 0, // an instant sample, deliberately uncorrelated
-					})
+		for _, se := range nd {
+			v := se.probe(now)
+			for g, ring := range se.ring {
+				if slot < len(ring) {
+					ring[slot] = v[g]
+				} else {
+					se.ring[g] = append(ring, v[g])
 				}
 			}
-		}
-		for _, rs := range nd.ranks {
-			v := rs.probe(now)
-			if slot < len(rs.ring) {
-				rs.ring[slot] = v
-			} else {
-				rs.ring = append(rs.ring, v)
+			if se.rec == nil {
+				continue
 			}
-			if rs.rec != nil {
-				for g := Gauge(0); g < NumRankGauges; g++ {
-					rs.rec.Record(trace.Event{
-						At: now, Rank: rs.rank, Layer: trace.LayerPML,
-						Kind: trace.GaugeSample, ReqID: s.tick,
-						Peer: -1, Tag: int(g), Bytes: int(v[g]),
-						Corr: 0, // an instant sample, deliberately uncorrelated
-					})
-				}
+			layer, peer := trace.LayerPML, -1
+			if se.link {
+				layer, peer = trace.LayerFabric, se.rail
+			}
+			for g := range se.ring {
+				se.rec.Record(trace.Event{
+					At: now, Rank: se.id, Layer: layer,
+					Kind: trace.GaugeSample, ReqID: s.tick,
+					Peer: peer, Tag: g, Bytes: int(v[g]),
+					Corr: 0, // an instant sample, deliberately uncorrelated
+				})
 			}
 		}
 	}
@@ -310,52 +288,43 @@ type Matrix struct {
 
 // stamps returns the retained tick stamps oldest first: the ring from
 // head on, then the part before it.
-func (s *Sampler) stamps() []simtime.Time {
-	return append(append([]simtime.Time(nil), s.times[s.head:]...), s.times[:s.head]...)
+func (s *Sampler) stamps() []simtime.Time { return unroll(s.times, s.head) }
+
+// unroll returns a ring's slots oldest first: from head on, then the part
+// before it.
+func unroll[T any](ring []T, head int) []T {
+	return append(append([]T(nil), ring[head:]...), ring[:head]...)
 }
 
 // RankMatrix assembles gauge g's rank×time matrix, rows sorted by rank.
-func (s *Sampler) RankMatrix(g Gauge) Matrix {
-	m := Matrix{Gauge: g.String(), Times: s.stamps(), Evicted: s.evicted}
-	var all []*rankSeries
-	for _, nd := range s.nodes {
-		all = append(all, nd.ranks...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].rank < all[j].rank })
-	for _, rs := range all {
-		vals := make([]int64, len(rs.ring))
-		for i := range vals {
-			vals[i] = rs.ring[(s.head+i)%len(vals)][g]
-		}
-		m.Rows = append(m.Rows, Series{Label: fmt.Sprintf("rank %3d", rs.rank), Vals: vals})
-	}
-	return m
-}
+func (s *Sampler) RankMatrix(g Gauge) Matrix { return s.matrix(false, int(g), g.String()) }
 
 // LinkMatrix assembles gauge g's link×time matrix, rows sorted by
 // (port, rail).
-func (s *Sampler) LinkMatrix(g LinkGauge) Matrix {
-	m := Matrix{Gauge: g.String(), Times: s.stamps(), Evicted: s.evicted}
-	var all []*linkSeries
+func (s *Sampler) LinkMatrix(g LinkGauge) Matrix { return s.matrix(true, int(g), g.String()) }
+
+// matrix assembles gauge g of the link (or rank) series, rows in before
+// order.
+func (s *Sampler) matrix(link bool, g int, name string) Matrix {
+	m := Matrix{Gauge: name, Times: s.stamps(), Evicted: s.evicted}
+	var all []*series
 	for _, nd := range s.nodes {
-		all = append(all, nd.links...)
+		for _, se := range nd {
+			if se.link == link {
+				all = append(all, se)
+			}
+		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].port != all[j].port {
-			return all[i].port < all[j].port
+	sort.Slice(all, func(i, j int) bool { return all[i].before(all[j]) })
+	for _, se := range all {
+		label := fmt.Sprintf("rank %3d", se.id)
+		if se.link {
+			label = fmt.Sprintf("port %3d", se.id)
+			if se.rail > 0 {
+				label = fmt.Sprintf("port %3d.r%d", se.id, se.rail)
+			}
 		}
-		return all[i].rail < all[j].rail
-	})
-	for _, ls := range all {
-		vals := make([]int64, len(ls.ring))
-		for i := range vals {
-			vals[i] = ls.ring[(s.head+i)%len(vals)][g]
-		}
-		label := fmt.Sprintf("port %3d", ls.port)
-		if ls.rail > 0 {
-			label = fmt.Sprintf("port %3d.r%d", ls.port, ls.rail)
-		}
-		m.Rows = append(m.Rows, Series{Label: label, Vals: vals})
+		m.Rows = append(m.Rows, Series{Label: label, Vals: unroll(se.ring[g], s.head)})
 	}
 	return m
 }
@@ -389,22 +358,13 @@ const heatRamp = " .:-=+*#%@"
 // matrix-wide maximum. maxCols > 0 compresses wider matrices by folding
 // adjacent columns with max(), keeping the output terminal-sized.
 func (m Matrix) Heatmap(maxCols int) string {
-	rows := make([][]int64, len(m.Rows))
-	times := m.Times
-	for i, r := range m.Rows {
-		rows[i] = r.Vals
-	}
 	fold := 1
-	if maxCols > 0 && len(times) > maxCols {
-		fold = (len(times) + maxCols - 1) / maxCols
-		for i, vals := range rows {
-			rows[i] = foldMax(vals, fold)
-		}
-		times = foldTimes(times, fold)
+	if maxCols > 0 && len(m.Times) > maxCols {
+		fold = (len(m.Times) + maxCols - 1) / maxCols
 	}
-	var max int64
-	for _, vals := range rows {
-		for _, v := range vals {
+	var max int64 // folding keeps each group's maximum: the folded rows' too
+	for _, r := range m.Rows {
+		for _, v := range r.Vals {
 			if v > max {
 				max = v
 			}
@@ -423,9 +383,9 @@ func (m Matrix) Heatmap(maxCols int) string {
 		fmt.Fprintf(&b, " (+%d ticks evicted)", m.Evicted)
 	}
 	b.WriteString("\n")
-	for i, r := range m.Rows {
+	for _, r := range m.Rows {
 		fmt.Fprintf(&b, "  %-12s |", r.Label)
-		for _, v := range rows[i] {
+		for _, v := range foldMax(r.Vals, fold) {
 			b.WriteByte(heatRamp[heatLevel(v, max)])
 		}
 		b.WriteString("|\n")
@@ -457,15 +417,6 @@ func foldMax(vals []int64, fold int) []int64 {
 			}
 		}
 		out = append(out, m)
-	}
-	return out
-}
-
-// foldTimes keeps the first stamp of each fold-sized group.
-func foldTimes(times []simtime.Time, fold int) []simtime.Time {
-	var out []simtime.Time
-	for i := 0; i < len(times); i += fold {
-		out = append(out, times[i])
 	}
 	return out
 }

@@ -93,10 +93,10 @@ func TestSamplerFullRingTickIsConstantWork(t *testing.T) {
 		if got := int(s.Ticks()); got != limit+3 {
 			t.Fatalf("limit %d: %d ticks, want %d", limit, got, limit+3)
 		}
-		rs, ls := s.nodes[0].ranks[0], s.nodes[0].links[0]
+		ls, rs := s.nodes[0][0], s.nodes[0][1]
 		times := append([]simtime.Time(nil), s.times...)
-		rank := append([][NumRankGauges]int64(nil), rs.ring...)
-		link := append([][NumLinkGauges]int64(nil), ls.ring...)
+		rank := append([]int64(nil), rs.ring[0]...)
+		link := append([]int64(nil), ls.ring[0]...)
 
 		s.RegisterRank(1, 0, nil, func(simtime.Time) [NumRankGauges]int64 { return [NumRankGauges]int64{-1} })
 		s.takeSample()
@@ -106,16 +106,16 @@ func TestSamplerFullRingTickIsConstantWork(t *testing.T) {
 			if s.times[i] != times[i] {
 				changed++
 			}
-			if rs.ring[i] != rank[i] {
+			if rs.ring[0][i] != rank[i] {
 				changed++
 			}
-			if ls.ring[i] != link[i] {
+			if ls.ring[0][i] != link[i] {
 				changed++
 			}
 		}
-		if len(s.times) != limit || len(rs.ring) != limit || len(ls.ring) != limit || changed != 3 {
+		if len(s.times) != limit || len(rs.ring[0]) != limit || len(ls.ring[0]) != limit || changed != 3 {
 			t.Fatalf("limit %d: a tick on a full ring changed %d slots across 3 rings of %d/%d/%d, want one each of %d",
-				limit, changed, len(s.times), len(rs.ring), len(ls.ring), limit)
+				limit, changed, len(s.times), len(rs.ring[0]), len(ls.ring[0]), limit)
 		}
 
 		m, lm := s.RankMatrix(Gauge(0)), s.LinkMatrix(LinkGauge(0))

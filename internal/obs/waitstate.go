@@ -19,7 +19,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,19 +43,9 @@ const (
 	numWaitKinds
 )
 
-func (k WaitKind) String() string {
-	switch k {
-	case WaitLateSender:
-		return "late-sender"
-	case WaitLateReceiver:
-		return "late-receiver"
-	case WaitBarrier:
-		return "wait-at-barrier"
-	case WaitNIC:
-		return "nic-contention"
-	}
-	return fmt.Sprintf("WaitKind(%d)", uint8(k))
-}
+var waitKindNames = [numWaitKinds]string{"late-sender", "late-receiver", "wait-at-barrier", "nic-contention"}
+
+func (k WaitKind) String() string { return enumName(waitKindNames[:], k, "WaitKind") }
 
 // Wait is one classified wait interval.
 type Wait struct {
@@ -122,66 +115,49 @@ type WaitProfile struct {
 	Messages int
 }
 
-// AnalyzeWaits classifies every wait in the event stream. It reuses the
-// critical-path reconstruction (Analyze, over the same index) for message
-// identity, then joins receive-post times through (rank, request id) —
-// RecvPosted events are uncorrelated; the Matched event names the
-// request — and collective epochs through CollEnter/CollExit.
+// AnalyzeWaits classifies every wait in the event stream. It charges
+// point-to-point waits from the instants the critical-path reconstruction
+// records in its one walk over each message, joins receive-post times
+// through (rank, request id) — RecvPosted events are uncorrelated; the
+// Matched event names the request — and collective epochs through
+// CollEnter/CollExit.
 func AnalyzeWaits(events []trace.Event) WaitProfile {
 	ix := newIndex(events)
-	ms := ix.messages()
+	type walked struct {
+		Message
+		instants
+	}
+	ms := make([]walked, 0, len(ix.corrs))
+	for g := range ix.corrs {
+		var w walked
+		var ok bool
+		if w.Message, ok = ix.reconstruct(int32(g), &w.instants); ok {
+			ms = append(ms, w)
+		}
+	}
+	slices.SortFunc(ms, func(a, b walked) int { return byStart(a.Message, b.Message) })
 	var p WaitProfile
 	p.Messages = len(ms)
 	for _, m := range ms {
-		var sendPostAt, firstArrAt, matchedAt, retryAt, depositAt simtime.Time
-		var matchedReq uint64
-		var haveSend, haveFirst, haveMatch, haveRetry, haveDeposit, unexpected bool
-		for _, pos := range ix.events(m.group) {
-			e := &ix.evs[pos]
-			switch e.Kind {
-			case trace.SendPosted:
-				if !haveSend && e.Rank == m.Src {
-					sendPostAt, haveSend = e.At, true
-				}
-			case trace.FirstArrived:
-				if !haveFirst {
-					firstArrAt, haveFirst = e.At, true
-				}
-			case trace.Unexpected:
-				unexpected = true
-			case trace.Matched:
-				if !haveMatch {
-					matchedAt, matchedReq, haveMatch = e.At, e.ReqID, true
-				}
-			case trace.QDMARetried:
-				if !haveRetry {
-					retryAt, haveRetry = e.At, true
-				}
-			case trace.QDMADeposited:
-				if haveRetry && !haveDeposit && e.At >= retryAt {
-					depositAt, haveDeposit = e.At, true
-				}
-			}
-		}
-		if haveSend && haveMatch {
-			if pos, ok := ix.recvPost.get(m.Dst, matchedReq, rankReq{m.Dst, matchedReq}); ok && sendPostAt > ix.evs[pos].At {
+		if m.send != nil && m.match != nil {
+			if pos, ok := ix.recvPost.get(m.Dst, m.match.ReqID); ok && m.send.At > ix.evs[pos].At {
 				post := ix.evs[pos].At
 				p.Waits = append(p.Waits, Wait{
 					Kind: WaitLateSender, Rank: m.Dst, Peer: m.Src, Corr: m.Corr,
-					At: post, Dur: sendPostAt.Sub(post),
+					At: post, Dur: m.send.At.Sub(post),
 				})
 			}
 		}
-		if unexpected && haveFirst && haveMatch && matchedAt > firstArrAt {
+		if m.unexpected && m.arrive != nil && m.match != nil && m.match.At > m.arrive.At {
 			p.Waits = append(p.Waits, Wait{
 				Kind: WaitLateReceiver, Rank: m.Src, Peer: m.Dst, Corr: m.Corr,
-				At: firstArrAt, Dur: matchedAt.Sub(firstArrAt),
+				At: m.arrive.At, Dur: m.match.At.Sub(m.arrive.At),
 			})
 		}
-		if haveRetry && haveDeposit && depositAt > retryAt {
+		if m.deposit != nil && m.deposit.At > m.retry.At {
 			p.Waits = append(p.Waits, Wait{
 				Kind: WaitNIC, Rank: m.Src, Peer: m.Dst, Corr: m.Corr,
-				At: retryAt, Dur: depositAt.Sub(retryAt),
+				At: m.retry.At, Dur: m.deposit.At.Sub(m.retry.At),
 			})
 		}
 	}
@@ -210,8 +186,10 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 		}
 		return a.Kind < b.Kind
 	})
-	p.ByRank = aggregateRankWaits(p.Waits)
-	p.ByPair = aggregatePairWaits(p.Waits)
+	for _, r := range sumWaits(p.Waits, false) {
+		p.ByRank = append(p.ByRank, RankWaits{Rank: r.Rank, Total: r.Total, ByKind: r.ByKind, Counts: r.Counts})
+	}
+	p.ByPair = sumWaits(p.Waits, true)
 	return p
 }
 
@@ -224,9 +202,10 @@ func (ix *index) collectEpochs() []CollEpoch {
 		op int
 	}
 	type acc struct {
-		enter map[int]simtime.Time
-		exit  simtime.Time
-		nic   bool
+		enter       map[int]simtime.Time // each rank's first entry
+		first, last simtime.Time         // the earliest and the latest of them
+		exit        simtime.Time
+		nic         bool
 	}
 	accs := make(map[key]*acc)
 	var order []key
@@ -241,8 +220,13 @@ func (ix *index) collectEpochs() []CollEpoch {
 		}
 		switch e.Kind {
 		case trace.CollEnter:
+			// The entries come in time order: the epoch's first entry is
+			// the earliest, and a rank's first entry the latest so far.
 			if _, ok := a.enter[e.Rank]; !ok {
-				a.enter[e.Rank] = e.At
+				if len(a.enter) == 0 {
+					a.first = e.At
+				}
+				a.enter[e.Rank], a.last = e.At, e.At
 			}
 			if e.Peer == 1 {
 				a.nic = true
@@ -259,25 +243,11 @@ func (ix *index) collectEpochs() []CollEpoch {
 		if len(a.enter) < 2 {
 			continue
 		}
-		ep := CollEpoch{ID: k.id, Op: k.op, NIC: a.nic, Exit: a.exit}
-		for rank := range a.enter {
-			ep.Ranks = append(ep.Ranks, rank)
-		}
-		sort.Ints(ep.Ranks)
-		first, last := a.enter[ep.Ranks[0]], a.enter[ep.Ranks[0]]
-		for _, rank := range ep.Ranks[1:] {
-			t := a.enter[rank]
-			if t < first {
-				first = t
-			}
-			if t > last {
-				last = t
-			}
-		}
-		ep.First, ep.Last = first, last
+		ep := CollEpoch{ID: k.id, Op: k.op, NIC: a.nic, Ranks: slices.Sorted(maps.Keys(a.enter)),
+			First: a.first, Last: a.last, Exit: a.exit}
 		sum := 0.0
 		for _, rank := range ep.Ranks {
-			skew := last.Sub(a.enter[rank])
+			skew := a.last.Sub(a.enter[rank])
 			ep.Skews = append(ep.Skews, skew)
 			us := skew.Micros()
 			sum += us
@@ -297,57 +267,31 @@ func (ix *index) collectEpochs() []CollEpoch {
 	return out
 }
 
-func aggregateRankWaits(waits []Wait) []RankWaits {
-	accs := make(map[int]*RankWaits)
-	var ranks []int
-	for _, w := range waits {
-		a := accs[w.Rank]
-		if a == nil {
-			a = &RankWaits{Rank: w.Rank}
-			accs[w.Rank] = a
-			ranks = append(ranks, w.Rank)
-		}
-		a.Total += w.Dur
-		a.ByKind[w.Kind] += w.Dur
-		a.Counts[w.Kind]++
-	}
-	sort.Ints(ranks)
-	var out []RankWaits
-	for _, r := range ranks {
-		out = append(out, *accs[r])
-	}
-	return out
-}
-
-func aggregatePairWaits(waits []Wait) []PairWaits {
-	type key struct{ rank, peer int }
-	accs := make(map[key]*PairWaits)
-	var keys []key
-	for _, w := range waits {
-		if w.Peer < 0 {
-			continue // collective waits have no pairwise partner
-		}
-		k := key{w.Rank, w.Peer}
-		a := accs[k]
-		if a == nil {
-			a = &PairWaits{Rank: w.Rank, Peer: w.Peer}
-			accs[k] = a
-			keys = append(keys, k)
-		}
-		a.Total += w.Dur
-		a.ByKind[w.Kind] += w.Dur
-		a.Counts[w.Kind]++
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].rank != keys[j].rank {
-			return keys[i].rank < keys[j].rank
-		}
-		return keys[i].peer < keys[j].peer
-	})
+// sumWaits folds waits into one row per (Rank, Peer), ascending. byPeer
+// false sums each rank's waits into its row with Peer -1; byPeer true
+// skips the collective waits, which have no pairwise partner.
+func sumWaits(waits []Wait, byPeer bool) []PairWaits {
+	row := make(map[[2]int]int)
 	var out []PairWaits
-	for _, k := range keys {
-		out = append(out, *accs[k])
+	for _, w := range waits {
+		k := [2]int{w.Rank, -1}
+		if byPeer {
+			if w.Peer < 0 {
+				continue
+			}
+			k[1] = w.Peer
+		}
+		i, ok := row[k]
+		if !ok {
+			i = len(out)
+			row[k] = i
+			out = append(out, PairWaits{Rank: k[0], Peer: k[1]})
+		}
+		out[i].Total += w.Dur
+		out[i].ByKind[w.Kind] += w.Dur
+		out[i].Counts[w.Kind]++
 	}
+	slices.SortFunc(out, func(a, b PairWaits) int { return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Peer, b.Peer)) })
 	return out
 }
 
@@ -376,7 +320,6 @@ func (p WaitProfile) SkewStats() []SkewStat {
 	}
 	accs := make(map[key]*SkewStat)
 	var keys []key
-	sum := make(map[key]float64)
 	for _, ep := range p.Epochs {
 		k := key{ep.Op, ep.NIC}
 		a := accs[k]
@@ -389,7 +332,7 @@ func (p WaitProfile) SkewStats() []SkewStat {
 		for _, skew := range ep.Skews {
 			us := skew.Micros()
 			a.Samples++
-			sum[k] += us
+			a.MeanUS += us // the sum until every sample is in
 			if us > a.MaxUS {
 				a.MaxUS = us
 			}
@@ -413,7 +356,7 @@ func (p WaitProfile) SkewStats() []SkewStat {
 	for _, k := range keys {
 		a := accs[k]
 		if a.Samples > 0 {
-			a.MeanUS = sum[k] / float64(a.Samples)
+			a.MeanUS /= float64(a.Samples)
 		}
 		out = append(out, *a)
 	}

@@ -89,12 +89,16 @@ type Watchdog struct {
 	// from the (possibly worker-shard) note path.
 	par bool
 
-	probes   map[int]Probe
-	ranks    []int          // registration order, kept sorted for determinism
-	last     []simtime.Time // per-rank last-progress stamps
-	reported map[int]bool
-	armed    bool
-	fired    []StallReport
+	ranks []watched // by rank: zero until the rank registers
+	armed bool
+	fired []StallReport
+}
+
+// watched is what the watchdog knows of one rank.
+type watched struct {
+	probe    Probe
+	last     simtime.Time // the rank's last progress note
+	reported bool         // its stall is on record
 }
 
 // NewWatchdog returns a watchdog with the given stall window
@@ -103,11 +107,7 @@ func NewWatchdog(window simtime.Duration) *Watchdog {
 	if window <= 0 {
 		window = DefaultStallWindow
 	}
-	return &Watchdog{
-		window:   window,
-		probes:   make(map[int]Probe),
-		reported: make(map[int]bool),
-	}
+	return &Watchdog{window: window}
 }
 
 // Window returns the configured stall threshold.
@@ -121,33 +121,17 @@ func (w *Watchdog) Bind(k *simtime.Kernel, rec *trace.Recorder) {
 	w.rec = rec
 	if k.Sharded() > 0 && !w.par {
 		w.par = true
-		// Periodic coordinator tick, dropped when only cancel-on-idle
-		// events remain so the watchdog never keeps a finished run alive.
-		g := k.SchedFor(simtime.GlobalEntity)
-		var arm func()
-		arm = func() {
-			g.AfterCancelable(w.window, "obs:watchdog", func() {
-				w.tick()
-				arm()
-			})
-		}
-		arm()
+		every(k, w.window, w.window, "obs:watchdog", w.tick)
 	}
 }
 
 // Register installs one rank's probe. Re-registering a rank replaces its
 // probe (process respawn under the same rank).
 func (w *Watchdog) Register(rank int, p Probe) {
-	if _, dup := w.probes[rank]; !dup {
-		w.ranks = append(w.ranks, rank)
-		sort.Ints(w.ranks)
+	if rank >= len(w.ranks) {
+		w.ranks = append(w.ranks, make([]watched, rank+1-len(w.ranks))...)
 	}
-	if rank >= len(w.last) {
-		nl := make([]simtime.Time, rank+1)
-		copy(nl, w.last)
-		w.last = nl
-	}
-	w.probes[rank] = p
+	w.ranks[rank].probe = p
 }
 
 // Note stamps rank's last-progress time, as seen on the caller's clock,
@@ -157,8 +141,8 @@ func (w *Watchdog) Register(rank int, p Probe) {
 // safe from the rank's shard because the coordinator reads the slots
 // exclusively.
 func (w *Watchdog) Note(rank int, now simtime.Time) {
-	if rank < len(w.last) {
-		w.last[rank] = now
+	if rank < len(w.ranks) {
+		w.ranks[rank].last = now
 	}
 	if w.par {
 		return
@@ -169,26 +153,26 @@ func (w *Watchdog) Note(rank int, now simtime.Time) {
 	}
 }
 
-// tick inspects every registered rank. A rank is stalled when its probe
-// reports pending requests and no progress note for a full window; each
-// stall is reported once. The timer rearms only while some rank is busy
-// and nothing has been reported — once the run quiesces (or a stall is on
-// record), the watchdog stops injecting events so the kernel can drain
-// and its own deadlock detection can run.
+// tick inspects every registered rank, in rank order. A rank is stalled
+// when its probe reports pending requests and no progress note for a full
+// window; each stall is reported once. The timer rearms only while some
+// rank is busy and nothing has been reported — once the run quiesces (or
+// a stall is on record), the watchdog stops injecting events so the
+// kernel can drain and its own deadlock detection can run.
 func (w *Watchdog) tick() {
 	now := w.k.Now()
 	busy := false
-	for _, rank := range w.ranks {
-		p := w.probes[rank]
-		if p.Busy == nil || !p.Busy() {
+	for rank := range w.ranks {
+		r := &w.ranks[rank]
+		if r.probe.Busy == nil || !r.probe.Busy() {
 			continue
 		}
 		busy = true
-		if now.Sub(w.last[rank]) >= w.window && !w.reported[rank] {
-			w.reported[rank] = true
-			rep := StallReport{Rank: rank, LastProgress: w.last[rank], DetectedAt: now}
-			if p.Diag != nil {
-				rep.Diag = p.Diag()
+		if now.Sub(r.last) >= w.window && !r.reported {
+			r.reported = true
+			rep := StallReport{Rank: rank, LastProgress: r.last, DetectedAt: now}
+			if r.probe.Diag != nil {
+				rep.Diag = r.probe.Diag()
 			}
 			rep.Diag.LastEvents = w.lastEvents(rank)
 			w.fired = append(w.fired, rep)
@@ -212,23 +196,18 @@ func (w *Watchdog) lastEvents(rank int) []LayerLast {
 	if w.rec == nil {
 		return nil
 	}
-	type lastEv struct {
-		ev  trace.Event
-		set bool
-	}
-	byLayer := make(map[trace.Layer]lastEv)
+	byLayer := make(map[trace.Layer]trace.Event)
 	for e := range w.rec.All() {
 		if e.Rank != rank {
 			continue
 		}
-		le := byLayer[e.Layer]
-		if !le.set || e.At >= le.ev.At {
-			byLayer[e.Layer] = lastEv{ev: e, set: true}
+		if le, ok := byLayer[e.Layer]; !ok || e.At >= le.At {
+			byLayer[e.Layer] = e
 		}
 	}
 	var out []LayerLast
-	for _, le := range byLayer {
-		out = append(out, LayerLast{Layer: le.ev.Layer.String(), Kind: le.ev.Kind.String(), At: le.ev.At})
+	for _, e := range byLayer {
+		out = append(out, LayerLast{Layer: e.Layer.String(), Kind: e.Kind.String(), At: e.At})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {

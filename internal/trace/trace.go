@@ -117,8 +117,9 @@ const (
 	// the same rank leaving it. ReqID is the communicator's collective
 	// sequence number (the epoch), Tag identifies the operation (see
 	// CollOp), and Peer distinguishes the host software path (0) from the
-	// NIC-offloaded path (1). Corr carries MsgID(rank, collCorrBit|epoch)
-	// so the wait-state analyzer can pair enter/exit per rank per epoch.
+	// NIC-offloaded path (1). Corr carries MsgID(rank, collCorrBit|epoch),
+	// a correlator no message shares; the wait-state analyzer does not read
+	// it, but keys an epoch by (ReqID, Tag) and a member by Rank.
 	CollEnter
 	CollExit
 
