@@ -30,7 +30,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //lint:allow
 	// directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description printed by `qsmpilint help`.
+	// Doc is the one-paragraph description printed by `qsmpilint -h`.
 	Doc string
 	// Run inspects the package and reports diagnostics via pass.Report.
 	Run func(*Pass) error
@@ -81,13 +81,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return true
 	}
 	return p.Imports.ImportObject(obj, fact)
-}
-
-// IsTestFile reports whether the file containing pos is a _test.go file.
-// The suite audits simulation code, not tests: tests legitimately read the
-// wall clock, build partial trace.Event fixtures and iterate maps.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // SuppressionName is the diagnostic label of the suppression audit run
@@ -176,12 +169,6 @@ func RunSuite(analyzers []*Analyzer, u *Unit) ([]Diagnostic, error) {
 	}
 	diags = append(diags, u.AuditSuppressions(known)...)
 	return diags, nil
-}
-
-// Run is the single-analyzer convenience used by fixture tests: a fresh
-// Unit with no cross-package facts and no suppression audit.
-func Run(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return NewUnit(fset, files, pkg, info, nil).Run(a)
 }
 
 // AuditSuppressions returns a diagnostic for every //lint:allow directive

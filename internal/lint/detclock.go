@@ -41,9 +41,6 @@ var allowedRand = map[string]bool{
 
 func runDetClock(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

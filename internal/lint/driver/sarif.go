@@ -120,29 +120,6 @@ func SARIF(findings []Finding, analyzers []*analysis.Analyzer, root string) ([]b
 	return json.MarshalIndent(&log, "", "  ")
 }
 
-// JSONReport renders findings as a plain JSON array — the lighter-weight
-// machine format for scripting (jq) where SARIF's ceremony is overkill.
-func JSONReport(findings []Finding) ([]byte, error) {
-	type rec struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Message  string `json:"message"`
-	}
-	recs := make([]rec, 0, len(findings))
-	for _, f := range findings {
-		recs = append(recs, rec{
-			Analyzer: f.Analyzer,
-			File:     filepath.ToSlash(f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	return json.MarshalIndent(recs, "", "  ")
-}
-
 func hasDotDotPrefix(rel string) bool {
 	return rel == ".." || (len(rel) >= 3 && rel[:3] == "../")
 }

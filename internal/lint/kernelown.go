@@ -76,9 +76,6 @@ func checkGlobalWrites(pass *analysis.Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -128,9 +125,6 @@ var shardSchedMethods = map[string]string{
 // raw *simtime.Kernel from a shard-resident package.
 func checkShardSched(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -174,9 +168,6 @@ func isKernelPtr(t types.Type) bool {
 // checkJobClosures audits every closure passed to parsweep.Run/Map.
 func checkJobClosures(pass *analysis.Pass) {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

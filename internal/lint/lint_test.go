@@ -84,7 +84,7 @@ func TestCollOrder(t *testing.T) {
 func TestCollOrderFacts(t *testing.T) {
 	// The collective hides one package away: only the CallsCollective
 	// fact exported by the dep fixture can reveal it.
-	linttest.RunDeps(t, lint.CollOrder, "qsmpi/collorderfacts", "qsmpi/collhelperdep")
+	linttest.Run(t, lint.CollOrder, "qsmpi/collorderfacts", "qsmpi/collhelperdep")
 }
 
 func TestSuppressionAudit(t *testing.T) {
@@ -93,16 +93,21 @@ func TestSuppressionAudit(t *testing.T) {
 	linttest.RunSuite(t, lint.Analyzers(), "qsmpi/suppressfix")
 }
 
-// TestCheckParallelDeterminism asserts the driver's sharded
-// mode is byte-identical to serial: scheduling order must never leak into
-// the report.
+// TestCheckParallelDeterminism is the meta-test the suite exists for, and
+// the proof that the driver's sharding never leaks into the report: the
+// real tree, loaded once, must carry zero findings at 1 and at 4 workers,
+// so `make lint` can gate `make check` without suppressions beyond the
+// documented //lint:allow sites.
 func TestCheckParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full suite over the tree twice")
+		t.Skip("runs go list -export over the whole tree")
 	}
-	root := linttest.ModuleRoot(t)
+	l, err := driver.Load(linttest.ModuleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	render := func(par int) string {
-		findings, err := driver.CheckParallel(root, lint.Analyzers(), par, "./...")
+		findings, err := l.CheckAll(lint.Analyzers(), par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -116,14 +121,17 @@ func TestCheckParallelDeterminism(t *testing.T) {
 	if serial != parallel {
 		t.Errorf("par=1 and par=4 reports differ:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
 	}
+	if serial != "" {
+		t.Errorf("the tree has findings:\n%s", serial)
+	}
 }
 
 // TestDriverFactsCrossPackages drives the real driver end to end over an
 // external module: the helper package's CallsCollective fact must reach
 // the worker analyzing the app package for the rank-guarded call there to
 // be flagged. TestCollOrderFacts goes through linttest's own loop and
-// TestRepoIsClean expects no finding, so this is the one test a broken
-// hand-off in CheckAll fails.
+// TestCheckParallelDeterminism expects no finding, so this is the one test
+// a broken hand-off in CheckAll fails.
 func TestDriverFactsCrossPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list -export over a scratch module")
@@ -174,8 +182,12 @@ func Divergent(c *qsmpi.Comm) {
 		t.Fatalf("go mod tidy: %v\n%s", err, out)
 	}
 
+	l, err := driver.Load(mod, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []int{1, 4} {
-		findings, err := driver.CheckParallel(mod, lint.Analyzers(), par, "./...")
+		findings, err := l.CheckAll(lint.Analyzers(), par)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -184,21 +196,5 @@ func Divergent(c *qsmpi.Comm) {
 			filepath.Base(findings[0].Pos.Filename) != "app.go" {
 			t.Errorf("par=%d: want exactly the collorder finding in app.go, got %v", par, findings)
 		}
-	}
-}
-
-// TestRepoIsClean is the meta-test the suite exists for: the real tree
-// must carry zero findings, so `make lint` can gate `make check` without
-// suppressions beyond the documented //lint:allow sites.
-func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list -export over the whole tree")
-	}
-	findings, err := driver.Check(linttest.ModuleRoot(t), lint.Analyzers(), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
 	}
 }

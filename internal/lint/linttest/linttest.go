@@ -13,7 +13,6 @@
 package linttest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"os"
@@ -88,18 +87,12 @@ var wantRx = regexp.MustCompile("// want `([^`]*)`")
 // Run analyzes the fixture package rooted at testdata/src/<pkgPath>
 // (type-checked under import path pkgPath, so path-scoped analyzers see
 // the intended package identity) and checks diagnostics against wants.
-func Run(t *testing.T, a *analysis.Analyzer, pkgPath string) {
-	t.Helper()
-	runFixture(t, []*analysis.Analyzer{a}, pkgPath, nil, false)
-}
-
-// RunDeps is Run with fixture dependencies: each dep (an import path
-// under testdata/src) is type-checked and analyzed first, its exported
-// facts merged into the import set of what follows, as the driver does
-// between packages. The final package's diagnostics
-// are checked against its wants; this is how the helper-indirection
-// fixtures prove facts actually see through package boundaries.
-func RunDeps(t *testing.T, a *analysis.Analyzer, pkgPath string, deps ...string) {
+// Each dep (an import path under testdata/src) is type-checked and
+// analyzed first, its exported facts merged into the import set of what
+// follows, as the driver does between packages; this is how the
+// helper-indirection fixtures prove facts see through package
+// boundaries.
+func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, deps ...string) {
 	t.Helper()
 	runFixture(t, []*analysis.Analyzer{a}, pkgPath, deps, false)
 }
@@ -244,9 +237,4 @@ func matchWant(wants []*want, file string, line int, msg string) *want {
 		}
 	}
 	return nil
-}
-
-// Describe is a debugging aid: the fixture path an analyzer test uses.
-func Describe(a *analysis.Analyzer, pkgPath string) string {
-	return fmt.Sprintf("%s over testdata/src/%s", a.Name, pkgPath)
 }

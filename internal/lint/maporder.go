@@ -31,9 +31,6 @@ var MapOrder = &analysis.Analyzer{
 
 func runMapOrder(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		// Every function body in the file, for locating the scope a map
 		// range's accumulator must be sorted in.
 		var funcs []*ast.BlockStmt

@@ -26,9 +26,6 @@ func runTraceCorr(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			cl, ok := n.(*ast.CompositeLit)
 			if !ok {
