@@ -4,7 +4,7 @@ GO ?= go
 # recompiles only what changed.
 QSMPILINT := bin/qsmpilint
 
-.PHONY: all build test check lint lint-sarif race loc figures
+.PHONY: all build test check lint lint-sarif race loc figures pairs
 
 all: build test
 
@@ -95,3 +95,11 @@ loc:
 figures:
 	$(GO) run ./cmd/elan4bench
 	$(GO) run ./cmd/ompibench
+
+# pairs measures the working tree against PARENT in N alternating pairs of
+# fresh `bash bench/run.sh` runs per workload of W, appends every run to
+# perf/trajectory.jsonl and prints medians, quartiles and k/n, with FAIL on
+# a simulated-time change or a regression beyond BENCHMARK.json's bounds.
+SEED ?= 1
+pairs:
+	bash perf/pairs.sh "$(PARENT)" "$(W)" "$(N)" "$(SEED)"

@@ -135,12 +135,12 @@ type xmsg struct {
 	fn     func()
 }
 
-// shard is one partition of the simulation: its own event heap, clock,
+// shard is one partition of the simulation: its own event queue, clock,
 // proc set and sequence counters.
 type shard struct {
 	id     int
 	now    Time
-	queue  eventHeap
+	queue  eventQueue
 	procs  map[*Proc]struct{}
 	steps  int64
 	lseq   int64 // events scheduled by this shard during the current epoch
@@ -168,7 +168,7 @@ func (k *Kernel) Shard(plan ShardPlan) {
 	if plan.Workers <= 1 {
 		return
 	}
-	if c := k.shards[0]; len(k.shards) > 1 || len(c.queue) != 0 || len(c.procs) != 0 || k.steps != 0 {
+	if c := k.shards[0]; len(k.shards) > 1 || !c.queue.empty() || len(c.procs) != 0 || k.steps != 0 {
 		panic("simtime: Shard must be called on a fresh kernel")
 	}
 	if k.tracer != nil {
@@ -282,13 +282,13 @@ func (k *Kernel) shardOf(e Entity) *shard {
 
 // schedule is the one scheduling path, shared by Sched.At, proc wakes and
 // the Kernel wrappers. Outside worker epochs the event goes straight into
-// the owning shard's heap under the global sequence; inside an epoch a
+// the owning shard's queue under the global sequence; inside an epoch a
 // worker schedules onto its own shard with strided sequence numbers, and
 // what must reach shared state travels as a commit.
 func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, cancelable bool) {
 	dst := k.shardOf(ent)
 	if !k.inEpoch.Load() {
-		// Coordinator context: exclusive access to every heap.
+		// Coordinator context: exclusive access to every queue.
 		if t < dst.now {
 			panic(fmt.Sprintf("simtime: scheduling %q at %v before shard %d now %v", name, t, dst.id, dst.now))
 		}
@@ -307,7 +307,7 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, c
 		return
 	}
 	// Cross-shard scheduling from inside a worker epoch is an ownership
-	// violation: the destination heap belongs to a goroutine that may be
+	// violation: the destination queue belongs to a goroutine that may be
 	// draining it right now. Protocol layers never take this path — they
 	// commit, or schedule onto entities they own.
 	if p != nil {
@@ -371,18 +371,15 @@ func (k *Kernel) run(until Time) int64 {
 // cancel-on-idle ones, which it drops.
 func (k *Kernel) minShard(until Time) *shard {
 	var best *shard
+	var top *event
 	for _, s := range k.shards {
-		if len(s.queue) == 0 {
-			continue
-		}
-		if best == nil || eventBefore(&s.queue[0], &best.queue[0]) {
-			best = s
+		if e := s.queue.peek(); e != nil && (top == nil || eventBefore(e, top)) {
+			best, top = s, e
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	top := &best.queue[0]
 	if until >= 0 && top.at > until {
 		return nil
 	}
@@ -405,7 +402,7 @@ func eventBefore(a, b *event) bool {
 // cancel-on-idle — the drain condition.
 func (k *Kernel) onlyCancelable() bool {
 	for _, s := range k.shards {
-		if !s.queue.onlyCancelable() {
+		if s.queue.firm != 0 {
 			return false
 		}
 	}
@@ -415,14 +412,15 @@ func (k *Kernel) onlyCancelable() bool {
 // dropCancelable discards all pending cancel-on-idle events.
 func (k *Kernel) dropCancelable() {
 	for _, s := range k.shards {
-		s.queue = s.queue[:0]
+		s.queue.clear()
 	}
 }
 
 // exec pops shard s's next event and runs it on the coordinator thread
 // with s's clock.
 func (k *Kernel) exec(s *shard) {
-	e := s.queue.pop()
+	var e event
+	s.queue.pop(&e)
 	if e.at < s.now {
 		panic("simtime: event time went backwards")
 	}
@@ -460,7 +458,7 @@ func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
 	t := k.curNow.Add(d)
 	if len(k.shards) > 1 || !k.running || k.stop.Load() ||
 		(k.until >= 0 && t > k.until) || p.state != procRunning || p.wakePending ||
-		(len(s.queue) > 0 && s.queue[0].at <= t) {
+		(!s.queue.empty() && s.queue.peek().at <= t) {
 		return false
 	}
 	k.gseq++
@@ -506,18 +504,18 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 	c := k.shards[0]
 	for {
 		wnext, any := k.workerNext()
-		if len(c.queue) == 0 {
+		top := c.queue.peek()
+		if top == nil {
 			if !any {
 				if k.onlyCancelable() {
 					k.dropCancelable()
 				}
-				if len(c.queue) == 0 && !k.anyWork() {
+				if c.queue.empty() && !k.anyWork() {
 					return n, true
 				}
 			}
 			break
 		}
-		top := &c.queue[0]
 		if until >= 0 && top.at > until {
 			if !any {
 				return n, true
@@ -542,17 +540,17 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 		return n, !k.anyWork()
 	}
 	bound := wnext.Add(k.plan.Lookahead)
-	if len(c.queue) > 0 && c.queue[0].at < bound {
-		bound = c.queue[0].at
+	if top := c.queue.peek(); top != nil && top.at < bound {
+		bound = top.at
 	}
 	if until >= 0 && bound > until.Add(1) {
 		bound = until.Add(1)
 	}
-	// Drain worker heaps concurrently inside [*, bound).
+	// Drain worker queues concurrently inside [*, bound).
 	k.inEpoch.Store(true)
 	var ran atomic.Int64
 	for _, s := range k.shards[1:] {
-		if len(s.queue) == 0 {
+		if s.queue.empty() {
 			continue
 		}
 		s.lseq = 0
@@ -610,8 +608,12 @@ func (k *Kernel) drain(s *shard, bound Time) (n int64) {
 			s.panicked = pp
 		}
 	}()
-	for len(s.queue) > 0 && !s.stopPhase && s.queue[0].at < bound && !k.stop.Load() {
-		e := s.queue.pop()
+	for !s.stopPhase && !k.stop.Load() {
+		if top := s.queue.peek(); top == nil || top.at >= bound {
+			break
+		}
+		var e event
+		s.queue.pop(&e)
 		if e.at < s.now {
 			panic("simtime: event time went backwards")
 		}
@@ -628,11 +630,8 @@ func (k *Kernel) workerNext() (Time, bool) {
 	var t Time
 	any := false
 	for _, s := range k.shards[1:] {
-		if len(s.queue) == 0 {
-			continue
-		}
-		if !any || s.queue[0].at < t {
-			t = s.queue[0].at
+		if e := s.queue.peek(); e != nil && (!any || e.at < t) {
+			t = e.at
 			any = true
 		}
 	}
@@ -642,7 +641,7 @@ func (k *Kernel) workerNext() (Time, bool) {
 // anyWork reports whether any shard has pending events.
 func (k *Kernel) anyWork() bool {
 	for _, s := range k.shards {
-		if len(s.queue) > 0 {
+		if !s.queue.empty() {
 			return true
 		}
 	}
