@@ -33,7 +33,18 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// The goroutines of an earlier run — a sharded epoch's workers,
+			// unwound procs — may still be returning: count once the number
+			// has held for 5 ms.
 			before := runtime.NumGoroutine()
+			for i, held := 0, 0; i < 200 && held < 5; i++ {
+				time.Sleep(time.Millisecond)
+				if n := runtime.NumGoroutine(); n == before {
+					held++
+				} else {
+					before, held = n, 0
+				}
+			}
 			c := cluster.New(tc.spec, tc.procs)
 			dt := datatype.Contiguous(4096)
 			c.Launch(func(p *cluster.Proc) {

@@ -437,3 +437,39 @@ func TestCancelOnIdleDrains(t *testing.T) {
 		}
 	}
 }
+
+// TestMergedCommitTiesLocalEvent pins the order of a tie the barrier
+// merge creates. During one epoch entity 5 schedules events of its own at
+// T, under strided seqs, while entities 1 and 2, on another shard, commit
+// events onto entity 5 at the same T. The merge schedules those under the
+// global sequence, below the strided seqs already pending on entity 5's
+// shard, so they run first — as in the sequential kernel, where the
+// committing entities' events were scheduled, and so ran, first.
+func TestMergedCommitTiesLocalEvent(t *testing.T) {
+	const T = Time(150 * Nanosecond)
+	want := []string{"D1", "D2", "L1", "L2", "L3"}
+	for _, workers := range []int{0, 2, 4} {
+		k := newTestKernel(workers)
+		var got []string
+		dst := k.SchedFor(5)
+		note := func(name string) func() { return func() { got = append(got, name) } }
+		for _, src := range []Entity{1, 2} {
+			name := fmt.Sprintf("D%d", src)
+			sc := k.SchedFor(src)
+			sc.At(0, "send", func() {
+				sc.Commit("xmit", func() { dst.At(T, name, note(name)) })
+			})
+		}
+		dst.At(0, "local", func() {
+			dst.At(T+1, "L3", note("L3"))
+			dst.At(T, "L1", note("L1"))
+			dst.At(T, "L2", note("L2"))
+		})
+		k.EnableParallel()
+		k.Run()
+		k.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: entity 5 ran %v, want %v", workers, got, want)
+		}
+	}
+}
