@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"text/tabwriter"
 
 	"qsmpi/internal/cluster"
@@ -27,7 +29,17 @@ import (
 	"qsmpi/internal/trace"
 )
 
-var schemes = map[string]ptlelan4.Scheme{"read": ptlelan4.RDMARead, "write": ptlelan4.RDMAWrite}
+var (
+	schemes  = map[string]ptlelan4.Scheme{"read": ptlelan4.RDMARead, "write": ptlelan4.RDMAWrite}
+	patterns = []string{"pingpong", "ring", "alltoall"}
+)
+
+// usage reports a flag value that cannot be run and exits before anything
+// is simulated.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "clustersim: "+format+"\n", args...)
+	os.Exit(2)
+}
 
 func main() {
 	procs := flag.Int("procs", 4, "number of MPI processes")
@@ -43,13 +55,22 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the unified metrics table after the summaries")
 	flag.Parse()
 
+	// Every flag is checked before anything is simulated: a value that
+	// names nothing, or a combination that cannot work, exits 2.
+	switch {
+	case *procs < 1:
+		usage("-procs %d names no process (valid: 1 or more)", *procs)
+	case !slices.Contains(patterns, *pattern):
+		usage("-pattern %s names nothing (valid: %s)", *pattern, strings.Join(patterns, ", "))
+	case *pattern == "pingpong" && *procs < 2:
+		usage("-pattern pingpong needs two processes, -procs is %d", *procs)
+	case *size < 0:
+		usage("-size %d is negative (valid: 0 or more bytes)", *size)
+	case *shards > 1 && *lossRate > 0:
+		usage("-shards > 1 is incompatible with -lossrate > 0 (lossy retransmits serialize through shared link state)")
+	}
 	m := model.Default()
 	m.LinkLossRate = *lossRate
-	if *shards > 1 && *lossRate > 0 {
-		log.Fatal("clustersim: -shards > 1 is incompatible with -lossrate > 0 (lossy retransmits serialize through shared link state)")
-	}
-	// -scheme and -threads are lookups; a value that names nothing stops
-	// the tool before anything is simulated.
 	sch, ok := schemes[*scheme]
 	opts := ptlelan4.BestOptions(sch)
 	spec, err := cluster.Spec{Elan: &opts, ElanRails: *rails, Model: &m, Shards: *shards}.WithProgressRow(strconv.Itoa(*threads))
@@ -57,8 +78,7 @@ func main() {
 		err = fmt.Errorf("-scheme %s names nothing (valid: read, write)", *scheme)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "clustersim:", err)
-		os.Exit(2)
+		usage("%v", err)
 	}
 	var rec *trace.Recorder
 	if *traceOut != "" {
@@ -116,14 +136,7 @@ func main() {
 		fmt.Print(reg.Snapshot().Render())
 	}
 	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WritePerfettoFrom(f, rec); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WritePerfettoFile(*traceOut, rec); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), *traceOut)
@@ -174,7 +187,5 @@ func runPattern(p *cluster.Proc, procs int, pattern string, size, iters int) {
 				s.Wait(p.Th)
 			}
 		}
-	default:
-		log.Fatalf("clustersim: unknown pattern %q", pattern)
 	}
 }

@@ -16,7 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"log"
 
 	"qsmpi/internal/experiments"
 	"qsmpi/internal/obs"
@@ -56,16 +56,8 @@ func observe(traceOut string, metrics, breakdown bool, size int) {
 		fmt.Print(prof.RenderCritical())
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err == nil {
-			err = obs.WritePerfettoFrom(f, ob.Recorder)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "elan4bench: %v\n", err)
-			os.Exit(1)
+		if err := obs.WritePerfettoFile(traceOut, ob.Recorder); err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", ob.Recorder.Len(), traceOut)
 	}

@@ -133,21 +133,10 @@ func main() {
 		fmt.Print(obs.AnalyzeWaits(events).Render())
 	}
 	if smp != nil {
-		fmt.Printf("\nsampler: period %s, %d ticks\n", smp.Period(), smp.Ticks())
-		fmt.Print(smp.RankMatrix(obs.GaugeDuty).Heatmap(72))
-		fmt.Print(smp.RankMatrix(obs.GaugeRecvQDepth).Heatmap(72))
-		fmt.Print(smp.RankMatrix(obs.GaugePendingSends).Heatmap(72))
-		fmt.Print(smp.LinkMatrix(obs.LinkGaugeBytes).Deltas().Heatmap(72))
+		fmt.Print("\n" + smp.Heatmaps(72))
 	}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := obs.WritePerfettoFrom(f, rec); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WritePerfettoFile(*out, rec); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %d events to %s (load at ui.perfetto.dev)\n", rec.Len(), *out)

@@ -18,8 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 
 	"qsmpi/internal/experiments"
+	"qsmpi/internal/obs"
 	"qsmpi/internal/parsweep"
 )
 
@@ -73,24 +75,25 @@ func main() {
 	for _, f := range overlapFigs {
 		fmt.Printf("\n```\n%s```\n", f.Render())
 	}
+	// The figure sweeps above run untraced (the report body stays
+	// byte-identical); -metrics and -breakdown read one representative
+	// point per figure, rerun sequentially with a registry and a tracer.
+	runs := sync.OnceValue(experiments.FigureRuns)
 	if *metrics {
-		// The figure sweeps above run untraced (the report body stays
-		// byte-identical); each table below is one representative point
-		// rerun sequentially with a metrics registry attached.
 		fmt.Println()
 		fmt.Println("## Per-figure metrics (representative points)")
-		for _, fm := range experiments.FigureMetrics(cfg) {
-			fmt.Printf("\n### %s — %s\n\n```\n%s```\n", fm.ID, fm.Note, fm.Snap.Render())
+		for _, fr := range runs() {
+			fmt.Printf("\n### %s — %s\n\n```\n%s```\n", fr.ID, fr.Note, fr.Metrics.Render())
 		}
 	}
 	if *breakdown {
-		// Like -metrics: the representative points rerun sequentially with a
-		// tracer attached; the report body above is untouched.
 		fmt.Println()
 		fmt.Println("## Per-figure phase decomposition (representative points)")
-		for _, fb := range experiments.FigureBreakdowns(cfg) {
-			fmt.Printf("\n### %s — %s\n\n```\n%s\n%s```\n",
-				fb.ID, fb.Note, fb.Profile.RenderBreakdown(), fb.Profile.RenderCritical())
+		for _, fr := range runs() {
+			if !fr.MetricsOnly {
+				prof := obs.Analyze(fr.Recorder.Events())
+				fmt.Printf("\n### %s — %s\n\n```\n%s\n%s```\n", fr.ID, fr.Note, prof.RenderBreakdown(), prof.RenderCritical())
+			}
 		}
 	}
 	if *waitstates {

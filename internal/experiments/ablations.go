@@ -15,76 +15,65 @@ import (
 
 // Ablations beyond the paper's figures: sweeps over the design parameters
 // DESIGN.md calls out (eager threshold, rail count, queue depth, fabric
-// scale, hardware vs software broadcast). Each returns a Result in the
-// same format as the figures.
+// scale, hardware vs software broadcast). Each is a plot in the registry,
+// in the same format as the figures.
 
-// AblationEagerThreshold sweeps the eager/rendezvous switch point. The
-// paper fixes it at 1984 (one QDMA slot minus the header); the sweep shows
-// the latency cliff a too-small threshold creates.
-func AblationEagerThreshold(cfg Config) *Result {
-	var specs []seriesSpec
+// ablationEager sweeps the eager/rendezvous switch point. The paper fixes
+// it at 1984 (one QDMA slot minus the header); the sweep shows the latency
+// cliff a too-small threshold creates.
+func ablationEager(cfg Config) plot {
+	var curves []curve
 	for _, th := range []int{256, 512, 1024, 1984} {
 		spec := bestRead()
 		spec.Elan.EagerLimit = th
-		specs = append(specs, seriesSpec{fmt.Sprintf("eager=%d", th), []int{512, 1024, 1984}, cfg.ping(spec)})
+		curves = append(curves, cfg.ping(fmt.Sprintf("eager=%d", th), spec))
 	}
-	return cfg.figure("ablate-eager", "Eager threshold vs latency", "bytes", "latency us", specs...)
+	return plot{"ablate-eager", "Eager threshold vs latency", "bytes", "latency us", []int{512, 1024, 1984}, curves}
 }
 
-// AblationMultirail compares one and two Quadrics rails (the paper's
+// ablationMultirail compares one and two Quadrics rails (the paper's
 // future-work item) on large-message bandwidth under the write scheme.
-func AblationMultirail(cfg Config) *Result {
-	var specs []seriesSpec
+func ablationMultirail(cfg Config) plot {
+	var curves []curve
 	for _, rails := range []int{1, 2} {
 		spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMAWrite), false, pml.Polling)
 		spec.ElanRails = rails
-		specs = append(specs, seriesSpec{fmt.Sprintf("%d-rail", rails), []int{16384, 65536, 262144, 1048576},
-			func(n int) (float64, parsweep.Metrics) {
-				lat, m := cfg.openMPIPingPong(spec, n, cfg.itersFor(n))
-				return toBW(n, lat), m
-			}})
+		curves = append(curves, line(fmt.Sprintf("%d-rail", rails), func(n int) (float64, parsweep.Metrics) {
+			lat, _, m := cfg.openMPI(spec, n, cfg.itersFor(n), false)
+			return toBW(n, lat), m
+		}))
 	}
-	return cfg.figure("ablate-multirail", "Multirail Quadrics bandwidth (RDMA write)", "bytes", "MB/s", specs...)
+	return plot{"ablate-multirail", "Multirail Quadrics bandwidth (RDMA write)", "bytes", "MB/s", []int{16384, 65536, 262144, 1048576}, curves}
 }
 
-// AblationFatTreeScale measures zero-byte and 4 KB latency between the
-// most distant nodes — rank 0 and rank n−1 of an n-node cluster — as the
-// fat tree grows (1, 2 and 3 switch levels with the radix-8 Elite-4
-// building block), at half the configured iterations but no fewer than 10.
-func AblationFatTreeScale(cfg Config) *Result {
-	var specs []seriesSpec
+// ablationFatTree measures zero-byte and 4 KB latency between the most
+// distant nodes — rank 0 and rank n−1 of an n-node cluster — as the fat
+// tree grows (1, 2 and 3 switch levels with the radix-8 Elite-4 building
+// block), at half the configured iterations but no fewer than 10.
+func ablationFatTree(cfg Config) plot {
+	var curves []curve
 	for _, size := range []int{0, 4096} {
-		specs = append(specs, seriesSpec{fmt.Sprintf("%dB", size), []int{2, 8, 64},
-			func(nodes int) (float64, parsweep.Metrics) {
-				spec := bestRead()
-				spec.Nodes, spec.Shards = nodes, cfg.Shards
-				lat, _, m := pingPongOn(cluster.New(spec, nodes), nodes-1, size, max(cfg.Iters/2, 10), cfg.Warmup, false)
-				return lat, m
-			}})
+		curves = append(curves, line(fmt.Sprintf("%dB", size), func(nodes int) (float64, parsweep.Metrics) {
+			spec := bestRead()
+			spec.Nodes, spec.Shards = nodes, cfg.Shards
+			lat, _, m := pingPongOn(cluster.New(spec, nodes), nodes-1, size, max(cfg.Iters/2, 10), cfg.Warmup, false)
+			return lat, m
+		}))
 	}
-	return cfg.figure("ablate-fattree", "Fat-tree scale vs far-corner latency", "nodes", "latency us", specs...)
+	return plot{"ablate-fattree", "Fat-tree scale vs far-corner latency", "nodes", "latency us", []int{2, 8, 64}, curves}
 }
 
-// AblationQueueSlots measures QDMA retries as the receive-queue depth
+// ablationQueueSlots measures QDMA retries as the receive-queue depth
 // (QSLOTS) shrinks under an incast burst: 7 senders, one slow receiver.
-// One simulation yields both curves, so each depth is one engine job.
-func AblationQueueSlots(cfg Config) *Result {
-	slotsList := []int{2, 4, 16, 64}
-	rows := fanOut(cfg, len(slotsList), func(i int) ([2]float64, parsweep.Metrics) {
-		return incastRetries(slotsList[i])
-	})
-	return &Result{
-		ID:     "ablate-qslots",
-		Title:  "Receive-queue depth vs NACK retries (7-to-1 incast)",
-		XLabel: "slots",
-		YLabel: "retries",
-		Series: pair(slotsList, rows, "retries", "drain-time-us"),
-	}
+// One simulation per depth yields both curves.
+func ablationQueueSlots(Config) plot {
+	return plot{"ablate-qslots", "Receive-queue depth vs NACK retries (7-to-1 incast)", "slots", "retries", []int{2, 4, 16, 64},
+		[]curve{{[]string{"retries", "drain-time-us"}, incastRetries}}}
 }
 
 // incastRetries returns the NACK retries of the burst and the time (µs) at
 // which the receiver has drained it.
-func incastRetries(slots int) ([2]float64, parsweep.Metrics) {
+func incastRetries(slots int) ([]float64, parsweep.Metrics) {
 	const nodes = 8
 	const perSender = 16
 	spec := bestRead()
@@ -114,18 +103,17 @@ func incastRetries(slots int) ([2]float64, parsweep.Metrics) {
 	for _, nic := range c.NICs {
 		retries += nic.Stats().Retries
 	}
-	return [2]float64{float64(retries), drainAt.Micros()}, m
+	return []float64{float64(retries), drainAt.Micros()}, m
 }
 
-// AblationHWBcast compares QsNet hardware broadcast (switch-replicated
+// ablationHWBcast compares QsNet hardware broadcast (switch-replicated
 // QDMA multicast) against the software binomial-tree broadcast for 1 KB
 // payloads across group sizes — the benefit §4.1 says dynamically joined
 // processes must forgo.
-func AblationHWBcast(cfg Config) *Result {
-	nodesList := []int{2, 4, 8, 16}
-	return cfg.figure("ablate-hwbcast", "Hardware vs software broadcast (1KB)", "nodes", "latency us",
-		seriesSpec{"hardware", nodesList, func(nodes int) (float64, parsweep.Metrics) { return hwBcastLatency(nodes, 1024) }},
-		seriesSpec{"software-binomial", nodesList, func(nodes int) (float64, parsweep.Metrics) { return swBcastLatency(nodes, 1024) }})
+func ablationHWBcast(Config) plot {
+	return plot{"ablate-hwbcast", "Hardware vs software broadcast (1KB)", "nodes", "latency us", []int{2, 4, 8, 16}, []curve{
+		line("hardware", func(nodes int) (float64, parsweep.Metrics) { return hwBcastLatency(nodes, 1024) }),
+		line("software-binomial", func(nodes int) (float64, parsweep.Metrics) { return swBcastLatency(nodes, 1024) })}}
 }
 
 // hwBcastLatency measures a root's hardware broadcast until every leaf

@@ -5,7 +5,7 @@ import "testing"
 // Smoke tests asserting each ablation's headline shape, on reduced sweeps.
 
 func TestAblationMultirailShape(t *testing.T) {
-	r := AblationMultirail(DefaultConfig().WithIters(20))
+	r := byID("ablate-multirail").run(DefaultConfig().WithIters(20))
 	one := byName(r, "1-rail")
 	two := byName(r, "2-rail")
 	// At 1MB two rails must approach 2x.
@@ -20,7 +20,7 @@ func TestAblationMultirailShape(t *testing.T) {
 }
 
 func TestAblationEagerThresholdShape(t *testing.T) {
-	r := AblationEagerThreshold(DefaultConfig().WithIters(20))
+	r := byID("ablate-eager").run(DefaultConfig().WithIters(20))
 	small := byName(r, "eager=256")
 	big := byName(r, "eager=1984")
 	// 512B messages hit rendezvous with a 256B threshold: strictly worse.
@@ -34,7 +34,7 @@ func TestAblationEagerThresholdShape(t *testing.T) {
 }
 
 func TestAblationFatTreeShape(t *testing.T) {
-	r := AblationFatTreeScale(DefaultConfig().WithIters(20))
+	r := byID("ablate-fattree").run(DefaultConfig().WithIters(20))
 	zero := byName(r, "0B")
 	// 2 and 8 nodes share a single switch level; 64 adds two more.
 	if at(zero, 2) != at(zero, 8) {
@@ -50,7 +50,7 @@ func TestAblationFatTreeShape(t *testing.T) {
 }
 
 func TestAblationQueueSlotsShape(t *testing.T) {
-	r := AblationQueueSlots(DefaultConfig().WithIters(20))
+	r := byID("ablate-qslots").run(DefaultConfig().WithIters(20))
 	retries := byName(r, "retries")
 	if at(retries, 2) <= at(retries, 64) {
 		t.Fatal("shallower queues should retry more")
@@ -61,7 +61,7 @@ func TestAblationQueueSlotsShape(t *testing.T) {
 }
 
 func TestAblationHWBcastShape(t *testing.T) {
-	r := AblationHWBcast(DefaultConfig().WithIters(20))
+	r := byID("ablate-hwbcast").run(DefaultConfig().WithIters(20))
 	hw := byName(r, "hardware")
 	sw := byName(r, "software-binomial")
 	for _, nodes := range []int{4, 8, 16} {

@@ -101,12 +101,10 @@ func (c Config) collLatency(n int, nic bool, op string) (lat float64, m parsweep
 // NIC combine trees.
 func CollScaleFigures(cfg Config) []Result {
 	fig := func(id, title, op string) Result {
-		measure := func(nic bool) pointFn {
-			return func(n int) (float64, parsweep.Metrics) { return cfg.collLatency(n, nic, op) }
+		tree := func(name string, nic bool) curve {
+			return line(name, func(n int) (float64, parsweep.Metrics) { return cfg.collLatency(n, nic, op) })
 		}
-		return *cfg.figure(id, title, "ranks", "latency us",
-			seriesSpec{"host tree", collRanks, measure(false)},
-			seriesSpec{"NIC tree", collRanks, measure(true)})
+		return *cfg.sweep(plot{id, title, "ranks", "latency us", collRanks, []curve{tree("host tree", false), tree("NIC tree", true)}})
 	}
 	return []Result{
 		fig("coll-barrier", "Barrier latency vs ranks, host vs NIC tree", "barrier"),

@@ -71,47 +71,47 @@ func fanOut[T any](c Config, n int, job func(i int) (T, parsweep.Metrics)) []T {
 	return vals
 }
 
-// pointFn measures one sample at x — a message size, a node count — and
-// reports the simulation's engine metrics alongside the value.
-type pointFn func(x int) (float64, parsweep.Metrics)
-
-// seriesSpec declares one curve of a figure: its label, x values, and
-// the measurement closure each point runs as an independent job.
-type seriesSpec struct {
-	name    string
-	sizes   []int
-	measure pointFn
+// curve is one simulation per x and the series it yields: usually one, two
+// where one simulation measures two things (Fig. 9's layered run, the
+// queue-depth ablation's retries and drain time).
+type curve struct {
+	names []string
+	run   func(x int) ([]float64, parsweep.Metrics)
 }
 
-// sweep runs every (series, size) point of the specs through the
-// parallel engine and assembles the curves. The points are flattened
-// into one job list in (series, size) order and each job writes only its
-// own slot, so the assembled output is byte-identical to sequential
-// nested loops at any worker count.
-func (c Config) sweep(specs ...seriesSpec) []Series {
-	var of, xs []int // per flattened point: its series, its x
-	out := make([]Series, len(specs))
-	for si, sp := range specs {
-		out[si].Name = sp.name
-		for _, x := range sp.sizes {
-			of, xs = append(of, si), append(xs, x)
-		}
-	}
-	vals := fanOut(c, len(xs), func(j int) (float64, parsweep.Metrics) { return specs[of[j]].measure(xs[j]) })
-	for j, v := range vals {
-		out[of[j]].Points = append(out[of[j]].Points, Point{Size: xs[j], Value: v})
-	}
-	return out
+// line is the curve of one series: fn measures the sample at x — a message
+// size, a node count — and reports the simulation's engine metrics.
+func line(name string, fn func(x int) (float64, parsweep.Metrics)) curve {
+	return curve{[]string{name}, func(x int) ([]float64, parsweep.Metrics) {
+		v, m := fn(x)
+		return []float64{v}, m
+	}}
 }
 
-// pair splits the two-valued rows one simulation per x yields into two
-// curves.
-func pair(xs []int, rows [][2]float64, first, second string) []Series {
-	out := []Series{{Name: first}, {Name: second}}
-	for i, x := range xs {
-		for k := range out {
-			out[k].Points = append(out[k].Points, Point{Size: x, Value: rows[i][k]})
+// plot is a figure before it is measured: its ID and labels, one x list
+// and the curves swept over it.
+type plot struct {
+	id, title, xlabel, ylabel string
+	xs                        []int
+	curves                    []curve
+}
+
+// sweep measures every (curve, x) point of p through the parallel engine
+// and assembles the series. The points are one job list in (curve, x)
+// order and each job writes only its own slot, so the result is
+// byte-identical to sequential nested loops at any worker count.
+func (c Config) sweep(p plot) *Result {
+	n := len(p.xs)
+	rows := fanOut(c, len(p.curves)*n, func(j int) ([]float64, parsweep.Metrics) { return p.curves[j/n].run(p.xs[j%n]) })
+	r := &Result{ID: p.id, Title: p.title, XLabel: p.xlabel, YLabel: p.ylabel}
+	for ci, cv := range p.curves {
+		for k, name := range cv.names {
+			s := Series{Name: name}
+			for i, x := range p.xs {
+				s.Points = append(s.Points, Point{Size: x, Value: rows[ci*n+i][k]})
+			}
+			r.Series = append(r.Series, s)
 		}
 	}
-	return out
+	return r
 }

@@ -84,30 +84,23 @@ func (r *Result) format(xhead, head, eol, x, cell string) string {
 // OpenMPIPingPong measures mean half-round-trip latency (µs) of the Open
 // MPI stack for one size under a spec.
 func OpenMPIPingPong(spec cluster.Spec, size, iters int) float64 {
-	lat, _, _ := pingPongOn(cluster.New(spec, 2), 1, size, iters, Warmup, false)
+	lat, _, _ := Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters, false)
 	return lat
 }
 
 // OpenMPILayered measures both the half-round-trip latency and the mean
 // PML-layer cost (§6.3) for one size.
 func OpenMPILayered(spec cluster.Spec, size, iters int) (total, pmlCost float64) {
-	total, pmlCost, _ = pingPongOn(cluster.New(spec, 2), 1, size, iters, Warmup, true)
+	total, pmlCost, _ = Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters, true)
 	return total, pmlCost
 }
 
-// openMPIPingPong is the Config-aware harness the parallel sweeps use:
-// warmup and shards come from the config and the engine metrics are
-// reported.
-func (c Config) openMPIPingPong(spec cluster.Spec, size, iters int) (float64, parsweep.Metrics) {
+// openMPI is the Open MPI ping-pong under spec with the config's warmup and
+// shards, measuring the PML-layer cost too when layered is set, and
+// reporting the engine metrics.
+func (c Config) openMPI(spec cluster.Spec, size, iters int, layered bool) (lat, pmlCost float64, m parsweep.Metrics) {
 	spec.Shards = c.Shards
-	lat, _, m := pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup, false)
-	return lat, m
-}
-
-// openMPILayered is OpenMPILayered plus engine metrics.
-func (c Config) openMPILayered(spec cluster.Spec, size int) (total, pmlCost float64, m parsweep.Metrics) {
-	spec.Shards = c.Shards
-	return pingPongOn(cluster.New(spec, 2), 1, size, c.Iters, c.Warmup, true)
+	return pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup, layered)
 }
 
 // pingPongOn runs the ping-pong between rank 0 and rank peer of the fresh

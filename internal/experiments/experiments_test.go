@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 )
@@ -174,6 +176,44 @@ func TestAllPaperClaimsPass(t *testing.T) {
 		if !c.Pass {
 			t.Errorf("%s: %s — measured %s", c.ID, c.Paper, c.Measured)
 		}
+	}
+}
+
+// TestClaimsReadFigurePoints: Claims runs one simulation per distinct
+// figure point it reads — 22 of them — with Tport's 1 MB ping-pong first
+// and Open MPI's last (DESIGN.md §7), and every claim is its verdict over
+// the registry figures' values at the points it names.
+func TestClaimsReadFigurePoints(t *testing.T) {
+	var st parsweep.Stats
+	cfg := DefaultConfig().WithIters(4)
+	cfg.Stats = &st
+	claims := Claims(cfg)
+	if st.Jobs() != 22 {
+		t.Errorf("Claims ran %d simulations, want 22: one per distinct figure point", st.Jobs())
+	}
+	figs := map[string]*Result{}
+	for _, r := range All(DefaultConfig().WithIters(4)) {
+		figs[r.ID] = r
+	}
+	b := figs["fig7b"]
+	want := fmt.Sprintf("read %.2fus vs write %.2fus at 4KB", at(byName(b, "RDMA-Read"), 4096), at(byName(b, "RDMA-Write"), 4096))
+	if claims[1].ID != "fig7-read-vs-write" || claims[1].Measured != want {
+		t.Errorf("claim %s measured %q, want fig7-read-vs-write measuring %q", claims[1].ID, claims[1].Measured, want)
+	}
+	for i, c := range paperClaims {
+		var v []float64
+		for _, pt := range c.points {
+			v = append(v, at(byName(figs[pt.fig], pt.series), pt.x))
+		}
+		if measured, pass := c.verdict(v); claims[i] != (Claim{c.id, c.paper, measured, pass}) {
+			t.Errorf("claim %+v, the figures give %q (pass %v)", claims[i], measured, pass)
+		}
+	}
+	jobs, _ := claimJobs(cfg)
+	first, last := jobs[0], jobs[len(jobs)-1]
+	if first.x != 1<<20 || first.c.names[0] != "MPICH-QsNetII" || last.x != 1<<20 || last.c.names[0] != "PTL/Elan4-RDMA-Read" {
+		t.Errorf("jobs run from %v at %d to %v at %d, want Tport's 1 MB point first and Open MPI's last",
+			first.c.names, first.x, last.c.names, last.x)
 	}
 }
 

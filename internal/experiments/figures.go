@@ -25,40 +25,48 @@ var (
 	Fig10LargeSizes = []int{2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576}
 )
 
-// figure sweeps the series of one figure or table panel.
-func (c Config) figure(id, title, xlabel, ylabel string, specs ...seriesSpec) *Result {
-	return &Result{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, Series: c.sweep(specs...)}
+// ping is the curve every latency figure is made of: the Open MPI
+// ping-pong under spec at cfg.Iters.
+func (c Config) ping(name string, spec cluster.Spec) curve {
+	return line(name, func(n int) (float64, parsweep.Metrics) {
+		lat, _, m := c.openMPI(spec, n, c.Iters, false)
+		return lat, m
+	})
 }
 
-// ping is the point every latency curve is made of: the Open MPI ping-pong
-// under spec at cfg.Iters.
-func (c Config) ping(spec cluster.Spec) pointFn {
-	return func(n int) (float64, parsweep.Metrics) { return c.openMPIPingPong(spec, n, c.Iters) }
-}
+// The paper's figures are defined once, as plots: the registry lists them,
+// the exported functions below sweep them over the sizes they are given,
+// and Claims reads single points of their curves.
 
 // Fig7 reproduces "Performance Analysis of Basic RDMA Read and Write":
 // the six series over the two panels' size ranges.
-func Fig7(cfg Config, sizes []int, panel string) *Result {
-	mk := func(opts ptlelan4.Options, dtp bool) pointFn { return cfg.ping(elanSpec(opts, dtp, pml.Polling)) }
+func Fig7(cfg Config, sizes []int, panel string) *Result { return cfg.sweep(fig7(cfg, sizes, panel)) }
+
+func fig7(cfg Config, sizes []int, panel string) plot {
+	mk := func(name string, opts ptlelan4.Options, dtp bool) curve {
+		return cfg.ping(name, elanSpec(opts, dtp, pml.Polling))
+	}
 	read := base(ptlelan4.RDMARead)
-	readNoInline := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	write := base(ptlelan4.RDMAWrite)
-	writeNoInline := ptlelan4.BestOptions(ptlelan4.RDMAWrite)
-	return cfg.figure("fig7"+panel, "Performance Analysis of Basic RDMA Read and Write ("+panel+")", "bytes", "latency us",
-		seriesSpec{"RDMA-Read", sizes, mk(read, false)},
-		seriesSpec{"Read-NoInline", sizes, mk(readNoInline, false)},
-		seriesSpec{"Read-DTP", sizes, mk(read, true)},
-		seriesSpec{"RDMA-Write", sizes, mk(write, false)},
-		seriesSpec{"Write-NoInline", sizes, mk(writeNoInline, false)},
-		seriesSpec{"Write-DTP", sizes, mk(write, true)})
+	return plot{"fig7" + panel, "Performance Analysis of Basic RDMA Read and Write (" + panel + ")", "bytes", "latency us", sizes, []curve{
+		mk("RDMA-Read", read, false),
+		mk("Read-NoInline", ptlelan4.BestOptions(ptlelan4.RDMARead), false),
+		mk("Read-DTP", read, true),
+		mk("RDMA-Write", write, false),
+		mk("Write-NoInline", ptlelan4.BestOptions(ptlelan4.RDMAWrite), false),
+		mk("Write-DTP", write, true)}}
 }
 
 // Fig8 reproduces "Performance Analysis with Chained DMA and Shared
 // Completion Queue" (RDMA read based, per §6.2). One-Queue and Two-Queue
 // are the completion queues polled, without the progress threads Table 1
 // pairs them with.
-func Fig8(cfg Config, sizes []int) *Result {
-	mk := func(opts ptlelan4.Options) pointFn { return cfg.ping(elanSpec(opts, false, pml.Polling)) }
+func Fig8(cfg Config, sizes []int) *Result { return cfg.sweep(fig8(cfg, sizes)) }
+
+func fig8(cfg Config, sizes []int) plot {
+	mk := func(name string, opts ptlelan4.Options) curve {
+		return cfg.ping(name, elanSpec(opts, false, pml.Polling))
+	}
 	chained := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	noChain := chained
 	noChain.ChainFin = false
@@ -66,40 +74,36 @@ func Fig8(cfg Config, sizes []int) *Result {
 	oneQ.CQ = ptlelan4.OneQueue
 	twoQ := chained
 	twoQ.CQ = ptlelan4.TwoQueue
-	return cfg.figure("fig8", "Chained DMA and Shared Completion Queue", "bytes", "latency us",
-		seriesSpec{"RDMA-Read", sizes, mk(chained)},
-		seriesSpec{"Read-NoChain", sizes, mk(noChain)},
-		seriesSpec{"One-Queue", sizes, mk(oneQ)},
-		seriesSpec{"Two-Queue", sizes, mk(twoQ)})
+	return plot{"fig8", "Chained DMA and Shared Completion Queue", "bytes", "latency us", sizes, []curve{
+		mk("RDMA-Read", chained), mk("Read-NoChain", noChain), mk("One-Queue", oneQ), mk("Two-Queue", twoQ)}}
 }
 
 // Fig9 reproduces "Analysis of Communication Overhead in Different
 // Layers": native QDMA latency, the PTL-layer latency and the PML-layer
-// cost, all per half round trip. The layered measurements produce two
-// curves from one simulation, so each size is one job returning both.
-func Fig9(cfg Config, sizes []int) *Result {
-	r := cfg.figure("fig9", "Communication Overhead in Different Layers", "bytes", "latency us",
-		seriesSpec{"QDMA latency", sizes, func(n int) (float64, parsweep.Metrics) {
-			return qdmaPingPong(n, cfg.Iters, cfg.Warmup)
-		}})
-	layered := fanOut(cfg, len(sizes), func(i int) ([2]float64, parsweep.Metrics) {
-		total, pmlc, m := cfg.openMPILayered(bestRead(), sizes[i])
-		return [2]float64{total - pmlc, pmlc}, m
-	})
-	r.Series = append(r.Series, pair(sizes, layered, "PTL Latency", "PML Layer Cost")...)
-	return r
+// cost, all per half round trip. The last two are one curve: one layered
+// simulation per size yields both.
+func Fig9(cfg Config, sizes []int) *Result { return cfg.sweep(fig9(cfg, sizes)) }
+
+func fig9(cfg Config, sizes []int) plot {
+	return plot{"fig9", "Communication Overhead in Different Layers", "bytes", "latency us", sizes, []curve{
+		line("QDMA latency", func(n int) (float64, parsweep.Metrics) { return qdmaPingPong(n, cfg.Iters, cfg.Warmup) }),
+		{[]string{"PTL Latency", "PML Layer Cost"}, func(n int) ([]float64, parsweep.Metrics) {
+			total, pmlc, m := cfg.openMPI(bestRead(), n, cfg.Iters, true)
+			return []float64{total - pmlc, pmlc}, m
+		}}}}
 }
 
 // Table1 reproduces "Performance Analysis of Thread-Based Asynchronous
 // Progress": Basic / Interrupt / One Thread / Two Threads at 4 B and
 // 4 KB over the RDMA-read scheme.
-func Table1(cfg Config) *Result {
-	sizes := []int{4, 4096}
-	return cfg.figure("table1", "Thread-Based Asynchronous Progress (RDMA-Read)", "bytes", "latency us",
-		seriesSpec{"Basic", sizes, cfg.ping(modeSpec("basic"))},
-		seriesSpec{"Interrupt", sizes, cfg.ping(modeSpec("interrupt"))},
-		seriesSpec{"One Thread", sizes, cfg.ping(modeSpec("one-thread"))},
-		seriesSpec{"Two Threads", sizes, cfg.ping(modeSpec("two-threads"))})
+func Table1(cfg Config) *Result { return cfg.sweep(table1(cfg)) }
+
+func table1(cfg Config) plot {
+	return plot{"table1", "Thread-Based Asynchronous Progress (RDMA-Read)", "bytes", "latency us", []int{4, 4096}, []curve{
+		cfg.ping("Basic", modeSpec("basic")),
+		cfg.ping("Interrupt", modeSpec("interrupt")),
+		cfg.ping("One Thread", modeSpec("one-thread")),
+		cfg.ping("Two Threads", modeSpec("two-threads"))}}
 }
 
 // Fig10 reproduces "Overall Performance of Open MPI over Quadrics/Elan4":
@@ -107,26 +111,28 @@ func Table1(cfg Config) *Result {
 // best PTL options of §6.5 are used: chained completion, polling without a
 // shared completion queue, rendezvous without inlined data.
 func Fig10(cfg Config, sizes []int, panel string, bandwidth bool) *Result {
+	return cfg.sweep(fig10(cfg, sizes, panel, bandwidth))
+}
+
+func fig10(cfg Config, sizes []int, panel string, bandwidth bool) plot {
 	metric := "latency us"
 	unit := func(n int, halfRTus float64) float64 { return halfRTus }
 	if bandwidth {
 		metric, unit = "MB/s", toBW
 	}
-	mpich := func(n int) (float64, parsweep.Metrics) {
+	mpich := line("MPICH-QsNetII", func(n int) (float64, parsweep.Metrics) {
 		l, m := tportPingPong(mpichq.NewJob(2, nil), n, cfg.itersFor(n), cfg.Warmup)
 		return unit(n, l), m
-	}
-	openmpi := func(scheme ptlelan4.Scheme) pointFn {
+	})
+	openmpi := func(name string, scheme ptlelan4.Scheme) curve {
 		spec := elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling)
-		return func(n int) (float64, parsweep.Metrics) {
-			l, m := cfg.openMPIPingPong(spec, n, cfg.itersFor(n))
+		return line(name, func(n int) (float64, parsweep.Metrics) {
+			l, _, m := cfg.openMPI(spec, n, cfg.itersFor(n), false)
 			return unit(n, l), m
-		}
+		})
 	}
-	return cfg.figure("fig10"+panel, "Open MPI over Quadrics/Elan4 vs MPICH-QsNetII ("+panel+")", "bytes", metric,
-		seriesSpec{"MPICH-QsNetII", sizes, mpich},
-		seriesSpec{"PTL/Elan4-RDMA-Read", sizes, openmpi(ptlelan4.RDMARead)},
-		seriesSpec{"PTL/Elan4-RDMA-Write", sizes, openmpi(ptlelan4.RDMAWrite)})
+	return plot{"fig10" + panel, "Open MPI over Quadrics/Elan4 vs MPICH-QsNetII (" + panel + ")", "bytes", metric, sizes, []curve{
+		mpich, openmpi("PTL/Elan4-RDMA-Read", ptlelan4.RDMARead), openmpi("PTL/Elan4-RDMA-Write", ptlelan4.RDMAWrite)}}
 }
 
 // toBW converts a half-round-trip latency (µs) into MB/s.

@@ -102,8 +102,8 @@ func identityRows() []identityRow {
 		{name: "ablations", sweep: true, run: func(workers, _ int) string {
 			return renderResults(Ablations(sweepCfg(5, workers, 0)))
 		}},
-		{name: "figure-breakdowns", run: func(workers, _ int) string {
-			return breakdownFingerprint(workers)
+		{name: "figure-breakdowns", run: func(_, _ int) string {
+			return breakdownFingerprint()
 		}},
 	}
 	// The 64 KB rendezvous point of the overlap harness, per progress mode

@@ -4,54 +4,55 @@ import (
 	"strings"
 	"testing"
 
+	"qsmpi/internal/obs"
 	"qsmpi/internal/simtime"
 )
 
-// breakdownFingerprint renders every figure's profile tables into one
-// string for byte-exact comparison.
-func breakdownFingerprint(workers int) string {
-	cfg := DefaultConfig().WithIters(10)
-	cfg.Workers = workers
+// breakdownFingerprint renders the profile tables of every figure run the
+// profiler decomposes into one string for byte-exact comparison.
+func breakdownFingerprint() string {
 	var sb strings.Builder
-	for _, fb := range FigureBreakdowns(cfg) {
-		sb.WriteString("## " + fb.ID + " — " + fb.Note + "\n")
-		sb.WriteString(fb.Profile.RenderBreakdown())
-		sb.WriteString(fb.Profile.RenderFlows())
-		sb.WriteString(fb.Profile.RenderCritical())
+	for _, fr := range FigureRuns() {
+		if fr.MetricsOnly {
+			continue
+		}
+		prof := obs.Analyze(fr.Recorder.Events())
+		sb.WriteString("## " + fr.ID + " — " + fr.Note + "\n")
+		sb.WriteString(prof.RenderBreakdown())
+		sb.WriteString(prof.RenderFlows())
+		sb.WriteString(prof.RenderCritical())
 	}
 	return sb.String()
 }
 
-// TestFigureBreakdownsDeterministic pins the property the report tool
+// TestFigureRunsDeterministic pins the property the report tool
 // advertises: the phase-decomposition tables are byte-identical across
-// runs and across worker counts (the instrumented reruns are sequential,
-// so -j can only change wall-clock time).
-func TestFigureBreakdownsDeterministic(t *testing.T) {
-	first := breakdownFingerprint(1)
-	if again := breakdownFingerprint(4); again != first {
-		t.Errorf("breakdown diverged across worker counts:\n-j1:\n%s\n-j4:\n%s", first, again)
-	}
-	if again := breakdownFingerprint(1); again != first {
+// runs. The reruns are sequential and read no Config, so -j cannot reach
+// them.
+func TestFigureRunsDeterministic(t *testing.T) {
+	first := breakdownFingerprint()
+	if again := breakdownFingerprint(); again != first {
 		t.Errorf("breakdown diverged across runs:\nfirst:\n%s\nsecond:\n%s", first, again)
 	}
 }
 
-// TestFigureBreakdownsCoverEveryFigure checks each representative point
-// reconstructed at least one message whose phases telescope exactly, and
-// that the expected protocol paths appear (eager for 256 B, rendezvous
-// for 4 KiB, tport for the MPICH baseline).
-func TestFigureBreakdownsCoverEveryFigure(t *testing.T) {
-	fbs := FigureBreakdowns(DefaultConfig())
-	if len(fbs) != 7 {
-		t.Fatalf("%d breakdowns, want 7", len(fbs))
+// TestFigureRunsCoverEveryFigure checks each representative point the
+// profiler decomposes reconstructed at least one message whose phases
+// telescope exactly, and that the expected protocol paths appear (eager
+// for 256 B, rendezvous for 4 KiB, tport for the MPICH baseline).
+func TestFigureRunsCoverEveryFigure(t *testing.T) {
+	runs := FigureRuns()
+	if len(runs) != 8 || !runs[7].MetricsOnly {
+		t.Fatalf("%d runs, want 8 ending in the metrics-only overlap run", len(runs))
 	}
 	paths := map[string]bool{}
-	for _, fb := range fbs {
-		if len(fb.Profile.Messages) == 0 {
-			t.Errorf("%s (%s): no messages reconstructed", fb.ID, fb.Note)
+	for _, fr := range runs[:7] {
+		prof := obs.Analyze(fr.Recorder.Events())
+		if len(prof.Messages) == 0 {
+			t.Errorf("%s (%s): no messages reconstructed", fr.ID, fr.Note)
 			continue
 		}
-		for _, m := range fb.Profile.Messages {
+		for _, m := range prof.Messages {
 			paths[m.Path] = true
 			var sum simtime.Duration
 			for _, ph := range m.Phases {
@@ -59,11 +60,11 @@ func TestFigureBreakdownsCoverEveryFigure(t *testing.T) {
 			}
 			if sum != m.Latency() {
 				t.Errorf("%s (%s): corr %#x phases sum to %v, latency %v",
-					fb.ID, fb.Note, m.Corr, sum, m.Latency())
+					fr.ID, fr.Note, m.Corr, sum, m.Latency())
 			}
 		}
-		if len(fb.Profile.Critical) == 0 {
-			t.Errorf("%s (%s): empty critical path", fb.ID, fb.Note)
+		if len(prof.Critical) == 0 {
+			t.Errorf("%s (%s): empty critical path", fr.ID, fr.Note)
 		}
 	}
 	for _, want := range []string{"eager", "rdma-read", "rdma-write", "tport"} {

@@ -136,26 +136,24 @@ func (c Config) overlapRatio(mode string, eager int, recvSide bool, size int) (f
 // overlap and receiver-side progress availability across the four
 // progress modes, plus the eager-vs-rendezvous threshold ablation.
 func OverlapFigures(cfg Config) []Result {
-	curve := func(name, mode string, eager int, recvSide bool, sizes []int) seriesSpec {
-		return seriesSpec{name, sizes, func(size int) (float64, parsweep.Metrics) {
-			return cfg.overlapRatio(mode, eager, recvSide, size)
-		}}
+	ratio := func(name, mode string, eager int, recvSide bool) curve {
+		return line(name, func(size int) (float64, parsweep.Metrics) { return cfg.overlapRatio(mode, eager, recvSide, size) })
 	}
 	modeFig := func(id, title string, recvSide bool) Result {
-		return *cfg.figure(id, title, "message size bytes", "overlap ratio",
-			curve("Basic", "basic", 0, recvSide, overlapSizes),
-			curve("Interrupt", "interrupt", 0, recvSide, overlapSizes),
-			curve("One Thread", "one-thread", 0, recvSide, overlapSizes),
-			curve("Two Threads", "two-threads", 0, recvSide, overlapSizes))
+		return *cfg.sweep(plot{id, title, "message size bytes", "overlap ratio", overlapSizes, []curve{
+			ratio("Basic", "basic", 0, recvSide),
+			ratio("Interrupt", "interrupt", 0, recvSide),
+			ratio("One Thread", "one-thread", 0, recvSide),
+			ratio("Two Threads", "two-threads", 0, recvSide)}})
 	}
 	return []Result{
 		modeFig("overlap-send", "Sender-side compute/communication overlap vs message size", false),
 		modeFig("overlap-recv", "Receiver-side progress availability vs message size", true),
-		*cfg.figure("overlap-threshold", "Sender overlap, default eager limit vs forced rendezvous", "message size bytes", "overlap ratio",
-			curve("Basic eager", "basic", 0, false, thresholdSizes),
-			curve("Basic rndv", "basic", overlapRndvEager, false, thresholdSizes),
-			curve("Two Threads eager", "two-threads", 0, false, thresholdSizes),
-			curve("Two Threads rndv", "two-threads", overlapRndvEager, false, thresholdSizes)),
+		*cfg.sweep(plot{"overlap-threshold", "Sender overlap, default eager limit vs forced rendezvous", "message size bytes", "overlap ratio", thresholdSizes, []curve{
+			ratio("Basic eager", "basic", 0, false),
+			ratio("Basic rndv", "basic", overlapRndvEager, false),
+			ratio("Two Threads eager", "two-threads", 0, false),
+			ratio("Two Threads rndv", "two-threads", overlapRndvEager, false)}}),
 	}
 }
 

@@ -13,31 +13,34 @@ import (
 
 // figure is one entry of the registry: the ID of the Result it produces,
 // the tool flag and value that select it (-fig 7, -table 1, -panel a,
-// -ablate) and the sweep that regenerates it.
+// -ablate) and the plot that defines it.
 type figure struct {
 	id, flag, value string
-	run             func(Config) *Result
+	plot            func(Config) plot
 }
 
+// run sweeps the figure's plot.
+func (f figure) run(c Config) *Result { return c.sweep(f.plot(c)) }
+
 // registry lists every figure the tools print: the paper's nine panels in
-// paper order, then the ablations. All, Ablations, cmd/elan4bench,
+// paper order, then the ablations. All, Ablations, Claims, cmd/elan4bench,
 // cmd/ompibench and the identity matrix select from it; DESIGN.md §4 is
 // checked against its IDs.
 var registry = []figure{
-	{"fig7a", "fig", "7", func(c Config) *Result { return Fig7(c, Fig7SmallSizes, "a") }},
-	{"fig7b", "fig", "7", func(c Config) *Result { return Fig7(c, Fig7LargeSizes, "b") }},
-	{"fig8", "fig", "8", func(c Config) *Result { return Fig8(c, Fig8Sizes) }},
-	{"fig9", "fig", "9", func(c Config) *Result { return Fig9(c, Fig9Sizes) }},
-	{"table1", "table", "1", Table1},
-	{"fig10a-latency", "panel", "a", func(c Config) *Result { return Fig10(c, Fig10SmallSizes, "a-latency", false) }},
-	{"fig10b-latency", "panel", "b", func(c Config) *Result { return Fig10(c, Fig10LargeSizes, "b-latency", false) }},
-	{"fig10c-bandwidth", "panel", "c", func(c Config) *Result { return Fig10(c, Fig10SmallSizes, "c-bandwidth", true) }},
-	{"fig10d-bandwidth", "panel", "d", func(c Config) *Result { return Fig10(c, Fig10LargeSizes, "d-bandwidth", true) }},
-	{"ablate-eager", "ablate", "true", AblationEagerThreshold},
-	{"ablate-multirail", "ablate", "true", AblationMultirail},
-	{"ablate-fattree", "ablate", "true", AblationFatTreeScale},
-	{"ablate-qslots", "ablate", "true", AblationQueueSlots},
-	{"ablate-hwbcast", "ablate", "true", AblationHWBcast},
+	{"fig7a", "fig", "7", func(c Config) plot { return fig7(c, Fig7SmallSizes, "a") }},
+	{"fig7b", "fig", "7", func(c Config) plot { return fig7(c, Fig7LargeSizes, "b") }},
+	{"fig8", "fig", "8", func(c Config) plot { return fig8(c, Fig8Sizes) }},
+	{"fig9", "fig", "9", func(c Config) plot { return fig9(c, Fig9Sizes) }},
+	{"table1", "table", "1", table1},
+	{"fig10a-latency", "panel", "a", func(c Config) plot { return fig10(c, Fig10SmallSizes, "a-latency", false) }},
+	{"fig10b-latency", "panel", "b", func(c Config) plot { return fig10(c, Fig10LargeSizes, "b-latency", false) }},
+	{"fig10c-bandwidth", "panel", "c", func(c Config) plot { return fig10(c, Fig10SmallSizes, "c-bandwidth", true) }},
+	{"fig10d-bandwidth", "panel", "d", func(c Config) plot { return fig10(c, Fig10LargeSizes, "d-bandwidth", true) }},
+	{"ablate-eager", "ablate", "true", ablationEager},
+	{"ablate-multirail", "ablate", "true", ablationMultirail},
+	{"ablate-fattree", "ablate", "true", ablationFatTree},
+	{"ablate-qslots", "ablate", "true", ablationQueueSlots},
+	{"ablate-hwbcast", "ablate", "true", ablationHWBcast},
 }
 
 // under returns the registry entries selected by one of flags, in registry

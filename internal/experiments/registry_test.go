@@ -4,10 +4,20 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// byID returns the registry entry of a figure ID.
+func byID(id string) figure {
+	i := slices.IndexFunc(registry, func(f figure) bool { return f.id == id })
+	if i < 0 {
+		panic("experiments: no figure " + id)
+	}
+	return registry[i]
+}
 
 // TestRegistrySelection drives pick the way the tools' flags do.
 func TestRegistrySelection(t *testing.T) {

@@ -182,11 +182,5 @@ func sampledRun(n, iters, shards, limit int, sample bool) (*obs.Sampler, *trace.
 // and byte-identical at any shard count.
 func HeatmapReport(n, iters, shards, maxCols int) string {
 	smp, _ := SampledRun(n, iters, shards, 0)
-	var b strings.Builder
-	fmt.Fprintf(&b, "sampler: period %s, %d ticks\n", smp.Period(), smp.Ticks())
-	b.WriteString(smp.RankMatrix(obs.GaugeDuty).Heatmap(maxCols))
-	b.WriteString(smp.RankMatrix(obs.GaugeRecvQDepth).Heatmap(maxCols))
-	b.WriteString(smp.RankMatrix(obs.GaugePendingSends).Heatmap(maxCols))
-	b.WriteString(smp.LinkMatrix(obs.LinkGaugeBytes).Deltas().Heatmap(maxCols))
-	return b.String()
+	return smp.Heatmaps(maxCols)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -258,6 +260,30 @@ func TestWritePerfettoFromPreservesDroppedCount(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "dropped_events") {
 		t.Fatalf("dropped_events emitted with nothing dropped:\n%s", buf.String())
+	}
+}
+
+// TestWritePerfettoFile: the file holds the bytes WritePerfettoFrom writes,
+// and a path that cannot be created is an error.
+func TestWritePerfettoFile(t *testing.T) {
+	rec := trace.NewRecorder(2)
+	for i := 0; i < 3; i++ {
+		rec.Record(trace.Event{At: simtime.Time(simtime.Micros(float64(i))),
+			Rank: i, Layer: trace.LayerFabric, Kind: trace.PktSent})
+	}
+	var want bytes.Buffer
+	if err := WritePerfettoFrom(&want, rec); err != nil {
+		t.Fatal(err)
+	}
+	name := filepath.Join(t.TempDir(), "t.json")
+	if err := WritePerfettoFile(name, rec); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %q (%v), want %q", got, err, want.Bytes())
+	}
+	if err := WritePerfettoFile(filepath.Join(name, "x.json"), rec); err == nil {
+		t.Fatal("a file under a regular file was created")
 	}
 }
 

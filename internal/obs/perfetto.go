@@ -37,6 +37,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"os"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -106,6 +107,20 @@ func inflightDelta(k trace.Kind) (int, bool) {
 // lost.
 func WritePerfettoFrom(w io.Writer, rec *trace.Recorder) error {
 	return writePerfetto(w, rec.Ordered(), rec.Dropped())
+}
+
+// WritePerfettoFile writes a recorder's events to the named file as
+// WritePerfettoFrom does, creating or truncating it.
+func WritePerfettoFile(name string, rec *trace.Recorder) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	err = WritePerfettoFrom(f, rec)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WritePerfetto writes the recorded events as Chrome trace-event JSON.

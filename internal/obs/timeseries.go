@@ -296,6 +296,18 @@ func unroll[T any](ring []T, head int) []T {
 	return append(append([]T(nil), ring[head:]...), ring[:head]...)
 }
 
+// Heatmaps renders the sampler's period and tick count, then the heatmaps
+// the tools print, at most maxCols columns each: progress duty,
+// receive-queue depth and pending sends per rank, and per-interval uplink
+// bytes per link.
+func (s *Sampler) Heatmaps(maxCols int) string {
+	return fmt.Sprintf("sampler: period %s, %d ticks\n", s.Period(), s.Ticks()) +
+		s.RankMatrix(GaugeDuty).Heatmap(maxCols) +
+		s.RankMatrix(GaugeRecvQDepth).Heatmap(maxCols) +
+		s.RankMatrix(GaugePendingSends).Heatmap(maxCols) +
+		s.LinkMatrix(LinkGaugeBytes).Deltas().Heatmap(maxCols)
+}
+
 // RankMatrix assembles gauge g's rank×time matrix, rows sorted by rank.
 func (s *Sampler) RankMatrix(g Gauge) Matrix { return s.matrix(false, int(g), g.String()) }
 
