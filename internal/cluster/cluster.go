@@ -162,6 +162,8 @@ type Cluster struct {
 	spec   Spec
 	nprocs int
 	procs  []*Proc
+	// names is every rank's registry name, built once; SpawnExtra renames.
+	names []string
 
 	// nodeRecs holds one trace recorder per node under a sharded kernel
 	// (worker shards append concurrently, so the single Spec.Tracer cannot
@@ -208,6 +210,7 @@ func New(spec Spec, nprocs int) *Cluster {
 	c := &Cluster{
 		K: k, Cfg: cfg, spec: spec, nprocs: nprocs,
 		Registry: rte.NewRegistry(k, cfg.OOBLatency),
+		names:    make([]string, 0, nprocs),
 	}
 	rails := spec.ElanRails
 	if rails < 1 {
@@ -364,41 +367,34 @@ func (c *Cluster) mergeTraces() {
 // spawned ranks follow the same scheme so connection setup is uniform.
 func ProcName(rank int) string { return fmt.Sprintf("job0.rank%d", rank) }
 
+// nameSlot is rank's entry in the name table, grown by ProcName's scheme.
+func (c *Cluster) nameSlot(rank int) *string {
+	for len(c.names) <= rank {
+		c.names = append(c.names, ProcName(len(c.names)))
+	}
+	return &c.names[rank]
+}
+
 // Launch spawns the initial job: nprocs processes whose main threads run
 // bringup (RTE join, PTL open/init, connection setup to every peer, a
 // job-wide rendezvous) and then the user main.
 func (c *Cluster) Launch(main func(p *Proc)) {
-	// Every rank builds its node of the NIC tree over the whole job, from
-	// one table that nobody writes.
-	var members []int
-	if c.spec.HWColl {
-		members = make([]int, c.nprocs)
-		for i := range members {
-			members[i] = i
-		}
+	// Every rank of a full mesh connects to the whole job, and builds its
+	// node of the NIC tree over it, from one table that nobody writes.
+	all := make([]int, c.nprocs)
+	for i := range all {
+		all[i] = i
 	}
 	for r := 0; r < c.nprocs; r++ {
 		r := r
 		node := r % len(c.Hosts)
 		c.Hosts[node].Spawn(fmt.Sprintf("rank%d", r), func(th *simtime.Thread) {
-			p := c.bringup(th, r, node, ProcName(r))
+			p := c.bringup(th, r, node, *c.nameSlot(r))
+			peers := all // everybody reachable from everybody, or Spec.Peers
 			if c.spec.Peers != nil {
-				// Restricted wiring: only the declared neighbourhood.
-				for _, peer := range c.spec.Peers(r, c.nprocs) {
-					if peer == r {
-						continue
-					}
-					c.ConnectPeer(p, peer, ProcName(peer))
-				}
-			} else {
-				// Everybody reachable from everybody: MPI_COMM_WORLD wiring.
-				for peer := 0; peer < c.nprocs; peer++ {
-					if peer == r {
-						continue
-					}
-					c.ConnectPeer(p, peer, ProcName(peer))
-				}
+				peers = c.spec.Peers(r, c.nprocs)
 			}
+			c.ConnectPeers(p, peers)
 			if c.spec.HWColl {
 				if p.Elan == nil {
 					panic("cluster: HWColl requires the Elan transport")
@@ -406,7 +402,7 @@ func (c *Cluster) Launch(main func(p *Proc)) {
 				// Before the rendezvous: every rank's rings must exist
 				// before any member starts collective traffic (a QDMA to
 				// a missing ring is a hard fault, not a retry).
-				if !p.Elan.SetupHWColl(th, members, r) && c.nprocs > 1 {
+				if !p.Elan.SetupHWColl(th, all, r) && c.nprocs > 1 {
 					panic(fmt.Sprintf("cluster: rank %d cannot build its NIC collective tree (missing tree neighbour in Peers?)", r))
 				}
 			}
@@ -514,21 +510,28 @@ func (c *Cluster) bringup(th *simtime.Thread, rank, node int, name string) *Proc
 	return p
 }
 
-// ConnectPeer wires one peer (by rank and registry name) into a process's
-// stack through every enabled module — the dynamic-join entry point.
-func (c *Cluster) ConnectPeer(p *Proc, rank int, name string) {
-	peer := &ptl.Peer{Rank: rank, Name: name}
-	if err := p.Stack.AddPeer(p.Th, peer); err != nil {
+// ConnectPeers wires peers, by rank (p's own is skipped), into a process's
+// stack through every enabled module — Launch's connection setup and the
+// dynamic-join entry point — from one slab: a peer costs no allocation.
+func (c *Cluster) ConnectPeers(p *Proc, ranks []int) {
+	peers := make([]ptl.Peer, 0, len(ranks))
+	for _, r := range ranks {
+		if r != p.Rank {
+			peers = append(peers, ptl.Peer{Rank: r, Name: *c.nameSlot(r)})
+		}
+	}
+	if err := p.Stack.AddPeers(p.Th, peers); err != nil {
 		panic(err)
 	}
 }
 
-// SpawnExtra launches an additional process after the initial job is
-// running (MPI-2 dynamic process management). The caller coordinates
-// rendezvous/connection with the existing job via RTE primitives. On a
-// sharded kernel the caller must be in the sequential phase (see
-// Kernel.AwaitSequential); dynamic bringup is shared-service traffic.
+// SpawnExtra launches an additional process, rank's namesake from now on,
+// after the initial job is running (MPI-2 dynamic process management). The
+// caller coordinates rendezvous/connection with the existing job via RTE
+// primitives. On a sharded kernel the caller must be in the sequential
+// phase (see Kernel.AwaitSequential); dynamic bringup is shared-service traffic.
 func (c *Cluster) SpawnExtra(rank, node int, name string, main func(p *Proc)) {
+	*c.nameSlot(rank) = name
 	c.Hosts[node].Spawn(fmt.Sprintf("dyn-rank%d", rank), func(th *simtime.Thread) {
 		p := c.bringup(th, rank, node, name)
 		main(p)

@@ -237,7 +237,8 @@ func TestProcessRestart(t *testing.T) {
 			if msg.Tag != "restarted" {
 				t.Errorf("unexpected OOB %q", msg.Tag)
 			}
-			c.ConnectPeer(p, 1, "job0.rank1-gen2")
+			// Rank 1's SpawnExtra below renamed it job0.rank1-gen2.
+			c.ConnectPeers(p, []int{1})
 			got = make([]byte, 1024)
 			p.Stack.Recv(p.Th, 1, 2, 0, got, dt).Wait(p.Th)
 		case 1:
@@ -253,7 +254,7 @@ func TestProcessRestart(t *testing.T) {
 			p.Finalize()
 			// The replacement process (simulating restart on node 2).
 			c.SpawnExtra(1, 2, "job0.rank1-gen2", func(np *cluster.Proc) {
-				c.ConnectPeer(np, 0, "job0.rank0")
+				c.ConnectPeers(np, []int{0})
 				v0 := np.RTE.LookupVPID(np.Th, "job0.rank0")
 				if err := np.RTE.SendOOB(np.Th, v0, "restarted", nil); err != nil {
 					t.Error(err)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	mbits "math/bits"
+	"slices"
 
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
@@ -41,12 +43,12 @@ func collIters(n int) (iters, warmup int) {
 // and root-0 binomial trees exchange with, plus the NIC combine tree's
 // parent and children. Symmetric by construction (±d covers both
 // directions; HWCollPeers lists parent and children from both ends).
+// A linear scan dedupes the few dozen ranks; the result is the one allocation.
 func CollPeers(rank, n int) []int {
-	seen := map[int]bool{rank: true}
-	var out []int
+	tree := ptlelan4.HWCollPeers(rank, n)
+	out := make([]int, 0, 2*mbits.Len(uint(n))+len(tree))
 	add := func(p int) {
-		if p >= 0 && p < n && !seen[p] {
-			seen[p] = true
+		if p >= 0 && p < n && p != rank && !slices.Contains(out, p) {
 			out = append(out, p)
 		}
 	}
@@ -54,7 +56,7 @@ func CollPeers(rank, n int) []int {
 		add((rank + d) % n)
 		add((rank - d + n) % n)
 	}
-	for _, p := range ptlelan4.HWCollPeers(rank, n) {
+	for _, p := range tree {
 		add(p)
 	}
 	return out

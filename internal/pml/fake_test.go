@@ -123,8 +123,10 @@ func (m *fakeModule) RegisterMem(buf []byte) elan4.E4Addr {
 
 func (m *fakeModule) UnregisterMem(a elan4.E4Addr) { delete(m.net.mem[m.rank], a) }
 
-func (m *fakeModule) AddProc(th *simtime.Thread, p *ptl.Peer) error {
-	m.peers[p.Rank] = p
+func (m *fakeModule) AddProcs(th *simtime.Thread, peers []ptl.Peer) error {
+	for i := range peers {
+		m.peers[peers[i].Rank] = &peers[i]
+	}
 	return nil
 }
 

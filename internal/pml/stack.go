@@ -170,7 +170,6 @@ func NewStack(k *simtime.Kernel, host *simtime.Host, cfg model.Config, rank int,
 	return &Stack{
 		k: k, sc: host.Sched(), host: host, cfg: cfg, rank: rank,
 		eng:      datatype.NewEngine(cfg, dtp),
-		peers:    make(map[int]*ptl.Peer),
 		sendReqs: make(map[uint64]*sendState),
 		recvReqs: make(map[uint64]*recvState),
 		comms:    make(map[matchKey]*commState),
@@ -253,19 +252,25 @@ func (s *Stack) Peer(rank int) (*ptl.Peer, bool) {
 	return p, ok
 }
 
-// AddPeer makes a peer reachable through every module of the stack.
-// Modules perform their connection setup in AddProc; this is the
-// dynamic-join entry point as well as the MPI_Init path.
-func (s *Stack) AddPeer(th *simtime.Thread, peer *ptl.Peer) error {
-	if len(s.mods) == 0 {
-		return fmt.Errorf("pml: peer %d added with no modules", peer.Rank)
+// AddPeers makes peers reachable through every module of the stack, each
+// module connecting the whole list in one AddProcs (Open MPI's add_procs);
+// the stack and modules keep pointers into peers. This is the MPI_Init
+// path as well as the dynamic-join entry point.
+func (s *Stack) AddPeers(th *simtime.Thread, peers []ptl.Peer) error {
+	if len(s.mods) == 0 && len(peers) > 0 {
+		return fmt.Errorf("pml: %d peers added with no modules", len(peers))
 	}
 	for _, m := range s.mods {
-		if err := m.AddProc(th, peer); err != nil {
-			return fmt.Errorf("pml: add peer %d via %s: %w", peer.Rank, m.Name(), err)
+		if err := m.AddProcs(th, peers); err != nil {
+			return fmt.Errorf("pml: add peers via %s: %w", m.Name(), err)
 		}
 	}
-	s.peers[peer.Rank] = peer
+	if s.peers == nil {
+		s.peers = make(map[int]*ptl.Peer, len(peers))
+	}
+	for i := range peers {
+		s.peers[peers[i].Rank] = &peers[i]
+	}
 	return nil
 }
 

@@ -52,16 +52,16 @@ func newRig(t testing.TB, n int, mode ProgressMode, railsPerRank int, opts ...ra
 	return r
 }
 
-// connect wires every pair of ranks through all rails.
+// connect wires every pair of ranks through all rails, one batch a rank.
 func (r *rig) connect(th *simtime.Thread, rank int) {
+	var peers []ptl.Peer
 	for other := range r.stack {
-		if other == rank {
-			continue
+		if other != rank {
+			peers = append(peers, ptl.Peer{Rank: other, Name: fmt.Sprintf("r%d", other)})
 		}
-		peer := &ptl.Peer{Rank: other, Name: fmt.Sprintf("r%d", other)}
-		if err := r.stack[rank].AddPeer(th, peer); err != nil {
-			panic(err)
-		}
+	}
+	if err := r.stack[rank].AddPeers(th, peers); err != nil {
+		panic(err)
 	}
 }
 

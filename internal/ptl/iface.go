@@ -8,7 +8,7 @@ import (
 // Peer identifies a remote process from the PTL layer's point of view.
 // Rank is the process's position in the job; Name is its RTE registry
 // name, which modules use to look up transport-specific addressing
-// (published queue ids, VPIDs, socket ports) during AddProc. Keeping MPI
+// (published queue ids, VPIDs, socket ports) during AddProcs. Keeping MPI
 // rank and network addressing decoupled here is the paper's §4.1 design
 // point: a migrated or late-joining process changes its published
 // addressing, never its rank.
@@ -120,9 +120,10 @@ type Module interface {
 	RegisterMem(buf []byte) elan4.E4Addr
 	UnregisterMem(a elan4.E4Addr)
 
-	// AddProc establishes reachability to a peer (connection setup via
-	// the RTE modex); DelProc tears it down after pending traffic drains.
-	AddProc(th *simtime.Thread, p *Peer) error
+	// AddProcs establishes reachability to peers, in order (connection
+	// setup via the RTE modex), and may keep pointers into them; DelProc
+	// tears one down after its pending traffic drains.
+	AddProcs(th *simtime.Thread, peers []Peer) error
 	DelProc(th *simtime.Thread, p *Peer)
 
 	// SendFirst transmits the first fragment: TypeMatch with the whole

@@ -39,22 +39,17 @@ func (m *Module) HWBcast(th *simtime.Thread, root int, members []int, me int, da
 	// non-root blocks on the collective queue). So every rank, root or not,
 	// requires the whole group to be connected; under a restricted bringup
 	// topology (cluster.Spec.Peers) all ranks refuse together.
+	var vpids []int // the root's destinations
 	for _, r := range members {
-		if r == me {
-			continue
-		}
-		if _, ok := m.peers[r]; !ok {
+		pi, ok := m.peers[r]
+		if r != me && !ok {
 			return false
+		}
+		if r != me && me == root {
+			vpids = append(vpids, pi.vpid)
 		}
 	}
 	if me == root {
-		var vpids []int
-		for _, r := range members {
-			if r == me {
-				continue
-			}
-			vpids = append(vpids, m.peers[r].vpid)
-		}
 		maxChunk := m.cfg.QDMAMaxPayload - chunkHeader
 		for off := 0; off < len(data); off += maxChunk {
 			ln := len(data) - off
@@ -128,7 +123,7 @@ const hwCollRadix = 4
 // over a world of n ranks — the connections SetupHWColl requires. Restricted
 // peer sets (cluster.Spec.Peers) must include them.
 func HWCollPeers(rank, n int) []int {
-	var ps []int
+	ps := make([]int, 0, hwCollRadix+1)
 	if rank > 0 {
 		ps = append(ps, (rank-1)/hwCollRadix)
 	}

@@ -222,7 +222,7 @@ type Module struct {
 	// SetupHWColl for static worlds (nil otherwise — software fallback).
 	hw *hwTree
 
-	peers       map[int]*peerInfo // by rank
+	peers       map[int]peerInfo // by rank, sized by the first AddProcs
 	outstanding []*localOp
 	ops         bufpool.FreeList[localOp]
 	pendingFins map[finKey]*finWork
@@ -293,7 +293,6 @@ func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Han
 		lc: ptl.NewLifecycle("elan4"), k: k, sc: host.Sched(), host: host, st: st, rteH: rteH,
 		pml: p, act: activity, cfg: cfg, opts: opts,
 		pool:        bufpool.New(),
-		peers:       make(map[int]*peerInfo),
 		pendingFins: make(map[finKey]*finWork),
 	}
 	m.onSendError = func(err error) { panic(fmt.Sprintf("ptlelan4: transmit failure: %v", err)) }
@@ -412,15 +411,21 @@ func (m *Module) RegisterMem(buf []byte) elan4.E4Addr {
 // UnregisterMem implements ptl.Module.
 func (m *Module) UnregisterMem(a elan4.E4Addr) { m.st.Ctx.Unregister(a) }
 
-// AddProc implements ptl.Module: resolve the peer's VPID through the RTE
-// modex (connection setup — static tables would preclude dynamic joins).
-func (m *Module) AddProc(th *simtime.Thread, p *ptl.Peer) error {
-	m.lc.RequireActive("AddProc")
-	raw := m.rteH.Lookup(th, p.Name, "elan4:vpid")
-	if len(raw) != 4 {
-		return fmt.Errorf("ptlelan4: bad vpid modex entry for %q", p.Name)
+// AddProcs implements ptl.Module: resolve each peer's VPID through the
+// RTE modex (connection setup — static tables would preclude dynamic joins).
+func (m *Module) AddProcs(th *simtime.Thread, peers []ptl.Peer) error {
+	m.lc.RequireActive("AddProcs")
+	if m.peers == nil {
+		m.peers = make(map[int]peerInfo, len(peers))
 	}
-	m.peers[p.Rank] = &peerInfo{peer: p, vpid: int(binary.LittleEndian.Uint32(raw))}
+	for i := range peers {
+		p := &peers[i]
+		raw := m.rteH.Lookup(th, p.Name, "elan4:vpid")
+		if len(raw) != 4 {
+			return fmt.Errorf("ptlelan4: bad vpid modex entry for %q", p.Name)
+		}
+		m.peers[p.Rank] = peerInfo{peer: p, vpid: int(binary.LittleEndian.Uint32(raw))}
+	}
 	return nil
 }
 
@@ -429,12 +434,12 @@ func (m *Module) DelProc(th *simtime.Thread, p *ptl.Peer) {
 	delete(m.peers, p.Rank)
 }
 
-func (m *Module) peerVPID(p *ptl.Peer) int {
-	pi, ok := m.peers[p.Rank]
+func (m *Module) peer(rank int) peerInfo {
+	pi, ok := m.peers[rank]
 	if !ok {
-		panic(fmt.Sprintf("ptlelan4: peer %d not connected", p.Rank))
+		panic(fmt.Sprintf("ptlelan4: peer %d not connected", rank))
 	}
-	return pi.vpid
+	return pi
 }
 
 // acquireSendBuf takes one preallocated send buffer, stalling the caller
@@ -476,7 +481,7 @@ func (m *Module) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
 	th.Compute(m.st.Cfg.MemcpyStartup + simtime.BytesAt(len(payload), m.st.Cfg.MemcpyBandwidth))
 	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	m.st.Ctx.SetCookie(corr)
-	m.st.QDMA(th, m.peerVPID(p), qidRecv, payload, buf, m.onSendError)
+	m.st.QDMA(th, m.peer(p.Rank).vpid, qidRecv, payload, buf, m.onSendError)
 	m.pool.Put(payload)
 	if sd.Hdr.Type == ptl.TypeMatch {
 		m.stats.EagerTx++
@@ -503,7 +508,7 @@ func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote p
 	m.stats.PutOps++
 	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	m.traceCorr(trace.PTLPutIssued, sd.Hdr.SendReq, p.Rank, int(sd.Hdr.Tag), ln, corr)
-	vpid := m.peerVPID(p)
+	vpid := m.peer(p.Rank).vpid
 
 	var finHdr *ptl.Header
 	if fin {
@@ -524,7 +529,7 @@ func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote p
 func (m *Module) RawPut(th *simtime.Thread, p *ptl.Peer, src []byte, remote elan4.E4Addr, off int, onDone func()) {
 	m.lc.RequireActive("RawPut")
 	srcE4, ev := m.rmaOp(src, onDone)
-	m.st.RDMAWrite(th, m.peerVPID(p), srcE4, remote.Add(off), len(src), ev, m.onSendError)
+	m.st.RDMAWrite(th, m.peer(p.Rank).vpid, srcE4, remote.Add(off), len(src), ev, m.onSendError)
 }
 
 // RawGet implements ptl.RMACapable: a one-sided RDMA read from a remote
@@ -532,7 +537,7 @@ func (m *Module) RawPut(th *simtime.Thread, p *ptl.Peer, src []byte, remote elan
 func (m *Module) RawGet(th *simtime.Thread, p *ptl.Peer, remote elan4.E4Addr, off int, dst []byte, onDone func()) {
 	m.lc.RequireActive("RawGet")
 	dstE4, ev := m.rmaOp(dst, onDone)
-	m.st.RDMARead(th, m.peerVPID(p), remote.Add(off), dstE4, len(dst), ev, m.onRecvError)
+	m.st.RDMARead(th, m.peer(p.Rank).vpid, remote.Add(off), dstE4, len(dst), ev, m.onRecvError)
 }
 
 // rmaOp transforms the local buffer of a one-sided operation to an E4
@@ -555,7 +560,7 @@ func (m *Module) rmaOp(buf []byte, onDone func()) (elan4.E4Addr, *elan4.Event) {
 // configured rendezvous scheme for a freshly matched message.
 func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 	m.lc.RequireActive("Matched")
-	vpid := m.peerVPID(p)
+	vpid := m.peer(p.Rank).vpid
 	inline := int(rd.Hdr.FragLen)
 	rest := int(rd.Hdr.MsgLen) - inline
 

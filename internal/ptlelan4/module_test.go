@@ -373,14 +373,14 @@ func TestDynamicJoin(t *testing.T) {
 			if msg.Tag != "join" {
 				t.Errorf("unexpected OOB %q", msg.Tag)
 			}
-			c.ConnectPeer(p, 2, "latecomer")
+			c.ConnectPeers(p, []int{2})
 			p.Stack.Recv(p.Th, 2, 5, 0, got, dt).Wait(p.Th)
 		}
 	})
 	c.SpawnExtra(2, 2, "latecomer", func(p *cluster.Proc) {
 		dt := datatype.Contiguous(4096)
 		// Connect to rank 0 and announce.
-		c.ConnectPeer(p, 0, "job0.rank0")
+		c.ConnectPeers(p, []int{0})
 		vpid0 := p.RTE.LookupVPID(p.Th, "job0.rank0")
 		if err := p.RTE.SendOOB(p.Th, vpid0, "join", nil); err != nil {
 			t.Error(err)

@@ -54,8 +54,7 @@ func (m *Module) handleMsg(th *simtime.Thread, qm elan4.QueuedMsg) {
 	body := qm.Data[ptl.HeaderSize:]
 	switch hdr.Type {
 	case ptl.TypeMatch, ptl.TypeRndv:
-		pi := m.peerByRank(int(hdr.SrcRank))
-		m.pml.ReceiveFirst(th, m, pi.peer, hdr, body)
+		m.pml.ReceiveFirst(th, m, m.peer(int(hdr.SrcRank)).peer, hdr, body)
 	case ptl.TypeAck:
 		if len(body) < 8 {
 			panic("ptlelan4: ACK without memory descriptor")
@@ -76,14 +75,6 @@ func (m *Module) handleMsg(th *simtime.Thread, qm elan4.QueuedMsg) {
 	default:
 		panic(fmt.Sprintf("ptlelan4: unexpected %v in receive queue", hdr.Type))
 	}
-}
-
-func (m *Module) peerByRank(rank int) *peerInfo {
-	pi, ok := m.peers[rank]
-	if !ok {
-		panic(fmt.Sprintf("ptlelan4: message from unconnected rank %d", rank))
-	}
-	return pi
 }
 
 // handleRecord processes a shared-completion-queue record (Fig. 6).

@@ -74,8 +74,8 @@ type Module struct {
 	cfg  model.Config
 	opts Options
 
-	peers  map[int]*ptl.Peer
-	ports  map[int]int // peer rank → ethernet port
+	peers  map[int]*ptl.Peer // by rank, sized by the first AddProcs
+	ports  map[int]int       // peer rank → ethernet port
 	nextID uint64
 
 	// kernel-side receive state: segments reassembled off the wire
@@ -127,8 +127,6 @@ func New(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int, r
 	m := &Module{
 		lc: ptl.NewLifecycle("tcp"), k: k, sc: host.Sched(), host: host, net: net, port: port,
 		rteH: rteH, pml: p, act: activity, cfg: cfg, opts: opts,
-		peers:      make(map[int]*ptl.Peer),
-		ports:      make(map[int]int),
 		assembling: make(map[uint64]*message),
 		mss:        net.Params().MTU,
 		nextID:     1,
@@ -184,15 +182,21 @@ func (m *Module) RegisterMem(buf []byte) elan4.E4Addr { return elan4.NilAddr }
 // UnregisterMem implements ptl.Module.
 func (m *Module) UnregisterMem(elan4.E4Addr) {}
 
-// AddProc implements ptl.Module.
-func (m *Module) AddProc(th *simtime.Thread, p *ptl.Peer) error {
-	m.lc.RequireActive("AddProc")
-	raw := m.rteH.Lookup(th, p.Name, "tcp:port")
-	if len(raw) != 4 {
-		return fmt.Errorf("ptltcp: bad port modex entry for %q", p.Name)
+// AddProcs implements ptl.Module.
+func (m *Module) AddProcs(th *simtime.Thread, peers []ptl.Peer) error {
+	m.lc.RequireActive("AddProcs")
+	if m.peers == nil {
+		m.peers, m.ports = make(map[int]*ptl.Peer, len(peers)), make(map[int]int, len(peers))
 	}
-	m.peers[p.Rank] = p
-	m.ports[p.Rank] = int(binary.LittleEndian.Uint32(raw))
+	for i := range peers {
+		p := &peers[i]
+		raw := m.rteH.Lookup(th, p.Name, "tcp:port")
+		if len(raw) != 4 {
+			return fmt.Errorf("ptltcp: bad port modex entry for %q", p.Name)
+		}
+		m.peers[p.Rank] = p
+		m.ports[p.Rank] = int(binary.LittleEndian.Uint32(raw))
+	}
 	return nil
 }
 

@@ -219,7 +219,6 @@ type Kernel struct {
 	// (Entity -> *rand.Rand); a sync.Map because worker shards create
 	// entries concurrently on first draw.
 	entRngs sync.Map
-	owners  sync.Map // Entity -> *shard, memoized Owner calls
 	wg      sync.WaitGroup
 }
 

@@ -25,9 +25,9 @@ type ShardPlan struct {
 	// Workers is the number of worker shards. Values ≤ 1 add none: every
 	// entity stays on the coordinator.
 	Workers int
-	// Owner maps an entity to its worker shard in [1, Workers].
-	// GlobalEntity is always owned by the coordinator (shard 0) and is
-	// never passed to Owner.
+	// Owner maps an entity to its worker shard in [1, Workers], at every
+	// scheduling decision, on any shard. GlobalEntity is always owned by
+	// the coordinator (shard 0) and is never passed to Owner.
 	Owner func(e Entity) int
 	// Lookahead is the minimum virtual-time latency of any cross-shard
 	// interaction (the per-hop wire latency of the fastest fabric). It
@@ -262,22 +262,17 @@ func mix64(seed, tweak int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// shardOf resolves an entity's shard, memoizing the plan's Owner calls.
-// Without workers every entity lives on the coordinator.
+// shardOf resolves an entity's shard through the plan's Owner, which is
+// cheaper than a memo. Without workers every entity lives on the coordinator.
 func (k *Kernel) shardOf(e Entity) *shard {
 	if e == GlobalEntity || len(k.shards) == 1 {
 		return k.shards[0]
-	}
-	if s, ok := k.owners.Load(e); ok {
-		return s.(*shard)
 	}
 	w := k.plan.Owner(e)
 	if w < 1 || w > k.plan.Workers {
 		panic(fmt.Sprintf("simtime: ShardPlan.Owner(%d) = %d outside [1,%d]", e, w, k.plan.Workers))
 	}
-	s := k.shards[w]
-	k.owners.Store(e, s)
-	return s
+	return k.shards[w]
 }
 
 // schedule is the one scheduling path, shared by Sched.At, proc wakes and

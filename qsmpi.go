@@ -322,9 +322,13 @@ func (w *World) Spawn(n int, childMain func(cw *World)) {
 	// the group's (collective discipline keeps these equal on every
 	// parent, so rank 0's snapshot speaks for all).
 	collSeq, splitSeq := w.mpiw.Comm().SyncState()
+	// A child connects to every rank of the grown world, a parent to the children.
+	all := make([]int, newSize)
+	for i := range all {
+		all[i] = i
+	}
 	if w.Rank() == 0 {
-		for i := 0; i < n; i++ {
-			rank := oldSize + i
+		for _, rank := range all[oldSize:] {
 			node := rank % len(c.Hosts)
 			job := w.job
 			gen := w.spawnGen
@@ -336,19 +340,13 @@ func (w *World) Spawn(n int, childMain func(cw *World)) {
 					spawnGen: gen,
 				}
 				cw.mpiw.Comm().SetSyncState(collSeq, splitSeq)
-				for peer := 0; peer < newSize; peer++ {
-					if peer != rank {
-						c.ConnectPeer(p, peer, cluster.ProcName(peer))
-					}
-				}
+				c.ConnectPeers(p, all)
 				c.Registry.Rendezvous(p.Th, tag, newSize)
 				childMain(cw)
 			})
 		}
 	}
-	for i := 0; i < n; i++ {
-		c.ConnectPeer(w.proc, oldSize+i, cluster.ProcName(oldSize+i))
-	}
+	c.ConnectPeers(w.proc, all[oldSize:])
 	c.Registry.Rendezvous(w.proc.Th, tag, newSize)
 	w.mpiw.GrowWorld(newSize)
 }
