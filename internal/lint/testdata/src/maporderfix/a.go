@@ -6,6 +6,7 @@ package maporderfix
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -85,6 +86,13 @@ func PerIteration(m map[string][]int) int {
 		total += len(local)
 	}
 	return total
+}
+
+// KeysIterator: maps.Keys, maps.Values and maps.All yield in map order.
+func KeysIterator(m map[string]int) {
+	for k := range maps.Keys(m) { // want `map iteration writes to fmt\.Println`
+		fmt.Println(k)
+	}
 }
 
 // SliceRangeOK: ranging a slice is ordered; no diagnostic.

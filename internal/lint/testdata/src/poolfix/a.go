@@ -181,3 +181,13 @@ func WriteThroughAliasAfterPut(p *bufpool.Pool) {
 	p.Put(b)
 	c[0] = 1 // want `written c after Put`
 }
+
+// SendAfterPut: a select arm's comm statement runs on that arm's path.
+func SendAfterPut(p *bufpool.Pool, ch chan []byte) {
+	b := p.Get(64)
+	p.Put(b)
+	select {
+	case ch <- b: // want `used b after Put`
+	default:
+	}
+}

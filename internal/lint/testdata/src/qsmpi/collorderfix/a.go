@@ -23,6 +23,13 @@ func taintedVar(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
 	}
 }
 
+func taintedVarDecl(c *mpi.Comm) {
+	var lead = c.Rank() == 0
+	if lead {
+		c.Barrier() // want `divergent order`
+	}
+}
+
 func worldRank(w *mpi.World, c *mpi.Comm) {
 	if w.Rank() == 0 {
 		c.Barrier() // want `divergent order`

@@ -5,6 +5,7 @@
 package reqlifefix
 
 import (
+	"qsmpi/internal/bufpool"
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
 )
@@ -203,4 +204,49 @@ func deferFuncWait(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
 	r := c.Isend(1, 0, buf, dt)
 	defer func() { r.Wait() }()
 	buf[0] = 1 // want `written while`
+}
+
+// writeThroughPostedSlice: d is a slice of buf, so a write through buf
+// lands in the bytes d's Isend is draining.
+func writeThroughPostedSlice(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	d := buf[:8]
+	r := c.Isend(1, 0, d, dt)
+	buf[0] = 1 // want `written while`
+	r.Wait()
+}
+
+// writeInClosure: a function literal handed to a call may run at once, so
+// its writes count on the path it appears on.
+func writeInClosure(c *mpi.Comm, buf []byte, dt *datatype.Datatype, run func(func())) {
+	r := c.Isend(1, 0, buf, dt)
+	run(func() { buf[0] = 1 }) // want `written while`
+	r.Wait()
+}
+
+func incWhileInflight(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	r := c.Isend(1, 0, buf, dt)
+	buf[0]++ // want `written while`
+	r.Wait()
+}
+
+func writeInForPost(c *mpi.Comm, buf []byte, dt *datatype.Datatype, n int) {
+	r := c.Isend(1, 0, buf, dt)
+	for i := 0; i < n; buf[0] = 1 { // want `written while`
+		i++
+	}
+	r.Wait()
+}
+
+func putWhileInflight(c *mpi.Comm, p *bufpool.Pool, dt *datatype.Datatype) {
+	b := p.Get(64)
+	r := c.Isend(1, 0, b, dt)
+	p.Put(b) // want `Put of b while the Isend from line \d+ is in flight`
+	r.Wait()
+}
+
+func writeThroughVarSlice(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	var d = buf[:8]
+	r := c.Isend(1, 0, d, dt)
+	buf[0] = 1 // want `written while`
+	r.Wait()
 }
