@@ -58,7 +58,7 @@ check: lint
 	$(GO) test -C bench -short ./...
 
 # lint runs go vet, then the repo's own analyzer suite: detclock,
-# maporder, kernelown, pooluse, tracecorr, reqlife and collorder, plus the
+# maporder, kernelown, ownership, tracecorr and collorder, plus the
 # //lint:allow suppression audit (see internal/lint and DESIGN.md §9). The
 # suite turns the simulator's determinism, ownership, pooling and
 # MPI-protocol invariants into build failures; collorder's CallsCollective

@@ -1,6 +1,6 @@
 // Command qsmpilint runs the repo's invariant analyzers (internal/lint):
-// detclock, maporder, kernelown, pooluse, tracecorr, reqlife and
-// collorder, plus the //lint:allow suppression audit.
+// detclock, maporder, kernelown, ownership, tracecorr and collorder,
+// plus the //lint:allow suppression audit.
 //
 //	qsmpilint [-sarif [-o file]] [packages]    (default ./...)
 //

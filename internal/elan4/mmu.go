@@ -20,7 +20,7 @@
 // read from the registered source when the receiving NIC places the packet,
 // at most one path latency after the PCI read the timing model charged for
 // them, so a source buffer rewritten under an in-flight RDMA delivers the
-// new bytes — the program error qsmpilint's reqlife analyzer flags.
+// new bytes — the program error qsmpilint's ownership analyzer flags.
 package elan4
 
 import (

@@ -281,7 +281,7 @@ func (m *qdmaPkt) fill(op *dmaOp, srcVPID, dstVPID, dstCtx int) *qdmaPkt {
 // source to destination once, when it places the packet. The bytes placed
 // are therefore the source's at placement, at most one path latency after
 // the PCI read that fetched them; a buffer rewritten under an in-flight RDMA
-// is a program error (qsmpilint's reqlife flags it).
+// is a program error (qsmpilint's ownership flags it).
 //
 // The sending NIC's shard writes every field but off before the first
 // packet leaves and nothing after; off belongs to the receiving NIC.

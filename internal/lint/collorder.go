@@ -61,14 +61,6 @@ var hwCollMethods = map[string]bool{
 	"HWBcast": true, "HWBarrier": true, "HWAllreduce": true,
 }
 
-// collRecvTypes are the receiver types whose collectiveMethods calls
-// count. qsmpi.Comm is a type alias of mpi.Comm, so the facade resolves
-// to the same named type.
-func isCollectiveRecv(recv *types.Named) bool {
-	return analysis.IsNamed(recv, mpiPkg, "Comm") ||
-		analysis.IsNamed(recv, mpiPkg, "HWColl")
-}
-
 // isDirectCollective reports whether call enters a collective directly,
 // returning the collective's name.
 func isDirectCollective(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
@@ -189,158 +181,101 @@ func runCollOrder(pass *analysis.Pass) error {
 	return nil
 }
 
+// collRegion is collorder's state on one path of a function: whether a
+// rank-tainted guard encloses it.
+type collRegion struct {
+	pass             *analysis.Pass
+	tainted          map[types.Object]bool
+	calleeCollective func(*ast.CallExpr) (string, bool)
+	divergent        bool
+}
+
 // checkCollFunc taints rank-derived variables, then walks the body
 // flagging collective-entering calls inside regions guarded by a tainted
 // condition.
 func checkCollFunc(pass *analysis.Pass, body *ast.BlockStmt,
 	calleeCollective func(*ast.CallExpr) (string, bool)) {
 
-	// Taint pass: variables assigned (transitively) from Rank().
-	tainted := map[types.Object]bool{}
-	exprTainted := func(e ast.Expr) bool {
-		if e == nil {
-			return false
-		}
-		hot := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if hot {
-				return false
-			}
-			switch m := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				if isRankCall(pass, m) {
-					hot = true
-					return false
-				}
-			case *ast.Ident:
-				if obj := pass.TypesInfo.Uses[m]; obj != nil && tainted[obj] {
-					hot = true
-					return false
-				}
-			}
-			return true
-		})
-		return hot
-	}
+	// Taint pass: variables bound (transitively) from Rank().
+	r := collRegion{pass, map[types.Object]bool{}, calleeCollective, false}
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
-			st, ok := n.(*ast.AssignStmt)
-			if !ok || len(st.Lhs) != len(st.Rhs) {
-				return true
-			}
-			for i, rhs := range st.Rhs {
-				if !exprTainted(rhs) {
-					continue
-				}
-				if id, ok := ast.Unparen(st.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
-					if obj := pass.TypesInfo.ObjectOf(id); obj != nil && !tainted[obj] {
-						tainted[obj] = true
+			switch n.(type) {
+			case *ast.AssignStmt, *ast.ValueSpec:
+				bindings(n, func(lhs, rhs ast.Expr) {
+					id, ok := ast.Unparen(lhs).(*ast.Ident)
+					if !ok || id.Name == "_" || !r.exprTainted(rhs) {
+						return
+					}
+					if obj := pass.TypesInfo.ObjectOf(id); obj != nil && !r.tainted[obj] {
+						r.tainted[obj] = true
 						changed = true
 					}
-				}
+				})
 			}
 			return true
 		})
 	}
+	walk(r, body.List)
+}
 
-	// Region walk: divergent > 0 while inside a block whose guard is
-	// rank-tainted. Conditions themselves execute on every rank, so they
-	// are scanned at the *enclosing* divergence level.
-	var walk func(n ast.Node, divergent bool)
-	reportCalls := func(n ast.Node, divergent bool) {
-		if n == nil {
-			return
+// exprTainted reports whether e mentions a Rank() call or a tainted
+// variable outside function literals.
+func (r collRegion) exprTainted(e ast.Expr) bool {
+	if e == nil {
+		return false
+	}
+	hot := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch m := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			hot = hot || isRankCall(r.pass, m)
+		case *ast.Ident:
+			hot = hot || r.tainted[r.pass.TypesInfo.Uses[m]]
 		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			if _, isLit := m.(*ast.FuncLit); isLit {
-				return false
-			}
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if name, ok := calleeCollective(call); ok && divergent {
-				site := "collective " + name
-				if direct, isDirect := isDirectCollective(pass, call); !isDirect {
-					if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil {
-						site = "call to " + fn.Name() + " (enters collective " + name + ")"
-					}
-				} else {
-					site = "collective " + direct
-				}
-				pass.Reportf(call.Pos(),
-					"%s is only reachable under a rank-dependent condition: ranks would enter collectives in divergent order — hoist the collective out of the rank branch (root-rank work belongs inside, the collective outside)",
-					site)
-				return false // one report per outermost divergent call
-			}
+		return !hot
+	})
+	return hot
+}
+
+// branch turns divergent at the first rank-tainted guard. Guards
+// themselves execute on every rank, so they are visited at the enclosing
+// level.
+func (r collRegion) branch(guards ...ast.Expr) collRegion {
+	for _, g := range guards {
+		r.divergent = r.divergent || r.exprTainted(g)
+	}
+	return r
+}
+
+// visit reports the outermost collective-entering calls in n, outside
+// function literals, when the region is divergent.
+func (r collRegion) visit(n ast.Node) {
+	if !r.divergent {
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, isLit := m.(*ast.FuncLit); isLit {
+			return false
+		}
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
 			return true
-		})
-	}
-	walk = func(n ast.Node, divergent bool) {
-		switch s := n.(type) {
-		case nil:
-			return
-		case *ast.BlockStmt:
-			for _, st := range s.List {
-				walk(st, divergent)
-			}
-		case *ast.IfStmt:
-			walk(s.Init, divergent)
-			reportCalls(s.Cond, divergent)
-			branchDiv := divergent || exprTainted(s.Cond)
-			walk(s.Body, branchDiv)
-			walk(s.Else, branchDiv)
-		case *ast.ForStmt:
-			walk(s.Init, divergent)
-			reportCalls(s.Cond, divergent)
-			bodyDiv := divergent || exprTainted(s.Cond)
-			walk(s.Post, bodyDiv)
-			walk(s.Body, bodyDiv)
-		case *ast.SwitchStmt:
-			walk(s.Init, divergent)
-			reportCalls(s.Tag, divergent)
-			caseDiv := divergent || exprTainted(s.Tag)
-			for _, cc := range s.Body.List {
-				c := cc.(*ast.CaseClause)
-				div := caseDiv
-				for _, ce := range c.List {
-					reportCalls(ce, divergent)
-					if exprTainted(ce) {
-						div = true
-					}
-				}
-				for _, st := range c.Body {
-					walk(st, div)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			walk(s.Init, divergent)
-			walk(s.Body, divergent)
-		case *ast.CaseClause:
-			for _, st := range s.Body {
-				walk(st, divergent)
-			}
-		case *ast.SelectStmt:
-			walk(s.Body, divergent)
-		case *ast.CommClause:
-			reportCalls(s.Comm, divergent)
-			for _, st := range s.Body {
-				walk(st, divergent)
-			}
-		case *ast.RangeStmt:
-			// Ranging over a rank-derived bound is uniform-count only if
-			// the value is; stay conservative and treat the body at the
-			// enclosing level unless the range expression is tainted.
-			reportCalls(s.X, divergent)
-			walk(s.Body, divergent || exprTainted(s.X))
-		case *ast.LabeledStmt:
-			walk(s.Stmt, divergent)
-		case ast.Stmt:
-			reportCalls(s, divergent)
 		}
-	}
-	walk(body, false)
+		name, ok := r.calleeCollective(call)
+		if !ok {
+			return true
+		}
+		site := "collective " + name
+		if _, isDirect := isDirectCollective(r.pass, call); !isDirect {
+			site = "call to " + analysis.CalleeFunc(r.pass.TypesInfo, call).Name() + " (enters collective " + name + ")"
+		}
+		r.pass.Reportf(call.Pos(),
+			"%s is only reachable under a rank-dependent condition: ranks would enter collectives in divergent order — hoist the collective out of the rank branch (root-rank work belongs inside, the collective outside)",
+			site)
+		return false
+	})
 }

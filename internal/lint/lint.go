@@ -1,4 +1,4 @@
-// Package lint is the qsmpilint analyzer suite: seven static checkers
+// Package lint is the qsmpilint analyzer suite: six static checkers
 // that turn the simulator's prose invariants — virtual-time determinism,
 // byte-identical output at any -j, the per-kernel ownership rule of
 // DESIGN.md §7.1, lock-free pool discipline, the profiler's correlator
@@ -6,7 +6,7 @@
 // collective order) — into rules that fail `make check`. The analyzers
 // run over the real tree via `qsmpilint ./...` (make lint), and over
 // seeded-violation fixtures under testdata/src via the analysistest-style
-// runner in linttest. reqlife and collorder are protocol-aware; collorder
+// runner in linttest. ownership and collorder are protocol-aware; collorder
 // is interprocedural, seeing through helpers via CallsCollective facts
 // that the driver hands from a package to its dependents. Unused
 // //lint:allow directives are themselves diagnostics (the suppression
@@ -25,9 +25,8 @@ func Analyzers() []*analysis.Analyzer {
 		DetClock,
 		MapOrder,
 		KernelOwn,
-		PoolUse,
+		Ownership,
 		TraceCorr,
-		ReqLife,
 		CollOrder,
 	}
 }

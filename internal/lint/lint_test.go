@@ -49,8 +49,11 @@ func TestKernelOwnChainCallbacks(t *testing.T) {
 	linttest.Run(t, lint.KernelOwn, "qsmpi/internal/libelan")
 }
 
+// TestPoolUse and TestReqLife run the one ownership analyzer over its two
+// fixtures: the pool's retired state, and the lent state with the request
+// obligation.
 func TestPoolUse(t *testing.T) {
-	linttest.Run(t, lint.PoolUse, "poolfix")
+	linttest.Run(t, lint.Ownership, "poolfix")
 }
 
 func TestTraceCorr(t *testing.T) {
@@ -74,7 +77,7 @@ func TestTraceCorrCollective(t *testing.T) {
 }
 
 func TestReqLife(t *testing.T) {
-	linttest.Run(t, lint.ReqLife, "qsmpi/reqlifefix")
+	linttest.Run(t, lint.Ownership, "qsmpi/reqlifefix")
 }
 
 func TestCollOrder(t *testing.T) {

@@ -50,18 +50,32 @@ func runMapOrder(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			t := pass.TypesInfo.TypeOf(rs.X)
-			if t == nil {
-				return true
+			if isMapRange(pass.TypesInfo, rs.X) {
+				checkMapRange(pass, rs, innermost(funcs, rs))
 			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			checkMapRange(pass, rs, innermost(funcs, rs))
 			return true
 		})
 	}
 	return nil
+}
+
+// isMapRange reports whether ranging over x visits a map in its order:
+// x is a map, or a call of maps.Keys, maps.Values or maps.All.
+func isMapRange(info *types.Info, x ast.Expr) bool {
+	if call, ok := ast.Unparen(x).(*ast.CallExpr); ok {
+		if fn := analysis.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "maps" {
+			switch fn.Name() {
+			case "Keys", "Values", "All":
+				return true
+			}
+		}
+	}
+	t := info.TypeOf(x)
+	if t == nil {
+		return false
+	}
+	_, isMap := t.Underlying().(*types.Map)
+	return isMap
 }
 
 // innermost returns the smallest function body enclosing n.
@@ -168,7 +182,7 @@ func outerAppendTargets(pass *analysis.Pass, rs *ast.RangeStmt) []ast.Expr {
 		}
 		for i, rhs := range as.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass.TypesInfo, call) || i >= len(as.Lhs) {
+			if !ok || !isBuiltin(pass.TypesInfo, call, "append") || i >= len(as.Lhs) {
 				continue
 			}
 			target := as.Lhs[i]
@@ -191,15 +205,6 @@ func outerAppendTargets(pass *analysis.Pass, rs *ast.RangeStmt) []ast.Expr {
 		return true
 	})
 	return out
-}
-
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
 }
 
 // sortedIn reports whether the function body contains a call that sorts

@@ -9,12 +9,12 @@ import (
 )
 
 func earned(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
-	r := c.Isend(1, 0, buf, dt) //lint:allow reqlife fixture: completion is the peer's responsibility here
+	r := c.Isend(1, 0, buf, dt) //lint:allow ownership fixture: completion is the peer's responsibility here
 	_ = r
 }
 
 func stale(c *mpi.Comm) {
-	c.Barrier() //lint:allow reqlife nothing on this line ever fires // want `unused //lint:allow reqlife`
+	c.Barrier() //lint:allow ownership nothing on this line ever fires // want `unused //lint:allow ownership`
 }
 
 func unknown(c *mpi.Comm) {
