@@ -33,9 +33,9 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The goroutines of an earlier run — a sharded epoch's workers,
-			// unwound procs — may still be returning: count once the number
-			// has held for 5 ms.
+			// The goroutines of an earlier run — the epoch workers Close
+			// ended, unwound procs — may still be returning: count once the
+			// number has held for 5 ms.
 			before := runtime.NumGoroutine()
 			for i, held := 0, 0; i < 200 && held < 5; i++ {
 				time.Sleep(time.Millisecond)
@@ -67,8 +67,8 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			}
 			n := runtime.NumGoroutine()
 			for i := 0; i < 200 && n > before; i++ {
-				// A sharded epoch's workers are still returning when the
-				// coordinator moves on.
+				// The epoch workers Close ended are still returning when it
+				// does.
 				time.Sleep(time.Millisecond)
 				n = runtime.NumGoroutine()
 			}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -243,5 +244,53 @@ func TestShardedUsesWorkers(t *testing.T) {
 	}
 	if _ = simtime.GlobalEntity; c.K.Sharded() != 4 {
 		t.Errorf("Sharded() = %d, want 4", c.K.Sharded())
+	}
+}
+
+// shardedAlltoall runs an 8-rank all-to-all on the given shard count and
+// returns the cluster, its kernel closed.
+func shardedAlltoall(t *testing.T, shards int) *Cluster {
+	t.Helper()
+	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	c := New(Spec{Elan: &opts, Progress: pml.Polling, Shards: shards}, 8)
+	c.Launch(func(p *Proc) {
+		runTestPattern(p, 8, "alltoall", 2048, 3)
+		p.Finalize()
+	})
+	if err := c.Run(); err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	return c
+}
+
+// TestShardEpochStats: the epoch counters account for every event of a
+// sharded run — the events run inside epochs plus those the coordinator
+// ran one at a time are K.Steps() — and every epoch handed to a worker came
+// back, at most one per worker shard beyond the first per epoch.
+func TestShardEpochStats(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		c := shardedAlltoall(t, shards)
+		st := c.K.EpochStats()
+		t.Logf("shards=%d: %+v, %d steps", shards, st, c.K.Steps())
+		if st.Events+st.Sequential != c.K.Steps() {
+			t.Errorf("shards=%d: %d events in epochs + %d sequential != %d steps", shards, st.Events, st.Sequential, c.K.Steps())
+		}
+		if st.Epochs == 0 || st.Events == 0 || st.Commits == 0 {
+			t.Errorf("shards=%d: %+v: a sharded all-to-all ran no epoch, event or commit", shards, st)
+		}
+		if h := st.Spun + st.Parked; h == 0 || h > st.Epochs*int64(shards-1) {
+			t.Errorf("shards=%d: %d handoffs over %d epochs", shards, h, st.Epochs)
+		}
+	}
+}
+
+// TestShardHandoffsParkAtOneProc: with fewer Ps than worker shards no
+// worker yields in a loop between epochs, so at GOMAXPROCS=1 every handoff
+// takes the park path.
+func TestShardHandoffsParkAtOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	st := shardedAlltoall(t, 2).K.EpochStats()
+	if st.Parked == 0 || st.Spun != 0 {
+		t.Errorf("%d handoffs parked, %d spun; want every one parked", st.Parked, st.Spun)
 	}
 }

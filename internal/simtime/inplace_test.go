@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -95,7 +94,7 @@ func TestSleepAcrossRunUntilBoundParks(t *testing.T) {
 // unwinds, but a Sleep in a deferred function still parks, so the body
 // unwinds instead of running on.
 func TestDeferredSleepDuringCloseUnwinds(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := steadyGoroutines()
 	k := NewKernel()
 	outer, after := false, false
 	k.Spawn("unwinding", func(p *Proc) {

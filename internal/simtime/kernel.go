@@ -219,7 +219,17 @@ type Kernel struct {
 	// (Entity -> *rand.Rand); a sync.Map because worker shards create
 	// entries concurrently on first draw.
 	entRngs sync.Map
-	wg      sync.WaitGroup
+
+	// The parallel epochs' state, owned by the run loop: the current
+	// window's bound (read by the workers it releases), the persistent
+	// workers by shard id (nil until the first epoch that needs one), the
+	// workers released this epoch, the barrier's merge buffer and the
+	// counters EpochStats reports.
+	bound    Time
+	workers  []*worker
+	released []*worker
+	merge    []xmsg
+	stats    EpochStats
 }
 
 // NewKernel returns an empty kernel at time zero with a fixed-seed
@@ -318,9 +328,11 @@ func (k *Kernel) RunUntil(t Time) int64 {
 // If a deferred function panics while its proc unwinds, Close still
 // unwinds the rest and then panics with the first such *ProcPanic.
 //
+// Close also ends the goroutines of the kernel's persistent epoch workers.
+//
 // Whoever creates a kernel closes it, after taking what it wants from
-// Stalled: an unclosed kernel leaks a goroutine per unfinished proc, with
-// everything those procs reference.
+// Stalled: an unclosed kernel leaks a goroutine per unfinished proc and per
+// epoch worker, with everything they reference.
 func (k *Kernel) Close() {
 	if k.closed {
 		return
@@ -329,6 +341,7 @@ func (k *Kernel) Close() {
 		panic("simtime: Close during Run")
 	}
 	k.closed = true
+	k.stopWorkers()
 	var procs []*Proc
 	for _, s := range k.shards {
 		for p := range s.procs {

@@ -3,20 +3,38 @@ package simtime
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // goroutinesSettleTo waits for the goroutine count to come down to want
-// (a sharded epoch's worker goroutines are still returning when Wait
-// lets the coordinator go) and returns the last count seen.
+// (an epoch worker that Close released, or an unwound proc, is still
+// returning when Close does) and returns the last count seen.
 func goroutinesSettleTo(want int) int {
 	n := runtime.NumGoroutine()
 	for i := 0; i < 200 && n > want; i++ {
 		time.Sleep(time.Millisecond)
 		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// steadyGoroutines returns the goroutine count once it has held for 5 ms:
+// the goroutine of the test that ran before may still be returning.
+func steadyGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i, held := 0, 0; i < 200 && held < 5; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
 	}
 	return n
 }
@@ -40,7 +58,7 @@ func mustPanicWith(t *testing.T, want string, fn func()) {
 func TestCloseUnwindsEverything(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := steadyGoroutines()
 			k := newTestKernel(workers)
 			deferred := map[string]int{}
 			var order []string
@@ -112,7 +130,7 @@ func TestCloseDuringRunPanics(t *testing.T) {
 // its proc is unwound does not strand the procs after it; Close re-raises
 // the panic once everything is unwound.
 func TestCloseSurvivesPanickingDefer(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := steadyGoroutines()
 	k := NewKernel()
 	k.Spawn("faulty-defer", func(p *Proc) {
 		defer panic("cleanup failed")
@@ -141,7 +159,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := steadyGoroutines()
 			k := newTestKernel(workers)
 			cleanedUp := false
 			k.SchedFor(1).Spawn("bystander", func(p *Proc) {
@@ -181,6 +199,160 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 				t.Errorf("%d goroutines after Close, %d before NewKernel", n, before)
 			}
 		})
+	}
+}
+
+// TestProcPanicBesideADrainingShard: a proc panics on one shard of an
+// epoch while the other shard's drain is still running — on the shard the
+// coordinator drains itself, beside a worker, and on a worker's shard,
+// beside the coordinator. Run re-raises the *ProcPanic only once the other
+// drain has returned (the race detector sees finished written by it and
+// read here), and Close unwinds everything.
+func TestProcPanicBesideADrainingShard(t *testing.T) {
+	boom := errors.New("boom")
+	// Under blockOwner(2) entities 1–4 live on shard 1, which the
+	// coordinator drains, and 5–8 on shard 2, which its worker drains.
+	for _, tc := range []struct {
+		name          string
+		faulty, other Entity
+	}{{"coordinator-shard", 1, 5}, {"worker-shard", 5, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := steadyGoroutines()
+			k := newTestKernel(2)
+			var panicking atomic.Bool
+			finished := false
+			k.SchedFor(tc.other).Spawn("other", func(p *Proc) {
+				p.Sleep(Microsecond)
+				for !panicking.Load() {
+					runtime.Gosched()
+				}
+				time.Sleep(5 * time.Millisecond)
+				finished = true
+				NewSignal().Wait(p)
+			})
+			k.SchedFor(tc.faulty).Spawn("faulty", func(p *Proc) {
+				p.Sleep(Microsecond)
+				panicking.Store(true)
+				panic(boom)
+			})
+			k.EnableParallel()
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			var pp *ProcPanic
+			if err, ok := got.(error); !ok || !errors.As(err, &pp) || !errors.Is(err, boom) {
+				t.Fatalf("Run panicked with %v, want a *ProcPanic wrapping boom", got)
+			}
+			if pp.Proc != "faulty" || pp.At != Time(Microsecond) {
+				t.Errorf("context = proc %q at %v", pp.Proc, pp.At)
+			}
+			if !finished {
+				t.Error("Run re-raised the panic before the other shard's drain returned")
+			}
+			k.Close()
+			if n := goroutinesSettleTo(before); n != before {
+				t.Errorf("%d goroutines after Close, %d before NewKernel", n, before)
+			}
+		})
+	}
+}
+
+// startedWorkers returns the kernel's persistent epoch workers.
+func startedWorkers(k *Kernel) []*worker {
+	var ws []*worker
+	for _, w := range k.workers {
+		if w != nil {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// TestEpochWorkersLiveUntilClose: a sharded kernel's epoch workers outlast
+// Run, parked, and Close ends them — the goroutine count comes back to its
+// value before the kernel was built.
+func TestEpochWorkersLiveUntilClose(t *testing.T) {
+	before := steadyGoroutines()
+	k := newTestKernel(4)
+	synthSetup(k, nil) // every proc returns
+	k.EnableParallel()
+	k.Run()
+	ws := startedWorkers(k)
+	if len(ws) == 0 {
+		t.Fatal("four busy worker shards started no epoch worker")
+	}
+	if n := goroutinesSettleTo(before + len(ws)); n != before+len(ws) {
+		t.Errorf("%d goroutines after Run with %d workers, want %d", n, len(ws), before+len(ws))
+	}
+	k.Close()
+	if n := goroutinesSettleTo(before); n != before {
+		t.Errorf("%d goroutines after Close, %d before NewKernel", n, before)
+	}
+}
+
+// TestNoWorkerWithoutEpochs: a sharded kernel whose parallel epochs are
+// never enabled runs everything on the coordinator and starts no worker.
+func TestNoWorkerWithoutEpochs(t *testing.T) {
+	before := steadyGoroutines()
+	k := newTestKernel(4)
+	defer k.Close()
+	synthSetup(k, nil)
+	k.Run()
+	if ws := startedWorkers(k); len(ws) != 0 {
+		t.Errorf("%d epoch workers started without EnableParallel", len(ws))
+	}
+	if st := k.EpochStats(); st.Epochs != 0 || st.Sequential != k.Steps() {
+		t.Errorf("EpochStats() = %+v with %d steps, want every step sequential", st, k.Steps())
+	}
+	if n := goroutinesSettleTo(before); n != before {
+		t.Errorf("%d goroutines after Run, %d before NewKernel", n, before)
+	}
+}
+
+// TestStopMidEpochReusesWorkers: Run, Stop from inside a worker epoch, Run
+// again and Close give the history, step count and clock of one
+// uninterrupted Run, and the second Run hands its epochs to the workers the
+// first one started.
+func TestStopMidEpochReusesWorkers(t *testing.T) {
+	k := newTestKernel(4)
+	want := synthSetup(k, nil)
+	k.EnableParallel()
+	k.Run()
+	wantSteps, wantNow := k.Steps(), k.Now()
+	k.Close()
+
+	k = newTestKernel(4)
+	var stopped atomic.Bool
+	got := synthSetup(k, func(p *Proc, iter int) {
+		if p.Entity() == 5 && iter == 3 && !stopped.Swap(true) {
+			k.Stop()
+		}
+	})
+	k.EnableParallel()
+	k.Run()
+	if !stopped.Load() || k.Idle() {
+		t.Fatalf("stopped = %v, idle = %v: the first Run must stop with work pending", stopped.Load(), k.Idle())
+	}
+	first := startedWorkers(k)
+	if len(first) == 0 {
+		t.Fatal("the first Run started no epoch worker")
+	}
+	handoffs := k.EpochStats().Spun + k.EpochStats().Parked
+	k.Run()
+	if again := startedWorkers(k); !slices.Equal(again, first) {
+		t.Errorf("the second Run runs on %d workers, not the first Run's %d", len(again), len(first))
+	}
+	if st := k.EpochStats(); st.Spun+st.Parked == handoffs {
+		t.Error("the second Run handed no epoch to a worker")
+	}
+	k.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Error("stop+resume history diverged from an uninterrupted run")
+	}
+	if k.Steps() != wantSteps || k.Now() != wantNow {
+		t.Errorf("steps %d, now %v; uninterrupted: %d, %v", k.Steps(), k.Now(), wantSteps, wantNow)
 	}
 }
 

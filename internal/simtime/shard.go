@@ -1,9 +1,10 @@
 package simtime
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -107,7 +108,7 @@ func (s Sched) Commit(name string, fn func()) {
 	}
 	src := s.k.shardOf(s.ent)
 	if !src.executing.Load() {
-		// Not called from this shard's worker goroutine: coordinator
+		// Not called from the goroutine draining this shard: coordinator
 		// context between epochs — exclusive access holds.
 		fn()
 		return
@@ -147,8 +148,8 @@ type shard struct {
 	oseq   int64 // outbox entries emitted during the current epoch
 	outbox []xmsg
 
-	// executing is true while the shard's worker goroutine drains events
-	// inside an epoch; it gates the inline-commit fast path and the
+	// executing is true while a goroutine drains the shard's events inside
+	// an epoch; it gates the inline-commit fast path and the
 	// cross-shard wake check.
 	executing atomic.Bool
 
@@ -156,8 +157,9 @@ type shard struct {
 	// either Stop() or a proc awaiting the sequential phase.
 	stopPhase bool
 	awaiting  *Proc // proc parked in AwaitSequential, woken at phase switch
-	// panicked holds a proc panic raised on the worker goroutine until the
-	// coordinator re-raises it on the goroutine that called Run.
+	// panicked holds a proc panic raised inside the shard's drain until the
+	// coordinator, once every drain of the epoch has returned, re-raises it
+	// on the goroutine that called Run.
 	panicked *ProcPanic
 }
 
@@ -291,7 +293,7 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, c
 		dst.queue.push(event{at: t, seq: k.gseq, name: name, fn: fn, proc: p, cancelable: cancelable})
 		return
 	}
-	// Worker epoch: the caller must be dst's own goroutine.
+	// Worker epoch: the caller must be the goroutine draining dst.
 	if dst.executing.Load() {
 		if t < dst.now {
 			panic(fmt.Sprintf("simtime: scheduling %q at %v before shard %d now %v", name, t, dst.id, dst.now))
@@ -429,6 +431,7 @@ func (k *Kernel) exec(s *shard) {
 		// counterpart; counting them would make Steps() shard-dependent.
 		s.steps++
 		k.steps++
+		k.stats.Sequential++
 	}
 	if k.tracer != nil {
 		what := e.name
@@ -463,6 +466,7 @@ func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
 	}
 	s.steps++
 	k.steps++
+	k.stats.Sequential++
 	k.inPlace++
 	if k.tracer != nil {
 		k.tracer(t, "wake:"+p.name+":sleep")
@@ -490,9 +494,10 @@ func (k *Kernel) switchPhase() {
 }
 
 // epoch runs one conservative parallel window: coordinator events first
-// (exclusive), then every worker shard concurrently up to the LBTS bound,
-// then the barrier merge. It returns the events executed and whether the
-// simulation has drained.
+// (exclusive), then every worker shard concurrently up to the LBTS bound —
+// the first non-empty one on the coordinator's goroutine, each other one
+// on its persistent worker — then the barrier merge. It returns the events
+// executed and whether the simulation has drained.
 func (k *Kernel) epoch(until Time) (int64, bool) {
 	var n int64
 	// Coordinator-first: run global events due before any worker work.
@@ -541,35 +546,44 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 	if until >= 0 && bound > until.Add(1) {
 		bound = until.Add(1)
 	}
-	// Drain worker queues concurrently inside [*, bound).
+	// Drain worker queues concurrently inside [*, bound): the coordinator
+	// takes the first non-empty worker shard itself, a persistent worker
+	// each other one.
+	k.bound = bound
 	k.inEpoch.Store(true)
-	var ran atomic.Int64
+	var first *shard
+	released := k.released[:0]
 	for _, s := range k.shards[1:] {
 		if s.queue.empty() {
 			continue
 		}
 		s.lseq = 0
 		s.oseq = 0
-		k.wg.Add(1)
-		go func(s *shard) {
-			defer k.wg.Done()
-			ran.Add(k.drain(s, bound))
-		}(s)
+		if first == nil {
+			first = s
+			continue
+		}
+		w := k.workerFor(s)
+		w.start.release()
+		released = append(released, w)
 	}
-	k.wg.Wait()
-	k.inEpoch.Store(false)
+	k.released = released
+	ran := k.drainBeside(first, bound, released)
 	for _, s := range k.shards[1:] {
 		if pp := s.panicked; pp != nil {
 			s.panicked = nil
 			panic(pp)
 		}
 	}
-	n += ran.Load()
-	k.steps += ran.Load()
+	n += ran
+	k.steps += ran
 	if t := k.maxNow(); t > k.globalNow {
 		k.globalNow = t
 	}
 	merged := k.mergeOutboxes()
+	k.stats.Epochs++
+	k.stats.Events += ran
+	k.stats.Commits += int64(merged)
 	if n == 0 && merged == 0 {
 		// No event inside the window and nothing exchanged: everything
 		// pending lies beyond the until bound.
@@ -586,10 +600,12 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 	return n, false
 }
 
-// drain executes shard s's events before bound on the calling worker
-// goroutine and returns how many ran. A proc panic is parked in s.panicked
-// for the coordinator; any other panic is a simulator bug and keeps
-// crashing where it happened.
+// drain executes shard s's events before bound on the calling goroutine
+// (the coordinator's or s's worker's) and returns how many ran. A proc
+// panic is parked in s.panicked for the coordinator; any other panic is a
+// simulator bug and keeps unwinding where it happened: on a worker it
+// crashes the process, on the coordinator it leaves Run once the epoch's
+// workers are back.
 func (k *Kernel) drain(s *shard, bound Time) (n int64) {
 	s.executing.Store(true)
 	defer func() {
@@ -645,9 +661,10 @@ func (k *Kernel) anyWork() bool {
 
 // mergeOutboxes replays every commit made during the epoch against
 // coordinator-owned state, in deterministic (time, source entity, source
-// sequence) order.
+// sequence) order. The gathering slice is the kernel's, reused from epoch
+// to epoch.
 func (k *Kernel) mergeOutboxes() int {
-	var all []xmsg
+	all := k.merge[:0]
 	for _, s := range k.shards[1:] {
 		all = append(all, s.outbox...)
 		s.outbox = s.outbox[:0]
@@ -655,16 +672,7 @@ func (k *Kernel) mergeOutboxes() int {
 	if len(all) == 0 {
 		return 0
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.srcEnt != b.srcEnt {
-			return a.srcEnt < b.srcEnt
-		}
-		return a.srcSeq < b.srcSeq
-	})
+	slices.SortFunc(all, xmsgOrder)
 	for i := range all {
 		// Replay at the commit's own timestamp so Sched.Now and wake
 		// scheduling inside the closure see the source's send time, not
@@ -672,7 +680,21 @@ func (k *Kernel) mergeOutboxes() int {
 		k.curNow = all[i].at
 		all[i].fn()
 	}
+	clear(all) // the replayed closures are garbage now
+	k.merge = all[:0]
 	return len(all)
+}
+
+// xmsgOrder is the merge key's order: time, then source entity, then source
+// sequence. No two commits share all three, so any sort replays alike.
+func xmsgOrder(a, b xmsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.srcEnt, b.srcEnt); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.srcSeq, b.srcSeq)
 }
 
 // maxNow returns the latest shard clock.
