@@ -217,16 +217,7 @@ func TestWakesInPlace(t *testing.T) {
 // sequential: with 4 shards on an 8-node all-to-all, worker shards must
 // execute a substantial share of the events.
 func TestShardedUsesWorkers(t *testing.T) {
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	spec := Spec{Elan: &opts, Progress: pml.Polling, Shards: 4}
-	c := New(spec, 8)
-	c.Launch(func(p *Proc) {
-		runTestPattern(p, 8, "alltoall", 2048, 3)
-		p.Finalize()
-	})
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
+	c := shardedAlltoall(t, 4)
 	steps := c.K.ShardSteps()
 	if steps == nil {
 		t.Fatal("kernel is not sharded")

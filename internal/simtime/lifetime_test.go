@@ -3,9 +3,7 @@ package simtime
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -308,51 +306,6 @@ func TestNoWorkerWithoutEpochs(t *testing.T) {
 	}
 	if n := goroutinesSettleTo(before); n != before {
 		t.Errorf("%d goroutines after Run, %d before NewKernel", n, before)
-	}
-}
-
-// TestStopMidEpochReusesWorkers: Run, Stop from inside a worker epoch, Run
-// again and Close give the history, step count and clock of one
-// uninterrupted Run, and the second Run hands its epochs to the workers the
-// first one started.
-func TestStopMidEpochReusesWorkers(t *testing.T) {
-	k := newTestKernel(4)
-	want := synthSetup(k, nil)
-	k.EnableParallel()
-	k.Run()
-	wantSteps, wantNow := k.Steps(), k.Now()
-	k.Close()
-
-	k = newTestKernel(4)
-	var stopped atomic.Bool
-	got := synthSetup(k, func(p *Proc, iter int) {
-		if p.Entity() == 5 && iter == 3 && !stopped.Swap(true) {
-			k.Stop()
-		}
-	})
-	k.EnableParallel()
-	k.Run()
-	if !stopped.Load() || k.Idle() {
-		t.Fatalf("stopped = %v, idle = %v: the first Run must stop with work pending", stopped.Load(), k.Idle())
-	}
-	first := startedWorkers(k)
-	if len(first) == 0 {
-		t.Fatal("the first Run started no epoch worker")
-	}
-	handoffs := k.EpochStats().Spun + k.EpochStats().Parked
-	k.Run()
-	if again := startedWorkers(k); !slices.Equal(again, first) {
-		t.Errorf("the second Run runs on %d workers, not the first Run's %d", len(again), len(first))
-	}
-	if st := k.EpochStats(); st.Spun+st.Parked == handoffs {
-		t.Error("the second Run handed no epoch to a worker")
-	}
-	k.Close()
-	if !reflect.DeepEqual(got, want) {
-		t.Error("stop+resume history diverged from an uninterrupted run")
-	}
-	if k.Steps() != wantSteps || k.Now() != wantNow {
-		t.Errorf("steps %d, now %v; uninterrupted: %d, %v", k.Steps(), k.Now(), wantSteps, wantNow)
 	}
 }
 

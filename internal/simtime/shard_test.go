@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,7 @@ func runSynthetic(workers int) synthRes {
 	logs := synthSetup(k, nil)
 	k.EnableParallel()
 	k.Run()
+	k.Close()
 	return synthRes{logs: logs, final: k.Now(), steps: k.Steps()}
 }
 
@@ -254,8 +256,9 @@ func TestRunUntil(t *testing.T) {
 
 // TestStop: Stop returns from Run after the current event and a second Run
 // continues; stopped from inside a proc (inside a worker epoch, when there
-// are workers) pending work survives and the run resumes to the identical
-// final history.
+// are workers) pending work survives and the run resumes, on the epoch
+// workers the first Run started, to the identical final history, step
+// count and clock.
 func TestStop(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		k := newTestKernel(workers)
@@ -294,12 +297,24 @@ func TestStop(t *testing.T) {
 		if k.Idle() {
 			t.Fatal("Stop drained the kernel; expected pending work")
 		}
+		first, st := startedWorkers(k), k.EpochStats()
+		if workers > 1 && len(first) == 0 {
+			t.Fatalf("workers=%d: the first Run started no epoch worker", workers)
+		}
 		n2 := k.Run()
+		if again := startedWorkers(k); !slices.Equal(again, first) {
+			t.Errorf("workers=%d: the second Run runs on %d epoch workers, not the first Run's %d", workers, len(again), len(first))
+		}
+		if again := k.EpochStats(); workers > 1 && again.Spun+again.Parked == st.Spun+st.Parked {
+			t.Errorf("workers=%d: the second Run handed no epoch to a worker", workers)
+		}
+		k.Close()
 		if n1 == 0 || n2 == 0 {
 			t.Fatalf("workers=%d: both run halves must execute events: %d, %d", workers, n1, n2)
 		}
-		if n1+n2 != base.steps {
-			t.Errorf("workers=%d: split run executed %d events, want %d", workers, n1+n2, base.steps)
+		if n1+n2 != base.steps || k.Steps() != base.steps || k.Now() != base.final {
+			t.Errorf("workers=%d: split run executed %d events (Steps %d) to %v, want %d to %v",
+				workers, n1+n2, k.Steps(), k.Now(), base.steps, base.final)
 		}
 		if !reflect.DeepEqual(logs, base.logs) {
 			t.Fatalf("workers=%d: stop+resume history diverged from an uninterrupted run", workers)
