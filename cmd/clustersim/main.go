@@ -69,11 +69,8 @@ func main() {
 	case *shards > 1 && *lossRate > 0:
 		usage("-shards > 1 is incompatible with -lossrate > 0 (lossy retransmits serialize through shared link state)")
 	}
-	m := model.Default()
-	m.LinkLossRate = *lossRate
 	sch, ok := schemes[*scheme]
-	opts := ptlelan4.BestOptions(sch)
-	spec, err := cluster.Spec{Elan: &opts, ElanRails: *rails, Model: &m, Shards: *shards}.WithProgressRow(strconv.Itoa(*threads))
+	spec, err := specFor(sch, *threads, *rails, *shards, *lossRate)
 	if !ok {
 		err = fmt.Errorf("-scheme %s names nothing (valid: read, write)", *scheme)
 	}
@@ -141,6 +138,15 @@ func main() {
 		}
 		fmt.Printf("\nwrote %d trace events to %s (load at ui.perfetto.dev)\n", rec.Len(), *traceOut)
 	}
+}
+
+// specFor is the cluster the flags describe: the scheme's best options on
+// rails Quadrics rails, under the Table 1 row of threads progress threads.
+func specFor(sch ptlelan4.Scheme, threads, rails, shards int, lossRate float64) (cluster.Spec, error) {
+	m := model.Default()
+	m.LinkLossRate = lossRate
+	opts := ptlelan4.BestOptions(sch)
+	return cluster.Spec{Elan: &opts, ElanRails: rails, Model: &m, Shards: shards}.WithProgressRow(strconv.Itoa(threads))
 }
 
 func runPattern(p *cluster.Proc, procs int, pattern string, size, iters int) {

@@ -104,6 +104,27 @@ var collOps = []struct {
 		ar.Wait()
 		return recv
 	}},
+	// Two schedules in flight on one communicator, waited in either order
+	// (ROADMAP 2(f)): one schedule's arrivals land while the other's wait
+	// sweeps the hooks. With the activity word read after the sweep, the
+	// basic row deadlocked at n = 3 in post order and at n = 5, 8 and 13
+	// swapped. Recorded from n = 3 up.
+	{"Iallreduce+Ibarrier", false, func(w *mpi.World, _ int) []byte {
+		recv := make([]byte, 16)
+		ar := w.Comm().Iallreduce(contribution(w.Rank()), recv, mpi.OpSumF64)
+		b := w.Comm().Ibarrier()
+		ar.Wait()
+		b.Wait()
+		return recv
+	}},
+	{"Iallreduce+Ibarrier/swapped", false, func(w *mpi.World, _ int) []byte {
+		recv := make([]byte, 16)
+		ar := w.Comm().Iallreduce(contribution(w.Rank()), recv, mpi.OpSumF64)
+		b := w.Comm().Ibarrier()
+		b.Wait()
+		ar.Wait()
+		return recv
+	}},
 }
 
 // contribution is a rank's two-element float64 vector; the first element
@@ -148,7 +169,11 @@ func overlapped(w *mpi.World, nbc *mpi.Request) {
 func collCells() []collCell {
 	var cells []collCell
 	for _, op := range collOps {
-		for _, n := range []int{1, 2, 3, 5, 8, 13} {
+		ns := []int{1, 2, 3, 5, 8, 13}
+		if strings.HasPrefix(op.name, "Iallreduce+Ibarrier") {
+			ns = ns[2:]
+		}
+		for _, n := range ns {
 			roots := []int{0}
 			if op.rooted && n > 1 {
 				roots = append(roots, n-1)

@@ -929,21 +929,32 @@ func (s *Stack) bookIdle(t0 simtime.Time, p0 simtime.Duration) {
 // what is modelled, known and left alone: making them not bare would move
 // simulated time.
 //
-// done may charge CPU (Probe's does). The word is read after the second
-// ask, so a bump that lands during the sweep or that ask is waited past:
-// the lost wakeup that two rails, or two schedules in flight, can turn
-// into a deadlock. Reading it before the sweep closes it, and moves
-// simulated time.
+// done may charge CPU (Probe's does). When the sweep polls more than one
+// thing — a second rail, or the hook pass of a schedule in flight — the
+// word is read before it: a bump that lands while one module or hook is
+// polled is then counted against the wait, not waited past. Read after
+// the sweep, that bump was the lost wakeup that deadlocked two-rail
+// all-to-alls and two schedules in flight (ROADMAP 8). A one-module sweep
+// still reads it after the second ask: reading it first re-sweeps on
+// every bump the sweep itself consumed, and moves simulated time on every
+// single-rail run (DESIGN.md §7).
 func (s *Stack) Block(th *simtime.Thread, done func() bool, bare bool) {
 	if !bare {
 		defer s.bookIdle(s.sc.Now(), s.progressTime)
 	}
 	for !done() {
+		ticket := len(s.mods) > 1 || len(s.hooks) > 0
+		var v int64
+		if ticket {
+			v = s.activity.Value()
+		}
 		s.Progress(th)
 		if done() {
 			return
 		}
-		v := s.activity.Value()
+		if !ticket {
+			v = s.activity.Value()
+		}
 		if !bare && s.mode == InterruptWait && s.blocker != nil {
 			s.blocker.BlockActivity(th)
 			continue
