@@ -1,6 +1,13 @@
 package experiments
 
-import "qsmpi/internal/parsweep"
+import (
+	"sync"
+
+	"qsmpi/internal/cluster"
+	"qsmpi/internal/parsweep"
+	"qsmpi/internal/pml"
+	"qsmpi/internal/ptlelan4"
+)
 
 // Config carries every sweep parameter that used to live in mutable
 // package globals. A Config is passed explicitly through the figure,
@@ -28,12 +35,18 @@ type Config struct {
 	// ranks, but not the host-tree barrier from 1024 ranks up nor the NIC
 	// barrier at 4096 (DESIGN.md §7.2 has the measured pairs).
 	Shards int
+
+	// memo answers a two-rank ping-pong this config, or a copy of it, has
+	// run before. DefaultConfig makes one per call; a Config literal has
+	// none and runs every request.
+	memo *memo
 }
 
 // DefaultConfig mirrors the historical defaults: 100 timed iterations,
-// 10 warmup rounds, one worker per core.
+// 10 warmup rounds, one worker per core. Its copies share one memo, so each
+// distinct two-rank ping-pong of their figures and claims is simulated once.
 func DefaultConfig() Config {
-	return Config{Iters: 100, Warmup: Warmup}
+	return Config{Iters: 100, Warmup: Warmup, memo: &memo{runs: map[simKey]*memoRun{}}}
 }
 
 // WithIters returns a copy of c with the iteration count replaced.
@@ -114,4 +127,98 @@ func (c Config) sweep(p plot) *Result {
 		}
 	}
 	return r
+}
+
+// pingKind names a two-rank ping-pong harness.
+type pingKind uint8
+
+const (
+	openMPIPing pingKind = iota
+	layeredPing          // Open MPI with the PML-layer cost measured
+	tportPing
+	qdmaPing
+)
+
+// simKey is every input of a two-rank ping-pong harness.
+type simKey struct {
+	kind     pingKind
+	opts     ptlelan4.Options
+	dtp      bool
+	progress pml.ProgressMode
+	size     int
+	iters    int
+	warmup   int
+	shards   int
+}
+
+// pingKey is the key of a ping-pong of kind at size and iters under c.
+func (c Config) pingKey(kind pingKind, size, iters int) simKey {
+	return simKey{kind: kind, size: size, iters: iters, warmup: c.Warmup, shards: c.Shards}
+}
+
+// specKey adds the Open MPI spec's inputs to k. It reports false for a spec
+// with a field set that the key does not hold: such a run is never memoized.
+func specKey(k simKey, spec cluster.Spec) (simKey, bool) {
+	if spec.Elan == nil || spec.Model != nil || spec.Nodes != 0 || spec.ElanRails != 0 || spec.TCP != nil ||
+		spec.Tracer != nil || spec.Metrics != nil || spec.Watchdog != nil || spec.Sampler != nil ||
+		spec.HWColl || spec.Peers != nil {
+		return k, false
+	}
+	k.opts, k.dtp, k.progress, k.shards = *spec.Elan, spec.DTP, spec.Progress, spec.Shards
+	return k, true
+}
+
+// memo holds the ping-pongs run under one DefaultConfig, by key.
+type memo struct {
+	mu   sync.Mutex
+	runs map[simKey]*memoRun
+}
+
+// memoRun is one simulation of a key: done closes once its values, or the
+// panic it raised, are in.
+type memoRun struct {
+	done     chan struct{}
+	lat, pml float64
+	m        parsweep.Metrics
+	panicked any
+}
+
+// simulate returns run's half round trip, PML-layer cost and metrics. With
+// a memo and a key it can hold, run goes once per key: a later request, or
+// one that arrives while it runs and waits, gets its values and metrics
+// with Reused set. A run that panics is forgotten, so the next request runs
+// it again, and its panic is raised in every request that waited on it.
+func (c Config) simulate(k simKey, memoize bool, run func() (lat, pmlCost float64, m parsweep.Metrics)) (float64, float64, parsweep.Metrics) {
+	if c.memo == nil || !memoize {
+		return run()
+	}
+	c.memo.mu.Lock()
+	r, hit := c.memo.runs[k]
+	if !hit {
+		r = &memoRun{done: make(chan struct{})}
+		c.memo.runs[k] = r
+	}
+	c.memo.mu.Unlock()
+	if !hit {
+		func() {
+			defer close(r.done)
+			defer func() {
+				if r.panicked = recover(); r.panicked != nil {
+					c.memo.mu.Lock()
+					delete(c.memo.runs, k)
+					c.memo.mu.Unlock()
+				}
+			}()
+			r.lat, r.pml, r.m = run()
+		}()
+	}
+	<-r.done
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	m := r.m
+	if hit {
+		m.Reused = 1
+	}
+	return r.lat, r.pml, m
 }

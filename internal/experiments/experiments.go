@@ -100,7 +100,14 @@ func OpenMPILayered(spec cluster.Spec, size, iters int) (total, pmlCost float64)
 // reporting the engine metrics.
 func (c Config) openMPI(spec cluster.Spec, size, iters int, layered bool) (lat, pmlCost float64, m parsweep.Metrics) {
 	spec.Shards = c.Shards
-	return pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup, layered)
+	kind := openMPIPing
+	if layered {
+		kind = layeredPing
+	}
+	k, ok := specKey(c.pingKey(kind, size, iters), spec)
+	return c.simulate(k, ok, func() (float64, float64, parsweep.Metrics) {
+		return pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup, layered)
+	})
 }
 
 // pingPongOn runs the ping-pong between rank 0 and rank peer of the fresh
@@ -140,6 +147,16 @@ func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int, trace bool) (
 	return lat, pmlCost, m
 }
 
+// tport is the MPICH-QsNetII ping-pong on a fresh two-rank job with the
+// config's warmup.
+func (c Config) tport(size, iters int) (float64, parsweep.Metrics) {
+	lat, _, m := c.simulate(c.pingKey(tportPing, size, iters), true, func() (float64, float64, parsweep.Metrics) {
+		lat, m := tportPingPong(mpichq.NewJob(2, nil), size, iters, c.Warmup)
+		return lat, 0, m
+	})
+	return lat, m
+}
+
 // tportPingPong is the MPICH-QsNetII baseline harness: mean half-round-trip
 // latency (µs) of the ping-pong run to completion on the fresh two-rank job
 // j, which the caller keeps for whatever it attached to it.
@@ -160,14 +177,23 @@ func tportPingPong(j *mpichq.Job, size, iters, warmup int) (lat float64, m parsw
 // QDMAPingPong measures native Quadrics QDMA half-round-trip latency (µs):
 // the Fig. 9 baseline the PTL is compared against.
 func QDMAPingPong(size, iters int) float64 {
-	lat, _ := qdmaPingPong(size, iters, Warmup)
+	lat, _ := Config{Warmup: Warmup}.qdma(size, iters)
 	return lat
 }
 
-func qdmaPingPong(size, iters, warmup int) (lat float64, m parsweep.Metrics) {
+// qdma is the native QDMA ping-pong with the config's warmup.
+func (c Config) qdma(size, iters int) (float64, parsweep.Metrics) {
 	if size > model.Default().QDMAMaxPayload {
 		panic("experiments: QDMA size above hardware limit")
 	}
+	lat, _, m := c.simulate(c.pingKey(qdmaPing, size, iters), true, func() (float64, float64, parsweep.Metrics) {
+		lat, m := qdmaPingPong(size, iters, c.Warmup)
+		return lat, 0, m
+	})
+	return lat, m
+}
+
+func qdmaPingPong(size, iters, warmup int) (lat float64, m parsweep.Metrics) {
 	b := bareNICs(2)
 	queues := []*libelan.Queue{b.states[0].NewQueue(1, 64), b.states[1].NewQueue(1, 64)}
 	payload := make([]byte, size)

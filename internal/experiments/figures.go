@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"qsmpi/internal/cluster"
-	"qsmpi/internal/mpichq"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
@@ -86,7 +85,7 @@ func Fig9(cfg Config, sizes []int) *Result { return cfg.sweep(fig9(cfg, sizes)) 
 
 func fig9(cfg Config, sizes []int) plot {
 	return plot{"fig9", "Communication Overhead in Different Layers", "bytes", "latency us", sizes, []curve{
-		line("QDMA latency", func(n int) (float64, parsweep.Metrics) { return qdmaPingPong(n, cfg.Iters, cfg.Warmup) }),
+		line("QDMA latency", func(n int) (float64, parsweep.Metrics) { return cfg.qdma(n, cfg.Iters) }),
 		{[]string{"PTL Latency", "PML Layer Cost"}, func(n int) ([]float64, parsweep.Metrics) {
 			total, pmlc, m := cfg.openMPI(bestRead(), n, cfg.Iters, true)
 			return []float64{total - pmlc, pmlc}, m
@@ -121,7 +120,7 @@ func fig10(cfg Config, sizes []int, panel string, bandwidth bool) plot {
 		metric, unit = "MB/s", toBW
 	}
 	mpich := line("MPICH-QsNetII", func(n int) (float64, parsweep.Metrics) {
-		l, m := tportPingPong(mpichq.NewJob(2, nil), n, cfg.itersFor(n), cfg.Warmup)
+		l, m := cfg.tport(n, cfg.itersFor(n))
 		return unit(n, l), m
 	})
 	openmpi := func(name string, scheme ptlelan4.Scheme) curve {

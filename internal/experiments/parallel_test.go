@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,5 +57,18 @@ func TestSweepStatsAccumulate(t *testing.T) {
 	}
 	if got := st.PoolHitRate(); got <= 0 || got > 1 {
 		t.Errorf("pool hit rate %v out of range", got)
+	}
+	// The same sweep again under the same config: every job is answered by
+	// the memo, reports the metrics of the run it reuses and counts as reused.
+	if m.Reused != 0 {
+		t.Errorf("a first sweep of 12 distinct points reused %d runs", m.Reused)
+	}
+	Fig7(cfg, []int{4, 4096}, "stats")
+	again := st.Totals()
+	if st.Jobs() != 24 || again.Reused != 12 || again.SimEvents != 2*m.SimEvents || again.PoolGets != 2*m.PoolGets {
+		t.Errorf("a repeated sweep gave %d jobs and totals %+v, want 24 jobs, 12 reused and twice %+v", st.Jobs(), again, m)
+	}
+	if !strings.Contains(st.String(), "24 jobs (12 reused)") {
+		t.Errorf("-stats does not show the reused jobs: %s", st.String())
 	}
 }

@@ -25,12 +25,15 @@ import (
 
 // Metrics is what one job reports about the simulation it ran: kernel
 // event count and the buffer-pool effectiveness counters aggregated
-// across the simulated cluster's components.
+// across the simulated cluster's components. Reused is 1 for a job that
+// ran nothing because an earlier run of the same simulation answered it;
+// the job still reports that run's counters.
 type Metrics struct {
 	SimEvents int64
 	PoolGets  int64
 	PoolHits  int64
 	PoolPuts  int64
+	Reused    int64
 }
 
 // add accumulates o into m.
@@ -39,6 +42,7 @@ func (m *Metrics) add(o Metrics) {
 	m.PoolGets += o.PoolGets
 	m.PoolHits += o.PoolHits
 	m.PoolPuts += o.PoolPuts
+	m.Reused += o.Reused
 }
 
 // Ctx is the per-worker job context. It is owned by exactly one worker
@@ -125,8 +129,8 @@ func (s *Stats) Merge(o Stats) {
 // String renders a one-line-per-worker summary plus totals.
 func (s *Stats) String() string {
 	m := s.Totals()
-	out := fmt.Sprintf("sweep engine: %d runs, %d jobs, %d workers, %d sim-events, %.1f ms busy, pool hit-rate %.1f%%\n",
-		s.Runs, s.Jobs(), len(s.Workers), m.SimEvents,
+	out := fmt.Sprintf("sweep engine: %d runs, %d jobs (%d reused), %d workers, %d sim-events, %.1f ms busy, pool hit-rate %.1f%%\n",
+		s.Runs, s.Jobs(), m.Reused, len(s.Workers), m.SimEvents,
 		float64(s.WallNS())/1e6, 100*s.PoolHitRate())
 	for i, w := range s.Workers {
 		out += fmt.Sprintf("  worker %d: %d jobs, %d sim-events, %.1f ms\n",

@@ -60,12 +60,12 @@ func TestWorkerCountClamps(t *testing.T) {
 func TestMetricsAggregateDeterministically(t *testing.T) {
 	run := func(workers int) Metrics {
 		_, st := Run(workers, 50, func(c *Ctx, i int) int {
-			c.Report(Metrics{SimEvents: int64(i), PoolGets: 2, PoolHits: 1, PoolPuts: 1})
+			c.Report(Metrics{SimEvents: int64(i), PoolGets: 2, PoolHits: 1, PoolPuts: 1, Reused: int64(i % 2)})
 			return i
 		})
 		return st.Totals()
 	}
-	want := Metrics{SimEvents: 49 * 50 / 2, PoolGets: 100, PoolHits: 50, PoolPuts: 50}
+	want := Metrics{SimEvents: 49 * 50 / 2, PoolGets: 100, PoolHits: 50, PoolPuts: 50, Reused: 25}
 	for _, w := range []int{1, 2, 5} {
 		if got := run(w); got != want {
 			t.Fatalf("workers=%d: totals %+v, want %+v", w, got, want)
@@ -80,7 +80,7 @@ func TestStatsMergeAndHitRate(t *testing.T) {
 		return i
 	})
 	_, b := Run(3, 5, func(c *Ctx, i int) int {
-		c.Report(Metrics{PoolGets: 6, PoolHits: 0})
+		c.Report(Metrics{PoolGets: 6, PoolHits: 0, Reused: 1})
 		return i
 	})
 	acc.Merge(a)
@@ -95,8 +95,8 @@ func TestStatsMergeAndHitRate(t *testing.T) {
 	if got := acc.PoolHitRate(); got != wantRate {
 		t.Fatalf("hit rate %.4f, want %.4f", got, wantRate)
 	}
-	if !strings.Contains(acc.String(), "15 jobs") {
-		t.Fatalf("String() missing totals: %s", acc.String())
+	if !strings.Contains(acc.String(), "15 jobs (5 reused)") {
+		t.Fatalf("String() missing totals or reused jobs: %s", acc.String())
 	}
 }
 
