@@ -1,7 +1,8 @@
 // Command clustersim runs a traffic pattern over the simulated cluster
 // and reports what the hardware did: per-NIC QDMA/RDMA counts, retries and
-// interrupts, fabric totals, PML statistics and host CPU busy time. It is
-// the inspection tool for the testbed underneath the benchmarks.
+// interrupts, fabric totals, PML statistics and host CPU busy time, and the
+// kernel's events and sleep wakes taken without a switch. It is the
+// inspection tool for the testbed underneath the benchmarks.
 //
 // Usage:
 //
@@ -116,6 +117,8 @@ func main() {
 	sent, delivered := c.Net.Stats()
 	fmt.Printf("\nfabric: %d packets sent, %d delivered, %d CRC retransmits\n",
 		sent, delivered, c.Net.Retransmits())
+	fmt.Printf("kernel: %d steps, %d wakes in place, %d wakes drained\n",
+		c.K.Steps(), c.K.WakesInPlace(), c.K.WakesDrained())
 	for i, m := range mods {
 		s := m.Stats()
 		fmt.Printf("rank %d PTL: eager=%d rndv=%d ack=%d fin=%d fin_ack=%d puts=%d gets=%d cq=%d\n",

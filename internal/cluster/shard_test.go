@@ -213,6 +213,53 @@ func TestWakesInPlace(t *testing.T) {
 	}
 }
 
+// TestWakesDrained: the sleeps that would park are almost all drained on a
+// 2-rank ping-pong, where between a compute charge and its end only NIC and
+// fabric callbacks are due, and almost none on a 32-rank all-to-all, where
+// another rank's wake nearly always is; with worker shards none is. A sleep
+// is a traced "wake:<proc>:sleep" step on every path.
+func TestWakesDrained(t *testing.T) {
+	for _, tc := range []struct {
+		procs, iters       int
+		pattern            string
+		shards             int
+		minShare, maxShare float64
+	}{
+		{2, 400, "pingpong", 0, 0.99, 1},
+		{32, 4, "alltoall", 0, 0, 0.01},
+		{2, 400, "pingpong", 2, 0, 0},
+	} {
+		opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+		c := New(Spec{Elan: &opts, Progress: pml.Polling, Shards: tc.shards}, tc.procs)
+		var sleeps int64
+		if tc.shards == 0 {
+			c.K.SetTracer(func(_ simtime.Time, what string) {
+				if strings.HasPrefix(what, "wake:") && strings.HasSuffix(what, ":sleep") {
+					sleeps++
+				}
+			})
+		}
+		c.Launch(func(p *Proc) {
+			runTestPattern(p, tc.procs, tc.pattern, 2048, tc.iters)
+			p.Finalize()
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("%s/%d shards=%d: %v", tc.pattern, tc.procs, tc.shards, err)
+		}
+		drained, parked := c.K.WakesDrained(), sleeps-c.K.WakesInPlace()
+		share := 0.0
+		if parked > 0 {
+			share = float64(drained) / float64(parked)
+		}
+		t.Logf("%s/%d shards=%d: %d of %d parked sleeps drained, %d in place, %d steps",
+			tc.pattern, tc.procs, tc.shards, drained, parked, c.K.WakesInPlace(), c.K.Steps())
+		if share < tc.minShare || share > tc.maxShare || tc.shards > 0 && drained != 0 {
+			t.Errorf("%s/%d shards=%d: drained share %.4f (%d of %d), want [%v, %v]",
+				tc.pattern, tc.procs, tc.shards, share, drained, parked, tc.minShare, tc.maxShare)
+		}
+	}
+}
+
 // TestShardedUsesWorkers guards against the engine silently staying
 // sequential: with 4 shards on an 8-node all-to-all, worker shards must
 // execute a substantial share of the events.

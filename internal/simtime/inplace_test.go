@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -160,7 +161,7 @@ func TestInPlaceWakesMatchSwitchedOnes(t *testing.T) {
 	if plain.inPlace == 0 || ref.inPlace != 0 {
 		t.Fatalf("%d wakes in place on the plain kernel, %d on the sharded one; want some and none", plain.inPlace, ref.inPlace)
 	}
-	plain.inPlace = 0
+	plain.inPlace, plain.drained = 0, 0
 	if !reflect.DeepEqual(plain, ref) {
 		t.Errorf("plain kernel diverged from the switched reference:\n got: %+v\nwant: %+v", plain, ref)
 	}
@@ -188,14 +189,271 @@ func TestMisusedSleepStillPanics(t *testing.T) {
 	}
 }
 
+// The drain, Kernel.wakeInPlace's second case: a sleeper with only timer
+// callbacks due before its wake runs them itself, then takes the wake
+// without a switch; at anything else it parks. Each test checks, through
+// WakesDrained, which path it expects; the orders and counts are the run
+// loop's.
+
+// TestSleeperDrainsTimersBeforeWake: two timers strictly between a sleep
+// and its wake, the second armed by the first, run in the run loop's order
+// on the sleeper's drain, which sees the sleeper parked; then the wake runs
+// without a switch and Run counts every event.
+func TestSleeperDrainsTimersBeforeWake(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var got []string
+	log := func(what string) { got = append(got, what+"@"+k.Now().String()) }
+	k.Spawn("sleeper", func(p *Proc) {
+		k.After(Microsecond, "first", func() {
+			log(fmt.Sprint("first", k.Stalled()))
+			k.After(Microsecond, "second", func() { log("second") })
+		})
+		p.Sleep(3 * Microsecond)
+		log("sleeper")
+	})
+	n := k.Run()
+	if want := "[first[sleeper]@1.000us second@2.000us sleeper@3.000us]"; fmt.Sprint(got) != want {
+		t.Errorf("order %v, want %s", got, want)
+	}
+	if k.WakesDrained() != 1 || k.WakesInPlace() != 0 || n != 4 || k.Steps() != 4 {
+		t.Errorf("%d drained, %d in place, Run %d, %d steps; want 1, 0, 4, 4", k.WakesDrained(), k.WakesInPlace(), n, k.Steps())
+	}
+}
+
+// drainCase runs body as proc "sleeper" beside any other procs it spawns,
+// and checks the logged order and that no sleep was drained.
+func drainCase(t *testing.T, want string, body func(k *Kernel, p *Proc, log func(string))) {
+	t.Helper()
+	k := NewKernel()
+	defer k.Close()
+	var got []string
+	log := func(what string) { got = append(got, what+"@"+k.Now().String()) }
+	k.Spawn("sleeper", func(p *Proc) { body(k, p, log) })
+	k.Run()
+	if fmt.Sprint(got) != want || k.WakesDrained() != 0 {
+		t.Errorf("order %v with %d drained, want %s with 0", got, k.WakesDrained(), want)
+	}
+}
+
+// TestDrainParksAtAnotherProcsWake: a sleep does not drain while another
+// proc's wake is queued, even one due after its own (the gate), and a
+// drained timer that wakes another proc parks the sleeper at that wake.
+func TestDrainParksAtAnotherProcsWake(t *testing.T) {
+	drainCase(t, "[timer@1.000us sleeper@3.000us other@5.000us]", func(k *Kernel, p *Proc, log func(string)) {
+		k.Spawn("other", func(o *Proc) {
+			o.Sleep(5 * Microsecond)
+			log("other")
+		})
+		p.Yield() // the other proc starts and parks
+		k.After(Microsecond, "timer", func() { log("timer") })
+		p.Sleep(3 * Microsecond)
+		log("sleeper")
+	})
+	drainCase(t, "[timer@1.000us waiter@1.000us sleeper@3.000us]", func(k *Kernel, p *Proc, log func(string)) {
+		sig := NewSignal()
+		k.Spawn("waiter", func(w *Proc) {
+			sig.Wait(w)
+			log("waiter")
+		})
+		p.Yield()
+		k.After(Microsecond, "timer", func() { log("timer"); sig.Fire() })
+		p.Sleep(3 * Microsecond)
+		log("sleeper")
+	})
+}
+
+// TestDrainParksAtSpawn: a drained timer that spawns a proc parks the
+// sleeper at the new proc's start.
+func TestDrainParksAtSpawn(t *testing.T) {
+	drainCase(t, "[timer@1.000us child@1.000us sleeper@3.000us]", func(k *Kernel, p *Proc, log func(string)) {
+		k.After(Microsecond, "timer", func() {
+			log("timer")
+			k.Spawn("child", func(*Proc) { log("child") })
+		})
+		p.Sleep(3 * Microsecond)
+		log("sleeper")
+	})
+}
+
+// TestDrainParksAtCancelable: a cancel-on-idle timer before the wake parks
+// the sleeper, and the run loop runs it, since the wake is still pending.
+func TestDrainParksAtCancelable(t *testing.T) {
+	drainCase(t, "[idle@1.000us sleeper@3.000us]", func(k *Kernel, p *Proc, log func(string)) {
+		k.SchedFor(GlobalEntity).AfterCancelable(Microsecond, "idle", func() { log("idle") })
+		p.Sleep(3 * Microsecond)
+		log("sleeper")
+	})
+}
+
+// TestDrainParksAtStop: a drained timer that stops the kernel parks the
+// sleeper; Run returns after the timer, and the next Run resumes the
+// sleeper at its wake.
+func TestDrainParksAtStop(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	var resumed Time = -1
+	k.Spawn("sleeper", func(p *Proc) {
+		k.After(Microsecond, "stop", k.Stop)
+		p.Sleep(3 * Microsecond)
+		resumed = p.Now()
+	})
+	n1 := k.Run()
+	if resumed != -1 || k.Now() != Time(Microsecond) || fmt.Sprint(k.Stalled()) != "[sleeper]" {
+		t.Fatalf("after the stopped Run: resumed at %v, now %v, stalled %v; want the sleeper parked at 1us",
+			resumed, k.Now(), k.Stalled())
+	}
+	n2 := k.Run()
+	if resumed != Time(3*Microsecond) || n1 != 2 || n2 != 1 || k.WakesDrained() != 0 {
+		t.Errorf("resumed at %v, Run returned %d then %d, %d drained; want 3us, 2, 1, 0", resumed, n1, n2, k.WakesDrained())
+	}
+}
+
+// TestDrainParksAtRunUntilBound: a wake past the RunUntil bound parks the
+// sleeper without a drain, and the run loop runs the timers up to the
+// bound; a wake at exactly the bound drains.
+func TestDrainParksAtRunUntilBound(t *testing.T) {
+	for _, tc := range []struct {
+		bound   Time
+		ran     int64
+		woke    bool
+		drained int64
+	}{
+		{Time(2 * Microsecond), 2, false, 0},
+		{Time(3 * Microsecond), 3, true, 1},
+	} {
+		k := NewKernel()
+		woke := false
+		k.Spawn("sleeper", func(p *Proc) {
+			k.After(Microsecond, "timer", func() {})
+			p.Sleep(3 * Microsecond)
+			woke = true
+		})
+		n := k.RunUntil(tc.bound)
+		if n != tc.ran || woke != tc.woke || k.WakesDrained() != tc.drained || k.Now() != tc.bound {
+			t.Errorf("RunUntil(%v): ran %d, woke %v, %d drained, now %v; want %d, %v, %d, %v",
+				tc.bound, n, woke, k.WakesDrained(), k.Now(), tc.ran, tc.woke, tc.drained, tc.bound)
+		}
+		if n := k.Run(); !woke || n != 3-tc.ran || k.Steps() != 3 {
+			t.Errorf("RunUntil(%v) then Run: woke %v, Run %d, %d steps; want true, %d, 3", tc.bound, woke, n, k.Steps(), 3-tc.ran)
+		}
+		k.Close()
+	}
+}
+
+// TestWorkerShardsNeverDrain: a sleeper with a timer before each wake
+// drains on a plain kernel and never on one with worker shards, whether or
+// not its epochs are enabled, nor after the phase-switch wake that
+// AwaitSequential takes; the step count is the same on all three.
+func TestWorkerShardsNeverDrain(t *testing.T) {
+	run := func(workers int, parallel bool) (int64, int64) {
+		k := newTestKernel(workers)
+		defer k.Close()
+		k.SchedFor(3).Spawn("alone", func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				if i == 5 {
+					k.AwaitSequential(p)
+				}
+				p.Sched().After(Microsecond, "timer", func() {})
+				p.Sleep(2 * Microsecond)
+			}
+		})
+		if parallel {
+			k.EnableParallel()
+		}
+		k.Run()
+		return k.Steps(), k.WakesDrained()
+	}
+	steps, drained := run(0, false)
+	if steps != 21 || drained != 10 {
+		t.Errorf("plain kernel: %d steps, %d drained; want 21 and 10", steps, drained)
+	}
+	for _, parallel := range []bool{false, true} {
+		if s, n := run(2, parallel); s != steps || n != 0 {
+			t.Errorf("2 workers, parallel %v: %d steps, %d drained; want %d and 0", parallel, s, n, steps)
+		}
+	}
+}
+
+// TestMisusedSleepBesideDrain: a proc whose wake is already pending does
+// not drain and panics as before, and a drained timer that calls Sleep on
+// the sleeper finds it parked with its wake pending, as on the run loop.
+func TestMisusedSleepBesideDrain(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	k.Spawn("misused", func(p *Proc) {
+		k.After(Microsecond, "timer", func() {})
+		p.readyAt(3*Microsecond, "stray")
+		mustPanicWith(t, `double wake of proc "misused" (sleep)`, func() { p.Sleep(2 * Microsecond) })
+		p.park() // the stray wake resumes it
+	})
+	k.Run()
+	if k.WakesDrained() != 0 {
+		t.Errorf("%d drained with a wake pending, want 0", k.WakesDrained())
+	}
+	k.Spawn("sleeper", func(p *Proc) {
+		k.After(Microsecond, "foreign", func() {
+			mustPanicWith(t, `double wake of proc "sleeper" (sleep)`, func() { p.Sleep(Microsecond) })
+		})
+		p.Sleep(2 * Microsecond)
+	})
+	k.Run()
+	if k.WakesDrained() != 1 {
+		t.Errorf("%d drained, want the sleeper's wake", k.WakesDrained())
+	}
+}
+
+// TestDrainedPanicIsRaw: a timer that panics on a sleeper's drain reaches
+// Run's caller as its own value, not as the sleeper's *ProcPanic, whether
+// the sleeper was entered by its start or by a wake. The sleeper is left
+// as the run loop leaves it: parked, its deferred functions not run, its
+// wake queued, and the next Run resumes it there.
+func TestDrainedPanicIsRaw(t *testing.T) {
+	for _, switched := range []bool{false, true} {
+		k := NewKernel()
+		boom := errors.New("boom")
+		deferred := false
+		var resumed Time = -1
+		k.Spawn("sleeper", func(p *Proc) {
+			defer func() { deferred = true }()
+			if switched {
+				sig := NewSignal()
+				k.After(0, "fire", sig.Fire)
+				sig.Wait(p)
+			}
+			k.After(Microsecond, "boom", func() { panic(boom) })
+			p.Sleep(3 * Microsecond)
+			resumed = p.Now()
+		})
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			k.Run()
+		}()
+		if got != boom {
+			t.Fatalf("switched %v: Run panicked with %#v, want the timer's own value", switched, got)
+		}
+		if deferred || resumed != -1 || fmt.Sprint(k.Stalled()) != "[sleeper]" || k.Now() != Time(Microsecond) {
+			t.Errorf("switched %v: after the panic, deferred %v, resumed at %v, stalled %v, now %v; want the sleeper parked at 1us",
+				switched, deferred, resumed, k.Stalled(), k.Now())
+		}
+		if n := k.Run(); n != 1 || resumed != Time(3*Microsecond) || !deferred || k.WakesDrained() != 0 {
+			t.Errorf("switched %v: next Run ran %d, resumed at %v, deferred %v, %d drained; want 1, 3us, true, 0",
+				switched, n, resumed, deferred, k.WakesDrained())
+		}
+		k.Close()
+	}
+}
+
 // sleepRun is everything a program run can observe, and the schedule
 // sequence it ends at, which the wakes run in place must also consume.
 type sleepRun struct {
-	log, trace   []string
-	ran, steps   int64
-	now          Time
-	seq, inPlace int64
-	stalledProcs []string
+	log, trace, panics    []string
+	ran                   []int64 // each Run or RunUntil call's count; -1 when it panicked
+	steps                 int64
+	now                   Time
+	seq, inPlace, drained int64
+	stalledProcs          []string
 }
 
 // runSleepProgram decodes prog into 1–6 procs and runs them on a kernel
@@ -203,8 +461,12 @@ type sleepRun struct {
 // the proc count; the rest is split evenly into per-proc (op, arg) pairs:
 // sleep arg%8 ns, yield, wait on or fire one of three signals, add to or
 // wait on a counter, arm a timer that logs and fires a signal or adds to
-// the counter, or compute arg%4 ns on a one-CPU host. Every action logs its
-// proc and clock.
+// the counter, compute arg%4 ns on a one-CPU host, arm a timer that spawns
+// a proc, stops the kernel or panics, or have the driver run in RunUntil
+// steps of 1 + arg%6 ns. Timers fire arg%8 ns on, often strictly between a
+// sleep and its wake. Every action logs its proc and clock. The driver
+// calls Run (or RunUntil) again after a Stop, a panic or a bound until the
+// kernel is idle, recording each call's count and each panic's value.
 func runSleepProgram(prog []byte, workers int) sleepRun {
 	var r sleepRun
 	if len(prog) == 0 {
@@ -221,11 +483,24 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 	sigs := []*Signal{NewSignal(), NewSignal(), NewSignal()}
 	ctr := NewCounter()
 	cpu := NewSemaphore(1)
+	var step Duration
+	for j := 0; j+1 < procs*per; j += 2 {
+		if ops[j]%sleepOps == 11 && step == 0 {
+			step = Duration(1+ops[j+1]%6) * Nanosecond
+		}
+	}
+	timer := func(arg byte, fn func()) {
+		k.After(Duration(arg%8)*Nanosecond, "timer", func() {
+			r.log = append(r.log, fmt.Sprintf("timer %d@%d", arg, int64(k.Now())))
+			fn()
+		})
+	}
+	spawned := 0
 	for i := 0; i < procs; i++ {
 		code := ops[i*per : (i+1)*per]
 		k.SchedFor(Entity(i+1)).Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			for j := 0; j+1 < len(code); j += 2 {
-				op, arg := code[j]%8, code[j+1]
+				op, arg := code[j]%sleepOps, code[j+1]
 				switch op {
 				case 0:
 					p.Sleep(Duration(arg%8) * Nanosecond)
@@ -240,8 +515,7 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 				case 5:
 					ctr.WaitFor(p, ctr.Value()+int64(arg%2))
 				case 6:
-					k.After(Duration(arg%8)*Nanosecond, "timer", func() {
-						r.log = append(r.log, fmt.Sprintf("timer %d@%d", arg, int64(k.Now())))
+					timer(arg, func() {
 						if arg&8 != 0 {
 							sigs[arg%3].Fire()
 						} else {
@@ -252,28 +526,69 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 					cpu.Acquire(p)
 					p.Sleep(Duration(arg%4) * Nanosecond)
 					cpu.Release()
+				case 8:
+					timer(arg, func() {
+						spawned++
+						k.Spawn(fmt.Sprintf("s%d", spawned), func(p *Proc) {
+							p.Sleep(Duration(arg%3) * Nanosecond)
+							r.log = append(r.log, fmt.Sprintf("%s@%d", p.Name(), int64(p.Now())))
+						})
+					})
+				case 9:
+					timer(arg, k.Stop)
+				case 10:
+					timer(arg, func() { panic(fmt.Sprintf("timer %d@%d", arg, int64(k.Now()))) })
 				}
 				r.log = append(r.log, fmt.Sprintf("%s op%d@%d", p.Name(), op, int64(p.Now())))
 			}
 		})
 	}
-	r.ran = k.Run()
-	r.steps, r.now, r.seq, r.inPlace, r.stalledProcs = k.Steps(), k.Now(), k.gseq, k.WakesInPlace(), k.Stalled()
+	for done := false; !done; done = k.Idle() {
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					r.ran = append(r.ran, -1)
+					r.panics = append(r.panics, fmt.Sprintf("%T %v", v, v))
+				}
+			}()
+			if step > 0 {
+				r.ran = append(r.ran, k.RunUntil(k.Now().Add(step)))
+			} else {
+				r.ran = append(r.ran, k.Run())
+			}
+		}()
+	}
+	r.steps, r.now, r.seq, r.stalledProcs = k.Steps(), k.Now(), k.gseq, k.Stalled()
+	r.inPlace, r.drained = k.WakesInPlace(), k.WakesDrained()
 	k.Close()
 	return r
 }
 
+// sleepOps is the number of ops runSleepProgram decodes.
+const sleepOps = 12
+
 // FuzzSleepInPlace runs random programs on a plain kernel, where sleep
-// wakes run in place, and on one with two worker shards that never enables
-// its epochs: the same (time, seq) engine, which never takes the in-place
-// path. History, trace, Run's count, steps, clock and stalled procs must
-// agree. The seed corpus runs under plain `go test`.
+// wakes run in place and sleepers drain the callbacks due before their
+// wakes, and on one with two worker shards that never enables its epochs:
+// the same (time, seq) engine, which takes neither path. History, trace,
+// panics, every Run's count, steps, clock and stalled procs must agree.
+// The seed corpus runs under plain `go test`.
 func FuzzSleepInPlace(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 3, 0, 0})                   // one proc, sleeps alone
 	f.Add([]byte{1, 0, 2, 0, 2, 0, 2, 0, 2})             // two procs, tied sleeps
 	f.Add([]byte{0, 6, 2, 0, 2, 6, 3, 0, 2})             // timers at the wake instant
 	f.Add([]byte{2, 7, 1, 7, 2, 0, 1, 7, 3, 0, 0, 2, 1}) // compute contention
 	f.Add([]byte{1, 2, 0, 0, 5, 0, 3, 3, 0})             // a wait, a fire, a sleep
+	f.Add([]byte{0, 6, 1, 6, 2, 0, 5, 6, 3, 0, 7})       // timers strictly between sleep and wake
+	f.Add([]byte{0, 6, 9, 0, 4, 6, 1, 0, 3})             // a drained timer fires a signal nobody waits on
+	f.Add([]byte{1, 6, 10, 0, 5, 2, 1, 0, 0})            // a drained timer wakes the other proc
+	f.Add([]byte{0, 8, 1, 0, 5, 0, 1})                   // a drained timer spawns a proc
+	f.Add([]byte{0, 9, 2, 0, 5, 0, 2})                   // a drained timer stops the kernel
+	f.Add([]byte{0, 10, 1, 6, 2, 0, 6, 0, 1})            // a drained timer panics
+	f.Add([]byte{1, 10, 2, 0, 4, 0, 1, 10, 1, 0, 3})     // panics while the other proc sleeps
+	f.Add([]byte{0, 11, 1, 6, 1, 6, 4, 0, 7, 0, 3})      // RunUntil bounds before the wakes
+	f.Add([]byte{0, 11, 5, 6, 1, 0, 3, 6, 4, 0, 7})      // a drain under a bound, then a bound inside one
+	f.Add([]byte{0, 11, 3, 8, 2, 9, 6, 10, 5, 0, 7})     // every new op under RunUntil
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 32; i++ {
 		prog := make([]byte, 1+rng.Intn(48))
@@ -285,10 +600,10 @@ func FuzzSleepInPlace(f *testing.F) {
 			t.Skip()
 		}
 		plain, ref := runSleepProgram(prog, 0), runSleepProgram(prog, 2)
-		if ref.inPlace != 0 {
-			t.Fatalf("%d wakes in place on a kernel with worker shards", ref.inPlace)
+		if ref.inPlace != 0 || ref.drained != 0 {
+			t.Fatalf("%d wakes in place, %d drained on a kernel with worker shards", ref.inPlace, ref.drained)
 		}
-		plain.inPlace = 0
+		plain.inPlace, plain.drained = 0, 0
 		if !reflect.DeepEqual(plain, ref) {
 			t.Fatalf("in-place wakes diverged from switched ones:\n got: %+v\nwant: %+v", plain, ref)
 		}
