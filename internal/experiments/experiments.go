@@ -151,7 +151,7 @@ func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int, trace bool) (
 // config's warmup.
 func (c Config) tport(size, iters int) (float64, parsweep.Metrics) {
 	lat, _, m := c.simulate(c.pingKey(tportPing, size, iters), true, func() (float64, float64, parsweep.Metrics) {
-		lat, m := tportPingPong(mpichq.NewJob(2, nil), size, iters, c.Warmup)
+		lat, m := tportPingPong(mpichq.NewJob(2), size, iters, c.Warmup)
 		return lat, 0, m
 	})
 	return lat, m

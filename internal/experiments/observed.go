@@ -30,7 +30,7 @@ func ObservedBestRead(size, iters, warmup, limit int) Observed {
 // observedTport is ObservedPingPong for the MPICH-QsNetII baseline stack.
 func observedTport(size, iters, warmup int) Observed {
 	return observe(iters, 0, func(iters int, rec *trace.Recorder, reg *obs.Registry) float64 {
-		j := mpichq.NewJob(2, nil)
+		j := mpichq.NewJob(2)
 		j.SetTracer(rec)
 		j.RegisterMetrics(reg)
 		lat, _ := tportPingPong(j, size, iters, warmup)

@@ -39,11 +39,8 @@ type Job struct {
 
 // NewJob builds the cluster and one Tport endpoint per rank (rank i on
 // node i — the static VPID=rank coupling).
-func NewJob(nprocs int, override *model.Config) *Job {
+func NewJob(nprocs int) *Job {
 	cfg := model.Default()
-	if override != nil {
-		cfg = *override
-	}
 	k := simtime.NewKernel()
 	j := &Job{K: k, Cfg: cfg, nprocs: nprocs}
 	j.Net = fabric.New(k, cfg.QuadricsFabric(), nprocs)

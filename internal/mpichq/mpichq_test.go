@@ -10,7 +10,7 @@ import (
 
 func TestJobRing(t *testing.T) {
 	const n = 8
-	j := mpichq.NewJob(n, nil)
+	j := mpichq.NewJob(n)
 	verified := 0
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		if c.Rank() != rank || c.Size() != n {
@@ -36,7 +36,7 @@ func TestJobRing(t *testing.T) {
 }
 
 func TestJobDeadlockDetection(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		if rank == 0 {
 			c.Recv(th, 1, 0, make([]byte, 4)) // never sent
@@ -48,7 +48,7 @@ func TestJobDeadlockDetection(t *testing.T) {
 }
 
 func TestStaticPoolRejectsOutOfRange(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	panicked := false
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		if rank != 0 {
@@ -67,7 +67,7 @@ func TestNICSideMatchingLeavesHostIdle(t *testing.T) {
 	// Tport matches on the NIC: a receive posted into the NIC table and
 	// satisfied by an incoming eager message must not consume host CPU
 	// beyond the post/wait costs. Compare busy time with the wait time.
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		if rank == 0 {
 			th.Proc().Sleep(500 * simtime.Microsecond)
@@ -91,7 +91,7 @@ func TestNICSideMatchingLeavesHostIdle(t *testing.T) {
 }
 
 func TestEagerLimitBoundary(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	lim := 0
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		if rank == 0 {

@@ -3,9 +3,18 @@ package obs
 import "qsmpi/internal/trace"
 
 // IndexMapped reports how many correlator groups the index of events
-// names, and how many of them it resolves through its map rather than its
+// names, and how many of them it resolves through its maps rather than its
 // per-rank slices.
 func IndexMapped(events []trace.Event) (groups, mapped int) {
 	ix := newIndex(events)
-	return len(ix.corrs), len(ix.group.other)
+	t := &ix.group.ranks
+	for _, s := range t.dense {
+		if s != nil {
+			mapped += len(s.other)
+		}
+	}
+	for _, s := range t.sparse {
+		mapped += len(s.other)
+	}
+	return len(ix.corrs), mapped
 }

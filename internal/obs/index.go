@@ -92,24 +92,59 @@ func (ix *index) events(g int32) []int32 {
 	return ix.pos[ix.start[g]:ix.start[g+1]]
 }
 
-// maxDenseRank bounds the per-rank slices of reqTable and pidTable: a
-// rank at or above it, or below zero, is looked up in a map, so no such
-// rank costs a table its own size.
+// maxDenseRank bounds the slice of a rankTable: a rank at or above it, or
+// below zero, is looked up in a map, so no such rank costs a table its own
+// size.
 const maxDenseRank = 1 << 14
+
+// rankTable holds one T per rank, created on first use: through a slice
+// for the ranks a simulation has, through a map for the negative or huge
+// ones a hand-built stream or a correlator trace.MsgID did not mint can
+// carry. Each T has its own allocation, so a pointer at returned stays the
+// rank's while the slice grows.
+type rankTable[T any] struct {
+	dense  []*T
+	sparse map[int]*T
+}
+
+// get returns rank's T, or nil when at never made one.
+func (t *rankTable[T]) get(rank int) *T {
+	if uint(rank) < uint(len(t.dense)) {
+		return t.dense[rank]
+	}
+	return t.sparse[rank]
+}
+
+// at returns rank's T, making it on first use.
+func (t *rankTable[T]) at(rank int) *T {
+	if v := t.get(rank); v != nil {
+		return v
+	}
+	v := new(T)
+	if uint(rank) >= maxDenseRank {
+		if t.sparse == nil {
+			t.sparse = make(map[int]*T)
+		}
+		t.sparse[rank] = v
+		return v
+	}
+	if rank >= len(t.dense) {
+		t.dense = append(t.dense, make([]*T, rank+1-len(t.dense))...)
+	}
+	t.dense[rank] = v
+	return v
+}
 
 // reqTable maps (rank, request id) to an int32 without hashing for the
 // keys a simulation produces — request ids are numbered from 1 per PML
-// stack, so byRank[rank][req] is a short dense slice — and through a map
-// for any other key: a negative or huge rank (a correlator trace.MsgID did
-// not mint splits into one) or a request id that would take the slices
-// past their limit. Which side holds a key is
-// fixed the first time add sees it: a request id at or above the limit is
-// never in range, and a rank's slice stops growing the first time it
-// would take the slices past it, so a key the map took never comes into
-// a slice's range later.
+// stack, so a rank's slots are a short dense slice — and through the
+// rank's map for a request id that would take the slices past their
+// limit. Which side holds a key is fixed the first time add sees it: a
+// request id at or above the limit is never in range, and a rank's slice
+// stops growing the first time it would take the slices past it, so a
+// key the map took never comes into a slice's range later.
 type reqTable struct {
-	byRank []reqSlots
-	other  map[rankReq]int32
+	ranks rankTable[reqSlots]
 	// limit is how many slots all slices may hold together; used counts
 	// those they do.
 	limit, used int
@@ -117,58 +152,51 @@ type reqTable struct {
 
 // reqSlots is one rank's values, plus one, by request id: 0 is none.
 type reqSlots struct {
-	at   []int32
-	full bool // would have gone over the limit once: never grows again
-}
-
-// rankReq names one request of one rank.
-type rankReq struct {
-	rank int
-	req  uint64
+	at    []int32
+	full  bool             // would have gone over the limit once: never grows again
+	other map[uint64]int32 // the request ids the slice does not hold
 }
 
 // add stores v (≥ 0) under (rank, req) unless a value is there already,
 // and returns the value stored and whether it is v.
 func (t *reqTable) add(rank int, req uint64, v int32) (int32, bool) {
-	if s := t.slot(rank, req); s != nil {
-		if *s == 0 {
-			*s = v + 1
+	s := t.ranks.at(rank)
+	if p := t.slot(s, req); p != nil {
+		if *p == 0 {
+			*p = v + 1
 			return v, true
 		}
-		return *s - 1, false
+		return *p - 1, false
 	}
-	k := rankReq{rank, req}
-	if old, ok := t.other[k]; ok {
+	if old, ok := s.other[req]; ok {
 		return old, false
 	}
-	if t.other == nil {
-		t.other = make(map[rankReq]int32)
+	if s.other == nil {
+		s.other = make(map[uint64]int32)
 	}
-	t.other[k] = v
+	s.other[req] = v
 	return v, true
 }
 
 // get returns the value stored under (rank, req), if any.
 func (t *reqTable) get(rank int, req uint64) (int32, bool) {
-	if uint(rank) < uint(len(t.byRank)) {
-		if at := t.byRank[rank].at; req < uint64(len(at)) {
-			return at[req] - 1, at[req] != 0
-		}
+	s := t.ranks.get(rank)
+	if s == nil {
+		return 0, false
 	}
-	v, ok := t.other[rankReq{rank, req}]
+	if req < uint64(len(s.at)) {
+		return s.at[req] - 1, s.at[req] != 0
+	}
+	v, ok := s.other[req]
 	return v, ok
 }
 
-// slot returns the slice slot of (rank, req), doubling the rank's slice
-// to reach it within the limit, or nil when the key belongs to the map.
-func (t *reqTable) slot(rank int, req uint64) *int32 {
-	if uint(rank) >= maxDenseRank || req >= uint64(t.limit) {
+// slot returns the slice slot of req in s, doubling the slice to reach it
+// within the limit, or nil when the key belongs to the map.
+func (t *reqTable) slot(s *reqSlots, req uint64) *int32 {
+	if req >= uint64(t.limit) {
 		return nil
 	}
-	if rank >= len(t.byRank) {
-		t.byRank = append(t.byRank, make([]reqSlots, rank+1-len(t.byRank))...)
-	}
-	s := &t.byRank[rank]
 	if have := uint64(len(s.at)); req >= have {
 		room := uint64(t.limit - t.used)
 		if s.full || req+1-have > room {

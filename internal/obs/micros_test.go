@@ -1,20 +1,24 @@
-// The integer timestamp formatter against the float one it stands in for.
-// Internal test package: both formatters are unexported.
+// The integer timestamp formatter against the encoding/json float path it
+// stands in for. Internal test package: the formatter is unexported.
 package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 )
 
 // checkMicros fails unless appendJSONMicros writes ps exactly as
-// appendJSONFloat writes float64(ps)/1e6, the bytes encoding/json wrote.
+// encoding/json writes float64(ps)/1e6.
 func checkMicros(t *testing.T, ps int64) {
 	t.Helper()
 	got := appendJSONMicros([]byte("x"), ps)
-	want := appendJSONFloat([]byte("x"), float64(ps)/1e6)
-	if !bytes.Equal(got, want) {
+	f, err := json.Marshal(float64(ps) / 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("x"), f...); !bytes.Equal(got, want) {
 		t.Errorf("%d ps: got %s, want %s", ps, got[1:], want[1:])
 	}
 }
@@ -34,8 +38,9 @@ func TestAppendJSONMicros(t *testing.T) {
 }
 
 // FuzzAppendJSONMicros: for any int64, and for the same value folded into
-// the integer path's range, the two formatters agree. The seed corpus
-// runs under plain go test; the nightly workflow fuzzes for real.
+// the integer path's range, appendJSONMicros and encoding/json agree. The
+// seed corpus runs under plain go test; the nightly workflow fuzzes for
+// real.
 func FuzzAppendJSONMicros(f *testing.F) {
 	for _, ps := range []int64{0, 1, -1, 999_999, 1e6, -1e6, 1e15 - 1, 1e15, -1e15, math.MaxInt64, math.MinInt64} {
 		f.Add(ps)

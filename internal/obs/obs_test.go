@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,34 +130,36 @@ func TestRenderFormatsRanksAndValues(t *testing.T) {
 	}
 }
 
-// The encoder's string and number rules are encoding/json's, including
-// the ones no name or instant the simulator produces today can reach:
-// escapes (whatever a String method may come to yield) and the exponent
-// form below 1e-6 and from 1e21 up.
-func TestJSONAppendersMatchEncodingJSON(t *testing.T) {
-	for _, s := range []string{
-		"", "send-posted", "Kind(200)", `quote " and \ backslash`, "tab\tnewline\nreturn\rbell\aback\bfeed\fnul\x00esc\x1b",
-		"<script>&amp;</script>", "del\x7f", "caf\u00e9 \u2028 \u2029 \U0001f680", "bad \xff\xfe utf8 \xc3", "\xe2\x80",
-	} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString(nil, s); string(got) != string(want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
-		}
+// The rank table at the edges of its two sides: a negative rank, the
+// first and the last dense rank, the first rank past them and a huge one.
+// Each gets its own T, the same one every time — a pointer taken before
+// the slice grows included — and no two share one.
+func TestRankTable(t *testing.T) {
+	ranks := []int{-1, 0, maxDenseRank - 1, maxDenseRank, 1 << 40}
+	var tab rankTable[int]
+	if tab.get(0) != nil {
+		t.Fatal("get made an entry")
 	}
-	for _, f := range []float64{
-		0, 1, -1, 0.000001, 0.0000009, 1e-7, 1e-9, 1e-10, -2.5e-300, 5e-324, 123.456, 8871.557274,
-		9223372036854.775807, 1e20, 1e21, -1e21, 1.5e300, math.MaxFloat64, float64(math.MaxInt64) / 1e6,
-	} {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatal(err)
+	first := tab.at(0)
+	for i, r := range ranks {
+		*tab.at(r) = i + 1 // the slice grows to maxDenseRank here
+	}
+	if got := tab.at(0); got != first {
+		t.Errorf("rank 0 moved while the slice grew: %p, then %p", first, got)
+	}
+	seen := make(map[*int]int)
+	for i, r := range ranks {
+		p := tab.at(r)
+		if p != tab.get(r) || *p != i+1 {
+			t.Errorf("rank %d: entry %p = %d, get %p; want one entry = %d", r, p, *p, tab.get(r), i+1)
 		}
-		if got := appendJSONFloat(nil, f); string(got) != string(want) {
-			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
+		if other, dup := seen[p]; dup {
+			t.Errorf("ranks %d and %d share an entry", other, r)
 		}
+		seen[p] = r
+	}
+	if len(tab.dense) != maxDenseRank || len(tab.sparse) != 3 {
+		t.Errorf("%d dense, %d sparse entries; want %d and 3", len(tab.dense), len(tab.sparse), maxDenseRank)
 	}
 }
 

@@ -34,13 +34,12 @@ package obs
 
 import (
 	"cmp"
+	"encoding/json"
 	"io"
 	"iter"
-	"math"
 	"os"
 	"slices"
 	"strconv"
-	"unicode/utf8"
 
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/trace"
@@ -73,7 +72,7 @@ func spanOf(k trace.Kind) (closing trace.Kind, name string) {
 var kindJSON, layerJSON, gaugeJSON, linkGaugeJSON [256]string
 
 func init() {
-	quote := func(s string) string { return string(appendJSONString(nil, s)) }
+	quote := func(s string) string { q, _ := json.Marshal(s); return string(q) } // a string never fails
 	for i := range 256 {
 		kindJSON[i] = quote(trace.Kind(i).String())
 		layerJSON[i] = quote(trace.Layer(i).String())
@@ -139,7 +138,8 @@ func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) err
 	open := make(map[spanKey]trace.Event)
 
 	p := perfWriter{w: w, buf: make([]byte, 0, perfBuf)}
-	var pids pidTable
+	// The bookkeeping per rank and per link port, keyed by the event's Rank.
+	var pids rankTable[pidState]
 	// Link counter tracks live on synthetic processes far above any rank
 	// pid so port numbers never collide with rank numbers.
 	const linkPIDBase = 1 << 20
@@ -269,39 +269,12 @@ func writePerfetto(w io.Writer, events iter.Seq[trace.Event], dropped int64) err
 	return p.finish()
 }
 
-// pidTable is the writer's bookkeeping per rank and per link port, keyed
-// by the event's Rank: a slice for the numbers a simulation has, a map for
-// the negative or absurdly large ones a hand-built stream can carry, so
-// such a number costs one entry, not a table its size.
-type pidTable struct {
-	dense  []pidState
-	sparse map[int]*pidState
-}
-
 // pidState is what the writer has emitted for one rank or port number.
 type pidState struct {
 	threads  [4]uint64 // bit l: the thread_name of layer l is written
 	rank     bool      // the rank's process_name is written
 	link     bool      // the link port's process_name is written
 	inflight int       // the rank's outstanding PML requests
-}
-
-func (t *pidTable) at(n int) *pidState {
-	if uint(n) < maxDenseRank {
-		if n >= len(t.dense) {
-			t.dense = append(t.dense, make([]pidState, n+1-len(t.dense))...)
-		}
-		return &t.dense[n]
-	}
-	s := t.sparse[n]
-	if s == nil {
-		if t.sparse == nil {
-			t.sparse = make(map[int]*pidState)
-		}
-		s = new(pidState)
-		t.sparse[n] = s
-	}
-	return s
 }
 
 // The encoder's buffer: records are appended to it and it is written out
@@ -380,17 +353,18 @@ func (p *perfWriter) finish() error {
 }
 
 // appendJSONMicros appends ps picoseconds in microseconds, byte for byte
-// as appendJSONFloat(float64(ps)/1e6) would, but from the integer: its
+// as encoding/json writes float64(ps)/1e6, but from the integer: its
 // integer part, then up to six fractional digits with trailing zeros
 // trimmed. Below 10^15 ps in magnitude that exact decimal has at most 15
 // significant digits, and two such decimals are more than one ulp of a
 // float64 apart, so it is the one shortest string that round-trips — what
-// strconv writes. From 10^15 ps (1 000 s) up, MinInt64 included, the
-// float path writes it.
+// encoding/json writes. From 10^15 ps (1 000 s) up, MinInt64 included,
+// encoding/json writes it.
 func appendJSONMicros(b []byte, ps int64) []byte {
 	const perUS, exact = int64(simtime.Microsecond), 1_000_000_000_000_000
 	if ps <= -exact || ps >= exact {
-		return appendJSONFloat(b, float64(ps)/float64(perUS))
+		f, _ := json.Marshal(float64(ps) / float64(perUS)) // finite: never fails
+		return append(b, f...)
 	}
 	if ps < 0 {
 		b, ps = append(b, '-'), -ps
@@ -410,61 +384,4 @@ func appendJSONMicros(b []byte, ps int64) []byte {
 		n--
 	}
 	return append(b, digits[:n]...)
-}
-
-// appendJSONFloat appends f as encoding/json does: shortest decimal that
-// round-trips, exponent form only below 1e-6 or from 1e21 up (neither of
-// which a picosecond count over 1e6 reaches), "e-09" written "e-9".
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-// appendJSONString appends s quoted as encoding/json does with HTML
-// escaping on: control characters, quote, backslash, <, >, & and the
-// U+2028/U+2029 separators escaped, invalid UTF-8 replaced by U+FFFD.
-func appendJSONString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\b', '\t', '\n', '\f', '\r':
-				b = append(b, '\\', "btn-fr"[c-'\b']) // 8 9 10 (11) 12 13
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	return append(append(b, s[start:]...), '"')
 }

@@ -175,7 +175,7 @@ var phaseOrder = [...]string{
 // Corr zero (uncorrelated: RTE, raw NIC traffic) and the markers of
 // collective epochs and NBC schedules are ignored.
 func Analyze(events []trace.Event) Profile {
-	ms := newIndex(events).messages()
+	ms := newIndex(events).messages(nil)
 	return Profile{
 		Messages: ms,
 		Paths:    aggregatePaths(ms),
@@ -185,11 +185,16 @@ func Analyze(events []trace.Event) Profile {
 }
 
 // messages reconstructs every message group of the index, in order of
-// start time, then correlator.
-func (ix *index) messages() []Message {
+// start time, then correlator. With waits (one per group) it builds no
+// phases and records group g's wait instants in waits[g].
+func (ix *index) messages(waits []instants) []Message {
 	ms := make([]Message, 0, len(ix.corrs))
 	for g := range ix.corrs {
-		if m, ok := ix.reconstruct(int32(g), nil); ok {
+		var w *instants
+		if waits != nil {
+			w = &waits[g]
+		}
+		if m, ok := ix.reconstruct(int32(g), w); ok {
 			ms = append(ms, m)
 		}
 	}

@@ -122,7 +122,7 @@ func TestRendezvousPhaseSequence(t *testing.T) {
 func TestTportPathDecomposition(t *testing.T) {
 	for _, size := range []int{64, 100000} {
 		rec := trace.NewRecorder(0)
-		j := mpichq.NewJob(2, nil)
+		j := mpichq.NewJob(2)
 		j.SetTracer(rec)
 		j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 			buf := make([]byte, size)

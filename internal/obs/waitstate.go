@@ -67,16 +67,9 @@ type Wait struct {
 	Dur   simtime.Duration
 }
 
-// RankWaits aggregates every wait charged to one rank.
-type RankWaits struct {
-	Rank   int
-	Total  simtime.Duration
-	ByKind [numWaitKinds]simtime.Duration
-	Counts [numWaitKinds]int
-}
-
-// PairWaits aggregates the point-to-point waits of one (rank, peer)
-// pair, directional: Rank waited on Peer.
+// PairWaits aggregates the waits of one (rank, peer) pair, directional:
+// Rank waited on Peer. A per-rank row sums every wait charged to Rank and
+// has Peer -1.
 type PairWaits struct {
 	Rank, Peer int
 	Total      simtime.Duration
@@ -103,8 +96,8 @@ type CollEpoch struct {
 type WaitProfile struct {
 	// Waits is every classified wait, ordered by (start, rank, kind).
 	Waits []Wait
-	// ByRank aggregates per charged rank, ascending.
-	ByRank []RankWaits
+	// ByRank aggregates per charged rank, ascending; Peer is -1.
+	ByRank []PairWaits
 	// ByPair aggregates the directional point-to-point pairs, ordered by
 	// (rank, peer).
 	ByPair []PairWaits
@@ -123,41 +116,31 @@ type WaitProfile struct {
 // CollEnter/CollExit.
 func AnalyzeWaits(events []trace.Event) WaitProfile {
 	ix := newIndex(events)
-	type walked struct {
-		Message
-		instants
-	}
-	ms := make([]walked, 0, len(ix.corrs))
-	for g := range ix.corrs {
-		var w walked
-		var ok bool
-		if w.Message, ok = ix.reconstruct(int32(g), &w.instants); ok {
-			ms = append(ms, w)
-		}
-	}
-	slices.SortFunc(ms, func(a, b walked) int { return byStart(a.Message, b.Message) })
-	var p WaitProfile
-	p.Messages = len(ms)
+	waits := make([]instants, len(ix.corrs))
+	ms := ix.messages(waits)
+	p := WaitProfile{Messages: len(ms)}
 	for _, m := range ms {
-		if m.send != nil && m.match != nil {
-			if pos, ok := ix.recvPost.get(m.Dst, m.match.ReqID); ok && m.send.At > ix.evs[pos].At {
+		g, _ := ix.group.get(trace.SplitMsgID(m.Corr))
+		w := &waits[g]
+		if w.send != nil && w.match != nil {
+			if pos, ok := ix.recvPost.get(m.Dst, w.match.ReqID); ok && w.send.At > ix.evs[pos].At {
 				post := ix.evs[pos].At
 				p.Waits = append(p.Waits, Wait{
 					Kind: WaitLateSender, Rank: m.Dst, Peer: m.Src, Corr: m.Corr,
-					At: post, Dur: m.send.At.Sub(post),
+					At: post, Dur: w.send.At.Sub(post),
 				})
 			}
 		}
-		if m.unexpected && m.arrive != nil && m.match != nil && m.match.At > m.arrive.At {
+		if w.unexpected && w.arrive != nil && w.match != nil && w.match.At > w.arrive.At {
 			p.Waits = append(p.Waits, Wait{
 				Kind: WaitLateReceiver, Rank: m.Src, Peer: m.Dst, Corr: m.Corr,
-				At: m.arrive.At, Dur: m.match.At.Sub(m.arrive.At),
+				At: w.arrive.At, Dur: w.match.At.Sub(w.arrive.At),
 			})
 		}
-		if m.deposit != nil && m.deposit.At > m.retry.At {
+		if w.deposit != nil && w.deposit.At > w.retry.At {
 			p.Waits = append(p.Waits, Wait{
 				Kind: WaitNIC, Rank: m.Src, Peer: m.Dst, Corr: m.Corr,
-				At: m.retry.At, Dur: m.deposit.At.Sub(m.retry.At),
+				At: w.retry.At, Dur: w.deposit.At.Sub(w.retry.At),
 			})
 		}
 	}
@@ -176,19 +159,10 @@ func AnalyzeWaits(events []trace.Event) WaitProfile {
 		}
 	}
 
-	sort.SliceStable(p.Waits, func(i, j int) bool {
-		a, b := p.Waits[i], p.Waits[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.Kind < b.Kind
+	slices.SortStableFunc(p.Waits, func(a, b Wait) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Kind, b.Kind))
 	})
-	for _, r := range sumWaits(p.Waits, false) {
-		p.ByRank = append(p.ByRank, RankWaits{Rank: r.Rank, Total: r.Total, ByKind: r.ByKind, Counts: r.Counts})
-	}
+	p.ByRank = sumWaits(p.Waits, false)
 	p.ByPair = sumWaits(p.Waits, true)
 	return p
 }
@@ -258,11 +232,8 @@ func (ix *index) collectEpochs() []CollEpoch {
 		ep.MeanUS = sum / float64(len(ep.Ranks))
 		out = append(out, ep)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].First != out[j].First {
-			return out[i].First < out[j].First
-		}
-		return out[i].ID < out[j].ID
+	slices.SortStableFunc(out, func(a, b CollEpoch) int {
+		return cmp.Or(cmp.Compare(a.First, b.First), cmp.Compare(a.ID, b.ID))
 	})
 	return out
 }

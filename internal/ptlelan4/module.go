@@ -91,9 +91,8 @@ type Options struct {
 	// Threads spawns asynchronous progress threads: 1 (requires OneQueue)
 	// or 2 (requires TwoQueue). 0 leaves progress to the PML's mode.
 	Threads    int
-	EagerLimit int     // default 2048-64
-	QueueSlots int     // default model QueueSlots
-	Weight     float64 // default 1
+	EagerLimit int // default 2048-64
+	QueueSlots int // default model QueueSlots
 }
 
 // BestOptions is the configuration §6.5 measures Fig. 10 with: chained
@@ -280,9 +279,6 @@ func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Han
 	if opts.QueueSlots == 0 {
 		opts.QueueSlots = cfg.QueueSlots
 	}
-	if opts.Weight == 0 {
-		opts.Weight = 1
-	}
 	if opts.Threads == 1 && opts.CQ != OneQueue {
 		panic("ptlelan4: one-thread progress requires the combined (OneQueue) completion queue")
 	}
@@ -401,7 +397,7 @@ func (m *Module) SupportsPut() bool { return m.opts.Scheme == RDMAWrite }
 func (m *Module) MaxFragSize() int { return 0 }
 
 // Weight implements ptl.Module.
-func (m *Module) Weight() float64 { return m.opts.Weight }
+func (m *Module) Weight() float64 { return 1 }
 
 // RegisterMem implements ptl.Module: the §4.2 E4Addr transformation.
 func (m *Module) RegisterMem(buf []byte) elan4.E4Addr {

@@ -26,12 +26,12 @@ import (
 	"qsmpi/internal/trace"
 )
 
+// fragSize is both the largest first-fragment payload and the in-band
+// continuation fragment size.
+const fragSize = 64 * 1024
+
 // Options configures the TCP PTL.
 type Options struct {
-	// EagerLimit is the largest first-fragment payload (default 64 KiB).
-	EagerLimit int
-	// MaxFrag is the in-band continuation fragment size (default 64 KiB).
-	MaxFrag int
 	// Weight is the PML scheduling weight (default 0.1: a gigabit rail
 	// next to QsNet).
 	Weight float64
@@ -115,12 +115,6 @@ func (m *Module) traceCorr(kind trace.Kind, reqID uint64, peer, tag, bytes int, 
 // New creates a TCP PTL on the node's Ethernet port. One TCP module per
 // node: the port's receive handler is exclusive.
 func New(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int, rteH *rte.Handle, p ptl.PML, activity *simtime.Counter, cfg model.Config, opts Options) *Module {
-	if opts.EagerLimit == 0 {
-		opts.EagerLimit = 64 * 1024
-	}
-	if opts.MaxFrag == 0 {
-		opts.MaxFrag = 64 * 1024
-	}
 	if opts.Weight == 0 {
 		opts.Weight = 0.1
 	}
@@ -160,7 +154,7 @@ func (m *Module) Lifecycle() *ptl.Lifecycle { return m.lc }
 func (m *Module) Name() string { return "tcp" }
 
 // EagerLimit implements ptl.Module.
-func (m *Module) EagerLimit() int { return m.opts.EagerLimit }
+func (m *Module) EagerLimit() int { return fragSize }
 
 // InlineRndv implements ptl.Module: TCP always inlines rendezvous data —
 // the copy is already paid, so the wire may as well carry it.
@@ -170,7 +164,7 @@ func (m *Module) InlineRndv() bool { return true }
 func (m *Module) SupportsPut() bool { return false }
 
 // MaxFragSize implements ptl.Module.
-func (m *Module) MaxFragSize() int { return m.opts.MaxFrag }
+func (m *Module) MaxFragSize() int { return fragSize }
 
 // Weight implements ptl.Module.
 func (m *Module) Weight() float64 { return m.opts.Weight }

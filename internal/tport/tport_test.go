@@ -20,7 +20,7 @@ func pattern(n int, seed byte) []byte {
 // pingpong returns mean half-round-trip microseconds over the Tport MPI.
 func pingpong(t testing.TB, n, iters int) float64 {
 	t.Helper()
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	var total simtime.Duration
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		buf := pattern(n, byte(rank))
@@ -46,7 +46,7 @@ func pingpong(t testing.TB, n, iters int) float64 {
 }
 
 func TestEagerIntegrity(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	const n = 1500
 	got := make([]byte, n)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
@@ -69,7 +69,7 @@ func TestEagerIntegrity(t *testing.T) {
 
 func TestRendezvousPullIntegrity(t *testing.T) {
 	for _, n := range []int{3000, 65536, 1 << 20} {
-		j := mpichq.NewJob(2, nil)
+		j := mpichq.NewJob(2)
 		got := make([]byte, n)
 		j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 			if rank == 0 {
@@ -88,7 +88,7 @@ func TestRendezvousPullIntegrity(t *testing.T) {
 }
 
 func TestUnexpectedAndWildcards(t *testing.T) {
-	j := mpichq.NewJob(3, nil)
+	j := mpichq.NewJob(3)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
 		switch rank {
 		case 0:
@@ -115,7 +115,7 @@ func TestUnexpectedAndWildcards(t *testing.T) {
 }
 
 func TestSameTagOrdering(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	a := make([]byte, 128)
 	b := make([]byte, 128)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
@@ -159,7 +159,7 @@ func TestBandwidthApproachesPCILimit(t *testing.T) {
 }
 
 func TestTruncationPanics(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("truncating receive did not panic")
@@ -176,7 +176,7 @@ func TestTruncationPanics(t *testing.T) {
 }
 
 func TestManyOutstanding(t *testing.T) {
-	j := mpichq.NewJob(2, nil)
+	j := mpichq.NewJob(2)
 	const msgs = 30
 	bufs := make([][]byte, msgs)
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {

@@ -353,15 +353,6 @@ func (r *Recorder) ByKind() map[Kind]int {
 	return out
 }
 
-// ByLayer counts events of each layer.
-func (r *Recorder) ByLayer() map[Layer]int {
-	out := make(map[Layer]int)
-	for e := range r.All() {
-		out[e.Layer]++
-	}
-	return out
-}
-
 // Render formats the timeline sorted by virtual time, one line per event,
 // with per-line deltas. A trailing "(+N dropped)" line reports events lost
 // to the recorder limit rather than truncating silently.

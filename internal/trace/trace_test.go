@@ -156,13 +156,6 @@ func TestLayerTags(t *testing.T) {
 			t.Errorf("Layer(%d).String() = %q, want %q", layer, got, want)
 		}
 	}
-	rec := trace.NewRecorder(0)
-	rec.Record(trace.Event{Layer: trace.LayerFabric, Kind: trace.PktSent})
-	rec.Record(trace.Event{Layer: trace.LayerPML, Kind: trace.SendPosted})
-	by := rec.ByLayer()
-	if by[trace.LayerFabric] != 1 || by[trace.LayerPML] != 1 {
-		t.Fatalf("ByLayer() = %v", by)
-	}
 }
 
 func TestEventsReturnsDefensiveCopy(t *testing.T) {
