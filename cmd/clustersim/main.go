@@ -117,8 +117,8 @@ func main() {
 	sent, delivered := c.Net.Stats()
 	fmt.Printf("\nfabric: %d packets sent, %d delivered, %d CRC retransmits\n",
 		sent, delivered, c.Net.Retransmits())
-	fmt.Printf("kernel: %d steps, %d wakes in place, %d wakes drained\n",
-		c.K.Steps(), c.K.WakesInPlace(), c.K.WakesDrained())
+	fmt.Printf("kernel: %d steps, %d wakes in place, %d wakes drained, %d wakes scanned\n",
+		c.K.Steps(), c.K.WakesInPlace(), c.K.WakesDrained(), c.K.WakesScanned())
 	for i, m := range mods {
 		s := m.Stats()
 		fmt.Printf("rank %d PTL: eager=%d rndv=%d ack=%d fin=%d fin_ack=%d puts=%d gets=%d cq=%d\n",

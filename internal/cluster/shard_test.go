@@ -260,6 +260,38 @@ func TestWakesDrained(t *testing.T) {
 	}
 }
 
+// TestWakesScanned: on an 8-rank all-to-all, where every rank's progress
+// sweep polls while the others' wakes are queued, the kernel runs parked
+// sweeps on by itself (simtime.Thread.ComputeScan), with or without worker
+// shards, and the run takes the steps and ends at the instant it did when
+// every such wake switched (recorded from the loop the sweep replaced).
+func TestWakesScanned(t *testing.T) {
+	for _, tc := range []struct {
+		shards int
+		steps  int64
+		end    simtime.Time
+	}{
+		{0, 12698, 863613392},
+		{2, 12679, 862978081},
+	} {
+		opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+		c := New(Spec{Elan: &opts, Progress: pml.Polling, Shards: tc.shards}, 8)
+		c.Launch(func(p *Proc) {
+			runTestPattern(p, 8, "alltoall", 4096, 5)
+			p.Finalize()
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("shards=%d: %v", tc.shards, err)
+		}
+		t.Logf("shards=%d: %d wakes scanned, %d drained, %d in place, %d steps",
+			tc.shards, c.K.WakesScanned(), c.K.WakesDrained(), c.K.WakesInPlace(), c.K.Steps())
+		if c.K.WakesScanned() == 0 || c.K.Steps() != tc.steps || c.Now() != tc.end {
+			t.Errorf("shards=%d: %d wakes scanned, %d steps, end %v; want some, %d and %v",
+				tc.shards, c.K.WakesScanned(), c.K.Steps(), c.Now(), tc.steps, tc.end)
+		}
+	}
+}
+
 // TestShardedUsesWorkers guards against the engine silently staying
 // sequential: with 4 shards on an 8-node all-to-all, worker shards must
 // execute a substantial share of the events.

@@ -109,9 +109,13 @@ func (s *State) WrapQueue(q *elan4.RecvQueue) *Queue {
 // Raw returns the underlying hardware queue.
 func (q *Queue) Raw() *elan4.RecvQueue { return q.q }
 
-// TryRecv polls once for a deposited message, charging one check.
-func (q *Queue) TryRecv(th *simtime.Thread) (elan4.QueuedMsg, bool) {
-	th.Compute(q.s.Cfg.HostEventPoll)
+// Ready reports whether a deposited message waits, without consuming it or
+// charging anything: the read of a polling check, whose cost the caller
+// charges (simtime.Thread.ComputeScan).
+func (q *Queue) Ready() bool { return q.q.Pending() > 0 }
+
+// Take consumes the oldest deposited message, if any, charging nothing.
+func (q *Queue) Take() (elan4.QueuedMsg, bool) {
 	m, ok := q.q.Poll()
 	if ok {
 		q.seen++
@@ -122,8 +126,7 @@ func (q *Queue) TryRecv(th *simtime.Thread) (elan4.QueuedMsg, bool) {
 // Recv waits for and consumes the next message in the given mode.
 func (q *Queue) Recv(th *simtime.Thread, mode WaitMode) elan4.QueuedMsg {
 	for {
-		if m, ok := q.q.Poll(); ok {
-			q.seen++
+		if m, ok := q.Take(); ok {
 			th.Compute(q.s.Cfg.HostEventPoll)
 			return m
 		}

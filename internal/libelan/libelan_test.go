@@ -213,22 +213,35 @@ func TestBcastQDMAHelper(t *testing.T) {
 	}
 }
 
-func TestTryRecv(t *testing.T) {
+// TestReadyTake: Ready reads a deposited message without consuming it or
+// charging time, and Take consumes it once.
+func TestReadyTake(t *testing.T) {
 	b := newBed(t, 2)
 	q1 := b.state[1].NewQueue(1, 8)
-	var got bool
+	var got string
 	b.host[1].Spawn("recv", func(th *simtime.Thread) {
-		if _, ok := q1.TryRecv(th); ok {
-			t.Error("TryRecv on empty queue succeeded")
+		if q1.Ready() {
+			t.Error("Ready on an empty queue")
+		}
+		if _, ok := q1.Take(); ok {
+			t.Error("Take on an empty queue succeeded")
 		}
 		th.Proc().Sleep(50 * simtime.Microsecond)
-		_, got = q1.TryRecv(th)
+		at := th.Now()
+		if !q1.Ready() || !q1.Ready() {
+			t.Fatal("Ready missed a deposited message")
+		}
+		m, ok := q1.Take()
+		got = string(m.Data)
+		if !ok || q1.Ready() || th.Now() != at {
+			t.Errorf("Take: ok %v, still ready %v, %v charged; want true, false, none", ok, q1.Ready(), th.Now().Sub(at))
+		}
 	})
 	b.host[0].Spawn("sender", func(th *simtime.Thread) {
 		b.state[0].QDMA(th, 1, 1, []byte("y"), nil, nil)
 	})
 	b.k.Run()
-	if !got {
-		t.Fatal("TryRecv missed a deposited message")
+	if got != "y" {
+		t.Fatalf("Take returned %q, want the deposited message", got)
 	}
 }

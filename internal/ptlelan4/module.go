@@ -131,7 +131,7 @@ type peerInfo struct {
 // localOp is one outstanding RDMA descriptor awaiting local completion
 // (NoCQ mode polls these; CQ modes get records instead), with what its
 // completion event's chain issues on the NIC. Module.ops recycles them:
-// under NoCQ pollOutstanding returns one as it reaps it, under a CQ mode the
+// under NoCQ the sweep that completes one returns it, under a CQ mode the
 // chain does, the last thing to look at it. ev, its host word and the chain
 // closure are made once and survive.
 type localOp struct {
@@ -231,8 +231,15 @@ type Module struct {
 	stats Stats
 
 	// onSendError and onRecvError are what the descriptors this module
-	// issues fail into, bound once: a method value per send would allocate.
+	// issues fail into, sweepCheck a sweep's check, bound once: a method
+	// value per send or sweep would allocate.
 	onSendError, onRecvError func(error)
+	sweepCheck               func(int) bool
+	// adding holds the peers of the AddProcs call in progress, which
+	// addingName and connect (connectPeer) read by index.
+	adding     []ptl.Peer
+	addingName func(int) string
+	connect    func(int, []byte) error
 
 	// tracer, when attached, receives PTL-layer protocol events; nil-check
 	// cheap when detached and adds no virtual-time cost.
@@ -293,6 +300,9 @@ func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Han
 	}
 	m.onSendError = func(err error) { panic(fmt.Sprintf("ptlelan4: transmit failure: %v", err)) }
 	m.onRecvError = func(err error) { panic(fmt.Sprintf("ptlelan4: RDMA read failure: %v", err)) }
+	m.sweepCheck = m.ready
+	m.addingName = func(i int) string { return m.adding[i].Name }
+	m.connect = m.connectPeer
 	m.lc.Open()
 	return m
 }
@@ -414,14 +424,20 @@ func (m *Module) AddProcs(th *simtime.Thread, peers []ptl.Peer) error {
 	if m.peers == nil {
 		m.peers = make(map[int]peerInfo, len(peers))
 	}
-	for i := range peers {
-		p := &peers[i]
-		raw := m.rteH.Lookup(th, p.Name, "elan4:vpid")
-		if len(raw) != 4 {
-			return fmt.Errorf("ptlelan4: bad vpid modex entry for %q", p.Name)
-		}
-		m.peers[p.Rank] = peerInfo{peer: p, vpid: int(binary.LittleEndian.Uint32(raw))}
+	m.adding = peers
+	err := m.rteH.LookupEach(th, "elan4:vpid", len(peers), m.addingName, m.connect)
+	m.adding = nil
+	return err
+}
+
+// connectPeer connects peer i of the AddProcs call in progress to the
+// VPID it published.
+func (m *Module) connectPeer(i int, raw []byte) error {
+	p := &m.adding[i]
+	if len(raw) != 4 {
+		return fmt.Errorf("ptlelan4: bad vpid modex entry for %q", p.Name)
 	}
+	m.peers[p.Rank] = peerInfo{peer: p, vpid: int(binary.LittleEndian.Uint32(raw))}
 	return nil
 }
 

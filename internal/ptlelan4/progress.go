@@ -2,6 +2,7 @@ package ptlelan4
 
 import (
 	"fmt"
+	"slices"
 
 	"qsmpi/internal/elan4"
 	"qsmpi/internal/libelan"
@@ -14,29 +15,68 @@ import (
 // progress threads.
 const recStop = 3
 
-// Progress implements ptl.Module: drain arrived queue messages and, in
-// NoCQ mode, poll the outstanding descriptor events. In threaded modes the
-// progress threads own the queues and Progress is a no-op.
+// Progress implements ptl.Module: one sweep of polling checks, each
+// costing one HostEventPoll of CPU — the receive queue, the completion
+// queue if there is one, then, under NoCQ, each outstanding descriptor's
+// host event word. A check that finds something takes it at that instant:
+// a queue yields its message and is checked again, a completed descriptor
+// leaves the list and the sweep goes on with the one after it. The checks
+// only read (ready), so the kernel runs a sweep on while it finds nothing
+// (simtime.Thread.ComputeScan). In threaded modes the progress threads own
+// the queues and Progress is a no-op.
 func (m *Module) Progress(th *simtime.Thread) {
 	if m.opts.Threads > 0 || m.lc.Stage() != ptl.StageActive {
 		return
 	}
-	m.drainQueue(th, m.recvQ)
-	if m.compQ != nil {
-		m.drainQueue(th, m.compQ)
-	}
-	if m.opts.CQ == NoCQ {
-		m.pollOutstanding(th)
+	for i := 0; ; {
+		n := m.queues() + len(m.outstanding)
+		if i = th.ComputeScan(m.cfg.HostEventPoll, i, n, m.sweepCheck); i == n {
+			return
+		}
+		m.take(th, i)
 	}
 }
 
-func (m *Module) drainQueue(th *simtime.Thread, q *libelan.Queue) {
-	for {
-		msg, ok := q.TryRecv(th)
-		if !ok {
-			return
-		}
+// queues returns the number of queues a sweep checks before the
+// descriptors: the receive queue and the completion queue, if any.
+func (m *Module) queues() int {
+	if m.compQ != nil {
+		return 2
+	}
+	return 1
+}
+
+// ready is check i of a sweep: whether the queue or descriptor it polls
+// has something. Another thread of the process may have shortened the
+// descriptor list since the sweep began; a position past its end has
+// nothing.
+func (m *Module) ready(i int) bool {
+	switch q := m.queues(); {
+	case i == 0:
+		return m.recvQ.Ready()
+	case i < q:
+		return m.compQ.Ready()
+	case i-q < len(m.outstanding):
+		return m.outstanding[i-q].word.Value() > 0
+	}
+	return false
+}
+
+// take handles what check i found, at the instant it found it. A
+// descriptor leaves the list before its completion runs, so no other
+// thread's sweep can see it again.
+func (m *Module) take(th *simtime.Thread, i int) {
+	switch q := m.queues(); {
+	case i == 0:
+		msg, _ := m.recvQ.Take()
 		m.handleMsg(th, msg)
+	case i < q:
+		msg, _ := m.compQ.Take()
+		m.handleMsg(th, msg)
+	default:
+		op := m.outstanding[i-q]
+		m.outstanding = slices.Delete(m.outstanding, i-q, i-q+1)
+		m.completeOp(th, op)
 	}
 }
 
@@ -93,22 +133,6 @@ func (m *Module) handleRecord(th *simtime.Thread, kind byte, reqID uint64, bytes
 	default:
 		panic(fmt.Sprintf("ptlelan4: unknown completion record kind %d", kind))
 	}
-}
-
-// pollOutstanding checks each outstanding descriptor's host event word —
-// the per-descriptor completion strategy available without the shared
-// completion queue.
-func (m *Module) pollOutstanding(th *simtime.Thread) {
-	rest := m.outstanding[:0]
-	for _, op := range m.outstanding {
-		th.Compute(m.cfg.HostEventPoll)
-		if op.word.Value() > 0 {
-			m.completeOp(th, op)
-		} else {
-			rest = append(rest, op)
-		}
-	}
-	m.outstanding = rest
 }
 
 func (m *Module) completeOp(th *simtime.Thread, op *localOp) {

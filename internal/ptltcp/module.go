@@ -77,6 +77,12 @@ type Module struct {
 	peers  map[int]*ptl.Peer // by rank, sized by the first AddProcs
 	ports  map[int]int       // peer rank → ethernet port
 	nextID uint64
+	// adding holds the peers of the AddProcs call in progress, which
+	// addingName and connect (connectPeer) read by index; both are bound
+	// once.
+	adding     []ptl.Peer
+	addingName func(int) string
+	connect    func(int, []byte) error
 
 	// kernel-side receive state: segments reassembled off the wire
 	// without host cost until Progress "reads the socket".
@@ -126,6 +132,8 @@ func New(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int, r
 		nextID:     1,
 		pool:       bufpool.New(),
 	}
+	m.addingName = func(i int) string { return m.adding[i].Name }
+	m.connect = m.connectPeer
 	m.lc.Open()
 	net.Attach(port, m.handlePacket)
 	return m
@@ -182,15 +190,21 @@ func (m *Module) AddProcs(th *simtime.Thread, peers []ptl.Peer) error {
 	if m.peers == nil {
 		m.peers, m.ports = make(map[int]*ptl.Peer, len(peers)), make(map[int]int, len(peers))
 	}
-	for i := range peers {
-		p := &peers[i]
-		raw := m.rteH.Lookup(th, p.Name, "tcp:port")
-		if len(raw) != 4 {
-			return fmt.Errorf("ptltcp: bad port modex entry for %q", p.Name)
-		}
-		m.peers[p.Rank] = p
-		m.ports[p.Rank] = int(binary.LittleEndian.Uint32(raw))
+	m.adding = peers
+	err := m.rteH.LookupEach(th, "tcp:port", len(peers), m.addingName, m.connect)
+	m.adding = nil
+	return err
+}
+
+// connectPeer connects peer i of the AddProcs call in progress to the
+// Ethernet port it published.
+func (m *Module) connectPeer(i int, raw []byte) error {
+	p := &m.adding[i]
+	if len(raw) != 4 {
+		return fmt.Errorf("ptltcp: bad port modex entry for %q", p.Name)
 	}
+	m.peers[p.Rank] = p
+	m.ports[p.Rank] = int(binary.LittleEndian.Uint32(raw))
 	return nil
 }
 

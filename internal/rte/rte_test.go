@@ -70,7 +70,13 @@ func TestPublishLookupBlocksUntilAvailable(t *testing.T) {
 	var lookupDone simtime.Time
 	spawnThread(k, "n0", func(th *simtime.Thread) {
 		h := r.Join(th, "consumer", 0, 0)
-		got = h.Lookup(th, "producer", "qaddr")
+		producer := func(int) string { return "producer" }
+		if err := h.LookupEach(th, "qaddr", 1, producer, func(_ int, v []byte) error {
+			got = v
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
 		lookupDone = th.Now()
 	})
 	spawnThread(k, "n1", func(th *simtime.Thread) {

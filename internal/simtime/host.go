@@ -92,6 +92,33 @@ func (t *Thread) Compute(d Duration) {
 	t.host.cpus.Release()
 }
 
+// ComputeScan runs
+//
+//	for i := from; i < n; i++ {
+//		t.Compute(d)
+//		if stop(i) {
+//			return i
+//		}
+//	}
+//	return n
+//
+// with the same events, instants and sequence numbers: a sweep of checks
+// that each cost d of CPU. While the thread is parked in one of those
+// computes, the kernel may evaluate stop itself at the wake and compute on
+// without switching into the thread, as Proc.SleepScan does; it switches
+// when another thread waits for the host's CPU. stop must only read state.
+func (t *Thread) ComputeScan(d Duration, from, n int, stop func(int) bool) int {
+	if d <= 0 {
+		for i := from; i < n; i++ {
+			if stop(i) {
+				return i
+			}
+		}
+		return n
+	}
+	return t.proc.runScan(t.host, d, from, n, stop)
+}
+
 // BlockOn parks the thread on sig without occupying a CPU, then charges
 // wake microseconds of CPU time for the wakeup path (scheduler dispatch,
 // cache refill) once the signal fires. It models an interrupt-driven or

@@ -157,12 +157,11 @@ func TestInPlaceWakesMatchSwitchedOnes(t *testing.T) {
 		0, 5, 2, 0, 7, 1, 0, 4, 3, 1, // sleep, wait sig0, compute, sleep, fire sig1
 		7, 2, 0, 1, 3, 0, 0, 6, 2, 1, // compute, sleep, fire sig0, sleep, wait sig1
 	}
-	plain, ref := runSleepProgram(prog, 0), runSleepProgram(prog, 2)
+	plain, ref := runSleepProgram(prog, 0, false), runSleepProgram(prog, 2, false)
 	if plain.inPlace == 0 || ref.inPlace != 0 {
 		t.Fatalf("%d wakes in place on the plain kernel, %d on the sharded one; want some and none", plain.inPlace, ref.inPlace)
 	}
-	plain.inPlace, plain.drained = 0, 0
-	if !reflect.DeepEqual(plain, ref) {
+	if !reflect.DeepEqual(plain.counted(), ref) {
 		t.Errorf("plain kernel diverged from the switched reference:\n got: %+v\nwant: %+v", plain, ref)
 	}
 }
@@ -448,12 +447,21 @@ func TestDrainedPanicIsRaw(t *testing.T) {
 // sleepRun is everything a program run can observe, and the schedule
 // sequence it ends at, which the wakes run in place must also consume.
 type sleepRun struct {
-	log, trace, panics    []string
-	ran                   []int64 // each Run or RunUntil call's count; -1 when it panicked
-	steps                 int64
-	now                   Time
-	seq, inPlace, drained int64
-	stalledProcs          []string
+	log, trace, panics             []string
+	ran                            []int64 // each Run or RunUntil call's count; -1 when it panicked
+	steps                          int64
+	now                            Time
+	busy                           Duration // the one-CPU host's
+	seq, inPlace, drained, scanned int64
+	stalledProcs                   []string
+}
+
+// counted returns r without the counts of wakes taken without a switch,
+// the one thing a run on another kernel, or with scans spelled as loops,
+// may change.
+func (r sleepRun) counted() sleepRun {
+	r.inPlace, r.drained, r.scanned = 0, 0, 0
+	return r
 }
 
 // runSleepProgram decodes prog into 1–6 procs and runs them on a kernel
@@ -462,17 +470,24 @@ type sleepRun struct {
 // sleep arg%8 ns, yield, wait on or fire one of three signals, add to or
 // wait on a counter, arm a timer that logs and fires a signal or adds to
 // the counter, compute arg%4 ns on a one-CPU host, arm a timer that spawns
-// a proc, stops the kernel or panics, or have the driver run in RunUntil
-// steps of 1 + arg%6 ns. Timers fire arg%8 ns on, often strictly between a
-// sleep and its wake. Every action logs its proc and clock. The driver
-// calls Run (or RunUntil) again after a Stop, a panic or a bound until the
-// kernel is idle, recording each call's count and each panic's value.
-func runSleepProgram(prog []byte, workers int) sleepRun {
+// a proc, stops the kernel or panics, have the driver run in RunUntil
+// steps of 1 + arg%6 ns, or scan: 1 + arg%5 checks of 1 + arg/8%3 ns of
+// compute on the host, or of arg/8%4 ns of sleep, each reading the counter
+// and the signals, and the last one panicking when arg ≥ 224 and the
+// counter is odd. With scan false, a scan runs as the loop it stands for.
+// Timers fire arg%8 ns on, often strictly between a sleep and its wake.
+// Every action logs its proc and clock. The driver calls Run (or RunUntil)
+// again after a Stop, a panic or a bound until the kernel is idle,
+// recording each call's count and each panic's value; when the first byte
+// is 128 or more it closes the kernel after the first call instead, and
+// the procs it unwinds log their exits.
+func runSleepProgram(prog []byte, workers int, scan bool) sleepRun {
 	var r sleepRun
 	if len(prog) == 0 {
 		return r
 	}
 	procs := 1 + int(prog[0])%6
+	closeEarly := prog[0] >= 128
 	ops := prog[1:]
 	per := len(ops) / procs / 2 * 2 // whole (op, arg) pairs
 	k := NewKernel()
@@ -482,7 +497,8 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 	k.tracer = func(at Time, what string) { r.trace = append(r.trace, fmt.Sprintf("%d %s", int64(at), what)) }
 	sigs := []*Signal{NewSignal(), NewSignal(), NewSignal()}
 	ctr := NewCounter()
-	cpu := NewSemaphore(1)
+	host := NewHost(k, "host", 1)
+	cpu := host.cpus
 	var step Duration
 	for j := 0; j+1 < procs*per; j += 2 {
 		if ops[j]%sleepOps == 11 && step == 0 {
@@ -499,6 +515,8 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 	for i := 0; i < procs; i++ {
 		code := ops[i*per : (i+1)*per]
 		k.SchedFor(Entity(i+1)).Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			defer func() { r.log = append(r.log, fmt.Sprintf("%s exit@%d", p.Name(), int64(k.Now()))) }()
+			th := &Thread{proc: p, host: host}
 			for j := 0; j+1 < len(code); j += 2 {
 				op, arg := code[j]%sleepOps, code[j+1]
 				switch op {
@@ -538,15 +556,45 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 					timer(arg, k.Stop)
 				case 10:
 					timer(arg, func() { panic(fmt.Sprintf("timer %d@%d", arg, int64(k.Now()))) })
+				case 12, 13:
+					n, base := 1+int(arg%5), ctr.Value()
+					stop := func(i int) bool {
+						if arg >= 224 && i == n-1 && ctr.Value()%2 == 1 {
+							panic(fmt.Sprintf("check %d@%d", i, int64(p.Now())))
+						}
+						return ctr.Value() >= base+int64(i%3) && sigs[i%3].Fired()
+					}
+					var got int
+					switch {
+					case op == 12 && scan:
+						got = th.ComputeScan(Duration(1+arg/8%3)*Nanosecond, 0, n, stop)
+					case op == 13 && scan:
+						got = p.SleepScan(Duration(arg/8%4)*Nanosecond, 0, n, stop)
+					default:
+						for got = 0; got < n; got++ {
+							if op == 12 {
+								th.Compute(Duration(1+arg/8%3) * Nanosecond)
+							} else {
+								p.Sleep(Duration(arg/8%4) * Nanosecond)
+							}
+							if stop(got) {
+								break
+							}
+						}
+					}
+					r.log = append(r.log, fmt.Sprintf("%s scan %d of %d", p.Name(), got, n))
 				}
 				r.log = append(r.log, fmt.Sprintf("%s op%d@%d", p.Name(), op, int64(p.Now())))
 			}
 		})
 	}
-	for done := false; !done; done = k.Idle() {
+	for done := false; !done; done = closeEarly || k.Idle() {
 		func() {
 			defer func() {
 				if v := recover(); v != nil {
+					if pp, ok := v.(*ProcPanic); ok { // its stack differs from a loop's
+						v = fmt.Sprintf("proc %s at %d: %v", pp.Proc, int64(pp.At), pp.Value)
+					}
 					r.ran = append(r.ran, -1)
 					r.panics = append(r.panics, fmt.Sprintf("%T %v", v, v))
 				}
@@ -559,20 +607,24 @@ func runSleepProgram(prog []byte, workers int) sleepRun {
 		}()
 	}
 	r.steps, r.now, r.seq, r.stalledProcs = k.Steps(), k.Now(), k.gseq, k.Stalled()
-	r.inPlace, r.drained = k.WakesInPlace(), k.WakesDrained()
+	r.inPlace, r.drained, r.scanned = k.WakesInPlace(), k.WakesDrained(), k.WakesScanned()
 	k.Close()
+	r.busy = host.BusyTime()
 	return r
 }
 
 // sleepOps is the number of ops runSleepProgram decodes.
-const sleepOps = 12
+const sleepOps = 14
 
 // FuzzSleepInPlace runs random programs on a plain kernel, where sleep
-// wakes run in place and sleepers drain the callbacks due before their
-// wakes, and on one with two worker shards that never enables its epochs:
-// the same (time, seq) engine, which takes neither path. History, trace,
-// panics, every Run's count, steps, clock and stalled procs must agree.
-// The seed corpus runs under plain `go test`.
+// wakes run in place, sleepers drain the callbacks due before their wakes
+// and the kernel runs parked scans on, and on one with two worker shards
+// that never enables its epochs, with every scan spelled as its loop: the
+// same (time, seq) engine, where every wake switches. History, trace,
+// panics, every Run's count, steps, clock, CPU time and stalled procs must
+// agree, and so must a run of the scans on the sharded kernel, where the
+// kernel runs parked scans on with every sleep pushed. The seed corpus
+// runs under plain `go test`.
 func FuzzSleepInPlace(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 3, 0, 0})                   // one proc, sleeps alone
 	f.Add([]byte{1, 0, 2, 0, 2, 0, 2, 0, 2})             // two procs, tied sleeps
@@ -589,6 +641,17 @@ func FuzzSleepInPlace(f *testing.F) {
 	f.Add([]byte{0, 11, 1, 6, 1, 6, 4, 0, 7, 0, 3})      // RunUntil bounds before the wakes
 	f.Add([]byte{0, 11, 5, 6, 1, 0, 3, 6, 4, 0, 7})      // a drain under a bound, then a bound inside one
 	f.Add([]byte{0, 11, 3, 8, 2, 9, 6, 10, 5, 0, 7})     // every new op under RunUntil
+	// Scans beside another proc, so their sleeps park: the checks read a
+	// counter and signals that timers and the other proc move.
+	f.Add([]byte{1, 12, 19, 13, 28, 0, 1, 0, 1, 0, 1, 0, 1})            // scans beside a sleeper
+	f.Add([]byte{1, 6, 10, 6, 3, 12, 19, 0, 1, 0, 1, 4, 0, 0, 1, 3, 0}) // timers and a proc move what the checks read
+	f.Add([]byte{1, 12, 19, 0, 0, 0, 1, 7, 2})                          // a CPU waiter mid-scan on a one-CPU host
+	f.Add([]byte{2, 12, 19, 12, 4, 0, 1, 12, 4, 0, 1, 7, 3})            // two scans and a compute on one CPU
+	f.Add([]byte{1, 9, 4, 12, 19, 0, 2, 0, 2})                          // a timer stops the kernel inside a scan
+	f.Add([]byte{1, 11, 2, 12, 19, 0, 2, 0, 2})                         // RunUntil bounds inside a scan
+	f.Add([]byte{129, 11, 2, 12, 19, 0, 2, 0, 2})                       // Close with a scanner parked
+	f.Add([]byte{1, 4, 0, 12, 229, 0, 3, 0, 1})                         // a check that panics
+	f.Add([]byte{1, 4, 0, 13, 253, 0, 3, 0, 1})                         // a sleep scan's check that panics
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 32; i++ {
 		prog := make([]byte, 1+rng.Intn(48))
@@ -599,13 +662,16 @@ func FuzzSleepInPlace(f *testing.F) {
 		if len(prog) > 256 {
 			t.Skip()
 		}
-		plain, ref := runSleepProgram(prog, 0), runSleepProgram(prog, 2)
-		if ref.inPlace != 0 || ref.drained != 0 {
-			t.Fatalf("%d wakes in place, %d drained on a kernel with worker shards", ref.inPlace, ref.drained)
+		plain, ref := runSleepProgram(prog, 0, true), runSleepProgram(prog, 2, false)
+		if ref.inPlace != 0 || ref.drained != 0 || ref.scanned != 0 {
+			t.Fatalf("%d wakes in place, %d drained, %d scanned on a kernel with worker shards and no scans",
+				ref.inPlace, ref.drained, ref.scanned)
 		}
-		plain.inPlace, plain.drained = 0, 0
-		if !reflect.DeepEqual(plain, ref) {
-			t.Fatalf("in-place wakes diverged from switched ones:\n got: %+v\nwant: %+v", plain, ref)
+		if !reflect.DeepEqual(plain.counted(), ref) {
+			t.Fatalf("wakes without a switch diverged from switched ones:\n got: %+v\nwant: %+v", plain, ref)
+		}
+		if sharded := runSleepProgram(prog, 2, true); !reflect.DeepEqual(sharded.counted(), ref) {
+			t.Fatalf("scans on a sharded kernel diverged from their loops:\n got: %+v\nwant: %+v", sharded, ref)
 		}
 	})
 }

@@ -275,6 +275,17 @@ func (k *Kernel) WakesInPlace() int64 { return k.inPlace }
 // without a switch after the sleeper itself ran the callbacks due first.
 func (k *Kernel) WakesDrained() int64 { return k.drained }
 
+// WakesScanned returns how many of the Steps were wakes of a proc parked
+// in a scan that the kernel took without switching into it: it evaluated
+// the scan's check and left the proc parked in its next sleep.
+func (k *Kernel) WakesScanned() int64 {
+	var n int64
+	for _, s := range k.shards {
+		n += s.scanned
+	}
+	return n
+}
+
 // Rand returns the kernel's deterministic random source, seeded on first use
 // (a third of a two-rank bring-up, and only a lossy fabric draws from it).
 // Simulated code must use this, not the global rand: runs stay reproducible.

@@ -206,6 +206,49 @@ func TestWorldGoSendFromTwoThreads(t *testing.T) {
 	}
 }
 
+// TestNoCQPollFromTwoThreads: under NoCQ the rendezvous descriptors of
+// three 64 KiB messages are polled by whichever of rank 1's two threads
+// sweeps. The second thread starts its receive at every quarter
+// microsecond from 0 to 40 µs, so its sweeps overlap the main thread's
+// at every phase: a descriptor appended while the other thread sleeps in
+// a poll must not be dropped, nor one completed twice.
+func TestNoCQPollFromTwoThreads(t *testing.T) {
+	const size = 64 << 10
+	for q := 0; q < 160; q++ {
+		delay := float64(q) / 4
+		err := qsmpi.Run(qsmpi.Config{Procs: 2}, func(w *qsmpi.World) {
+			c := w.Comm()
+			if w.Rank() == 0 {
+				var reqs []*qsmpi.Request
+				for tag := 1; tag <= 3; tag++ {
+					reqs = append(reqs, c.Isend(1, tag, pattern(size, byte(tag)), qsmpi.Contiguous(size)))
+				}
+				qsmpi.Waitall(reqs...)
+				return
+			}
+			got := make([][]byte, 4)
+			wait := w.Go("second", func(tw *qsmpi.World) {
+				tw.Sleep(delay)
+				got[2] = make([]byte, size)
+				tw.Comm().RecvBytes(0, 2, got[2])
+			})
+			for _, tag := range []int{1, 3} {
+				got[tag] = make([]byte, size)
+				c.RecvBytes(0, tag, got[tag])
+			}
+			wait()
+			for tag := 1; tag <= 3; tag++ {
+				if !bytes.Equal(got[tag], pattern(size, byte(tag))) {
+					t.Errorf("second thread after %.2f us: tag %d corrupted", delay, tag)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("second thread after %.2f us: %v", delay, err)
+		}
+	}
+}
+
 func TestWaitany(t *testing.T) {
 	err := qsmpi.Run(qsmpi.Config{Procs: 3}, func(w *qsmpi.World) {
 		c := w.Comm()
