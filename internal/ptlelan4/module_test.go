@@ -9,6 +9,7 @@ import (
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/pml"
+	"qsmpi/internal/ptl"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/ptltcp"
 	"qsmpi/internal/simtime"
@@ -603,5 +604,26 @@ func TestDescriptorsReturned(t *testing.T) {
 			}
 			t.Logf("%d QDMA retries, %d fragments parked out of sequence", retries, parked)
 		})
+	}
+}
+
+// TestAddProcsRejectsMalformedVPID: a peer whose modex entry is not a
+// four-byte VPID is refused with an error naming it.
+func TestAddProcsRejectsMalformedVPID(t *testing.T) {
+	c := cluster.New(elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead)), 2)
+	var err error
+	c.Launch(func(p *cluster.Proc) {
+		if p.Rank == 0 {
+			p.RTE.Publish(p.Th, "elan4:vpid", []byte{1, 2, 3})
+			return
+		}
+		p.Th.Proc().Sleep(simtime.Millisecond)
+		err = p.Elan.AddProcs(p.Th, []ptl.Peer{{Rank: 1, Name: p.RTE.Name()}, {Rank: 0, Name: cluster.ProcName(0)}})
+	})
+	if runErr := c.Run(); runErr != nil {
+		t.Fatal(runErr)
+	}
+	if want := `ptlelan4: bad vpid modex entry for "` + cluster.ProcName(0) + `"`; err == nil || err.Error() != want {
+		t.Errorf("AddProcs returned %v, want %s", err, want)
 	}
 }
