@@ -11,6 +11,7 @@ import (
 	"qsmpi/internal/ptl"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/ptltcp"
+	"qsmpi/internal/simtime"
 )
 
 func elanSpec() cluster.Spec {
@@ -99,7 +100,9 @@ func TestLifecycleStagesThroughFinalize(t *testing.T) {
 
 func TestRegistryReflectsLeave(t *testing.T) {
 	c := cluster.New(elanSpec(), 3)
+	vpids := make([]int, 3)
 	c.Launch(func(p *cluster.Proc) {
+		vpids[p.Rank] = p.RTE.VPID()
 		if p.Rank == 2 {
 			p.Finalize()
 		}
@@ -107,9 +110,10 @@ func TestRegistryReflectsLeave(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	alive := c.Registry.Alive()
-	if len(alive) != 2 {
-		t.Fatalf("alive = %v, want two survivors", alive)
+	for r, v := range vpids {
+		if _, _, ok := c.Registry.Resolve(v); ok != (r != 2) {
+			t.Errorf("rank %d (VPID %d) resolves %v, want only the two survivors to", r, v, ok)
+		}
 	}
 }
 
@@ -219,6 +223,9 @@ func TestProcessRestart(t *testing.T) {
 	o := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	c := cluster.New(cluster.Spec{Elan: &o, Progress: pml.Polling, Nodes: 3}, 2)
 	var got []byte
+	// The announcements ride a channel of the test's own, as they would
+	// ride the job's launcher.
+	announce := simtime.NewChan[string]()
 	c.Launch(func(p *cluster.Proc) {
 		dt := datatype.Contiguous(1024)
 		switch p.Rank {
@@ -226,16 +233,14 @@ func TestProcessRestart(t *testing.T) {
 			// Phase 1: talk to the original rank 1.
 			buf := make([]byte, 1024)
 			p.Stack.Recv(p.Th, 1, 1, 0, buf, dt).Wait(p.Th)
-			// Rank 1 announces departure out-of-band, then leaves.
-			msg := p.RTE.RecvOOB(p.Th)
-			if msg.Tag != "leaving" {
-				t.Errorf("unexpected OOB %q", msg.Tag)
+			// Rank 1 announces its departure, then leaves.
+			if msg := announce.Recv(p.Th.Proc()); msg != "leaving" {
+				t.Errorf("unexpected announcement %q", msg)
 			}
 			p.Stack.DelPeer(p.Th, 1)
 			// Phase 2: the replacement announces itself; reconnect.
-			msg = p.RTE.RecvOOB(p.Th)
-			if msg.Tag != "restarted" {
-				t.Errorf("unexpected OOB %q", msg.Tag)
+			if msg := announce.Recv(p.Th.Proc()); msg != "restarted" {
+				t.Errorf("unexpected announcement %q", msg)
 			}
 			// Rank 1's SpawnExtra below renamed it job0.rank1-gen2.
 			c.ConnectPeers(p, []int{1})
@@ -247,18 +252,12 @@ func TestProcessRestart(t *testing.T) {
 				buf[i] = 1
 			}
 			p.Stack.Send(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
-			vpid0 := p.RTE.LookupVPID(p.Th, "job0.rank0")
-			if err := p.RTE.SendOOB(p.Th, vpid0, "leaving", nil); err != nil {
-				t.Error(err)
-			}
+			announce.Send("leaving")
 			p.Finalize()
 			// The replacement process (simulating restart on node 2).
 			c.SpawnExtra(1, 2, "job0.rank1-gen2", func(np *cluster.Proc) {
 				c.ConnectPeers(np, []int{0})
-				v0 := np.RTE.LookupVPID(np.Th, "job0.rank0")
-				if err := np.RTE.SendOOB(np.Th, v0, "restarted", nil); err != nil {
-					t.Error(err)
-				}
+				announce.Send("restarted")
 				nbuf := make([]byte, 1024)
 				for i := range nbuf {
 					nbuf[i] = 2

@@ -297,20 +297,10 @@ func TestWakesScanned(t *testing.T) {
 // execute a substantial share of the events.
 func TestShardedUsesWorkers(t *testing.T) {
 	c := shardedAlltoall(t, 4)
-	steps := c.K.ShardSteps()
-	if steps == nil {
-		t.Fatal("kernel is not sharded")
-	}
-	var worker, total int64
-	for i, n := range steps {
-		total += n
-		if i > 0 {
-			worker += n
-		}
-	}
-	t.Logf("shard steps: %v", steps)
-	if worker*2 < total {
-		t.Errorf("workers ran %d of %d events; expected the majority", worker, total)
+	st := c.K.EpochStats()
+	t.Logf("epoch stats: %+v", st)
+	if st.Events*2 < c.K.Steps() {
+		t.Errorf("worker shards ran %d of %d events inside epochs; expected the majority", st.Events, c.K.Steps())
 	}
 	if _ = simtime.GlobalEntity; c.K.Sharded() != 4 {
 		t.Errorf("Sharded() = %d, want 4", c.K.Sharded())

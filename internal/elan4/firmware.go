@@ -1,9 +1,6 @@
 package elan4
 
-import (
-	"qsmpi/internal/model"
-	"qsmpi/internal/simtime"
-)
+import "qsmpi/internal/simtime"
 
 // Firmware is custom microcode running on the NIC's thread processor. The
 // Elan4 is user-programmable, and MPICH-QsNetII's Tport library — the
@@ -20,9 +17,6 @@ type Firmware interface {
 
 // SetFirmware installs fw on the NIC's thread processor.
 func (n *NIC) SetFirmware(fw Firmware) { n.firmware = fw }
-
-// Cfg exposes the NIC's cost model to firmware.
-func (n *NIC) Cfg() model.Config { return n.cfg }
 
 // FirmwareSend transmits a packet from NIC context (no host cost). size
 // is the on-wire payload size in bytes.
@@ -52,6 +46,3 @@ func (n *NIC) FirmwareRxPCIBook(nbytes int) { n.rxPCI(nbytes, 0) }
 func (n *NIC) FirmwareTxPCI(nbytes int, extra simtime.Duration, name string, fn func()) {
 	n.sc.After(simtime.BytesAt(nbytes, n.cfg.PCIBandwidth)+extra, name, fn)
 }
-
-// FirmwareInterrupt raises a host interrupt firing sig.
-func (n *NIC) FirmwareInterrupt(sig *simtime.Signal) { n.raiseInterrupt(sig) }

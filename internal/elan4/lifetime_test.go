@@ -54,7 +54,7 @@ func TestDescriptorsReturned(t *testing.T) {
 			n := 3 * b.cfg.MTU
 			src, dst := b.ctx[0].Register(make([]byte, n)), b.ctx[1].Register(make([]byte, n))
 			ev := b.ctx[0].NewEvent(1)
-			b.ctx[0].ChainQDMA(ev, 1, 1, []byte("FIN"), nil, fail)
+			ev.Chain(func() { b.ctx[0].QDMAFromNIC(1, 1, []byte("FIN"), nil, fail) })
 			b.ctx[0].IssueRDMAWrite(th, 1, src, dst, n, ev, fail)
 		}},
 		{"rdma-write-to-closed-context", 3, func(b *bed, th *simtime.Thread, fail func(error)) {

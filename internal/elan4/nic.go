@@ -40,7 +40,6 @@ type Stats struct {
 type NIC struct {
 	k    *simtime.Kernel
 	sc   simtime.Sched
-	host *simtime.Host
 	net  *fabric.Network
 	port int
 	cfg  model.Config
@@ -322,7 +321,7 @@ const qdmaMaxRetries = 10000
 // threads pay issue costs, the NIC's own processing happens off-CPU.
 func NewNIC(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int, cfg model.Config, res Resolver) *NIC {
 	n := &NIC{
-		k: k, sc: host.Sched(), host: host, net: net, port: port, cfg: cfg, res: res,
+		k: k, sc: host.Sched(), net: net, port: port, cfg: cfg, res: res,
 		contexts: make(map[int]*Context),
 		pool:     bufpool.New(),
 	}
@@ -333,9 +332,6 @@ func NewNIC(k *simtime.Kernel, host *simtime.Host, net *fabric.Network, port int
 
 // Port returns the fabric port this NIC occupies.
 func (n *NIC) Port() int { return n.port }
-
-// Host returns the node this NIC is installed in.
-func (n *NIC) Host() *simtime.Host { return n.host }
 
 // Stats returns a copy of the activity counters.
 func (n *NIC) Stats() Stats {
@@ -375,18 +371,12 @@ func (c *Context) Close() {
 	delete(c.nic.contexts, c.id)
 }
 
-// NIC returns the owning adapter.
-func (c *Context) NIC() *NIC { return c.nic }
-
 // SetVPID records the virtual process id this context is currently known
 // by. The RTE calls it at attach time and again if the process migrates.
 func (c *Context) SetVPID(v int) { c.vpid = v }
 
 // VPID returns the context's current virtual process id.
 func (c *Context) VPID() int { return c.vpid }
-
-// ID returns the context number.
-func (c *Context) ID() int { return c.id }
 
 // Register maps a host buffer for RDMA and returns its E4 address.
 func (c *Context) Register(buf []byte) E4Addr { return c.mmu.Register(buf) }
@@ -480,21 +470,6 @@ func (c *Context) QDMAFromNIC(dstVPID, queue int, data []byte, done *Event, onEr
 // RDMA operations (call from an Event chain closure).
 func (c *Context) IssueRDMAWriteFromNIC(dstVPID int, src, dst E4Addr, n int, done *Event, onError func(error)) {
 	c.nic.submit(c.rdmaWriteOp(dstVPID, src, dst, n, done, onError))
-}
-
-// ChainQDMA arranges for a QDMA to be issued by the NIC itself the next
-// time ev fires — the chained-event mechanism. No host cost is charged at
-// fire time; the descriptor is prepared now and submitted once, so the
-// chain is spent when it fires. Chaining replaces an existing chain; to
-// fire several commands, or on every fire, pass a composite closure to
-// ev.Chain using QDMAFromNIC.
-func (c *Context) ChainQDMA(ev *Event, dstVPID, queue int, data []byte, done *Event, onError func(error)) {
-	c.checkQDMASize(data)
-	op := c.qdmaOp(opQDMA, dstVPID, queue, data, done, onError)
-	ev.Chain(func() {
-		ev.Chain(nil)
-		c.nic.submit(op)
-	})
 }
 
 // ResetEventCountRacy performs the host-side "reset the count and rearm"

@@ -320,7 +320,7 @@ func TestChainedQDMAFiresAfterRDMA(t *testing.T) {
 	finQ := b.ctx[1].CreateQueue(3, 4)
 
 	done := b.ctx[0].NewEvent(1)
-	b.ctx[0].ChainQDMA(done, 1, 3, []byte("FIN"), nil, nil)
+	done.Chain(func() { b.ctx[0].QDMAFromNIC(1, 3, []byte("FIN"), nil, nil) })
 
 	dataOK := false
 	b.host[0].Spawn("writer", func(th *simtime.Thread) {
@@ -454,7 +454,7 @@ func TestEventResetRace(t *testing.T) {
 	b.host[0].Spawn("writer", func(th *simtime.Thread) {
 		for i := 0; i < outstanding; i++ {
 			ev := b.ctx[0].NewEvent(1)
-			b.ctx[0].ChainQDMA(ev, 0, 9, []byte{byte(i)}, nil, nil) // loopback QDMA to own CQ
+			ev.Chain(func() { b.ctx[0].QDMAFromNIC(0, 9, []byte{byte(i)}, nil, nil) }) // loopback QDMA to own CQ
 			b.ctx[0].IssueRDMAWrite(th, 1, srcAddr.Add(i*256), dstAddr.Add(i*256), 256, ev, nil)
 		}
 		for completions < outstanding {
@@ -498,7 +498,7 @@ func TestDynamicRelocation(t *testing.T) {
 		m, _ := qNew.Poll()
 		got = string(m.Data) == "follow-me" && moved
 	})
-	b.k.RunUntil(simtime.Time(5 * simtime.Millisecond))
+	b.k.Run()
 	if !got {
 		t.Fatalf("message did not follow the migrated VPID (old queue pending=%d)", qOld.Pending())
 	}

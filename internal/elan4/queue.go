@@ -70,13 +70,6 @@ func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	return q
 }
 
-// DestroyQueue removes the queue; subsequent QDMAs to it are rejected
-// (and retried by the sender until it gives up or the queue reappears —
-// finalization protocols must drain first, per §4.1 of the paper).
-func (c *Context) DestroyQueue(id int) {
-	delete(c.queues, id)
-}
-
 // HostWord returns the counter incremented on every deposit.
 func (q *RecvQueue) HostWord() *simtime.Counter { return q.hostWord }
 

@@ -270,16 +270,8 @@ func New(k *simtime.Kernel, p Params, nports int) *Network {
 	return n
 }
 
-// Ports returns the number of ports.
-func (n *Network) Ports() int { return n.nports }
-
 // Params returns the fabric parameters.
 func (n *Network) Params() Params { return n.p }
-
-// Lookahead returns the minimum virtual time by which any send precedes
-// its earliest effect on another port: one wire propagation delay. It is
-// the fabric's contribution to the sharded kernel's LBTS bound.
-func (n *Network) Lookahead() simtime.Duration { return n.p.WireLatency }
 
 // Attach installs the receive handler for port id. A port has exactly one
 // owner; attaching twice indicates two NICs (or transports) claiming the
@@ -584,15 +576,4 @@ func (n *Network) BytesSent() int64 {
 func (n *Network) RouteCacheStats() (hits, misses int64) {
 	sent, _ := n.Stats()
 	return sent, 0
-}
-
-// ZeroByteLatency returns the modelled latency of a minimal packet between
-// two distinct ports under no contention: per-hop wire latency plus switch
-// crossings plus header serialization. Useful for calibration tests.
-func (n *Network) ZeroByteLatency(src, dst int) simtime.Duration {
-	lca := n.lca(src, dst)
-	d := simtime.Duration(2*lca-1) * n.p.SwitchLatency
-	d += simtime.Duration(2*lca) * n.p.WireLatency
-	// Header bytes serialize once, on the slowest link: a node link.
-	return d + simtime.BytesAt(n.p.PacketOverhead, n.p.LinkBandwidth)
 }

@@ -179,7 +179,7 @@ func TestArityBoundaryPathGoldens(t *testing.T) {
 		}
 		p := testParams()
 		want := simtime.Duration(tc.links)*p.WireLatency + simtime.Duration(tc.sws)*p.SwitchLatency
-		if got := net.ZeroByteLatency(tc.src, tc.dst); got != want {
+		if got := zeroByteLatency(k, net, tc.src, tc.dst); got != want {
 			t.Errorf("nports=%d %d->%d: zero-byte latency %v, want %v",
 				tc.nports, tc.src, tc.dst, got, want)
 		}
@@ -239,7 +239,7 @@ func TestLargeFabricConstructionLean(t *testing.T) {
 		t.Fatalf("link table slots %d exceed O(nports) bound %d", slots, 3*nports)
 	}
 	// The far corners still route.
-	if d := net.ZeroByteLatency(0, nports-1); d <= 0 {
+	if d := zeroByteLatency(k, net, 0, nports-1); d <= 0 {
 		t.Fatalf("cross-root latency %v", d)
 	}
 }

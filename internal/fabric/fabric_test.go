@@ -340,22 +340,32 @@ func TestOneWayStreamAllocatesNothing(t *testing.T) {
 	}
 }
 
+// zeroByteLatency sends a zero-byte packet from src to dst on a kernel
+// that has run nothing yet and returns when it arrives.
+func zeroByteLatency(k *simtime.Kernel, net *Network, src, dst int) simtime.Duration {
+	var at simtime.Time
+	net.Attach(dst, func(*Packet) { at = k.Now() })
+	net.Send(&Packet{Src: src, Dst: dst}, nil)
+	k.Run()
+	return simtime.Duration(at)
+}
+
+// TestZeroByteLatencyMatchesSend: a minimal packet under no contention
+// takes the per-hop wire latency plus the switch crossings plus the header
+// serialized once, on a node link.
 func TestZeroByteLatencyMatchesSend(t *testing.T) {
+	p := Params{
+		LinkBandwidth: 1e9, WireLatency: simtime.Micros(0.1),
+		SwitchLatency: simtime.Micros(0.15), MTU: 2048,
+		PacketOverhead: 32, Arity: 4,
+	}
 	for _, n := range []int{4, 16, 64} {
 		k := simtime.NewKernel()
-		net := New(k, Params{
-			LinkBandwidth: 1e9, WireLatency: simtime.Micros(0.1),
-			SwitchLatency: simtime.Micros(0.15), MTU: 2048,
-			PacketOverhead: 32, Arity: 4,
-		}, n)
-		var at simtime.Time
-		dst := n - 1
-		net.Attach(dst, func(p *Packet) { at = k.Now() })
-		want := net.ZeroByteLatency(0, dst)
-		net.Send(&Packet{Src: 0, Dst: dst, Size: 0}, nil)
-		k.Run()
-		if at != simtime.Time(want) {
-			t.Fatalf("n=%d: delivered at %v, ZeroByteLatency says %v", n, at, want)
+		net := New(k, p, n)
+		lca := simtime.Duration(net.lca(0, n-1))
+		want := (2*lca-1)*p.SwitchLatency + 2*lca*p.WireLatency + simtime.BytesAt(p.PacketOverhead, p.LinkBandwidth)
+		if got := zeroByteLatency(k, net, 0, n-1); got != want {
+			t.Fatalf("n=%d: delivered after %v, the model says %v", n, got, want)
 		}
 	}
 }

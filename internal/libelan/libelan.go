@@ -101,11 +101,6 @@ func (s *State) NewQueue(id, nslots int) *Queue {
 	return &Queue{s: s, q: s.Ctx.CreateQueue(id, nslots)}
 }
 
-// WrapQueue wraps an existing receive queue.
-func (s *State) WrapQueue(q *elan4.RecvQueue) *Queue {
-	return &Queue{s: s, q: q}
-}
-
 // Raw returns the underlying hardware queue.
 func (q *Queue) Raw() *elan4.RecvQueue { return q.q }
 

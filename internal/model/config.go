@@ -110,8 +110,6 @@ type Config struct {
 
 	// ---- Open MPI software costs ----
 
-	// MatchHeaderBytes is Open MPI's match/rendezvous header size.
-	MatchHeaderBytes int
 	// PMLMatchCost is the host cost of one PML matching attempt
 	// (list walk + compare).
 	PMLMatchCost simtime.Duration
@@ -122,14 +120,9 @@ type Config struct {
 	// DatatypeSetup is the cost to instantiate the datatype copy engine
 	// for a request (the ~0.4us the paper measures as "DTP" overhead).
 	DatatypeSetup simtime.Duration
-	// EagerLimit is the largest payload sent eagerly in the first
-	// fragment (1984 = 2048 slot minus the 64-byte header).
-	EagerLimit int
 
 	// ---- MPICH-QsNetII (Tport) baseline ----
 
-	// TportHeaderBytes is MPICH-QsNetII's smaller header.
-	TportHeaderBytes int
 	// TportNICMatch is the NIC-side tag-matching cost per message
 	// (replaces host-side PML matching in the baseline).
 	TportNICMatch simtime.Duration
@@ -137,9 +130,6 @@ type Config struct {
 	TportHostCost simtime.Duration
 	// TportEagerLimit is the baseline's eager threshold.
 	TportEagerLimit int
-	// TportPipelineChunk is the chunk size for its pipelined large-message
-	// protocol.
-	TportPipelineChunk int
 
 	// ---- TCP/IP PTL baseline ----
 
@@ -196,18 +186,14 @@ func Default() Config {
 		QDMAMaxPayload: 2048,
 		QueueSlots:     64,
 
-		MatchHeaderBytes: 64,
-		PMLMatchCost:     simtime.Micros(0.12),
-		PMLRequestCost:   simtime.Micros(0.18),
-		PMLScheduleCost:  simtime.Micros(0.10),
-		DatatypeSetup:    simtime.Micros(0.40),
-		EagerLimit:       1984,
+		PMLMatchCost:    simtime.Micros(0.12),
+		PMLRequestCost:  simtime.Micros(0.18),
+		PMLScheduleCost: simtime.Micros(0.10),
+		DatatypeSetup:   simtime.Micros(0.40),
 
-		TportHeaderBytes:   32,
-		TportNICMatch:      simtime.Micros(0.10),
-		TportHostCost:      simtime.Micros(0.25),
-		TportEagerLimit:    32 * 1024,
-		TportPipelineChunk: 16 * 1024,
+		TportNICMatch:   simtime.Micros(0.10),
+		TportHostCost:   simtime.Micros(0.25),
+		TportEagerLimit: 32 * 1024,
 
 		TCPSyscall:       simtime.Micros(3.0),
 		TCPStackCost:     simtime.Micros(8.0),

@@ -180,17 +180,8 @@ func NewStack(k *simtime.Kernel, host *simtime.Host, cfg model.Config, rank int,
 	}
 }
 
-// Rank returns this process's rank.
-func (s *Stack) Rank() int { return s.rank }
-
-// Engine returns the datatype copy engine.
-func (s *Stack) Engine() *datatype.Engine { return s.eng }
-
 // Activity returns the counter transports bump on arrivals/completions.
 func (s *Stack) Activity() *simtime.Counter { return s.activity }
-
-// Mode returns the progress mode.
-func (s *Stack) Mode() ProgressMode { return s.mode }
 
 // SetBlocker installs the module used for InterruptWait blocking.
 func (s *Stack) SetBlocker(b Blocker) { s.blocker = b }

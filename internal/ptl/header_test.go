@@ -3,6 +3,8 @@ package ptl
 import (
 	"testing"
 	"testing/quick"
+
+	"qsmpi/internal/model"
 )
 
 // encode returns h's wire form in a buffer of exactly HeaderSize bytes.
@@ -16,6 +18,14 @@ func TestHeaderSize(t *testing.T) {
 	h := Header{Type: TypeMatch}
 	if got := len(encode(h)); got != 64 {
 		t.Fatalf("encoded header is %d bytes, want 64 (the paper's header size)", got)
+	}
+}
+
+// TestHeaderLeavesTheEagerLimit: the eager limit ptlelan4 derives, one QDMA
+// slot minus the header, is the paper's 1984 bytes.
+func TestHeaderLeavesTheEagerLimit(t *testing.T) {
+	if slot := model.Default().QDMAMaxPayload; slot-HeaderSize != 1984 {
+		t.Errorf("eager limit: slot %d - header %d = %d, want 1984", slot, HeaderSize, slot-HeaderSize)
 	}
 }
 

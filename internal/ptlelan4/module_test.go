@@ -365,14 +365,16 @@ func TestDynamicJoin(t *testing.T) {
 	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	c := cluster.New(cluster.Spec{Elan: &opts, Progress: pml.Polling, Nodes: 3}, 2)
 	got := make([]byte, 4096)
+	// The announcement rides a channel of the test's own, as it would ride
+	// the job's launcher.
+	announce := simtime.NewChan[string]()
 	c.Launch(func(p *cluster.Proc) {
 		dt := datatype.Contiguous(4096)
 		if p.Rank == 0 {
 			// Accept the late joiner: wait for its announcement, connect,
 			// then receive from it.
-			msg := p.RTE.RecvOOB(p.Th)
-			if msg.Tag != "join" {
-				t.Errorf("unexpected OOB %q", msg.Tag)
+			if msg := announce.Recv(p.Th.Proc()); msg != "join" {
+				t.Errorf("unexpected announcement %q", msg)
 			}
 			c.ConnectPeers(p, []int{2})
 			p.Stack.Recv(p.Th, 2, 5, 0, got, dt).Wait(p.Th)
@@ -382,10 +384,7 @@ func TestDynamicJoin(t *testing.T) {
 		dt := datatype.Contiguous(4096)
 		// Connect to rank 0 and announce.
 		c.ConnectPeers(p, []int{0})
-		vpid0 := p.RTE.LookupVPID(p.Th, "job0.rank0")
-		if err := p.RTE.SendOOB(p.Th, vpid0, "join", nil); err != nil {
-			t.Error(err)
-		}
+		announce.Send("join")
 		p.Stack.Send(p.Th, 0, 5, 0, pattern(4096, 42), dt).Wait(p.Th)
 		p.Finalize()
 	})
@@ -618,7 +617,7 @@ func TestAddProcsRejectsMalformedVPID(t *testing.T) {
 			return
 		}
 		p.Th.Proc().Sleep(simtime.Millisecond)
-		err = p.Elan.AddProcs(p.Th, []ptl.Peer{{Rank: 1, Name: p.RTE.Name()}, {Rank: 0, Name: cluster.ProcName(0)}})
+		err = p.Elan.AddProcs(p.Th, []ptl.Peer{{Rank: 1, Name: cluster.ProcName(1)}, {Rank: 0, Name: cluster.ProcName(0)}})
 	})
 	if runErr := c.Run(); runErr != nil {
 		t.Fatal(runErr)

@@ -39,10 +39,10 @@ type Options struct {
 
 // seg is one TCP segment on the Ethernet wire.
 type seg struct {
-	srcRank, dstRank int
-	msgID            uint64
-	off, total       int
-	data             []byte
+	srcRank    int
+	msgID      uint64
+	off, total int
+	data       []byte
 }
 
 // message is a reassembled PTL message.
@@ -290,7 +290,7 @@ func (m *Module) write(th *simtime.Thread, p *ptl.Peer, payload []byte) {
 	if total == 0 {
 		m.stats.SegsTx++
 		m.net.Send(&fabric.Packet{Src: m.port, Dst: port, Size: 0, Payload: &seg{
-			srcRank: m.rank(), dstRank: p.Rank, msgID: id, off: 0, total: 0,
+			srcRank: m.rank(), msgID: id, off: 0, total: 0,
 		}}, nil)
 		return
 	}
@@ -303,7 +303,7 @@ func (m *Module) write(th *simtime.Thread, p *ptl.Peer, payload []byte) {
 		copy(data, payload[off:off+ln])
 		m.stats.SegsTx++
 		m.net.Send(&fabric.Packet{Src: m.port, Dst: port, Size: ln, Payload: &seg{
-			srcRank: m.rank(), dstRank: p.Rank, msgID: id, off: off, total: total, data: data,
+			srcRank: m.rank(), msgID: id, off: off, total: total, data: data,
 		}}, nil)
 	}
 }

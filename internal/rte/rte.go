@@ -3,7 +3,7 @@
 // system-wide Elan4 capability (allocation of NIC contexts and virtual
 // process ids), the process registry that decouples MPI ranks from VPIDs,
 // a modex-style publish/lookup board for connection bootstrap (queue ids,
-// E4 addresses), out-of-band messaging, and job rendezvous.
+// E4 addresses), and job rendezvous.
 //
 // Every RTE operation costs OOBLatency of virtual time: this traffic rides
 // a management network (ssh/TCP in real deployments), not QsNet, which is
@@ -18,23 +18,13 @@ import (
 	"qsmpi/internal/simtime"
 )
 
-// OOBMsg is one out-of-band message.
-type OOBMsg struct {
-	From    int // sender VPID
-	Tag     string
-	Payload any
-}
-
-// ProcInfo is the registry's record of one process.
-type ProcInfo struct {
-	Name  string
-	VPID  int
-	Port  int // fabric port of its NIC
-	Ctx   int // NIC context id
-	Alive bool
-
-	attrs   map[string][]byte
-	mailbox *simtime.Chan[OOBMsg]
+// procInfo is the registry's record of one process.
+type procInfo struct {
+	vpid  int
+	port  int // fabric port of its NIC
+	ctx   int // NIC context id
+	alive bool
+	attrs map[string][]byte
 }
 
 // Registry is the system-wide RTE state. It implements elan4.Resolver so
@@ -45,14 +35,13 @@ type Registry struct {
 	k   *simtime.Kernel
 	oob simtime.Duration
 
-	procs    map[int]*ProcInfo // by VPID
-	byName   map[string]*ProcInfo
+	procs    map[int]*procInfo // by VPID
+	byName   map[string]*procInfo
 	nextVPID int
 	nextCtx  map[int]int // per fabric port
 
-	version     *simtime.Counter // bumped on any registry mutation
-	rendezvous  map[string]*meet
-	oobDelivers int64
+	version    *simtime.Counter // bumped on any registry mutation
+	rendezvous map[string]*meet
 }
 
 type meet struct {
@@ -66,8 +55,8 @@ func NewRegistry(k *simtime.Kernel, oobLatency simtime.Duration) *Registry {
 	return &Registry{
 		k:          k,
 		oob:        oobLatency,
-		procs:      make(map[int]*ProcInfo),
-		byName:     make(map[string]*ProcInfo),
+		procs:      make(map[int]*procInfo),
+		byName:     make(map[string]*procInfo),
 		nextCtx:    make(map[int]int),
 		version:    simtime.NewCounter(),
 		rendezvous: make(map[string]*meet),
@@ -77,9 +66,9 @@ func NewRegistry(k *simtime.Kernel, oobLatency simtime.Duration) *Registry {
 // sequentialOnly panics when worker epochs are enabled. RTE traffic rides
 // the management network and mutates (or blocks on) registry state shared
 // across every rank, so it is only legal in the kernel's sequential
-// phases: bringup, finalize and dynamic process events. Pure reads
-// (Resolve, Info, Alive, TryRecvOOB) stay legal everywhere — the guarded
-// mutators are what keep them race-free during epochs.
+// phases: bringup, finalize and dynamic process events. Resolve, a pure
+// read, stays legal everywhere — the guarded mutators are what keep it
+// race-free during epochs.
 func (r *Registry) sequentialOnly(op string) {
 	if r.k.InParallel() {
 		panic("rte: " + op + " during a parallel phase — RTE operations are sequential-only")
@@ -89,10 +78,10 @@ func (r *Registry) sequentialOnly(op string) {
 // Resolve implements elan4.Resolver: the current location of a VPID.
 func (r *Registry) Resolve(vpid int) (port, ctx int, ok bool) {
 	p, ok := r.procs[vpid]
-	if !ok || !p.Alive {
+	if !ok || !p.alive {
 		return 0, 0, false
 	}
-	return p.Port, p.Ctx, true
+	return p.port, p.ctx, true
 }
 
 // AllocContext claims the next free NIC context on a fabric port, modeling
@@ -106,7 +95,7 @@ func (r *Registry) AllocContext(port int) int {
 // Handle is one process's session with the registry.
 type Handle struct {
 	r    *Registry
-	info *ProcInfo
+	info *procInfo
 	// idle is a lookup's state kept for the next LookupEach on this handle.
 	idle *lookup
 }
@@ -139,23 +128,16 @@ func (r *Registry) Join(th *simtime.Thread, name string, port, ctx int) *Handle 
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("rte: duplicate process name %q", name))
 	}
-	info := &ProcInfo{
-		Name: name, VPID: r.nextVPID, Port: port, Ctx: ctx, Alive: true,
-		attrs:   make(map[string][]byte),
-		mailbox: simtime.NewChan[OOBMsg](),
-	}
+	info := &procInfo{vpid: r.nextVPID, port: port, ctx: ctx, alive: true, attrs: make(map[string][]byte)}
 	r.nextVPID++
-	r.procs[info.VPID] = info
+	r.procs[info.vpid] = info
 	r.byName[name] = info
 	r.version.Add(1)
 	return &Handle{r: r, info: info}
 }
 
 // VPID returns the process's virtual process id.
-func (h *Handle) VPID() int { return h.info.VPID }
-
-// Name returns the registered name.
-func (h *Handle) Name() string { return h.info.Name }
+func (h *Handle) VPID() int { return h.info.vpid }
 
 // Leave marks the process departed; its VPID stops resolving. A process
 // must have drained pending DMA traffic first (the transports enforce
@@ -163,7 +145,7 @@ func (h *Handle) Name() string { return h.info.Name }
 func (h *Handle) Leave(th *simtime.Thread) {
 	h.r.sequentialOnly("Leave")
 	th.Proc().Sleep(h.r.oob)
-	h.info.Alive = false
+	h.info.alive = false
 	h.r.version.Add(1)
 }
 
@@ -228,46 +210,6 @@ func (h *Handle) lookupEach(th *simtime.Thread, l *lookup, n int, got func(int, 
 	return nil
 }
 
-// LookupVPID blocks until procName is registered and returns its VPID:
-// rank→VPID resolution during connection setup.
-func (h *Handle) LookupVPID(th *simtime.Thread, procName string) int {
-	h.r.sequentialOnly("LookupVPID")
-	th.Proc().Sleep(h.r.oob)
-	for {
-		if p, ok := h.r.byName[procName]; ok {
-			return p.VPID
-		}
-		v := h.r.version.Value()
-		h.r.version.WaitFor(th.Proc(), v+1)
-	}
-}
-
-// SendOOB delivers an out-of-band message to dstVPID's mailbox.
-func (h *Handle) SendOOB(th *simtime.Thread, dstVPID int, tag string, payload any) error {
-	h.r.sequentialOnly("SendOOB")
-	th.Proc().Sleep(h.r.oob)
-	dst, ok := h.r.procs[dstVPID]
-	if !ok || !dst.Alive {
-		return fmt.Errorf("rte: OOB send to unknown VPID %d", dstVPID)
-	}
-	msg := OOBMsg{From: h.info.VPID, Tag: tag, Payload: payload}
-	h.r.k.After(h.r.oob, "rte:oob", func() {
-		h.r.oobDelivers++
-		dst.mailbox.Send(msg)
-	})
-	return nil
-}
-
-// RecvOOB blocks for the next out-of-band message.
-func (h *Handle) RecvOOB(th *simtime.Thread) OOBMsg {
-	return h.info.mailbox.Recv(th.Proc())
-}
-
-// TryRecvOOB polls the mailbox.
-func (h *Handle) TryRecvOOB() (OOBMsg, bool) {
-	return h.info.mailbox.TryRecv()
-}
-
 // Rendezvous blocks until n processes have arrived at the same tag. The
 // tag is consumed once complete, so it can be reused for later phases.
 func (r *Registry) Rendezvous(th *simtime.Thread, tag string, n int) {
@@ -285,21 +227,4 @@ func (r *Registry) Rendezvous(th *simtime.Thread, tag string, n int) {
 		return
 	}
 	m.done.Wait(th.Proc())
-}
-
-// Alive returns the VPIDs of live processes, in VPID order.
-func (r *Registry) Alive() []int {
-	var out []int
-	for v := 0; v < r.nextVPID; v++ {
-		if p, ok := r.procs[v]; ok && p.Alive {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Info returns the record for a VPID, if registered.
-func (r *Registry) Info(vpid int) (*ProcInfo, bool) {
-	p, ok := r.procs[vpid]
-	return p, ok
 }

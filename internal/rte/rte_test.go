@@ -93,62 +93,30 @@ func TestPublishLookupBlocksUntilAvailable(t *testing.T) {
 	}
 }
 
+// TestLookupVPID: rank→VPID resolution as connection setup does it — a
+// process publishes its VPID, and a peer's LookupEach blocks until it has.
 func TestLookupVPID(t *testing.T) {
 	k := simtime.NewKernel()
 	r := NewRegistry(k, 0)
-	var resolved int
+	resolved := -1
 	spawnThread(k, "n0", func(th *simtime.Thread) {
 		h := r.Join(th, "a", 0, 0)
-		resolved = h.LookupVPID(th, "b")
-	})
-	spawnThread(k, "n1", func(th *simtime.Thread) {
-		th.Proc().Sleep(simtime.Microsecond)
-		r.Join(th, "b", 1, 0)
-	})
-	k.Run()
-	if resolved != 1 {
-		t.Fatalf("LookupVPID = %d, want 1", resolved)
-	}
-}
-
-func TestOOBMessaging(t *testing.T) {
-	k := simtime.NewKernel()
-	r := NewRegistry(k, simtime.Micros(50))
-	var got OOBMsg
-	var at simtime.Time
-	spawnThread(k, "n0", func(th *simtime.Thread) {
-		h := r.Join(th, "a", 0, 0)
-		peer := h.LookupVPID(th, "b")
-		if err := h.SendOOB(th, peer, "hello", 42); err != nil {
+		if err := h.LookupEach(th, "vpid", 1, func(int) string { return "b" }, func(_ int, v []byte) error {
+			resolved = int(v[0])
+			return nil
+		}); err != nil {
 			t.Error(err)
 		}
 	})
 	spawnThread(k, "n1", func(th *simtime.Thread) {
+		th.Proc().Sleep(simtime.Microsecond)
 		h := r.Join(th, "b", 1, 0)
-		got = h.RecvOOB(th)
-		at = th.Now()
+		h.Publish(th, "vpid", []byte{byte(h.VPID())})
 	})
 	k.Run()
-	if got.Tag != "hello" || got.Payload.(int) != 42 || got.From != 0 {
-		t.Fatalf("got %+v", got)
+	if resolved != 1 {
+		t.Fatalf("looked up VPID %d, want 1", resolved)
 	}
-	if at < simtime.Time(simtime.Micros(100)) {
-		t.Fatalf("OOB delivered at %v, too fast for two 50us hops", at)
-	}
-}
-
-func TestOOBToDeadProcessErrors(t *testing.T) {
-	k := simtime.NewKernel()
-	r := NewRegistry(k, 0)
-	spawnThread(k, "n0", func(th *simtime.Thread) {
-		h := r.Join(th, "a", 0, 0)
-		b := r.Join(th, "b-ghost", 1, 0)
-		b.Leave(th)
-		if err := h.SendOOB(th, b.VPID(), "x", nil); err == nil {
-			t.Error("send to departed process succeeded")
-		}
-	})
-	k.Run()
 }
 
 func TestRendezvous(t *testing.T) {
@@ -196,14 +164,12 @@ func TestAliveOrderAndContextAllocation(t *testing.T) {
 	spawnThread(k, "n0", func(th *simtime.Thread) {
 		a := r.Join(th, "a", 0, 0)
 		r.Join(th, "b", 1, 0)
-		c := r.Join(th, "c", 2, 0)
+		r.Join(th, "c", 2, 0)
 		a.Leave(th)
-		alive := r.Alive()
-		if len(alive) != 2 || alive[0] != 1 || alive[1] != 2 {
-			t.Errorf("alive = %v", alive)
-		}
-		if p, ok := r.Info(c.VPID()); !ok || p.Name != "c" {
-			t.Error("Info lookup failed")
+		for v, want := range []bool{false, true, true} {
+			if port, _, ok := r.Resolve(v); ok != want || ok && port != v {
+				t.Errorf("VPID %d resolves to port %d, %v; want port %d, %v", v, port, ok, v, want)
+			}
 		}
 	})
 	k.Run()

@@ -14,7 +14,6 @@ type Host struct {
 	sc   Sched
 	name string
 	cpus *Semaphore
-	ncpu int
 
 	busy     Duration // accumulated CPU-occupied time, across all CPUs
 	spawnSeq int
@@ -32,14 +31,8 @@ func NewHostSched(sc Sched, name string, ncpu int) *Host {
 	if ncpu < 1 {
 		panic("simtime: host needs at least one CPU")
 	}
-	return &Host{k: sc.k, sc: sc, name: name, cpus: NewSemaphore(ncpu), ncpu: ncpu}
+	return &Host{k: sc.k, sc: sc, name: name, cpus: NewSemaphore(ncpu)}
 }
-
-// Name returns the host name.
-func (h *Host) Name() string { return h.name }
-
-// NumCPU returns the number of processors.
-func (h *Host) NumCPU() int { return h.ncpu }
 
 // Kernel returns the owning kernel.
 func (h *Host) Kernel() *Kernel { return h.k }

@@ -169,9 +169,6 @@ func (p *Proc) readyAt(d Duration, why string) {
 	p.k.wakeAt(d, p, why)
 }
 
-// Kernel returns the kernel this proc belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
@@ -198,7 +195,3 @@ func (p *Proc) Sleep(d Duration) {
 		p.park()
 	}
 }
-
-// Yield lets other work scheduled at this instant run, then continues; it
-// yields only if other work is due now. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }

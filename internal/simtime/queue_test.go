@@ -29,7 +29,7 @@ func queueOpTime(now Time, arg byte) Time {
 // pop and peek return that event, firm counts the non-cancelable ones and
 // procs the proc events. Ops: push a callback, push a proc wake, push a
 // cancelable callback, pop, peek, advance the clock without a
-// pop (as RunUntil and in-place wakes do; never past the next event),
+// pop (as in-place wakes do; never past the next event),
 // clear, mark, push under the mark. Pushes take increasing seqs, 1024
 // apart; a push under the mark takes one just above the seq current at
 // the latest mark, below every push since — as a commit replayed at an
@@ -181,13 +181,15 @@ func TestQueueAllocatesNothingAcrossNewPowersOfTwo(t *testing.T) {
 			k.After(50, "tick", tick)
 		}
 	}
-	power := 34
-	cross := func() {
-		k.RunUntil(Time(1)<<power - 1000)
+	start := func() {
 		left = chains * links
 		for i := 0; i < chains; i++ {
 			k.After(Duration(i+1), "tick", tick)
 		}
+	}
+	power := 34
+	cross := func() {
+		k.At(Time(1)<<power-1000, "start", start)
 		k.Run()
 		power++
 	}
@@ -195,7 +197,7 @@ func TestQueueAllocatesNothingAcrossNewPowersOfTwo(t *testing.T) {
 	if n := testing.AllocsPerRun(5, cross); n != 0 {
 		t.Fatalf("%v allocations per run of timer chains across 2^%d", n, power-1)
 	}
-	if steps := k.Steps(); steps != 7*(chains+chains*links) {
-		t.Fatalf("%d steps, want %d", steps, 7*(chains+chains*links))
+	if steps := k.Steps(); steps != 7*(1+chains+chains*links) {
+		t.Fatalf("%d steps, want %d", steps, 7*(1+chains+chains*links))
 	}
 }

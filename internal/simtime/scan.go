@@ -103,7 +103,7 @@ func (sc *scanner) next(p *Proc) bool {
 		}
 		sc.i++
 		sc.checked = false
-		if t := k.curNow.Add(sc.d); k.sequentialAt(t) && k.takeNextWake(p, t) {
+		if k.sequential() && k.takeNextWake(p, k.curNow.Add(sc.d)) {
 			continue
 		}
 		p.readyAt(sc.d, "sleep")

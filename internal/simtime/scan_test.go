@@ -113,7 +113,8 @@ func TestScanCheckPanicIsProcPanic(t *testing.T) {
 }
 
 // TestCloseUnwindsParkedScanner: Close unwinds a scanner parked in one of
-// its sleeps, running its deferred functions, and leaks no goroutine.
+// its sleeps, here left there by another proc's panic, running its
+// deferred functions, and leaks no goroutine.
 func TestCloseUnwindsParkedScanner(t *testing.T) {
 	before := steadyGoroutines()
 	k := NewKernel()
@@ -124,13 +125,22 @@ func TestCloseUnwindsParkedScanner(t *testing.T) {
 		after = true
 	})
 	k.Spawn("other", func(p *Proc) {
-		for range 4 {
+		for range 2 {
 			p.Sleep(Microsecond)
 		}
+		p.Sleep(Microsecond / 2)
+		panic("other")
 	})
-	k.RunUntil(Time(2*Microsecond + Microsecond/2))
-	if k.WakesScanned() != 2 || fmt.Sprint(k.Stalled()) != "[other scanner]" {
-		t.Fatalf("at 2.5us: %d wakes scanned, stalled %v; want 2 and both parked", k.WakesScanned(), k.Stalled())
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run()
+	}()
+	if pp, ok := got.(*ProcPanic); !ok || pp.Proc != "other" || pp.At != Time(2*Microsecond+Microsecond/2) {
+		t.Fatalf("Run panicked with %v, want the other proc's ProcPanic at 2.5us", got)
+	}
+	if k.WakesScanned() != 2 || fmt.Sprint(k.Stalled()) != "[scanner]" {
+		t.Fatalf("at 2.5us: %d wakes scanned, stalled %v; want 2 and the scanner parked", k.WakesScanned(), k.Stalled())
 	}
 	k.Close()
 	if !unwound || after {

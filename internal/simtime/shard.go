@@ -48,12 +48,6 @@ type Sched struct {
 // SchedFor returns the scheduling context of entity e.
 func (k *Kernel) SchedFor(e Entity) Sched { return Sched{k: k, ent: e} }
 
-// Kernel returns the underlying kernel.
-func (s Sched) Kernel() *Kernel { return s.k }
-
-// Entity returns the bound entity.
-func (s Sched) Entity() Entity { return s.ent }
-
 // Now returns the entity's current virtual time: inside a parallel epoch
 // the owning shard's clock, in coordinator phases the universal clock of
 // the event being executed.
@@ -152,8 +146,8 @@ type shard struct {
 	// cross-shard wake check.
 	executing atomic.Bool
 
-	// stopPhase asks the worker loop to stop after the current event:
-	// either Stop() or a proc awaiting the sequential phase.
+	// stopPhase asks the worker loop to stop after the current event: a
+	// proc awaits the sequential phase.
 	stopPhase bool
 	awaiting  *Proc // proc parked in AwaitSequential, woken at phase switch
 	// panicked holds a proc panic raised inside the shard's drain until the
@@ -190,16 +184,6 @@ func (k *Kernel) Shard(plan ShardPlan) {
 // Sharded returns the number of worker shards: 0 when every entity lives
 // on the coordinator.
 func (k *Kernel) Sharded() int { return len(k.shards) - 1 }
-
-// ShardSteps returns per-shard executed event counts (index 0 is the
-// coordinator).
-func (k *Kernel) ShardSteps() []int64 {
-	out := make([]int64, len(k.shards))
-	for i, s := range k.shards {
-		out[i] = s.steps
-	}
-	return out
-}
 
 // EnableParallel asks the engine to start running worker epochs
 // concurrently. It takes effect at the next scheduling boundary; a kernel
@@ -313,46 +297,34 @@ func (k *Kernel) schedule(ent Entity, t Time, name string, fn func(), p *Proc, k
 
 // run is the engine's main loop: coordinator-only sequential execution,
 // alternating with conservative parallel epochs once workers exist and
-// EnableParallel has been called. until < 0 means no bound.
-func (k *Kernel) run(until Time) int64 {
+// EnableParallel has been called.
+func (k *Kernel) run() int64 {
 	if k.running {
 		panic("simtime: Kernel.Run is not reentrant")
 	}
 	k.running = true
-	k.until = until
-	k.stop.Store(false)
 	defer func() { k.running = false }()
 
 	var n int64
 	aside := k.aside // events run outside this loop count as the events they are
-	for !k.stop.Load() {
+	for {
 		if k.parallel != k.wantParallel.Load() {
 			k.switchPhase()
 		}
 		if k.parallel {
-			ran, done := k.epoch(until)
+			ran, done := k.epoch()
 			n += ran
 			if done {
 				break
 			}
 			continue
 		}
-		s := k.minShard(until)
+		s := k.minShard()
 		if s == nil {
 			break
 		}
 		n++
 		k.exec(s)
-	}
-	if !k.stop.Load() && until >= 0 {
-		for _, s := range k.shards {
-			if s.now < until {
-				s.now = until
-			}
-		}
-		if k.curNow < until {
-			k.curNow = until
-		}
 	}
 	if t := k.maxNow(); t > k.globalNow {
 		k.globalNow = t
@@ -362,9 +334,9 @@ func (k *Kernel) run(until Time) int64 {
 
 // minShard returns the shard holding the globally minimal event of the
 // sequential phase — (time, global schedule sequence) order — or nil when
-// nothing is left to run: no event, none within the until bound, or only
-// cancel-on-idle ones, which it drops.
-func (k *Kernel) minShard(until Time) *shard {
+// nothing is left to run: no event, or only cancel-on-idle ones, which it
+// drops.
+func (k *Kernel) minShard() *shard {
 	var best *shard
 	var top *event
 	for _, s := range k.shards {
@@ -373,9 +345,6 @@ func (k *Kernel) minShard(until Time) *shard {
 		}
 	}
 	if best == nil {
-		return nil
-	}
-	if until >= 0 && top.at > until {
 		return nil
 	}
 	if top.kind == kindCancelable && k.onlyCancelable() {
@@ -446,29 +415,22 @@ func (k *Kernel) exec(s *shard) {
 }
 
 // wakeInPlace runs the wake of p's Sleep(d) with no switch when the run
-// loop would run it before any proc: no worker shards, inside Run and not
-// stopping, the wake at t = now+d within the RunUntil bound, p running with
-// no wake pending. If nothing is queued at or before t (one queued at t has
-// the smaller seq), it pushes nothing. Otherwise, when no proc event is
-// queued, it pushes the wake and drains: with p parked, it runs the least
-// event through exec while that is a plain callback, and takes the wake
-// once it is the least. A callback's panic leaves p parked and is re-raised
-// raw by exec. It returns false, the wake pushed, when p must park.
+// loop would run it before any proc: no worker shards, inside Run, p
+// running with no wake pending. If nothing is queued at or before the wake
+// at t = now+d (one queued at t has the smaller seq), it pushes nothing.
+// Otherwise, when no proc event is queued, it pushes the wake and drains:
+// with p parked, it runs the least event through exec while that is a
+// plain callback, and takes the wake once it is the least. A callback's
+// panic leaves p parked and is re-raised raw by exec. It returns false,
+// the wake pushed, when p must park.
 func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
-	s := k.shards[0]
 	t := k.curNow.Add(d)
-	eligible := k.sequentialAt(t) && p.state == procRunning && !p.wakePending
-	if eligible {
-		// takeNextWake, spelled out: the call cost BenchmarkSleepInPlace
-		// about 1 ns of 13 and BenchmarkSleepDrained about 6 of 110.
-		if top := s.queue.peek(); top == nil || top.at > t {
-			k.gseq++
-			k.inPlace++
-			k.takeWake(s, t, p)
-			return true
-		}
+	eligible := k.sequential() && p.state == procRunning && !p.wakePending
+	if eligible && k.takeNextWake(p, t) {
+		return true
 	}
 	p.readyAt(d, "sleep")
+	s := k.shards[0]
 	if !eligible || s.queue.procs() != 1 { // or another proc's event is queued
 		return false
 	}
@@ -479,7 +441,7 @@ func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
 			k.raw = r
 		}
 	}()
-	for !k.stop.Load() {
+	for {
 		if top := s.queue.peek(); top.proc == p {
 			var e event
 			s.queue.pop(&e)
@@ -496,12 +458,9 @@ func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
 	return false
 }
 
-// sequentialAt reports whether a sleep wake at t may be taken outside the
-// run loop: no worker shards, inside Run and not stopping, t within the
-// RunUntil bound.
-func (k *Kernel) sequentialAt(t Time) bool {
-	return len(k.shards) == 1 && k.running && !k.stop.Load() && (k.until < 0 || t <= k.until)
-}
+// sequential reports whether a sleep wake may be taken outside the run
+// loop: no worker shards, inside Run.
+func (k *Kernel) sequential() bool { return len(k.shards) == 1 && k.running }
 
 // takeNextWake takes p's sleep wake at t with no push, and reports true,
 // when nothing is queued at or before t (one queued at t has the smaller
@@ -557,7 +516,7 @@ func (k *Kernel) switchPhase() {
 // the first non-empty one on the coordinator's goroutine, each other one
 // on its persistent worker — then the barrier merge. It returns the events
 // executed and whether the simulation has drained.
-func (k *Kernel) epoch(until Time) (int64, bool) {
+func (k *Kernel) epoch() (int64, bool) {
 	var n int64
 	// Coordinator-first: run global events due before any worker work.
 	c := k.shards[0]
@@ -575,12 +534,6 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 			}
 			break
 		}
-		if until >= 0 && top.at > until {
-			if !any {
-				return n, true
-			}
-			break
-		}
 		if any && top.at > wnext {
 			break
 		}
@@ -590,7 +543,7 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 		}
 		n++
 		k.exec(c)
-		if k.stop.Load() || k.parallel != k.wantParallel.Load() {
+		if k.parallel != k.wantParallel.Load() {
 			return n, false
 		}
 	}
@@ -601,9 +554,6 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 	bound := wnext.Add(k.plan.Lookahead)
 	if top := c.queue.peek(); top != nil && top.at < bound {
 		bound = top.at
-	}
-	if until >= 0 && bound > until.Add(1) {
-		bound = until.Add(1)
 	}
 	// Drain worker queues concurrently inside [*, bound): the coordinator
 	// takes the first non-empty worker shard itself, a persistent worker
@@ -643,11 +593,6 @@ func (k *Kernel) epoch(until Time) (int64, bool) {
 	k.stats.Epochs++
 	k.stats.Events += ran
 	k.stats.Commits += int64(merged)
-	if n == 0 && merged == 0 {
-		// No event inside the window and nothing exchanged: everything
-		// pending lies beyond the until bound.
-		return n, true
-	}
 	// Reserve the strided sequence range the workers consumed.
 	var maxL int64
 	for _, s := range k.shards[1:] {
@@ -678,7 +623,7 @@ func (k *Kernel) drain(s *shard, bound Time) (n int64) {
 			s.panicked = pp
 		}
 	}()
-	for !s.stopPhase && !k.stop.Load() {
+	for !s.stopPhase {
 		if top := s.queue.peek(); top == nil || top.at >= bound {
 			break
 		}

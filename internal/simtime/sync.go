@@ -120,9 +120,6 @@ type Chan[T any] struct {
 // NewChan returns an empty queue.
 func NewChan[T any]() *Chan[T] { return &Chan[T]{} }
 
-// Len returns the number of queued items.
-func (c *Chan[T]) Len() int { return c.items.Len() }
-
 // Send enqueues v and wakes one waiting receiver, FIFO.
 func (c *Chan[T]) Send(v T) {
 	c.items.Push(v)

@@ -34,11 +34,6 @@ func Micros(us float64) Duration {
 	return Duration(us * float64(Microsecond))
 }
 
-// Nanos constructs a Duration from a floating-point number of nanoseconds.
-func Nanos(ns float64) Duration {
-	return Duration(ns * float64(Nanosecond))
-}
-
 // Micros reports the duration as a floating-point number of microseconds.
 func (d Duration) Micros() float64 {
 	return float64(d) / float64(Microsecond)

@@ -10,10 +10,19 @@ import (
 	"qsmpi/internal/elan4"
 	"qsmpi/internal/fabric"
 	"qsmpi/internal/model"
+	"qsmpi/internal/ptl"
 	"qsmpi/internal/simtime"
 	"qsmpi/internal/simtime/rectest"
 	"qsmpi/internal/trace"
 )
+
+// TestHeaderIsHalfOpenMPIs: MPICH-QsNetII's header is half of Open MPI's
+// (§6.5).
+func TestHeaderIsHalfOpenMPIs(t *testing.T) {
+	if headerBytes*2 != ptl.HeaderSize {
+		t.Errorf("header sizes: tport %d, ompi %d", headerBytes, ptl.HeaderSize)
+	}
+}
 
 // A pull used to cost, per 2016-byte chunk, a staging copy, a boxed dataPkt,
 // two closures and a placement timer. It is now one pullStream both NICs

@@ -37,19 +37,19 @@ const headerBytes = 32
 
 // Wire message types (consumed by NIC firmware).
 type eagerPkt struct {
-	srcRank, dstRank int
-	tag              int
-	data             []byte
-	sendID           uint64
-	srcPort          int
+	srcRank int
+	tag     int
+	data    []byte
+	sendID  uint64
+	srcPort int
 }
 
 type rndvPkt struct {
-	srcRank, dstRank int
-	tag              int
-	n                int
-	sendID           uint64
-	srcPort          int
+	srcRank int
+	tag     int
+	n       int
+	sendID  uint64
+	srcPort int
 }
 
 type pullPkt struct {
@@ -97,9 +97,6 @@ func (h *SendHandle) Wait(th *simtime.Thread) {
 	th.Compute(h.ep.cfg.HostEventPoll)
 }
 
-// Done reports completion.
-func (h *SendHandle) Done() bool { return h.done.Value() > 0 }
-
 // RecvHandle tracks one posted receive.
 type RecvHandle struct {
 	ep       *Endpoint
@@ -123,9 +120,6 @@ func (h *RecvHandle) Wait(th *simtime.Thread) {
 	h.done.WaitFor(th.Proc(), 1)
 	th.Compute(h.ep.cfg.HostEventPoll)
 }
-
-// Done reports completion.
-func (h *RecvHandle) Done() bool { return h.done.Value() > 0 }
 
 // Stats counts NIC-side tport activity.
 type Stats struct {
@@ -237,7 +231,7 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 			simtime.BytesAt(len(data), e.cfg.PIOBandwidth))
 		cp := make([]byte, len(data))
 		copy(cp, data)
-		pkt := &eagerPkt{srcRank: e.rank, dstRank: dst, tag: tag, data: cp, sendID: id, srcPort: e.nic.Port()}
+		pkt := &eagerPkt{srcRank: e.rank, tag: tag, data: cp, sendID: id, srcPort: e.nic.Port()}
 		e.nicSendAfterDispatch(dst, headerBytes+len(data), pkt)
 		e.stats.EagerTx++
 		// Buffered: locally complete.
@@ -249,7 +243,7 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 	// needs the buffer until the receiver's pull is done.
 	e.sends[id] = &sendState{h: h, data: data, dst: dst}
 	th.Compute(e.cfg.TportHostCost + e.cfg.CmdIssue)
-	pkt := &rndvPkt{srcRank: e.rank, dstRank: dst, tag: tag, n: len(data), sendID: id, srcPort: e.nic.Port()}
+	pkt := &rndvPkt{srcRank: e.rank, tag: tag, n: len(data), sendID: id, srcPort: e.nic.Port()}
 	e.nicSendAfterDispatch(dst, headerBytes, pkt)
 	e.stats.RndvTx++
 	return h

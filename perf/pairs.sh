@@ -7,7 +7,10 @@
 #
 # <workloads> is one name of BENCHMARK.json or several, space- or
 # comma-separated. The parent is checked out in a git worktree under a
-# temporary directory, removed on exit. Pair i runs `bash bench/run.sh
+# temporary directory, or in a clone there where a worktree cannot be
+# added, removed on exit. The change is recorded as HEAD, marked +dirty
+# when a tracked file other than perf/trajectory.jsonl differs from it.
+# Pair i runs `bash bench/run.sh
 # -workload W -seed S` once in each tree, each in a fresh process, the
 # parent first in odd pairs and the change first in even ones. The script
 # reads only what run.sh prints: the `sim_digest` line and the JSON object
@@ -41,10 +44,15 @@ for w in "${workloads[@]}"; do
 done
 
 change="$(git rev-parse HEAD)"
-[ -z "$(git status --porcelain --untracked-files=no)" ] || change="$change+dirty"
+[ -z "$(git status --porcelain --untracked-files=no -- . ':!perf/trajectory.jsonl')" ] || change="$change+dirty"
 scratch="$(mktemp -d)"
 trap 'git worktree remove --force "$scratch/parent" >/dev/null 2>&1 || true; rm -rf "$scratch"' EXIT
-git worktree add --quiet --detach "$scratch/parent" "$parent"
+if ! git worktree add --quiet --detach "$scratch/parent" "$parent" 2>"$scratch/stderr"; then
+	echo "pairs: no worktree ($(head -n 1 "$scratch/stderr")); cloning the parent instead" >&2
+	rm -rf "$scratch/parent"
+	git clone --quiet --shared --no-checkout "$root" "$scratch/parent"
+	git -C "$scratch/parent" checkout --quiet --detach "$parent"
+fi
 traj="$root/perf/trajectory.jsonl"
 ncpu="$(getconf _NPROCESSORS_ONLN)"
 gover="$(go env GOVERSION)"
