@@ -128,9 +128,9 @@ func (k *Kernel) drainBeside(s *shard, bound Time, released []*worker) (n int64)
 	return k.drain(s, bound)
 }
 
-// stopWorkers ends every worker goroutine and waits until each has
+// quitWorkers ends every worker goroutine and waits until each has
 // acknowledged; Close calls it.
-func (k *Kernel) stopWorkers() {
+func (k *Kernel) quitWorkers() {
 	for _, w := range k.workers {
 		if w != nil {
 			w.quit = true
