@@ -223,9 +223,9 @@ func TestProcessRestart(t *testing.T) {
 	o := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	c := cluster.New(cluster.Spec{Elan: &o, Progress: pml.Polling, Nodes: 3}, 2)
 	var got []byte
-	// The announcements ride a channel of the test's own, as they would
-	// ride the job's launcher.
-	announce := simtime.NewChan[string]()
+	// The announcements are signals of the test's own, as they would ride
+	// the job's launcher.
+	leaving, restarted := simtime.NewSignal(), simtime.NewSignal()
 	c.Launch(func(p *cluster.Proc) {
 		dt := datatype.Contiguous(1024)
 		switch p.Rank {
@@ -234,14 +234,10 @@ func TestProcessRestart(t *testing.T) {
 			buf := make([]byte, 1024)
 			p.Stack.Recv(p.Th, 1, 1, 0, buf, dt).Wait(p.Th)
 			// Rank 1 announces its departure, then leaves.
-			if msg := announce.Recv(p.Th.Proc()); msg != "leaving" {
-				t.Errorf("unexpected announcement %q", msg)
-			}
+			leaving.Wait(p.Th.Proc())
 			p.Stack.DelPeer(p.Th, 1)
 			// Phase 2: the replacement announces itself; reconnect.
-			if msg := announce.Recv(p.Th.Proc()); msg != "restarted" {
-				t.Errorf("unexpected announcement %q", msg)
-			}
+			restarted.Wait(p.Th.Proc())
 			// Rank 1's SpawnExtra below renamed it job0.rank1-gen2.
 			c.ConnectPeers(p, []int{1})
 			got = make([]byte, 1024)
@@ -252,12 +248,12 @@ func TestProcessRestart(t *testing.T) {
 				buf[i] = 1
 			}
 			p.Stack.Send(p.Th, 0, 1, 0, buf, dt).Wait(p.Th)
-			announce.Send("leaving")
+			leaving.Fire()
 			p.Finalize()
 			// The replacement process (simulating restart on node 2).
 			c.SpawnExtra(1, 2, "job0.rank1-gen2", func(np *cluster.Proc) {
 				c.ConnectPeers(np, []int{0})
-				announce.Send("restarted")
+				restarted.Fire()
 				nbuf := make([]byte, 1024)
 				for i := range nbuf {
 					nbuf[i] = 2

@@ -128,8 +128,6 @@ type Config struct {
 	TportNICMatch simtime.Duration
 	// TportHostCost is the baseline's thin host-side per-message cost.
 	TportHostCost simtime.Duration
-	// TportEagerLimit is the baseline's eager threshold.
-	TportEagerLimit int
 
 	// ---- TCP/IP PTL baseline ----
 
@@ -191,9 +189,8 @@ func Default() Config {
 		PMLScheduleCost: simtime.Micros(0.10),
 		DatatypeSetup:   simtime.Micros(0.40),
 
-		TportNICMatch:   simtime.Micros(0.10),
-		TportHostCost:   simtime.Micros(0.25),
-		TportEagerLimit: 32 * 1024,
+		TportNICMatch: simtime.Micros(0.10),
+		TportHostCost: simtime.Micros(0.25),
 
 		TCPSyscall:       simtime.Micros(3.0),
 		TCPStackCost:     simtime.Micros(8.0),

@@ -365,17 +365,15 @@ func TestDynamicJoin(t *testing.T) {
 	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	c := cluster.New(cluster.Spec{Elan: &opts, Progress: pml.Polling, Nodes: 3}, 2)
 	got := make([]byte, 4096)
-	// The announcement rides a channel of the test's own, as it would ride
-	// the job's launcher.
-	announce := simtime.NewChan[string]()
+	// The announcement is a signal of the test's own, as it would ride the
+	// job's launcher.
+	joined := simtime.NewSignal()
 	c.Launch(func(p *cluster.Proc) {
 		dt := datatype.Contiguous(4096)
 		if p.Rank == 0 {
 			// Accept the late joiner: wait for its announcement, connect,
 			// then receive from it.
-			if msg := announce.Recv(p.Th.Proc()); msg != "join" {
-				t.Errorf("unexpected announcement %q", msg)
-			}
+			joined.Wait(p.Th.Proc())
 			c.ConnectPeers(p, []int{2})
 			p.Stack.Recv(p.Th, 2, 5, 0, got, dt).Wait(p.Th)
 		}
@@ -384,7 +382,7 @@ func TestDynamicJoin(t *testing.T) {
 		dt := datatype.Contiguous(4096)
 		// Connect to rank 0 and announce.
 		c.ConnectPeers(p, []int{0})
-		announce.Send("join")
+		joined.Fire()
 		p.Stack.Send(p.Th, 0, 5, 0, pattern(4096, 42), dt).Wait(p.Th)
 		p.Finalize()
 	})

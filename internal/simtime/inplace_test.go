@@ -136,9 +136,9 @@ func TestMisusedSleepStillPanics(t *testing.T) {
 	}
 }
 
-// The drain, Kernel.wakeInPlace's second case: a sleeper with only timer
-// callbacks due before its wake runs them itself, then takes the wake
-// without a switch; at anything else it parks. Each test checks, through
+// The drain, Kernel.wakeInPlace's other outcome (runBefore): a sleeper
+// with only timer callbacks due before its wake runs them itself, then
+// takes the wake without a switch; at anything else it parks. Each test checks, through
 // WakesDrained, which path it expects; the orders and counts are the run
 // loop's.
 

@@ -138,7 +138,7 @@ func (q *eventQueue) link(b int, i int32) {
 	}
 	q.slab[q.tail[b]].next = i
 	q.tail[b] = i
-	if eventBefore(e, &q.slab[q.lo[b]]) {
+	if lo := &q.slab[q.lo[b]]; e.before(lo.at, lo.seq) {
 		q.lo[b] = i
 	}
 }
@@ -218,7 +218,7 @@ type Kernel struct {
 	rng     *rand.Rand
 	tracer  func(t Time, what string)
 	closed  bool
-	// inPlace and drained count Proc.Sleep's wakes run with no switch, and
+	// inPlace and drained count the sleep wakes taken with no switch, and
 	// aside every event run outside the run loop (wakeInPlace), for Run's
 	// return; raw is a drained callback's panic, for exec to re-raise.
 	inPlace, drained, aside int64
@@ -266,7 +266,7 @@ func (k *Kernel) Now() Time { return k.globalNow }
 func (k *Kernel) Steps() int64 { return k.steps }
 
 // WakesInPlace returns how many of the Steps were sleep wakes that ran
-// without a switch and without a push (Proc.Sleep).
+// without a switch and without a push, nothing being due before them.
 func (k *Kernel) WakesInPlace() int64 { return k.inPlace }
 
 // WakesDrained returns how many of the Steps were sleep wakes that ran

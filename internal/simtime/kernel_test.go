@@ -161,30 +161,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestChanFIFOAndBlocking(t *testing.T) {
-	k := NewKernel()
-	ch := NewChan[int]()
-	var got []int
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			got = append(got, ch.Recv(p))
-		}
-	})
-	k.Spawn("send", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			p.Sleep(Microsecond)
-			ch.Send(i)
-		}
-	})
-	k.Run()
-	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
-		t.Fatalf("got %v", got)
-	}
-	if _, ok := ch.TryRecv(); ok {
-		t.Fatal("TryRecv on empty chan succeeded")
-	}
-}
-
 func TestSemaphoreFIFO(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(1)

@@ -74,7 +74,7 @@ func TestCloseUnwindsEverything(t *testing.T) {
 			sc := k.SchedFor(1)
 			sc.Spawn("finishes", body(func(p *Proc) {}))
 			sc.Spawn("deadlocked", body(func(p *Proc) { NewSignal().Wait(p) }))
-			sc.Spawn("daemon", body(func(p *Proc) { p.MarkDaemon(); NewChan[int]().Recv(p) }))
+			sc.Spawn("daemon", body(func(p *Proc) { p.MarkDaemon(); NewSignal().Wait(p) }))
 			sem := NewSemaphore(0)
 			sc.Spawn("releases-on-unwind", func(p *Proc) {
 				defer sem.Release() // wakes a proc that is itself being unwound
@@ -271,6 +271,8 @@ func startedWorkers(k *Kernel) []*worker {
 // TestEpochWorkersLiveUntilClose: a sharded kernel's epoch workers outlast
 // Run, parked, a second Run hands its epochs to them, and Close ends them —
 // the goroutine count comes back to its value before the kernel was built.
+// The second Run's workload is spawned between the Runs at each entity's
+// Sched.Now, which must not lag its worker shard's clock.
 func TestEpochWorkersLiveUntilClose(t *testing.T) {
 	before := steadyGoroutines()
 	k := newTestKernel(4)
@@ -285,9 +287,7 @@ func TestEpochWorkersLiveUntilClose(t *testing.T) {
 		t.Errorf("%d goroutines after Run with %d workers, want %d", n, len(ws), before+len(ws))
 	}
 	st := k.EpochStats()
-	for e := Entity(1); e <= swEntities; e++ {
-		k.SchedFor(e).At(k.Now().Add(Microsecond), "again", func() {})
-	}
+	synthSetup(k)
 	k.Run()
 	if again := startedWorkers(k); !slices.Equal(again, ws) {
 		t.Errorf("the second Run runs on %d epoch workers, not the first Run's %d", len(again), len(ws))
@@ -357,38 +357,5 @@ func TestQueueReleasesAndReuses(t *testing.T) {
 	}
 	if q.Len() != 3 || cap(q.items) > 16 {
 		t.Errorf("backing array of %d slots for %d live values", cap(q.items), q.Len())
-	}
-}
-
-// TestChanReleasesReceivedValues is the Chan-level view of the same fix.
-func TestChanReleasesReceivedValues(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	ch := NewChan[*int]()
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			ch.Recv(p)
-		}
-	})
-	k.Spawn("producer", func(p *Proc) {
-		ch.Send(new(int))
-		ch.Send(new(int))
-		p.Sleep(Microsecond)
-		ch.Send(new(int))
-	})
-	k.Run()
-	ch.Send(new(int))
-	if v, ok := ch.TryRecv(); !ok || v == nil {
-		t.Fatal("TryRecv lost a value")
-	}
-	for _, v := range ch.items.items[:cap(ch.items.items)] {
-		if v != nil {
-			t.Error("a received value is still reachable from the channel")
-		}
-	}
-	for _, p := range ch.waiters.items[:cap(ch.waiters.items)] {
-		if p != nil {
-			t.Error("a woken receiver is still reachable from the channel")
-		}
 	}
 }

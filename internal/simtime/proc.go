@@ -18,7 +18,7 @@ const (
 // Proc is a simulated process: a coroutine (iter.Pull) that runs in
 // lockstep with the kernel. A Proc runs until it blocks on a kernel
 // primitive (a Sleep with work due by its end that it cannot run itself, a
-// Signal, a Chan, a Semaphore, ...), at which point control switches to the
+// Signal, a Counter, a Semaphore, ...), at which point control switches to the
 // kernel's event loop — no channel, no pass through the Go scheduler — and
 // another event executes. At most one Proc (or timer callback) is ever
 // executing, so simulated code never needs synchronization of its own.
@@ -184,14 +184,17 @@ func (p *Proc) Sched() Sched { return p.k.SchedFor(p.ent) }
 // Sleep blocks the proc for d of virtual time. It yields only if work it
 // cannot run itself is due by then: when nothing is due before its own
 // wake, or only timer callbacks while no other proc's event is queued, it
-// runs those callbacks, the clock advances in place and the proc runs on.
-// Negative durations are treated as zero, which still yields to other
-// ready work at this instant.
+// runs those callbacks, the clock advances in place and the proc runs on
+// (Kernel.wakeInPlace). Negative durations are treated as zero, which
+// still yields to other ready work at this instant.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if !p.k.wakeInPlace(p, d) {
-		p.park()
+	if p.state != procRunning {
+		p.readyAt(d, "sleep") // panics at a pending wake, else park does
+	} else if p.k.wakeInPlace(p, d) {
+		return
 	}
+	p.park()
 }

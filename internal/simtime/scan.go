@@ -7,10 +7,10 @@ package simtime
 // loop on by itself for as long as the proc would only have paid the next
 // d: it evaluates the check at the wake, and while the check does not stop
 // the scan, more checks remain and no other thread waits for the host's
-// CPU, it ends the compute and starts the next one, and takes the next
-// sleep in place or pushes its wake, exactly where the proc would. Every
-// event, instant, sequence number and traced label is the loop's; only the
-// switches into the proc are gone.
+// CPU, it ends the compute and starts the next one, and sleeps by the rule
+// the proc's own sleep follows (Kernel.wakeInPlace). Every event, instant,
+// sequence number and traced label is the loop's; only the switches into
+// the proc are gone.
 
 // scanner is one proc's scan state, made by its first scan that parks. It
 // holds the loop while the proc is parked in one of its sleeps, and what
@@ -87,11 +87,10 @@ func (p *Proc) runScan(h *Host, d Duration, from, n int, stop func(int) bool) in
 // next continues p's scan at the wake of its sleep before check sc.i, as p
 // would, until p must run: at a check that stops the scan or panics, at the
 // last check, or when another thread waits for the host's CPU. Each further
-// sleep is taken in place when its wake would be the next event, and is
-// otherwise pushed, the same wake p would push. It reports whether p stays
-// parked; the wake is then counted as scanned.
+// sleep is p's own (Kernel.wakeInPlace). It reports whether p stays parked,
+// its next wake pushed; the wake it was called at is then counted as
+// scanned.
 func (sc *scanner) next(p *Proc) bool {
-	k := p.k
 	for {
 		if !sc.check() || sc.hit || sc.i+1 >= sc.n || sc.host != nil && len(sc.host.cpus.waiters) > 0 {
 			return false
@@ -103,12 +102,10 @@ func (sc *scanner) next(p *Proc) bool {
 		}
 		sc.i++
 		sc.checked = false
-		if k.sequential() && k.takeNextWake(p, k.curNow.Add(sc.d)) {
-			continue
+		if !p.k.wakeInPlace(p, sc.d) {
+			p.shard.scanned++
+			return true
 		}
-		p.readyAt(sc.d, "sleep")
-		p.shard.scanned++
-		return true
 	}
 }
 

@@ -164,3 +164,51 @@ func TestScanTakesNextWakesInPlace(t *testing.T) {
 			got, at, k.WakesScanned(), k.WakesInPlace(), k.Steps())
 	}
 }
+
+// TestScanSleepDrains: a scan's further sleeps follow the rule of the
+// proc's own. The scanner parks in its first sleep, beside the other
+// proc's start; the other proc arms a timer and returns. At the first
+// wake the kernel runs the scan on, and the sleep after check 0 has that
+// timer due before its wake and no proc queued, so the kernel runs the
+// timer itself and takes the wake with no push: a drained wake, where the
+// order, the steps and the end instant are the loop's spelled out.
+func TestScanSleepDrains(t *testing.T) {
+	run := func(scan bool) (log []string, k *Kernel) {
+		k = NewKernel()
+		defer k.Close()
+		note := func(what string) { log = append(log, what+"@"+k.Now().String()) }
+		stop := func(i int) bool {
+			note(fmt.Sprint("check ", i))
+			return false
+		}
+		k.Spawn("scanner", func(p *Proc) {
+			got := 0
+			if scan {
+				got = p.SleepScan(Microsecond, 0, 4, stop)
+			} else {
+				for got = 0; got < 4; got++ {
+					p.Sleep(Microsecond)
+					if stop(got) {
+						break
+					}
+				}
+			}
+			note(fmt.Sprint("returned ", got))
+		})
+		k.Spawn("other", func(*Proc) {
+			k.After(Microsecond+Microsecond/2, "timer", func() { note("timer") })
+		})
+		k.Run()
+		return log, k
+	}
+	want, loop := run(false)
+	got, k := run(true)
+	if fmt.Sprint(got) != fmt.Sprint(want) || k.Steps() != loop.Steps() || k.Now() != loop.Now() {
+		t.Errorf("scan: %v in %d steps to %v; the loop: %v in %d steps to %v",
+			got, k.Steps(), k.Now(), want, loop.Steps(), loop.Now())
+	}
+	if k.WakesDrained() != 1 || k.WakesScanned() != 0 || k.WakesInPlace() != 2 {
+		t.Errorf("%d wakes drained, %d scanned, %d in place; want 1, 0, 2",
+			k.WakesDrained(), k.WakesScanned(), k.WakesInPlace())
+	}
+}

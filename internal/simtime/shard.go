@@ -329,6 +329,7 @@ func (k *Kernel) run() int64 {
 	if t := k.maxNow(); t > k.globalNow {
 		k.globalNow = t
 	}
+	k.curNow = k.globalNow // what Sched.Now reads between Runs
 	return n + k.aside - aside
 }
 
@@ -340,7 +341,7 @@ func (k *Kernel) minShard() *shard {
 	var best *shard
 	var top *event
 	for _, s := range k.shards {
-		if e := s.queue.peek(); e != nil && (top == nil || eventBefore(e, top)) {
+		if e := s.queue.peek(); e != nil && (top == nil || e.before(top.at, top.seq)) {
 			best, top = s, e
 		}
 	}
@@ -354,12 +355,9 @@ func (k *Kernel) minShard() *shard {
 	return best
 }
 
-// eventBefore reports whether a orders before b under the (time, seq) key.
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before reports whether e orders before (t, seq): by time, then seq.
+func (e *event) before(t Time, seq int64) bool {
+	return e.at < t || e.at == t && e.seq < seq
 }
 
 // onlyCancelable reports whether every pending event anywhere is marked
@@ -414,71 +412,33 @@ func (k *Kernel) exec(s *shard) {
 	}
 }
 
-// wakeInPlace runs the wake of p's Sleep(d) with no switch when the run
-// loop would run it before any proc: no worker shards, inside Run, p
-// running with no wake pending. If nothing is queued at or before the wake
-// at t = now+d (one queued at t has the smaller seq), it pushes nothing.
-// Otherwise, when no proc event is queued, it pushes the wake and drains:
-// with p parked, it runs the least event through exec while that is a
-// plain callback, and takes the wake once it is the least. A callback's
-// panic leaves p parked and is re-raised raw by exec. It returns false,
-// the wake pushed, when p must park.
+// wakeInPlace is the one rule for a sleep of p for d (Proc.Sleep, runScan,
+// scanner.next): it reports whether p takes its wake with no switch.
+// Without worker shards, inside Run and with no wake of p pending, it
+// reserves the wake's seq where a push would take it, so the wake is at
+// (now+d, seq). While the least queued event is before the wake and is a
+// plain callback, and no proc event was queued before the first one ran,
+// p runs it (runBefore). Once nothing queued is before the wake, p takes
+// it as exec would: clocks, step, trace label. At anything else the wake
+// is pushed under its reserved seq and p must park.
 func (k *Kernel) wakeInPlace(p *Proc, d Duration) bool {
+	if len(k.shards) > 1 || !k.running || p.wakePending {
+		p.readyAt(d, "sleep")
+		return false
+	}
+	s := k.shards[0]
 	t := k.curNow.Add(d)
-	eligible := k.sequential() && p.state == procRunning && !p.wakePending
-	if eligible && k.takeNextWake(p, t) {
-		return true
-	}
-	p.readyAt(d, "sleep")
-	s := k.shards[0]
-	if !eligible || s.queue.procs() != 1 { // or another proc's event is queued
-		return false
-	}
-	p.state = procParked
-	defer func() {
-		p.state = procRunning
-		if r := recover(); r != nil {
-			k.raw = r
-		}
-	}()
-	for {
-		if top := s.queue.peek(); top.proc == p {
-			var e event
-			s.queue.pop(&e)
-			p.wakePending = false
-			k.drained++
-			k.takeWake(s, t, p)
-			return true
-		} else if top.kind != kindCall {
-			break // another proc's event, or a cancel-on-idle one
-		}
-		k.aside++
-		k.exec(s)
-	}
-	return false
-}
-
-// sequential reports whether a sleep wake may be taken outside the run
-// loop: no worker shards, inside Run.
-func (k *Kernel) sequential() bool { return len(k.shards) == 1 && k.running }
-
-// takeNextWake takes p's sleep wake at t with no push, and reports true,
-// when nothing is queued at or before t (one queued at t has the smaller
-// seq).
-func (k *Kernel) takeNextWake(p *Proc, t Time) bool {
-	s := k.shards[0]
-	if top := s.queue.peek(); top != nil && top.at <= t {
-		return false
-	}
 	k.gseq++
-	k.inPlace++
-	k.takeWake(s, t, p)
-	return true
-}
-
-// takeWake does for p's sleep wake at t what exec would have done, short of
-// the switch: it advances the clocks, counts the step and traces it.
-func (k *Kernel) takeWake(s *shard, t Time, p *Proc) {
+	seq := k.gseq
+	if top := s.queue.peek(); top == nil || !top.before(t, seq) {
+		k.inPlace++
+	} else if s.queue.procs() == 0 && k.runBefore(s, p, t, seq) {
+		k.drained++
+	} else {
+		p.wakePending = true
+		s.queue.push(event{at: t, seq: seq, name: "sleep", proc: p, kind: kindWake})
+		return false
+	}
 	s.now, k.curNow = t, t
 	if t > k.globalNow {
 		k.globalNow = t
@@ -490,6 +450,30 @@ func (k *Kernel) takeWake(s *shard, t Time, p *Proc) {
 	if k.tracer != nil {
 		k.tracer(t, "wake:"+p.name+":sleep")
 	}
+	return true
+}
+
+// runBefore runs the callbacks queued on s before (t, seq), p's wake,
+// through exec as the run loop would, with p marked parked and its wake
+// pending, and reports whether it got to the wake: false at a proc event,
+// a cancel-on-idle one or a callback's panic, which it leaves raw for exec.
+func (k *Kernel) runBefore(s *shard, p *Proc, t Time, seq int64) (took bool) {
+	state := p.state
+	p.state, p.wakePending = procParked, true
+	defer func() {
+		p.state, p.wakePending = state, false
+		if r := recover(); r != nil {
+			k.raw = r
+		}
+	}()
+	for top := s.queue.peek(); top != nil && top.before(t, seq); top = s.queue.peek() {
+		if top.kind != kindCall {
+			return false
+		}
+		k.aside++
+		k.exec(s)
+	}
+	return true
 }
 
 // switchPhase flips between sequential and parallel execution at a safe

@@ -126,7 +126,7 @@ func TestSequentialPhaseIsOneEngine(t *testing.T) {
 }
 
 // TestDeterminism is the core gate at the engine level. A workload of
-// global procs over a Chan and a Signal reproduces itself run for run and
+// global procs over a Counter and a Signal reproduces itself run for run and
 // at every worker count, and the synthetic workload's per-entity
 // observable history is identical with no workers and at 1 (a plan that
 // adds none), 2, 4 and 8 worker shards.
@@ -136,19 +136,17 @@ func TestDeterminism(t *testing.T) {
 		defer k.Close()
 		var log string
 		sig := NewSignal()
-		ch := NewChan[int]()
+		arrived := NewCounter()
 		for i := 0; i < 10; i++ {
 			k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
 				p.Sleep(Duration(i) * Microsecond)
-				ch.Send(i)
+				arrived.Add(1)
 				sig.Wait(p)
 				log += fmt.Sprintf("%d;", i)
 			})
 		}
 		k.Spawn("collector", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				ch.Recv(p)
-			}
+			arrived.WaitFor(p, 10)
 			sig.Fire()
 		})
 		k.EnableParallel()

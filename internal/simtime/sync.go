@@ -109,38 +109,6 @@ func (q *Queue[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// Chan is an unbounded FIFO queue of values with blocking receive. Sends
-// never block; this matches hardware queues whose backpressure we model
-// explicitly elsewhere (e.g. finite QDMA slot rings).
-type Chan[T any] struct {
-	items   Queue[T]
-	waiters Queue[*Proc]
-}
-
-// NewChan returns an empty queue.
-func NewChan[T any]() *Chan[T] { return &Chan[T]{} }
-
-// Send enqueues v and wakes one waiting receiver, FIFO.
-func (c *Chan[T]) Send(v T) {
-	c.items.Push(v)
-	if p, ok := c.waiters.Pop(); ok {
-		p.readyAt(0, "chan")
-	}
-}
-
-// Recv blocks p until an item is available and returns it.
-func (c *Chan[T]) Recv(p *Proc) T {
-	for c.items.Len() == 0 {
-		c.waiters.Push(p)
-		p.park()
-	}
-	v, _ := c.items.Pop()
-	return v
-}
-
-// TryRecv dequeues an item if one is available.
-func (c *Chan[T]) TryRecv() (T, bool) { return c.items.Pop() }
-
 // Semaphore is a counting semaphore with FIFO acquisition order. It models
 // contended resources: CPUs, DMA engines, bus and link arbiters.
 type Semaphore struct {

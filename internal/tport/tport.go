@@ -148,8 +148,9 @@ type Endpoint struct {
 	// default Quadrics libraries assume.
 	ports []int
 
-	eagerLimit int
-	chunk      int
+	// chunk is a pull's chunk, an MTU less the header, and the largest
+	// eager message: one that fits one packet.
+	chunk int
 
 	// NIC-resident state (mutated only in NIC event context).
 	posted     []*RecvHandle
@@ -174,15 +175,11 @@ type sendState struct {
 func New(k *simtime.Kernel, host *simtime.Host, nic *elan4.NIC, cfg model.Config, rank int, ports []int) *Endpoint {
 	e := &Endpoint{
 		k: k, sc: host.Sched(), host: host, nic: nic, cfg: cfg, rank: rank, ports: ports,
-		eagerLimit: cfg.MTU - headerBytes,
-		chunk:      cfg.MTU - headerBytes,
-		sends:      make(map[uint64]*sendState),
-		recvs:      make(map[uint64]*RecvHandle),
-		nextSend:   1,
-		nextRecv:   1,
-	}
-	if cfg.TportEagerLimit > 0 && cfg.TportEagerLimit < e.eagerLimit {
-		e.eagerLimit = cfg.TportEagerLimit
+		chunk:    cfg.MTU - headerBytes,
+		sends:    make(map[uint64]*sendState),
+		recvs:    make(map[uint64]*RecvHandle),
+		nextSend: 1,
+		nextRecv: 1,
 	}
 	nic.SetFirmware(e)
 	return e
@@ -193,7 +190,7 @@ func New(k *simtime.Kernel, host *simtime.Host, nic *elan4.NIC, cfg model.Config
 func (e *Endpoint) Rank() int { return e.rank }
 
 // EagerLimit returns the eager/rendezvous threshold.
-func (e *Endpoint) EagerLimit() int { return e.eagerLimit }
+func (e *Endpoint) EagerLimit() int { return e.chunk }
 
 // Stats returns a copy of the counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
@@ -225,7 +222,7 @@ func (e *Endpoint) Isend(th *simtime.Thread, dst, tag int, data []byte) *SendHan
 	e.nextSend++
 	e.trace(trace.SendPosted, id, dst, tag, len(data), e.tracer.MsgID(e.rank, id))
 
-	if len(data) <= e.eagerLimit {
+	if len(data) <= e.chunk {
 		// Host: thin per-message cost + descriptor + payload PIO.
 		th.Compute(e.cfg.TportHostCost + e.cfg.CmdIssue +
 			simtime.BytesAt(len(data), e.cfg.PIOBandwidth))
