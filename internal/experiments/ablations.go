@@ -39,7 +39,7 @@ func ablationMultirail(cfg Config) plot {
 		spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMAWrite), false, pml.Polling)
 		spec.ElanRails = rails
 		curves = append(curves, line(fmt.Sprintf("%d-rail", rails), func(n int) (float64, parsweep.Metrics) {
-			lat, _, m := cfg.openMPI(spec, n, cfg.itersFor(n), false)
+			lat, _, m := cfg.openMPI(spec, n, cfg.itersFor(n))
 			return toBW(n, lat), m
 		}))
 	}
@@ -56,7 +56,7 @@ func ablationFatTree(cfg Config) plot {
 		curves = append(curves, line(fmt.Sprintf("%dB", size), func(nodes int) (float64, parsweep.Metrics) {
 			spec := bestRead()
 			spec.Nodes, spec.Shards = nodes, cfg.Shards
-			lat, _, m := pingPongOn(cluster.New(spec, nodes), nodes-1, size, max(cfg.Iters/2, 10), cfg.Warmup, false)
+			lat, _, m := pingPongOn(cluster.New(spec, nodes), nodes-1, size, max(cfg.Iters/2, 10), cfg.Warmup)
 			return lat, m
 		}))
 	}

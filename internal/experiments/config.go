@@ -85,7 +85,7 @@ func fanOut[T any](c Config, n int, job func(i int) (T, parsweep.Metrics)) []T {
 }
 
 // curve is one simulation per x and the series it yields: usually one, two
-// where one simulation measures two things (Fig. 9's layered run, the
+// where one simulation measures two things (Fig. 9's PTL and PML costs, the
 // queue-depth ablation's retries and drain time).
 type curve struct {
 	names []string
@@ -134,7 +134,6 @@ type pingKind uint8
 
 const (
 	openMPIPing pingKind = iota
-	layeredPing          // Open MPI with the PML-layer cost measured
 	tportPing
 	qdmaPing
 )

@@ -84,37 +84,32 @@ func (r *Result) format(xhead, head, eol, x, cell string) string {
 // OpenMPIPingPong measures mean half-round-trip latency (µs) of the Open
 // MPI stack for one size under a spec.
 func OpenMPIPingPong(spec cluster.Spec, size, iters int) float64 {
-	lat, _, _ := Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters, false)
+	lat, _, _ := Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters)
 	return lat
 }
 
 // OpenMPILayered measures both the half-round-trip latency and the mean
 // PML-layer cost (§6.3) for one size.
 func OpenMPILayered(spec cluster.Spec, size, iters int) (total, pmlCost float64) {
-	total, pmlCost, _ = Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters, true)
+	total, pmlCost, _ = Config{Warmup: Warmup, Shards: spec.Shards}.openMPI(spec, size, iters)
 	return total, pmlCost
 }
 
 // openMPI is the Open MPI ping-pong under spec with the config's warmup and
-// shards, measuring the PML-layer cost too when layered is set, and
-// reporting the engine metrics.
-func (c Config) openMPI(spec cluster.Spec, size, iters int, layered bool) (lat, pmlCost float64, m parsweep.Metrics) {
+// shards: its latency, its PML-layer cost and the engine metrics.
+func (c Config) openMPI(spec cluster.Spec, size, iters int) (lat, pmlCost float64, m parsweep.Metrics) {
 	spec.Shards = c.Shards
-	kind := openMPIPing
-	if layered {
-		kind = layeredPing
-	}
-	k, ok := specKey(c.pingKey(kind, size, iters), spec)
+	k, ok := specKey(c.pingKey(openMPIPing, size, iters), spec)
 	return c.simulate(k, ok, func() (float64, float64, parsweep.Metrics) {
-		return pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup, layered)
+		return pingPongOn(cluster.New(spec, 2), 1, size, iters, c.Warmup)
 	})
 }
 
 // pingPongOn runs the ping-pong between rank 0 and rank peer of the fresh
 // cluster c to completion; the caller keeps c for whatever it reads off it
-// afterwards. Every other rank returns at once. With trace set the mean
-// PML-layer cost of the two ranks is measured too.
-func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int, trace bool) (lat, pmlCost float64, m parsweep.Metrics) {
+// afterwards. Every other rank returns at once. The mean PML-layer cost of
+// the two ranks is measured too: the layer trace only reads the clock.
+func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int) (lat, pmlCost float64, m parsweep.Metrics) {
 	var traces []*pml.LayerTrace
 	m = run(c, func(p *cluster.Proc) {
 		other := peer
@@ -123,10 +118,8 @@ func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int, trace bool) (
 		} else if p.Rank != 0 {
 			return
 		}
-		if trace {
-			p.Stack.Trace = &pml.LayerTrace{}
-			traces = append(traces, p.Stack.Trace)
-		}
+		p.Stack.Trace = &pml.LayerTrace{}
+		traces = append(traces, p.Stack.Trace)
 		dt := datatype.Contiguous(size)
 		buf := make([]byte, size)
 		scratch := make([]byte, size)

@@ -28,7 +28,7 @@ var (
 // ping-pong under spec at cfg.Iters.
 func (c Config) ping(name string, spec cluster.Spec) curve {
 	return line(name, func(n int) (float64, parsweep.Metrics) {
-		lat, _, m := c.openMPI(spec, n, c.Iters, false)
+		lat, _, m := c.openMPI(spec, n, c.Iters)
 		return lat, m
 	})
 }
@@ -79,15 +79,15 @@ func fig8(cfg Config, sizes []int) plot {
 
 // Fig9 reproduces "Analysis of Communication Overhead in Different
 // Layers": native QDMA latency, the PTL-layer latency and the PML-layer
-// cost, all per half round trip. The last two are one curve: one layered
-// simulation per size yields both.
+// cost, all per half round trip. The last two are one curve: one Open MPI
+// ping-pong per size yields both.
 func Fig9(cfg Config, sizes []int) *Result { return cfg.sweep(fig9(cfg, sizes)) }
 
 func fig9(cfg Config, sizes []int) plot {
 	return plot{"fig9", "Communication Overhead in Different Layers", "bytes", "latency us", sizes, []curve{
 		line("QDMA latency", func(n int) (float64, parsweep.Metrics) { return cfg.qdma(n, cfg.Iters) }),
 		{[]string{"PTL Latency", "PML Layer Cost"}, func(n int) ([]float64, parsweep.Metrics) {
-			total, pmlc, m := cfg.openMPI(bestRead(), n, cfg.Iters, true)
+			total, pmlc, m := cfg.openMPI(bestRead(), n, cfg.Iters)
 			return []float64{total - pmlc, pmlc}, m
 		}}}}
 }
@@ -126,7 +126,7 @@ func fig10(cfg Config, sizes []int, panel string, bandwidth bool) plot {
 	openmpi := func(name string, scheme ptlelan4.Scheme) curve {
 		spec := elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling)
 		return line(name, func(n int) (float64, parsweep.Metrics) {
-			l, _, m := cfg.openMPI(spec, n, cfg.itersFor(n), false)
+			l, _, m := cfg.openMPI(spec, n, cfg.itersFor(n))
 			return unit(n, l), m
 		})
 	}

@@ -48,7 +48,7 @@ func TestFig10HarnessReturnsRegistrations(t *testing.T) {
 	for _, scheme := range []ptlelan4.Scheme{ptlelan4.RDMARead, ptlelan4.RDMAWrite} {
 		for _, size := range []int{1024, 64 << 10} {
 			c := cluster.New(elanSpec(ptlelan4.BestOptions(scheme), false, pml.Polling), 2)
-			pingPongOn(c, 1, size, 50, Warmup, false)
+			pingPongOn(c, 1, size, 50, Warmup)
 			for _, p := range c.Procs() {
 				if n := p.State.Ctx.MMU().Regions(); n != 0 {
 					t.Errorf("%v, %d bytes: rank %d is left with %d registered regions", scheme, size, p.Rank, n)

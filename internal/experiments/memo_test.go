@@ -48,17 +48,14 @@ func TestMemoKeyCoversSpec(t *testing.T) {
 	}
 }
 
-// memoKinds are the four ping-pong harnesses the memo answers, each as a
+// memoKinds are the three ping-pong harnesses the memo answers, each as a
 // request under c; the Open MPI ones run under spec.
 var memoKinds = []struct {
 	name string
 	run  func(c Config, spec cluster.Spec, size, iters int) (float64, float64, parsweep.Metrics)
 }{
 	{"openmpi", func(c Config, spec cluster.Spec, size, iters int) (float64, float64, parsweep.Metrics) {
-		return c.openMPI(spec, size, iters, false)
-	}},
-	{"layered", func(c Config, spec cluster.Spec, size, iters int) (float64, float64, parsweep.Metrics) {
-		return c.openMPI(spec, size, iters, true)
+		return c.openMPI(spec, size, iters)
 	}},
 	{"tport", func(c Config, _ cluster.Spec, size, iters int) (float64, float64, parsweep.Metrics) {
 		lat, m := c.tport(size, iters)
@@ -107,10 +104,10 @@ func TestMemoPerConfig(t *testing.T) {
 	if a.WithIters(5).memo != a.memo {
 		t.Error("a copy of a config does not share its memo")
 	}
-	if _, _, m := a.openMPI(bestRead(), 4, 5, false); m.Reused != 0 {
+	if _, _, m := a.openMPI(bestRead(), 4, 5); m.Reused != 0 {
 		t.Errorf("a's first run was reused: %+v", m)
 	}
-	if _, _, m := b.openMPI(bestRead(), 4, 5, false); m.Reused != 0 {
+	if _, _, m := b.openMPI(bestRead(), 4, 5); m.Reused != 0 {
 		t.Errorf("b reused a's run: %+v", m)
 	}
 }
@@ -222,7 +219,7 @@ func TestMemoSweepWorkers(t *testing.T) {
 // FuzzMemoMatchesFresh runs one decoded configuration twice through one
 // DefaultConfig and once through a Config literal: all three must agree to
 // the float bit and in every engine counter. The bytes are the harness
-// (Open MPI, layered, Tport or QDMA), the scheme and option bits, a Table 1
+// (Open MPI, Tport or QDMA), the scheme and option bits, a Table 1
 // row, a size near 0, near the 2 KB slot or at the 1 984 / 1 985 B eager
 // boundary, and a small iteration count.
 func FuzzMemoMatchesFresh(f *testing.F) {

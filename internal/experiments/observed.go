@@ -15,7 +15,7 @@ import (
 func ObservedPingPong(spec cluster.Spec, size, iters, warmup, limit int) Observed {
 	return observe(iters, limit, func(iters int, rec *trace.Recorder, reg *obs.Registry) float64 {
 		spec.Tracer, spec.Metrics = rec, reg
-		lat, _, _ := Config{Warmup: warmup, Shards: spec.Shards}.openMPI(spec, size, iters, false)
+		lat, _, _ := Config{Warmup: warmup, Shards: spec.Shards}.openMPI(spec, size, iters)
 		return lat
 	})
 }

@@ -31,17 +31,18 @@ import (
 // runs at return, after every use, so it is skipped: defer p.Put(b) is
 // the blessed shape.
 //
-// Beside the states runs the request obligation (DESIGN.md §3, §8.3),
-// function-local and flow-insensitive: a request returned by
-// Isend/Irecv/Issend, or started on a persistent handle, must reach a
-// completion call — Wait, Test, Waitall, Waitany, Testany — or the send
-// buffer is pinned and the match queues retain the posting forever (the
-// leak only surfaces when the virtual-time watchdog fires). A request that
-// escapes the function (returned, stored into a field, slice or map,
-// passed to a helper) transfers its obligation to code we cannot see and
-// goes silent — which is exactly what makes `reqs = append(reqs,
-// c.Isend(...))` followed by mpi.Waitall(reqs...) clean. On the path, a
-// request must not be waited twice without an intervening start.
+// The same walk carries the request obligation (DESIGN.md §3, §8.3), one
+// per top-level declaration, shared by every path and function literal of
+// it: a request returned by Isend/Irecv/Issend, or started on a persistent
+// handle, must reach a completion call — Wait, Test, Waitall, Waitany,
+// Testany — or the send buffer is pinned and the match queues retain the
+// posting forever (the leak only surfaces when the virtual-time watchdog
+// fires). A request that escapes the function (returned, stored into a
+// field, slice or map, passed to a helper, sent) transfers its obligation
+// to code we cannot see and goes silent — which is exactly what makes
+// `reqs = append(reqs, c.Isend(...))` followed by mpi.Waitall(reqs...)
+// clean. On the path, a request must not be waited twice without an
+// intervening start.
 var Ownership = &analysis.Analyzer{
 	Name: "ownership",
 	Doc: "follow each buffer through its three states (owned, lent to an " +
@@ -73,21 +74,29 @@ var waitFuncs = map[string]map[string]bool{
 
 func runOwnership(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if body = fn.Body; body != nil {
-					checkObligations(pass, body)
+		for _, decl := range f.Decls {
+			ob := &obligations{map[types.Object]obligation{}, map[types.Object]bool{}, map[types.Object]bool{}}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					body = fn.Body
+				case *ast.FuncLit:
+					body = fn.Body
 				}
-			case *ast.FuncLit:
-				body = fn.Body
+				if body != nil {
+					walk(ownPath{pass, aliases{}, map[types.Object]holder{}, map[types.Object]int{}, ob}, body.List)
+				}
+				return true
+			})
+			for req, o := range ob.owed {
+				if !ob.discharged[req] {
+					pass.Reportf(o.at,
+						"%s is never completed: no Wait/Test/Waitall/Waitany reaches %s — leaked request pins its buffer and match-queue slot until the watchdog fires",
+						o.what, req.Name())
+				}
 			}
-			if body != nil {
-				walk(ownPath{pass, aliases{}, map[types.Object]holder{}, map[types.Object]int{}}, body.List)
-			}
-			return true
-		})
+		}
 	}
 	return nil
 }
@@ -96,12 +105,31 @@ func runOwnership(pass *analysis.Pass) error {
 // variable it was bound from, buffers and requests alike; bufs maps the
 // alias root of every buffer that is not the program's to its holder;
 // waits maps a request posted on the path to the line of its last Wait
-// (0 until one; Test does not arm the double-wait check).
+// (0 until one; Test does not arm the double-wait check). ob is the
+// declaration's, shared by every path.
 type ownPath struct {
 	pass  *analysis.Pass
 	alias aliases
 	bufs  map[types.Object]holder
 	waits map[types.Object]int
+	ob    *obligations
+}
+
+// obligations holds a declaration's requests to completion, flow-
+// insensitively: owed maps a request under obligation to where it last
+// came under it, discharged marks every request a use anywhere in the
+// declaration discharges, and what is owed and never discharged leaks.
+// persistent marks the handles of SendInit and RecvInit over a buffer
+// variable, which come under obligation at Start.
+type obligations struct {
+	owed       map[types.Object]obligation
+	discharged map[types.Object]bool
+	persistent map[types.Object]bool
+}
+
+type obligation struct {
+	at   token.Pos
+	what string
 }
 
 // holder is who holds a buffer the program does not: the request of the
@@ -113,13 +141,15 @@ type holder struct {
 }
 
 func (o ownPath) branch(...ast.Expr) ownPath {
-	return ownPath{o.pass, maps.Clone(o.alias), maps.Clone(o.bufs), maps.Clone(o.waits)}
+	return ownPath{o.pass, maps.Clone(o.alias), maps.Clone(o.bufs), maps.Clone(o.waits), o.ob}
 }
 
-// visit applies one statement or expression: the completions in it, a
-// Put, its reads, its writes, then its rebindings and posts. The writes
-// include those inside a function literal in n: it may run at once.
+// visit applies one statement or expression: its uses of requests, then,
+// unless it is deferred, the completions in it, a Put, its reads, its
+// writes, then its rebindings and posts. The uses and the writes include
+// those inside a function literal in n: it may run at once.
 func (o ownPath) visit(n ast.Node) {
+	o.uses(n)
 	if _, deferred := n.(*ast.DeferStmt); deferred {
 		return
 	}
@@ -147,19 +177,101 @@ func (o ownPath) visit(n ast.Node) {
 	})
 	if es, ok := n.(*ast.ExprStmt); ok {
 		if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
-			o.post(call, nil)
+			o.post(call, nil, "is discarded: it can never be completed — leaked request (complete it with Wait/Test, or keep the handle)")
 		}
 	}
 	bindings(n, func(lhs, rhs ast.Expr) {
 		var obj types.Object
+		leak := ""
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
 			obj = o.pass.TypesInfo.ObjectOf(id)
 			o.bind(obj, rhs)
+		} else if ok {
+			leak = "is assigned to _: it can never be completed — leaked request"
 		}
 		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-			o.post(call, obj)
+			o.post(call, obj, leak)
+			if buf, _ := commMethodBuf(o.pass, call, persistentInitMethods); buf != nil && obj != nil {
+				o.ob.persistent[obj] = true
+			}
 		}
 	})
+}
+
+// uses discharges every request n uses, function literals included,
+// unless the use leaves the obligation where it is: the receiver of Start,
+// an assignment's target or its one-to-one source, an operand or a
+// condition. Start on a persistent handle puts it under obligation.
+func (o ownPath) uses(n ast.Node) {
+	var stack []ast.Node
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, m)
+		id, ok := m.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj, ok := o.pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok {
+			return true
+		}
+		r := o.alias.root(obj)
+		switch discharges, start := requestUse(stack); {
+		case start != nil && o.ob.persistent[r]:
+			o.ob.owed[r] = obligation{start.Pos(), "persistent request started here"}
+		case discharges:
+			o.ob.discharged[r] = true
+		}
+		return true
+	})
+}
+
+// requestUse reads what the identifier on top of stack does with the
+// request it names: discharges its obligation, or calls Start on it (the
+// call is returned).
+func requestUse(stack []ast.Node) (discharges bool, start *ast.CallExpr) {
+	id, i := stack[len(stack)-1], len(stack)-2
+	node := id
+	for ; i >= 0; i-- {
+		if _, paren := stack[i].(*ast.ParenExpr); !paren {
+			break
+		}
+		node = stack[i]
+	}
+	if i < 0 {
+		return false, nil // evaluated alone: a condition, a tag, a case
+	}
+	switch p := stack[i].(type) {
+	case *ast.SelectorExpr:
+		if p.X != node {
+			return false, nil // x.r: a field named like it
+		}
+		if i > 0 && p.Sel.Name == "Start" {
+			if call, ok := stack[i-1].(*ast.CallExpr); ok && call.Fun == ast.Node(p) {
+				return false, call
+			}
+		}
+		return true, nil
+	case *ast.CallExpr:
+		return p.Fun != node, nil
+	case *ast.AssignStmt:
+		for j, lhs := range p.Lhs {
+			if ast.Unparen(lhs) == id {
+				return false, nil
+			}
+			if _, plain := ast.Unparen(lhs).(*ast.Ident); plain && len(p.Lhs) == len(p.Rhs) && ast.Unparen(p.Rhs[j]) == id {
+				return false, nil // an alias: the obligation moves with it
+			}
+		}
+		return true, nil
+	case *ast.BinaryExpr, *ast.IfStmt, *ast.ForStmt, *ast.SwitchStmt,
+		*ast.CaseClause, *ast.ExprStmt, *ast.BlockStmt:
+		return false, nil
+	}
+	return true, nil // returned, stored, sent, captured, passed on
 }
 
 // completions applies every Wait, Test and Waitall in n outside function
@@ -333,12 +445,17 @@ func (o ownPath) bind(obj types.Object, rhs ast.Expr) {
 	}
 }
 
-// post lends call's buffer to req (nil when the request is not bound to
-// a plain variable), and flags a buffer posted twice.
-func (o ownPath) post(call *ast.CallExpr, req types.Object) {
+// post lends call's buffer to req and puts req under obligation (req is
+// nil when the request is not bound to a plain variable), flags a buffer
+// posted twice, and reports leak, the way a request no variable holds is
+// leaked, if there is one.
+func (o ownPath) post(call *ast.CallExpr, req types.Object, leak string) {
 	buf, name := commMethodBuf(o.pass, call, postMethods)
 	if name == "" {
 		return
+	}
+	if leak != "" {
+		o.pass.Reportf(call.Pos(), "request returned by %s %s", name, leak)
 	}
 	line := o.pass.Fset.Position(call.Pos()).Line
 	if buf != nil {
@@ -354,6 +471,7 @@ func (o ownPath) post(call *ast.CallExpr, req types.Object) {
 	}
 	if req != nil {
 		o.waits[o.alias.root(req)] = 0
+		o.ob.owed[o.alias.root(req)] = obligation{call.Pos(), "request posted by " + name}
 	}
 }
 
@@ -451,21 +569,6 @@ func (a aliases) root(o types.Object) types.Object {
 	return o
 }
 
-// assignee returns the plain identifier st assigns rhs to, or nil when st
-// is not one-to-one or the target is a field, an index or a dereference.
-func assignee(st *ast.AssignStmt, rhs ast.Node) *ast.Ident {
-	if len(st.Lhs) != len(st.Rhs) {
-		return nil
-	}
-	for i, r := range st.Rhs {
-		if r == rhs || ast.Unparen(r) == rhs {
-			id, _ := ast.Unparen(st.Lhs[i]).(*ast.Ident)
-			return id
-		}
-	}
-	return nil
-}
-
 // commMethodBuf returns the name of the method call makes when it is one
 // of methods on an *mpi.Comm (a post or a persistent init), else "". buf
 // is the buffer argument's root variable, nil when the buffer is not a
@@ -517,176 +620,4 @@ func reqMethodCall(pass *analysis.Pass, call *ast.CallExpr) (obj types.Object, n
 		return nil, ""
 	}
 	return pass.TypesInfo.ObjectOf(root), sel.Sel.Name
-}
-
-// checkObligations holds every request posted or started in body to
-// completion: one pass collects the obligations, a second classifies
-// every use of a request under one.
-func checkObligations(pass *analysis.Pass, body *ast.BlockStmt) {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	tracked := map[types.Object]token.Pos{} // request vars under obligation
-	what := map[types.Object]string{}       // the site, for the leak diagnostic
-	persistent := map[types.Object]bool{}   // persistent handles over a buffer variable
-
-	// A post whose result is consumed by a larger expression (chained
-	// .Wait(), append, return, field store, call argument) escapes at
-	// birth and is never tracked; a post discarded outright is an
-	// immediate leak. Persistent handles come under obligation when Start
-	// is called.
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var target *ast.Ident
-		if as, ok := parents[call].(*ast.AssignStmt); ok {
-			target = assignee(as, call)
-		}
-		if _, post := commMethodBuf(pass, call, postMethods); post != "" {
-			if _, discarded := parents[call].(*ast.ExprStmt); discarded {
-				pass.Reportf(call.Pos(),
-					"request returned by %s is discarded: it can never be completed — leaked request (complete it with Wait/Test, or keep the handle)",
-					post)
-			} else if target != nil && target.Name == "_" {
-				pass.Reportf(call.Pos(),
-					"request returned by %s is assigned to _: it can never be completed — leaked request", post)
-			} else if target != nil {
-				obj := pass.TypesInfo.ObjectOf(target)
-				tracked[obj], what[obj] = call.Pos(), "request posted by "+post
-			}
-		}
-		if buf, _ := commMethodBuf(pass, call, persistentInitMethods); buf != nil && target != nil && target.Name != "_" {
-			persistent[pass.TypesInfo.ObjectOf(target)] = true
-		}
-		if obj, name := reqMethodCall(pass, call); name == "Start" && persistent[obj] && what[obj] == "" {
-			tracked[obj], what[obj] = call.Pos(), "persistent request started here"
-		}
-		return true
-	})
-	if len(tracked) == 0 {
-		return
-	}
-
-	// Every use of a tracked variable, flow-insensitively: completed
-	// somewhere (any path suffices to discharge the leak check —
-	// conservative), or escaped (obligation transferred, go silent).
-	completed := map[types.Object]bool{}
-	escaped := map[types.Object]bool{}
-	alias := aliases{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj, ok := pass.TypesInfo.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		r := alias.root(obj)
-		if _, isTracked := tracked[r]; !isTracked {
-			// Not yet aliased to a tracked request: an alias assignment
-			// `r2 := r` is classified below when r (the RHS) is visited.
-			if _, isTracked := tracked[obj]; !isTracked {
-				return true
-			}
-			r = obj
-		}
-		use, lhs := classifyReqUse(pass, parents, id)
-		switch use {
-		case useCompleted:
-			completed[r] = true
-		case useEscaped:
-			escaped[r] = true
-		case useAliased:
-			if lo := pass.TypesInfo.ObjectOf(lhs); lo != nil && lo != r {
-				alias[lo] = r
-			}
-		}
-		return true
-	})
-	for obj, pos := range tracked {
-		if !completed[obj] && !escaped[obj] {
-			pass.Reportf(pos,
-				"%s is never completed: no Wait/Test/Waitall/Waitany reaches %s — leaked request pins its buffer and match-queue slot until the watchdog fires",
-				what[obj], obj.Name())
-		}
-	}
-}
-
-// reqUse classifies one appearance of a tracked request variable.
-type reqUse int
-
-const (
-	useNeutral reqUse = iota
-	useCompleted
-	useEscaped
-	useAliased
-)
-
-// classifyReqUse walks outward from an identifier to decide what the
-// enclosing expression does with the request: completes it, aliases it,
-// lets it escape, or merely looks at it. An alias comes with the
-// variable it makes.
-func classifyReqUse(pass *analysis.Pass, parents map[ast.Node]ast.Node, id *ast.Ident) (reqUse, *ast.Ident) {
-	var node ast.Node = id
-	for {
-		parent := parents[node]
-		if parent == nil {
-			return useNeutral, nil
-		}
-		switch p := parent.(type) {
-		case *ast.ParenExpr:
-			node = parent
-			continue
-		case *ast.SelectorExpr:
-			if p.X != node {
-				return useNeutral, nil // x.r — selecting a field named like it
-			}
-			if gp, ok := parents[p].(*ast.CallExpr); ok && gp.Fun == ast.Node(p) {
-				switch p.Sel.Name {
-				case "Wait", "Test":
-					return useCompleted, nil
-				case "Start":
-					return useNeutral, nil // persistents: handled as a new post
-				}
-				return useEscaped, nil
-			}
-			return useEscaped, nil // method value or field access: unknown
-		case *ast.CallExpr:
-			if p.Fun == node {
-				return useNeutral, nil // calling the variable? not a request then
-			}
-			if isWaitallCall(pass, p) {
-				return useCompleted, nil
-			}
-			return useEscaped, nil // any other callee owns the request now
-		case *ast.AssignStmt:
-			for _, lhs := range p.Lhs {
-				if ast.Unparen(lhs) == node || lhs == node {
-					return useNeutral, nil // reassignment target
-				}
-			}
-			// RHS: a plain x := r alias joins r's group; anything else
-			// (field, index, map stores) escapes.
-			if lhs := assignee(p, node); lhs != nil {
-				return useAliased, lhs
-			}
-			return useEscaped, nil
-		case *ast.BinaryExpr, *ast.IfStmt, *ast.ForStmt, *ast.SwitchStmt,
-			*ast.CaseClause, *ast.ExprStmt, *ast.BlockStmt:
-			return useNeutral, nil
-		default:
-			// returned, stored, sent, captured by go or defer
-			return useEscaped, nil
-		}
-	}
 }

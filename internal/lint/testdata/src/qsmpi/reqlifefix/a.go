@@ -250,3 +250,46 @@ func writeThroughVarSlice(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
 	buf[0] = 1 // want `written while`
 	r.Wait()
 }
+
+// varLeak: a request bound by a var declaration is held to the same
+// obligation as one bound by an assignment.
+func varLeak(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	var r = c.Isend(1, 0, buf, dt) // want `never completed`
+	_ = r
+}
+
+// aliasWaitInGoroutine is clean: r2 is r, and the goroutine waits on it.
+func aliasWaitInGoroutine(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	r := c.Irecv(0, 0, buf, dt)
+	r2 := r
+	go func() { r2.Wait() }()
+}
+
+// sendOnChannel is clean: the receiver of the channel owns completion now.
+func sendOnChannel(c *mpi.Comm, buf []byte, dt *datatype.Datatype, ch chan<- *mpi.Request) {
+	r := c.Isend(1, 0, buf, dt)
+	ch <- r
+}
+
+// waitPreviousInLoop is clean: each iteration waits the request of the
+// one before, and the last is waited after the loop.
+func waitPreviousInLoop(c *mpi.Comm, bufs [][]byte, dt *datatype.Datatype) {
+	var r *mpi.Request
+	for _, b := range bufs {
+		if r != nil {
+			r.Wait()
+		}
+		r = c.Isend(1, 0, b, dt)
+	}
+	r.Wait()
+}
+
+// postInLiteral is clean: the obligation is the declaration's, whichever
+// of its bodies is walked first, so the Wait after the literal's call
+// completes the request the literal posts.
+func postInLiteral(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	var r *mpi.Request
+	start := func() { r = c.Isend(1, 0, buf, dt) }
+	start()
+	r.Wait()
+}

@@ -20,7 +20,9 @@ import (
 // collectives as they stood before they became schedules (the three
 // hand-built NBC state machines, Bcast's and Reduce's own loops). Never
 // regenerate it: a change that means to move a partner, a tag, a posting
-// order or a picosecond edits the cells it moves and says which.
+// order or a picosecond edits the cells it moves and says which. The
+// Alltoall cells were appended later, printed by Alltoall's own loops
+// before it became Alltoallv with uniform counts.
 
 // collCell is one simulation of the golden: one collective, once, on the
 // world communicator of n ranks under one of Table 1's progress modes.
@@ -72,6 +74,15 @@ var collOps = []struct {
 		}
 		recv := make([]byte, 8)
 		w.Comm().ReduceScatter(send, recv, mpi.OpSumF64)
+		return recv
+	}},
+	{"Alltoall", false, func(w *mpi.World, _ int) []byte {
+		send := make([]byte, 0, 8*w.Size())
+		for j := 0; j < w.Size(); j++ {
+			send = append(send, f64buf(float64(w.Rank()*100+j))...)
+		}
+		recv := make([]byte, len(send))
+		w.Comm().Alltoall(send, recv)
 		return recv
 	}},
 	{"Ibarrier/wait", false, func(w *mpi.World, _ int) []byte {

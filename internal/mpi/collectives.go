@@ -151,23 +151,21 @@ func (c *Comm) amRoot(root int) bool {
 // Gather concentrates equal-size contributions at root; recv must hold
 // Size()*len(buf) bytes on root.
 func (c *Comm) Gather(root int, buf, recv []byte) {
-	n := c.Size()
-	tag := c.collTag()
-	dt := datatype.Contiguous(len(buf))
-	if !c.amRoot(root) {
-		c.Send(root, tag, buf, dt)
-		return
+	if c.amRoot(root) && len(recv) < c.Size()*len(buf) {
+		panic(fmt.Sprintf("mpi: gather buffer %d short of %d", len(recv), c.Size()*len(buf)))
 	}
-	if len(recv) < n*len(buf) {
-		panic(fmt.Sprintf("mpi: gather buffer %d short of %d", len(recv), n*len(buf)))
+	counts, displs := c.blocks(len(buf))
+	c.Gatherv(root, buf, recv, counts, displs)
+}
+
+// blocks is the uniform layout the fixed-size collectives hand their
+// v-forms: Size() blocks of size bytes, back to back.
+func (c *Comm) blocks(size int) (counts, displs []int) {
+	counts, displs = make([]int, c.Size()), make([]int, c.Size())
+	for i := range counts {
+		counts[i], displs[i] = size, i*size
 	}
-	copy(recv[root*len(buf):], buf)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		c.Recv(r, tag, recv[r*len(buf):(r+1)*len(buf)], dt)
-	}
+	return counts, displs
 }
 
 // Allgather distributes every member's equal-size contribution to all
@@ -187,50 +185,21 @@ func (c *Comm) allgatherBytes(buf []byte) []byte {
 // Scatter distributes equal slices of root's send buffer: member i
 // receives send[i*len(recv) : (i+1)*len(recv)] into recv.
 func (c *Comm) Scatter(root int, send, recv []byte) {
-	n := c.Size()
-	tag := c.collTag()
-	dt := datatype.Contiguous(len(recv))
-	if c.amRoot(root) {
-		if len(send) < n*len(recv) {
-			panic(fmt.Sprintf("mpi: scatter buffer %d short of %d", len(send), n*len(recv)))
-		}
-		copy(recv, send[root*len(recv):(root+1)*len(recv)])
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tag, send[r*len(recv):(r+1)*len(recv)], dt)
-		}
-		return
+	if c.amRoot(root) && len(send) < c.Size()*len(recv) {
+		panic(fmt.Sprintf("mpi: scatter buffer %d short of %d", len(send), c.Size()*len(recv)))
 	}
-	c.Recv(root, tag, recv, dt)
+	counts, displs := c.blocks(len(recv))
+	c.Scatterv(root, send, counts, displs, recv)
 }
 
 // Alltoall performs the complete exchange: member i's send block j lands
 // in member j's recv block i. Block size is len(send)/Size().
 func (c *Comm) Alltoall(send, recv []byte) {
-	n := c.Size()
-	if len(send)%n != 0 || len(recv) != len(send) {
+	if len(send)%c.Size() != 0 || len(recv) != len(send) {
 		panic("mpi: alltoall buffers must be Size()-divisible and equal length")
 	}
-	blk := len(send) / n
-	tag := c.collTag()
-	dt := datatype.Contiguous(blk)
-	copy(recv[c.myIdx*blk:(c.myIdx+1)*blk], send[c.myIdx*blk:(c.myIdx+1)*blk])
-	// Every receive is posted before any send; the sends go out in ring
-	// order, member i's first to i+1, so no destination is hit by all.
-	var reqs []*Request
-	for r := 0; r < n; r++ {
-		if r == c.myIdx {
-			continue
-		}
-		reqs = append(reqs, c.Irecv(r, tag, recv[r*blk:(r+1)*blk], dt))
-	}
-	for shift := 1; shift < n; shift++ {
-		dst := (c.myIdx + shift) % n
-		reqs = append(reqs, c.Isend(dst, tag, send[dst*blk:(dst+1)*blk], dt))
-	}
-	Waitall(reqs...)
+	counts, displs := c.blocks(len(send) / c.Size())
+	c.Alltoallv(send, counts, displs, recv, counts, displs)
 }
 
 // Gatherv concentrates variable-size contributions at root: member i
@@ -303,6 +272,8 @@ func (c *Comm) Alltoallv(send []byte, sendCounts, sendDispls []int, recv []byte,
 	tag := c.collTag()
 	copy(recv[recvDispls[c.myIdx]:recvDispls[c.myIdx]+recvCounts[c.myIdx]],
 		send[sendDispls[c.myIdx]:sendDispls[c.myIdx]+sendCounts[c.myIdx]])
+	// Every receive is posted before any send; the sends go out in ring
+	// order, member i's first to i+1, so no destination is hit by all.
 	var reqs []*Request
 	for r := 0; r < n; r++ {
 		if r == c.myIdx {
