@@ -46,7 +46,11 @@ test:
 # carry the observability invariants: the golden cross-layer timelines, the proof that an attached
 # tracer (or watchdog) never moves virtual time, the profiler's telescoping
 # guarantee (phase durations sum exactly to end-to-end latency) and the
-# watchdog's stall detection. Last, the benchmark: bench/ is a module of its
+# watchdog's stall detection. The lint suite runs under -race as well:
+# qsmpilint checks packages concurrently, and a package reads the
+# collective tables its imports published with no lock, ordered only by
+# waiting for those imports to finish (TestDriverFactsCrossPackages drives
+# that hand-off at 4 workers). Last, the benchmark: bench/ is a module of its
 # own that compiles against obs, trace and cluster, so its short suite runs
 # here too and cannot rot unseen between two runs of ci.yml.
 check: lint
@@ -55,14 +59,16 @@ check: lint
 	$(GO) test -race ./internal/mpi ./internal/ptlelan4
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
+	$(GO) test -race ./internal/lint/...
 	$(GO) test -C bench -short ./...
 
 # lint runs go vet, then the repo's own analyzer suite: detclock,
 # maporder, kernelown, ownership, tracecorr and collorder, plus the
 # //lint:allow suppression audit (see internal/lint and DESIGN.md §9). The
 # suite turns the simulator's determinism, ownership, pooling and
-# MPI-protocol invariants into build failures; collorder's CallsCollective
-# facts flow from a package to its dependents inside the one driver. bench/
+# MPI-protocol invariants into build failures; the table of collective
+# entry points collorder builds for a package reaches its dependents inside
+# the one driver. bench/
 # is a module of its own, outside ./..., so it gets a run of its own.
 lint:
 	$(GO) vet ./...

@@ -4,9 +4,9 @@
 //
 //	qsmpilint [-sarif [-o file]] [packages]    (default ./...)
 //
-// Packages are loaded through `go list -export` and sharded across
-// GOMAXPROCS workers in dependency order, so interprocedural facts
-// (collorder's CallsCollective) reach every dependent. `make lint` (folded
+// Packages are loaded through `go list -export` and checked GOMAXPROCS at
+// a time, each after its imports, so the table of collective entry points
+// collorder builds for a package reaches every dependent. `make lint` (folded
 // into `make check`) runs the text form, which prints findings on stderr
 // and exits 1 if there are any; `make lint-sarif` writes the report the
 // nightly CI uploads. _test.go files are not analyzed. A flag it does not

@@ -1,11 +1,13 @@
-// Package analysis is a deliberately small, dependency-free miniature of
-// the golang.org/x/tools/go/analysis framework: an Analyzer inspects one
-// type-checked package through a Pass and reports position-tagged
-// diagnostics. The repo's module carries no third-party requirements (the
-// simulator must build hermetically offline), so rather than importing
-// x/tools this package mirrors the subset of its API the qsmpilint suite
-// needs; cmd/qsmpilint drives it over `go list -export` output
-// (internal/lint/driver).
+// Package analysis is the frame of the qsmpilint suite: an Analyzer
+// inspects one type-checked package through a Pass and reports
+// position-tagged diagnostics. The module carries no third-party
+// requirements (the simulator must build hermetically offline), so
+// rather than importing golang.org/x/tools this package holds only what
+// the suite uses: one Pass per package that the analyzers run on in turn,
+// the //lint:allow bookkeeping and its audit, the table of collective
+// entry points collorder hands to dependent packages, and the type
+// queries several analyzers share. internal/lint/driver loads packages
+// through `go list -export` and checks them.
 //
 // Suppression: every analyzer honors the directive
 //
@@ -32,8 +34,8 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by `qsmpilint -h`.
 	Doc string
-	// Run inspects the package and reports diagnostics via pass.Report.
-	Run func(*Pass) error
+	// Run inspects the package and reports diagnostics via pass.Reportf.
+	Run func(*Pass)
 }
 
 // A Diagnostic is one reported violation.
@@ -43,44 +45,37 @@ type Diagnostic struct {
 	Analyzer string
 }
 
-// A Pass holds one type-checked package being analyzed.
+// A Pass is one type-checked package on its way through the suite: the
+// analyzers run on it in turn (RunSuite), and it records which
+// //lint:allow directives suppressed a diagnostic, for the audit.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Report    func(Diagnostic)
 
-	// Imports holds the merged facts of the package's dependency closure
-	// (read-only); Exports receives the facts this package proves. Either
-	// may be nil when the driver carries no facts (single-analyzer fixture
-	// runs); the accessor methods below tolerate that.
-	Imports *Facts
-	Exports *Facts
+	// Collectives is the package's table: the ObjectKey of every
+	// package-level function or method that enters an MPI collective,
+	// mapped to one collective it enters. collorder fills it, and the
+	// driver publishes it to the package's dependents once the suite is
+	// done with the package.
+	Collectives map[string]string
+	// Published returns the table of the package at path: for an import
+	// of this package, direct or not, the one published before this pass
+	// began; nil when that package has none.
+	Published func(path string) map[string]string
+
+	analyzer string             // the analyzer running
+	diags    []Diagnostic       // the diagnostics no directive suppressed
+	used     map[token.Pos]bool // the directives that suppressed one
 }
 
-// Reportf reports a formatted diagnostic at pos.
+// Reportf reports a formatted diagnostic at pos, unless a //lint:allow
+// directive of the running analyzer covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
-}
-
-// ExportObjectFact records fact for the package-level object obj.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.Exports != nil {
-		p.Exports.ExportObject(obj, fact)
+	if !p.allowed(pos) {
+		p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.analyzer})
 	}
-}
-
-// ImportObjectFact copies the fact of fact's concrete type recorded for
-// obj — by a dependency, or by this pass earlier — into fact, reporting
-// whether one existed. Own exports take precedence so intra-package
-// fixpoints and cross-package lookups go through one call.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.Exports != nil && p.Exports.ImportObject(obj, fact) {
-		return true
-	}
-	return p.Imports.ImportObject(obj, fact)
 }
 
 // SuppressionName is the diagnostic label of the suppression audit run
@@ -90,95 +85,20 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 // suppressible; the fix is always to delete the stale directive.
 const SuppressionName = "suppression"
 
-// A Unit is one loaded, type-checked package flowing through the suite:
-// the shared inputs every analyzer sees, the fact sets crossing the
-// package boundary, and the record of which //lint:allow directives
-// earned their keep. The driver and linttest both funnel through here so
-// directive and fact semantics cannot drift between them.
-type Unit struct {
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	// Imports holds the merged facts of the dependency closure; Exports
-	// accumulates this package's own proved facts across analyzers.
-	Imports *Facts
-	Exports *Facts
-
-	// used records the positions of directives that suppressed at least
-	// one diagnostic, for the suppression audit.
-	used map[token.Pos]bool
-}
-
-// NewUnit builds a Unit over an already-loaded package. imports may be
-// nil when the caller carries no cross-package facts.
-func NewUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, imports *Facts) *Unit {
-	return &Unit{
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Imports:   imports,
-		Exports:   NewFacts(),
-		used:      map[token.Pos]bool{},
-	}
-}
-
-// Run executes one analyzer over the unit and returns the diagnostics
-// that survive //lint:allow suppression, in report order.
-func (u *Unit) Run(a *Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      u.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.TypesInfo,
-		Imports:   u.Imports,
-		Exports:   u.Exports,
-		Report: func(d Diagnostic) {
-			d.Analyzer = a.Name
-			if !u.allowed(a.Name, d.Pos) {
-				diags = append(diags, d)
-			}
-		},
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %v", a.Name, err)
-	}
-	return diags, nil
-}
-
-// RunSuite executes every analyzer over the unit, then audits the
-// package's //lint:allow directives: well-formed directives that
-// suppressed nothing, and directives naming no analyzer in the suite, are
-// appended as SuppressionName diagnostics.
-func RunSuite(analyzers []*Analyzer, u *Unit) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		ds, err := u.Run(a)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, ds...)
-	}
+// RunSuite runs the analyzers on the pass in turn, then audits the
+// package's //lint:allow directives: a well-formed directive that
+// suppressed nothing, or one naming no analyzer of the suite, is a
+// SuppressionName diagnostic. It returns the diagnostics that survived
+// suppression, in report order, then the audit's.
+func (p *Pass) RunSuite(analyzers []*Analyzer) []Diagnostic {
+	p.used = map[token.Pos]bool{}
 	known := map[string]bool{}
 	for _, a := range analyzers {
+		p.analyzer = a.Name
 		known[a.Name] = true
+		a.Run(p)
 	}
-	diags = append(diags, u.AuditSuppressions(known)...)
-	return diags, nil
-}
-
-// AuditSuppressions returns a diagnostic for every //lint:allow directive
-// that could never suppress anything: unknown analyzer name, or no
-// diagnostic of its analyzer on the covered lines. Must run after every
-// analyzer in known has run over the unit — before that, "unused" is not
-// yet decidable.
-func (u *Unit) AuditSuppressions(known map[string]bool) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range u.Files {
+	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				name, ok := parseDirective(c.Text)
@@ -187,14 +107,14 @@ func (u *Unit) AuditSuppressions(known map[string]bool) []Diagnostic {
 				}
 				switch {
 				case !known[name]:
-					diags = append(diags, Diagnostic{
+					p.diags = append(p.diags, Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: SuppressionName,
 						Message: fmt.Sprintf(
 							"//lint:allow names unknown analyzer %q: this directive can never suppress anything", name),
 					})
-				case !u.used[c.Pos()]:
-					diags = append(diags, Diagnostic{
+				case !p.used[c.Pos()]:
+					p.diags = append(p.diags, Diagnostic{
 						Pos:      c.Pos(),
 						Analyzer: SuppressionName,
 						Message: fmt.Sprintf(
@@ -204,16 +124,16 @@ func (u *Unit) AuditSuppressions(known map[string]bool) []Diagnostic {
 			}
 		}
 	}
-	return diags
+	return p.diags
 }
 
 // allowed reports whether a //lint:allow directive with a reason covers a
-// diagnostic of the named analyzer at pos: the directive must sit on the
-// diagnostic's line or the line immediately above it, in the same file.
-// Matching directives are recorded as used for the suppression audit.
-func (u *Unit) allowed(name string, pos token.Pos) bool {
+// diagnostic of the running analyzer at pos: the directive must sit on
+// the diagnostic's line or the line immediately above it, in the same
+// file. Matching directives are recorded as used for the audit.
+func (p *Pass) allowed(pos token.Pos) bool {
 	var file *ast.File
-	for _, f := range u.Files {
+	for _, f := range p.Files {
 		if f.FileStart <= pos && pos <= f.FileEnd {
 			file = f
 			break
@@ -222,15 +142,15 @@ func (u *Unit) allowed(name string, pos token.Pos) bool {
 	if file == nil {
 		return false
 	}
-	line := u.Fset.Position(pos).Line
+	line := p.Fset.Position(pos).Line
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			cl := u.Fset.Position(c.Pos()).Line
+			cl := p.Fset.Position(c.Pos()).Line
 			if cl != line && cl != line-1 {
 				continue
 			}
-			if dn, ok := parseDirective(c.Text); ok && dn == name {
-				u.used[c.Pos()] = true
+			if dn, ok := parseDirective(c.Text); ok && dn == p.analyzer {
+				p.used[c.Pos()] = true
 				return true
 			}
 		}
@@ -260,6 +180,35 @@ func parseDirective(text string) (name string, ok bool) {
 		return "", false
 	}
 	return fields[0], true
+}
+
+// ObjectKey names a package-level object the same way whether the package
+// was type-checked from source or imported from export data: plain
+// "Name" for package-scope functions, variables, types and constants,
+// "Recv.Name" for methods of a named receiver type. Objects that are not
+// package-level (locals, parameters, struct fields) have no key — another
+// package's view of the import could never resolve them.
+func ObjectKey(obj types.Object) (string, bool) {
+	if obj == nil || obj.Pkg() == nil {
+		return "", false
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := FuncSig(fn).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			n, ok := t.(*types.Named)
+			if !ok {
+				return "", false
+			}
+			return n.Obj().Name() + "." + fn.Name(), true
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return "", false
+	}
+	return obj.Name(), true
 }
 
 // ---- shared type-query helpers used by several analyzers ----

@@ -14,9 +14,9 @@ import (
 // with NBC schedules, silently mismatches correlators and corrupts the
 // reduction). The bug class is insidious because the guard and the
 // collective are often separated by helper calls — so collorder is
-// interprocedural: analyzing each package exports a CallsCollective fact
-// for every package-level function or method that (transitively) enters a
-// collective, and call sites consult the facts of their imports. The
+// interprocedural: each package publishes a table of its package-level
+// functions and methods that (transitively) enter a collective, and call
+// sites consult the table of the callee's package. The
 // root-rank idiom — `if rank == root { fill payload }` followed by the
 // collective *outside* the guard — is clean by construction: only
 // collectives lexically inside a rank-dependent region are flagged.
@@ -32,16 +32,6 @@ var CollOrder = &analysis.Analyzer{
 		"branches, where ranks would enter collectives in divergent order",
 	Run: runCollOrder,
 }
-
-// CallsCollective marks a function that directly or transitively enters
-// an MPI collective. Name records one representative collective for the
-// diagnostic at the call site.
-type CallsCollective struct {
-	Name string
-}
-
-// AFact marks CallsCollective as an analysis fact.
-func (*CallsCollective) AFact() {}
 
 // collectiveMethods are the *mpi.Comm (and aliased qsmpi.Comm) entry
 // points that every rank of the communicator must reach together. Dup,
@@ -93,18 +83,23 @@ func isRankCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		analysis.IsNamed(recv, module, "World")
 }
 
-func runCollOrder(pass *analysis.Pass) error {
-	if pass.Pkg != nil && pass.Pkg.Path() == mpiPkg {
+func runCollOrder(pass *analysis.Pass) {
+	if pass.Pkg.Path() == mpiPkg {
 		// The collective implementations themselves: rank-divergent
 		// Send/Recv trees are the whole point down here.
-		return nil
+		return
 	}
 
-	// Step 1: map every function declaration in the package to its
-	// *types.Func object and detect which enter a collective, running an
-	// intra-package fixpoint so chains of local helpers converge.
-	// Imported callees are resolved through CallsCollective facts.
-	decls := map[*types.Func]*ast.FuncDecl{}
+	// Step 1: find which function declarations of the package enter a
+	// collective, running an intra-package fixpoint so chains of local
+	// helpers converge. The declarations are taken in source order, so the
+	// collective a helper is reported to enter does not depend on map
+	// order. Imported callees are resolved through their package's table.
+	type decl struct {
+		fn *types.Func
+		fd *ast.FuncDecl
+	}
+	var decls []decl
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -112,13 +107,13 @@ func runCollOrder(pass *analysis.Pass) error {
 				continue
 			}
 			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
+				decls = append(decls, decl{fn, fd})
 			}
 		}
 	}
 
 	// calleeCollective resolves whether a call enters a collective, via
-	// direct match, the local fixpoint set, or an imported fact.
+	// direct match, the local fixpoint set, or the callee package's table.
 	local := map[*types.Func]string{}
 	calleeCollective := func(call *ast.CallExpr) (string, bool) {
 		if name, ok := isDirectCollective(pass, call); ok {
@@ -131,23 +126,21 @@ func runCollOrder(pass *analysis.Pass) error {
 		if name, ok := local[fn]; ok {
 			return name, true
 		}
-		if fn.Pkg() != nil && pass.Pkg != nil && fn.Pkg() != pass.Pkg {
-			var fact CallsCollective
-			if pass.ImportObjectFact(fn, &fact) {
-				return fact.Name, true
-			}
+		if key, ok := analysis.ObjectKey(fn); ok && fn.Pkg() != pass.Pkg {
+			name, ok := pass.Published(fn.Pkg().Path())[key]
+			return name, ok
 		}
 		return "", false
 	}
 
 	for changed := true; changed; {
 		changed = false
-		for fn, fd := range decls {
-			if _, done := local[fn]; done {
+		for _, d := range decls {
+			if _, done := local[d.fn]; done {
 				continue
 			}
 			var found string
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
+			ast.Inspect(d.fd.Body, func(n ast.Node) bool {
 				if found != "" {
 					return false
 				}
@@ -160,25 +153,25 @@ func runCollOrder(pass *analysis.Pass) error {
 				return true
 			})
 			if found != "" {
-				local[fn] = found
+				local[d.fn] = found
 				changed = true
 			}
 		}
 	}
 
-	// Step 2: export facts for package-level functions and methods so
-	// dependent packages see through them.
+	// Step 2: the package's table, for dependent packages to see through
+	// its package-level functions and methods.
+	pass.Collectives = map[string]string{}
 	for fn, name := range local {
-		if _, exportable := analysis.ObjectKey(fn); exportable {
-			pass.ExportObjectFact(fn, &CallsCollective{Name: name})
+		if key, ok := analysis.ObjectKey(fn); ok {
+			pass.Collectives[key] = name
 		}
 	}
 
 	// Step 3: report collectives lexically inside rank-dependent regions.
-	for _, fd := range decls {
-		checkCollFunc(pass, fd.Body, calleeCollective)
+	for _, d := range decls {
+		checkCollFunc(pass, d.fd.Body, calleeCollective)
 	}
-	return nil
 }
 
 // collRegion is collorder's state on one path of a function: whether a

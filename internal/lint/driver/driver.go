@@ -5,8 +5,9 @@
 // where it landed — and type-checking uses the stock go/types checker with
 // a gc-export-data importer. Load is the one way in: `qsmpilint ./...`
 // and bench/ (through Check), the repo-is-clean test and the linttest
-// fixture runner all go through it. `go list` is not given -test, so
-// _test.go files are never loaded (DESIGN.md §9).
+// fixture runner all go through it, and CheckPackage is the one check of
+// a package that CheckAll and linttest share. `go list` is not given
+// -test, so _test.go files are never loaded (DESIGN.md §9).
 package driver
 
 import (
@@ -39,14 +40,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// A Package is the slice of `go list` output the driver needs. Imports
-// drives the dependency-ordered scheduling of CheckAll: a package's
-// analyzers may consult facts exported by everything it imports, so the
-// imports must be analyzed first.
+// A Package is the slice of `go list` output the driver needs. A
+// package's analyzers read the collective tables of what it imports, so
+// CheckAll checks the module packages in Imports first.
 type Package struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Export     string
 	GoFiles    []string
 	Imports    []string
@@ -58,18 +57,17 @@ type Package struct {
 // type-checks packages against it.
 type Loader struct {
 	Fset    *token.FileSet
-	Pkgs    []*Package        // in go list order
+	Pkgs    []*Package        // in go list order: each after its imports
 	exports map[string]string // import path -> export data file
 	imp     types.Importer
 }
 
 // Load runs `go list -export -deps -json` over the patterns (from dir) and
-// builds a Loader. extraStd lists std packages fixtures may import beyond
-// the repo's own dependency closure.
+// builds a Loader.
 func Load(dir string, patterns ...string) (*Loader, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=Dir,ImportPath,Name,Export,GoFiles,Imports,Standard,DepOnly",
+		"-json=Dir,ImportPath,Export,GoFiles,Imports,Standard,DepOnly",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -103,8 +101,8 @@ func Load(dir string, patterns ...string) (*Loader, error) {
 
 // newImporter builds a fresh gc export-data importer over the loader's
 // (concurrency-safe) FileSet and export index. The importer itself is NOT
-// safe for concurrent use, so CheckAll gives each worker its own; the
-// serial entry points share l.imp.
+// safe for concurrent use, so each of CheckAll's par checks at a time
+// holds its own; the serial callers share l.imp.
 func (l *Loader) newImporter() types.Importer {
 	return importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := l.exports[path]
@@ -121,218 +119,130 @@ func (l *Loader) Importer() types.Importer {
 	return l.imp
 }
 
-// NewInfo returns a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
+// CheckPackage parses p's Go files with their comments (the //lint:allow
+// directives live there), type-checks them as p.ImportPath through imp
+// and runs the suite on the package, which reads the collective tables of
+// its imports through published. It returns the pass, whose Collectives
+// is the package's table for the caller to publish, and the diagnostics
+// of analysis.Pass.RunSuite.
+func (l *Loader) CheckPackage(p *Package, imp types.Importer, published func(string) map[string]string, analyzers []*analysis.Analyzer) (*analysis.Pass, []analysis.Diagnostic, error) {
+	pass := &analysis.Pass{
+		Fset: l.Fset,
+		TypesInfo: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
+			Scopes:     map[ast.Node]*types.Scope{},
+			Instances:  map[*ast.Ident]types.Instance{},
+		},
+		Published: published,
 	}
-}
-
-// ParseFiles parses the named files (absolute or dir-relative) with
-// comments retained — the //lint:allow directives live there.
-func (l *Loader) ParseFiles(dir string, names []string) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, name := range names {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		files = append(files, f)
+		pass.Files = append(pass.Files, f)
 	}
-	return files, nil
-}
-
-// checkJob is one package dispatched to a CheckAll worker, with the
-// published fact sets of its direct module dependencies (each already
-// holds its own transitive closure).
-type checkJob struct {
-	p        *Package
-	depFacts []*analysis.Facts
-}
-
-// checkResult is what a worker hands back: findings (empty for DepOnly
-// packages — their facts matter, their diagnostics are not ours to
-// report) and the package's merged fact set, which nobody writes again
-// once it is published here.
-type checkResult struct {
-	p        *Package
-	findings []Finding
-	facts    *analysis.Facts
-	err      error
-}
-
-// checkOne analyzes a single package with the given importer.
-func (l *Loader) checkOne(job checkJob, imp types.Importer, analyzers []*analysis.Analyzer) checkResult {
-	p := job.p
-	files, err := l.ParseFiles(p.Dir, p.GoFiles)
-	if err != nil {
-		return checkResult{p: p, err: err}
-	}
-	info := NewInfo()
+	var err error
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(p.ImportPath, l.Fset, files, info)
-	if err != nil {
-		return checkResult{p: p, err: fmt.Errorf("%s: %v", p.ImportPath, err)}
+	if pass.Pkg, err = conf.Check(p.ImportPath, l.Fset, pass.Files, pass.TypesInfo); err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 	}
-	imports := analysis.NewFacts()
-	for _, deps := range job.depFacts {
-		imports.Merge(deps)
-	}
-	u := analysis.NewUnit(l.Fset, files, pkg, info, imports)
-	diags, err := analysis.RunSuite(analyzers, u)
-	if err != nil {
-		return checkResult{p: p, err: fmt.Errorf("%s: %v", p.ImportPath, err)}
-	}
-	var findings []Finding
-	if !p.DepOnly {
-		for _, d := range diags {
-			findings = append(findings, Finding{
-				Analyzer: d.Analyzer,
-				Pos:      l.Fset.Position(d.Pos),
-				Message:  d.Message,
-			})
-		}
-	}
-	// Re-export the dependency closure's facts alongside our own so a
-	// dependent sees the transitive set from its direct imports alone.
-	imports.Merge(u.Exports)
-	return checkResult{p: p, findings: findings, facts: imports}
+	return pass, pass.RunSuite(analyzers), nil
 }
 
-// CheckAll runs the suite over every loaded non-standard package, sharded
-// across par workers. Packages are scheduled in dependency order so that
-// fact producers finish before their consumers start; findings are sorted
-// globally at the end, so the output is byte-identical at any
-// parallelism. Each worker owns its importer (gc export-data importers
-// are not concurrency-safe); the FileSet is shared and safe.
+// CheckAll runs CheckPackage over every loaded module package, at most
+// par at a time, and returns the findings sorted, so the output is
+// byte-identical at any parallelism. `go list -deps` lists a package
+// after everything it imports (depth-first post-order), and the packages
+// start in that order. Each waits for its module imports to finish: a
+// package publishes its table before its done channel closes, so a
+// dependent reads the tables of its whole import closure after the waits
+// that order them. A package one of whose imports failed is skipped, and
+// the first error in go list order is returned. DepOnly packages publish
+// their tables and report nothing. Each check in flight holds its own
+// importer (gc export-data importers are not concurrency-safe); the
+// FileSet is shared and safe.
 func (l *Loader) CheckAll(analyzers []*analysis.Analyzer, par int) ([]Finding, error) {
-	if par < 1 {
-		par = 1
+	type unit struct {
+		p        *Package
+		done     chan struct{}
+		failed   bool
+		err      error
+		table    map[string]string
+		findings []Finding
 	}
-
-	// Targets: every module (non-std) package with sources. DepOnly
-	// packages are analyzed for their facts but report nothing.
-	byPath := map[string]*Package{}
-	var targets []*Package
+	var units []*unit
+	byPath := map[string]*unit{}
 	for _, p := range l.Pkgs {
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		targets = append(targets, p)
-		byPath[p.ImportPath] = p
-	}
-	// Dependency graph restricted to targets.
-	indegree := map[string]int{}
-	dependents := map[string][]string{}
-	moduleDeps := map[string][]string{}
-	for _, p := range targets {
-		indegree[p.ImportPath] = 0
-	}
-	for _, p := range targets {
-		for _, imp := range p.Imports {
-			if _, ok := byPath[imp]; !ok {
-				continue
-			}
-			moduleDeps[p.ImportPath] = append(moduleDeps[p.ImportPath], imp)
-			dependents[imp] = append(dependents[imp], p.ImportPath)
-			indegree[p.ImportPath]++
+		if !p.Standard && len(p.GoFiles) > 0 {
+			u := &unit{p: p, done: make(chan struct{})}
+			units = append(units, u)
+			byPath[p.ImportPath] = u
 		}
 	}
-
-	jobs := make(chan checkJob, len(targets))
-	results := make(chan checkResult, len(targets))
-	for w := 0; w < par; w++ {
-		imp := l.newImporter()
+	published := func(path string) map[string]string {
+		if u := byPath[path]; u != nil {
+			return u.table
+		}
+		return nil
+	}
+	// Every package gets a goroutine that parks until its imports are
+	// done; importers is the semaphore that bounds the checks in flight,
+	// so a slot never idles behind a package whose imports are unfinished.
+	importers := make(chan types.Importer, max(par, 1))
+	for range cap(importers) {
+		importers <- l.newImporter()
+	}
+	for _, u := range units {
 		go func() {
-			for job := range jobs {
-				results <- l.checkOne(job, imp, analyzers)
+			defer close(u.done)
+			for _, path := range u.p.Imports {
+				if dep := byPath[path]; dep != nil {
+					<-dep.done
+					u.failed = u.failed || dep.failed
+				}
+			}
+			if u.failed {
+				return
+			}
+			imp := <-importers
+			defer func() { importers <- imp }()
+			pass, diags, err := l.CheckPackage(u.p, imp, published, analyzers)
+			if err != nil {
+				u.failed, u.err = true, err
+				return
+			}
+			u.table = pass.Collectives
+			if u.p.DepOnly {
+				return
+			}
+			for _, d := range diags {
+				u.findings = append(u.findings, Finding{Analyzer: d.Analyzer, Pos: l.Fset.Position(d.Pos), Message: d.Message})
 			}
 		}()
 	}
-	defer close(jobs)
-
-	factsOf := map[string]*analysis.Facts{}
-	dispatch := func(p *Package) {
-		var deps []*analysis.Facts
-		for _, d := range moduleDeps[p.ImportPath] {
-			deps = append(deps, factsOf[d])
-		}
-		jobs <- checkJob{p: p, depFacts: deps}
-	}
-	// Seed with every leaf, in path order (scheduling order does not
-	// affect output — findings are globally sorted — but determinism in
-	// dispatch keeps wall-clock stable too).
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	for _, p := range targets {
-		if indegree[p.ImportPath] == 0 {
-			dispatch(p)
-		}
-	}
-
 	var findings []Finding
-	var firstErr error
-	failed := map[string]bool{}
-	done := 0
-	// finish marks a package complete (analyzed or skipped because a
-	// dependency failed) and releases or cancels its dependents — failures
-	// must propagate, or the receive loop below would wait forever for
-	// packages that can never be dispatched.
-	var finish func(path string, ok bool)
-	finish = func(path string, ok bool) {
-		done++
-		if !ok {
-			failed[path] = true
+	var err error
+	for _, u := range units {
+		<-u.done
+		if err == nil {
+			err = u.err
 		}
-		for _, dep := range dependents[path] {
-			indegree[dep]--
-			if indegree[dep] != 0 {
-				continue
-			}
-			blocked := false
-			for _, d := range moduleDeps[dep] {
-				if failed[d] {
-					blocked = true
-					break
-				}
-			}
-			if blocked {
-				finish(dep, false)
-			} else {
-				dispatch(byPath[dep])
-			}
-		}
+		findings = append(findings, u.findings...)
 	}
-	for done < len(targets) {
-		res := <-results
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			finish(res.p.ImportPath, false)
-			continue
-		}
-		findings = append(findings, res.findings...)
-		factsOf[res.p.ImportPath] = res.facts
-		finish(res.p.ImportPath, true)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	sortFindings(findings)
 	return findings, nil
 }
 
 // Check is the entry point: load the patterns from dir and run
-// the suite over every package, sharded across GOMAXPROCS workers.
+// the suite over every package, GOMAXPROCS packages at a time.
 func Check(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Finding, error) {
 	l, err := Load(dir, patterns...)
 	if err != nil {

@@ -38,7 +38,7 @@ var KernelOwn = &analysis.Analyzer{
 	Run: runKernelOwn,
 }
 
-func runKernelOwn(pass *analysis.Pass) error {
+func runKernelOwn(pass *analysis.Pass) {
 	if isSimStatePkg(pass.Pkg.Path()) {
 		checkGlobalWrites(pass)
 	}
@@ -46,7 +46,6 @@ func runKernelOwn(pass *analysis.Pass) error {
 		checkShardSched(pass)
 	}
 	checkJobClosures(pass)
-	return nil
 }
 
 // checkGlobalWrites reports writes to package-level vars outside init.

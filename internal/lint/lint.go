@@ -7,10 +7,10 @@
 // run over the real tree via `qsmpilint ./...` (make lint), and over
 // seeded-violation fixtures under testdata/src via the analysistest-style
 // runner in linttest. ownership and collorder are protocol-aware; collorder
-// is interprocedural, seeing through helpers via CallsCollective facts
-// that the driver hands from a package to its dependents. Unused
+// is interprocedural, seeing through helpers via the table of collective
+// entry points each package publishes to its dependents. Unused
 // //lint:allow directives are themselves diagnostics (the suppression
-// audit in analysis.RunSuite).
+// audit in analysis.Pass.RunSuite).
 package lint
 
 import (

@@ -84,9 +84,18 @@ func TestCollOrder(t *testing.T) {
 	linttest.Run(t, lint.CollOrder, "qsmpi/collorderfix")
 }
 
+// TestCollOrderDeterministic analyzes a helper that enters two
+// collectives, one through a chain of four helpers, 20 times: the
+// collective its message names must not depend on map order.
+func TestCollOrderDeterministic(t *testing.T) {
+	for range 20 {
+		linttest.Run(t, lint.CollOrder, "qsmpi/collorderchain")
+	}
+}
+
 func TestCollOrderFacts(t *testing.T) {
-	// The collective hides one package away: only the CallsCollective
-	// fact exported by the dep fixture can reveal it.
+	// The collective hides one package away: only the table the dep
+	// fixture publishes can reveal it.
 	linttest.Run(t, lint.CollOrder, "qsmpi/collorderfacts", "qsmpi/collhelperdep")
 }
 
@@ -130,11 +139,11 @@ func TestCheckParallelDeterminism(t *testing.T) {
 }
 
 // TestDriverFactsCrossPackages drives the real driver end to end over an
-// external module: the helper package's CallsCollective fact must reach
-// the worker analyzing the app package for the rank-guarded call there to
-// be flagged. TestCollOrderFacts goes through linttest's own loop and
-// TestCheckParallelDeterminism expects no finding, so this is the one test
-// a broken hand-off in CheckAll fails.
+// external module: the collective table the helper package publishes must
+// reach the check of the app package for the rank-guarded call there to
+// be flagged. TestCollOrderFacts checks its packages one after another
+// and TestCheckParallelDeterminism expects no finding, so this is the one
+// test a broken hand-off in CheckAll fails.
 func TestDriverFactsCrossPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list -export over a scratch module")
@@ -170,7 +179,7 @@ import (
 	"qsmpi"
 )
 
-// Divergent guards the helper call on rank: only the imported fact can
+// Divergent guards the helper call on rank: only the helper's table can
 // reveal the Barrier behind it.
 func Divergent(c *qsmpi.Comm) {
 	if c.Rank() == 0 {

@@ -13,12 +13,10 @@
 package linttest
 
 import (
-	"go/ast"
 	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -87,11 +85,10 @@ var wantRx = regexp.MustCompile("// want `([^`]*)`")
 // Run analyzes the fixture package rooted at testdata/src/<pkgPath>
 // (type-checked under import path pkgPath, so path-scoped analyzers see
 // the intended package identity) and checks diagnostics against wants.
-// Each dep (an import path under testdata/src) is type-checked and
-// analyzed first, its exported facts merged into the import set of what
-// follows, as the driver does between packages; this is how the
-// helper-indirection fixtures prove facts see through package
-// boundaries.
+// Each dep (an import path under testdata/src) is checked first and its
+// collective table published to what follows, as the driver does between
+// packages; this is how the helper-indirection fixtures prove the tables
+// see through package boundaries.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPath string, deps ...string) {
 	t.Helper()
 	runFixture(t, []*analysis.Analyzer{a}, pkgPath, deps, false)
@@ -119,80 +116,53 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	return fi.base.Import(path)
 }
 
-// loadFixture parses one fixture package's files.
-func loadFixture(t *testing.T, pkgPath string) (dir string, names []string, files []*ast.File) {
+// fixture lists one fixture package's directory and Go files.
+func fixture(t *testing.T, pkgPath string) *driver.Package {
 	t.Helper()
-	l := Loader(t)
-	dir = filepath.Join(ModuleRoot(t), "internal", "lint", "testdata", "src", filepath.FromSlash(pkgPath))
-	ents, err := os.ReadDir(dir)
+	p := &driver.Package{
+		ImportPath: pkgPath,
+		Dir:        filepath.Join(ModuleRoot(t), "internal", "lint", "testdata", "src", filepath.FromSlash(pkgPath)),
+	}
+	ents, err := os.ReadDir(p.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ents {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
+			p.GoFiles = append(p.GoFiles, e.Name())
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
+	if len(p.GoFiles) == 0 {
+		t.Fatalf("no fixture files in %s", p.Dir)
 	}
-	files, err = l.ParseFiles(dir, names)
-	if err != nil {
-		t.Fatalf("parsing fixtures: %v", err)
-	}
-	return dir, names, files
+	return p
 }
 
+// runFixture checks the deps, then pkgPath, with driver.CheckPackage.
+// Without audit, the suppression audit's diagnostics are dropped: a
+// fixture of one analyzer may carry directives for others.
 func runFixture(t *testing.T, analyzers []*analysis.Analyzer, pkgPath string, deps []string, audit bool) {
 	t.Helper()
 	l := Loader(t)
 	fi := &fixtureImporter{base: l.Importer(), pkgs: map[string]*types.Package{}}
-	imports := analysis.NewFacts()
-
-	for _, dep := range deps {
-		depDir, _, depFiles := loadFixture(t, dep)
-		info := driver.NewInfo()
-		conf := types.Config{Importer: fi}
-		pkg, err := conf.Check(dep, l.Fset, depFiles, info)
-		if err != nil {
-			t.Fatalf("type-checking dep fixture %s (%s): %v", dep, depDir, err)
-		}
-		u := analysis.NewUnit(l.Fset, depFiles, pkg, info, imports)
-		for _, a := range analyzers {
-			if _, err := u.Run(a); err != nil {
-				t.Fatalf("%s over dep %s: %v", a.Name, dep, err)
-			}
-		}
-		fi.pkgs[dep] = pkg
-		imports.Merge(u.Exports)
-	}
-
-	dir, names, files := loadFixture(t, pkgPath)
-	info := driver.NewInfo()
-	conf := types.Config{Importer: fi}
-	pkg, err := conf.Check(pkgPath, l.Fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixtures: %v", err)
-	}
-	u := analysis.NewUnit(l.Fset, files, pkg, info, imports)
+	tables := map[string]map[string]string{}
+	published := func(path string) map[string]string { return tables[path] }
+	var p *driver.Package
 	var diags []analysis.Diagnostic
-	if audit {
-		if diags, err = analysis.RunSuite(analyzers, u); err != nil {
-			t.Fatal(err)
+	for _, path := range append(deps, pkgPath) {
+		p = fixture(t, path)
+		pass, ds, err := l.CheckPackage(p, fi, published, analyzers)
+		if err != nil {
+			t.Fatalf("checking fixture %s: %v", path, err)
 		}
-	} else {
-		for _, a := range analyzers {
-			ds, err := u.Run(a)
-			if err != nil {
-				t.Fatalf("%s: %v", a.Name, err)
-			}
-			diags = append(diags, ds...)
-		}
+		fi.pkgs[path], tables[path], diags = pass.Pkg, pass.Collectives, ds
 	}
 
-	wants := collectWants(t, dir, names)
+	wants := collectWants(t, p.Dir, p.GoFiles)
 	for _, d := range diags {
+		if d.Analyzer == analysis.SuppressionName && !audit {
+			continue
+		}
 		pos := l.Fset.Position(d.Pos)
 		if w := matchWant(wants, filepath.Base(pos.Filename), pos.Line, d.Message); w != nil {
 			w.hit = true

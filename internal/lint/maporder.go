@@ -29,7 +29,7 @@ var MapOrder = &analysis.Analyzer{
 	Run: runMapOrder,
 }
 
-func runMapOrder(pass *analysis.Pass) error {
+func runMapOrder(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		// Every function body in the file, for locating the scope a map
 		// range's accumulator must be sorted in.
@@ -56,7 +56,6 @@ func runMapOrder(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isMapRange reports whether ranging over x visits a map in its order:

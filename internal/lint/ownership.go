@@ -72,10 +72,10 @@ var waitFuncs = map[string]map[string]bool{
 	module: {"Waitall": true, "Waitany": true},
 }
 
-func runOwnership(pass *analysis.Pass) error {
+func runOwnership(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			ob := &obligations{map[types.Object]obligation{}, map[types.Object]bool{}, map[types.Object]bool{}}
+			ob := &obligations{map[types.Object]obligation{}, map[types.Object]bool{}, map[types.Object]bool{}, aliases{}}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				var body *ast.BlockStmt
 				switch fn := n.(type) {
@@ -98,7 +98,6 @@ func runOwnership(pass *analysis.Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 // ownPath is ownership's state on one path. alias maps a variable to the
@@ -120,11 +119,14 @@ type ownPath struct {
 // came under it, discharged marks every request a use anywhere in the
 // declaration discharges, and what is owed and never discharged leaks.
 // persistent marks the handles of SendInit and RecvInit over a buffer
-// variable, which come under obligation at Start.
+// variable, which come under obligation at Start. alias is the
+// declaration's alias map, which no branch clones: an alias made on one
+// arm still names its request after the join.
 type obligations struct {
 	owed       map[types.Object]obligation
 	discharged map[types.Object]bool
 	persistent map[types.Object]bool
+	alias      aliases
 }
 
 type obligation struct {
@@ -218,7 +220,7 @@ func (o ownPath) uses(n ast.Node) {
 		if !ok {
 			return true
 		}
-		r := o.alias.root(obj)
+		r := o.ob.alias.root(obj)
 		switch discharges, start := requestUse(stack); {
 		case start != nil && o.ob.persistent[r]:
 			o.ob.owed[r] = obligation{start.Pos(), "persistent request started here"}
@@ -435,12 +437,14 @@ func (o ownPath) bind(obj types.Object, rhs ast.Expr) {
 	}
 	delete(o.bufs, obj)
 	delete(o.alias, obj)
+	delete(o.ob.alias, obj)
 	if s, isSlice := ast.Unparen(rhs).(*ast.SliceExpr); isSlice {
 		rhs = s.X
 	}
 	if src, isIdent := ast.Unparen(rhs).(*ast.Ident); isIdent {
 		if so := o.pass.TypesInfo.ObjectOf(src); so != nil && so != obj {
 			o.alias[obj] = o.alias.root(so)
+			o.ob.alias[obj] = o.ob.alias.root(so)
 		}
 	}
 }
@@ -471,7 +475,7 @@ func (o ownPath) post(call *ast.CallExpr, req types.Object, leak string) {
 	}
 	if req != nil {
 		o.waits[o.alias.root(req)] = 0
-		o.ob.owed[o.alias.root(req)] = obligation{call.Pos(), "request posted by " + name}
+		o.ob.owed[o.ob.alias.root(req)] = obligation{call.Pos(), "request posted by " + name}
 	}
 }
 

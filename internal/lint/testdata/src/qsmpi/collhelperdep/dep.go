@@ -1,7 +1,7 @@
-// Dependency fixture for the facts path: Sync enters a Barrier, and the
-// CallsCollective fact exported for it is what lets collorder flag
-// rank-guarded calls from a different package — after the fact has been
-// gob-round-tripped, exactly as both real drivers carry it.
+// Dependency fixture for the collective table: Sync enters a Barrier, and
+// the entry this package publishes for it is what lets collorder flag
+// rank-guarded calls from a different package, as the driver hands the
+// table from a package to its dependents.
 package collhelperdep
 
 import "qsmpi/internal/mpi"
@@ -10,7 +10,7 @@ func Sync(c *mpi.Comm) {
 	c.Barrier()
 }
 
-// Quiet does nothing collective; no fact is exported for it.
+// Quiet does nothing collective; the table has no entry for it.
 func Quiet(c *mpi.Comm) {
 	_ = c.Size()
 }

@@ -1,6 +1,6 @@
-// Helper-indirection fixture for collorder's interprocedural facts: the
+// Helper-indirection fixture for collorder's collective tables: the
 // collective hides behind collhelperdep.Sync, one package away, and only
-// the imported CallsCollective fact can reveal it.
+// the table collhelperdep publishes can reveal it.
 package collorderfacts
 
 import (
@@ -19,7 +19,7 @@ func uniformViaHelper(c *mpi.Comm) {
 	collhelperdep.Sync(c)
 }
 
-// quietGuarded is clean: the guarded helper carries no collective fact.
+// quietGuarded is clean: the guarded helper has no entry in the table.
 func quietGuarded(c *mpi.Comm) {
 	if c.Rank() == 0 {
 		collhelperdep.Quiet(c)

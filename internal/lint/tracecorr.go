@@ -21,9 +21,9 @@ var TraceCorr = &analysis.Analyzer{
 	Run: runTraceCorr,
 }
 
-func runTraceCorr(pass *analysis.Pass) error {
+func runTraceCorr(pass *analysis.Pass) {
 	if !protocolPkgs[pass.Pkg.Path()] {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -50,5 +50,4 @@ func runTraceCorr(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
