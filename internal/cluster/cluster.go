@@ -56,9 +56,9 @@ type Spec struct {
 	// send/recv latency histograms.
 	Metrics *obs.Registry
 	// Watchdog, when non-nil, monitors per-rank progress in virtual time:
-	// a rank with pending requests whose event stream stays silent for the
-	// watchdog's window is dumped as a structured stall diagnostic, and
-	// Cluster.Run appends the diagnostics to its deadlock error.
+	// a rank with pending requests silent for the watchdog's window, or
+	// busy when the run deadlocks, is dumped as a structured stall
+	// diagnostic, and Cluster.Run appends the diagnostics to its error.
 	Watchdog *obs.Watchdog
 	// Sampler, when non-nil, is the virtual-time telemetry sampler: a
 	// coordinator timer snapshots every rank's gauges (queue depths,
@@ -440,21 +440,16 @@ func (c *Cluster) bringup(th *simtime.Thread, rank, node int, name string) *Proc
 	}
 	if c.spec.Watchdog != nil {
 		p.Stack.Watchdog = c.spec.Watchdog
-		c.spec.Watchdog.Register(rank, obs.Probe{
-			Busy: func() bool {
-				return p.Stack.PendingSends()+p.Stack.PendingRecvs() > 0
-			},
-			Diag: func() obs.StallDiag {
-				d := obs.StallDiag{
-					PendingSends:    p.Stack.PendingSends(),
-					PendingRecvs:    p.Stack.PendingRecvs(),
-					UnexpectedDepth: p.Stack.UnexpectedDepth(),
-				}
-				for _, m := range p.Elans {
-					d.OutstandingDMA += m.OutstandingDMA()
-				}
-				return d
-			},
+		c.spec.Watchdog.Register(rank, func() obs.StallDiag {
+			d := obs.StallDiag{
+				PendingSends:    p.Stack.PendingSends(),
+				PendingRecvs:    p.Stack.PendingRecvs(),
+				UnexpectedDepth: p.Stack.UnexpectedDepth(),
+			}
+			for _, m := range p.Elans {
+				d.OutstandingDMA += m.OutstandingDMA()
+			}
+			return d
 		})
 	}
 	if c.spec.Sampler != nil {
@@ -554,18 +549,19 @@ func (p *Proc) Finalize() {
 	p.RTE.Leave(p.Th)
 }
 
-// Run executes the simulation to quiescence and reports deadlocks. When a
-// watchdog is attached and has recorded stalls, its diagnostics are
-// appended to the deadlock error. The cluster created the kernel, so Run
-// closes it on the way out — once the deadlock report has been taken —
-// unwinding whatever is still parked (progress threads, the participants
-// of a deadlock): no goroutine outlives Run, and a cluster runs once.
+// Run executes the simulation to quiescence and reports deadlocks, with
+// an attached watchdog's diagnostics of every rank still busy then. The
+// cluster created the kernel, so Run closes it on the way out — once the
+// deadlock report has been taken — unwinding whatever is still parked
+// (progress threads, the participants of a deadlock): no goroutine
+// outlives Run, and a cluster runs once.
 func (c *Cluster) Run() error {
 	defer c.K.Close()
 	c.K.Run()
 	c.mergeTraces()
 	if st := c.K.Stalled(); len(st) != 0 {
 		if c.spec.Watchdog != nil {
+			c.spec.Watchdog.Quiesced(c.K.Now())
 			if diag := c.spec.Watchdog.Render(); diag != "" {
 				return fmt.Errorf("cluster: deadlock, stalled procs: %v\n%s", st, diag)
 			}

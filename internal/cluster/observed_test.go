@@ -68,12 +68,13 @@ func observedRun(t *testing.T, shards int, rec *trace.Recorder) uint64 {
 // of the sixteen short per-node streams ends inside a block it has not
 // filled: 2.9 measured, 3.3 with recopying.
 //
-// The sharded run records the same events at the same instants. Events of
-// one instant on different nodes merge in node order where the unsharded
-// kernel records them in scheduling order, and the sampler's tail is as long
-// as the watchdog keeps the kernel alive, which without worker shards is up
-// to one window and with them is not at all; so the streams are compared
-// without samples, in a canonical order within each instant.
+// The sharded run records the same events at the same instants, samples
+// included: the watchdog's tick, like the sampler's, is a cancel-on-idle
+// timer at every shard count, so neither keeps a finished run alive and
+// the sampler's last tick is the same. Events of one instant on different
+// nodes merge in node order where the unsharded kernel records them in
+// scheduling order, so the streams are compared in a canonical order
+// within each instant.
 func TestObservedRunPaysForItsEventsOnce(t *testing.T) {
 	var streams [][]trace.Event
 	for _, tc := range []struct {
@@ -91,7 +92,7 @@ func TestObservedRunPaysForItsEventsOnce(t *testing.T) {
 			t.Errorf("shards=%d: the observed run allocated %d bytes, want at most %d (the plain run's %d + %.1f × %d of events)",
 				tc.shards, observed, limit, plain, tc.budget, events)
 		}
-		evs := slices.DeleteFunc(rec.Events(), func(e trace.Event) bool { return e.Kind == trace.GaugeSample })
+		evs := rec.Events()
 		slices.SortFunc(evs, func(a, b trace.Event) int {
 			return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Layer, b.Layer),
 				cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.ReqID, b.ReqID), cmp.Compare(a.Peer, b.Peer),

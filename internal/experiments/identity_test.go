@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
+
+	"qsmpi/internal/simtime/rectest"
 )
 
 // The identity matrix is the one gate for "parallelism changes wall-clock
@@ -155,34 +156,8 @@ func identityRows() []identityRow {
 	return rows
 }
 
-// firstDiff returns the first line on which two cell outputs differ.
-func firstDiff(a, b string) string {
-	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n\t%s\n\t%s", i+1, al[i], bl[i])
-		}
-	}
-	return fmt.Sprintf("lengths %d and %d lines", len(al), len(bl))
-}
-
-// goldenCells reads testdata/report_golden.txt: a "@@ <row>" line, then the
-// row's sequential one-worker cell, newline-terminated.
-func goldenCells(t *testing.T) map[string]string {
-	data, err := os.ReadFile("testdata/report_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := map[string]string{}
-	for _, chunk := range strings.Split("\n"+string(data), "\n@@ ")[1:] {
-		name, cell, _ := strings.Cut(chunk, "\n")
-		cells[name] = cell
-	}
-	return cells
-}
-
 func TestIdentityMatrix(t *testing.T) {
-	golden := goldenCells(t)
+	golden := rectest.Cells(t, "testdata/report_golden.txt")
 	for _, row := range identityRows() {
 		t.Run(row.name, func(t *testing.T) {
 			if row.big && testing.Short() {
@@ -209,14 +184,14 @@ func TestIdentityMatrix(t *testing.T) {
 					if *ref == "" {
 						*ref = got
 					} else if got != *ref {
-						t.Errorf("workers=%d shards=%d differs, %s", workers, shards, firstDiff(*ref, got))
+						t.Errorf("workers=%d shards=%d differs, %s", workers, shards, rectest.FirstDiff(*ref, got))
 					}
 				}
 			}
-			if want, ok := golden[row.name]; !ok {
+			if want, ok := golden["@@ "+row.name]; !ok {
 				t.Errorf("no cell in testdata/report_golden.txt")
 			} else if got := strings.TrimSuffix(seq, "\n"); got != strings.TrimSuffix(want, "\n") {
-				t.Errorf("the sequential cell moved away from testdata/report_golden.txt, %s", firstDiff(want, got))
+				t.Errorf("the sequential cell moved away from testdata/report_golden.txt, %s", rectest.FirstDiff(want, got))
 			}
 			if row.contract == shardedCells && first == seq {
 				t.Errorf("the sequential cell agrees with the sharded ones (%s): the row is tie-free now, relabel it everyCell", seq)

@@ -13,6 +13,7 @@ import (
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
+	"qsmpi/internal/simtime/rectest"
 )
 
 // TestMemoKeyCoversSpec sets each field of cluster.Spec in turn on the spec
@@ -209,7 +210,7 @@ func TestMemoSweepWorkers(t *testing.T) {
 	seq, seqM := run(1)
 	par, parM := run(4)
 	if par != seq || parM != seqM {
-		t.Errorf("4 workers differ from 1: %+v vs %+v, %s", parM, seqM, firstDiff(seq, par))
+		t.Errorf("4 workers differ from 1: %+v vs %+v, %s", parM, seqM, rectest.FirstDiff(seq, par))
 	}
 	if seqM.Reused != 9 {
 		t.Errorf("15 jobs over 6 distinct keys reused %d runs, want 9", seqM.Reused)

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"maps"
+	"slices"
 
 	"qsmpi/internal/lint/analysis"
 )
@@ -37,7 +38,9 @@ import (
 // handle, must reach a completion call — Wait, Test, Waitall, Waitany,
 // Testany — or the send buffer is pinned and the match queues retain the
 // posting forever (the leak only surfaces when the virtual-time watchdog
-// fires). A request that escapes the function (returned, stored into a
+// fires). A use completes a post it follows in source order or shares a
+// loop body with, so a Wait before a re-post into the same variable does
+// not. A request that escapes the function (returned, stored into a
 // field, slice or map, passed to a helper, sent) transfers its obligation
 // to code we cannot see and goes silent — which is exactly what makes
 // `reqs = append(reqs, c.Isend(...))` followed by mpi.Waitall(reqs...)
@@ -75,7 +78,7 @@ var waitFuncs = map[string]map[string]bool{
 func runOwnership(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			ob := &obligations{map[types.Object]obligation{}, map[types.Object]bool{}, map[types.Object]bool{}, aliases{}}
+			ob := &obligations{map[types.Object]obligation{}, map[types.Object][]token.Pos{}, nil, map[types.Object]bool{}, aliases{}}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				var body *ast.BlockStmt
 				switch fn := n.(type) {
@@ -83,6 +86,10 @@ func runOwnership(pass *analysis.Pass) {
 					body = fn.Body
 				case *ast.FuncLit:
 					body = fn.Body
+				case *ast.ForStmt:
+					ob.loops = append(ob.loops, fn.Body)
+				case *ast.RangeStmt:
+					ob.loops = append(ob.loops, fn.Body)
 				}
 				if body != nil {
 					walk(ownPath{pass, aliases{}, map[types.Object]holder{}, map[types.Object]int{}, ob}, body.List)
@@ -90,7 +97,7 @@ func runOwnership(pass *analysis.Pass) {
 				return true
 			})
 			for req, o := range ob.owed {
-				if !ob.discharged[req] {
+				if !ob.discharged(req, o.at) {
 					pass.Reportf(o.at,
 						"%s is never completed: no Wait/Test/Waitall/Waitany reaches %s — leaked request pins its buffer and match-queue slot until the watchdog fires",
 						o.what, req.Name())
@@ -114,19 +121,28 @@ type ownPath struct {
 	ob    *obligations
 }
 
-// obligations holds a declaration's requests to completion, flow-
-// insensitively: owed maps a request under obligation to where it last
-// came under it, discharged marks every request a use anywhere in the
-// declaration discharges, and what is owed and never discharged leaks.
+// obligations holds a declaration's requests to completion: owed maps a
+// request under obligation to where it last came under it, used to where
+// uses discharge it, loops are the for and range bodies, and what is owed
+// and never discharged leaks.
 // persistent marks the handles of SendInit and RecvInit over a buffer
 // variable, which come under obligation at Start. alias is the
 // declaration's alias map, which no branch clones: an alias made on one
 // arm still names its request after the join.
 type obligations struct {
 	owed       map[types.Object]obligation
-	discharged map[types.Object]bool
+	used       map[types.Object][]token.Pos
+	loops      []*ast.BlockStmt
 	persistent map[types.Object]bool
 	alias      aliases
+}
+
+// discharged reports whether a use discharges req's obligation from at:
+// one after it in source order, or one in a loop body with it.
+func (ob *obligations) discharged(req types.Object, at token.Pos) bool {
+	return slices.ContainsFunc(ob.used[req], func(u token.Pos) bool {
+		return u > at || slices.ContainsFunc(ob.loops, func(l *ast.BlockStmt) bool { return l.Pos() <= u && at < l.End() })
+	})
 }
 
 type obligation struct {
@@ -225,7 +241,7 @@ func (o ownPath) uses(n ast.Node) {
 		case start != nil && o.ob.persistent[r]:
 			o.ob.owed[r] = obligation{start.Pos(), "persistent request started here"}
 		case discharges:
-			o.ob.discharged[r] = true
+			o.ob.used[r] = append(o.ob.used[r], id.Pos())
 		}
 		return true
 	})

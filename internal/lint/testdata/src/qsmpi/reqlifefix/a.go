@@ -294,7 +294,7 @@ func postInLiteral(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
 	r.Wait()
 }
 
-// aliasOnArms is clean: the obligation is flow-insensitive, so the alias
+// aliasOnArms is clean: the alias map is the declaration's, so the alias
 // each arm makes still names the request after the join.
 func aliasOnArms(c *mpi.Comm, buf []byte, dt *datatype.Datatype, x bool) {
 	var r2 *mpi.Request
@@ -305,4 +305,26 @@ func aliasOnArms(c *mpi.Comm, buf []byte, dt *datatype.Datatype, x bool) {
 		r2 = r
 	}
 	r2.Wait()
+}
+
+// waitThenRepost leaks the second request: the Wait before it completes
+// only the first, and nothing reaches r after the re-post.
+func waitThenRepost(c *mpi.Comm, buf []byte, dt *datatype.Datatype) {
+	r := c.Isend(1, 0, buf, dt)
+	r.Wait()
+	r = c.Isend(1, 0, buf, dt) // want `never completed`
+}
+
+// waitAtLoopTop is clean: each iteration waits the request of the one
+// before, and the iteration after the last post only waits.
+func waitAtLoopTop(c *mpi.Comm, bufs [][]byte, dt *datatype.Datatype) {
+	var r *mpi.Request
+	for i := 0; i <= len(bufs); i++ {
+		if r != nil {
+			r.Wait()
+		}
+		if i < len(bufs) {
+			r = c.Isend(1, 0, bufs[i], dt)
+		}
+	}
 }

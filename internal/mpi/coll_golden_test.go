@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strings"
 	"testing"
 
@@ -13,6 +12,7 @@ import (
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
+	"qsmpi/internal/simtime/rectest"
 	"qsmpi/internal/trace"
 )
 
@@ -275,34 +275,5 @@ func (c collCell) replay(t testing.TB) (got string) {
 // collectives and holds each to the bytes recorded from the code they
 // replaced.
 func TestCollGolden(t *testing.T) {
-	replayGolden(t, "testdata/coll_golden.txt", collCells(), func(c collCell) string { return c.replay(t) })
-}
-
-// replayGolden holds the output of every cell to the golden file at path,
-// whose cells are "@@ " headers (the cell's String) each followed by the
-// bytes the cell printed when the file was recorded.
-func replayGolden[C fmt.Stringer](t *testing.T, path string, cells []C, replay func(C) string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := make(map[string]string)
-	for _, cell := range strings.Split(string(raw), "@@ ")[1:] {
-		head, body, _ := strings.Cut(cell, "\n")
-		golden["@@ "+head] = body
-	}
-	if len(golden) != len(cells) {
-		t.Fatalf("golden holds %d cells, the table %d", len(golden), len(cells))
-	}
-	for _, c := range cells {
-		want, ok := golden[c.String()]
-		if !ok {
-			t.Errorf("%v: not in the golden", c)
-			continue
-		}
-		if got := replay(c); got != want {
-			t.Errorf("%v:\n got: %s\nwant: %s", c,
-				strings.ReplaceAll(got, "\n", "\n      "), strings.ReplaceAll(want, "\n", "\n      "))
-		}
-	}
+	rectest.Replay(t, "testdata/coll_golden.txt", collCells(), func(c collCell) string { return c.replay(t) })
 }

@@ -11,6 +11,7 @@ import (
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/ptlelan4"
 	"qsmpi/internal/simtime"
+	"qsmpi/internal/simtime/rectest"
 	"qsmpi/internal/trace"
 )
 
@@ -182,5 +183,5 @@ func (c waitCell) render(t testing.TB) string {
 // TestWaitGolden replays every cell of the golden through today's blocking
 // calls and holds each to the bytes recorded from the loops they replaced.
 func TestWaitGolden(t *testing.T) {
-	replayGolden(t, "testdata/wait_golden.txt", waitCells(), func(c waitCell) string { return c.render(t) })
+	rectest.Replay(t, "testdata/wait_golden.txt", waitCells(), func(c waitCell) string { return c.render(t) })
 }

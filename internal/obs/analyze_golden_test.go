@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"strings"
 	"testing"
 
 	"qsmpi/internal/experiments"
 	"qsmpi/internal/obs"
+	"qsmpi/internal/simtime/rectest"
 	"qsmpi/internal/trace"
 )
 
@@ -80,29 +80,5 @@ func (c analyzeCell) render(t *testing.T) string {
 // TestAnalyzeGolden holds every analyzer table, the sampled run's heatmaps,
 // its record order and its Perfetto bytes to the golden.
 func TestAnalyzeGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/analyze_golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A heatmap row can hold "@@ ", so a cell starts only at a line's start.
-	golden := make(map[string]string)
-	for _, cell := range strings.Split("\n"+strings.TrimSuffix(string(raw), "\n"), "\n@@ ")[1:] {
-		head, body, _ := strings.Cut(cell, "\n")
-		golden["@@ "+head] = body + "\n"
-	}
-	cells := analyzeCells()
-	if len(golden) != len(cells) {
-		t.Fatalf("golden holds %d cells, the table %d", len(golden), len(cells))
-	}
-	for _, c := range cells {
-		want, ok := golden[c.String()]
-		if !ok {
-			t.Errorf("%v: not in the golden", c)
-			continue
-		}
-		if got := c.render(t); got != want {
-			t.Errorf("%v:\n got: %s\nwant: %s", c,
-				strings.ReplaceAll(got, "\n", "\n      "), strings.ReplaceAll(want, "\n", "\n      "))
-		}
-	}
+	rectest.Replay(t, "testdata/analyze_golden.txt", analyzeCells(), func(c analyzeCell) string { return c.render(t) })
 }

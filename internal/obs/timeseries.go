@@ -160,14 +160,13 @@ func (s *Sampler) Bind(k *simtime.Kernel) {
 		return
 	}
 	s.k = k
-	// Phase offset: first tick at period + 1ps, then every period.
-	every(k, s.period+simtime.Picosecond, s.period, "obs:sampler", s.takeSample)
+	every(k, s.period, "obs:sampler", s.takeSample)
 }
 
-// every runs fn on the coordinator entity after first and then every
-// period, through cancel-on-idle timers, so the chain never keeps a
-// finished run alive.
-func every(k *simtime.Kernel, first, period simtime.Duration, name string, fn func()) {
+// every runs fn on the coordinator entity at period + 1 ps (after the
+// events of the instant period) and then every period, through
+// cancel-on-idle timers, so the chain never keeps a finished run alive.
+func every(k *simtime.Kernel, period simtime.Duration, name string, fn func()) {
 	g := k.SchedFor(simtime.GlobalEntity)
 	var arm func(d simtime.Duration)
 	arm = func(d simtime.Duration) {
@@ -176,7 +175,7 @@ func every(k *simtime.Kernel, first, period simtime.Duration, name string, fn fu
 			arm(period)
 		})
 	}
-	arm(first)
+	arm(period + simtime.Picosecond)
 }
 
 // RegisterRank installs one rank's gauge probe. node is the rank's

@@ -1,21 +1,20 @@
 // Virtual-time progress watchdog: flags any rank whose request queues are
 // non-empty but whose event stream has advanced no virtual time for a
 // configurable window — the observable symptom of the completion-queue
-// race of §5.3 and of every lost-wakeup bug in a progress engine. The
-// watchdog is wired through cluster.Spec.Watchdog and the PML progress
-// paths: each progress notification stamps the rank's last-advance time
-// and (re)arms one kernel timer; when the timer fires, every registered
-// rank that is still busy and has not advanced for a full window is dumped
-// as a structured stall diagnostic.
+// race of §5.3 and of every lost-wakeup bug in a progress engine. Each PML
+// progress notification stamps the rank's last-advance time; a periodic
+// cancel-on-idle tick reports every busy rank silent for a full window,
+// and a run that stops with ranks still busy reports them at quiescence.
 //
 // The watchdog reads simulation state but never adds virtual-time cost to
-// any simulated entity, so attaching it cannot change a run's latencies —
-// only the kernel's event count.
+// any simulated entity and never keeps a finished run alive, so attaching
+// it cannot change a run's latencies or its end — only the event count.
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"qsmpi/internal/simtime"
@@ -28,22 +27,16 @@ import (
 // ten milliseconds of virtual silence is unambiguous.
 const DefaultStallWindow = 10 * simtime.Millisecond
 
-// Probe is one rank's view into its request machinery, registered by the
-// cluster at bringup. Busy reports whether any request is pending; Diag
-// captures the stall diagnostic when the watchdog trips.
-type Probe struct {
-	Busy func() bool
-	Diag func() StallDiag
-}
-
-// StallDiag is the structured state dump of one stalled rank.
+// StallDiag is the structured state dump of one stalled rank. A rank is
+// busy while it has a send or a receive pending.
 type StallDiag struct {
 	PendingSends    int
 	PendingRecvs    int
 	UnexpectedDepth int
 	OutstandingDMA  int
-	// LastEvents is the final trace event per layer for the rank, newest
-	// first, when a recorder was attached; nil otherwise.
+	// LastEvents is the rank's final trace event per layer at or before
+	// the detection, newest first, read by Stalls and Render from the
+	// finished stream when a recorder was attached; nil otherwise.
 	LastEvents []LayerLast
 }
 
@@ -62,41 +55,19 @@ type StallReport struct {
 	Diag         StallDiag
 }
 
-// Render formats one report as an indented multi-line diagnostic.
-func (r StallReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "watchdog: rank %d stalled: no progress since %.3fus (detected at %.3fus, %.3fus of silence)\n",
-		r.Rank, r.LastProgress.Micros(), r.DetectedAt.Micros(), r.DetectedAt.Sub(r.LastProgress).Micros())
-	fmt.Fprintf(&b, "  pending: sends=%d recvs=%d unexpected=%d outstanding-dma=%d\n",
-		r.Diag.PendingSends, r.Diag.PendingRecvs, r.Diag.UnexpectedDepth, r.Diag.OutstandingDMA)
-	for _, le := range r.Diag.LastEvents {
-		fmt.Fprintf(&b, "  last %-6s event: %-17s @ %.3fus\n", le.Layer, le.Kind, le.At.Micros())
-	}
-	return b.String()
-}
-
-// Watchdog monitors per-rank progress in virtual time. Create one with
-// NewWatchdog, hand it to cluster.Spec.Watchdog, and read Stalls() after
-// the run. All methods run inside the (cooperative) simulation, so no
-// locking is needed.
+// Watchdog monitors per-rank progress in virtual time: hand one to
+// cluster.Spec.Watchdog and read Stalls after the run. A note writes only
+// its rank's slot, from the rank's shard; checks run on the coordinator.
 type Watchdog struct {
 	window simtime.Duration
-	k      *simtime.Kernel
 	rec    *trace.Recorder
-	// par is true on a sharded kernel: progress notes only stamp their
-	// rank's slot (any shard may note concurrently), and the tick runs as
-	// a periodic cancel-on-idle coordinator timer instead of being armed
-	// from the (possibly worker-shard) note path.
-	par bool
-
-	ranks []watched // by rank: zero until the rank registers
-	armed bool
-	fired []StallReport
+	ranks  []watched // by rank: zero until the rank registers
+	fired  []StallReport
 }
 
 // watched is what the watchdog knows of one rank.
 type watched struct {
-	probe    Probe
+	diag     func() StallDiag
 	last     simtime.Time // the rank's last progress note
 	reported bool         // its stall is on record
 }
@@ -110,98 +81,61 @@ func NewWatchdog(window simtime.Duration) *Watchdog {
 	return &Watchdog{window: window}
 }
 
-// Window returns the configured stall threshold.
-func (w *Watchdog) Window() simtime.Duration { return w.window }
-
-// Bind attaches the watchdog to the simulation kernel (the cluster does
-// this at construction) and, optionally, to the run's event recorder so
-// stall diagnostics can include each layer's last event.
+// Bind attaches the watchdog to the kernel and, optionally, to the run's
+// recorder for the diagnostics' last events. The tick takes the sampler's
+// phase: first at window + 1 ps, then every window.
 func (w *Watchdog) Bind(k *simtime.Kernel, rec *trace.Recorder) {
-	w.k = k
 	w.rec = rec
-	if k.Sharded() > 0 && !w.par {
-		w.par = true
-		every(k, w.window, w.window, "obs:watchdog", w.tick)
-	}
+	every(k, w.window, "obs:watchdog", func() { w.check(k.Now(), false) })
 }
 
-// Register installs one rank's probe. Re-registering a rank replaces its
-// probe (process respawn under the same rank).
-func (w *Watchdog) Register(rank int, p Probe) {
+// Register installs the probe of one rank's request machinery, read at
+// every check. Re-registering a rank replaces it (process respawn).
+func (w *Watchdog) Register(rank int, diag func() StallDiag) {
 	if rank >= len(w.ranks) {
 		w.ranks = append(w.ranks, make([]watched, rank+1-len(w.ranks))...)
 	}
-	w.ranks[rank].probe = p
+	w.ranks[rank].diag = diag
 }
 
-// Note stamps rank's last-progress time, as seen on the caller's clock,
-// and on a kernel without worker shards arms the timer if idle. It is
-// called from the PML's hot paths, so it must stay a couple of field
-// touches; with worker shards it writes only the rank's own slot, which is
-// safe from the rank's shard because the coordinator reads the slots
-// exclusively.
+// Note stamps rank's last-progress time, as seen on the caller's clock.
+// It is called from the PML's hot paths, so it is one field write.
 func (w *Watchdog) Note(rank int, now simtime.Time) {
 	if rank < len(w.ranks) {
 		w.ranks[rank].last = now
 	}
-	if w.par {
-		return
-	}
-	if !w.armed {
-		w.armed = true
-		w.k.After(w.window, "obs:watchdog", w.tick)
-	}
 }
 
-// tick inspects every registered rank, in rank order. A rank is stalled
-// when its probe reports pending requests and no progress note for a full
-// window; each stall is reported once. The timer rearms only while some
-// rank is busy and nothing has been reported — once the run quiesces (or
-// a stall is on record), the watchdog stops injecting events so the
-// kernel can drain and its own deadlock detection can run.
-func (w *Watchdog) tick() {
-	now := w.k.Now()
-	busy := false
+// Quiesced reports every busy rank not yet reported: the run stopped at now
+// with procs stalled, so nothing can advance them again.
+func (w *Watchdog) Quiesced(now simtime.Time) { w.check(now, true) }
+
+// check reports, in rank order and once each, every busy rank silent for
+// a full window, or at quiescence (final) every busy rank, dated at the
+// earliest instant the window rule holds and never before now.
+func (w *Watchdog) check(now simtime.Time, final bool) {
 	for rank := range w.ranks {
 		r := &w.ranks[rank]
-		if r.probe.Busy == nil || !r.probe.Busy() {
+		due := r.last.Add(w.window)
+		if r.reported || r.diag == nil || now < due && !final {
 			continue
 		}
-		busy = true
-		if now.Sub(r.last) >= w.window && !r.reported {
+		if d := r.diag(); d.PendingSends+d.PendingRecvs > 0 {
 			r.reported = true
-			rep := StallReport{Rank: rank, LastProgress: r.last, DetectedAt: now}
-			if r.probe.Diag != nil {
-				rep.Diag = r.probe.Diag()
-			}
-			rep.Diag.LastEvents = w.lastEvents(rank)
-			w.fired = append(w.fired, rep)
+			w.fired = append(w.fired, StallReport{Rank: rank, LastProgress: r.last, DetectedAt: max(now, due), Diag: d})
 		}
 	}
-	if w.par {
-		// The periodic cancel-on-idle chain owns rearming.
-		return
-	}
-	if !busy || len(w.fired) > 0 {
-		// Disarm; the next progress note (from a still-live rank) rearms.
-		w.armed = false
-		return
-	}
-	w.k.After(w.window, "obs:watchdog", w.tick)
 }
 
 // lastEvents scans the attached recorder, in place, for rank's final
-// event per layer, newest first.
-func (w *Watchdog) lastEvents(rank int) []LayerLast {
+// event per layer at or before until, newest first.
+func (w *Watchdog) lastEvents(rank int, until simtime.Time) []LayerLast {
 	if w.rec == nil {
 		return nil
 	}
 	byLayer := make(map[trace.Layer]trace.Event)
 	for e := range w.rec.All() {
-		if e.Rank != rank {
-			continue
-		}
-		if le, ok := byLayer[e.Layer]; !ok || e.At >= le.At {
+		if le, ok := byLayer[e.Layer]; e.Rank == rank && e.At <= until && (!ok || e.At >= le.At) {
 			byLayer[e.Layer] = e
 		}
 	}
@@ -209,25 +143,33 @@ func (w *Watchdog) lastEvents(rank int) []LayerLast {
 	for _, e := range byLayer {
 		out = append(out, LayerLast{Layer: e.Layer.String(), Kind: e.Kind.String(), At: e.At})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At > out[j].At
-		}
-		return out[i].Layer < out[j].Layer
-	})
+	slices.SortFunc(out, func(a, b LayerLast) int { return cmp.Or(cmp.Compare(b.At, a.At), cmp.Compare(a.Layer, b.Layer)) })
 	return out
 }
 
-// Stalls returns the recorded stall reports in detection order.
+// Stalls returns the recorded stall reports in detection order, each with
+// its rank's last events read from the recorder: after the run, the whole
+// stream, merged from the nodes' recorders under shards.
 func (w *Watchdog) Stalls() []StallReport {
-	return append([]StallReport(nil), w.fired...)
+	out := slices.Clone(w.fired)
+	for i := range out {
+		out[i].Diag.LastEvents = w.lastEvents(out[i].Rank, out[i].DetectedAt)
+	}
+	return out
 }
 
-// Render formats every recorded stall; empty when none fired.
+// Render formats every recorded stall as an indented multi-line
+// diagnostic; empty when none fired.
 func (w *Watchdog) Render() string {
 	var b strings.Builder
-	for _, r := range w.fired {
-		b.WriteString(r.Render())
+	for _, r := range w.Stalls() {
+		fmt.Fprintf(&b, "watchdog: rank %d stalled: no progress since %.3fus (detected at %.3fus, %.3fus of silence)\n",
+			r.Rank, r.LastProgress.Micros(), r.DetectedAt.Micros(), r.DetectedAt.Sub(r.LastProgress).Micros())
+		fmt.Fprintf(&b, "  pending: sends=%d recvs=%d unexpected=%d outstanding-dma=%d\n",
+			r.Diag.PendingSends, r.Diag.PendingRecvs, r.Diag.UnexpectedDepth, r.Diag.OutstandingDMA)
+		for _, le := range r.Diag.LastEvents {
+			fmt.Fprintf(&b, "  last %-6s event: %-17s @ %.3fus\n", le.Layer, le.Kind, le.At.Micros())
+		}
 	}
 	return b.String()
 }

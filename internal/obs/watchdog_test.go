@@ -1,9 +1,11 @@
-// Watchdog tests: a seeded stall (a receive that can never match) must be
-// detected and diagnosed, and on clean runs the watchdog must stay silent
+// Watchdog tests: a seeded stall (a receive that can never match) and a
+// stall in the middle of a run must be detected and diagnosed alike at
+// every shard count, and on clean runs the watchdog must stay silent
 // without moving virtual time.
 package obs_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,45 +18,118 @@ import (
 	"qsmpi/internal/trace"
 )
 
+// window is the stall window of the seeded stalls.
+const window = simtime.Millisecond
+
 // TestWatchdogFiresOnSeededStall posts a receive on rank 1 that no send
 // will ever match while rank 0 stays idle: the run deadlocks, and the
 // watchdog must name the stalled rank with its queue state in the error.
+// The report is found at quiescence, the same at every shard count, and
+// the watchdog does not advance the clock to date it.
 func TestWatchdogFiresOnSeededStall(t *testing.T) {
-	o := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	rec := trace.NewRecorder(0)
-	wd := obs.NewWatchdog(simtime.Millisecond)
-	c := cluster.New(cluster.Spec{Elan: &o, Progress: pml.Polling, Tracer: rec, Watchdog: wd}, 2)
-	c.Launch(func(p *cluster.Proc) {
-		if p.Rank == 1 {
-			buf := make([]byte, 64)
-			p.Stack.Recv(p.Th, 0, 99, 0, buf, datatype.Contiguous(64)).Wait(p.Th)
+	var first []obs.StallReport
+	var firstNow simtime.Time
+	for _, shards := range []int{1, 2, 4} {
+		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
+		rec := trace.NewRecorder(0)
+		wd := obs.NewWatchdog(window)
+		c := cluster.New(cluster.Spec{Elan: &o, Progress: pml.Polling, Tracer: rec, Watchdog: wd, Shards: shards}, 2)
+		c.Launch(func(p *cluster.Proc) {
+			if p.Rank == 1 {
+				buf := make([]byte, 64)
+				p.Stack.Recv(p.Th, 0, 99, 0, buf, datatype.Contiguous(64)).Wait(p.Th)
+			}
+		})
+		err := c.Run()
+		if err == nil {
+			t.Fatalf("shards=%d: seeded stall did not deadlock", shards)
 		}
-	})
-	err := c.Run()
-	if err == nil {
-		t.Fatal("seeded stall did not deadlock")
+		if !strings.Contains(err.Error(), "watchdog: rank 1 stalled") {
+			t.Fatalf("shards=%d: deadlock error lacks watchdog diagnostic:\n%v", shards, err)
+		}
+		stalls := wd.Stalls()
+		if len(stalls) != 1 {
+			t.Fatalf("shards=%d: stalls = %+v, want exactly one", shards, stalls)
+		}
+		s := stalls[0]
+		if s.Rank != 1 {
+			t.Errorf("shards=%d: stalled rank = %d, want 1", shards, s.Rank)
+		}
+		if s.Diag.PendingRecvs != 1 || s.Diag.PendingSends != 0 {
+			t.Errorf("shards=%d: diag queues = %+v, want one pending recv", shards, s.Diag)
+		}
+		if s.DetectedAt.Sub(s.LastProgress) < window {
+			t.Errorf("shards=%d: reported after only %v of silence, window is %v",
+				shards, s.DetectedAt.Sub(s.LastProgress), window)
+		}
+		// With a recorder attached the diagnostic names the rank's last event.
+		if len(s.Diag.LastEvents) == 0 {
+			t.Errorf("shards=%d: diag has no last-event context despite attached recorder", shards)
+		}
+		if now := c.Now(); now >= s.LastProgress.Add(window) {
+			t.Errorf("shards=%d: the run stopped at %v, the watchdog's window ran out at %v: it kept the kernel going",
+				shards, now, s.LastProgress.Add(window))
+		}
+		if first == nil {
+			first, firstNow = stalls, c.Now()
+			continue
+		}
+		if !reflect.DeepEqual(stalls, first) {
+			t.Errorf("shards=%d: stalls\n%+v\nwant (shards=1)\n%+v", shards, stalls, first)
+		}
+		if c.Now() != firstNow {
+			t.Errorf("shards=%d: the run stopped at %v, at shards=1 at %v", shards, c.Now(), firstNow)
+		}
 	}
-	if !strings.Contains(err.Error(), "watchdog: rank 1 stalled") {
-		t.Fatalf("deadlock error lacks watchdog diagnostic:\n%v", err)
-	}
-	stalls := wd.Stalls()
-	if len(stalls) != 1 {
-		t.Fatalf("stalls = %+v, want exactly one", stalls)
-	}
-	s := stalls[0]
-	if s.Rank != 1 {
-		t.Errorf("stalled rank = %d, want 1", s.Rank)
-	}
-	if s.Diag.PendingRecvs != 1 || s.Diag.PendingSends != 0 {
-		t.Errorf("diag queues = %+v, want one pending recv", s.Diag)
-	}
-	if s.DetectedAt.Sub(s.LastProgress) < wd.Window() {
-		t.Errorf("reported after only %v of silence, window is %v",
-			s.DetectedAt.Sub(s.LastProgress), wd.Window())
-	}
-	// With a recorder attached the diagnostic names the rank's last event.
-	if len(s.Diag.LastEvents) == 0 {
-		t.Error("diag has no last-event context despite attached recorder")
+}
+
+// TestWatchdogMidRunStall stalls rank 1 in the middle of a run that
+// completes: it waits on a send that rank 0 makes only after 3 ms of
+// compute. The tick must report it once its window has run out, with the
+// same report at every shard count, and its last events must come from the
+// stream merged after the run, none after the detection.
+func TestWatchdogMidRunStall(t *testing.T) {
+	var first []obs.StallReport
+	for _, shards := range []int{1, 2, 4} {
+		o := ptlelan4.BestOptions(ptlelan4.RDMARead)
+		rec := trace.NewRecorder(0)
+		wd := obs.NewWatchdog(window)
+		c := cluster.New(cluster.Spec{Elan: &o, Progress: pml.Polling, Tracer: rec, Watchdog: wd, Shards: shards}, 4)
+		c.Launch(func(p *cluster.Proc) {
+			buf, dt := make([]byte, 64), datatype.Contiguous(64)
+			switch p.Rank {
+			case 0:
+				p.Th.Compute(3 * simtime.Millisecond)
+				p.Stack.Send(p.Th, 1, 5, 0, buf, dt).Wait(p.Th)
+			case 1:
+				p.Stack.Recv(p.Th, 0, 5, 0, buf, dt).Wait(p.Th)
+			}
+		})
+		if err := c.Run(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		stalls := wd.Stalls()
+		if len(stalls) != 1 || stalls[0].Rank != 1 {
+			t.Fatalf("shards=%d: stalls = %+v, want one, of rank 1", shards, stalls)
+		}
+		s := stalls[0]
+		if s.DetectedAt.Sub(s.LastProgress) < window {
+			t.Errorf("shards=%d: reported after only %v of silence, window is %v",
+				shards, s.DetectedAt.Sub(s.LastProgress), window)
+		}
+		if len(s.Diag.LastEvents) == 0 {
+			t.Errorf("shards=%d: diag has no last-event context despite attached recorder", shards)
+		}
+		for _, le := range s.Diag.LastEvents {
+			if le.At > s.DetectedAt {
+				t.Errorf("shards=%d: last event %+v comes after the detection at %v", shards, le, s.DetectedAt)
+			}
+		}
+		if first == nil {
+			first = stalls
+		} else if !reflect.DeepEqual(stalls, first) {
+			t.Errorf("shards=%d: stalls\n%+v\nwant (shards=1)\n%+v", shards, stalls, first)
+		}
 	}
 }
 

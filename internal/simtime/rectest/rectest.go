@@ -1,10 +1,10 @@
-// Package rectest holds a replay of a scripted simulation to a recording
-// made from code that has since been deleted (a testdata/*_golden.txt that
-// must never be regenerated). A recording pins, per scenario, the
-// executed-event count, the end time, every completion and error time and
-// the time of every executed event; a later event diet may delete listed
-// events from it and nothing else (DESIGN §7, "what may be removed under
-// (time, seq)"), so the next one edits a list in a test, not a golden.
+// Package rectest replays recordings made from code since deleted (a
+// testdata/*_golden.txt never regenerated): "@@" cells of printed bytes
+// (Cells), and scripted simulations pinned, per scenario, by executed-event
+// count, end time, every completion and error time and the time of every
+// executed event; a later event diet may delete listed events from it and
+// nothing else (DESIGN §7, "what may be removed under (time, seq)"), so the
+// next one edits a list in a test, not a golden.
 package rectest
 
 import (
@@ -116,4 +116,50 @@ func Compare(t testing.TB, got Trace, rec map[string][]string, gone []string) {
 		t.Errorf("event stream is not the recording less %v: first difference at event %d\n got %v\nwant %v",
 			gone, i, got.Stream[i:], want[i:])
 	}
+}
+
+// Cells reads a golden's cells by header, a line that starts "@@ " (a body
+// may hold "@@ " elsewhere), each the lines to the next, newline-terminated.
+func Cells(t testing.TB, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]string{}
+	for _, cell := range strings.Split("\n"+strings.TrimSuffix(string(raw), "\n"), "\n@@ ")[1:] {
+		head, body, ok := strings.Cut(cell, "\n")
+		if ok {
+			body += "\n"
+		}
+		cells["@@ "+head] = body
+	}
+	return cells
+}
+
+// Replay holds what render prints for each cell to the golden at path,
+// which holds exactly the cells, each under its String.
+func Replay[C fmt.Stringer](t testing.TB, path string, cells []C, render func(C) string) {
+	t.Helper()
+	golden := Cells(t, path)
+	if len(golden) != len(cells) {
+		t.Fatalf("%s holds %d cells, the table %d", path, len(golden), len(cells))
+	}
+	for _, c := range cells {
+		if want, ok := golden[c.String()]; !ok {
+			t.Errorf("%v: not in %s", c, path)
+		} else if got := render(c); got != want {
+			t.Errorf("%v: %s", c, FirstDiff(want, got))
+		}
+	}
+}
+
+// FirstDiff names the first line on which two printings differ.
+func FirstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	i := 0
+	for i < len(wl)-1 && i < len(gl)-1 && wl[i] == gl[i] {
+		i++
+	}
+	return fmt.Sprintf("first difference on line %d:\n\twant %q\n\t got %q", i+1, wl[i], gl[i])
 }

@@ -79,8 +79,8 @@ func (s Sched) After(d Duration, name string, fn func()) {
 
 // AfterCancelable schedules fn d from now, marked cancel-on-idle: when
 // only such events remain pending anywhere, the kernel drops them and
-// drains instead of executing them. Watchdog-style periodic self-armers
-// use it so their timer never keeps an otherwise-finished run alive.
+// drains instead of executing them. The sampler's and the watchdog's
+// ticks use it, so they never keep an otherwise-finished run alive.
 func (s Sched) AfterCancelable(d Duration, name string, fn func()) {
 	if d < 0 {
 		d = 0

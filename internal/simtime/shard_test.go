@@ -303,9 +303,10 @@ func TestCrossShardScheduleViolation(t *testing.T) {
 	}
 }
 
-// TestCancelOnIdleDrains checks watchdog-style self-rearming timers: they
-// fire while real work is pending and are dropped once only they remain,
-// with and without worker shards.
+// TestCancelOnIdleDrains checks the self-rearming timers the sampler and
+// the watchdog tick on: they fire while real work is pending and are
+// dropped once only they remain, with and without worker shards, so the
+// kernel stops at the same instant either way.
 func TestCancelOnIdleDrains(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		k := newTestKernel(workers)
