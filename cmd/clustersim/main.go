@@ -57,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	// Every flag is checked before anything is simulated: a value that
-	// names nothing, or a combination that cannot work, exits 2.
+	// names nothing, or a spec that Validate refuses, exits 2.
 	switch {
 	case *procs < 1:
 		usage("-procs %d names no process (valid: 1 or more)", *procs)
@@ -67,11 +67,14 @@ func main() {
 		usage("-pattern pingpong needs two processes, -procs is %d", *procs)
 	case *size < 0:
 		usage("-size %d is negative (valid: 0 or more bytes)", *size)
-	case *shards > 1 && *lossRate > 0:
-		usage("-shards > 1 is incompatible with -lossrate > 0 (lossy retransmits serialize through shared link state)")
+	case *iters < 1:
+		usage("-iters %d runs no pattern (valid: 1 or more)", *iters)
 	}
 	sch, ok := schemes[*scheme]
 	spec, err := specFor(sch, *threads, *rails, *shards, *lossRate)
+	if err == nil {
+		err = spec.Validate()
+	}
 	if !ok {
 		err = fmt.Errorf("-scheme %s names nothing (valid: read, write)", *scheme)
 	}

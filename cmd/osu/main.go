@@ -21,10 +21,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 
 	"qsmpi"
-	"qsmpi/internal/cluster"
 	"qsmpi/internal/parsweep"
 )
 
@@ -33,8 +31,8 @@ var sizes = []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
 
 var schemes = map[string]qsmpi.Scheme{"read": qsmpi.RDMARead, "write": qsmpi.RDMAWrite}
 
-// usage reports a flag value that names nothing and exits before anything
-// is simulated.
+// usage reports a flag value that names nothing or cannot run and exits
+// before anything is simulated.
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "osu: "+format+"\n", args...)
 	os.Exit(2)
@@ -53,14 +51,20 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "also print the phase decomposition and critical path of one instrumented exchange (at -size bytes)")
 	flag.Parse()
 	sch, ok := schemes[*scheme]
-	if !ok {
-		usage("-scheme %s names nothing (valid: read, write)", *scheme)
-	}
-	// Checked against the table qsmpi.Run will fill the completion queue from.
-	if _, err := (cluster.Spec{}).WithProgressRow(strconv.Itoa(*threads)); err != nil {
-		usage("-threads: %v", err)
-	}
 	cfg := qsmpi.Config{Procs: 2, Scheme: sch, ProgressThreads: *threads}
+	err := cfg.Validate()
+	switch {
+	case !ok:
+		usage("-scheme %s names nothing (valid: read, write)", *scheme)
+	case *mrSize < 0:
+		usage("-size %d is negative (valid: 0 or more bytes)", *mrSize)
+	case *iters < 1:
+		usage("-iters %d measures nothing (valid: 1 or more)", *iters)
+	case *window < 1:
+		usage("-window %d sends nothing (valid: 1 or more)", *window)
+	case err != nil:
+		usage("-threads %d: %v", *threads, err)
+	}
 
 	// sweep measures every size as an independent job across the worker
 	// pool and prints the rows in size order.

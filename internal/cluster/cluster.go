@@ -90,26 +90,56 @@ type Spec struct {
 	// entity i+1 either way; with N > 1 the nodes are partitioned into N
 	// contiguous blocks, and cross-shard traffic rides the fabric, whose
 	// wire latency is the engine's lookahead. Output is byte-identical at
-	// every shard count. Incompatible with LinkLossRate > 0: fabric.New
+	// every shard count. Incompatible with LinkLossRate > 0: Validate
 	// refuses (the lossy retransmit path serializes through shared link
 	// state mid-flight).
 	Shards int
 }
 
-// progressRows is the paper's Table 1: the PTL completion queue, the PTL
-// progress threads and the PML progress mode each row fixes. The three rows
-// that differ in thread count alone also answer to that count, the spelling
-// of the tools' -threads flag and of qsmpi.Config.ProgressThreads.
+// Validate reports the first rule s breaks, with its reason, or nil. New
+// panics with the error; qsmpi.Run returns it and the tools exit 2 on it.
+func (s Spec) Validate() error {
+	cfg := model.Default()
+	if s.Model != nil {
+		cfg = *s.Model
+	}
+	elan := s.Elan != nil
+	switch {
+	case !elan && s.TCP == nil:
+		return fmt.Errorf("cluster: no transport (enable Elan, TCP or both)")
+	case s.Nodes < 0:
+		return fmt.Errorf("cluster: %d nodes (valid: 0 for one per process, or more)", s.Nodes)
+	case s.ElanRails < 0:
+		return fmt.Errorf("cluster: %d Elan rails (valid: 0 or 1 for one rail, or more)", s.ElanRails)
+	case elan && (s.Elan.EagerLimit < 0 || s.Elan.EagerLimit > cfg.QDMAMaxPayload-ptl.HeaderSize):
+		return fmt.Errorf("cluster: eager limit %d outside the QDMA slot (valid: 0 for all of it, up to %d)", s.Elan.EagerLimit, cfg.QDMAMaxPayload-ptl.HeaderSize)
+	case !(cfg.LinkLossRate >= 0 && cfg.LinkLossRate < 1):
+		return fmt.Errorf("cluster: link loss rate %v outside [0, 1)", cfg.LinkLossRate)
+	case s.Shards > 1 && cfg.LinkLossRate > 0:
+		return fmt.Errorf("cluster: worker shards with a lossy link (retransmits serialize through shared link state and one global loss stream)")
+	case s.HWColl && !elan:
+		return fmt.Errorf("cluster: HWColl requires the Elan transport")
+	case s.Progress == pml.InterruptWait && elan && (s.ElanRails > 1 || s.TCP != nil || s.Elan.CQ != ptlelan4.OneQueue):
+		return fmt.Errorf("cluster: interrupt progress blocks on one Elan receive queue, so it needs one rail, no TCP and the combined (OneQueue) completion queue")
+	case s.Progress == pml.Threaded && (!elan || s.Elan.CQ == ptlelan4.NoCQ):
+		return fmt.Errorf("cluster: threaded progress runs one Elan progress thread per completion queue, so it needs Elan with OneQueue (one thread) or TwoQueue (two)")
+	}
+	return nil
+}
+
+// progressRows is the paper's Table 1: the PTL completion queue and the PML
+// progress mode each row fixes (Threaded runs a thread per queue). The three
+// rows that differ in thread count alone also answer to that count, the
+// spelling of the tools' -threads flag and of qsmpi.Config.ProgressThreads.
 var progressRows = []struct {
 	name, count string
 	cq          ptlelan4.CQMode
-	threads     int
 	progress    pml.ProgressMode
 }{
-	{"basic", "0", ptlelan4.NoCQ, 0, pml.Polling},
-	{"interrupt", "", ptlelan4.OneQueue, 0, pml.InterruptWait},
-	{"one-thread", "1", ptlelan4.OneQueue, 1, pml.Threaded},
-	{"two-threads", "2", ptlelan4.TwoQueue, 2, pml.Threaded},
+	{"basic", "0", ptlelan4.NoCQ, pml.Polling},
+	{"interrupt", "", ptlelan4.OneQueue, pml.InterruptWait},
+	{"one-thread", "1", ptlelan4.OneQueue, pml.Threaded},
+	{"two-threads", "2", ptlelan4.TwoQueue, pml.Threaded},
 }
 
 // WithProgressRow returns s with the progress mode of one Table 1 row,
@@ -124,7 +154,7 @@ func (s Spec) WithProgressRow(row string) (Spec, error) {
 		s.Progress = r.progress
 		if s.Elan != nil {
 			o := *s.Elan
-			o.CQ, o.Threads = r.cq, r.threads
+			o.CQ = r.cq
 			s.Elan = &o
 		}
 		return s, nil
@@ -180,6 +210,9 @@ func entityOf(node int) simtime.Entity { return simtime.Entity(node + 1) }
 
 // New builds the physical cluster for a given spec and process count.
 func New(spec Spec, nprocs int) *Cluster {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	cfg := model.Default()
 	if spec.Model != nil {
 		cfg = *spec.Model
@@ -396,9 +429,6 @@ func (c *Cluster) Launch(main func(p *Proc)) {
 			}
 			c.ConnectPeers(p, peers)
 			if c.spec.HWColl {
-				if p.Elan == nil {
-					panic("cluster: HWColl requires the Elan transport")
-				}
 				// Before the rendezvous: every rank's rings must exist
 				// before any member starts collective traffic (a QDMA to
 				// a missing ring is a hard fault, not a retry).
@@ -477,7 +507,7 @@ func (c *Cluster) bringup(th *simtime.Thread, rank, node int, name string) *Proc
 			ctx := c.RailNICs[r][node].OpenContextMMU(ctxID, mmu)
 			ctx.SetVPID(p.RTE.VPID())
 			st := libelan.Attach(ctx, c.Cfg)
-			mod := ptlelan4.New(c.K, c.Hosts[node], st, p.RTE, p.Stack, p.Stack.Activity(), c.Cfg, *c.spec.Elan)
+			mod := ptlelan4.New(c.K, c.Hosts[node], st, p.RTE, p.Stack, p.Stack.Activity(), c.Cfg, *c.spec.Elan, c.spec.Progress == pml.Threaded)
 			if c.spec.Tracer != nil {
 				mod.SetTracer(c.tracerFor(node))
 			}

@@ -354,12 +354,14 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestProgressRows: every row of the Table 1 mode table, by name and by
-// thread count, builds its PTL modules (ptlelan4.New panics on a completion
-// queue the threads cannot use) and carries a 4 KB rendezvous; a row the
-// table does not have is an error, not Basic.
+// thread count, validates, builds its PTL modules and carries a 4 KB
+// rendezvous; a row the table does not have is an error, not Basic.
 func TestProgressRows(t *testing.T) {
 	for _, row := range []string{"basic", "interrupt", "one-thread", "two-threads", "0", "1", "2"} {
 		spec, err := elanSpec().WithProgressRow(row)
+		if err == nil {
+			err = spec.Validate()
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", row, err)
 		}
@@ -383,7 +385,7 @@ func TestProgressRows(t *testing.T) {
 		}
 	}
 	one, _ := base.WithProgressRow("1")
-	if base.Elan.Threads != 0 || one.Elan.Threads != 1 || one.Elan.CQ != ptlelan4.OneQueue || one.Progress != pml.Threaded {
+	if base.Elan.CQ != ptlelan4.NoCQ || one.Elan.CQ != ptlelan4.OneQueue || one.Progress != pml.Threaded {
 		t.Errorf("row 1 gave %+v / %v and left the receiver's options at %+v", *one.Elan, one.Progress, *base.Elan)
 	}
 }

@@ -19,7 +19,6 @@ import (
 func TestNoGoroutineOutlivesRun(t *testing.T) {
 	twoThreads := ptlelan4.BestOptions(ptlelan4.RDMARead)
 	twoThreads.CQ = ptlelan4.TwoQueue
-	twoThreads.Threads = 2
 	cases := []struct {
 		name     string
 		spec     cluster.Spec

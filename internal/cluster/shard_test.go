@@ -176,19 +176,24 @@ func TestShardedSelfIdentity(t *testing.T) {
 }
 
 // TestShardsRefuseLossyLinks: worker shards and link loss are refused
-// once, by the fabric, which owns the reason (shared link state, one
-// global loss stream); New adds no check of its own in front of it.
+// once, by Validate, and New panics with that error before the fabric's own
+// guard is reached.
 func TestShardsRefuseLossyLinks(t *testing.T) {
 	m := model.Default()
 	m.LinkLossRate = 0.05
 	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
+	spec := Spec{Elan: &opts, Model: &m, Progress: pml.Polling, Shards: 2}
+	err := spec.Validate()
+	if err == nil || !strings.Contains(err.Error(), "worker shards with a lossy link") {
+		t.Fatalf("Validate with Shards: 2 on a lossy model = %v, want the shards/loss refusal", err)
+	}
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		New(Spec{Elan: &opts, Model: &m, Progress: pml.Polling, Shards: 2}, 4)
+		New(spec, 4)
 	}()
-	if want := "fabric: LossRate > 0 is incompatible with a sharded kernel"; got != want {
-		t.Fatalf("New with Shards: 2 on a lossy model panicked with %v, want %q", got, want)
+	if e, ok := got.(error); !ok || e.Error() != err.Error() {
+		t.Fatalf("New with Shards: 2 on a lossy model panicked with %v, want Validate's %q", got, err)
 	}
 }
 

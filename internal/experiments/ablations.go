@@ -6,6 +6,7 @@ import (
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/libelan"
+	"qsmpi/internal/model"
 	"qsmpi/internal/mpi"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
@@ -77,7 +78,9 @@ func incastRetries(slots int) ([]float64, parsweep.Metrics) {
 	const nodes = 8
 	const perSender = 16
 	spec := bestRead()
-	spec.Elan.QueueSlots = slots
+	cfg := model.Default()
+	cfg.QueueSlots = slots
+	spec.Model = &cfg
 	c := cluster.New(spec, nodes)
 	var drainAt simtime.Time
 	m := run(c, func(p *cluster.Proc) {

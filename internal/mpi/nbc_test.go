@@ -7,27 +7,22 @@ import (
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
 	"qsmpi/internal/mpi"
-	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
 )
 
-// launchMode is launch with an explicit progress configuration, so the
-// nonblocking-collective schedules are exercised under every mode the
+// launchMode is launch under one row of Table 1 (cluster.Spec.WithProgressRow),
+// so the nonblocking-collective schedules are exercised under every mode the
 // stack supports — including the module progress threads, which retire
 // point-to-point sub-requests while only the app thread's sweeps move a
 // schedule between phases.
-func launchMode(t testing.TB, n int, mode pml.ProgressMode, threads int, fn func(w *mpi.World)) {
+func launchMode(t testing.TB, n int, row string, fn func(w *mpi.World)) {
 	t.Helper()
 	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	switch threads {
-	case 1:
-		opts.CQ = ptlelan4.OneQueue
-		opts.Threads = 1
-	case 2:
-		opts.CQ = ptlelan4.TwoQueue
-		opts.Threads = 2
+	spec, err := cluster.Spec{Elan: &opts, DTP: true}.WithProgressRow(row)
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := cluster.New(cluster.Spec{Elan: &opts, Progress: mode, DTP: true}, n)
+	c := cluster.New(spec, n)
 	uni := mpi.NewUniverse()
 	c.Launch(func(p *cluster.Proc) {
 		fn(mpi.NewWorld(p.Th, p.Stack, uni, p.Rank, n))
@@ -89,21 +84,16 @@ func TestIbcastMatchesBcast(t *testing.T) {
 // rounding effects agree exactly.
 func TestIallreduceMatchesAllreduce(t *testing.T) {
 	const n = 5
-	for _, threads := range []int{0, 2} {
-		threads := threads
-		mode := pml.Polling
-		if threads == 2 {
-			mode = pml.Threaded
-		}
-		launchMode(t, n, mode, threads, func(w *mpi.World) {
+	for _, row := range []string{"basic", "two-threads"} {
+		launchMode(t, n, row, func(w *mpi.World) {
 			in := f64buf(float64(w.Rank()+1) * 1.25)
 			nb := make([]byte, 8)
 			bl := make([]byte, 8)
 			w.Comm().Iallreduce(in, nb, mpi.OpSumF64).Wait()
 			w.Comm().Allreduce(in, bl, mpi.OpSumF64)
 			if !bytes.Equal(nb, bl) {
-				t.Fatalf("rank %d threads %d: Iallreduce %x != Allreduce %x",
-					w.Rank(), threads, nb, bl)
+				t.Fatalf("rank %d %s: Iallreduce %x != Allreduce %x",
+					w.Rank(), row, nb, bl)
 			}
 			want := 0.0
 			for r := 1; r <= n; r++ {
@@ -269,7 +259,7 @@ func TestWaitanyMarksCompleted(t *testing.T) {
 // the event queue between sweeps.
 func TestNBCInterruptMode(t *testing.T) {
 	const n = 4
-	launchMode(t, n, pml.InterruptWait, 0, func(w *mpi.World) {
+	launchMode(t, n, "interrupt", func(w *mpi.World) {
 		in := f64buf(float64(w.Rank() + 2))
 		out := make([]byte, 8)
 		buf := make([]byte, 512)

@@ -57,7 +57,8 @@ func (s Scheme) String() string {
 	return "rdma-write"
 }
 
-// CQMode selects how local RDMA completions are detected.
+// CQMode selects how local RDMA completions are detected. Its value is the
+// number of progress threads it gets under threaded progress (Table 1).
 type CQMode int
 
 const (
@@ -86,13 +87,9 @@ type Options struct {
 	InlineRndv bool // inline EagerLimit bytes with the rendezvous
 	// ChainFin chains the trailing FIN/FIN_ACK to the last RDMA on the
 	// NIC. Off = the Fig. 8 "NoChain" ablation (host issues it).
-	ChainFin bool
-	CQ       CQMode
-	// Threads spawns asynchronous progress threads: 1 (requires OneQueue)
-	// or 2 (requires TwoQueue). 0 leaves progress to the PML's mode.
-	Threads    int
-	EagerLimit int // default 2048-64
-	QueueSlots int // default model QueueSlots
+	ChainFin   bool
+	CQ         CQMode
+	EagerLimit int // 0: the whole QDMA slot after the match header
 }
 
 // BestOptions is the configuration §6.5 measures Fig. 10 with: chained
@@ -226,7 +223,7 @@ type Module struct {
 	ops         bufpool.FreeList[localOp]
 	pendingFins map[finKey]*finWork
 	stopping    bool
-	threadsUp   int
+	threads     int // progress threads: int(CQ) under threaded progress
 
 	stats Stats
 
@@ -275,28 +272,19 @@ func (m *Module) traceCorr(kind trace.Kind, reqID uint64, peer, tag, bytes int, 
 
 // New creates (and opens) a PTL/Elan4 module bound to a libelan state, an
 // RTE handle for connection bootstrap, and the PML upcall interface.
-// activity is the PML's shared progress word.
-func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Handle, p ptl.PML, activity *simtime.Counter, cfg model.Config, opts Options) *Module {
+// activity is the PML's shared progress word; threaded, the PML's mode.
+func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Handle, p ptl.PML, activity *simtime.Counter, cfg model.Config, opts Options, threaded bool) *Module {
 	if opts.EagerLimit == 0 {
 		opts.EagerLimit = cfg.QDMAMaxPayload - ptl.HeaderSize
-	}
-	if opts.EagerLimit > cfg.QDMAMaxPayload-ptl.HeaderSize {
-		panic("ptlelan4: eager limit exceeds QDMA slot capacity")
-	}
-	if opts.QueueSlots == 0 {
-		opts.QueueSlots = cfg.QueueSlots
-	}
-	if opts.Threads == 1 && opts.CQ != OneQueue {
-		panic("ptlelan4: one-thread progress requires the combined (OneQueue) completion queue")
-	}
-	if opts.Threads == 2 && opts.CQ != TwoQueue {
-		panic("ptlelan4: two-thread progress requires a separate (TwoQueue) completion queue")
 	}
 	m := &Module{
 		lc: ptl.NewLifecycle("elan4"), k: k, sc: host.Sched(), host: host, st: st, rteH: rteH,
 		pml: p, act: activity, cfg: cfg, opts: opts,
 		pool:        bufpool.New(),
 		pendingFins: make(map[finKey]*finWork),
+	}
+	if threaded {
+		m.threads = int(opts.CQ)
 	}
 	m.onSendError = func(err error) { panic(fmt.Sprintf("ptlelan4: transmit failure: %v", err)) }
 	m.onRecvError = func(err error) { panic(fmt.Sprintf("ptlelan4: RDMA read failure: %v", err)) }
@@ -310,12 +298,12 @@ func New(k *simtime.Kernel, host *simtime.Host, st *libelan.State, rteH *rte.Han
 // Init is the second lifecycle stage: allocate queues, publish addressing
 // through the RTE modex, and start progress threads if configured.
 func (m *Module) Init(th *simtime.Thread) {
-	m.recvQ = m.st.NewQueue(qidRecv, m.opts.QueueSlots)
+	m.recvQ = m.st.NewQueue(qidRecv, m.cfg.QueueSlots)
 	m.recvQ.Raw().AddNotify(m.act)
-	m.collQ = m.st.NewQueue(qidColl, m.opts.QueueSlots)
-	m.sendBufs = simtime.NewSemaphore(m.opts.QueueSlots)
+	m.collQ = m.st.NewQueue(qidColl, m.cfg.QueueSlots)
+	m.sendBufs = simtime.NewSemaphore(m.cfg.QueueSlots)
 	if m.opts.CQ == TwoQueue {
-		m.compQ = m.st.NewQueue(qidComp, m.opts.QueueSlots)
+		m.compQ = m.st.NewQueue(qidComp, m.cfg.QueueSlots)
 		m.compQ.Raw().AddNotify(m.act)
 	}
 	vpid := make([]byte, 4)
@@ -323,7 +311,7 @@ func (m *Module) Init(th *simtime.Thread) {
 	m.rteH.Publish(th, "elan4:vpid", vpid)
 	m.lc.Activate()
 
-	switch m.opts.Threads {
+	switch m.threads {
 	case 1:
 		m.spawnProgressThread("elan4-progress", m.recvQ)
 	case 2:
@@ -378,7 +366,7 @@ func (m *Module) QueueDepths() (recv, comp int) {
 // currently held by outstanding QDMAs — the instantaneous companion to
 // the SendBufHighWater statistic, read by the telemetry sampler.
 func (m *Module) SendBufInFlight() int {
-	return m.opts.QueueSlots - m.sendBufs.Available()
+	return m.cfg.QueueSlots - m.sendBufs.Available()
 }
 
 // PoolStats returns a copy of the staging buffer-pool counters.
@@ -462,7 +450,7 @@ func (m *Module) acquireSendBuf(th *simtime.Thread) *elan4.Event {
 		m.stats.SendBufStalls++
 		m.sendBufs.Acquire(th.Proc())
 	}
-	inFlight := int64(m.opts.QueueSlots - m.sendBufs.Available())
+	inFlight := int64(m.cfg.QueueSlots - m.sendBufs.Available())
 	if inFlight > m.stats.SendBufHighWater {
 		m.stats.SendBufHighWater = inFlight
 	}

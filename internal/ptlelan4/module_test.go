@@ -8,6 +8,7 @@ import (
 	"qsmpi/internal/bufpool"
 	"qsmpi/internal/cluster"
 	"qsmpi/internal/datatype"
+	"qsmpi/internal/model"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptl"
 	"qsmpi/internal/ptlelan4"
@@ -58,6 +59,16 @@ func pingpong(t testing.TB, spec cluster.Spec, n, iters int) float64 {
 
 func elanSpec(opts ptlelan4.Options) cluster.Spec {
 	return cluster.Spec{Elan: &opts, Progress: pml.Polling}
+}
+
+// slotsSpec is elanSpec on a model whose receive queues and send-buffer
+// pools hold slots entries.
+func slotsSpec(opts ptlelan4.Options, slots int) cluster.Spec {
+	m := model.Default()
+	m.QueueSlots = slots
+	spec := elanSpec(opts)
+	spec.Model = &m
+	return spec
 }
 
 func TestEagerPingPong(t *testing.T) {
@@ -190,7 +201,6 @@ func threadedSpec(threads int) cluster.Spec {
 	} else {
 		opts.CQ = ptlelan4.TwoQueue
 	}
-	opts.Threads = threads
 	return cluster.Spec{Elan: &opts, Progress: pml.Threaded}
 }
 
@@ -415,9 +425,7 @@ func TestSendBufferPoolBackpressure(t *testing.T) {
 	// A tiny send-buffer pool: a burst of eager sends must stall at the
 	// pool (the preallocated-buffer design of §5), never exceed it, and
 	// still deliver everything.
-	opts := ptlelan4.BestOptions(ptlelan4.RDMARead)
-	opts.QueueSlots = 4
-	c := cluster.New(elanSpec(opts), 2)
+	c := cluster.New(slotsSpec(ptlelan4.BestOptions(ptlelan4.RDMARead), 4), 2)
 	const msgs = 24
 	received := 0
 	var stats ptlelan4.Stats
@@ -522,12 +530,12 @@ func TestDescriptorsReturned(t *testing.T) {
 		for _, cq := range []ptlelan4.CQMode{ptlelan4.NoCQ, ptlelan4.OneQueue, ptlelan4.TwoQueue} {
 			for _, chain := range []bool{true, false} {
 				o := ptlelan4.BestOptions(scheme)
-				o.CQ, o.ChainFin, o.InlineRndv, o.QueueSlots = cq, chain, !chain, 4
+				o.CQ, o.ChainFin, o.InlineRndv = cq, chain, !chain
 				fin := "/host-fin"
 				if chain {
 					fin = "/chained"
 				}
-				variants = append(variants, variant{scheme.String() + "/" + cq.String() + fin, elanSpec(o)})
+				variants = append(variants, variant{scheme.String() + "/" + cq.String() + fin, slotsSpec(o, 4)})
 			}
 		}
 	}

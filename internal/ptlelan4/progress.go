@@ -25,7 +25,7 @@ const recStop = 3
 // (simtime.Thread.ComputeScan). In threaded modes the progress threads own
 // the queues and Progress is a no-op.
 func (m *Module) Progress(th *simtime.Thread) {
-	if m.opts.Threads > 0 || m.lc.Stage() != ptl.StageActive {
+	if m.threads > 0 || m.lc.Stage() != ptl.StageActive {
 		return
 	}
 	for i := 0; ; {
@@ -172,21 +172,19 @@ func (m *Module) hostIssueFin(th *simtime.Thread, fw *finWork) {
 // ---- Asynchronous progress threads (§4.3, Table 1) ----
 
 func (m *Module) spawnProgressThread(name string, q *libelan.Queue) {
-	m.threadsUp++
 	m.host.Spawn(name, func(th *simtime.Thread) {
 		th.Proc().MarkDaemon()
 		for !m.stopping {
 			msg := q.Recv(th, libelan.Block)
 			m.handleMsg(th, msg)
 		}
-		m.threadsUp--
 	})
 }
 
 // BlockActivity implements pml.Blocker for the interrupt-measurement mode
 // of Table 1: block the calling (application) thread on the receive
-// queue's interrupt. Requires the OneQueue configuration so RDMA
-// completions are also visible in this queue.
+// queue's interrupt, which hears this rail alone and RDMA completions only
+// under OneQueue (cluster.Spec.Validate holds the mode to that).
 func (m *Module) BlockActivity(th *simtime.Thread) {
 	raw := m.recvQ.Raw()
 	if raw.Pending() > 0 {
@@ -209,10 +207,10 @@ func (m *Module) Finalize(th *simtime.Thread) {
 	m.stopping = true
 	var stop [recSize]byte
 	encodeRecord(stop[:], recStop, 0, 0)
-	if m.opts.Threads >= 1 {
+	if m.threads >= 1 {
 		m.st.QDMA(th, m.st.Ctx.VPID(), qidRecv, stop[:], nil, nil)
 	}
-	if m.opts.Threads == 2 {
+	if m.threads == 2 {
 		m.st.QDMA(th, m.st.Ctx.VPID(), qidComp, stop[:], nil, nil)
 	}
 	m.lc.Finalize()

@@ -75,10 +75,11 @@ const (
 	// Polling spins on host event words. Default.
 	Polling ProgressMode = iota
 	// Interrupt blocks on NIC interrupts from the (single) Quadrics PTL;
-	// measured by the paper only to isolate interrupt cost.
+	// measured by the paper only to isolate interrupt cost. Over the
+	// Quadrics PTL, Run requires CQ OneQueue and EnableTCP off.
 	Interrupt
-	// Threaded uses asynchronous progress threads inside the PTL; pair
-	// with ProgressThreads 1 or 2.
+	// Threaded uses asynchronous progress threads inside the PTL, one per
+	// completion queue (CQ OneQueue or TwoQueue); ProgressThreads sets both.
 	Threaded
 )
 
@@ -103,9 +104,9 @@ type Config struct {
 	// Progress selects the progress mode.
 	Progress ProgressMode
 	// ProgressThreads spawns asynchronous progress threads, 1 or 2 (the
-	// rows of the paper's Table 1); implies Progress Threaded and, with CQ
-	// unset, the completion queue the threads need (OneQueue for 1,
-	// TwoQueue for 2). Any other count is an error from Run.
+	// rows of the paper's Table 1); implies Progress Threaded and the
+	// completion queue the threads need (OneQueue for 1, TwoQueue for 2).
+	// Any other count, or a CQ naming the other queue, is an error from Run.
 	ProgressThreads int
 	// DatatypeEngine enables the general datatype copy engine; off uses
 	// the generic-memcpy substitution of §6.1.
@@ -132,23 +133,27 @@ type Config struct {
 	Model *model.Config
 }
 
-// spec translates the public Config into the cluster's. ProgressThreads
-// picks its row of the paper's Table 1 (cluster.Spec.WithProgressRow), which
-// brings the completion queue the threads need; a CQ set explicitly is kept,
-// and ptlelan4 refuses one the threads cannot use.
+// Validate reports why Run would refuse cfg before simulating anything, or
+// nil (cluster.Spec.Validate holds the combination rules).
+func (cfg Config) Validate() error {
+	_, err := cfg.spec()
+	return err
+}
+
+// spec translates the public Config into the cluster's and validates it.
+// ProgressThreads picks its row of the paper's Table 1
+// (cluster.Spec.WithProgressRow), which brings the completion queue the
+// threads need; a CQ set explicitly must name that queue.
 func (cfg Config) spec() (cluster.Spec, error) {
+	if cfg.Procs < 1 {
+		return cluster.Spec{}, fmt.Errorf("qsmpi: Config.Procs must be ≥ 1")
+	}
 	spec := cluster.Spec{
 		Model:    cfg.Model,
 		Nodes:    cfg.Nodes,
 		DTP:      cfg.DatatypeEngine,
-		Progress: pml.Polling,
+		Progress: pml.ProgressMode(cfg.Progress),
 		HWColl:   cfg.HWBcast && !cfg.DisableElan,
-	}
-	switch cfg.Progress {
-	case Interrupt:
-		spec.Progress = pml.InterruptWait
-	case Threaded:
-		spec.Progress = pml.Threaded
 	}
 	if !cfg.DisableElan {
 		spec.Elan = &ptlelan4.Options{
@@ -164,14 +169,14 @@ func (cfg Config) spec() (cluster.Spec, error) {
 		if spec, err = spec.WithProgressRow(strconv.Itoa(cfg.ProgressThreads)); err != nil {
 			return spec, fmt.Errorf("qsmpi: Config.ProgressThreads: %w", err)
 		}
-		if spec.Elan != nil && cfg.CQ != NoCQ {
-			spec.Elan.CQ = ptlelan4.CQMode(cfg.CQ)
+		if cq := ptlelan4.CQMode(cfg.CQ); spec.Elan != nil && cfg.CQ != NoCQ && cq != spec.Elan.CQ {
+			return spec, fmt.Errorf("qsmpi: Config.ProgressThreads %d runs on the %v completion queue, Config.CQ is %v", cfg.ProgressThreads, spec.Elan.CQ, cq)
 		}
 	}
 	if cfg.EnableTCP || cfg.DisableElan {
 		spec.TCP = &ptltcp.Options{Weight: cfg.TCPWeight}
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 // Re-exported communication types: the full MPI-ish surface lives on Comm.
@@ -352,8 +357,8 @@ func (w *World) Spawn(n int, childMain func(cw *World)) {
 }
 
 // Run launches cfg.Procs processes executing main over a freshly built
-// simulated cluster and runs the simulation to completion. It returns an
-// error if the simulation deadlocks.
+// simulated cluster and runs the simulation to completion. It returns
+// Validate's error, or an error if the simulation deadlocks.
 func Run(cfg Config, main func(w *World)) error {
 	_, err := run(cfg, main, nil, nil)
 	return err
@@ -420,9 +425,6 @@ func RunObserved(cfg Config, limit int, main func(w *World)) (Observation, error
 // non-nil, both recorder and registry ride the Spec so the cluster wires
 // every layer.
 func run(cfg Config, main func(w *World), rec *trace.Recorder, reg *obs.Registry) (*cluster.Cluster, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("qsmpi: Config.Procs must be ≥ 1")
-	}
 	spec, err := cfg.spec()
 	if err != nil {
 		return nil, err

@@ -352,9 +352,8 @@ func TestPublicRMAWindow(t *testing.T) {
 
 // TestProgressThreadsPickTheirQueue: ProgressThreads alone is a complete
 // configuration (the completion queue follows from the thread count and
-// gives the same run as naming it), a thread count Table 1 does not have is
-// an error from Run, and a completion queue the threads cannot use is still
-// refused.
+// gives the same run as naming it), and a thread count Table 1 does not
+// have, or a completion queue the threads cannot use, is an error from Run.
 func TestProgressThreadsPickTheirQueue(t *testing.T) {
 	pingPong := func(cfg qsmpi.Config) (lat float64, err error) {
 		err = qsmpi.Run(cfg, func(w *qsmpi.World) {
@@ -384,10 +383,55 @@ func TestProgressThreadsPickTheirQueue(t *testing.T) {
 	if _, err := pingPong(qsmpi.Config{Procs: 2, ProgressThreads: 3}); err == nil {
 		t.Error("ProgressThreads 3: no error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("one progress thread on the two-queue completion queue: no panic")
-		}
-	}()
-	pingPong(qsmpi.Config{Procs: 2, ProgressThreads: 1, CQ: qsmpi.TwoQueue})
+	if _, err := pingPong(qsmpi.Config{Procs: 2, ProgressThreads: 1, CQ: qsmpi.TwoQueue}); err == nil {
+		t.Error("one progress thread on the two-queue completion queue: no error")
+	}
+}
+
+// TestConfigsThatCannotRunAreErrors: each of these Configs once panicked,
+// deadlocked or ran without complaint; Run now returns Validate's error
+// without running the program, so none can panic or deadlock.
+func TestConfigsThatCannotRunAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  qsmpi.Config
+	}{
+		{"eager limit past the QDMA slot", qsmpi.Config{EagerLimit: 5000}},                       // panicked: eager limit exceeds QDMA slot capacity
+		{"one thread on two queues", qsmpi.Config{ProgressThreads: 1, CQ: qsmpi.TwoQueue}},       // panicked in ptlelan4.New
+		{"negative nodes", qsmpi.Config{Nodes: -1}},                                              // panicked: fabric: need at least one port
+		{"threaded without threads", qsmpi.Config{Progress: qsmpi.Threaded}},                     // deadlocked
+		{"interrupt on NoCQ", qsmpi.Config{Progress: qsmpi.Interrupt}},                           // deadlocked
+		{"interrupt on two queues", qsmpi.Config{Progress: qsmpi.Interrupt, CQ: qsmpi.TwoQueue}}, // deadlocked
+		{"interrupt beside TCP", qsmpi.Config{Progress: qsmpi.Interrupt, EnableTCP: true}},       // deadlocked
+		{"negative eager limit", qsmpi.Config{EagerLimit: -5}},                                   // ran without complaint
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Procs = 2
+			ran := false
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("Run panicked: %v", p)
+					}
+				}()
+				err = qsmpi.Run(tc.cfg, func(w *qsmpi.World) {
+					ran = true
+					c := w.Comm()
+					buf := make([]byte, 4096)
+					if w.Rank() == 0 {
+						c.SendBytes(1, 0, buf)
+						c.RecvBytes(1, 1, buf)
+					} else {
+						c.RecvBytes(0, 0, buf)
+						c.SendBytes(0, 1, buf)
+					}
+				})
+			}()
+			verr := tc.cfg.Validate()
+			if err == nil || verr == nil || err.Error() != verr.Error() || ran {
+				t.Fatalf("Run = %v (program ran: %v), want Validate's error %v before anything runs", err, ran, verr)
+			}
+		})
+	}
 }
