@@ -2,7 +2,7 @@
 // action — one large message is striped by the PML scheduler across the
 // Quadrics/Elan4 rail (RDMA writes) and the TCP/IP rail (in-band
 // fragments) simultaneously, then reassembled at the receiver. The example
-// prints how many bytes each rail carried.
+// prints when the send and the verified receive completed.
 //
 //	go run ./examples/multirail
 package main
@@ -18,7 +18,7 @@ import (
 func main() {
 	cfg := qsmpi.Config{
 		Procs:     2,
-		Scheme:    qsmpi.RDMAWrite, // Put-capable rail is required to stripe
+		Scheme:    qsmpi.RDMAWrite, // under the read scheme the receiver pulls everything over Quadrics
 		EnableTCP: true,
 		TCPWeight: 0.15, // gigabit Ethernet next to QsNetII
 	}

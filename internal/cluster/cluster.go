@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 	"iter"
+	"math"
 
 	"qsmpi/internal/elan4"
 	"qsmpi/internal/fabric"
@@ -107,6 +108,14 @@ func (s Spec) Validate() error {
 	switch {
 	case !elan && s.TCP == nil:
 		return fmt.Errorf("cluster: no transport (enable Elan, TCP or both)")
+	case elan && s.Elan.Scheme != ptlelan4.RDMARead && s.Elan.Scheme != ptlelan4.RDMAWrite:
+		return fmt.Errorf("cluster: Elan scheme %d (valid: 0 rdma-read, 1 rdma-write)", s.Elan.Scheme)
+	case elan && (s.Elan.CQ < ptlelan4.NoCQ || s.Elan.CQ > ptlelan4.TwoQueue):
+		return fmt.Errorf("cluster: completion queue %d (valid: 0 no-cq, 1 one-queue, 2 two-queue)", s.Elan.CQ)
+	case s.Progress < pml.Polling || s.Progress > pml.Threaded:
+		return fmt.Errorf("cluster: progress mode %d (valid: 0 polling, 1 interrupt, 2 threaded)", s.Progress)
+	case s.TCP != nil && !(s.TCP.Weight >= 0 && s.TCP.Weight <= math.MaxFloat64):
+		return fmt.Errorf("cluster: TCP weight %v (valid: finite and at least 0, 0 for the default)", s.TCP.Weight)
 	case s.Nodes < 0:
 		return fmt.Errorf("cluster: %d nodes (valid: 0 for one per process, or more)", s.Nodes)
 	case s.ElanRails < 0:

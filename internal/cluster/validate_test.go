@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -62,6 +63,7 @@ func TestSpecValidate(t *testing.T) {
 		{"lossy link", with(func(s *cluster.Spec) { s.Model = loss(0.05) }), ""},
 		{"queue-depth ablation", with(func(s *cluster.Spec) { m := model.Default(); m.QueueSlots = 2; s.Model = &m }), ""},
 		{"eager limit the whole slot", with(func(s *cluster.Spec) { s.Elan.EagerLimit = slot }), ""},
+		{"TCP weight 0 (the default)", with(func(s *cluster.Spec) { s.TCP = &ptltcp.Options{} }), ""},
 		// Combinations that run correctly and stay allowed.
 		{"interrupt over TCP alone", cluster.Spec{TCP: tcp(), Progress: pml.InterruptWait}, ""},
 		{"one thread on two rails", row("one-thread", func(s *cluster.Spec) { s.ElanRails = 2 }), ""},
@@ -77,6 +79,19 @@ func TestSpecValidate(t *testing.T) {
 		{"eager limit past the slot", with(func(s *cluster.Spec) { s.Elan.EagerLimit = slot + 1 }), "eager limit"},
 		// ran without complaint.
 		{"negative eager limit", with(func(s *cluster.Spec) { s.Elan.EagerLimit = -5 }), "eager limit"},
+		// ran as the read scheme: Matched tests for the write scheme alone.
+		{"Elan scheme 5", with(func(s *cluster.Spec) { s.Elan.Scheme = 5 }), "Elan scheme"},
+		// ran as OneQueue, and under threaded progress with seven threads.
+		{"completion queue 7", with(func(s *cluster.Spec) { s.Elan.CQ = 7 }), "completion queue"},
+		// ran as polling: neither the interrupt nor the threaded mode.
+		{"progress mode 9", with(func(s *cluster.Spec) { s.Progress = 9 }), "progress mode"},
+		// ran: the weights summed to 0, Elan's share of a write-scheme
+		// remainder came out negative and TCP carried all of it.
+		{"TCP weight -1", with(func(s *cluster.Spec) { s.Elan.Scheme, s.TCP = ptlelan4.RDMAWrite, &ptltcp.Options{Weight: -1} }), "TCP weight"},
+		// ran: Elan's share came out NaN and TCP carried the remainder.
+		{"TCP weight NaN", with(func(s *cluster.Spec) { s.TCP = &ptltcp.Options{Weight: math.NaN()} }), "TCP weight"},
+		// ran: Elan's share came out 0 and TCP carried the remainder.
+		{"TCP weight +Inf", with(func(s *cluster.Spec) { s.TCP = &ptltcp.Options{Weight: math.Inf(1)} }), "TCP weight"},
 		// ran, every packet retransmitted 99 times (the fabric's cap).
 		{"loss rate 1.5", with(func(s *cluster.Spec) { s.Model = loss(1.5) }), "link loss rate"},
 		// ran, every packet retransmitted 99 times.

@@ -10,8 +10,9 @@ import (
 
 // The fake transport used by the PML tests: a pair (or mesh) of modules
 // joined by a latency-only network. It implements both rendezvous schemes
-// (ACK+Put like Fig. 3, Get+FIN_ACK like Fig. 4) and in-band fragments, so
-// the PML's protocol logic can be tested without the Elan4 machinery.
+// (ACK+Put like Fig. 3, Get+FIN_ACK like Fig. 4), and its Put either writes
+// remote memory or sends in-band fragments, so the PML's protocol logic can
+// be tested without the Elan4 machinery.
 // All PML upcalls happen inside Progress, matching the real modules'
 // invariant.
 
@@ -31,7 +32,7 @@ type fakeMsg struct {
 	kind   fakeKind
 	hdr    ptl.Header
 	data   []byte
-	remote ptl.RemoteMem
+	remote elan4.E4Addr
 	from   int
 	bytes  int
 }
@@ -88,8 +89,8 @@ type fakeModule struct {
 
 	eagerLimit int
 	inline     bool
-	put        bool // write scheme: Matched replies ACK, sender Puts
-	maxFrag    int
+	put        bool // Matched replies ACK and the sender Puts; false: the read scheme
+	maxFrag    int  // > 0: Put sends in-band fragments of at most maxFrag bytes
 	weight     float64
 
 	inbox []fakeMsg
@@ -97,6 +98,7 @@ type fakeModule struct {
 	// stats for scheduling tests
 	PutBytes  int
 	FragBytes int
+	Frags     int
 	Firsts    int
 }
 
@@ -110,12 +112,10 @@ func newFakeModule(net *fakeNet, rail string, rank int, stack *Stack) *fakeModul
 	return m
 }
 
-func (m *fakeModule) Name() string      { return "fake-" + m.rail }
-func (m *fakeModule) EagerLimit() int   { return m.eagerLimit }
-func (m *fakeModule) InlineRndv() bool  { return m.inline }
-func (m *fakeModule) SupportsPut() bool { return m.put }
-func (m *fakeModule) MaxFragSize() int  { return m.maxFrag }
-func (m *fakeModule) Weight() float64   { return m.weight }
+func (m *fakeModule) Name() string     { return "fake-" + m.rail }
+func (m *fakeModule) EagerLimit() int  { return m.eagerLimit }
+func (m *fakeModule) InlineRndv() bool { return m.inline }
+func (m *fakeModule) Weight() float64  { return m.weight }
 
 func (m *fakeModule) RegisterMem(buf []byte) elan4.E4Addr {
 	return m.net.register(m.rank, buf)
@@ -147,45 +147,54 @@ func (m *fakeModule) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc
 	}
 }
 
-func (m *fakeModule) SendFrag(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, off, ln int) {
-	m.FragBytes += ln
-	hdr := sd.Hdr
-	hdr.Type = ptl.TypeFrag
-	hdr.Offset = uint64(off)
-	hdr.FragLen = uint32(ln)
-	m.net.deliver(p.Rank, m.rail, fakeMsg{kind: fkFrag, hdr: hdr, data: append([]byte(nil), sd.Mem.Buf[off:off+ln]...), from: m.rank})
-	m.net.k.After(m.net.latency, "fake:fragdone", func() {
-		m.inbox = append(m.inbox, fakeMsg{kind: fkPutDone, hdr: sd.Hdr, bytes: ln})
-		m.stack.Activity().Add(1)
-	})
-}
-
-func (m *fakeModule) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote ptl.RemoteMem, off, ln int, fin bool) {
+func (m *fakeModule) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote elan4.E4Addr, off, ln int) {
+	if m.maxFrag > 0 {
+		m.sendFrags(p, sd, off, ln)
+		return
+	}
 	m.PutBytes += ln
 	data := append([]byte(nil), sd.Mem.Buf[off:off+ln]...)
 	hdr := sd.Hdr
 	m.net.k.After(m.net.latency, "fake:put", func() {
-		// RDMA write: place bytes directly in the remote staging buffer.
+		// RDMA write: place bytes directly in the remote staging buffer,
+		// then FIN.
 		for _, peerMod := range m.net.mods[p.Rank] {
 			if peerMod.rail != m.rail {
 				continue
 			}
-			buf, ok := m.net.mem[p.Rank][remote.E4]
+			buf, ok := m.net.mem[p.Rank][remote]
 			if !ok {
 				panic("fake: put to unregistered memory")
 			}
 			copy(buf[off:off+ln], data)
-			if fin {
-				f := hdr
-				f.Type = ptl.TypeFin
-				f.FragLen = uint32(ln)
-				peerMod.inbox = append(peerMod.inbox, fakeMsg{kind: fkFin, hdr: f, from: m.rank})
-				peerMod.stack.Activity().Add(1)
-			}
+			f := hdr
+			f.Type = ptl.TypeFin
+			f.FragLen = uint32(ln)
+			peerMod.inbox = append(peerMod.inbox, fakeMsg{kind: fkFin, hdr: f, from: m.rank})
+			peerMod.stack.Activity().Add(1)
 		}
 		m.inbox = append(m.inbox, fakeMsg{kind: fkPutDone, hdr: hdr, bytes: ln})
 		m.stack.Activity().Add(1)
 	})
+}
+
+// sendFrags is Put on a transport without RDMA: [off,off+ln) in-band, in
+// fragments of at most maxFrag bytes.
+func (m *fakeModule) sendFrags(p *ptl.Peer, sd *ptl.SendDesc, off, ln int) {
+	hdr := sd.Hdr
+	hdr.Type = ptl.TypeFrag
+	for end := off + ln; off < end; off += m.maxFrag {
+		c := min(m.maxFrag, end-off)
+		m.FragBytes += c
+		m.Frags++
+		hdr.Offset = uint64(off)
+		hdr.FragLen = uint32(c)
+		m.net.deliver(p.Rank, m.rail, fakeMsg{kind: fkFrag, hdr: hdr, data: append([]byte(nil), sd.Mem.Buf[off:off+c]...), from: m.rank})
+		m.net.k.After(m.net.latency, "fake:fragdone", func() {
+			m.inbox = append(m.inbox, fakeMsg{kind: fkPutDone, hdr: sd.Hdr, bytes: c})
+			m.stack.Activity().Add(1)
+		})
+	}
 }
 
 func (m *fakeModule) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
@@ -195,7 +204,7 @@ func (m *fakeModule) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 		hdr.Type = ptl.TypeAck
 		hdr.RecvReq = rd.ReqID
 		m.net.deliver(p.Rank, m.rail, fakeMsg{
-			kind: fkAck, hdr: hdr, remote: ptl.RemoteMem{E4: rd.Mem.E4}, from: m.rank,
+			kind: fkAck, hdr: hdr, remote: rd.Mem.E4, from: m.rank,
 		})
 		return
 	}

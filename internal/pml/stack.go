@@ -5,6 +5,7 @@ import (
 
 	"qsmpi/internal/bufpool"
 	"qsmpi/internal/datatype"
+	"qsmpi/internal/elan4"
 	"qsmpi/internal/model"
 	"qsmpi/internal/obs"
 	"qsmpi/internal/ptl"
@@ -416,7 +417,7 @@ func (s *Stack) sendSelf(th *simtime.Thread, req *sendState) {
 }
 
 // AckArrived implements ptl.PML: a rendezvous ACK reached the sender.
-func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.RemoteMem) {
+func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote elan4.E4Addr) {
 	s.activity.Add(1)
 	req := s.sendReqs[hdr.SendReq]
 	if req == nil || req.acked {
@@ -437,53 +438,25 @@ func (s *Stack) AckArrived(th *simtime.Thread, hdr ptl.Header, remote ptl.Remote
 	if rest <= 0 {
 		return
 	}
-	// Schedule the remainder across the modules reaching this peer,
-	// weighted by bandwidth (the second scheduling heuristic of §2.2).
+	// Stripe the remainder across the modules by bandwidth (§2.2's second
+	// heuristic): one Put each, the last taking what is left.
 	th.Compute(s.cfg.PMLScheduleCost)
 	peer := s.peers[req.dst]
-	usable := func(m ptl.Module) bool { return m.SupportsPut() || m.MaxFragSize() > 0 }
-	lastUsable := -1
 	var wsum float64
+	for _, m := range s.mods {
+		wsum += m.Weight()
+	}
+	off, remaining := req.inlineLen, rest
+	last := len(s.mods) - 1
 	for i, m := range s.mods {
-		if usable(m) {
-			lastUsable = i
-			wsum += m.Weight()
-		}
-	}
-	if lastUsable < 0 {
-		panic("pml: no module can carry the message remainder")
-	}
-	off := req.inlineLen
-	remaining := rest
-	for i, m := range s.mods[:lastUsable+1] {
-		if !usable(m) {
-			continue
-		}
-		var ln int
-		if i == lastUsable {
-			ln = remaining
-		} else {
-			ln = int(float64(rest) * m.Weight() / wsum)
-			if ln > remaining {
-				ln = remaining
-			}
+		ln := remaining
+		if i < last {
+			ln = min(int(float64(rest)*m.Weight()/wsum), remaining)
 		}
 		if ln <= 0 {
 			continue
 		}
-		if m.SupportsPut() {
-			m.Put(th, peer, sd, remote, off, ln, true)
-		} else {
-			// In-band fragments, chunked at the module's limit.
-			max := m.MaxFragSize()
-			for o := off; o < off+ln; o += max {
-				c := off + ln - o
-				if c > max {
-					c = max
-				}
-				m.SendFrag(th, peer, sd, o, c)
-			}
-		}
+		m.Put(th, peer, sd, remote, off, ln)
 		off += ln
 		remaining -= ln
 	}

@@ -25,17 +25,10 @@ type MemDesc struct {
 	E4  elan4.E4Addr
 }
 
-// RemoteMem is a peer's exported memory descriptor, as carried by a
-// rendezvous ACK: where RDMA writes should land.
-type RemoteMem struct {
-	E4   elan4.E4Addr
-	VPID int
-}
-
 // SendDesc is the send side of one message as handed to modules: the
 // prebuilt match header, the packed (contiguous) data, and the memory
-// descriptor for RDMA. A module may receive the same SendDesc in a
-// SendFirst and several later Put/SendFrag calls.
+// descriptor for RDMA. A module receives the same SendDesc in a SendFirst
+// and, after a rendezvous ACK, in one Put of its share of the remainder.
 type SendDesc struct {
 	Hdr Header
 	Mem MemDesc
@@ -64,9 +57,9 @@ type PML interface {
 	// the receive request in hdr.RecvReq.
 	ReceiveFrag(th *simtime.Thread, hdr Header, data []byte)
 	// AckArrived delivers a rendezvous ACK to the sender side: the match
-	// succeeded, inlined data was consumed, and remote describes where
-	// the remainder may be Put (write scheme).
-	AckArrived(th *simtime.Thread, hdr Header, remote RemoteMem)
+	// succeeded, inlined data was consumed, and remote is the receiver's
+	// memory the remainder is Put into (NilAddr from a socket transport).
+	AckArrived(th *simtime.Thread, hdr Header, remote elan4.E4Addr)
 	// SendProgress reports bytes of a send request safely delivered (or
 	// buffered); the PML completes the request when all bytes are
 	// accounted.
@@ -102,14 +95,8 @@ type Module interface {
 	// EagerLimit bytes of inlined data (the Fig. 7 "-NoInline" series
 	// turns this off).
 	InlineRndv() bool
-	// SupportsPut reports RDMA-write capability (enables the Fig. 3
-	// scheme and PML striping of the post-ACK remainder).
-	SupportsPut() bool
-	// MaxFragSize is the largest in-band fragment for SendFrag (0 if the
-	// module does not do in-band continuation fragments).
-	MaxFragSize() int
-	// Weight is the relative bandwidth share the PML scheduler assigns
-	// when striping one message across several modules.
+	// Weight is the module's relative bandwidth: the PML gives it this
+	// share of every rendezvous remainder it stripes across modules.
 	Weight() float64
 
 	// RegisterMem transforms a host buffer into the module's network
@@ -129,12 +116,10 @@ type Module interface {
 	// SendFirst transmits the first fragment: TypeMatch with the whole
 	// payload, or TypeRndv with sd.Hdr.FragLen inlined bytes.
 	SendFirst(th *simtime.Thread, p *Peer, sd *SendDesc)
-	// SendFrag transmits message bytes [off,off+ln) in-band.
-	SendFrag(th *simtime.Thread, p *Peer, sd *SendDesc, off, ln int)
-	// Put RDMA-writes message bytes [off,off+ln) into remote memory; fin
-	// marks the module's last segment of this message, after which the
-	// module must notify the receiver (FIN) of all bytes it has Put.
-	Put(th *simtime.Thread, p *Peer, sd *SendDesc, remote RemoteMem, off, ln int, fin bool)
+	// Put moves message bytes [off,off+ln), this module's share of a
+	// rendezvous remainder, to the receiver whose ACK named remote, however
+	// the module can (RDMA write and FIN, or in-band fragments).
+	Put(th *simtime.Thread, p *Peer, sd *SendDesc, remote elan4.E4Addr, off, ln int)
 	// Matched executes the module's rendezvous scheme for a match made by
 	// the PML: reply with an ACK (write scheme) or start RDMA reads and
 	// finish with FIN_ACK (read scheme).

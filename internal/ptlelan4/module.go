@@ -386,15 +386,7 @@ func (m *Module) EagerLimit() int { return m.opts.EagerLimit }
 // InlineRndv implements ptl.Module.
 func (m *Module) InlineRndv() bool { return m.opts.InlineRndv }
 
-// SupportsPut implements ptl.Module: only the write scheme lets the PML
-// schedule Puts; under the read scheme the receiver pulls.
-func (m *Module) SupportsPut() bool { return m.opts.Scheme == RDMAWrite }
-
-// MaxFragSize implements ptl.Module: PTL/Elan4 never sends in-band
-// continuation fragments — remainders always move by RDMA.
-func (m *Module) MaxFragSize() int { return 0 }
-
-// Weight implements ptl.Module.
+// Weight implements ptl.Module: every Quadrics rail counts the same.
 func (m *Module) Weight() float64 { return 1 }
 
 // RegisterMem implements ptl.Module: the §4.2 E4Addr transformation.
@@ -495,32 +487,23 @@ func (m *Module) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
 	}
 }
 
-// SendFrag implements ptl.Module; PTL/Elan4 does not use in-band frags.
-func (m *Module) SendFrag(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, off, ln int) {
-	panic("ptlelan4: SendFrag unsupported (MaxFragSize is 0)")
-}
-
-// Put implements ptl.Module: RDMA-write [off,off+ln) into the remote
-// descriptor; when fin is set, notify the receiver with a FIN carrying the
-// byte count once the write completes.
-func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote ptl.RemoteMem, off, ln int, fin bool) {
+// Put implements ptl.Module: RDMA-write [off,off+ln) into the receiver's
+// memory at remote, then FIN it the byte count. Only the write scheme ACKs
+// a match, so under the read scheme nothing calls Put: the receiver pulls.
+func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote elan4.E4Addr, off, ln int) {
 	m.lc.RequireActive("Put")
 	m.stats.PutOps++
 	corr := m.tracer.MsgID(m.rank(), sd.Hdr.SendReq)
 	m.traceCorr(trace.PTLPutIssued, sd.Hdr.SendReq, p.Rank, int(sd.Hdr.Tag), ln, corr)
 	vpid := m.peer(p.Rank).vpid
 
-	var finHdr *ptl.Header
-	if fin {
-		h := sd.Hdr
-		h.Type = ptl.TypeFin
-		h.Offset = uint64(off)
-		h.FragLen = uint32(ln)
-		finHdr = &h
-	}
-	op := m.newLocalOp(recPutDone, sd.Hdr.SendReq, ln, vpid, finHdr, corr)
+	fin := sd.Hdr
+	fin.Type = ptl.TypeFin
+	fin.Offset = uint64(off)
+	fin.FragLen = uint32(ln)
+	op := m.newLocalOp(recPutDone, sd.Hdr.SendReq, ln, vpid, &fin, corr)
 	m.st.Ctx.SetCookie(corr)
-	m.st.RDMAWrite(th, vpid, sd.Mem.E4.Add(off), remote.E4.Add(off), ln, op.ev, m.onSendError)
+	m.st.RDMAWrite(th, vpid, sd.Mem.E4.Add(off), remote.Add(off), ln, op.ev, m.onSendError)
 }
 
 // RawPut implements ptl.RMACapable: a one-sided RDMA write into a remote

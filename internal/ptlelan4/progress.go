@@ -99,7 +99,7 @@ func (m *Module) handleMsg(th *simtime.Thread, qm elan4.QueuedMsg) {
 		if len(body) < 8 {
 			panic("ptlelan4: ACK without memory descriptor")
 		}
-		m.pml.AckArrived(th, hdr, ptl.RemoteMem{E4: decodeE4(body), VPID: qm.SrcVPID})
+		m.pml.AckArrived(th, hdr, decodeE4(body))
 	case ptl.TypeFin:
 		// A FIN travels sender→receiver, so its message's source is the
 		// wire-header's SrcRank.

@@ -168,12 +168,6 @@ func (m *Module) EagerLimit() int { return fragSize }
 // the copy is already paid, so the wire may as well carry it.
 func (m *Module) InlineRndv() bool { return true }
 
-// SupportsPut implements ptl.Module: no RDMA over sockets.
-func (m *Module) SupportsPut() bool { return false }
-
-// MaxFragSize implements ptl.Module.
-func (m *Module) MaxFragSize() int { return fragSize }
-
 // Weight implements ptl.Module.
 func (m *Module) Weight() float64 { return m.opts.Weight }
 
@@ -233,28 +227,27 @@ func (m *Module) SendFirst(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc) {
 	}
 }
 
-// SendFrag implements ptl.Module: in-band continuation data.
-func (m *Module) SendFrag(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, off, ln int) {
-	m.lc.RequireActive("SendFrag")
+// Put implements ptl.Module: sockets have no RDMA, so [off,off+ln) moves
+// in-band as FRAGs of at most fragSize, each done once the kernel has it.
+func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote elan4.E4Addr, off, ln int) {
+	m.lc.RequireActive("Put")
 	hdr := sd.Hdr
 	hdr.Type = ptl.TypeFrag
-	hdr.Offset = uint64(off)
-	hdr.FragLen = uint32(ln)
-	payload := m.pool.Get(ptl.HeaderSize + ln)
-	hdr.EncodeTo(payload)
-	copy(payload[ptl.HeaderSize:], sd.Mem.Buf[off:off+ln])
-	m.write(th, p, payload)
-	m.pool.Put(payload)
-	m.pml.SendProgress(th, sd.Hdr.SendReq, ln)
+	for end := off + ln; off < end; off += fragSize {
+		c := min(fragSize, end-off)
+		hdr.Offset = uint64(off)
+		hdr.FragLen = uint32(c)
+		payload := m.pool.Get(ptl.HeaderSize + c)
+		hdr.EncodeTo(payload)
+		copy(payload[ptl.HeaderSize:], sd.Mem.Buf[off:off+c])
+		m.write(th, p, payload)
+		m.pool.Put(payload)
+		m.pml.SendProgress(th, sd.Hdr.SendReq, c)
+	}
 }
 
-// Put implements ptl.Module; sockets cannot.
-func (m *Module) Put(th *simtime.Thread, p *ptl.Peer, sd *ptl.SendDesc, remote ptl.RemoteMem, off, ln int, fin bool) {
-	panic("ptltcp: Put unsupported")
-}
-
-// Matched implements ptl.Module: reply with an ACK; the PML will schedule
-// the remainder as in-band fragments.
+// Matched implements ptl.Module: reply with an ACK; the sender's PML then
+// stripes the remainder, and this module's share moves by Put.
 func (m *Module) Matched(th *simtime.Thread, p *ptl.Peer, rd ptl.RecvDesc) {
 	m.lc.RequireActive("Matched")
 	h := rd.Hdr
@@ -386,7 +379,7 @@ func (m *Module) dispatch(th *simtime.Thread, msg *message) {
 		}
 		m.pml.ReceiveFirst(th, m, peer, hdr, body)
 	case ptl.TypeAck:
-		m.pml.AckArrived(th, hdr, ptl.RemoteMem{})
+		m.pml.AckArrived(th, hdr, elan4.NilAddr)
 	case ptl.TypeFrag:
 		m.pml.ReceiveFrag(th, hdr, body)
 	default:

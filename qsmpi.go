@@ -126,7 +126,8 @@ type Config struct {
 	// EnableTCP adds the TCP/IP PTL as an additional rail; the PML can
 	// stripe one message across both networks.
 	EnableTCP bool
-	// TCPWeight is the TCP rail's scheduling weight (default 0.1).
+	// TCPWeight is the TCP rail's scheduling weight (0: the default 0.1); a
+	// negative, NaN or infinite weight is an error from Run.
 	TCPWeight float64
 
 	// Model overrides the calibrated hardware cost model (in-module use).

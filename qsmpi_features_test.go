@@ -404,6 +404,10 @@ func TestConfigsThatCannotRunAreErrors(t *testing.T) {
 		{"interrupt on two queues", qsmpi.Config{Progress: qsmpi.Interrupt, CQ: qsmpi.TwoQueue}}, // deadlocked
 		{"interrupt beside TCP", qsmpi.Config{Progress: qsmpi.Interrupt, EnableTCP: true}},       // deadlocked
 		{"negative eager limit", qsmpi.Config{EagerLimit: -5}},                                   // ran without complaint
+		{"completion queue 7", qsmpi.Config{CQ: 7}},                                              // ran as OneQueue
+		{"scheme 5", qsmpi.Config{Scheme: 5}},                                                    // ran as the read scheme
+		{"progress mode 9", qsmpi.Config{Progress: 9}},                                           // ran as polling
+		{"negative TCP weight", qsmpi.Config{EnableTCP: true, TCPWeight: -1}},                    // ran without complaint
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Procs = 2
