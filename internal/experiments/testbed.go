@@ -58,11 +58,8 @@ func clusterMetrics(c *cluster.Cluster) parsweep.Metrics {
 	}
 	for _, p := range c.Procs() {
 		addPool(p.Stack.PoolStats())
-		for _, mod := range p.Elans {
+		for _, mod := range p.Stack.Modules() {
 			addPool(mod.PoolStats())
-		}
-		if p.TCP != nil {
-			addPool(p.TCP.PoolStats())
 		}
 	}
 	for _, rail := range c.RailNICs {

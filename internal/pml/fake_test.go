@@ -3,6 +3,7 @@ package pml
 import (
 	"fmt"
 
+	"qsmpi/internal/bufpool"
 	"qsmpi/internal/elan4"
 	"qsmpi/internal/ptl"
 	"qsmpi/internal/simtime"
@@ -112,10 +113,11 @@ func newFakeModule(net *fakeNet, rail string, rank int, stack *Stack) *fakeModul
 	return m
 }
 
-func (m *fakeModule) Name() string     { return "fake-" + m.rail }
-func (m *fakeModule) EagerLimit() int  { return m.eagerLimit }
-func (m *fakeModule) InlineRndv() bool { return m.inline }
-func (m *fakeModule) Weight() float64  { return m.weight }
+func (m *fakeModule) Params() ptl.Params {
+	return ptl.Params{EagerLimit: m.eagerLimit, InlineRndv: m.inline, Weight: m.weight}
+}
+
+func (m *fakeModule) PoolStats() bufpool.Stats { return bufpool.Stats{} }
 
 func (m *fakeModule) RegisterMem(buf []byte) elan4.E4Addr {
 	return m.net.register(m.rank, buf)
