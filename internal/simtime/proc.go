@@ -175,9 +175,6 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time as seen by this proc's shard.
 func (p *Proc) Now() Time { return p.shard.now }
 
-// Entity returns the owning entity.
-func (p *Proc) Entity() Entity { return p.ent }
-
 // Sched returns the scheduling context of the proc's entity.
 func (p *Proc) Sched() Sched { return p.k.SchedFor(p.ent) }
 
