@@ -171,9 +171,9 @@ func TestLifecycleEnforced(t *testing.T) {
 }
 
 // TestPTLEventsCarryCorr pins the tracecorr contract on the TCP path:
-// every PTL-layer event (eager, rendezvous and ACK tx) must carry the
-// cross-rank message correlator, or the critical-path profiler drops it
-// from the message's lifecycle chain.
+// every PTL-layer event (eager, rendezvous and ACK tx) must carry the rank
+// that recorded it and the correlator of its message's PML SendPosted, or
+// the critical-path profiler drops it from the message's lifecycle chain.
 func TestPTLEventsCarryCorr(t *testing.T) {
 	for _, n := range []int{1024, 200 * 1024} { // eager and rendezvous
 		rec := trace.NewRecorder(0)
@@ -192,14 +192,27 @@ func TestPTLEventsCarryCorr(t *testing.T) {
 		if err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
+		var posted uint64
+		for _, e := range rec.Events() {
+			if e.Layer == trace.LayerPML && e.Kind == trace.SendPosted {
+				posted = e.Corr
+			}
+		}
+		if posted == 0 {
+			t.Fatalf("size %d: no SendPosted correlator", n)
+		}
 		ptlEvents := 0
 		for _, e := range rec.Events() {
 			if e.Layer != trace.LayerPTL {
 				continue
 			}
 			ptlEvents++
-			if e.Corr == 0 {
-				t.Errorf("size %d: PTL event %s at %v has no correlator", n, e.Kind, e.At)
+			// Two ranks: whoever records an event talks to the other.
+			if e.Rank != 1-e.Peer {
+				t.Errorf("size %d: PTL event %s at %v recorded by rank %d, peer %d", n, e.Kind, e.At, e.Rank, e.Peer)
+			}
+			if e.Corr != posted {
+				t.Errorf("size %d: PTL event %s at %v has correlator %#x, its SendPosted %#x", n, e.Kind, e.At, e.Corr, posted)
 			}
 		}
 		if ptlEvents == 0 {
