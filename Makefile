@@ -35,7 +35,8 @@ test:
 # sender's firmware, walked by the receiver's — so the baseline's suites run
 # beside the NIC's. mpi and ptlelan4 hold the progress hooks (an NBC schedule
 # advanced from whichever thread sweeps) and the progress threads that
-# complete its sub-requests, so their suites run there too.
+# complete its sub-requests, so their suites run there too, and the TCP
+# module's beside them: a dozen two-rank TCP jobs, raced nowhere else.
 # The experiments and parsweep suites run under -race too: they are where
 # whole simulations execute concurrently, so any state shared between two
 # kernels shows up there — and experiments holds TestIdentityMatrix, the one
@@ -56,7 +57,7 @@ test:
 check: lint
 	$(GO) test -race ./internal/simtime/... ./internal/pml/...
 	$(GO) test -race ./internal/fabric ./internal/elan4 ./internal/tport ./internal/mpichq ./internal/cluster
-	$(GO) test -race ./internal/mpi ./internal/ptlelan4
+	$(GO) test -race ./internal/mpi ./internal/ptlelan4 ./internal/ptltcp
 	$(GO) test -race ./internal/experiments ./internal/parsweep
 	$(GO) test -race -count=1 ./internal/obs ./internal/trace
 	$(GO) test -race ./internal/lint/...
