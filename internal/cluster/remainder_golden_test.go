@@ -21,7 +21,10 @@ import (
 // as it stood when it chose, per module, between one Put and a loop of
 // in-band fragments for a rendezvous remainder. Never regenerate it: a
 // change that means to move a picosecond of a remainder edits the cells it
-// moves and says which.
+// moves and says which. The seven "tcp" cells' trace hashes were edited
+// once, when the TCP module stopped tracing rank -1 for its own rank; each
+// new hash was first reproduced from the old stream with the ranks filled
+// in.
 
 // remainderCell is one two-rank ping-pong of size bytes over one transport
 // configuration.
