@@ -1,8 +1,9 @@
 package elan4
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 
 	"qsmpi/internal/simtime"
@@ -50,7 +51,8 @@ func BenchmarkEngineQDMA(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bd.ctx[0].IssueQDMA(th, 1, 1, payload, nil, nil)
 			q.HostWord().WaitFor(th.Proc(), int64(i+1))
-			q.Poll()
+			m, _ := q.Poll()
+			q.Release(m)
 		}
 	})
 	b.ReportAllocs()
@@ -93,8 +95,8 @@ func TestEngineChunkStepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// depositCycle returns a function that deposits and polls one message of n
-// bytes per slot of q, once round the ring.
+// depositCycle returns a function that deposits, polls and releases one
+// message of n bytes per slot of q, once round the ring.
 func depositCycle(tb testing.TB, q *RecvQueue, n int) func() {
 	msg := make([]byte, n)
 	return func() {
@@ -102,7 +104,8 @@ func depositCycle(tb testing.TB, q *RecvQueue, n int) func() {
 			if !q.deposit(0, msg) {
 				tb.Fatal("deposit into a drained ring was rejected")
 			}
-			q.Poll()
+			m, _ := q.Poll()
+			q.Release(m)
 		}
 	}
 }
@@ -122,48 +125,93 @@ func BenchmarkDepositWrap(b *testing.B) {
 	}
 }
 
-// TestDepositBacksSlotsByNeed: a slot is backed at the power-of-two class of
-// the largest deposit its queue has seen, so a ring allocates once per slot
-// on its first lap and nothing after; a larger message regrows the one slot
-// it lands in, once, and the slots it has not reached yet when they meet it.
-func TestDepositBacksSlotsByNeed(t *testing.T) {
+// TestUnreleasedMessageKeepsItsBytes: Poll hands a message's backing to
+// its caller, so a message that is never released keeps its bytes while
+// its ring laps it three times.
+func TestUnreleasedMessageKeepsItsBytes(t *testing.T) {
 	b := newBed(t, 1)
 	defer b.k.Close()
 	q := b.ctx[0].CreateQueue(1, 8)
-	small, large := depositCycle(t, q, 40), depositCycle(t, q, 1000)
-	lap := func(cycle func()) float64 { return testing.AllocsPerRun(1, cycle) }
-	slotCaps := func() (caps []int) {
-		for _, m := range q.slots {
-			caps = append(caps, cap(m.Data))
-		}
-		return caps
+	want := bytes.Repeat([]byte{0xa5}, 40)
+	q.deposit(0, want)
+	held, _ := q.Poll()
+	lap := depositCycle(t, q, 40)
+	for range 3 {
+		lap()
 	}
+	if !bytes.Equal(held.Data, want) {
+		t.Fatalf("a polled message read % x after three laps of its ring, want % x", held.Data[:8], want[:8])
+	}
+}
 
-	small() // first lap: one backing per slot
-	if got := slotCaps(); !slices.Equal(got, slices.Repeat([]int{64}, 8)) {
-		t.Fatalf("slots are backed by %v bytes after a lap of 40-byte messages, want 64 each", got)
+// TestRingHoldsItsDeepestOccupancy: a consumer that lets d messages land
+// before it polls and releases them leaves its ring holding at most d
+// backings, the occupied slots' and the spare ones, however many laps the
+// ring makes; every message lands in one of d backings, and a lap
+// allocates nothing once the first burst has made them.
+func TestRingHoldsItsDeepestOccupancy(t *testing.T) {
+	for _, d := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("depth=%d", d), func(t *testing.T) {
+			b := newBed(t, 1)
+			defer b.k.Close()
+			q := b.ctx[0].CreateQueue(1, 8)
+			msg := make([]byte, 40)
+			backings := map[*byte]bool{}
+			burst := func() {
+				for range d {
+					if !q.deposit(0, msg) {
+						t.Fatal("deposit into a drained ring was rejected")
+					}
+				}
+				if held := len(q.spare) + q.Pending(); held > d {
+					t.Fatalf("the ring holds %d backings", held)
+				}
+				for range d {
+					m, _ := q.Poll()
+					backings[&m.Data[:1][0]] = true
+					q.Release(m)
+				}
+			}
+			for range 5 * q.Slots() {
+				burst()
+			}
+			if len(backings) != d || len(q.spare) != d {
+				t.Errorf("messages landed in %d backings and %d are spare, want %d", len(backings), len(q.spare), d)
+			}
+			if n := testing.AllocsPerRun(1, func() {
+				for i := 0; i < q.Slots(); i += d {
+					burst()
+				}
+			}); n != 0 {
+				t.Errorf("a lap allocated %.0f times, want 0", n)
+			}
+		})
 	}
-	if n := lap(small); n != 0 {
-		t.Errorf("a lap of a wrapped ring allocated %.0f times, want 0", n)
-	}
+}
 
-	q.deposit(0, make([]byte, 1000)) // lands in slot 0 and regrows it
-	q.Poll()
-	if got := slotCaps(); !slices.Equal(got, []int{1024, 64, 64, 64, 64, 64, 64, 64}) {
-		t.Fatalf("slots are backed by %v bytes after one 1000-byte message, want 1024 then 64s", got)
-	}
-	if n := lap(small); n != 0 {
-		t.Errorf("laps of small messages after a regrowth allocated %.0f times, want 0", n)
-	}
-	if got := slotCaps(); got[0] != 1024 || got[1] != 64 {
-		t.Fatalf("small messages changed the backing: %v", got)
-	}
+// TestSmallSpareIsReplaced: a released backing too small for the next
+// message is dropped and the message gets a new one at the queue's slot
+// size, which is spare again once that message is released.
+func TestSmallSpareIsReplaced(t *testing.T) {
+	b := newBed(t, 1)
+	defer b.k.Close()
+	q := b.ctx[0].CreateQueue(1, 8)
+	q.deposit(0, make([]byte, 40))
+	small, _ := q.Poll()
+	q.Release(small)
 
-	large() // every slot meets a large message once
-	if got := slotCaps(); !slices.Equal(got, slices.Repeat([]int{1024}, 8)) {
-		t.Fatalf("slots are backed by %v bytes after a lap of 1000-byte messages, want 1024 each", got)
+	want := bytes.Repeat([]byte{0x5a}, 1000)
+	q.deposit(0, want)
+	large, _ := q.Poll()
+	if !bytes.Equal(large.Data, want) || cap(large.Data) != 1024 {
+		t.Fatalf("a 1000-byte message after a 64-byte spare read %d bytes of a %d-byte backing", len(large.Data), cap(large.Data))
 	}
-	if n := lap(large) + lap(small); n != 0 {
-		t.Errorf("laps after every slot was regrown allocated %.0f times, want 0", n)
+	if &large.Data[0] == &small.Data[:1][0] || len(q.spare) != 0 {
+		t.Fatalf("the 64-byte spare backs the 1000-byte message or is still spare (%d spare)", len(q.spare))
+	}
+	q.Release(large)
+	q.deposit(0, make([]byte, 40))
+	if next, _ := q.Poll(); cap(next.Data) != 1024 {
+		t.Fatalf("the next small message got a %d-byte backing, want the released 1024-byte one", cap(next.Data))
 	}
 }

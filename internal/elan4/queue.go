@@ -20,17 +20,21 @@ type QueuedMsg struct {
 type RecvQueue struct {
 	ctx *Context
 	id  int
-	// slots is the ring, made at the first deposit. A slot's Data keeps its
-	// backing array across Poll for the next deposit into it — a QSLOT ring
-	// allocates nothing per message. A hardware slot is QDMAMaxPayload
-	// bytes; the model backs one at slotSize, the power of two (at least 64)
-	// holding the largest deposit seen, reallocating only for a message that
-	// does not fit: a ring of 64-byte headers pins 64 bytes a slot, not 2 KB.
+	// slots is the ring, made at the first deposit. A slot refers to its
+	// message only while it is occupied: Poll hands the message's backing
+	// to the caller and clears the slot. A hardware slot is QDMAMaxPayload
+	// bytes; the model backs a message at slotSize, the power of two (at
+	// least 64) holding the largest deposit seen, so a ring of 64-byte
+	// headers pins 64 bytes a backing, not 2 KB.
 	slots    []QueuedMsg
 	nslots   int
 	slotSize int
 	head     int // next slot to poll
 	count    int // occupied slots
+	// spare is the stack of backings consumers gave back with Release,
+	// taken by the next deposits: a ring whose consumers release holds
+	// about as many backings as its deepest occupancy, not one per slot.
+	spare [][]byte
 
 	// HostWord is incremented once per deposit; hosts poll or block on it.
 	hostWord *simtime.Counter
@@ -53,9 +57,10 @@ type RecvQueue struct {
 }
 
 // CreateQueue allocates receive queue id with nslots slots, each able to
-// take a message of the hardware slot size (QDMAMaxPayload) and backed by
-// what actually lands in it (see slots). Creating an id twice panics:
-// queue ids are protocol constants chosen by each transport layer.
+// take a message of the hardware slot size (QDMAMaxPayload). It allocates
+// no backing: a deposit takes one that a consumer released, or makes one
+// (see slots and spare). Creating an id twice panics: queue ids are
+// protocol constants chosen by each transport layer.
 func (c *Context) CreateQueue(id, nslots int) *RecvQueue {
 	if _, dup := c.queues[id]; dup {
 		panic("elan4: duplicate queue id")
@@ -102,18 +107,31 @@ func (q *RecvQueue) Rejects() int64 { return q.rejects }
 // CQ-depth metric for queues used as completion queues.
 func (q *RecvQueue) HighWater() int { return q.highWater }
 
-// Poll consumes the oldest deposited message, if any. The returned data
-// aliases the slot; callers must copy or finish with it before Free-ing
-// enough slots for the ring to wrap (the transport layers copy).
+// Poll consumes the oldest deposited message, if any, and frees its slot.
+// The message's backing is the caller's from here on: the ring keeps no
+// reference to it, so its bytes stay as they are until the caller gives
+// it back with Release. A message that is never released is left to the
+// garbage collector.
 func (q *RecvQueue) Poll() (QueuedMsg, bool) {
 	if q.count == 0 {
 		return QueuedMsg{}, false
 	}
 	m := q.slots[q.head]
-	q.slots[q.head].Data = m.Data[:0]
+	q.slots[q.head] = QueuedMsg{}
 	q.head = (q.head + 1) % q.nslots
 	q.count--
 	return m, true
+}
+
+// Release gives the backing of m, a message Poll returned, back to the
+// ring for a later deposit, which may overwrite it: the caller must be done
+// with m.Data. Release a message once, and only to the queue it came from.
+// Correctness never depends on it; a ring whose consumers release
+// allocates nothing per message once it has seen its deepest occupancy.
+func (q *RecvQueue) Release(m QueuedMsg) {
+	if cap(m.Data) > 0 && len(q.spare) < q.nslots {
+		q.spare = append(q.spare, m.Data[:0])
+	}
 }
 
 // ArmInterrupt makes the next deposit raise a host interrupt firing sig.
@@ -143,9 +161,14 @@ func (q *RecvQueue) deposit(src int, data []byte) bool {
 	if len(data) > q.slotSize {
 		q.slotSize = max(64, 1<<bits.Len(uint(len(data)-1)))
 	}
-	buf := q.slots[idx].Data
+	var buf []byte
+	if n := len(q.spare); n > 0 {
+		buf = q.spare[n-1]
+		q.spare[n-1] = nil
+		q.spare = q.spare[:n-1]
+	}
 	if cap(buf) < len(data) {
-		buf = make([]byte, q.slotSize)
+		buf = make([]byte, q.slotSize) // a spare too small is dropped, never overrun
 	}
 	cp := buf[:len(data)]
 	copy(cp, data)

@@ -118,6 +118,10 @@ func (q *Queue) Take() (elan4.QueuedMsg, bool) {
 	return m, ok
 }
 
+// Release gives a message Take or Recv returned back to the queue once
+// the caller is done with its bytes (elan4.RecvQueue.Release).
+func (q *Queue) Release(m elan4.QueuedMsg) { q.q.Release(m) }
+
 // Recv waits for and consumes the next message in the given mode.
 func (q *Queue) Recv(th *simtime.Thread, mode WaitMode) elan4.QueuedMsg {
 	for {

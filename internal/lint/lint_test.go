@@ -56,6 +56,12 @@ func TestPoolUse(t *testing.T) {
 	linttest.Run(t, lint.Ownership, "poolfix")
 }
 
+// TestQueueRelease runs the ownership analyzer over its receive-queue
+// fixture: a message released to its ring is retired like a Put buffer.
+func TestQueueRelease(t *testing.T) {
+	linttest.Run(t, lint.Ownership, "releasefix")
+}
+
 func TestTraceCorr(t *testing.T) {
 	// The fixture type-checks under the real pml import path: tracecorr
 	// is scoped to the protocol layers.

@@ -12,9 +12,11 @@ import (
 
 // Ownership audits the three states a buffer is in: owned by the
 // program, lent while a nonblocking MPI operation is in flight over it,
-// or retired to a bufpool. The rendezvous protocol lends a buffer to the
-// NIC until the FIN comes back, and the pools are lock-free free lists
-// whose Put relinquishes a buffer to whoever Gets next, so:
+// or retired to a bufpool — or, for a message polled from a QDMA receive
+// queue, released to its ring. The rendezvous protocol lends a buffer to
+// the NIC until the FIN comes back, the pools are lock-free free lists
+// whose Put relinquishes a buffer to whoever Gets next, and a ring hands
+// a released message's backing to its next deposit, so:
 //
 //   - a lent buffer must not be written — assigned through, copied into,
 //     incremented — or handed to a second post until its request
@@ -151,11 +153,20 @@ type obligation struct {
 }
 
 // holder is who holds a buffer the program does not: the request of the
-// post on line when req is set, the pool since the Put on line when not.
+// post on line when req is set, the pool or ring since the retire on line
+// when not. post names the post, or the retire (Put, Release).
 type holder struct {
 	req  types.Object
 	line int
 	post string
+}
+
+// retires are the one-argument methods that retire their argument: a
+// pool's Put and a QDMA receive queue's Release, at either layer.
+var retires = []struct{ pkg, typ, method string }{
+	{module + "/internal/bufpool", "Pool", "Put"},
+	{module + "/internal/elan4", "RecvQueue", "Release"},
+	{module + "/internal/libelan", "Queue", "Release"},
 }
 
 func (o ownPath) branch(...ast.Expr) ownPath {
@@ -336,17 +347,25 @@ func (o ownPath) complete(obj types.Object, isWait bool, at token.Pos) {
 	}
 }
 
-// put retires the buffer of a statement pool.Put(b) on a *bufpool.Pool,
-// reporting whether n is one.
+// put retires the buffer of a statement that is one of retires — pool.Put(b)
+// on a *bufpool.Pool, q.Release(msg) on a receive queue — reporting
+// whether n is one.
 func (o ownPath) put(n ast.Node) bool {
 	es, ok := n.(*ast.ExprStmt)
 	if !ok {
 		return false
 	}
 	call, ok := es.X.(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 ||
-		!analysis.IsNamed(analysis.ReceiverNamed(o.pass.TypesInfo, call), module+"/internal/bufpool", "Pool") ||
-		analysis.CalleeFunc(o.pass.TypesInfo, call).Name() != "Put" {
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	recv, verb := analysis.ReceiverNamed(o.pass.TypesInfo, call), ""
+	for _, r := range retires {
+		if analysis.IsNamed(recv, r.pkg, r.typ) && analysis.CalleeFunc(o.pass.TypesInfo, call).Name() == r.method {
+			verb = r.method
+		}
+	}
+	if verb == "" {
 		return false
 	}
 	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
@@ -358,15 +377,15 @@ func (o ownPath) put(n ast.Node) bool {
 	switch h, held := o.bufs[r]; {
 	case held && h.req == nil:
 		o.pass.Reportf(es.Pos(),
-			"double Put of %s (already recycled at line %d): two owners will be handed the same buffer",
-			id.Name, h.line)
+			"double %s of %s (already recycled at line %d): two owners will be handed the same buffer",
+			verb, id.Name, h.line)
 		return true
 	case held:
 		o.pass.Reportf(es.Pos(),
-			"Put of %s while the %s from line %d is in flight: the pool may hand the NIC's bytes to another owner — complete the request first",
-			id.Name, h.post, h.line)
+			"%s of %s while the %s from line %d is in flight: the pool may hand the NIC's bytes to another owner — complete the request first",
+			verb, id.Name, h.post, h.line)
 	}
-	o.bufs[r] = holder{line: line}
+	o.bufs[r] = holder{line: line, post: verb}
 	return true
 }
 
@@ -408,15 +427,15 @@ func (o ownPath) retiredRead(id *ast.Ident, within ast.Node) {
 		if isStoreContext(within, id) {
 			how = "retained"
 		}
-		o.retired(how, id, h.line)
+		o.retired(how, id, h)
 		delete(o.bufs, r)
 	}
 }
 
-func (o ownPath) retired(how string, id *ast.Ident, line int) {
+func (o ownPath) retired(how string, id *ast.Ident, h holder) {
 	o.pass.Reportf(id.Pos(),
-		"%s %s after Put (recycled at line %d): the pool may already have handed this buffer to another owner",
-		how, id.Name, line)
+		"%s %s after %s (recycled at line %d): the pool may already have handed this buffer to another owner",
+		how, id.Name, h.post, h.line)
 }
 
 // write reports a store through target's root variable while its buffer
@@ -433,7 +452,7 @@ func (o ownPath) write(target ast.Expr, copyCall *ast.CallExpr) {
 	case !held:
 		return
 	case h.req == nil:
-		o.retired("written", root, h.line)
+		o.retired("written", root, h)
 	default:
 		at, how, why := root.Pos(), "", "the PML may still be draining or filling these bytes — "
 		if copyCall != nil {

@@ -74,6 +74,7 @@ func (m *Module) HWBcast(th *simtime.Thread, root int, members []int, me int, da
 		body := msg.Data[chunkHeader:]
 		copy(data[off:off+len(body)], body)
 		got += len(body)
+		m.collQ.Release(msg)
 	}
 	return true
 }
@@ -306,6 +307,7 @@ func (t *hwTree) combineFire() {
 		}
 		slot := t.kidIdx[msg.SrcVPID]
 		copy(t.kidBuf[slot][:t.bytes], msg.Data[chunkHeader:])
+		t.upQ.Release(msg)
 	}
 	acc := t.acc[:t.bytes]
 	copy(acc, t.val[:t.bytes])
@@ -332,6 +334,7 @@ func (t *hwTree) releaseFire() {
 		panic("ptlelan4: hw tree release from a different operation")
 	}
 	copy(t.acc[:t.bytes], msg.Data[chunkHeader:])
+	t.downQ.Release(msg)
 	t.release()
 }
 

@@ -206,7 +206,8 @@ type Module struct {
 	slots bufpool.FreeList[elan4.Event]
 	// collPending parks hardware-collective chunks that arrived from a
 	// different root than the one currently being received (consecutive
-	// collectives overlapping in the network).
+	// collectives overlapping in the network). A parked chunk keeps its
+	// bytes until it is consumed and released to collQ.
 	collPending []elan4.QueuedMsg
 
 	// pool recycles the transient header+inline staging buffers built for

@@ -467,6 +467,63 @@ func TestSendBufferPoolBackpressure(t *testing.T) {
 	}
 }
 
+// TestEagerIncastPayloads: seven senders burst 64 eager messages each into
+// one rank, which has posted every receive, under polling progress and
+// under one and two progress threads. Every payload must arrive as sent.
+// The PML matches an eager body in place from the receive queue's
+// backing and charges its match cost while it still reads it, so a queue
+// message released to its ring before its handler returns is overwritten
+// by the next deposit.
+func TestEagerIncastPayloads(t *testing.T) {
+	const senders, msgs, size = 7, 64, 512
+	payload := func(src, i int) []byte {
+		b := pattern(size, byte(src*msgs+i))
+		b[0], b[1] = byte(src), byte(i)
+		return b
+	}
+	for _, mode := range []struct {
+		name string
+		spec cluster.Spec
+	}{
+		{"polling", elanSpec(ptlelan4.BestOptions(ptlelan4.RDMARead))},
+		{"one-thread", threadedSpec(1)},
+		{"two-threads", threadedSpec(2)},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			c := cluster.New(mode.spec, senders+1)
+			good := 0
+			c.Launch(func(p *cluster.Proc) {
+				dt := datatype.Contiguous(size)
+				if p.Rank != 0 {
+					for i := 0; i < msgs; i++ {
+						p.Stack.Send(p.Th, 0, i, 0, payload(p.Rank, i), dt)
+					}
+					p.Stack.Block(p.Th, func() bool { return p.Stack.PendingSends() == 0 }, true)
+					return
+				}
+				bufs := make([][]byte, senders*msgs)
+				reqs := make([]*pml.RecvReq, len(bufs))
+				for j := range bufs {
+					bufs[j] = make([]byte, size)
+					reqs[j] = p.Stack.Recv(p.Th, 1+j/msgs, j%msgs, 0, bufs[j], dt)
+				}
+				for j, r := range reqs {
+					r.Wait(p.Th)
+					if bytes.Equal(bufs[j], payload(1+j/msgs, j%msgs)) {
+						good++
+					}
+				}
+			})
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if good != senders*msgs {
+				t.Fatalf("%d of %d payloads arrived as sent", good, senders*msgs)
+			}
+		})
+	}
+}
+
 func TestRandomizedTrafficProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 3; trial++ {

@@ -62,17 +62,21 @@ func (m *Module) ready(i int) bool {
 	return false
 }
 
-// take handles what check i found, at the instant it found it. A
-// descriptor leaves the list before its completion runs, so no other
-// thread's sweep can see it again.
+// take handles what check i found, at the instant it found it. A queue's
+// message goes back to its ring only once handleMsg has returned: the PML
+// matches an eager body in place, computing while it still reads the
+// slot's bytes. A descriptor leaves the list before its completion runs,
+// so no other thread's sweep can see it again.
 func (m *Module) take(th *simtime.Thread, i int) {
 	switch q := m.queues(); {
-	case i == 0:
-		msg, _ := m.recvQ.Take()
-		m.handleMsg(th, msg)
 	case i < q:
-		msg, _ := m.compQ.Take()
+		queue := m.recvQ
+		if i > 0 {
+			queue = m.compQ
+		}
+		msg, _ := queue.Take()
 		m.handleMsg(th, msg)
+		queue.Release(msg)
 	default:
 		op := m.outstanding[i-q]
 		m.outstanding = slices.Delete(m.outstanding, i-q, i-q+1)
@@ -177,6 +181,7 @@ func (m *Module) spawnProgressThread(name string, q *libelan.Queue) {
 		for !m.stopping {
 			msg := q.Recv(th, libelan.Block)
 			m.handleMsg(th, msg)
+			q.Release(msg)
 		}
 	})
 }
