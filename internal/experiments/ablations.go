@@ -130,14 +130,13 @@ func hwBcastLatency(nodes, size int) (float64, parsweep.Metrics) {
 		queues[i] = b.states[i].NewQueue(1, 8)
 		dsts = append(dsts, i)
 	}
-	payload := make([]byte, size)
 	var last simtime.Time
 	b.hosts[0].Spawn("root", func(th *simtime.Thread) {
-		b.states[0].BcastQDMA(th, dsts, 1, payload, nil, nil)
+		b.states[0].BcastQDMA(th, dsts, 1, payload(size), nil, nil)
 	})
 	for i := 1; i < nodes; i++ {
 		b.hosts[i].Spawn("leaf", func(th *simtime.Thread) {
-			queues[i].Recv(th, libelan.Poll)
+			queues[i].Release(queues[i].Recv(th, libelan.Poll))
 			last = max(last, th.Now())
 		})
 	}

@@ -121,7 +121,7 @@ func pingPongOn(c *cluster.Cluster, peer, size, iters, warmup int) (lat, pmlCost
 		p.Stack.Trace = &pml.LayerTrace{}
 		traces = append(traces, p.Stack.Trace)
 		dt := datatype.Contiguous(size)
-		buf := make([]byte, size)
+		buf := payload(size)
 		scratch := make([]byte, size)
 		pingPong(p.Th, p.Rank == 0, warmup, iters, &lat,
 			func(tag int) { p.Stack.Send(p.Th, other, tag, 0, buf, dt).Wait(p.Th) },
@@ -155,7 +155,7 @@ func (c Config) tport(size, iters int) (float64, parsweep.Metrics) {
 // j, which the caller keeps for whatever it attached to it.
 func tportPingPong(j *mpichq.Job, size, iters, warmup int) (lat float64, m parsweep.Metrics) {
 	j.Launch(func(rank int, th *simtime.Thread, c *mpichq.Comm) {
-		buf := make([]byte, size)
+		buf := payload(size)
 		scratch := make([]byte, size)
 		pingPong(th, rank == 0, warmup, iters, &lat,
 			func(tag int) { c.Send(th, 1-rank, tag, buf) },
@@ -189,12 +189,12 @@ func (c Config) qdma(size, iters int) (float64, parsweep.Metrics) {
 func qdmaPingPong(size, iters, warmup int) (lat float64, m parsweep.Metrics) {
 	b := bareNICs(2)
 	queues := []*libelan.Queue{b.states[0].NewQueue(1, 64), b.states[1].NewQueue(1, 64)}
-	payload := make([]byte, size)
+	buf := payload(size)
 	for i, name := range []string{"ping", "pong"} {
 		b.hosts[i].Spawn(name, func(th *simtime.Thread) {
 			pingPong(th, i == 0, warmup, iters, &lat,
-				func(int) { b.states[i].QDMA(th, 1-i, 1, payload, nil, nil) },
-				func(int) { queues[i].Recv(th, libelan.Poll) })
+				func(int) { b.states[i].QDMA(th, 1-i, 1, buf, nil, nil) },
+				func(int) { queues[i].Release(queues[i].Recv(th, libelan.Poll)) })
 		})
 	}
 	m = b.run()

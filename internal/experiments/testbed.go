@@ -22,6 +22,20 @@ import (
 // every harness of the package. What is simulated — buffers, tags,
 // iteration counts, launch order — is the harness's argument to it.
 
+// zeros is what every harness sends from. A send only reads its buffer and
+// no harness checks the bytes it receives, so one read-only array serves
+// every simulation at once, on every sweep worker.
+var zeros [1 << 20]byte
+
+// payload returns n bytes to send: a slice of zeros when they fit, capped
+// so that nothing can append into the array, else new zeroed bytes.
+func payload(n int) []byte {
+	if n <= len(zeros) {
+		return zeros[:n:n]
+	}
+	return make([]byte, n)
+}
+
 // run launches body on every rank of the fresh cluster c, runs it to
 // quiescence and returns the engine metrics. It is where a harness on the
 // Open MPI stack fails.
