@@ -5,9 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"qsmpi/internal/bufpool"
+	"qsmpi/internal/cluster"
 	"qsmpi/internal/parsweep"
 	"qsmpi/internal/pml"
 	"qsmpi/internal/ptlelan4"
+	"qsmpi/internal/ptltcp"
 )
 
 // TestConcurrentSimulationsShareNothing runs two complete simulations on
@@ -70,5 +73,43 @@ func TestSweepStatsAccumulate(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "24 jobs (12 reused)") {
 		t.Errorf("-stats does not show the reused jobs: %s", st.String())
+	}
+}
+
+// TestPoolTotalsIncludeTCP: the pool counters a harness reports are every
+// pool of the cluster, the TCP module's among them. A 1 MiB ping-pong over
+// Elan write + TCP stripes each rendezvous remainder across both modules,
+// so the TCP module's segment pool is busy; the totals must equal the sum
+// over each rank's stack, Elan rails and TCP module, and the NICs.
+func TestPoolTotalsIncludeTCP(t *testing.T) {
+	spec := elanSpec(ptlelan4.BestOptions(ptlelan4.RDMAWrite), false, pml.Polling)
+	spec.TCP = &ptltcp.Options{Weight: 0.5}
+	c := cluster.New(spec, 2)
+	_, _, m := pingPongOn(c, 1, 1<<20, 2, 1)
+	var want, tcp bufpool.Stats
+	add := func(to *bufpool.Stats, s bufpool.Stats) {
+		to.Gets += s.Gets
+		to.Hits += s.Hits
+		to.Puts += s.Puts
+	}
+	for _, p := range c.Procs() {
+		add(&want, p.Stack.PoolStats())
+		for _, e := range p.Elans {
+			add(&want, e.PoolStats())
+		}
+		add(&want, p.TCP.PoolStats())
+		add(&tcp, p.TCP.PoolStats())
+	}
+	for _, rail := range c.RailNICs {
+		for _, nic := range rail {
+			add(&want, nic.PoolStats())
+		}
+	}
+	if tcp.Gets == 0 || tcp.Puts == 0 {
+		t.Fatalf("the TCP modules' pools saw %+v: the ping-pong never striped onto TCP", tcp)
+	}
+	if m.PoolGets != want.Gets || m.PoolHits != want.Hits || m.PoolPuts != want.Puts {
+		t.Errorf("pool totals %d gets, %d hits, %d puts; the cluster's pools hold %+v, the TCP modules' %+v",
+			m.PoolGets, m.PoolHits, m.PoolPuts, want, tcp)
 	}
 }
